@@ -320,8 +320,8 @@ def _cmd_a2d(args) -> int:
 
 def _cmd_smooth_check(args) -> int:
     doc, curve, region, theta = _theta_pipeline(args)
-    epsilon = args.epsilon or doc.options.epsilon or 0.25
-    order = args.order or doc.options.quadrature_order
+    epsilon = args.epsilon if args.epsilon is not None else doc.options.epsilon or 0.25
+    order = args.order if args.order is not None else doc.options.quadrature_order
     params = (
         MollifierParams(epsilon=epsilon)
         if order is None

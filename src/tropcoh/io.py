@@ -167,4 +167,4 @@ def report_bytes(command: str, result, seed: Optional[int] = None) -> bytes:
         "seed": seed,
         "result": encode_exact(result),
     }
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")

@@ -1,16 +1,23 @@
 """Floating point checks of the mollifier smoothing claims.
 
-Quadrature splits the integration strip at every declared kink line of the
-integrand, so fixed-order Gauss-Legendre sees only smooth pieces.  The
-normalizing constant is accumulated from the same nodes as the numerator,
-which makes constants reproduce exactly up to roundoff.
+The smoothing of f is F(x) = int f(x - y) mu(y) dy / Z with the bump
+mu(y) = exp(1 / (|y|^2 - eps^2)) on |y| < eps.  Quadrature splits the disk at
+every declared kink line of f, so fixed-order Gauss-Legendre sees only smooth
+pieces; Z comes from the same nodes, so constants reproduce up to roundoff.
+Gradient and Hessian are closed forms over the same nodes, differentiating
+only the bump, never the kinks of f:
+
+    grad F = sum W mu grad f(x - y) / Z,  d_i d_j F = sum W d_j mu d_i f(x - y) / Z.
+
+"quadrature order too low" means that the bump mass on the split pieces
+differs from the same rule's mass on the unsplit disk by more than 1e-6
+(relative): the pieces are too thin for the order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -43,6 +50,9 @@ class AffinePL:
     def value(self, pts: np.ndarray) -> np.ndarray:
         return pts[:, 0] * self.slope[0] + pts[:, 1] * self.slope[1] + self.offset
 
+    def gradient(self, pts: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(np.asarray(self.slope, dtype=float), (len(pts), 2))
+
     def walls(self) -> tuple[Wall, ...]:
         return ()
 
@@ -54,27 +64,23 @@ class FanPL:
         self.theta = theta
         rays = theta.fan.rays
         angles = np.unwrap([math.atan2(u[1], u[0]) for u in rays])
-        assert np.all(np.diff(angles) > 0)
+        if not np.all(np.diff(angles) > 0):
+            raise LatticeError("fan rays are not in counterclockwise order")
         self._angles = angles
-        self._parts = np.array(
-            [[float(t[0]), float(t[1])] for t in theta.thetas]
-        )
-        seen = set()
-        ws = []
-        for u in rays:
-            key = u if u[0] > 0 or (u[0] == 0 and u[1] > 0) else (-u[0], -u[1])
-            if key in seen:
-                continue
-            seen.add(key)
-            ws.append(_normalize_wall(-key[1], key[0], 0.0))
-        self._walls = tuple(ws)
+        self._parts = np.array([[float(t[0]), float(t[1])] for t in theta.thetas])
+        keys = (u if u[0] > 0 or (u[0] == 0 and u[1] > 0) else (-u[0], -u[1]) for u in rays)
+        self._walls = tuple(_normalize_wall(-k[1], k[0], 0.0) for k in dict.fromkeys(keys))
 
-    def value(self, pts: np.ndarray) -> np.ndarray:
+    def gradient(self, pts: np.ndarray) -> np.ndarray:
+        """Linear part of the cone containing each point."""
         ang = np.arctan2(pts[:, 1], pts[:, 0])
         a0 = self._angles[0]
         ang = a0 + np.mod(ang - a0, 2 * math.pi)
         idx = np.clip(np.searchsorted(self._angles, ang, side="right") - 1, 0, len(self._angles) - 1)
-        parts = self._parts[idx]
+        return self._parts[idx]
+
+    def value(self, pts: np.ndarray) -> np.ndarray:
+        parts = self.gradient(pts)
         return parts[:, 0] * pts[:, 0] + parts[:, 1] * pts[:, 1]
 
     def walls(self) -> tuple[Wall, ...]:
@@ -87,13 +93,14 @@ class SubdivisionPL:
     def __init__(self, sub: Subdivision, values: Sequence[int]):
         self.sub = sub
         self.values = tuple(values)
-        self._tri = []
-        pts = sub.points
-        for t, (i0, i1, i2) in enumerate(sub.triangles):
-            p0, p1, p2 = (np.array(pts[i], dtype=float) for i in (i0, i1, i2))
-            vals = np.array([values[i0], values[i1], values[i2]], dtype=float)
-            self._tri.append((p0, p1 - p0, p2 - p0, vals))
-        self._hull = [np.array(p, dtype=float) for p in convex_hull(pts)]
+        pts = np.array(sub.points, dtype=float)
+        tri = np.array(sub.triangles, dtype=int).reshape(-1, 3)
+        self._p0 = pts[tri[:, 0]]
+        self._e = np.stack([pts[tri[:, 1]] - self._p0, pts[tri[:, 2]] - self._p0], axis=1)
+        self._v = np.array(values, dtype=float)[tri]
+        # slope g of each triangle: <g, e_k> = v_k - v_0
+        self._slope = np.linalg.solve(self._e, (self._v[:, 1:] - self._v[:, :1])[:, :, None])[:, :, 0]
+        self._hull = np.array(convex_hull(sub.points), dtype=float)
         ws = []
         for e in edges(sub):
             a, b = e.a, e.b
@@ -101,49 +108,50 @@ class SubdivisionPL:
             ws.append(_normalize_wall(-d[1], d[0], d[1] * a[0] - d[0] * a[1]))
         self._walls = tuple(dict.fromkeys(ws))
 
-    def _project(self, pts: np.ndarray) -> np.ndarray:
-        hull = self._hull
-        n = len(hull)
-        inside = np.ones(len(pts), dtype=bool)
-        for i in range(n):
-            a, b = hull[i], hull[(i + 1) % n]
-            e = b - a
-            inside &= e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0]) >= -1e-12
-        out = pts.copy()
-        todo = ~inside
-        if np.any(todo):
-            q = pts[todo]
-            best = None
-            bestd = None
-            for i in range(n):
-                a, b = hull[i], hull[(i + 1) % n]
-                e = b - a
-                t = np.clip(((q - a) @ e) / (e @ e), 0.0, 1.0)
-                proj = a + t[:, None] * e
-                d = np.sum((q - proj) ** 2, axis=1)
-                if best is None:
-                    best, bestd = proj, d
-                else:
-                    better = d < bestd
-                    best[better] = proj[better]
-                    bestd = np.minimum(bestd, d)
-            out[todo] = best
-        return out
+    def _project(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest points of the polygon and the Jacobian of that projection.
+
+        The Jacobian is I inside the hull, e e^T / |e|^2 on the slab of a hull
+        edge e, and 0 in the wedge of a hull vertex.
+        """
+        a = self._hull
+        e = np.roll(a, -1, axis=0) - a
+        rel = pts[:, None, :] - a
+        inside = np.all(e[:, 0] * rel[..., 1] - e[:, 1] * rel[..., 0] >= -1e-12, axis=1)
+        t = np.sum(rel * e, axis=2) / np.sum(e * e, axis=1)
+        proj = a + np.clip(t, 0.0, 1.0)[..., None] * e
+        rows = np.arange(len(pts))
+        k = np.argmin(np.sum((pts[:, None, :] - proj) ** 2, axis=2), axis=1)
+        ek = e[k]
+        slab = (t[rows, k] > 0) & (t[rows, k] < 1)
+        jac = (slab / np.sum(ek * ek, axis=1))[:, None, None] * ek[:, :, None] * ek[:, None, :]
+        q = np.where(inside[:, None], pts, proj[rows, k])
+        return q, np.where(inside[:, None, None], np.eye(2), jac)
+
+    def _locate(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """First triangle containing each point, and its barycentric (s, t) there."""
+        r = q[:, None, :] - self._p0
+        e1, e2 = self._e[:, 0], self._e[:, 1]
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        s = (r[..., 0] * e2[:, 1] - r[..., 1] * e2[:, 0]) / det
+        t = (e1[:, 0] * r[..., 1] - e1[:, 1] * r[..., 0]) / det
+        hit = (s >= -1e-9) & (t >= -1e-9) & (s + t <= 1 + 1e-9)
+        if not np.all(np.any(hit, axis=1)):
+            raise LatticeError("projected point escaped the triangulation")
+        k = np.argmax(hit, axis=1)
+        rows = np.arange(len(q))
+        return k, s[rows, k], t[rows, k]
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        q = self._project(np.asarray(pts, dtype=float))
-        vals = np.empty(len(q))
-        done = np.zeros(len(q), dtype=bool)
-        for p0, e1, e2, v in self._tri:
-            r = q - p0
-            det = e1[0] * e2[1] - e1[1] * e2[0]
-            s = (r[:, 0] * e2[1] - r[:, 1] * e2[0]) / det
-            t = (e1[0] * r[:, 1] - e1[1] * r[:, 0]) / det
-            mask = ~done & (s >= -1e-9) & (t >= -1e-9) & (s + t <= 1 + 1e-9)
-            vals[mask] = v[0] + s[mask] * (v[1] - v[0]) + t[mask] * (v[2] - v[0])
-            done |= mask
-        assert done.all(), "projected point escaped the triangulation"
-        return vals
+        q, _ = self._project(np.asarray(pts, dtype=float))
+        k, s, t = self._locate(q)
+        v = self._v[k]
+        return v[:, 0] + s * (v[:, 1] - v[:, 0]) + t * (v[:, 2] - v[:, 0])
+
+    def gradient(self, pts: np.ndarray) -> np.ndarray:
+        """Triangle slope at the projected point, times the projection's Jacobian."""
+        q, jac = self._project(np.asarray(pts, dtype=float))
+        return np.einsum("nij,nj->ni", jac, self._slope[self._locate(q)[0]])
 
     def walls(self) -> tuple[Wall, ...]:
         return self._walls
@@ -153,6 +161,12 @@ class SubdivisionPL:
 class MollifierParams:
     epsilon: float
     quadrature_order: int = 24
+
+    def __post_init__(self):
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise LatticeError(f"mollifier radius must be positive and finite, got {self.epsilon}")
+        if self.quadrature_order < 1:
+            raise LatticeError(f"quadrature order must be positive, got {self.quadrature_order}")
 
 
 def epsilon_auto(sub: Subdivision) -> float:
@@ -177,25 +191,15 @@ def epsilon_auto(sub: Subdivision) -> float:
 
 @lru_cache(maxsize=None)
 def _gl(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
 
 
-def mollify_eval(f, p: MollifierParams, x) -> float:
-    eps = float(p.epsilon)
-    order = int(p.quadrature_order)
-    if order < 1:
-        raise LatticeError("quadrature order must be positive")
+def _nodes(lines, eps: float, order: int):
+    """Gauss-Legendre rule on the disk |y| < eps split at lines a*y1 + b*y2 = d.
+
+    Yields one strip at a time: nodes y (n, 2), W * mu and W * grad mu.
+    """
     gx, gw = _gl(order)
-    x0, x1 = float(x[0]), float(x[1])
-
-    # wall lines in the y frame: a*y1 + b*y2 = d
-    lines = []
-    for a, b, c in f.walls():
-        d = a * x0 + b * x1 + c
-        if abs(d) <= eps + 1e-12:
-            lines.append((a, b, d))
-
     cuts = set()
     for a, b, d in lines:
         if abs(a) < 1e-14:
@@ -222,8 +226,6 @@ def mollify_eval(f, p: MollifierParams, x) -> float:
             bounds.append(t)
     bounds.append(eps)
 
-    num = 0.0
-    den = 0.0
     slope_walls = [(a, b, d) for a, b, d in lines if abs(a) >= 1e-14]
     for lo, hi in zip(bounds, bounds[1:]):
         mid, half = (lo + hi) / 2, (hi - lo) / 2
@@ -239,68 +241,67 @@ def mollify_eval(f, p: MollifierParams, x) -> float:
         Y1 = mid1[:, :, None] + half1[:, :, None] * gx[None, None, :]
         W = WT[:, None, None] * half1[:, :, None] * gw[None, None, :]
         Y2 = np.broadcast_to(T[:, None, None], Y1.shape)
-        r2 = Y1 * Y1 + Y2 * Y2
-        mu = np.zeros_like(r2)
+        y = np.stack([Y1.ravel(), Y2.ravel()], axis=1)
+        r2 = y[:, 0] * y[:, 0] + y[:, 1] * y[:, 1]
         ok = r2 < eps * eps * (1 - 1e-15)
-        mu[ok] = np.exp(1.0 / (r2[ok] - eps * eps))
-        pts = np.stack([x0 - Y1.ravel(), x1 - Y2.ravel()], axis=1)
-        fv = np.asarray(f.value(pts), dtype=float).reshape(Y1.shape)
-        num += float(np.sum(W * mu * fv))
-        den += float(np.sum(W * mu))
+        inv = 1.0 / (r2[ok] - eps * eps)
+        wmu = np.zeros_like(r2)
+        wmu[ok] = W.ravel()[ok] * np.exp(inv)
+        wdmu = np.zeros_like(y)
+        wdmu[ok] = (-2.0 * wmu[ok] * inv * inv)[:, None] * y[ok]
+        yield y, wmu, wdmu
+
+
+@lru_cache(maxsize=None)
+def _disk_mass(eps: float, order: int) -> float:
+    return sum(float(np.sum(wmu)) for _, wmu, _ in _nodes([], eps, order))
+
+
+def _quadrature(f, p: MollifierParams, x, terms):
+    """Sum of terms(W mu, W grad mu, x - y) over the split rule, and Z."""
+    eps = float(p.epsilon)
+    order = int(p.quadrature_order)
+    x = np.array([float(x[0]), float(x[1])])
+    # wall lines in the y frame: a*y1 + b*y2 = d
+    lines = []
+    for a, b, c in f.walls():
+        d = a * x[0] + b * x[1] + c
+        if abs(d) <= eps + 1e-12:
+            lines.append((a, b, d))
+    total = 0.0
+    den = 0.0
+    for y, wmu, wdmu in _nodes(lines, eps, order):
+        total = total + terms(wmu, wdmu, x - y)
+        den += float(np.sum(wmu))
+    mass = _disk_mass(eps, order)
+    if abs(den - mass) > 1e-6 * mass:
+        raise LatticeError("quadrature order too low")
+    return total, den
+
+
+def mollify_eval(f, p: MollifierParams, x) -> float:
+    num, den = _quadrature(f, p, x, lambda wmu, wdmu, z: float(np.sum(wmu * f.value(z))))
     return num / den
 
 
-def _richardson_gap(a: float, b: float) -> float:
-    # error estimate for the h/2 value of an O(h^2) scheme
-    return abs(a - b) / (3 * max(abs(a), abs(b), 1.0))
+def derivatives(f, p: MollifierParams, x):
+    """Gradient (gx, gy) and Hessian ((h11, h12), (h12, h22)) of the smoothing at x."""
+
+    def terms(wmu, wdmu, z):
+        g = f.gradient(z)
+        return np.concatenate([np.einsum("n,ni->i", wmu, g), np.einsum("nj,ni->ji", wdmu, g).ravel()])
+
+    total, den = _quadrature(f, p, x, terms)
+    m = total[2:].reshape(2, 2) / den
+    return tuple((total[:2] / den).tolist()), tuple(map(tuple, ((m + m.T) / 2).tolist()))
 
 
 def grad(f, p: MollifierParams, x) -> tuple[float, float]:
-    eps = float(p.epsilon)
-    # step keeps O(h^2) truncation well under the 1e-5 gate while staying
-    # far above the quadrature noise floor
-    h = eps * 5e-4
-    out = None
-    for step in (h, h / 2):
-        gxv = (
-            mollify_eval(f, p, (x[0] + step, x[1])) - mollify_eval(f, p, (x[0] - step, x[1]))
-        ) / (2 * step)
-        gyv = (
-            mollify_eval(f, p, (x[0], x[1] + step)) - mollify_eval(f, p, (x[0], x[1] - step))
-        ) / (2 * step)
-        if out is not None and (
-            _richardson_gap(out[0], gxv) > 1e-5 or _richardson_gap(out[1], gyv) > 1e-5
-        ):
-            raise LatticeError("quadrature order too low")
-        out = (gxv, gyv)
-    return out
+    return derivatives(f, p, x)[0]
 
 
 def hessian(f, p: MollifierParams, x):
-    eps = float(p.epsilon)
-    h = eps * 5e-4
-    out = None
-    for step in (h, h / 2):
-        c = mollify_eval(f, p, (x[0], x[1]))
-        xp = mollify_eval(f, p, (x[0] + step, x[1]))
-        xm = mollify_eval(f, p, (x[0] - step, x[1]))
-        yp = mollify_eval(f, p, (x[0], x[1] + step))
-        ym = mollify_eval(f, p, (x[0], x[1] - step))
-        pp = mollify_eval(f, p, (x[0] + step, x[1] + step))
-        pm = mollify_eval(f, p, (x[0] + step, x[1] - step))
-        mp = mollify_eval(f, p, (x[0] - step, x[1] + step))
-        mm = mollify_eval(f, p, (x[0] - step, x[1] - step))
-        h11 = (xp - 2 * c + xm) / step**2
-        h22 = (yp - 2 * c + ym) / step**2
-        h12 = (pp - pm - mp + mm) / (4 * step**2)
-        cur = ((h11, h12), (h12, h22))
-        if out is not None:
-            for i in (0, 1):
-                for j in (0, 1):
-                    if _richardson_gap(out[i][j], cur[i][j]) > 1e-5:
-                        raise LatticeError("quadrature order too low")
-        out = cur
-    return out
+    return derivatives(f, p, x)[1]
 
 
 def _point_to_segment(q, a, b) -> float:
@@ -350,6 +351,8 @@ class DefinitenessReport:
 def check_hessian_definiteness(
     theta: SemiIntegralSupport, p: MollifierParams, samples: int
 ) -> DefinitenessReport:
+    if samples < 1:
+        raise LatticeError(f"Hessian sample count must be positive, got {samples}")
     convexity = is_strictly_convex(theta)
     if convexity == "neither":
         raise LatticeError("convexity required")
@@ -371,14 +374,14 @@ def check_hessian_definiteness(
         rad = (eps / 2) * math.sqrt((i + 0.5) / samples)
         ang = i * golden
         b = (rad * math.cos(ang), rad * math.sin(ang))
-        (h11, h12), (_, h22) = hessian(f, p, b)
+        g, ((h11, h12), (_, h22)) = derivatives(f, p, b)
         tr, det = h11 + h22, h11 * h22 - h12 * h12
         disc = math.sqrt(max(tr * tr / 4 - det, 0.0))
         eigs = (tr / 2 - disc, tr / 2 + disc)
         if not all(sign * e > 0 for e in eigs):
             failures += 1
         min_abs = min(min_abs, abs(eigs[0]), abs(eigs[1]))
-        grads.append(grad(f, p, b))
+        grads.append(g)
 
     # far out along each ray only one edge bends: gradient walks the segment
     max_gamma = 0.0
@@ -403,14 +406,7 @@ def check_hessian_definiteness(
 
     max_excess = max(_dist_outside_hull(g, hull_pts) for g in grads)
     return DefinitenessReport(
-        convexity,
-        samples,
-        failures,
-        min_abs,
-        gamma_samples,
-        max_gamma,
-        len(grads),
-        max_excess,
+        convexity, samples, failures, min_abs, gamma_samples, max_gamma, len(grads), max_excess
     )
 
 

@@ -192,6 +192,23 @@ def test_smooth_check(run):
     assert result["convexity"] == "convex"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--samples", "0"), "sample count must be positive"),
+        (("--samples", "-5"), "sample count must be positive"),
+        (("--epsilon", "0"), "radius must be positive"),
+        (("--epsilon", "-1"), "radius must be positive"),
+        (("--order", "0"), "order must be positive"),
+    ],
+)
+def test_smooth_check_rejects_bad_flags(run, flags, message):
+    code, out, err = run("smooth-check", P2, "--ell", "cap_k1", *flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_missing_input_file(run, tmp_path):
     code, _, err = run("winding", None, "--input", str(tmp_path / "nope.json"), "--ell", "1,1,1")
     assert code == 2

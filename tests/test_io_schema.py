@@ -1,6 +1,7 @@
 """Strict input parsing, canonical serialization, and exact JSON encoding."""
 
 import json
+import math
 from fractions import Fraction
 
 import jsonschema
@@ -165,3 +166,10 @@ def test_report_envelope():
     assert rep["result"] == {"h_even": 10}
     assert data.endswith(b"\n")
     assert report_bytes("winding", {"h_even": 10}, seed=5) == data
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_report_rejects_non_finite_floats(bad):
+    # strict JSON: no report may print Infinity or NaN
+    with pytest.raises(ValueError):
+        report_bytes("smooth-check", {"min_abs_eigenvalue": bad})

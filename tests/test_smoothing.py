@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from tropcoh.fan import make_fan
 from tropcoh.lattice import LatticeError
 from tropcoh.smoothing import (
     AffinePL,
@@ -17,6 +18,7 @@ from tropcoh.smoothing import (
     SubdivisionPL,
     _normalize_wall,
     check_hessian_definiteness,
+    derivatives,
     epsilon_auto,
     grad,
     hessian,
@@ -157,3 +159,89 @@ def test_definiteness_requires_one_sided_twists(blowup_region):
     theta = theta_from_twisting(twisting(blowup_region, (-14, 5, -14, -9)))
     with pytest.raises(LatticeError, match="convexity required"):
         check_hessian_definiteness(theta, MollifierParams(0.2), samples=4)
+
+
+def _wall_form_hessian(theta, eps, x, order=400):
+    """Hessian of the smoothed fan support from its kinks alone.
+
+    The gradient of the fan support jumps by D_j = theta_j - theta_{j-1}
+    across ray j, in the direction n_j = rot90(u_j), so its distributional
+    Hessian is sum_j D_j n_j^T times the line measure on ray j.  Smoothing
+    gives sum_j D_j n_j^T (int of mu along the ray inside the disk) / Z, with
+    one-dimensional Gauss-Legendre for each chord and for Z in polar form.
+    """
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    r = eps * (gx + 1) / 2
+    z = float(np.sum(eps / 2 * gw * np.exp(1 / (r * r - eps * eps)) * 2 * math.pi * r))
+    x = np.asarray(x, dtype=float)
+    thetas = [np.array([float(t[0]), float(t[1])]) for t in theta.thetas]
+    out = np.zeros((2, 2))
+    for j, u in enumerate(theta.fan.rays):
+        u = np.asarray(u, dtype=float) / math.hypot(*u)
+        # chord {s u : s >= 0, |x - s u| < eps}
+        b, c = float(x @ u), float(x @ x) - eps * eps
+        if b * b - c <= 0:
+            continue
+        lo, hi = max(0.0, b - math.sqrt(b * b - c)), b + math.sqrt(b * b - c)
+        if hi <= lo:
+            continue
+        s = lo + (hi - lo) * (gx + 1) / 2
+        y = x - s[:, None] * u
+        gap = np.minimum(np.sum(y * y, axis=1) - eps * eps, -1e-300)
+        line = float(np.sum((hi - lo) / 2 * gw * np.exp(1 / gap)))
+        out += np.outer(thetas[j] - thetas[j - 1], (-u[1], u[0])) * line
+    return out / z
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.25, 0.5])
+def test_hessian_matches_the_wall_form_pointwise(p2_theta, eps):
+    f = FanPL(p2_theta)
+    points = [
+        (0.01, 0.02),
+        (eps / 5, eps / 7),
+        (-0.05, 0.03),
+        (0.1, -0.04),
+        (1.0, 0.05),  # one ray crosses the disk
+        (0.3, 0.3),  # no ray crosses the disk
+    ]
+    for x in points:
+        got = np.array(derivatives(f, MollifierParams(eps), x)[1])
+        want = _wall_form_hessian(p2_theta, eps, x)
+        assert np.max(np.abs(got - want)) <= 1e-7 * max(1.0, np.max(np.abs(want))), x
+        assert got[0, 1] == got[1, 0]
+
+
+def test_subdivision_gradient_matches_value_differences(p2_sub):
+    # values that make the extension slope differ on every region outside
+    # the polygon: inside, hull-edge slabs and hull-vertex wedges
+    f = SubdivisionPL(p2_sub, (0, 2, 1, 3))
+    h = 1e-6
+    for x in [(0.2, 0.1), (-0.3, 0.2), (2.0, 2.0), (1.0, -1.0), (-3.0, 1.0), (3.0, 0.0), (-2.0, -2.5)]:
+        q = np.array([x])
+        fd = [
+            (f.value(q + h * e)[0] - f.value(q - h * e)[0]) / (2 * h)
+            for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        ]
+        assert np.allclose(f.gradient(q)[0], fd, atol=1e-6), x
+
+
+def test_quadrature_defect_witness_is_convex_and_ok():
+    # a larger convex twisting on which the finite-difference Hessian
+    # raised "quadrature order too low"
+    fan = make_fan(((-1, 1), (0, -1), (1, 0), (1, 1), (0, 1)))
+    theta = theta_from_twisting(twisting(fan, (26, 51, 17, 9, 16)))
+    rep = check_hessian_definiteness(theta, MollifierParams(0.25), samples=24)
+    assert rep.convexity == "convex"
+    assert rep.ok
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_definiteness_rejects_non_positive_sample_counts(p2_theta, samples):
+    with pytest.raises(LatticeError, match="sample count must be positive"):
+        check_hessian_definiteness(p2_theta, MollifierParams(0.2), samples=samples)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+def test_mollifier_radius_must_be_positive(eps):
+    with pytest.raises(LatticeError, match="radius must be positive"):
+        MollifierParams(eps)
