@@ -8,10 +8,10 @@ kernel of the balancing map are exactly the realizable ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .fan import make_fan, self_intersections
-from .lattice import LatticeError, Vec, dot, integer_kernel, rot90, vsub
+from .lattice import LatticeError, Vec, dot, integer_kernel, rot90, vadd, vsub
 from .polytope import (
     EdgeKey,
     Subdivision,
@@ -19,7 +19,6 @@ from .polytope import (
     affine_part,
     edge_kink,
     edges,
-    edges_by_key,
     interior_edge_keys,
     require_valid,
 )
@@ -114,9 +113,12 @@ def picard_basis(curve: TropicalCurve) -> list[dict[EdgeKey, int]]:
     return [dict(zip(phi.edge_order, v)) for v in phi.kernel_vectors()]
 
 
-def _check_cocycle(curve: TropicalCurve, K: KinkVector) -> None:
+def _check_cocycle(
+    curve: TropicalCurve, K: KinkVector, regions: Sequence[BoundedRegion] | None = None
+) -> None:
+    """Raise unless K balances around each of the regions (default: all of them)."""
     by_key = curve.bounded_by_key()
-    for region in bounded_regions(curve):
+    for region in bounded_regions(curve) if regions is None else regions:
         sx = sy = 0
         for key, eps in zip(region.edge_keys, region.epsilons):
             k = _kink_entry(K, key)
@@ -130,7 +132,6 @@ def _check_cocycle(curve: TropicalCurve, K: KinkVector) -> None:
 
 
 def support_from_kinks(K: KinkVector, sub: Subdivision) -> SupportFunction:
-    require_valid(sub)
     from .tropical import tropical_curve
 
     _check_cocycle(tropical_curve(sub), K)
@@ -180,18 +181,18 @@ def canonical_KC(region: BoundedRegion) -> dict[EdgeKey, int]:
     """Kink vector of the canonical class of the region's compact surface."""
     curve = region.curve
     b = self_intersections(make_fan(region.fan_rays))
-    out = {key: 0 for key in interior_edge_keys(curve.sub)}
+    out = {be.key: 0 for be in curve.bounded}
+    # the other bounded edges at the cycle are dual to the interior sides of
+    # the wedge triangles opposite the centre; each carries kink 1
+    for t in region.triangles:
+        key = tuple(sorted(p for p in curve.sub.triangle_points(t) if p != region.dual_vertex))
+        if key in out:
+            out[key] = 1
     for j, key in enumerate(region.edge_keys):
         out[key] = -b[j] - 2
-    boundary = set(region.edge_keys)
-    cycle_pts = set(region.cycle)
-    for be in curve.bounded:
-        if be.key in boundary:
-            continue
-        if be.p_plus in cycle_pts or be.p_minus in cycle_pts:
-            out[be.key] = 1
-    residue = phi_map(curve).apply(out)
-    assert all(r == 0 for r in residue), "canonical kink vector is not balanced"
+    # only the rows of the region and of its neighbours touch nonzero entries
+    near = {region.dual_vertex, *(vadd(region.dual_vertex, u) for u in region.fan_rays)}
+    _check_cocycle(curve, out, [r for r in bounded_regions(curve) if r.dual_vertex in near])
     return out
 
 

@@ -47,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--format", choices=("json", "svg"), default="json", help="artifact format"
         )
         p.add_argument("--seed", type=int, help="recorded in the report envelope")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for enumerations")
         return p
 
     add("validate", "parse and validate an input document", True)
@@ -109,11 +108,13 @@ def _resolve_region(curve, flag: Optional[str], tset: Optional[TwistingSet]) -> 
         else:
             return regions[0]
     try:
-        return regions[int(flag)]
-    except IndexError as exc:
-        raise InputError(f"region index {flag} out of range") from exc
+        index = int(flag)
     except ValueError:
         pass
+    else:
+        if not 0 <= index < len(regions):
+            raise InputError(f"region index {flag} out of range")
+        return regions[index]
     parts = flag.split(",")
     if len(parts) != 2:
         raise InputError(f"--region {flag!r} is neither an index nor a vertex 'x,y'")
@@ -245,7 +246,7 @@ def _cmd_sphere(args) -> int:
 
 def _cmd_winding(args) -> int:
     doc, curve, region, theta = _theta_pipeline(args)
-    table = winding_table(theta, threads=max(1, args.threads))
+    table = winding_table(theta)
     if args.format == "svg":
         _emit(args, render_svg(gamma_curve(theta), table), "svg")
         return 0

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .polytope import Subdivision, require_valid, subdivision
+from .polytope import Subdivision, subdivision
 
 
 def local_p2() -> Subdivision:
@@ -11,13 +11,11 @@ def local_p2() -> Subdivision:
     The single interior vertex carries the projective-plane fan, so the
     bounded region has self-intersections (1, 1, 1).
     """
-    sub = subdivision(
+    return subdivision(
         points=[(0, 0), (1, 0), (0, 1), (-1, -1)],
         triangles=[(0, 1, 2), (0, 2, 3), (0, 3, 1)],
         nu=[0, 1, 1, 1],
     )
-    require_valid(sub)
-    return sub
 
 
 def blowup_p2() -> Subdivision:
@@ -26,13 +24,11 @@ def blowup_p2() -> Subdivision:
     Rays (-1,-1), (0,-1), (1,0), (0,1) give boundary self-intersections
     (0, -1, 0, 1).
     """
-    sub = subdivision(
+    return subdivision(
         points=[(0, 0), (1, 0), (2, 1), (1, 2), (1, 1)],
         triangles=[(4, 0, 1), (4, 1, 2), (4, 2, 3), (4, 3, 0)],
         nu=[1, 1, 1, 1, 0],
     )
-    require_valid(sub)
-    return sub
 
 
 def a2d_subdivision(d: int) -> Subdivision:
@@ -67,6 +63,4 @@ def a2d_subdivision(d: int) -> Subdivision:
             return x * x + x
         return 2
 
-    sub = subdivision(points, triangles, [lift(p) for p in points])
-    require_valid(sub)
-    return sub
+    return subdivision(points, triangles, [lift(p) for p in points])

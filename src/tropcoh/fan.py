@@ -6,7 +6,7 @@ import functools
 from dataclasses import dataclass
 
 from .lattice import LatticeError, Vec, det2, is_primitive, vsub
-from .polytope import Subdivision, interior_vertices
+from .polytope import Subdivision, interior_vertices, stars
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,12 @@ def make_fan(rays) -> Fan:
 
 
 def fan_at_vertex(sub: Subdivision, v: Vec) -> Fan:
-    if tuple(v) not in interior_vertices(sub):
-        raise LatticeError(f"{tuple(v)} is not an interior vertex")
     v = tuple(v)
+    if v not in interior_vertices(sub):
+        raise LatticeError(f"{v} is not an interior vertex")
     dirs = set()
-    for t in range(len(sub.triangles)):
-        pts = sub.triangle_points(t)
-        if v in pts:
-            dirs.update(vsub(p, v) for p in pts if p != v)
+    for t in stars(sub)[v]:
+        dirs.update(vsub(p, v) for p in sub.triangle_points(t) if p != v)
     return make_fan(dirs)
 
 

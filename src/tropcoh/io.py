@@ -63,11 +63,15 @@ def _pointer(path) -> str:
     return "/" + "/".join(str(p) for p in path) if path else "document root"
 
 
+def _reject_constant(token: str):
+    raise InputError(f"parse error: {token} is not a JSON value")
+
+
 def parse_input(data: bytes) -> InputDocument:
     if not data.strip():
         raise InputError("empty document")
     try:
-        raw = json.loads(data.decode("utf-8"))
+        raw = json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
     except UnicodeDecodeError as exc:
         raise InputError(f"input is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:

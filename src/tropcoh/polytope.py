@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .lattice import (
     LatticeError,
@@ -123,8 +124,13 @@ def _boundary_point(p: Vec, hull: Sequence[Vec]) -> bool:
     return any(_on_segment(p, a, b) for a, b in _hull_sides(hull))
 
 
+@lru_cache(maxsize=None)
 def validate(sub: Subdivision) -> ValidationReport:
-    """Check every structural invariant; failures are reported, not raised."""
+    """Check every structural invariant; failures are reported, not raised.
+
+    Cached, so a document checked by io.parse_input is not checked again when
+    its curve is built.
+    """
     issues: list[ValidationIssue] = []
 
     def bad(code: str, message: str) -> None:
@@ -184,12 +190,7 @@ def validate(sub: Subdivision) -> ValidationReport:
         if i not in used:
             bad("unused-point", f"lattice point {p} is not a vertex of any triangle")
 
-    edge_count: dict[EdgeKey, list[int]] = {}
-    for t, tri in enumerate(sub.triangles):
-        for u, v in ((0, 1), (1, 2), (2, 0)):
-            key = tuple(sorted((sub.points[tri[u]], sub.points[tri[v]])))
-            edge_count.setdefault(key, []).append(t)
-    for key, ts in sorted(edge_count.items()):
+    for key, ts in edge_triangles(sub).items():
         if len(ts) > 2:
             bad("nonmanifold-edge", f"edge {key} lies in {len(ts)} triangles")
         elif len(ts) == 1 and not (
@@ -222,9 +223,29 @@ def require_valid(sub: Subdivision) -> None:
 
 
 @lru_cache(maxsize=None)
+def edge_triangles(sub: Subdivision) -> Mapping[EdgeKey, tuple[int, ...]]:
+    """The triangles containing each edge, keyed by its sorted endpoints, in key order."""
+    by_key: dict[EdgeKey, list[int]] = {}
+    for t, tri in enumerate(sub.triangles):
+        for u, v in ((0, 1), (1, 2), (2, 0)):
+            key = tuple(sorted((sub.points[tri[u]], sub.points[tri[v]])))
+            by_key.setdefault(key, []).append(t)
+    return MappingProxyType({key: tuple(by_key[key]) for key in sorted(by_key)})
+
+
+@lru_cache(maxsize=None)
+def stars(sub: Subdivision) -> Mapping[Vec, tuple[int, ...]]:
+    """Triangles having each lattice point as a vertex, keyed by the point."""
+    out: dict[Vec, list[int]] = {p: [] for p in sub.points}
+    for t, tri in enumerate(sub.triangles):
+        for i in tri:
+            out[sub.points[i]].append(t)
+    return MappingProxyType({p: tuple(ts) for p, ts in out.items()})
+
+
+@lru_cache(maxsize=None)
 def interior_vertices(sub: Subdivision) -> tuple[Vec, ...]:
     """Lattice points of P not on its boundary, lexicographically sorted."""
-    require_valid(sub)
     hull = convex_hull(sub.points)
     return tuple(sorted(p for p in sub.points if not _boundary_point(p, hull)))
 
@@ -238,16 +259,9 @@ def edges(sub: Subdivision) -> tuple[SubdivisionEdge, ...]:
     has dot(rot90(n_check), c - a) > 0; the dual tropical edge then runs from
     the plus vertex to the minus vertex along rot90(n_check).
     """
-    by_key: dict[EdgeKey, list[int]] = {}
-    for t, tri in enumerate(sub.triangles):
-        for u, v in ((0, 1), (1, 2), (2, 0)):
-            key = tuple(sorted((sub.points[tri[u]], sub.points[tri[v]])))
-            by_key.setdefault(key, []).append(t)
-
     out = []
-    for key in sorted(by_key):
+    for key, tris in edge_triangles(sub).items():
         a, b = key
-        tris = by_key[key]
         n_check = primitive(vsub(b, a))
         if len(tris) == 1:
             out.append(SubdivisionEdge(a, b, n_check, True, tris[0], None))

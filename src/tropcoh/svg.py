@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
+from .lattice import LatticeError
 from .spheres import GammaCurve
 from .tropical import TropicalCurve
 from .winding import WindingTable
@@ -124,7 +125,8 @@ def render_svg(
     obj: Union[TropicalCurve, GammaCurve], table: Optional[WindingTable] = None
 ) -> bytes:
     if isinstance(obj, TropicalCurve):
-        assert table is None, "winding tables attach to a gamma curve"
+        if table is not None:
+            raise LatticeError("winding tables attach to a gamma curve")
         vs = list(obj.vertices)
         xs = [float(v[0]) for v in vs]
         ys = [float(v[1]) for v in vs]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import fan as fan_mod
+from .fan import make_fan
 from .lattice import (
     LatticeError,
     QVec,
@@ -32,6 +32,7 @@ from .polytope import (
     edges,
     interior_vertices,
     require_valid,
+    stars,
 )
 
 
@@ -46,7 +47,6 @@ class TropicalFunction:
 
 
 def legendre(sub: Subdivision) -> TropicalFunction:
-    require_valid(sub)
     return TropicalFunction(tuple((p, Fraction(c)) for p, c in zip(sub.points, sub.nu)))
 
 
@@ -65,8 +65,11 @@ class TropicalRay:
     direction: Vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TropicalCurve:
+    """Compared and hashed by identity, not field by field: a lookup in a cache
+    keyed on the curve would otherwise hash every exact coordinate."""
+
     sub: Subdivision
     vertices: tuple[QVec, ...]
     bounded: tuple[BoundedEdge, ...]
@@ -92,18 +95,16 @@ def _outgoing_direction(sub: Subdivision, edge) -> Vec:
 
 @lru_cache(maxsize=None)
 def tropical_curve(sub: Subdivision) -> TropicalCurve:
+    # strict convexity across interior edges of a convex polygon is global, so
+    # each vertex below realizes the minimum of legendre(sub)
     require_valid(sub)
-    nu = legendre(sub)
 
     vertices = []
     for t in range(len(sub.triangles)):
         v0, v1, v2 = sub.triangle_points(t)
         i0, i1, i2 = sub.triangles[t]
         f0, f1, f2 = Fraction(sub.nu[i0]), Fraction(sub.nu[i1]), Fraction(sub.nu[i2])
-        m = solve_dual(vsub(v1, v0), vsub(v2, v0), f0 - f1, f0 - f2)
-        # the three terms must not only agree but realize the minimum
-        assert Fraction(v0[0]) * m[0] + Fraction(v0[1]) * m[1] + f0 == nu(m)
-        vertices.append(m)
+        vertices.append(solve_dual(vsub(v1, v0), vsub(v2, v0), f0 - f1, f0 - f2))
 
     bounded = []
     rays = []
@@ -145,19 +146,18 @@ def bounded_regions(curve: TropicalCurve) -> tuple[BoundedRegion, ...]:
     sub = curve.sub
     by_key = curve.bounded_by_key()
     regions = []
+    star = stars(sub)
     for v in interior_vertices(sub):
-        f = fan_mod.fan_at_vertex(sub, v)
-        r = len(f.rays)
-
         wedge_to_tri = {}
-        for t, tri in enumerate(sub.triangles):
+        for t in star[v]:
             pts = sub.triangle_points(t)
-            if v not in pts:
-                continue
             d1, d2 = (vsub(p, v) for p in pts if p != v)
             if det2(d1, d2) < 0:
                 d1, d2 = d2, d1
             wedge_to_tri[(d1, d2)] = t
+        # each ray of the fan at v opens exactly one counterclockwise wedge
+        f = make_fan(d1 for d1, _ in wedge_to_tri)
+        r = len(f.rays)
         triangles = tuple(
             wedge_to_tri[(f.rays[j], f.rays[(j + 1) % r])] for j in range(r)
         )

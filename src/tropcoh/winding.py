@@ -70,38 +70,22 @@ class WindingTable:
         return even, odd
 
 
-def winding_table(theta: SemiIntegralSupport, threads: int = 1) -> WindingTable:
+def winding_table(theta: SemiIntegralSupport) -> WindingTable:
     gamma = gamma_curve(theta)
     doubled = _doubled_vertices(gamma.vertices)
     xmin = math.floor(min(v[0] for v in gamma.vertices)) - 1
     xmax = math.ceil(max(v[0] for v in gamma.vertices)) + 1
     ymin = math.floor(min(v[1] for v in gamma.vertices)) - 1
     ymax = math.ceil(max(v[1] for v in gamma.vertices)) + 1
-    columns = range(xmin, xmax + 1)
-
-    def cast_column(x: int) -> list[tuple[Vec, int]]:
-        col = []
+    entries = {}
+    for x in range(xmin, xmax + 1):
         for y in range(ymin, ymax + 1):
             w = _cast(doubled, 2 * x, 2 * y)
             if w != 0:
-                col.append(((x, y), w))
-        return col
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(cast_column, columns))
-    else:
-        results = [cast_column(x) for x in columns]
-
-    entries = {}
-    for col in results:
-        for (x, y), w in col:
-            assert xmin < x < xmax and ymin < y < ymax, (
-                "winding must vanish on the box edge"
-            )
-            entries[(x, y)] = w
+                assert xmin < x < xmax and ymin < y < ymax, (
+                    "winding must vanish on the box edge"
+                )
+                entries[(x, y)] = w
     return WindingTable(entries, (xmin, ymin, xmax, ymax))
 
 

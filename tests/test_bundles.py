@@ -13,9 +13,10 @@ from tropcoh.bundles import (
     support_function,
 )
 from tropcoh.examples import a2d_subdivision
+from tropcoh.fan import make_fan, self_intersections
 from tropcoh.lattice import LatticeError
-from tropcoh.polytope import edges, interior_edge_keys
-from tropcoh.tropical import tropical_curve
+from tropcoh.polytope import edges, interior_edge_keys, subdivision
+from tropcoh.tropical import bounded_regions, tropical_curve
 
 
 def test_support_function_accepts_mapping(p2_sub):
@@ -123,6 +124,38 @@ def test_canonical_KC_is_balanced(a2d3_regions):
     phi = phi_map(curve)
     for region in a2d3_regions:
         assert all(x == 0 for x in phi.apply(canonical_KC(region)))
+
+
+def _square_grid(n):
+    """[0,n]^2 cut along (1,-1) diagonals, lift x^2+xy+y^2: six rays at every interior vertex."""
+    points = [(x, y) for x in range(n + 1) for y in range(n + 1)]
+    index = {p: i for i, p in enumerate(points)}
+    triangles = []
+    for x in range(n):
+        for y in range(n):
+            triangles.append((index[(x, y)], index[(x + 1, y)], index[(x, y + 1)]))
+            triangles.append((index[(x + 1, y)], index[(x + 1, y + 1)], index[(x, y + 1)]))
+    return subdivision(points, triangles, [x * x + x * y + y * y for x, y in points])
+
+
+def test_canonical_KC_matches_a_cycle_scan(p2_sub, blowup_sub):
+    """Oracle: kink 1 on every other bounded edge with an endpoint on the cycle, and Phi(K) = 0."""
+    subs = [p2_sub, blowup_sub, _square_grid(3), *(a2d_subdivision(d) for d in range(1, 7))]
+    for sub in subs:
+        curve = tropical_curve(sub)
+        phi = phi_map(curve)
+        for region in bounded_regions(curve):
+            b = self_intersections(make_fan(region.fan_rays))
+            want = {key: 0 for key in interior_edge_keys(sub)}
+            want.update((key, -b[j] - 2) for j, key in enumerate(region.edge_keys))
+            for be in curve.bounded:
+                on_cycle = be.p_plus in region.cycle or be.p_minus in region.cycle
+                if on_cycle and be.key not in region.edge_keys:
+                    want[be.key] = 1
+            got = canonical_KC(region)
+            assert got == want
+            assert list(got) == list(want)
+            assert not any(phi.apply(got))
 
 
 def test_restriction_degree(blowup_sub, blowup_region):

@@ -105,12 +105,6 @@ def test_winding_is_deterministic(run):
     assert out_json(first)["seed"] == 7
 
 
-def test_winding_threads_match(run):
-    _, base, _ = run("winding", BLOWUP, "--ell", "mixed_sign")
-    _, threaded, _ = run("winding", BLOWUP, "--ell", "mixed_sign", "--threads", "3")
-    assert base == threaded
-
-
 def test_winding_svg_marks(run):
     code, out, _ = run("winding", BLOWUP, "--ell", "mixed_sign", "--format", "svg")
     assert code == 0
@@ -164,8 +158,19 @@ def test_region_by_index_and_vertex(run):
 
 
 def test_region_out_of_range(run):
-    code, _, err = run("winding", A2D, "--ell", "difference_c1", "--region", "5")
+    # a negative index must not count regions from the end
+    for index in ("5", "-1", "-3"):
+        code, out, err = run("winding", A2D, "--ell", "difference_c1", "--region", index)
+        assert code == 2
+        assert out == ""
+        assert f"region index {index} out of range" in err
+
+
+def test_threads_flag_is_gone(run):
+    code, out, err = run("winding", BLOWUP, "--ell", "mixed_sign", "--threads", "2")
     assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --threads" in err
 
 
 def test_a2d_passes(run):
@@ -221,6 +226,18 @@ def test_invalid_document(run, tmp_path):
     code, _, err = run("validate", None, "--input", str(bad))
     assert code == 2
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_non_json_constant_in_document(run, fixture_dir, tmp_path, token):
+    raw = json.loads((fixture_dir / P2).read_bytes())
+    raw["options"] = {"epsilon": float(token.lower())}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = run("validate", None, "--input", str(bad))
+    assert code == 2
+    assert out == ""
+    assert f"{token} is not a JSON value" in err
 
 
 def test_unknown_command_exits_two(run):

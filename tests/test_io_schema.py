@@ -79,6 +79,13 @@ def test_syntax_error_reports_location():
         parse_input(b'{\n  "format": ,\n}')
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_json_constants_are_rejected(token):
+    data = as_bytes(minimal_doc(options={"epsilon": 0.5})).replace(b"0.5", token.encode())
+    with pytest.raises(InputError, match=f"parse error: {token} is not a JSON value"):
+        parse_input(data)
+
+
 def test_unknown_top_level_field():
     with pytest.raises(InputError, match="invalid input"):
         parse_input(as_bytes(minimal_doc(flavor="mint")))

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tropcoh.examples import a2d_subdivision, blowup_p2, local_p2
 from tropcoh.lattice import LatticeError, det2, dot, rot90, vsub
 from tropcoh.polytope import (
     affine_part,
     convex_hull,
     edge_kink,
+    edge_triangles,
     edges,
     edges_by_key,
     euler_characteristic,
@@ -18,6 +20,7 @@ from tropcoh.polytope import (
     interior_vertices,
     lattice_points_in_hull,
     require_valid,
+    stars,
     subdivision,
     validate,
 )
@@ -33,8 +36,10 @@ P2_NU = [0, 1, 1, 1]
 
 
 class TestValidationCodes:
-    def test_clean_input_has_no_issues(self, p2_sub):
-        assert validate(p2_sub).ok
+    def test_clean_input_has_no_issues(self):
+        # the example builders do not validate what they return
+        for sub in (local_p2(), blowup_p2(), *(a2d_subdivision(d) for d in range(1, 9))):
+            assert validate(sub).ok, sub
 
     def test_duplicate_point(self):
         sub = subdivision(P2_POINTS + [(1, 0)], P2_TRIS, P2_NU + [1])
@@ -123,6 +128,21 @@ def test_edge_classification_on_p2(p2_sub):
         tri = p2_sub.triangle_points(e.plus_triangle)
         c = next(p for p in tri if p not in (e.a, e.b))
         assert dot(rot90(e.n_check), vsub(c, e.a)) > 0
+
+
+def test_incidence_indexes_match_a_full_scan(p2_sub, blowup_sub, a2d3_sub):
+    for sub in (p2_sub, blowup_sub, a2d3_sub):
+        tris = [sub.triangle_points(t) for t in range(len(sub.triangles))]
+        assert stars(sub) == {
+            p: tuple(t for t, pts in enumerate(tris) if p in pts) for p in sub.points
+        }
+        sides = {}
+        for t, (a, b, c) in enumerate(tris):
+            for side in ((a, b), (b, c), (c, a)):
+                sides.setdefault(tuple(sorted(side)), []).append(t)
+        grouped = edge_triangles(sub)
+        assert list(grouped) == sorted(sides)
+        assert grouped == {key: tuple(ts) for key, ts in sides.items()}
 
 
 def test_interior_edge_keys_are_sorted(blowup_sub):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from tropcoh.lattice import LatticeError
 from tropcoh.spheres import gamma_curve, theta_from_twisting, twisting
 from tropcoh.svg import NEGATIVE_FILL, POSITIVE_FILL, render_svg
 from tropcoh.winding import winding_table
@@ -62,7 +63,7 @@ def test_empty_table_draws_no_marks(p2_region):
 
 
 def test_table_forbidden_for_tropical_curves(p2_curve, blowup_theta):
-    with pytest.raises(AssertionError):
+    with pytest.raises(LatticeError, match="attach to a gamma curve"):
         render_svg(p2_curve, winding_table(blowup_theta))
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropcoh.examples import a2d_subdivision, blowup_p2, local_p2
 from tropcoh.lattice import LatticeError, lex_positive, rot90, vneg, vsub
 from tropcoh.polytope import edges
 from tropcoh.tropical import (
@@ -35,16 +36,22 @@ def test_curve_counts_match_duality(p2_sub, blowup_sub, a2d3_sub):
         assert len(curve.rays) == sum(1 for e in es if e.is_boundary)
 
 
-def test_vertices_realize_the_legendre_minimum(blowup_sub):
-    curve = tropical_curve(blowup_sub)
-    f = legendre(blowup_sub)
-    for t, m in enumerate(curve.vertices):
-        val = f(m)
-        ties = 0
-        for p, c in zip(blowup_sub.points, blowup_sub.nu):
-            if Fraction(p[0]) * m[0] + Fraction(p[1]) * m[1] + c == val:
-                ties += 1
-        assert ties >= 3
+def test_vertices_realize_the_legendre_minimum():
+    """Each vertex attains the minimum over all points, tied by its triangle's terms only.
+
+    tropical_curve does not check this itself: it follows from validity.
+    """
+    for sub in (local_p2(), blowup_p2(), *(a2d_subdivision(d) for d in range(1, 9))):
+        curve = tropical_curve(sub)
+        f = legendre(sub)
+        for t, m in enumerate(curve.vertices):
+            terms = [
+                Fraction(p[0]) * m[0] + Fraction(p[1]) * m[1] + c
+                for p, c in zip(sub.points, sub.nu)
+            ]
+            assert f(m) == min(terms)
+            tied = {i for i, v in enumerate(terms) if v == f(m)}
+            assert tied == set(sub.triangles[t]), (sub.points, t)
 
 
 def test_balancing_at_every_vertex(p2_sub, blowup_sub, a2d3_sub):

@@ -52,13 +52,6 @@ def test_entries_stay_inside_the_box(blowup_theta):
         assert ymin < y < ymax
 
 
-def test_threads_do_not_change_the_table(blowup_theta):
-    base = winding_table(blowup_theta)
-    threaded = winding_table(blowup_theta, threads=3)
-    assert threaded.entries == base.entries
-    assert threaded.bounds == base.bounds
-
-
 def test_winding_matches_table_pointwise(blowup_theta):
     gamma = gamma_curve(blowup_theta)
     table = winding_table(blowup_theta)
