@@ -19,7 +19,6 @@ from .ext_chains import build_a2d_example, verify_a2d_configuration
 from .io import InputDocument, InputError, TwistingSet, parse_input, report_bytes
 from .lattice import LatticeError
 from .polytope import interior_edge_keys
-from .smoothing import MollifierParams, check_hessian_definiteness
 from .spheres import (
     gamma_curve,
     theta_from_twisting,
@@ -288,6 +287,13 @@ def _cmd_verify_winding(args) -> int:
         "dims": list(rep.dims.as_tuple()),
         "ok": rep.ok,
     }
+    if not rep.ok:
+        w = rep.witness
+        result["witness"] = None if w is None else {
+            "point": list(w.point),
+            "winding": w.winding,
+            "sign_pattern": w.sign_pattern,
+        }
     _emit(args, report_bytes(args.command, result, args.seed), "json")
     return 0 if rep.ok else 1
 
@@ -320,6 +326,9 @@ def _cmd_a2d(args) -> int:
 
 
 def _cmd_smooth_check(args) -> int:
+    # numpy is loaded here only, so the other commands start without it
+    from .smoothing import MollifierParams, check_hessian_definiteness
+
     doc, curve, region, theta = _theta_pipeline(args)
     epsilon = args.epsilon if args.epsilon is not None else doc.options.epsilon or 0.25
     order = args.order if args.order is not None else doc.options.quadrature_order

@@ -11,11 +11,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
 from .fan import Fan, is_smooth
 from .lattice import LatticeError, Vec, det2, dot, solve_dual
-from .spheres import SemiIntegralSupport
-from .winding import h_even_odd
+from .spheres import SemiIntegralSupport, gamma_curve
+from .winding import check_rows, h_even_odd, winding_runs
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,8 @@ def canonical_psi(fan: Fan) -> ToricSupport:
         part = solve_dual(fan.rays[j], fan.rays[(j + 1) % r], -1, -1)
         parts.append((int(part[0]), int(part[1])))
     psi = ToricSupport(fan, tuple(parts))
-    assert all(psi.ray_value(j) == -1 for j in range(r))
+    if any(psi.ray_value(j) != -1 for j in range(r)):
+        raise LatticeError("canonical support must take the value -1 on every ray")
     return psi
 
 
@@ -115,10 +117,14 @@ class CohomologyDims:
         return (self.h0, self.h1, self.h2)
 
 
+def _run_starts(signs: list[bool], j: int) -> bool:
+    """Whether a maximal cyclic block of False entries starts at index j."""
+    return not signs[j] and signs[j - 1]
+
+
 def _minus_runs(signs: list[bool]) -> int:
     """Number of maximal cyclic blocks of False entries."""
-    r = len(signs)
-    return sum(1 for j in range(r) if not signs[j] and signs[j - 1])
+    return sum(_run_starts(signs, j) for j in range(len(signs)))
 
 
 def _search_box(fan: Fan, coeffs, margin: int) -> tuple[int, int, int, int]:
@@ -130,7 +136,8 @@ def _search_box(fan: Fan, coeffs, margin: int) -> tuple[int, int, int, int]:
         m = solve_dual(u, v, -coeffs[i], -coeffs[j])
         xs.append(m[0])
         ys.append(m[1])
-    assert xs, "a complete fan has crossing level lines"
+    if not xs:
+        raise LatticeError("a complete fan has crossing level lines")
     pad = 1 + margin
     return (
         math.floor(min(xs)) - pad,
@@ -140,37 +147,87 @@ def _search_box(fan: Fan, coeffs, margin: int) -> tuple[int, int, int, int]:
     )
 
 
-def cohomology_dims(psi: ToricSupport, margin: int = 0) -> CohomologyDims:
+def pattern_runs(psi: ToricSupport, margin: int = 0):
+    """Yield (y, x0, x1, k, n): each lattice point x0 <= x < x1 of row y adds n to h^k.
+
+    On row y the value <m, u_j> + a_j is monotone in x, so each ray changes
+    sign at one integer threshold, and the cyclic sign pattern is constant
+    between consecutive thresholds.  A pattern that is all >= 0 adds one to
+    h^0, all < 0 one to h^2, and a mixed one (number of negative runs - 1) to
+    h^1; the runs of the search box that add nothing are skipped.  A point
+    that adds something on the box edge means the box is too small.
+    """
     fan = psi.fan
     if not is_smooth(fan):
         raise LatticeError("fan not smooth")
     coeffs = divisor_coeffs(psi)
     rays = fan.rays
+    r = len(rays)
     xmin, ymin, xmax, ymax = _search_box(fan, coeffs, margin)
-    h0 = h1 = h2 = 0
-    for x in range(xmin, xmax + 1):
-        for y in range(ymin, ymax + 1):
-            signs = [x * u[0] + y * u[1] + a >= 0 for u, a in zip(rays, coeffs)]
-            on_edge = x in (xmin, xmax) or y in (ymin, ymax)
-            if all(signs):
-                if on_edge:
-                    raise LatticeError("search region too small")
-                h0 += 1
-            elif not any(signs):
-                if on_edge:
-                    raise LatticeError("search region too small")
-                h2 += 1
+    check_rows(ymax - ymin + 1, "the cohomology search box")
+    for y in range(ymin, ymax + 1):
+        signs = []
+        flips = []
+        for j, (u, a) in enumerate(zip(rays, coeffs)):
+            c = u[1] * y + a
+            signs.append(u[0] * xmin + c >= 0)
+            # the sign of u[0] * x + c changes between x = t - 1 and x = t
+            if u[0] > 0:
+                t = -(c // u[0])
+            elif u[0] < 0:
+                t = -c // u[0] + 1
             else:
-                extra = _minus_runs(signs) - 1
-                if extra:
-                    if on_edge:
+                continue
+            if xmin < t <= xmax:
+                flips.append((t, j))
+        flips.sort()
+        flips.append((xmax + 1, None))
+        positive = sum(signs)
+        runs = _minus_runs(signs)
+        edge_row = y in (ymin, ymax)
+        x0 = xmin
+        for t, j in flips:
+            if t > x0:
+                if positive == r:
+                    k, n = 0, 1
+                elif positive == 0:
+                    k, n = 2, 1
+                else:
+                    k, n = 1, runs - 1
+                if n:
+                    if edge_row or x0 == xmin or t > xmax:
                         raise LatticeError("search region too small")
-                    h1 += extra
-    return CohomologyDims(h0, h1, h2)
+                    yield y, x0, t, k, n
+                x0 = t
+            if j is None:
+                break
+            # flipping sign j can only start or end the blocks at j and j + 1
+            nxt = (j + 1) % r
+            runs -= _run_starts(signs, j) + _run_starts(signs, nxt)
+            signs[j] = not signs[j]
+            runs += _run_starts(signs, j) + _run_starts(signs, nxt)
+            positive += 1 if signs[j] else -1
+
+
+def cohomology_dims(psi: ToricSupport, margin: int = 0) -> CohomologyDims:
+    """Sum the sign-pattern runs of the search box padded by margin."""
+    dims = [0, 0, 0]
+    for _, x0, x1, k, n in pattern_runs(psi, margin):
+        dims[k] += n * (x1 - x0)
+    return CohomologyDims(*dims)
 
 
 def p1_cohomology(d: int) -> tuple[int, int]:
     return (max(d + 1, 0), max(-d - 1, 0))
+
+
+@dataclass(frozen=True)
+class Witness:
+    """A lattice point whose winding number differs from its sign-pattern value."""
+
+    point: Vec
+    winding: int
+    sign_pattern: int
 
 
 @dataclass(frozen=True)
@@ -179,10 +236,38 @@ class WindingTheoremReport:
     h_odd: int
     dims: CohomologyDims
     ok: bool
+    witness: Optional[Witness] = None
+
+
+def _first_difference(theta: SemiIntegralSupport, psi: ToricSupport) -> Optional[Witness]:
+    """The first point, by row and then by x, where w(m) differs from the sign value.
+
+    The sign value is 1 where every <m, u_j> + a_j is >= 0 or every one is
+    < 0, else 1 - (number of cyclic negative runs); it is (-1)^k n for a
+    point that adds n to h^k, and 0 where the pattern sweep skips the point.
+    """
+    rows: dict[int, tuple[list, list]] = {}
+    for y, x0, x1, w in winding_runs(gamma_curve(theta)):
+        rows.setdefault(y, ([], []))[0].append((x0, x1, w))
+    for y, x0, x1, k, n in pattern_runs(psi):
+        rows.setdefault(y, ([], []))[1].append((x0, x1, -n if k == 1 else n))
+
+    def value(runs, x):
+        return next((v for x0, x1, v in runs if x0 <= x < x1), 0)
+
+    for y in sorted(rows):
+        wind, sign = rows[y]
+        for x in sorted({x for x0, x1, _ in wind + sign for x in (x0, x1)}):
+            w, v = value(wind, x), value(sign, x)
+            if w != v:
+                return Witness((x, y), w, v)
+    return None
 
 
 def verify_winding_theorem(theta: SemiIntegralSupport) -> WindingTheoremReport:
     even, odd = h_even_odd(theta)
-    dims = cohomology_dims(psi_from_theta(theta))
-    ok = even == dims.h0 + dims.h2 and odd == dims.h1
-    return WindingTheoremReport(even, odd, dims, ok)
+    psi = psi_from_theta(theta)
+    dims = cohomology_dims(psi)
+    if even == dims.h0 + dims.h2 and odd == dims.h1:
+        return WindingTheoremReport(even, odd, dims, True)
+    return WindingTheoremReport(even, odd, dims, False, _first_difference(theta, psi))

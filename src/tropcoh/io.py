@@ -14,8 +14,6 @@ from functools import lru_cache
 from importlib import resources
 from typing import Any, Mapping, Optional, Sequence
 
-import jsonschema
-
 from .lattice import Vec
 from .polytope import Subdivision, require_valid, subdivision
 
@@ -78,6 +76,8 @@ def parse_input(data: bytes) -> InputDocument:
         raise InputError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    import jsonschema  # only documents need it, so report-only commands skip the import
+
     validator = jsonschema.Draft7Validator(input_schema())
     errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
     if errors:

@@ -18,6 +18,23 @@ class GenericityError(LatticeError):
     """Raised when a probe direction is degenerate for the requested point."""
 
 
+class SizeLimitError(LatticeError):
+    """Raised when a requested table or sweep is larger than its documented limit."""
+
+
+# A table lists every entry, so its box is capped; a sweep costs one pass per row.
+MAX_TABLE_POINTS = 2_000_000
+MAX_SWEEP_ROWS = 1_000_000
+
+
+def check_rows(rows: int, what: str) -> None:
+    """Reject a sweep over more than MAX_SWEEP_ROWS rows before it starts."""
+    if rows > MAX_SWEEP_ROWS:
+        raise SizeLimitError(
+            f"{what} spans {rows} rows, above the limit of {MAX_SWEEP_ROWS}"
+        )
+
+
 def _doubled_vertices(vertices) -> list[Vec]:
     out = []
     for v in vertices:
@@ -28,17 +45,21 @@ def _doubled_vertices(vertices) -> list[Vec]:
     return out
 
 
-def _cast(doubled: list[Vec], x: int, y: int) -> int:
-    """Signed crossings of the rightward horizontal ray from a doubled point."""
+def _on_curve(m: Vec) -> LatticeError:
+    return LatticeError(f"lattice point ({m[0]}, {m[1]}) on the boundary curve")
+
+
+def _cast(doubled: list[Vec], m: Vec) -> int:
+    """Signed crossings of the rightward horizontal ray from the lattice point m."""
+    x, y = 2 * m[0], 2 * m[1]
     w = 0
     n = len(doubled)
     for i in range(n):
         ax, ay = doubled[i - 1]
         bx, by = doubled[i]
         if ay == by:
-            assert not (ay == y and min(ax, bx) <= x <= max(ax, bx)), (
-                "lattice point on the boundary curve"
-            )
+            if ay == y and min(ax, bx) <= x <= max(ax, bx):
+                raise _on_curve(m)
             continue
         up = ay <= y < by
         down = by <= y < ay
@@ -46,15 +67,65 @@ def _cast(doubled: list[Vec], x: int, y: int) -> int:
             continue
         d = by - ay
         num = (ax - x) * d + (y - ay) * (bx - ax)
-        assert num != 0, "lattice point on the boundary curve"
+        if num == 0:
+            raise _on_curve(m)
         if (num > 0) == (d > 0):
             w += 1 if up else -1
     return w
 
 
 def winding(gamma: GammaCurve, m: Vec) -> int:
+    return _cast(_doubled_vertices(gamma.vertices), m)
+
+
+def winding_runs(gamma: GammaCurve):
+    """Yield (y, x0, x1, w): the lattice points x0 <= x < x1 of row y wind w != 0 times.
+
+    Rows come in increasing order and runs from left to right.  Each curve
+    segment crosses row y at most once, under the same half-open rule as the
+    per-point cast, at X = 2 * x_c in doubled coordinates.  The point (x, y)
+    counts the crossing when x < x_c, that is when x < ceil(x_c), so every
+    segment gives one integer threshold and the winding number is constant
+    between consecutive thresholds.  A lattice point on the curve raises, as
+    it does in the per-point cast.
+    """
     doubled = _doubled_vertices(gamma.vertices)
-    return _cast(doubled, 2 * m[0], 2 * m[1])
+    segments = []
+    for i in range(len(doubled)):
+        (ax, ay), (bx, by) = doubled[i - 1], doubled[i]
+        if ay == by:
+            if ay % 2 == 0:
+                x = -(-min(ax, bx) // 2)
+                if 2 * x <= max(ax, bx):
+                    raise _on_curve((x, ay // 2))
+            continue
+        sign = 1 if by > ay else -1
+        (lx, ly), (ux, uy) = ((ax, ay), (bx, by)) if sign > 0 else ((bx, by), (ax, ay))
+        dy, dx = uy - ly, ux - lx
+        # x_c = num / den with num = n0 + n1 * y on the rows ceil(ly/2) <= y < ceil(uy/2)
+        segments.append((-(-ly // 2), -(-uy // 2) - 1, lx * dy - ly * dx, 2 * dx, 2 * dy, sign))
+    if not segments:
+        return
+    first = min(s[0] for s in segments)
+    last = max(s[1] for s in segments)
+    check_rows(last - first + 1, "the winding sweep")
+    for y in range(first, last + 1):
+        cuts = []
+        for y0, y1, n0, n1, den, sign in segments:
+            if y0 <= y <= y1:
+                num = n0 + n1 * y
+                q, rem = divmod(-num, den)
+                if rem == 0:
+                    raise _on_curve((num // den, y))
+                cuts.append((-q, sign))
+        cuts.sort()
+        w = 0
+        prev = 0
+        for t, sign in cuts:
+            if w and t > prev:
+                yield y, prev, t, w
+            w -= sign
+            prev = t
 
 
 @dataclass(frozen=True)
@@ -71,26 +142,35 @@ class WindingTable:
 
 
 def winding_table(theta: SemiIntegralSupport) -> WindingTable:
+    """The nonzero entries of the sweep, inside the curve's box padded by one."""
     gamma = gamma_curve(theta)
-    doubled = _doubled_vertices(gamma.vertices)
     xmin = math.floor(min(v[0] for v in gamma.vertices)) - 1
     xmax = math.ceil(max(v[0] for v in gamma.vertices)) + 1
     ymin = math.floor(min(v[1] for v in gamma.vertices)) - 1
     ymax = math.ceil(max(v[1] for v in gamma.vertices)) + 1
+    points = (xmax - xmin + 1) * (ymax - ymin + 1)
+    if points > MAX_TABLE_POINTS:
+        raise SizeLimitError(
+            f"winding table box has {points} points, above the limit of {MAX_TABLE_POINTS}"
+        )
     entries = {}
-    for x in range(xmin, xmax + 1):
-        for y in range(ymin, ymax + 1):
-            w = _cast(doubled, 2 * x, 2 * y)
-            if w != 0:
-                assert xmin < x < xmax and ymin < y < ymax, (
-                    "winding must vanish on the box edge"
-                )
-                entries[(x, y)] = w
+    for y, x0, x1, w in winding_runs(gamma):
+        if not (xmin < x0 and x1 <= xmax and ymin < y < ymax):
+            raise LatticeError("winding must vanish on the box edge")
+        for x in range(x0, x1):
+            entries[(x, y)] = w
     return WindingTable(entries, (xmin, ymin, xmax, ymax))
 
 
 def h_even_odd(theta: SemiIntegralSupport) -> tuple[int, int]:
-    return winding_table(theta).h_even_odd()
+    """Totals of the positive and of the negative winding numbers, run by run."""
+    even = odd = 0
+    for _, x0, x1, w in winding_runs(gamma_curve(theta)):
+        if w > 0:
+            even += w * (x1 - x0)
+        else:
+            odd -= w * (x1 - x0)
+    return even, odd
 
 
 def is_strictly_convex(theta: SemiIntegralSupport) -> str:
@@ -109,7 +189,8 @@ def convex_intersection_count(theta: SemiIntegralSupport) -> int:
     verts = _doubled_vertices(gamma_curve(theta).vertices)
     r = len(verts)
     area2 = sum(det2(verts[j - 1], verts[j]) for j in range(r))
-    assert area2 > 0, "boundary curve must run counterclockwise"
+    if area2 <= 0:
+        raise LatticeError("boundary curve must run counterclockwise")
     xmin = -(-min(v[0] for v in verts) // 2)
     xmax = max(v[0] for v in verts) // 2
     ymin = -(-min(v[1] for v in verts) // 2)
@@ -156,7 +237,8 @@ def winding_via_T(theta: SemiIntegralSupport, m: Vec, direction: Vec) -> int:
             if p == a:
                 raise GenericityError("perturb direction")
             continue
-        assert det2((p[0] - a[0], p[1] - a[1]), d) == 0
+        if det2((p[0] - a[0], p[1] - a[1]), d) != 0:
+            raise LatticeError("ray crossing off its curve segment")
         if d[0] != 0:
             s = (p[0] - a[0]) / d[0]
         else:

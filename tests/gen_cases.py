@@ -84,23 +84,86 @@ def zero_probe_points(bounds: tuple[int, int, int, int], count: int = 20):
     ]
 
 
-def cross_check(rng_seed: int, cases: int) -> tuple[int, int]:
-    """Compare the cast table with the cohomology count and the ray oracle.
+def riemann_roch(psi) -> int:
+    """chi = 1 + (D.D - D.K)/2 for D = sum a_j D_j, from the rays alone.
 
-    Asserts on the first disagreement; returns (nonempty tables, total
-    entries) so callers can confirm the sample was not vacuous.
+    D_j.D_j = -det(u_{j-1}, u_{j+1}), D_j.D_{j+-1} = 1 and K = -sum D_j, so
+    D.D_j = a_{j-1} + a_{j+1} + (D_j.D_j) a_j and D.K = -sum_j D.D_j.
     """
-    from tropcoh.cohomology import verify_winding_theorem
-    from tropcoh.winding import winding_table, winding_via_T_auto
+    from tropcoh.cohomology import divisor_coeffs
+    from tropcoh.lattice import det2
+
+    rays = psi.fan.rays
+    a = divisor_coeffs(psi)
+    r = len(rays)
+    deg = [
+        a[j - 1] + a[(j + 1) % r] - det2(rays[j - 1], rays[(j + 1) % r]) * a[j]
+        for j in range(r)
+    ]
+    dd = sum(x * d for x, d in zip(a, deg))
+    dk = -sum(deg)
+    assert (dd - dk) % 2 == 0
+    return 1 + (dd - dk) // 2
+
+
+def cross_check(rng_seed: int, cases: int) -> tuple[int, int]:
+    """Compare the sweeps with the box scans, the ray oracle and two identities.
+
+    Per case: the winding table and its totals equal the box scan's; the
+    cohomology dimensions equal the box scan's at margins 0 and 3; on every
+    point of a box holding both supports the winding number equals the
+    sign-pattern value; h0 - h1 + h2 is the Riemann-Roch number; and the
+    table entries and a few zero points agree with the ray oracle.  Asserts
+    on the first disagreement; returns (nonempty tables, total entries) so
+    callers can confirm the sample was not vacuous.
+    """
+    from box_scan import scan_cohomology_dims, scan_winding_table, sign_value
+    from tropcoh.cohomology import (
+        _search_box,
+        cohomology_dims,
+        divisor_coeffs,
+        psi_from_theta,
+        verify_winding_theorem,
+    )
+    from tropcoh.winding import (
+        _cast,
+        _doubled_vertices,
+        h_even_odd,
+        winding_table,
+        winding_via_T_auto,
+    )
 
     rng = random.Random(rng_seed)
     nonempty = 0
     entries = 0
     for _ in range(cases):
         theta = random_theta(rng)
+        fan = theta.fan.rays
         table = winding_table(theta)
+        scan = scan_winding_table(theta)
+        assert table.bounds == scan.bounds, f"table bounds differ on fan {fan}"
+        assert table.entries == scan.entries, f"table entries differ on fan {fan}"
+        assert h_even_odd(theta) == scan.h_even_odd(), f"totals differ on fan {fan}"
+        psi = psi_from_theta(theta)
+        for margin in (0, 3):
+            got = cohomology_dims(psi, margin)
+            assert got == scan_cohomology_dims(psi, margin), f"dims differ on fan {fan}"
         rep = verify_winding_theorem(theta)
-        assert rep.ok, f"cohomology disagrees with the cast on fan {theta.fan.rays}"
+        assert rep.ok, f"cohomology disagrees with the cast on fan {fan}"
+        dims = rep.dims
+        assert dims.h0 - dims.h1 + dims.h2 == riemann_roch(psi), f"Riemann-Roch fails on fan {fan}"
+
+        doubled = _doubled_vertices(gamma_curve(theta).vertices)
+        rays, coeffs = psi.fan.rays, divisor_coeffs(psi)
+        boxes = (table.bounds, _search_box(psi.fan, coeffs, 0))
+        xmin, ymin = min(b[0] for b in boxes), min(b[1] for b in boxes)
+        xmax, ymax = max(b[2] for b in boxes), max(b[3] for b in boxes)
+        for x in range(xmin, xmax + 1):
+            for y in range(ymin, ymax + 1):
+                w = _cast(doubled, (x, y))
+                v = sign_value(rays, coeffs, (x, y))
+                assert w == v, f"winding {w} but sign value {v} at {(x, y)} on fan {fan}"
+
         for point, w in table.entries.items():
             got = winding_via_T_auto(theta, point)
             assert got == w, f"ray oracle gives {got} at {point}, table has {w}"

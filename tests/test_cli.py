@@ -1,11 +1,24 @@
 """Command line behavior: exit codes, report contents, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tropcoh
+import tropcoh.cohomology as cohomology
 from tropcoh import cli
-from tropcoh.cohomology import CohomologyDims, WindingTheoremReport
+from tropcoh.cohomology import (
+    CohomologyDims,
+    WindingTheoremReport,
+    divisor_coeffs,
+    psi_from_ray_values,
+    psi_from_theta,
+)
+from tropcoh.winding import MAX_SWEEP_ROWS, MAX_TABLE_POINTS
 
 P2 = "p2.json"
 BLOWUP = "blowup_p2.json"
@@ -148,6 +161,65 @@ def test_verify_winding_theorem_mismatch_exit(run, monkeypatch):
     code, out, _ = run("verify-winding-theorem", BLOWUP, "--ell", "mixed_sign")
     assert code == 1
     assert out_json(out)["result"]["ok"] is False
+
+
+def test_passing_report_has_no_witness(run):
+    _, out, _ = run("verify-winding-theorem", BLOWUP, "--ell", "mixed_sign")
+    assert "witness" not in out_json(out)["result"]
+
+
+def test_mismatch_report_names_the_witness(run, monkeypatch):
+    def shifted(theta):
+        psi = psi_from_theta(theta)
+        values = list(divisor_coeffs(psi))
+        values[-1] += 2
+        return psi_from_ray_values(psi.fan, values)
+
+    monkeypatch.setattr(cohomology, "psi_from_theta", shifted)
+    code, out, _ = run("verify-winding-theorem", BLOWUP, "--ell", "mixed_sign")
+    assert code == 1
+    result = out_json(out)["result"]
+    assert result["ok"] is False
+    # test_cohomology checks this point against a brute-force scan
+    assert result["witness"] == {"point": [3, -8], "winding": 0, "sign_pattern": 1}
+
+
+def test_winding_table_size_limit(run):
+    code, out, err = run("winding", P2, "--ell", "100001,100001,100001")
+    assert code == 2
+    assert out == ""
+    assert f"winding table box has 2500400016 points, above the limit of {MAX_TABLE_POINTS}" in err
+
+
+@pytest.mark.parametrize(
+    "command, what",
+    [("cohomology", "the cohomology search box"), ("verify-winding-theorem", "the winding sweep")],
+)
+def test_sweep_row_limit(run, command, what):
+    ell = 2 * MAX_SWEEP_ROWS + 1
+    code, out, err = run(command, P2, "--ell", f"{ell},{ell},{ell}")
+    assert code == 2
+    assert out == ""
+    assert f"{what} spans " in err
+    rows = int(err.split(" spans ")[1].split()[0])
+    assert rows > MAX_SWEEP_ROWS
+    assert f"above the limit of {MAX_SWEEP_ROWS}" in err
+
+
+def test_twists_far_beyond_the_box_scan_run(run):
+    code, out, _ = run("verify-winding-theorem", P2, "--ell", "100001,100001,100001")
+    assert code == 0
+    assert out_json(out)["result"]["h_even"] == 50000 * 50001 // 2
+
+
+def test_cli_import_loads_neither_numpy_nor_jsonschema():
+    src = str(Path(tropcoh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, tropcoh.cli; print(sorted({'numpy', 'jsonschema'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_region_by_index_and_vertex(run):

@@ -4,9 +4,13 @@ import random
 
 import pytest
 
+import tropcoh.cohomology as cohomology
+from box_scan import scan_cohomology_dims, sign_value
+from gen_cases import random_smooth_fan, riemann_roch
 from tropcoh.cohomology import (
     CohomologyDims,
     ToricSupport,
+    Witness,
     canonical_psi,
     cohomology_dims,
     divisor_coeffs,
@@ -19,7 +23,8 @@ from tropcoh.cohomology import (
 )
 from tropcoh.fan import make_fan
 from tropcoh.lattice import LatticeError
-from tropcoh.spheres import SemiIntegralSupport, theta_from_twisting, twisting
+from tropcoh.spheres import SemiIntegralSupport, gamma_curve, theta_from_twisting, twisting
+from tropcoh.winding import winding
 
 P2_FAN_RAYS = [(1, 0), (0, 1), (-1, -1)]
 WORKED_ELL = (-14, 5, -14, -9)
@@ -141,7 +146,7 @@ def test_serre_duality_reverses_dims():
 def test_verify_winding_theorem_worked_example(blowup_region):
     theta = theta_from_twisting(twisting(blowup_region, WORKED_ELL))
     rep = verify_winding_theorem(theta)
-    assert rep.ok
+    assert rep.ok and rep.witness is None
     assert (rep.h_even, rep.h_odd) == (10, 3)
     assert rep.dims == CohomologyDims(10, 3, 0)
 
@@ -150,3 +155,91 @@ def test_verify_winding_theorem_worked_example(blowup_region):
 def test_verify_winding_theorem_p2_family(p2_region, k):
     theta = theta_from_twisting(twisting(p2_region, (2 * k + 1,) * 3))
     assert verify_winding_theorem(theta).ok
+
+
+def _outcome(count, psi, margin):
+    try:
+        return count(psi, margin).as_tuple()
+    except LatticeError as exc:
+        return str(exc)
+
+
+def test_sweep_matches_the_box_scan_on_random_supports():
+    rng = random.Random(4411)
+    outcomes = set()
+    for _ in range(300):
+        fan = random_smooth_fan(rng, 3, 7)
+        psi = psi_from_ray_values(fan, [rng.randrange(-5, 6) for _ in fan.rays])
+        for margin in (0, 3):
+            got = _outcome(cohomology_dims, psi, margin)
+            assert got == _outcome(scan_cohomology_dims, psi, margin), (fan.rays, margin)
+            if not isinstance(got, str):
+                assert got[0] - got[1] + got[2] == riemann_roch(psi)
+            outcomes.add(tuple(map(bool, got)))
+    assert {(True, False, False), (False, True, False), (False, False, True)} <= outcomes
+
+
+@pytest.mark.parametrize("side", range(4))
+def test_each_box_edge_is_checked(p2_fan, side, monkeypatch):
+    # h0 = 55 fills x, y >= -3, x + y <= 3; pull one side of the box onto it
+    psi = psi_from_ray_values(p2_fan, (3, 3, 3))
+    box = list(cohomology._search_box(p2_fan, (3, 3, 3), 0))
+    assert box == [-4, -4, 7, 7]
+    box[side] = (-3, -3, 6, 6)[side]
+    monkeypatch.setattr(cohomology, "_search_box", lambda fan, coeffs, margin: tuple(box))
+    with pytest.raises(LatticeError, match="search region too small"):
+        cohomology_dims(psi)
+
+
+def test_riemann_roch_on_the_worked_example(worked_psi):
+    assert riemann_roch(worked_psi) == 10 - 3 + 0
+
+
+def test_verify_winding_theorem_far_beyond_the_box_scan(p2_region):
+    # the box scan tested about 2.5e7 points per count here; the sweeps take 5e3 rows
+    k = 5000
+    theta = theta_from_twisting(twisting(p2_region, (2 * k + 1,) * 3))
+    rep = verify_winding_theorem(theta)
+    assert rep.ok and rep.witness is None
+    assert (rep.h_even, rep.h_odd) == (k * (k + 1) // 2, 0)
+    dims = rep.dims
+    assert dims.h0 - dims.h1 + dims.h2 == riemann_roch(psi_from_theta(theta))
+
+
+def _shifted_psi(theta):
+    """The mirror support with its last ray value raised by two: a planted defect."""
+    psi = psi_from_theta(theta)
+    values = list(divisor_coeffs(psi))
+    values[-1] += 2
+    return psi_from_ray_values(psi.fan, values)
+
+
+def test_mismatch_names_the_first_witness(blowup_region, monkeypatch):
+    theta = theta_from_twisting(twisting(blowup_region, WORKED_ELL))
+    monkeypatch.setattr(cohomology, "psi_from_theta", _shifted_psi)
+    rep = verify_winding_theorem(theta)
+    assert not rep.ok
+    # brute force, by rows and then by x, over a box holding both supports
+    gamma = gamma_curve(theta)
+    psi = _shifted_psi(theta)
+    rays, coeffs = psi.fan.rays, divisor_coeffs(psi)
+    first = next(
+        Witness((x, y), winding(gamma, (x, y)), sign_value(rays, coeffs, (x, y)))
+        for y in range(-20, 21)
+        for x in range(-20, 21)
+        if winding(gamma, (x, y)) != sign_value(rays, coeffs, (x, y))
+    )
+    assert rep.witness == first
+
+
+def test_canonical_check_is_not_an_assert(p2_fan, monkeypatch):
+    real = cohomology.solve_dual
+    monkeypatch.setattr(cohomology, "solve_dual", lambda u, v, a, b: real(u, v, a + 1, b + 1))
+    with pytest.raises(LatticeError, match="value -1 on every ray"):
+        canonical_psi(p2_fan)
+
+
+def test_search_box_check_is_not_an_assert(p2_fan, monkeypatch):
+    monkeypatch.setattr(cohomology, "det2", lambda u, v: 0)
+    with pytest.raises(LatticeError, match="crossing level lines"):
+        cohomology_dims(psi_from_ray_values(p2_fan, (1, 1, 1)))

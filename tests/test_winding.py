@@ -1,12 +1,14 @@
 """Winding numbers of boundary value curves against two oracles."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
+from box_scan import scan_winding_table
 from tropcoh.fan import make_fan
 from tropcoh.lattice import LatticeError
-from tropcoh.spheres import gamma_curve, theta_from_twisting, twisting
+from tropcoh.spheres import GammaCurve, gamma_curve, theta_from_twisting, twisting
 from tropcoh.winding import (
     GenericityError,
     convex_intersection_count,
@@ -14,6 +16,7 @@ from tropcoh.winding import (
     is_strictly_convex,
     probe_directions,
     winding,
+    winding_runs,
     winding_table,
     winding_via_T,
     winding_via_T_auto,
@@ -115,3 +118,81 @@ def test_h_even_odd_signs(blowup_theta):
     even = sum(w for w in table.entries.values() if w > 0)
     odd = -sum(w for w in table.entries.values() if w < 0)
     assert table.h_even_odd() == (even, odd)
+
+
+def _curve(doubled):
+    """A hand-made closed curve from doubled vertex coordinates."""
+    return GammaCurve(tuple((Fraction(x, 2), Fraction(y, 2)) for x, y in doubled))
+
+
+def _swept(gamma):
+    return {(x, y): w for y, x0, x1, w in winding_runs(gamma) for x in range(x0, x1)}
+
+
+HAND_MADE = {
+    # clockwise triangle: winding -1 inside
+    "clockwise": [(-1, -1), (-2, 9), (7, 0)],
+    # pentagram: winding 2 in the middle, 1 in the points
+    "pentagram": [(9, 5), (-9, 1), (8, -7), (-4, 9), (-2, -11)],
+    # figure eight: +1 in one lobe, -1 in the other
+    "figure_eight": [(-7, -5), (-7, 5), (7, -4), (7, 6)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MADE))
+def test_sweep_matches_the_cast_on_hand_made_curves(name):
+    gamma = _curve(HAND_MADE[name])
+    want = {}
+    for x in range(-6, 7):
+        for y in range(-6, 7):
+            w = winding(gamma, (x, y))
+            if w:
+                want[(x, y)] = w
+    assert want
+    assert _swept(gamma) == want
+
+
+def test_hand_made_curves_reach_every_winding_class():
+    values = {name: set(_swept(_curve(d)).values()) for name, d in HAND_MADE.items()}
+    assert values == {"clockwise": {-1}, "pentagram": {1, 2}, "figure_eight": {-1, 1}}
+
+
+@pytest.mark.parametrize(
+    "doubled, point",
+    [
+        # the slanted edge from (-1/2, -1/2) to (5/2, 1/2) passes through (1, 0)
+        ([(-1, -1), (5, 1), (-1, 5)], (1, 0)),
+        # the horizontal edge from (-1/2, 0) to (1/2, 0) passes through (0, 0)
+        ([(-1, 0), (1, 0), (0, 3)], (0, 0)),
+    ],
+)
+def test_lattice_point_on_the_curve_is_named(doubled, point):
+    gamma = _curve(doubled)
+    message = rf"lattice point \({point[0]}, {point[1]}\) on the boundary curve"
+    with pytest.raises(LatticeError, match=message):
+        list(winding_runs(gamma))
+    with pytest.raises(LatticeError, match=message):
+        winding(gamma, point)
+
+
+@pytest.mark.parametrize(
+    "region, ell",
+    [("p2_region", (k, k, k)) for k in (-41, -19, -5, 1, 7, 23, 41)]
+    + [("blowup_region", tuple(k * x for x in WORKED_ELL)) for k in (-3, -1, 1, 3, 5)],
+)
+def test_table_matches_the_box_scan(request, region, ell):
+    theta = theta_from_twisting(twisting(request.getfixturevalue(region), ell))
+    table, scan = winding_table(theta), scan_winding_table(theta)
+    assert table.bounds == scan.bounds
+    assert table.entries == scan.entries
+    assert h_even_odd(theta) == scan.h_even_odd()
+
+
+def test_counterclockwise_check_is_not_an_assert(p2_region, monkeypatch):
+    import tropcoh.winding as winding_module
+
+    theta = theta_from_twisting(twisting(p2_region, (3, 3, 3)))
+    flipped = GammaCurve(gamma_curve(theta).vertices[::-1])
+    monkeypatch.setattr(winding_module, "gamma_curve", lambda _: flipped)
+    with pytest.raises(LatticeError, match="must run counterclockwise"):
+        convex_intersection_count(theta)
