@@ -10,14 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .fan import make_fan, self_intersections
+from .fan import balance, make_fan, self_intersections
 from .lattice import LatticeError, Vec, dot, integer_kernel, rot90, vadd, vsub
 from .polytope import (
     EdgeKey,
     Subdivision,
     SubdivisionEdge,
     affine_part,
-    edge_kink,
+    edge_kinks,
     edges,
     interior_edge_keys,
     require_valid,
@@ -58,14 +58,8 @@ def support_function(sub: Subdivision, values) -> SupportFunction:
 
 
 def kinks(phi: SupportFunction) -> dict[EdgeKey, int]:
-    out = {}
-    for e in edges(phi.sub):
-        if e.is_boundary:
-            continue
-        k = edge_kink(phi.sub, phi.values, e)
-        assert k.denominator == 1
-        out[e.key] = int(k)
-    return out
+    # integral values on elementary triangles have integral slopes and kinks
+    return {key: int(k) for key, k in edge_kinks(phi.sub, phi.values).items()}
 
 
 def _kink_entry(K: KinkVector, key: EdgeKey) -> int:
@@ -92,17 +86,15 @@ class PhiMap:
 def phi_map(curve: TropicalCurve) -> PhiMap:
     order = interior_edge_keys(curve.sub)
     col = {key: i for i, key in enumerate(order)}
-    by_key = curve.bounded_by_key()
     rows = []
     verts = []
     for region in bounded_regions(curve):
         verts.append(region.dual_vertex)
         rx = [0] * len(order)
         ry = [0] * len(order)
-        for key, eps in zip(region.edge_keys, region.epsilons):
-            n = by_key[key].n_e
-            rx[col[key]] += eps * n[0]
-            ry[col[key]] += eps * n[1]
+        # the region's two rows send K to balance(fan_rays, -K)
+        for key, u in zip(region.edge_keys, region.fan_rays):
+            rx[col[key]], ry[col[key]] = balance((u,), (-1,))
         rows.append(tuple(rx))
         rows.append(tuple(ry))
     return PhiMap(order, tuple(verts), tuple(rows))
@@ -117,15 +109,8 @@ def _check_cocycle(
     curve: TropicalCurve, K: KinkVector, regions: Sequence[BoundedRegion] | None = None
 ) -> None:
     """Raise unless K balances around each of the regions (default: all of them)."""
-    by_key = curve.bounded_by_key()
     for region in bounded_regions(curve) if regions is None else regions:
-        sx = sy = 0
-        for key, eps in zip(region.edge_keys, region.epsilons):
-            k = _kink_entry(K, key)
-            n = by_key[key].n_e
-            sx += eps * k * n[0]
-            sy += eps * k * n[1]
-        if (sx, sy) != (0, 0):
+        if balance(region.fan_rays, [_kink_entry(K, key) for key in region.edge_keys]) != (0, 0):
             raise LatticeError(
                 f"not a cocycle: inconsistent around region {region.dual_vertex}"
             )
@@ -158,12 +143,14 @@ def support_from_kinks(K: KinkVector, sub: Subdivision) -> SupportFunction:
                 other = e.plus_triangle
                 m2 = (m[0] + k * n_e[0], m[1] + k * n_e[1])
             c2 = c + dot(vsub(m, m2), e.a)
-            if other in parts:
-                assert parts[other] == (m2, c2), "cocycle check missed an inconsistency"
-            else:
+            if other not in parts:
                 parts[other] = (m2, c2)
                 queue.append(other)
-    assert len(parts) == len(sub.triangles)
+            elif parts[other] != (m2, c2):
+                raise LatticeError(f"kinks disagree around edge {e.key} after the cocycle check")
+    for t in range(len(sub.triangles)):
+        if t not in parts:
+            raise LatticeError(f"triangle {t} is not reached from triangle {base} across edges")
 
     values = [None] * len(sub.points)
     for t, (i0, i1, i2) in enumerate(sub.triangles):
@@ -172,8 +159,8 @@ def support_from_kinks(K: KinkVector, sub: Subdivision) -> SupportFunction:
             v = dot(m, sub.points[i]) + c
             if values[i] is None:
                 values[i] = v
-            else:
-                assert values[i] == v
+            elif values[i] != v:
+                raise LatticeError(f"triangle {t} gives lattice point {sub.points[i]} a second value")
     return SupportFunction(sub, tuple(values))
 
 

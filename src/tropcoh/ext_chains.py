@@ -88,9 +88,11 @@ def build_a2d_example(d: int) -> A2dExample:
     K, ell, kappa = [], [], []
     for j in range(1, d):
         kj, lj = _KC(j), _ell(j)
-        assert all((a - b) % 2 == 0 for a, b in zip(kj, lj))
+        if any((a - b) % 2 for a, b in zip(kj, lj)):
+            raise LatticeError(f"surface {j}: K_C {kj} and twists {lj} differ in parity")
         cj = tuple((a - b) // 2 for a, b in zip(kj, lj))
-        assert cj == _kappa(j)
+        if cj != _kappa(j):
+            raise LatticeError(f"surface {j}: kappa {cj} is not the closed form {_kappa(j)}")
         K.append(kj)
         ell.append(lj)
         kappa.append(cj)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .lattice import LatticeError, Vec, det2, is_primitive, vsub
+from .lattice import LatticeError, Vec, det2, is_primitive, rot90, vsub
 from .polytope import Subdivision, interior_vertices, stars
 
 
@@ -62,6 +62,16 @@ def fan_at_vertex(sub: Subdivision, v: Vec) -> Fan:
     for t in stars(sub)[v]:
         dirs.update(vsub(p, v) for p in sub.triangle_points(t) if p != v)
     return make_fan(dirs)
+
+
+def balance(rays, values) -> Vec:
+    """Sum of values_j * rot90(u_j); zero when the values close up around the fan."""
+    sx = sy = 0
+    for u, c in zip(rays, values, strict=True):
+        x, y = rot90(u)
+        sx += c * x
+        sy += c * y
+    return (sx, sy)
 
 
 def is_smooth(fan: Fan) -> bool:

@@ -14,8 +14,10 @@ from functools import lru_cache
 from importlib import resources
 from typing import Any, Mapping, Optional, Sequence
 
-from .lattice import Vec
-from .polytope import Subdivision, require_valid, subdivision
+from .bundles import _check_cocycle
+from .lattice import LatticeError, Vec
+from .polytope import Subdivision, interior_edge_keys, require_valid, subdivision
+from .tropical import tropical_curve
 
 REPORT_FORMAT = "tropcoh-report"
 REPORT_VERSION = 1
@@ -90,8 +92,9 @@ def parse_input(data: bytes) -> InputDocument:
     if len(nu) != len(points):
         raise InputError("invalid input at /nu: one value per lattice point required")
 
+    sub = subdivision(points, triangles, nu)
     try:
-        require_valid(subdivision(points, triangles, nu))
+        require_valid(sub)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -100,6 +103,15 @@ def parse_input(data: bytes) -> InputDocument:
         region = tuple(entry["region"]) if "region" in entry else None
         tsets[name] = TwistingSet(tuple(entry["values"]), region)
     ksets = {name: tuple(vals) for name, vals in raw.get("kink_sets", {}).items()}
+    order = interior_edge_keys(sub)
+    for name, vals in ksets.items():
+        where = f"invalid input at {_pointer(('kink_sets', name))}"
+        if len(vals) != len(order):
+            raise InputError(f"{where}: {len(vals)} kinks for {len(order)} interior edges")
+        try:
+            _check_cocycle(tropical_curve(sub), dict(zip(order, vals)))
+        except LatticeError as exc:
+            raise InputError(f"{where}: {exc}") from exc
     opts = raw.get("options", {})
     options = InputOptions(
         margin=opts.get("margin", 0),

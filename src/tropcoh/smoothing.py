@@ -100,12 +100,19 @@ class SubdivisionPL:
         self._v = np.array(values, dtype=float)[tri]
         # slope g of each triangle: <g, e_k> = v_k - v_0
         self._slope = np.linalg.solve(self._e, (self._v[:, 1:] - self._v[:, :1])[:, :, None])[:, :, 0]
-        self._hull = np.array(convex_hull(sub.points), dtype=float)
+        hull = convex_hull(sub.points)
+        self._hull = np.array(hull, dtype=float)
         ws = []
         for e in edges(sub):
             a, b = e.a, e.b
             d = (b[0] - a[0], b[1] - a[1])
             ws.append(_normalize_wall(-d[1], d[0], d[1] * a[0] - d[0] * a[1]))
+        # outside the polygon the projection switches between the slab of a hull
+        # edge d and the wedge of its end points on the lines <d, x> = <d, end>
+        for a, b in zip(hull, hull[1:] + hull[:1]):
+            d = (b[0] - a[0], b[1] - a[1])
+            for end in (a, b):
+                ws.append(_normalize_wall(d[0], d[1], -(d[0] * end[0] + d[1] * end[1])))
         self._walls = tuple(dict.fromkeys(ws))
 
     def _project(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

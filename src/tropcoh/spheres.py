@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .bundles import KinkVector, _check_cocycle, _kink_entry, canonical_KC
-from .fan import Fan, make_fan, self_intersections
+from .fan import Fan, balance, make_fan, self_intersections
 from .lattice import LatticeError, QVec, Vec, dot, rot90, solve_dual
 from .polytope import ValidationIssue, ValidationReport, interior_edge_keys
 from .tropical import BoundedRegion
@@ -61,8 +61,7 @@ def validate_twisting(ell, region: RegionOrFan) -> ValidationReport:
                     f"edge {j}: twist {l} and self-intersection {bj} differ mod 2",
                 )
             )
-    sx = sum(l * rot90(u)[0] for l, u in zip(values, fan.rays))
-    sy = sum(l * rot90(u)[1] for l, u in zip(values, fan.rays))
+    sx, sy = balance(fan.rays, values)
     if (sx, sy) != (0, 0):
         issues.append(ValidationIssue("balance", f"edge sum ({sx}, {sy}) is not zero"))
     return ValidationReport(tuple(issues))
@@ -97,8 +96,10 @@ def _half(x: Fraction) -> bool:
 def _assert_semi_integral(fan: Fan, thetas) -> None:
     r = len(fan.rays)
     for j in range(r):
-        assert _half(dot(thetas[j], fan.rays[j]))
-        assert _half(dot(thetas[j], fan.rays[(j + 1) % r]))
+        for k in (j, (j + 1) % r):
+            x = dot(thetas[j], fan.rays[k])
+            if not _half(x):
+                raise LatticeError(f"cone {j}: theta pairs to {x} with ray {k}, not to a half-odd integer")
 
 
 def canonical_seed(fan: Fan) -> QVec:
@@ -130,7 +131,8 @@ def theta_from_twisting(tw: Twisting) -> SemiIntegralSupport:
     step = rot90(fan.rays[0])
     half = Fraction(tw.ell[0], 2)
     closed = (thetas[-1][0] + half * step[0], thetas[-1][1] + half * step[1])
-    assert closed == thetas[0], "balanced twisting numbers must close up"
+    if closed != thetas[0]:
+        raise LatticeError(f"twisting numbers {tw.ell} do not close up around the fan")
     _assert_semi_integral(fan, thetas)
     return SemiIntegralSupport(fan, tuple(thetas), tw.region)
 

@@ -51,7 +51,8 @@ class _Canvas:
             else:
                 continue
             t = cand if t is None else min(t, cand)
-        assert t is not None and t > 0
+        if t is None or t <= 0:
+            raise LatticeError(f"ray from {origin} along {direction} does not leave the frame")
         return (ox + t * dx, oy + t * dy)
 
 

@@ -7,31 +7,19 @@ coordinates are exact rationals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .fan import make_fan
-from .lattice import (
-    LatticeError,
-    QVec,
-    Vec,
-    det2,
-    dot,
-    primitive,
-    rot90,
-    solve_dual,
-    vadd,
-    vneg,
-    vsub,
-)
+from .lattice import LatticeError, QVec, Vec, det2, dot, rot90, vadd, vneg, vsub
 from .polytope import (
     EdgeKey,
     Subdivision,
     edges,
     interior_vertices,
     require_valid,
+    slopes,
     stars,
 )
 
@@ -75,14 +63,6 @@ class TropicalCurve:
     bounded: tuple[BoundedEdge, ...]
     rays: tuple[TropicalRay, ...]
 
-    def bounded_by_key(self) -> dict[EdgeKey, BoundedEdge]:
-        return {e.key: e for e in self.bounded}
-
-
-def _primitive_q(v) -> Vec:
-    d = v[0].denominator * v[1].denominator // math.gcd(v[0].denominator, v[1].denominator)
-    return primitive((int(v[0] * d), int(v[1] * d)))
-
 
 def _outgoing_direction(sub: Subdivision, edge) -> Vec:
     """Dual-edge direction leaving the vertex of the given plus triangle."""
@@ -99,28 +79,18 @@ def tropical_curve(sub: Subdivision) -> TropicalCurve:
     # each vertex below realizes the minimum of legendre(sub)
     require_valid(sub)
 
-    vertices = []
-    for t in range(len(sub.triangles)):
-        v0, v1, v2 = sub.triangle_points(t)
-        i0, i1, i2 = sub.triangles[t]
-        f0, f1, f2 = Fraction(sub.nu[i0]), Fraction(sub.nu[i1]), Fraction(sub.nu[i2])
-        vertices.append(solve_dual(vsub(v1, v0), vsub(v2, v0), f0 - f1, f0 - f2))
-
+    # the dual vertex of a triangle is minus the slope of nu there
+    vertices = tuple(vneg(m) for m in slopes(sub, sub.nu))
     bounded = []
     rays = []
     for e in edges(sub):
         if e.is_boundary:
             rays.append(TropicalRay(e.key, vertices[e.plus_triangle], _outgoing_direction(sub, e)))
-            continue
-        p_plus = vertices[e.plus_triangle]
-        p_minus = vertices[e.minus_triangle]
-        if p_plus == p_minus:
-            raise LatticeError(f"subdivision not strictly convex at edge {e.key}")
-        n_e = _primitive_q(vsub(p_minus, p_plus))
-        if n_e != rot90(e.n_check):
-            raise AssertionError(f"dual edge of {e.key} is not perpendicular to it")
-        bounded.append(BoundedEdge(e.key, p_plus, p_minus, n_e))
-    return TropicalCurve(sub, tuple(vertices), tuple(bounded), tuple(rays))
+        else:
+            # the positive kink validate proved is the edge length along rot90(n_check)
+            p_plus, p_minus = vertices[e.plus_triangle], vertices[e.minus_triangle]
+            bounded.append(BoundedEdge(e.key, p_plus, p_minus, rot90(e.n_check)))
+    return TropicalCurve(sub, vertices, tuple(bounded), tuple(rays))
 
 
 @dataclass(frozen=True)
@@ -129,7 +99,8 @@ class BoundedRegion:
 
     Entry j of every per-edge tuple refers to the boundary edge dual to ray
     u_j of the vertex fan; the cycle lists the dual vertices of the wedge
-    triangles counterclockwise, so edge j joins cycle[j-1] to cycle[j].
+    triangles counterclockwise, so edge j runs from cycle[j-1] to cycle[j]
+    along -rot90(u_j).
     """
 
     curve: TropicalCurve
@@ -138,13 +109,11 @@ class BoundedRegion:
     triangles: tuple[int, ...]
     edge_keys: tuple[EdgeKey, ...]
     cycle: tuple[QVec, ...]
-    epsilons: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
 def bounded_regions(curve: TropicalCurve) -> tuple[BoundedRegion, ...]:
     sub = curve.sub
-    by_key = curve.bounded_by_key()
     regions = []
     star = stars(sub)
     for v in interior_vertices(sub):
@@ -161,33 +130,9 @@ def bounded_regions(curve: TropicalCurve) -> tuple[BoundedRegion, ...]:
         triangles = tuple(
             wedge_to_tri[(f.rays[j], f.rays[(j + 1) % r])] for j in range(r)
         )
-
         cycle = tuple(curve.vertices[t] for t in triangles)
-        area2 = sum(
-            (cycle[j][0] - cycle[0][0]) * (cycle[j + 1][1] - cycle[0][1])
-            - (cycle[j][1] - cycle[0][1]) * (cycle[j + 1][0] - cycle[0][0])
-            for j in range(1, r - 1)
-        )
-        assert area2 > 0, "region cycle must be counterclockwise"
-
-        edge_keys = []
-        epsilons = []
-        for j, u in enumerate(f.rays):
-            key: EdgeKey = tuple(sorted((v, vadd(v, u))))
-            be = by_key[key]
-            ccw = vneg(rot90(u))
-            if be.n_e == ccw:
-                eps = 1
-            elif be.n_e == vneg(ccw):
-                eps = -1
-            else:
-                raise AssertionError(f"dual edge {key} not parallel to the region boundary")
-            assert _primitive_q(vsub(cycle[j], cycle[j - 1])) == ccw
-            edge_keys.append(key)
-            epsilons.append(eps)
-        regions.append(
-            BoundedRegion(curve, v, f.rays, triangles, tuple(edge_keys), cycle, tuple(epsilons))
-        )
+        edge_keys = tuple(tuple(sorted((v, vadd(v, u)))) for u in f.rays)
+        regions.append(BoundedRegion(curve, v, f.rays, triangles, edge_keys, cycle))
     return tuple(regions)
 
 

@@ -52,6 +52,9 @@ def _on_curve(m: Vec) -> LatticeError:
 def _cast(doubled: list[Vec], m: Vec) -> int:
     """Signed crossings of the rightward horizontal ray from the lattice point m."""
     x, y = 2 * m[0], 2 * m[1]
+    # the half-open rule below gives a vertex at a local maximum of y to no segment
+    if (x, y) in doubled:
+        raise _on_curve(m)
     w = 0
     n = len(doubled)
     for i in range(n):
@@ -87,9 +90,13 @@ def winding_runs(gamma: GammaCurve):
     counts the crossing when x < x_c, that is when x < ceil(x_c), so every
     segment gives one integer threshold and the winding number is constant
     between consecutive thresholds.  A lattice point on the curve raises, as
-    it does in the per-point cast.
+    it does in the per-point cast; a vertex that is a lattice point raises
+    before the sweep, since the half-open rule may give it to no segment.
     """
     doubled = _doubled_vertices(gamma.vertices)
+    for x, y in doubled:
+        if x % 2 == 0 and y % 2 == 0:
+            raise _on_curve((x // 2, y // 2))
     segments = []
     for i in range(len(doubled)):
         (ax, ay), (bx, by) = doubled[i - 1], doubled[i]

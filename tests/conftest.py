@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 pytest.register_assert_rewrite("box_scan", "gen_cases")
 
 from tropcoh.examples import a2d_subdivision, blowup_p2, local_p2
+from tropcoh.polytope import subdivision
 from tropcoh.tropical import bounded_regions, region_at, tropical_curve
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -56,3 +57,26 @@ def a2d3_regions(a2d3_sub):
 @pytest.fixture(scope="session")
 def fixture_dir():
     return FIXTURES
+
+
+def hex_grid(n):
+    """[0,n]^2 cut along (1,-1) diagonals, lift x^2+xy+y^2: six rays at every interior vertex."""
+    points = [(x, y) for x in range(n + 1) for y in range(n + 1)]
+    index = {p: i for i, p in enumerate(points)}
+    triangles = []
+    for x in range(n):
+        for y in range(n):
+            triangles.append((index[(x, y)], index[(x + 1, y)], index[(x, y + 1)]))
+            triangles.append((index[(x + 1, y)], index[(x + 1, y + 1)], index[(x, y + 1)]))
+    return subdivision(points, triangles, [x * x + x * y + y * y for x, y in points])
+
+
+@pytest.fixture(scope="session")
+def oracle_subdivisions():
+    """The inputs the old per-edge and per-region constructions are checked against."""
+    return (
+        local_p2(),
+        blowup_p2(),
+        *(a2d_subdivision(d) for d in range(1, 13)),
+        *(hex_grid(n) for n in (2, 3, 5)),
+    )

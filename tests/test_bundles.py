@@ -1,7 +1,10 @@
 """Kink vectors, the balancing map, and canonical classes."""
 
+from math import gcd
+
 import pytest
 
+from tropcoh import bundles
 from tropcoh.bundles import (
     canonical_KC,
     hms_line_bundle,
@@ -14,8 +17,8 @@ from tropcoh.bundles import (
 )
 from tropcoh.examples import a2d_subdivision
 from tropcoh.fan import make_fan, self_intersections
-from tropcoh.lattice import LatticeError
-from tropcoh.polytope import edges, interior_edge_keys, subdivision
+from tropcoh.lattice import LatticeError, primitive, rot90, vneg, vsub
+from tropcoh.polytope import edges, interior_edge_keys
 from tropcoh.tropical import bounded_regions, tropical_curve
 
 
@@ -66,6 +69,13 @@ def test_support_from_kinks_rejects_unbalanced(blowup_sub):
     key = interior_edge_keys(blowup_sub)[0]
     with pytest.raises(LatticeError, match=r"not a cocycle.*\(1, 1\)"):
         support_from_kinks({key: 1}, blowup_sub)
+
+
+def test_support_from_kinks_names_the_edge_past_the_cocycle_check(blowup_sub, monkeypatch):
+    monkeypatch.setattr(bundles, "_check_cocycle", lambda curve, K: None)
+    K = {key: 1 for key in interior_edge_keys(blowup_sub)}
+    with pytest.raises(LatticeError, match="kinks disagree around edge"):
+        support_from_kinks(K, blowup_sub)
 
 
 def test_phi_map_shape(p2_curve, blowup_curve):
@@ -126,22 +136,9 @@ def test_canonical_KC_is_balanced(a2d3_regions):
         assert all(x == 0 for x in phi.apply(canonical_KC(region)))
 
 
-def _square_grid(n):
-    """[0,n]^2 cut along (1,-1) diagonals, lift x^2+xy+y^2: six rays at every interior vertex."""
-    points = [(x, y) for x in range(n + 1) for y in range(n + 1)]
-    index = {p: i for i, p in enumerate(points)}
-    triangles = []
-    for x in range(n):
-        for y in range(n):
-            triangles.append((index[(x, y)], index[(x + 1, y)], index[(x, y + 1)]))
-            triangles.append((index[(x + 1, y)], index[(x + 1, y + 1)], index[(x, y + 1)]))
-    return subdivision(points, triangles, [x * x + x * y + y * y for x, y in points])
-
-
-def test_canonical_KC_matches_a_cycle_scan(p2_sub, blowup_sub):
+def test_canonical_KC_matches_a_cycle_scan(oracle_subdivisions):
     """Oracle: kink 1 on every other bounded edge with an endpoint on the cycle, and Phi(K) = 0."""
-    subs = [p2_sub, blowup_sub, _square_grid(3), *(a2d_subdivision(d) for d in range(1, 7))]
-    for sub in subs:
+    for sub in oracle_subdivisions:
         curve = tropical_curve(sub)
         phi = phi_map(curve)
         for region in bounded_regions(curve):
@@ -156,6 +153,32 @@ def test_canonical_KC_matches_a_cycle_scan(p2_sub, blowup_sub):
             assert got == want
             assert list(got) == list(want)
             assert not any(phi.apply(got))
+
+
+def _primitive_q(v):
+    d = v[0].denominator * v[1].denominator // gcd(v[0].denominator, v[1].denominator)
+    return primitive((int(v[0] * d), int(v[1] * d)))
+
+
+def test_phi_matrix_matches_the_epsilon_construction(oracle_subdivisions):
+    """Oracle: the rows as sums of eps_j * n_e, with n_e read off the curve's vertices."""
+    for sub in oracle_subdivisions:
+        curve = tropical_curve(sub)
+        order = interior_edge_keys(sub)
+        col = {key: i for i, key in enumerate(order)}
+        tangent = {be.key: _primitive_q(vsub(be.p_minus, be.p_plus)) for be in curve.bounded}
+        rows = []
+        for region in bounded_regions(curve):
+            rx, ry = [0] * len(order), [0] * len(order)
+            for key, u in zip(region.edge_keys, region.fan_rays):
+                n = tangent[key]
+                ccw = vneg(rot90(u))
+                eps = 1 if n == ccw else -1
+                assert (eps * n[0], eps * n[1]) == ccw
+                rx[col[key]] += eps * n[0]
+                ry[col[key]] += eps * n[1]
+            rows += [tuple(rx), tuple(ry)]
+        assert phi_map(curve).matrix == tuple(rows)
 
 
 def test_restriction_degree(blowup_sub, blowup_region):

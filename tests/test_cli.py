@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, report contents, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -310,6 +311,38 @@ def test_non_json_constant_in_document(run, fixture_dir, tmp_path, token):
     assert code == 2
     assert out == ""
     assert f"{token} is not a JSON value" in err
+
+
+@pytest.mark.parametrize(
+    "kinks, message",
+    [
+        ([-3, -3], "2 kinks for 3 interior edges"),
+        ([1, 0, 0], "not a cocycle: inconsistent around region (0, 0)"),
+    ],
+)
+def test_kink_sets_are_checked(run, fixture_dir, tmp_path, kinks, message):
+    raw = json.loads((fixture_dir / P2).read_bytes())
+    raw["kink_sets"]["bad"] = kinks
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = run("validate", None, "--input", str(bad))
+    assert code == 2
+    assert out == ""
+    assert f"invalid input at /kink_sets/bad: {message}" in err
+
+
+def test_library_raises_no_assertion_errors():
+    """python -O strips an assert, and an AssertionError escapes as a traceback."""
+    found = []
+    for path in sorted(Path(tropcoh.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno} assert")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    found.append(f"{path.name}:{node.lineno} raise AssertionError")
+    assert found == []
 
 
 def test_unknown_command_exits_two(run):

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from tropcoh import ext_chains
 from tropcoh.ext_chains import (
     KINDS,
     A2dExample,
@@ -102,6 +103,18 @@ def test_kappa_is_half_the_twist_difference():
         ex = build_a2d_example(d)
         for kj, lj, cj in zip(ex.K, ex.ell, ex.kappa):
             assert tuple(a - b for a, b in zip(kj, lj)) == tuple(2 * c for c in cj)
+
+
+def test_build_names_the_surface_with_a_wrong_closed_form(monkeypatch):
+    monkeypatch.setattr(ext_chains, "_kappa", lambda j: (0, 0, 0, 0, 0))
+    with pytest.raises(LatticeError, match="surface 1: kappa"):
+        build_a2d_example(3)
+
+
+def test_build_names_the_surface_with_a_parity_clash(monkeypatch):
+    monkeypatch.setattr(ext_chains, "_ell", lambda j: (0, 0, 0, 0, 1))
+    with pytest.raises(LatticeError, match="surface 1: K_C .* differ in parity"):
+        build_a2d_example(3)
 
 
 def test_ladder_identity():

@@ -1,5 +1,6 @@
 """Strict input parsing, canonical serialization, and exact JSON encoding."""
 
+import importlib.util
 import json
 import math
 from fractions import Fraction
@@ -47,6 +48,17 @@ def test_fixtures_are_canonical_and_round_trip(fixture_dir, name):
     assert serialize_input(doc) == data
     again = parse_input(serialize_input(doc))
     assert serialize_input(again) == data
+
+
+def test_fixture_generator_reproduces_the_fixtures(fixture_dir):
+    path = fixture_dir.parent / "tools" / "gen_fixtures.py"
+    spec = importlib.util.spec_from_file_location("gen_fixtures", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    built = gen.build()
+    assert sorted(built) == sorted(FIXTURE_NAMES)
+    for name, data in built.items():
+        assert data == (fixture_dir / name).read_bytes(), name
 
 
 def test_parsed_p2_matches_the_stock_subdivision(fixture_dir):

@@ -1,5 +1,6 @@
 """Subdivision validation, edge combinatorics, and exact kinks."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from tropcoh.lattice import LatticeError, det2, dot, rot90, vsub
 from tropcoh.polytope import (
     affine_part,
     convex_hull,
-    edge_kink,
+    edge_kinks,
     edge_triangles,
     edges,
     edges_by_key,
@@ -162,21 +163,37 @@ def test_affine_part_interpolates(p2_sub):
 
 
 def test_every_p2_kink_is_three(p2_sub):
-    for e in edges(p2_sub):
-        if not e.is_boundary:
-            assert edge_kink(p2_sub, P2_NU, e) == 3
+    assert set(edge_kinks(p2_sub, P2_NU).values()) == {3}
 
 
-def test_edge_kink_rejects_boundary_edges(p2_sub):
-    e = next(e for e in edges(p2_sub) if e.is_boundary)
-    with pytest.raises(LatticeError, match="on the boundary"):
-        edge_kink(p2_sub, P2_NU, e)
+def test_edge_kinks_skip_boundary_edges(p2_sub):
+    assert tuple(edge_kinks(p2_sub, P2_NU)) == interior_edge_keys(p2_sub)
 
 
-def test_edge_kink_sign_flips_with_concavity(p2_sub):
-    e = next(e for e in edges(p2_sub) if not e.is_boundary)
+def test_edge_kinks_sign_flips_with_concavity(p2_sub):
     neg = [-v for v in P2_NU]
-    assert edge_kink(p2_sub, neg, e) == -3
+    assert set(edge_kinks(p2_sub, neg).values()) == {-3}
+
+
+def test_edge_kinks_match_two_solves_per_edge(oracle_subdivisions):
+    """Oracle: both triangles of each interior edge solved again, on nu, -nu and random values."""
+    rng = random.Random(11)
+    for sub in oracle_subdivisions:
+        randoms = [rng.randrange(-9, 10) for _ in sub.points]
+        for values in (sub.nu, [-v for v in sub.nu], randoms):
+            want = {}
+            for e in edges(sub):
+                if e.is_boundary:
+                    continue
+                m_plus, _ = affine_part(sub, values, e.plus_triangle)
+                m_minus, _ = affine_part(sub, values, e.minus_triangle)
+                delta = vsub(m_plus, m_minus)
+                n_e = rot90(e.n_check)
+                assert delta[0] * n_e[1] == delta[1] * n_e[0]
+                want[e.key] = Fraction(delta[0], n_e[0]) if n_e[0] else Fraction(delta[1], n_e[1])
+            got = edge_kinks(sub, values)
+            assert got == want
+            assert list(got) == list(want)
 
 
 def test_interior_vertices(p2_sub, blowup_sub, a2d3_sub):

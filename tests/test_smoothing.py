@@ -225,6 +225,21 @@ def test_subdivision_gradient_matches_value_differences(p2_sub):
         assert np.allclose(f.gradient(q)[0], fd, atol=1e-6), x
 
 
+def test_extension_kink_lines_are_walls(p2_sub):
+    """Orders 24 and 300 agree next to a kink line of the extension.
+
+    (1.6, 0.6) lies on the line through the hull vertex (1, 0) along the
+    outward normal of the hull edge to (0, 1), where the projection switches
+    from the edge's slab to the vertex's wedge.  A rule that does not split
+    the disk there misses the kink by about 3e-4 in value and 0.8 in h11.
+    """
+    f = SubdivisionPL(p2_sub, (0, 2, 1, 3))
+    x = (1.6, 0.6)
+    low, high = MollifierParams(0.25, 24), MollifierParams(0.25, 300)
+    assert abs(mollify_eval(f, low, x) - mollify_eval(f, high, x)) < 1e-12
+    assert np.allclose(hessian(f, low, x), hessian(f, high, x), rtol=0, atol=1e-7)
+
+
 def test_quadrature_defect_witness_is_convex_and_ok():
     # a larger convex twisting on which the finite-difference Hessian
     # raised "quadrature order too low"

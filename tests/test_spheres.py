@@ -7,8 +7,11 @@ import pytest
 from tropcoh.bundles import canonical_KC
 from tropcoh.fan import make_fan
 from tropcoh.lattice import LatticeError, dot, vadd
+from tropcoh import spheres
+from tropcoh.polytope import ValidationReport
 from tropcoh.spheres import (
     SemiIntegralSupport,
+    Twisting,
     canonical_seed,
     compact_support_class,
     difference_sphere,
@@ -119,6 +122,22 @@ def test_kinks_of_theta_rejects_quarter_steps():
     thetas = (seed, (seed[0], seed[1] + quarter), seed)
     with pytest.raises(LatticeError, match="not a support function"):
         kinks_of_theta(SemiIntegralSupport(fan, thetas))
+
+
+def test_gamma_curve_names_a_part_off_the_half_lattice():
+    fan = make_fan([(1, 0), (0, 1), (-1, -1)])
+    seed = canonical_seed(fan)
+    thetas = (seed, (seed[0], seed[1] + Fraction(1, 4)), seed)
+    with pytest.raises(LatticeError, match="cone 1: theta pairs to 1/4 with ray 2, not to a half-odd integer"):
+        gamma_curve(SemiIntegralSupport(fan, thetas))
+
+
+def test_unclosed_twisting_is_named(monkeypatch):
+    # validate_twisting rejects unbalanced numbers first; the closing check backs it up
+    monkeypatch.setattr(spheres, "validate_twisting", lambda ell, fan: ValidationReport(()))
+    tw = Twisting(make_fan([(1, 0), (0, 1), (-1, -1)]), (1, 1, 3))
+    with pytest.raises(LatticeError, match=r"twisting numbers \(1, 1, 3\) do not close up"):
+        theta_from_twisting(tw)
 
 
 def test_gamma_vertices_live_in_the_half_lattice(p2_region):

@@ -4,7 +4,7 @@ import pytest
 
 from tropcoh.lattice import LatticeError
 from tropcoh.spheres import gamma_curve, theta_from_twisting, twisting
-from tropcoh.svg import NEGATIVE_FILL, POSITIVE_FILL, render_svg
+from tropcoh.svg import NEGATIVE_FILL, POSITIVE_FILL, _Canvas, render_svg
 from tropcoh.winding import winding_table
 
 
@@ -65,6 +65,12 @@ def test_empty_table_draws_no_marks(p2_region):
 def test_table_forbidden_for_tropical_curves(p2_curve, blowup_theta):
     with pytest.raises(LatticeError, match="attach to a gamma curve"):
         render_svg(p2_curve, winding_table(blowup_theta))
+
+
+def test_a_ray_that_stays_in_the_frame_is_named():
+    canvas = _Canvas([0, 1], [0, 1])
+    with pytest.raises(LatticeError, match=r"ray from \(0, 0\) along \(0, 0\)"):
+        canvas.clip_ray((0, 0), (0, 0))
 
 
 def test_label_text_shows_the_winding_value(blowup_theta):

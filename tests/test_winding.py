@@ -164,6 +164,9 @@ def test_hand_made_curves_reach_every_winding_class():
         ([(-1, -1), (5, 1), (-1, 5)], (1, 0)),
         # the horizontal edge from (-1/2, 0) to (1/2, 0) passes through (0, 0)
         ([(-1, 0), (1, 0), (0, 3)], (0, 0)),
+        # the vertex (0, 2) is a strict maximum of y: the half-open rule gives it
+        # to neither of its edges
+        ([(3, -1), (0, 4), (-3, -1)], (0, 2)),
     ],
 )
 def test_lattice_point_on_the_curve_is_named(doubled, point):

@@ -1,4 +1,8 @@
-"""Regenerate the JSON fixtures under fixtures/ from the stock examples."""
+"""Regenerate the JSON fixtures under fixtures/ from the stock examples.
+
+Run as ``python tools/gen_fixtures.py``; ``build()`` returns the bytes without
+writing them.
+"""
 
 from __future__ import annotations
 
@@ -25,12 +29,10 @@ def doc_from(sub, twisting_sets=None, kink_sets=None) -> InputDocument:
     )
 
 
-def main() -> None:
-    OUT.mkdir(exist_ok=True)
-
-    p2 = local_p2()
+def build() -> dict[str, bytes]:
+    """The bytes of each fixture, keyed by its file name under fixtures/."""
     p2_doc = doc_from(
-        p2,
+        local_p2(),
         twisting_sets={
             "cap_k1": TwistingSet((3, 3, 3), (0, 0)),
             "cap_k_minus2": TwistingSet((-3, -3, -3), (0, 0)),
@@ -38,25 +40,27 @@ def main() -> None:
         },
         kink_sets={"canonical": (-3, -3, -3)},
     )
-    (OUT / "p2.json").write_bytes(serialize_input(p2_doc))
-
-    blowup = blowup_p2()
     blowup_doc = doc_from(
-        blowup,
-        twisting_sets={"paper_example": TwistingSet((-14, 5, -14, -9), (1, 1))},
+        blowup_p2(),
+        twisting_sets={"mixed_sign": TwistingSet((-14, 5, -14, -9), (1, 1))},
     )
-    (OUT / "blowup_p2.json").write_bytes(serialize_input(blowup_doc))
-
     a2d = a2d_subdivision(3)
-    regions = bounded_regions(tropical_curve(a2d))
     sets = {}
-    for region in regions:
+    for region in bounded_regions(tropical_curve(a2d)):
         tw = difference_sphere(region)
         name = f"difference_c{region.dual_vertex[0]}"
         sets[name] = TwistingSet(tuple(tw.ell), region.dual_vertex)
-    (OUT / "a2d_d3.json").write_bytes(serialize_input(doc_from(a2d, twisting_sets=sets)))
+    return {
+        "p2.json": serialize_input(p2_doc),
+        "blowup_p2.json": serialize_input(blowup_doc),
+        "a2d_d3.json": serialize_input(doc_from(a2d, twisting_sets=sets)),
+    }
 
-    for name in ("p2.json", "blowup_p2.json", "a2d_d3.json"):
+
+def main() -> None:
+    OUT.mkdir(exist_ok=True)
+    for name, data in build().items():
+        (OUT / name).write_bytes(data)
         print("wrote", OUT / name)
 
 
