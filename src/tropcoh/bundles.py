@@ -7,8 +7,8 @@ kernel of the balancing map are exactly the realizable ones.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .fan import balance, make_fan, self_intersections
 from .lattice import LatticeError, Vec, dot, integer_kernel, rot90, vadd, vsub
@@ -18,11 +18,12 @@ from .polytope import (
     SubdivisionEdge,
     affine_part,
     edge_kinks,
+    edge_triangles,
     edges,
     interior_edge_keys,
     require_valid,
 )
-from .tropical import BoundedRegion, TropicalCurve, bounded_regions
+from .tropical import BoundedRegion, TropicalCurve, bounded_regions, regions_by_vertex
 
 KinkVector = Mapping[EdgeKey, int]
 
@@ -165,22 +166,28 @@ def support_from_kinks(K: KinkVector, sub: Subdivision) -> SupportFunction:
 
 
 def canonical_KC(region: BoundedRegion) -> dict[EdgeKey, int]:
-    """Kink vector of the canonical class of the region's compact surface."""
+    """Kink vector of the canonical class of the region's compact surface.
+
+    Sparse: only the region's edges and the kink-1 sides have entries, in key
+    order; every other bounded edge carries kink 0.
+    """
     curve = region.curve
     b = self_intersections(make_fan(region.fan_rays))
-    out = {be.key: 0 for be in curve.bounded}
+    sides = edge_triangles(curve.sub)
+    out = {}
     # the other bounded edges at the cycle are dual to the interior sides of
     # the wedge triangles opposite the centre; each carries kink 1
     for t in region.triangles:
         key = tuple(sorted(p for p in curve.sub.triangle_points(t) if p != region.dual_vertex))
-        if key in out:
+        if len(sides[key]) == 2:
             out[key] = 1
     for j, key in enumerate(region.edge_keys):
         out[key] = -b[j] - 2
     # only the rows of the region and of its neighbours touch nonzero entries
     near = {region.dual_vertex, *(vadd(region.dual_vertex, u) for u in region.fan_rays)}
-    _check_cocycle(curve, out, [r for r in bounded_regions(curve) if r.dual_vertex in near])
-    return out
+    by_vertex = regions_by_vertex(curve)
+    _check_cocycle(curve, out, [by_vertex[v] for v in sorted(near) if v in by_vertex])
+    return {key: out[key] for key in sorted(out)}
 
 
 def restriction_degree(K: KinkVector, edge: SubdivisionEdge) -> int:

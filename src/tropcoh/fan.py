@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .lattice import LatticeError, Vec, det2, is_primitive, rot90, vsub
@@ -56,7 +57,9 @@ def make_fan(rays) -> Fan:
 
 def fan_at_vertex(sub: Subdivision, v: Vec) -> Fan:
     v = tuple(v)
-    if v not in interior_vertices(sub):
+    inner = interior_vertices(sub)  # sorted
+    i = bisect_left(inner, v)
+    if i == len(inner) or inner[i] != v:
         raise LatticeError(f"{v} is not an interior vertex")
     dirs = set()
     for t in stars(sub)[v]:

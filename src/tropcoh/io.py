@@ -60,7 +60,10 @@ class InputDocument:
 
 
 def _pointer(path) -> str:
-    return "/" + "/".join(str(p) for p in path) if path else "document root"
+    """RFC 6901 JSON pointer: "~" is written "~0" and "/" is written "~1" in each part."""
+    if not path:
+        return "document root"
+    return "".join("/" + str(p).replace("~", "~0").replace("/", "~1") for p in path)
 
 
 def _reject_constant(token: str):

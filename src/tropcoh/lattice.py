@@ -7,6 +7,7 @@ are ordinary tuples so they stay hashable and JSON-friendly.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from typing import Sequence
 
@@ -60,10 +61,6 @@ def is_primitive(v: Vec) -> bool:
     return (v[0] != 0 or v[1] != 0) and gcd(abs(v[0]), abs(v[1])) == 1
 
 
-def as_fraction_vec(v) -> QVec:
-    return (Fraction(v[0]), Fraction(v[1]))
-
-
 def lex_positive(v: Vec) -> Vec:
     """The representative of {v, -v} with x > 0, or x = 0 and y > 0."""
     if v[0] > 0 or (v[0] == 0 and v[1] > 0):
@@ -90,6 +87,13 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> l
     while the same operations accumulate in an identity matrix; the
     accumulated columns sitting over zero columns form a saturated basis of
     the kernel (any integer solution is an integer combination of them).
+
+    Columns and transform are sparse, and each row keeps the positions of the
+    unreduced columns that are nonzero there.  Row r visits only those, in
+    increasing position.  A column operation on (lead, j) leaves row r
+    nonzero in lead and zero in j and does not touch the other columns, so
+    this is the operation sequence of a dense sweep over every column, and
+    the basis is the same.
     """
     nrows = len(rows)
     if ncols is None:
@@ -99,22 +103,43 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> l
     if any(len(r) != ncols for r in rows):
         raise LatticeError("ragged matrix")
 
-    cols = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
-    trans = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
+    cols: list[dict[int, int]] = [{} for _ in range(ncols)]
+    trans: list[dict[int, int]] = [{j: 1} for j in range(ncols)]
+    nonzero: list[set[int]] = []  # row -> positions of unreduced columns nonzero there
+    positions = range(ncols)
+    for i, row in enumerate(rows):
+        where = list(compress(positions, row))
+        for j in where:
+            cols[j][i] = row[j]
+        nonzero.append(set(where))
+
+    def mix(x: dict, y: dict, a: int, b: int, c: int, d: int) -> tuple[dict, dict]:
+        nx, ny = {}, {}
+        for k in x.keys() | y.keys():
+            xk, yk = x.get(k, 0), y.get(k, 0)
+            u, v = a * xk + b * yk, c * xk + d * yk
+            if u:
+                nx[k] = u
+            if v:
+                ny[k] = v
+        return nx, ny
 
     def combine(j0: int, j1: int, a: int, b: int, c: int, d: int) -> None:
         # columns (j0, j1) <- (a*j0 + b*j1, c*j0 + d*j1), with ad - bc = +-1
-        for mat in (cols, trans):
-            x, y = mat[j0], mat[j1]
-            mat[j0] = [a * xi + b * yi for xi, yi in zip(x, y)]
-            mat[j1] = [c * xi + d * yi for xi, yi in zip(x, y)]
+        old0, old1 = cols[j0], cols[j1]
+        new0, new1 = mix(old0, old1, a, b, c, d)
+        cols[j0], cols[j1] = new0, new1
+        for j, old, new in ((j0, old0, new0), (j1, old1, new1)):
+            for i in old.keys() - new.keys():
+                nonzero[i].discard(j)
+            for i in new.keys() - old.keys():
+                nonzero[i].add(j)
+        trans[j0], trans[j1] = mix(trans[j0], trans[j1], a, b, c, d)
 
     pivot = 0
     for r in range(nrows):
         lead = None
-        for j in range(pivot, ncols):
-            if cols[j][r] == 0:
-                continue
+        for j in sorted(nonzero[r]):
             if lead is None:
                 lead = j
                 continue
@@ -122,10 +147,24 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> l
             g, x, y = _xgcd(a, b)
             combine(lead, j, x, y, -(b // g), a // g)
         if lead is not None:
+            # the lead column is reduced: it leaves the row index, and the
+            # column it swaps with moves to position lead
+            for i in cols[lead]:
+                nonzero[i].discard(lead)
+            if lead != pivot:
+                for i in cols[pivot]:
+                    nonzero[i].discard(pivot)
+                    nonzero[i].add(lead)
             cols[pivot], cols[lead] = cols[lead], cols[pivot]
             trans[pivot], trans[lead] = trans[lead], trans[pivot]
             pivot += 1
-    return [list(trans[j]) for j in range(pivot, ncols)]
+    kernel = []
+    for t in trans[pivot:]:
+        vec = [0] * ncols
+        for i, x in t.items():
+            vec[i] = x
+        kernel.append(vec)
+    return kernel
 
 
 def solve2_int(u: Vec, v: Vec, rhs: Sequence) -> tuple:

@@ -22,7 +22,6 @@ from .lattice import (
     dot,
     primitive,
     rot90,
-    solve_dual,
     vsub,
 )
 
@@ -35,6 +34,14 @@ class Subdivision:
     triangles: tuple[tuple[int, int, int], ...]
     nu: tuple[Fraction | int, ...]
 
+    def __post_init__(self) -> None:
+        # every cached stage is keyed on the subdivision, and tuples do not
+        # cache their hash: hash the fields once, not at every lookup
+        object.__setattr__(self, "_hash", hash((self.points, self.triangles, self.nu)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def triangle_points(self, t: int) -> tuple[Vec, Vec, Vec]:
         i, j, k = self.triangles[t]
         return (self.points[i], self.points[j], self.points[k])
@@ -43,7 +50,8 @@ class Subdivision:
 def subdivision(points: Iterable, triangles: Iterable, nu: Iterable) -> Subdivision:
     pts = tuple((int(p[0]), int(p[1])) for p in points)
     tris = tuple(tuple(int(i) for i in t) for t in triangles)
-    vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in nu)
+    # integral values are stored as ints, so slopes and kinks stay in integers
+    vals = tuple(q.numerator if q.denominator == 1 else q for q in map(Fraction, nu))
     if any(len(t) != 3 for t in tris):
         raise LatticeError("triangles must have three vertices")
     return Subdivision(pts, tris, vals)
@@ -283,35 +291,56 @@ def interior_edge_keys(sub: Subdivision) -> tuple[EdgeKey, ...]:
     return tuple(e.key for e in edges(sub) if not e.is_boundary)
 
 
-def affine_part(sub: Subdivision, values: Sequence, t: int) -> tuple[QVec, Fraction]:
+def _slope(p0: Vec, p1: Vec, p2: Vec, f0, f1, f2) -> QVec:
+    """The m with <m, p1 - p0> = f1 - f0 and <m, p2 - p0> = f2 - f0, for det = +-1.
+
+    On an elementary triangle dividing by the determinant d is multiplying by
+    it, so integer values give an integer slope and no Fraction is built;
+    Fraction values pass through the same formula exactly.
+    """
+    ux, uy = p1[0] - p0[0], p1[1] - p0[1]
+    vx, vy = p2[0] - p0[0], p2[1] - p0[1]
+    d = ux * vy - uy * vx
+    if d * d != 1:
+        raise LatticeError(f"triangle {p0}, {p1}, {p2} is not elementary")
+    a, b = f1 - f0, f2 - f0
+    return ((a * vy - b * uy) * d, (b * ux - a * vx) * d)
+
+
+def affine_part(sub: Subdivision, values: Sequence, t: int) -> tuple[QVec, Fraction | int]:
     """Exact (slope, constant) of the affine interpolant on triangle t."""
     i0, i1, i2 = sub.triangles[t]
-    v0, v1, v2 = sub.points[i0], sub.points[i1], sub.points[i2]
-    f0, f1, f2 = Fraction(values[i0]), Fraction(values[i1]), Fraction(values[i2])
-    m = solve_dual(vsub(v1, v0), vsub(v2, v0), f1 - f0, f2 - f0)
-    c = f0 - (m[0] * v0[0] + m[1] * v0[1])
-    return m, c
+    p0 = sub.points[i0]
+    m = _slope(p0, sub.points[i1], sub.points[i2], values[i0], values[i1], values[i2])
+    return m, values[i0] - dot(m, p0)
 
 
 def slopes(sub: Subdivision, values: Sequence) -> tuple[QVec, ...]:
     """Exact slope of the affine interpolant on each triangle, one solve each."""
-    return tuple(affine_part(sub, values, t)[0] for t in range(len(sub.triangles)))
+    pts = sub.points
+    return tuple(
+        _slope(pts[i0], pts[i1], pts[i2], values[i0], values[i1], values[i2])
+        for i0, i1, i2 in sub.triangles
+    )
 
 
-def edge_kinks(sub: Subdivision, values: Sequence) -> dict[EdgeKey, Fraction]:
+def edge_kinks(sub: Subdivision, values: Sequence) -> dict[EdgeKey, Fraction | int]:
     """Signed bend of the interpolant across each interior edge, in edge order.
 
     The slope jump from the minus to the plus triangle is the kink times
     rot90(n_check); it is positive exactly where the function is locally
-    convex, and does not depend on which side was labeled plus.
+    convex, and does not depend on which side was labeled plus.  For integer
+    values the kink is an integer (the jump is an integer multiple of the
+    primitive n_e), so the quotient below is exact; Fraction values may give
+    a Fraction.
     """
     m = slopes(sub, values)
     out = {}
     for e in edges(sub):
         if not e.is_boundary:
             n_e = rot90(e.n_check)
-            jump = vsub(m[e.plus_triangle], m[e.minus_triangle])
-            out[e.key] = Fraction(dot(jump, n_e), dot(n_e, n_e))
+            s, nn = dot(vsub(m[e.plus_triangle], m[e.minus_triangle]), n_e), dot(n_e, n_e)
+            out[e.key] = s // nn if s % nn == 0 else Fraction(s, nn)
     return out
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .fan import make_fan
 from .lattice import LatticeError, QVec, Vec, det2, dot, rot90, vadd, vneg, vsub
@@ -136,8 +138,15 @@ def bounded_regions(curve: TropicalCurve) -> tuple[BoundedRegion, ...]:
     return tuple(regions)
 
 
+@lru_cache(maxsize=None)
+def regions_by_vertex(curve: TropicalCurve) -> Mapping[Vec, BoundedRegion]:
+    """The bounded regions keyed by their interior vertex, in region order."""
+    return MappingProxyType({r.dual_vertex: r for r in bounded_regions(curve)})
+
+
 def region_at(curve: TropicalCurve, v: Vec) -> BoundedRegion:
-    for r in bounded_regions(curve):
-        if r.dual_vertex == v:
-            return r
-    raise LatticeError(f"{v} is not an interior vertex")
+    v = tuple(v)
+    region = regions_by_vertex(curve).get(v)
+    if region is None:
+        raise LatticeError(f"{v} is not an interior vertex")
+    return region

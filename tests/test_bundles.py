@@ -4,6 +4,8 @@ from math import gcd
 
 import pytest
 
+from conftest import hex_grid
+from oracles import dense_integer_kernel
 from tropcoh import bundles
 from tropcoh.bundles import (
     canonical_KC,
@@ -150,9 +152,22 @@ def test_canonical_KC_matches_a_cycle_scan(oracle_subdivisions):
                 if on_cycle and be.key not in region.edge_keys:
                     want[be.key] = 1
             got = canonical_KC(region)
-            assert got == want
-            assert list(got) == list(want)
+            # sparse: the scan's nonzero part, in key order, plus zero entries
+            # only on the region's own edges; every absent key scans to 0
+            assert {k: v for k, v in got.items() if v} == {k: v for k, v in want.items() if v}
+            assert list(got) == sorted(got)
+            assert set(got) <= set(want)
+            assert all(v != 0 or k in region.edge_keys for k, v in got.items())
+            assert all(want[k] == 0 for k in set(want) - set(got))
             assert not any(phi.apply(got))
+
+
+def test_kernel_equals_the_dense_echelon_on_phi(oracle_subdivisions):
+    """The sparse echelon against the dense one, list for list, on the balancing map."""
+    for sub in (*oracle_subdivisions, a2d_subdivision(40), a2d_subdivision(80), hex_grid(8)):
+        phi = phi_map(tropical_curve(sub))
+        want = dense_integer_kernel(phi.matrix, len(phi.edge_order))
+        assert phi.kernel_vectors() == want
 
 
 def _primitive_q(v):
@@ -185,7 +200,7 @@ def test_restriction_degree(blowup_sub, blowup_region):
     K = canonical_KC(blowup_region)
     interior = [e for e in edges(blowup_sub) if not e.is_boundary]
     for e in interior:
-        assert restriction_degree(K, e) == K[e.key]
+        assert restriction_degree(K, e) == K.get(e.key, 0)
     boundary = next(e for e in edges(blowup_sub) if e.is_boundary)
     with pytest.raises(LatticeError, match="no compact curve"):
         restriction_degree(K, boundary)

@@ -331,6 +331,25 @@ def test_kink_sets_are_checked(run, fixture_dir, tmp_path, kinks, message):
     assert f"invalid input at /kink_sets/bad: {message}" in err
 
 
+@pytest.mark.parametrize(
+    "section, name, entry, where",
+    [
+        ("kink_sets", "a/b", [1, 0, 0], "/kink_sets/a~1b: not a cocycle"),
+        ("twisting_sets", "x~y", {"values": [1, "2", 3]}, "/twisting_sets/x~0y/values"),
+    ],
+)
+def test_error_paths_escape_set_names(run, fixture_dir, tmp_path, section, name, entry, where):
+    """Set names are JSON-pointer parts: "~" is written "~0" and "/" is written "~1"."""
+    raw = json.loads((fixture_dir / P2).read_bytes())
+    raw[section][name] = entry
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = run("validate", None, "--input", str(bad))
+    assert code == 2
+    assert out == ""
+    assert f"invalid input at {where}" in err
+
+
 def test_library_raises_no_assertion_errors():
     """python -O strips an assert, and an AssertionError escapes as a traceback."""
     found = []

@@ -1,12 +1,15 @@
 """Exact integer linear algebra, cross-checked against sympy."""
 
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gen_cases import random_smooth_fan
+from oracles import dense_integer_kernel
 from tropcoh.lattice import (
     LatticeError,
     det2,
@@ -98,6 +101,55 @@ def test_integer_kernel_empty_matrix_needs_width():
 def test_integer_kernel_rejects_ragged_input():
     with pytest.raises(LatticeError, match="ragged"):
         integer_kernel([[1, 2], [1]])
+
+
+# mostly zeros, like the balancing matrices, with zero rows and columns forced in
+sparse_entries = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-6, 6))
+
+
+@st.composite
+def sparse_matrices(draw):
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(1, 9))
+    row = st.lists(sparse_entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    if draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        for r in rows:
+            r[j] = 0
+    return rows, ncols
+
+
+@given(sparse_matrices())
+@example(([], 5))
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+def test_integer_kernel_equals_the_dense_echelon(case):
+    rows, ncols = case
+    want = dense_integer_kernel(rows, ncols)
+    assert integer_kernel(rows, ncols) == want
+    if rows:
+        assert integer_kernel(rows) == want
+
+
+def test_integer_kernel_equals_the_dense_echelon_on_fan_balance_matrices():
+    """The 2 x r balancing rows of random smooth fans, as the twisting draws use them."""
+    rng = random.Random(5)
+    for _ in range(60):
+        rays = random_smooth_fan(rng, 3, 12).rays
+        rows = [[-u[1] for u in rays], [u[0] for u in rays]]
+        assert integer_kernel(rows, len(rays)) == dense_integer_kernel(rows, len(rays))
+
+
+@pytest.mark.parametrize("kernel", [integer_kernel, dense_integer_kernel])
+def test_integer_kernel_errors_match_the_dense_echelon(kernel):
+    with pytest.raises(LatticeError, match="column count"):
+        kernel([])
+    with pytest.raises(LatticeError, match="ragged"):
+        kernel([[1, 2], [1]])
+    with pytest.raises(LatticeError, match="ragged"):
+        kernel([[1, 2]], 3)
 
 
 @given(vecs, vecs, vecs)

@@ -1,12 +1,16 @@
 """Subdivision validation, edge combinatorics, and exact kinks."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import fraction_kinks, fraction_slope
+from tropcoh import lattice
+from tropcoh.bundles import phi_map
 from tropcoh.examples import a2d_subdivision, blowup_p2, local_p2
 from tropcoh.lattice import LatticeError, det2, dot, rot90, vsub
 from tropcoh.polytope import (
@@ -21,10 +25,12 @@ from tropcoh.polytope import (
     interior_vertices,
     lattice_points_in_hull,
     require_valid,
+    slopes,
     stars,
     subdivision,
     validate,
 )
+from tropcoh.tropical import bounded_regions, tropical_curve
 
 
 def codes(sub):
@@ -175,25 +181,68 @@ def test_edge_kinks_sign_flips_with_concavity(p2_sub):
     assert set(edge_kinks(p2_sub, neg).values()) == {-3}
 
 
+def _value_sets(sub, rng):
+    """nu, -nu, random integers and random non-integral Fractions."""
+    return (
+        sub.nu,
+        [-v for v in sub.nu],
+        [rng.randrange(-9, 10) for _ in sub.points],
+        [Fraction(rng.randrange(-40, 41), rng.randrange(1, 7)) for _ in sub.points],
+    )
+
+
+def _both_orientations(subs):
+    """Each subdivision as given (counterclockwise triangles) and with every triangle reversed."""
+    for sub in subs:
+        yield sub
+        yield subdivision(sub.points, [t[::-1] for t in sub.triangles], sub.nu)
+
+
+def test_slopes_match_a_fraction_solve_per_triangle(oracle_subdivisions):
+    """Oracle: each triangle's 2x2 system solved again over Fractions."""
+    rng = random.Random(7)
+    for sub in _both_orientations(oracle_subdivisions):
+        for values in _value_sets(sub, rng):
+            want = tuple(fraction_slope(sub, values, t) for t in range(len(sub.triangles)))
+            assert slopes(sub, values) == want
+        # integral values give integral slopes without building a Fraction
+        assert all(type(x) is int for m in slopes(sub, sub.nu) for x in m)
+
+
 def test_edge_kinks_match_two_solves_per_edge(oracle_subdivisions):
-    """Oracle: both triangles of each interior edge solved again, on nu, -nu and random values."""
+    """Oracle: both triangles of each interior edge solved again over Fractions."""
     rng = random.Random(11)
-    for sub in oracle_subdivisions:
-        randoms = [rng.randrange(-9, 10) for _ in sub.points]
-        for values in (sub.nu, [-v for v in sub.nu], randoms):
-            want = {}
-            for e in edges(sub):
-                if e.is_boundary:
-                    continue
-                m_plus, _ = affine_part(sub, values, e.plus_triangle)
-                m_minus, _ = affine_part(sub, values, e.minus_triangle)
-                delta = vsub(m_plus, m_minus)
-                n_e = rot90(e.n_check)
-                assert delta[0] * n_e[1] == delta[1] * n_e[0]
-                want[e.key] = Fraction(delta[0], n_e[0]) if n_e[0] else Fraction(delta[1], n_e[1])
+    for sub in _both_orientations(oracle_subdivisions):
+        for values in _value_sets(sub, rng):
+            want = fraction_kinks(sub, values)
             got = edge_kinks(sub, values)
             assert got == want
             assert list(got) == list(want)
+
+
+def test_slopes_reject_a_triangle_that_is_not_elementary():
+    big = subdivision([(0, 0), (2, 0), (0, 1)], [(0, 1, 2)], [0, 0, 0])
+    with pytest.raises(LatticeError, match="not elementary"):
+        slopes(big, big.nu)
+
+
+def test_curve_pipeline_takes_no_fraction_solve(oracle_subdivisions, monkeypatch):
+    """With solve_dual raising everywhere, validation, the curve and Phi still build."""
+    real = lattice.solve_dual
+
+    def boom(*args):
+        raise RuntimeError("solve_dual called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tropcoh") and getattr(module, "solve_dual", None) is real:
+            monkeypatch.setattr(module, "solve_dual", boom)
+    for sub in oracle_subdivisions:
+        # a constant shift keeps every kink, and misses the stage caches
+        fresh = subdivision(sub.points, sub.triangles, [v + 1 for v in sub.nu])
+        assert validate(fresh).ok
+        curve = tropical_curve(fresh)
+        phi = phi_map(curve)
+        assert len(phi.matrix) == 2 * len(bounded_regions(curve))
 
 
 def test_interior_vertices(p2_sub, blowup_sub, a2d3_sub):
