@@ -7,27 +7,12 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .bundles import picard_basis
-from .cohomology import (
-    cohomology_dims,
-    divisor_coeffs,
-    psi_from_theta,
-    restriction_degrees,
-    verify_winding_theorem,
-)
-from .ext_chains import build_a2d_example, verify_a2d_configuration
+# Each handler imports what only it uses, so a fresh process loads just the modules
+# its command runs: `validate` never executes `spheres`, `winding` or `cohomology`.
 from .io import InputDocument, InputError, TwistingSet, parse_input, report_bytes
 from .lattice import LatticeError
 from .polytope import interior_edge_keys
-from .spheres import (
-    gamma_curve,
-    theta_from_twisting,
-    twisting,
-    validate_twisting,
-)
-from .svg import render_svg
 from .tropical import BoundedRegion, bounded_regions, tropical_curve
-from .winding import winding_table
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,6 +123,8 @@ def _emit(args, payload: bytes, ext: str) -> None:
 
 def _theta_pipeline(args):
     """Shared resolution: document -> region -> validated twisting -> theta."""
+    from .spheres import theta_from_twisting, twisting
+
     doc = _load(args)
     curve = tropical_curve(doc.subdivision())
     tset = None
@@ -174,6 +161,8 @@ def _cmd_tropical(args) -> int:
     doc = _load(args)
     curve = tropical_curve(doc.subdivision())
     if args.format == "svg":
+        from .svg import render_svg
+
         _emit(args, render_svg(curve), "svg")
         return 0
     result = {
@@ -202,6 +191,8 @@ def _cmd_tropical(args) -> int:
 
 
 def _cmd_picard(args) -> int:
+    from .bundles import picard_basis
+
     doc = _load(args)
     sub = doc.subdivision()
     curve = tropical_curve(sub)
@@ -217,6 +208,8 @@ def _cmd_picard(args) -> int:
 
 
 def _cmd_sphere(args) -> int:
+    from .spheres import gamma_curve, theta_from_twisting, twisting, validate_twisting
+
     doc = _load(args)
     curve = tropical_curve(doc.subdivision())
     tset = doc.twisting_sets.get(args.ell) if args.ell else None
@@ -231,6 +224,8 @@ def _cmd_sphere(args) -> int:
     theta = theta_from_twisting(twisting(region, ell.values))
     gamma = gamma_curve(theta)
     if args.format == "svg":
+        from .svg import render_svg
+
         _emit(args, render_svg(gamma), "svg")
         return 0
     result = {
@@ -244,9 +239,14 @@ def _cmd_sphere(args) -> int:
 
 
 def _cmd_winding(args) -> int:
+    from .spheres import gamma_curve
+    from .winding import winding_table
+
     doc, curve, region, theta = _theta_pipeline(args)
     table = winding_table(theta)
     if args.format == "svg":
+        from .svg import render_svg
+
         _emit(args, render_svg(gamma_curve(theta), table), "svg")
         return 0
     even, odd = table.h_even_odd()
@@ -262,6 +262,8 @@ def _cmd_winding(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
+    from .cohomology import cohomology_dims, divisor_coeffs, psi_from_theta, restriction_degrees
+
     doc, curve, region, theta = _theta_pipeline(args)
     psi = psi_from_theta(theta)
     dims = cohomology_dims(psi, margin=doc.options.margin)
@@ -278,6 +280,8 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_verify_winding(args) -> int:
+    from .cohomology import verify_winding_theorem
+
     doc, curve, region, theta = _theta_pipeline(args)
     rep = verify_winding_theorem(theta)
     result = {
@@ -299,6 +303,8 @@ def _cmd_verify_winding(args) -> int:
 
 
 def _cmd_a2d(args) -> int:
+    from .ext_chains import build_a2d_example, verify_a2d_configuration
+
     if args.d < 1:
         raise InputError("--d must be positive")
     example = build_a2d_example(args.d)

@@ -1,8 +1,9 @@
 """Strict JSON input parsing and deterministic report serialization.
 
-Input documents are schema checked before any geometry is built, so unknown
-fields and type errors are reported with a JSON-pointer path, while syntax
-errors carry the line and column from the decoder.
+Input documents are checked against the rules of ``schema/input.schema.json``
+before any geometry is built, so unknown fields and type errors are reported
+with a JSON-pointer path, while syntax errors carry the line and column from
+the decoder.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from typing import Any, Mapping, Optional, Sequence
 
 from .bundles import _check_cocycle
@@ -29,6 +29,9 @@ class InputError(ValueError):
 
 @lru_cache(maxsize=1)
 def input_schema() -> dict:
+    """The published JSON Schema of input documents; ``parse_input`` checks its rules itself."""
+    from importlib import resources
+
     text = resources.files("tropcoh").joinpath("schema/input.schema.json").read_text()
     return json.loads(text)
 
@@ -70,6 +73,114 @@ def _reject_constant(token: str):
     raise InputError(f"parse error: {token} is not a JSON value")
 
 
+# The rules of schema/input.schema.json, checked without jsonschema. Each check
+# takes (value, path) and returns the (path, message) that jsonschema's Draft 7
+# validator lists first when its errors are sorted by path, or None. An error at
+# a path sorts before every error below it, and jsonschema applies a schema's
+# keywords in the order the file lists them, so a check stops at its first
+# failing keyword and visits children in sorted key order. The messages are
+# jsonschema's, word for word. One rule is stricter: "integer" means a JSON
+# integer, so 2.0 is rejected where Draft 7 would accept it.
+
+
+def _integer(minimum=None):
+    def check(value, path):
+        if type(value) is not int:
+            return path, f"{value!r} is not of type 'integer'"
+        if minimum is not None and value < minimum:
+            return path, f"{value!r} is less than the minimum of {minimum!r}"
+        return None
+
+    return check
+
+
+def _positive_number(value, path):
+    if type(value) not in (int, float):
+        return path, f"{value!r} is not of type 'number'"
+    if value <= 0:
+        return path, f"{value!r} is less than or equal to the minimum of 0"
+    return None
+
+
+def _const(expected):
+    def check(value, path):
+        # jsonschema's equality: 1.0 matches 1, but True does not
+        if type(value) is bool or value != expected:
+            return path, f"{expected!r} was expected"
+        return None
+
+    return check
+
+
+def _array(items, min_items=0, max_items=None):
+    def check(value, path):
+        if type(value) is not list:
+            return path, f"{value!r} is not of type 'array'"
+        if len(value) < min_items:
+            return path, f"{value!r} " + ("should be non-empty" if min_items == 1 else "is too short")
+        if max_items is not None and len(value) > max_items:
+            return path, f"{value!r} is too long"
+        for i, item in enumerate(value):
+            error = items(item, path + (i,))
+            if error is not None:
+                return error
+        return None
+
+    return check
+
+
+def _object(properties, required=(), others=None):
+    """Keys outside ``properties`` take the check ``others``; with None they are rejected."""
+
+    def check(value, path):
+        if type(value) is not dict:
+            return path, f"{value!r} is not of type 'object'"
+        if others is None:
+            unexpected = sorted(key for key in value if key not in properties)
+            if unexpected:
+                verb = "was" if len(unexpected) == 1 else "were"
+                listed = ", ".join(map(repr, unexpected))
+                return path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
+        for name in required:
+            if name not in value:
+                return path, f"{name!r} is a required property"
+        for key in sorted(value):
+            error = properties.get(key, others)(value[key], path + (key,))
+            if error is not None:
+                return error
+        return None
+
+    return check
+
+
+_lattice_point = _array(_integer(), 2, 2)
+_integers = _array(_integer())
+_check_document = _object(
+    {
+        "format": _const("tropcoh-input"),
+        "version": _const(1),
+        "points": _array(_lattice_point, 3),
+        "triangles": _array(_array(_integer(minimum=0), 3, 3), 1),
+        "nu": _integers,
+        "twisting_sets": _object(
+            {},
+            others=_object(
+                {"region": _lattice_point, "values": _array(_integer(), 3)}, required=("values",)
+            ),
+        ),
+        "kink_sets": _object({}, others=_integers),
+        "options": _object(
+            {
+                "margin": _integer(minimum=0),
+                "epsilon": _positive_number,
+                "quadrature_order": _integer(minimum=1),
+            }
+        ),
+    },
+    required=("format", "version", "points", "triangles", "nu"),
+)
+
+
 def parse_input(data: bytes) -> InputDocument:
     if not data.strip():
         raise InputError("empty document")
@@ -81,13 +192,12 @@ def parse_input(data: bytes) -> InputDocument:
         raise InputError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    import jsonschema  # only documents need it, so report-only commands skip the import
-
-    validator = jsonschema.Draft7Validator(input_schema())
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        raise InputError(f"invalid input at {_pointer(first.absolute_path)}: {first.message}")
+    except RecursionError as exc:
+        raise InputError("parse error: arrays or objects nested too deeply") from exc
+    error = _check_document(raw, ())
+    if error is not None:
+        path, message = error
+        raise InputError(f"invalid input at {_pointer(path)}: {message}")
 
     points = tuple((p[0], p[1]) for p in raw["points"])
     triangles = tuple(tuple(t) for t in raw["triangles"])

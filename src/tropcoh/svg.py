@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .lattice import LatticeError
-from .spheres import GammaCurve
 from .tropical import TropicalCurve
-from .winding import WindingTable
+
+if TYPE_CHECKING:  # annotations only: a tropical curve figure loads neither module
+    from .spheres import GammaCurve
+    from .winding import WindingTable
 
 SCALE = 40
 PAD = 1.0

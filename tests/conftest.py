@@ -7,6 +7,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 # the shared oracles check with assert; rewritten, those checks survive python -O
 pytest.register_assert_rewrite("box_scan", "gen_cases")
 
+import tropcoh.io
+from oracles import schema_first_error
 from tropcoh.examples import a2d_subdivision, blowup_p2, local_p2
 from tropcoh.polytope import subdivision
 from tropcoh.tropical import bounded_regions, region_at, tropical_curve
@@ -80,3 +82,16 @@ def oracle_subdivisions():
         *(a2d_subdivision(d) for d in range(1, 13)),
         *(hex_grid(n) for n in (2, 3, 5)),
     )
+
+
+@pytest.fixture
+def schema_oracle(monkeypatch):
+    """Every document parse_input checks is also checked by jsonschema: same pointer, same message."""
+    check = tropcoh.io._check_document
+
+    def checked(raw, path):
+        got = check(raw, path)
+        assert got == schema_first_error(raw)
+        return got
+
+    monkeypatch.setattr(tropcoh.io, "_check_document", checked)

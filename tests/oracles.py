@@ -1,16 +1,36 @@
-"""Reference versions of the routines the library now computes sparsely or in integers.
+"""Reference versions of the routines the library now computes sparsely, in integers or itself.
 
 These are the library's earlier implementations.  The library's results
 must equal theirs exactly: list for list for the kernel, value for value for
-the slopes and kinks.
+the slopes and kinks, pointer and message for the input-document check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+
+import jsonschema
 
 from tropcoh.lattice import LatticeError, _xgcd, rot90, solve_dual, vsub
+from tropcoh.io import input_schema
 from tropcoh.polytope import edges
+
+
+@lru_cache(maxsize=1)
+def _strict_draft7():
+    """Draft 7 with "integer" meaning a JSON integer: 2.0 is a float, not an integer."""
+    checker = jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, x: type(x) is int
+    )
+    cls = jsonschema.validators.extend(jsonschema.Draft7Validator, type_checker=checker)
+    return cls(input_schema())
+
+
+def schema_first_error(raw):
+    """(path, message) of jsonschema's first error when sorted by path, or None if it accepts."""
+    errors = sorted(_strict_draft7().iter_errors(raw), key=lambda e: list(e.absolute_path))
+    return (tuple(errors[0].absolute_path), errors[0].message) if errors else None
 
 
 def dense_integer_kernel(rows, ncols=None) -> list[list[int]]:

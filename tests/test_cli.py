@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,8 @@ from tropcoh.winding import MAX_SWEEP_ROWS, MAX_TABLE_POINTS
 P2 = "p2.json"
 BLOWUP = "blowup_p2.json"
 A2D = "a2d_d3.json"
+
+pytestmark = pytest.mark.usefixtures("schema_oracle")
 
 
 @pytest.fixture
@@ -158,7 +161,7 @@ def test_verify_winding_theorem_mismatch_exit(run, monkeypatch):
     def fake(theta):
         return WindingTheoremReport(5, 0, CohomologyDims(4, 0, 0), False)
 
-    monkeypatch.setattr(cli, "verify_winding_theorem", fake)
+    monkeypatch.setattr(cohomology, "verify_winding_theorem", fake)
     code, out, _ = run("verify-winding-theorem", BLOWUP, "--ell", "mixed_sign")
     assert code == 1
     assert out_json(out)["result"]["ok"] is False
@@ -213,14 +216,72 @@ def test_twists_far_beyond_the_box_scan_run(run):
     assert out_json(out)["result"]["h_even"] == 50000 * 50001 // 2
 
 
-def test_cli_import_loads_neither_numpy_nor_jsonschema():
+def test_cli_import_loads_neither_numpy_nor_jsonschema(fixture_dir):
+    """A fresh process loads only the modules its command runs, and neither jsonschema nor numpy."""
     src = str(Path(tropcoh.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, tropcoh.cli; print(sorted({'numpy', 'jsonschema'} & set(sys.modules)))"
+    p2, blowup, a2d = (str(fixture_dir / name) for name in (P2, BLOWUP, A2D))
+    lean = [
+        ["validate", "--input", p2],
+        ["tropical", "--input", blowup],
+        ["tropical", "--input", a2d, "--format", "svg"],
+        ["picard", "--input", a2d],
+    ]
+    rest = [
+        ["sphere", "--input", p2, "--ell", "cap_k1"],
+        ["winding", "--input", blowup, "--ell", "mixed_sign"],
+        ["cohomology", "--input", a2d, "--ell", "difference_c1"],
+        ["verify-winding-theorem", "--input", blowup, "--ell", "mixed_sign"],
+        ["a2d", "--d", "3"],
+    ]
+    code = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        from tropcoh.cli import main
+        watched = {"numpy", "jsonschema", "tropcoh.spheres", "tropcoh.winding",
+                   "tropcoh.cohomology", "tropcoh.ext_chains"}
+        loaded = [sorted(watched & set(sys.modules))]
+        lean, rest = json.loads(sys.argv[1])
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in lean]
+            loaded.append(sorted(watched & set(sys.modules)))
+            codes += [main(argv) for argv in rest]
+        loaded.append(sorted(watched & set(sys.modules)))
+        print(json.dumps([codes, loaded]))
+        """
+    )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, json.dumps([lean, rest])],
+        env=env, capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "[]"
+    codes, (after_import, after_lean, after_rest) = json.loads(out)
+    assert codes == [0] * (len(lean) + len(rest))
+    assert after_import == after_lean == []
+    assert "numpy" not in after_rest and "jsonschema" not in after_rest
+    assert "tropcoh.cohomology" in after_rest
+
+
+@pytest.mark.parametrize("option, value", [("margin", 2.0), ("quadrature_order", 24.0)])
+def test_options_take_json_integers_only(run, fixture_dir, tmp_path, option, value):
+    """Draft 7 takes 2.0 as an integer; cohomology then failed with a TypeError traceback."""
+    raw = json.loads((fixture_dir / P2).read_bytes())
+    raw["options"] = {option: value}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    for command in ("cohomology", "smooth-check"):
+        code, out, err = run(command, None, "--input", str(bad), "--ell", "cap_k1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: invalid input at /options/{option}: {value!r} is not of type 'integer'\n"
+
+
+def test_deeply_nested_document(run, tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_bytes(b"[" * 100000 + b"]" * 100000)
+    code, out, err = run("validate", None, "--input", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == "error: parse error: arrays or objects nested too deeply\n"
 
 
 def test_region_by_index_and_vertex(run):

@@ -20,6 +20,8 @@ from tropcoh.io import (
 
 FIXTURE_NAMES = ("p2.json", "blowup_p2.json", "a2d_d3.json")
 
+pytestmark = pytest.mark.usefixtures("schema_oracle")
+
 
 def minimal_doc(**extra):
     doc = {
@@ -91,6 +93,11 @@ def test_syntax_error_reports_location():
         parse_input(b'{\n  "format": ,\n}')
 
 
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(InputError, match="parse error: arrays or objects nested too deeply"):
+        parse_input(b"[" * 100000 + b"]" * 100000)
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_non_json_constants_are_rejected(token):
     data = as_bytes(minimal_doc(options={"epsilon": 0.5})).replace(b"0.5", token.encode())
@@ -140,6 +147,20 @@ def test_options_margin_must_be_nonnegative():
     doc = minimal_doc(options={"margin": -1})
     with pytest.raises(InputError, match="invalid input at /options/margin"):
         parse_input(as_bytes(doc))
+
+
+@pytest.mark.parametrize(
+    "field, value, pointer",
+    [
+        ("points", [[0.0, 0], [1, 0], [0, 1], [-1, -1]], "/points/0/0"),
+        ("triangles", [[0.0, 1, 2], [0, 2, 3], [0, 3, 1]], "/triangles/0/0"),
+        ("nu", [0.0, 1, 1, 1], "/nu/0"),
+    ],
+)
+def test_integral_floats_are_not_integers(field, value, pointer):
+    """Draft 7 would take 0.0 as an integer; the exact fields hold JSON integers only."""
+    with pytest.raises(InputError, match=f"invalid input at {pointer}: 0.0 is not of type 'integer'"):
+        parse_input(as_bytes(minimal_doc(**{field: value})))
 
 
 def test_serialize_omits_empty_sections():
