@@ -12,18 +12,8 @@ from dataclasses import dataclass
 
 from .fan import balance, make_fan, self_intersections
 from .lattice import LatticeError, Vec, dot, integer_kernel, rot90, vadd, vsub
-from .polytope import (
-    EdgeKey,
-    Subdivision,
-    SubdivisionEdge,
-    affine_part,
-    edge_kinks,
-    edge_triangles,
-    edges,
-    interior_edge_keys,
-    require_valid,
-)
-from .tropical import BoundedRegion, TropicalCurve, bounded_regions, regions_by_vertex
+from .polytope import EdgeKey, Subdivision, SubdivisionEdge, affine_part, checked, edge_kinks
+from .tropical import BoundedRegion, TropicalCurve
 
 KinkVector = Mapping[EdgeKey, int]
 
@@ -46,7 +36,7 @@ class SupportFunction:
 
 
 def support_function(sub: Subdivision, values) -> SupportFunction:
-    require_valid(sub)
+    checked(sub)
     if isinstance(values, Mapping):
         vals = tuple(values[p] for p in sub.points)
     else:
@@ -85,11 +75,12 @@ class PhiMap:
 
 
 def phi_map(curve: TropicalCurve) -> PhiMap:
-    order = interior_edge_keys(curve.sub)
+    # the bounded edges are the interior subdivision edges, in key order
+    order = tuple(e.key for e in curve.bounded)
     col = {key: i for i, key in enumerate(order)}
     rows = []
     verts = []
-    for region in bounded_regions(curve):
+    for region in curve.regions:
         verts.append(region.dual_vertex)
         rx = [0] * len(order)
         ry = [0] * len(order)
@@ -110,7 +101,7 @@ def _check_cocycle(
     curve: TropicalCurve, K: KinkVector, regions: Sequence[BoundedRegion] | None = None
 ) -> None:
     """Raise unless K balances around each of the regions (default: all of them)."""
-    for region in bounded_regions(curve) if regions is None else regions:
+    for region in curve.regions if regions is None else regions:
         if balance(region.fan_rays, [_kink_entry(K, key) for key in region.edge_keys]) != (0, 0):
             raise LatticeError(
                 f"not a cocycle: inconsistent around region {region.dual_vertex}"
@@ -120,13 +111,14 @@ def _check_cocycle(
 def support_from_kinks(K: KinkVector, sub: Subdivision) -> SupportFunction:
     from .tropical import tropical_curve
 
-    _check_cocycle(tropical_curve(sub), K)
+    curve = tropical_curve(sub)
+    _check_cocycle(curve, K)
 
     base = min(range(len(sub.triangles)), key=lambda t: tuple(sorted(sub.triangle_points(t))))
     parts: dict[int, tuple[Vec, int]] = {base: ((0, 0), 0)}
     queue = [base]
     adjacent: dict[int, list[SubdivisionEdge]] = {}
-    for e in edges(sub):
+    for e in curve.index.edges:
         if e.is_boundary:
             continue
         adjacent.setdefault(e.plus_triangle, []).append(e)
@@ -173,7 +165,7 @@ def canonical_KC(region: BoundedRegion) -> dict[EdgeKey, int]:
     """
     curve = region.curve
     b = self_intersections(make_fan(region.fan_rays))
-    sides = edge_triangles(curve.sub)
+    sides = curve.index.edge_triangles
     out = {}
     # the other bounded edges at the cycle are dual to the interior sides of
     # the wedge triangles opposite the centre; each carries kink 1
@@ -185,8 +177,8 @@ def canonical_KC(region: BoundedRegion) -> dict[EdgeKey, int]:
         out[key] = -b[j] - 2
     # only the rows of the region and of its neighbours touch nonzero entries
     near = {region.dual_vertex, *(vadd(region.dual_vertex, u) for u in region.fan_rays)}
-    by_vertex = regions_by_vertex(curve)
-    _check_cocycle(curve, out, [by_vertex[v] for v in sorted(near) if v in by_vertex])
+    inner = curve.index.interior_vertices
+    _check_cocycle(curve, out, [curve.regions[inner[v]] for v in sorted(near) if v in inner])
     return {key: out[key] for key in sorted(out)}
 
 

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .lattice import LatticeError, Vec, det2, is_primitive, rot90, vsub
-from .polytope import Subdivision, interior_vertices, stars
+from .polytope import Subdivision, checked
 
 
 @dataclass(frozen=True)
@@ -57,12 +56,11 @@ def make_fan(rays) -> Fan:
 
 def fan_at_vertex(sub: Subdivision, v: Vec) -> Fan:
     v = tuple(v)
-    inner = interior_vertices(sub)  # sorted
-    i = bisect_left(inner, v)
-    if i == len(inner) or inner[i] != v:
+    index = checked(sub)
+    if v not in index.interior_vertices:
         raise LatticeError(f"{v} is not an interior vertex")
     dirs = set()
-    for t in stars(sub)[v]:
+    for t in index.stars[v]:
         dirs.update(vsub(p, v) for p in sub.triangle_points(t) if p != v)
     return make_fan(dirs)
 

@@ -16,7 +16,7 @@ from typing import Any, Mapping, Optional, Sequence
 
 from .bundles import _check_cocycle
 from .lattice import LatticeError, Vec
-from .polytope import Subdivision, interior_edge_keys, require_valid, subdivision
+from .polytope import Subdivision, checked, interior_edge_keys, subdivision
 from .tropical import tropical_curve
 
 REPORT_FORMAT = "tropcoh-report"
@@ -194,6 +194,10 @@ def parse_input(data: bytes) -> InputDocument:
         ) from exc
     except RecursionError as exc:
         raise InputError("parse error: arrays or objects nested too deeply") from exc
+    except InputError:
+        raise
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise InputError(f"parse error: {exc}") from exc
     error = _check_document(raw, ())
     if error is not None:
         path, message = error
@@ -207,7 +211,7 @@ def parse_input(data: bytes) -> InputDocument:
 
     sub = subdivision(points, triangles, nu)
     try:
-        require_valid(sub)
+        checked(sub)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -217,12 +221,13 @@ def parse_input(data: bytes) -> InputDocument:
         tsets[name] = TwistingSet(tuple(entry["values"]), region)
     ksets = {name: tuple(vals) for name, vals in raw.get("kink_sets", {}).items()}
     order = interior_edge_keys(sub)
+    curve = tropical_curve(sub) if ksets else None
     for name, vals in ksets.items():
         where = f"invalid input at {_pointer(('kink_sets', name))}"
         if len(vals) != len(order):
             raise InputError(f"{where}: {len(vals)} kinks for {len(order)} interior edges")
         try:
-            _check_cocycle(tropical_curve(sub), dict(zip(order, vals)))
+            _check_cocycle(curve, dict(zip(order, vals)))
         except LatticeError as exc:
             raise InputError(f"{where}: {exc}") from exc
     opts = raw.get("options", {})

@@ -8,7 +8,7 @@ are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -35,7 +35,7 @@ class Subdivision:
     nu: tuple[Fraction | int, ...]
 
     def __post_init__(self) -> None:
-        # every cached stage is keyed on the subdivision, and tuples do not
+        # the validate cache is keyed on the subdivision, and tuples do not
         # cache their hash: hash the fields once, not at every lookup
         object.__setattr__(self, "_hash", hash((self.points, self.triangles, self.nu)))
 
@@ -66,6 +66,7 @@ class ValidationIssue:
 @dataclass(frozen=True)
 class ValidationReport:
     issues: tuple[ValidationIssue, ...]
+    index: CheckedSubdivision | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -84,6 +85,20 @@ class SubdivisionEdge:
     @property
     def key(self) -> EdgeKey:
         return (self.a, self.b)
+
+
+@dataclass(frozen=True)
+class CheckedSubdivision:
+    """A valid subdivision and its incidence data, built by ``validate`` in one pass."""
+
+    sub: Subdivision
+    edges: tuple[SubdivisionEdge, ...]  # in key order
+    edge_triangles: Mapping[EdgeKey, tuple[int, ...]]  # in key order
+    stars: Mapping[Vec, tuple[int, ...]]  # triangles at each lattice point
+    # each interior vertex, lexicographically sorted, to its position: the
+    # position of its bounded region too
+    interior_vertices: Mapping[Vec, int]
+    slopes: tuple[Vec, ...]  # of nu, one per triangle
 
 
 def convex_hull(points: Sequence[Vec]) -> list[Vec]:
@@ -136,8 +151,10 @@ def _boundary_point(p: Vec, hull: Sequence[Vec]) -> bool:
 def validate(sub: Subdivision) -> ValidationReport:
     """Check every structural invariant; failures are reported, not raised.
 
-    Cached, so a document checked by io.parse_input is not checked again when
-    its curve is built.
+    The report of a valid subdivision carries its index (``checked``), built
+    in the same pass. This is the one cache keyed on a subdivision, so a
+    document checked by io.parse_input is not checked again when its curve is
+    built.
     """
     issues: list[ValidationIssue] = []
 
@@ -157,10 +174,17 @@ def validate(sub: Subdivision) -> ValidationReport:
     if issues:
         return ValidationReport(tuple(issues))
 
+    # the one loop over the triangles: areas, sides, stars and slopes of nu
+    pts, nu = sub.points, sub.nu
+    sides: dict[EdgeKey, list[int]] = {}
+    star: dict[Vec, list[int]] = {p: [] for p in pts}
+    slope_of_nu = []
+    total = 0
     degenerate = False
-    for t in range(len(sub.triangles)):
-        v0, v1, v2 = sub.triangle_points(t)
+    for t, (i0, i1, i2) in enumerate(sub.triangles):
+        v0, v1, v2 = pts[i0], pts[i1], pts[i2]
         d = det2(vsub(v1, v0), vsub(v2, v0))
+        total += abs(d)
         if d == 0:
             bad("collinear-triangle", f"triangle {t} with vertices {v0}, {v1}, {v2} is collinear")
             degenerate = True
@@ -169,6 +193,12 @@ def validate(sub: Subdivision) -> ValidationReport:
                 "not-elementary",
                 f"triangle {t} with vertices {v0}, {v1}, {v2} has normalized area {abs(d)}",
             )
+        else:
+            slope_of_nu.append(_slope(v0, v1, v2, nu[i0], nu[i1], nu[i2]))
+        for a, b in ((v0, v1), (v1, v2), (v2, v0)):
+            sides.setdefault((a, b) if a < b else (b, a), []).append(t)
+        for v in (v0, v1, v2):
+            star[v].append(t)
     if degenerate:
         return ValidationReport(tuple(issues))
 
@@ -186,19 +216,15 @@ def validate(sub: Subdivision) -> ValidationReport:
     area2 = sum(
         det2(vsub(hull[i], hull[0]), vsub(hull[i + 1], hull[0])) for i in range(1, len(hull) - 1)
     )
-    total = sum(
-        abs(det2(vsub(t[1], t[0]), vsub(t[2], t[0])))
-        for t in (sub.triangle_points(i) for i in range(len(sub.triangles)))
-    )
     if total != area2:
         bad("tiling", f"triangles cover normalized area {total}, polygon has {area2}")
 
-    used = {i for tri in sub.triangles for i in tri}
-    for i, p in enumerate(sub.points):
-        if i not in used:
+    for p in sub.points:
+        if not star[p]:
             bad("unused-point", f"lattice point {p} is not a vertex of any triangle")
 
-    for key, ts in edge_triangles(sub).items():
+    grouped = {key: tuple(sides[key]) for key in sorted(sides)}
+    for key, ts in grouped.items():
         if len(ts) > 2:
             bad("nonmanifold-edge", f"edge {key} lies in {len(ts)} triangles")
         elif len(ts) == 1 and not (
@@ -209,81 +235,69 @@ def validate(sub: Subdivision) -> ValidationReport:
     for i, v in enumerate(sub.nu):
         if Fraction(v).denominator != 1:
             bad("nu-not-integral", f"nu({sub.points[i]}) = {v} is not an integer")
+    if issues:
+        return ValidationReport(tuple(issues))
 
-    if not issues:
-        for (a, b), k in edge_kinks(sub, sub.nu).items():
-            if k <= 0:
-                bad("not-strictly-convex", f"nu has kink {k} across interior edge ({a}, {b})")
-    return ValidationReport(tuple(issues))
+    labelled = tuple(_edge(sub, key, ts) for key, ts in grouped.items())
+    for (a, b), k in _kinks(labelled, slope_of_nu).items():
+        if k <= 0:
+            bad("not-strictly-convex", f"nu has kink {k} across interior edge ({a}, {b})")
+    if issues:
+        return ValidationReport(tuple(issues))
+    inner = sorted(p for p in sub.points if not _boundary_point(p, hull))
+    index = CheckedSubdivision(
+        sub,
+        labelled,
+        MappingProxyType(grouped),
+        MappingProxyType({p: tuple(ts) for p, ts in star.items()}),
+        MappingProxyType({v: i for i, v in enumerate(inner)}),
+        tuple(slope_of_nu),
+    )
+    return ValidationReport((), index)
 
 
-def require_valid(sub: Subdivision) -> None:
+def checked(sub: Subdivision) -> CheckedSubdivision:
+    """The index of a valid subdivision; LatticeError names the first issue otherwise."""
     report = validate(sub)
     if not report.ok:
         first = report.issues[0]
         raise LatticeError(f"invalid subdivision: {first.code}: {first.message}")
+    return report.index
 
 
-@lru_cache(maxsize=None)
-def edge_triangles(sub: Subdivision) -> Mapping[EdgeKey, tuple[int, ...]]:
-    """The triangles containing each edge, keyed by its sorted endpoints, in key order."""
-    by_key: dict[EdgeKey, list[int]] = {}
-    for t, tri in enumerate(sub.triangles):
-        for u, v in ((0, 1), (1, 2), (2, 0)):
-            key = tuple(sorted((sub.points[tri[u]], sub.points[tri[v]])))
-            by_key.setdefault(key, []).append(t)
-    return MappingProxyType({key: tuple(by_key[key]) for key in sorted(by_key)})
+def _edge(sub: Subdivision, key: EdgeKey, tris: tuple[int, ...]) -> SubdivisionEdge:
+    """The edge with the given key and triangles, labelled as ``edges`` describes."""
+    a, b = key
+    n_check = primitive(vsub(b, a))
+    if len(tris) == 1:
+        return SubdivisionEdge(a, b, n_check, True, tris[0], None)
+    n_e = rot90(n_check)
+    plus = minus = None
+    for t in tris:
+        c = next(p for p in sub.triangle_points(t) if p not in key)
+        if dot(n_e, vsub(c, a)) > 0:
+            plus = t
+        else:
+            minus = t
+    if plus is None or minus is None:
+        raise LatticeError(f"triangles on one side of edge {key}")
+    return SubdivisionEdge(a, b, n_check, False, plus, minus)
 
 
-@lru_cache(maxsize=None)
-def stars(sub: Subdivision) -> Mapping[Vec, tuple[int, ...]]:
-    """Triangles having each lattice point as a vertex, keyed by the point."""
-    out: dict[Vec, list[int]] = {p: [] for p in sub.points}
-    for t, tri in enumerate(sub.triangles):
-        for i in tri:
-            out[sub.points[i]].append(t)
-    return MappingProxyType({p: tuple(ts) for p, ts in out.items()})
-
-
-@lru_cache(maxsize=None)
 def interior_vertices(sub: Subdivision) -> tuple[Vec, ...]:
     """Lattice points of P not on its boundary, lexicographically sorted."""
-    hull = convex_hull(sub.points)
-    return tuple(sorted(p for p in sub.points if not _boundary_point(p, hull)))
+    return tuple(checked(sub).interior_vertices)
 
 
-@lru_cache(maxsize=None)
 def edges(sub: Subdivision) -> tuple[SubdivisionEdge, ...]:
-    """Every triangle edge once, with canonical tangent and side labels.
+    """Every triangle edge once, in key order, with canonical tangent and side labels.
 
     The tangent n_check is the lexicographically positive primitive direction.
     For an interior edge the plus triangle is the one whose opposite vertex c
     has dot(rot90(n_check), c - a) > 0; the dual tropical edge then runs from
     the plus vertex to the minus vertex along rot90(n_check).
     """
-    out = []
-    for key, tris in edge_triangles(sub).items():
-        a, b = key
-        n_check = primitive(vsub(b, a))
-        if len(tris) == 1:
-            out.append(SubdivisionEdge(a, b, n_check, True, tris[0], None))
-            continue
-        n_e = rot90(n_check)
-        plus = minus = None
-        for t in tris:
-            c = next(p for p in sub.triangle_points(t) if p not in key)
-            if dot(n_e, vsub(c, a)) > 0:
-                plus = t
-            else:
-                minus = t
-        if plus is None or minus is None:
-            raise LatticeError(f"triangles on one side of edge {key}")
-        out.append(SubdivisionEdge(a, b, n_check, False, plus, minus))
-    return tuple(out)
-
-
-def edges_by_key(sub: Subdivision) -> dict[EdgeKey, SubdivisionEdge]:
-    return {e.key: e for e in edges(sub)}
+    return checked(sub).edges
 
 
 def interior_edge_keys(sub: Subdivision) -> tuple[EdgeKey, ...]:
@@ -331,12 +345,16 @@ def edge_kinks(sub: Subdivision, values: Sequence) -> dict[EdgeKey, Fraction | i
     rot90(n_check); it is positive exactly where the function is locally
     convex, and does not depend on which side was labeled plus.  For integer
     values the kink is an integer (the jump is an integer multiple of the
-    primitive n_e), so the quotient below is exact; Fraction values may give
+    primitive n_e), so the quotient is exact; Fraction values may give
     a Fraction.
     """
-    m = slopes(sub, values)
+    return _kinks(edges(sub), slopes(sub, values))
+
+
+def _kinks(es: Sequence[SubdivisionEdge], m: Sequence[QVec]) -> dict[EdgeKey, Fraction | int]:
+    """``edge_kinks`` from the edges and the slopes m of the triangles."""
     out = {}
-    for e in edges(sub):
+    for e in es:
         if not e.is_boundary:
             n_e = rot90(e.n_check)
             s, nn = dot(vsub(m[e.plus_triangle], m[e.minus_triangle]), n_e), dot(n_e, n_e)

@@ -7,23 +7,12 @@ coordinates are exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping
 
 from .fan import make_fan
 from .lattice import LatticeError, QVec, Vec, det2, dot, rot90, vadd, vneg, vsub
-from .polytope import (
-    EdgeKey,
-    Subdivision,
-    edges,
-    interior_vertices,
-    require_valid,
-    slopes,
-    stars,
-)
+from .polytope import CheckedSubdivision, EdgeKey, Subdivision, checked
 
 
 @dataclass(frozen=True)
@@ -57,13 +46,19 @@ class TropicalRay:
 
 @dataclass(frozen=True, eq=False)
 class TropicalCurve:
-    """Compared and hashed by identity, not field by field: a lookup in a cache
-    keyed on the curve would otherwise hash every exact coordinate."""
+    """Compared and hashed by identity, not field by field: its regions refer
+    back to it."""
 
-    sub: Subdivision
+    index: CheckedSubdivision = field(repr=False)
     vertices: tuple[QVec, ...]
     bounded: tuple[BoundedEdge, ...]
     rays: tuple[TropicalRay, ...]
+    # set once, when the curve is built; in interior vertex order
+    regions: tuple[BoundedRegion, ...] = field(default=(), repr=False)
+
+    @property
+    def sub(self) -> Subdivision:
+        return self.index.sub
 
 
 def _outgoing_direction(sub: Subdivision, edge) -> Vec:
@@ -75,24 +70,25 @@ def _outgoing_direction(sub: Subdivision, edge) -> Vec:
     return vneg(d)
 
 
-@lru_cache(maxsize=None)
 def tropical_curve(sub: Subdivision) -> TropicalCurve:
     # strict convexity across interior edges of a convex polygon is global, so
     # each vertex below realizes the minimum of legendre(sub)
-    require_valid(sub)
+    index = checked(sub)
 
     # the dual vertex of a triangle is minus the slope of nu there
-    vertices = tuple(vneg(m) for m in slopes(sub, sub.nu))
+    vertices = tuple(vneg(m) for m in index.slopes)
     bounded = []
     rays = []
-    for e in edges(sub):
+    for e in index.edges:
         if e.is_boundary:
             rays.append(TropicalRay(e.key, vertices[e.plus_triangle], _outgoing_direction(sub, e)))
         else:
             # the positive kink validate proved is the edge length along rot90(n_check)
             p_plus, p_minus = vertices[e.plus_triangle], vertices[e.minus_triangle]
             bounded.append(BoundedEdge(e.key, p_plus, p_minus, rot90(e.n_check)))
-    return TropicalCurve(sub, vertices, tuple(bounded), tuple(rays))
+    curve = TropicalCurve(index, vertices, tuple(bounded), tuple(rays))
+    object.__setattr__(curve, "regions", tuple(_region(curve, v) for v in index.interior_vertices))
+    return curve
 
 
 @dataclass(frozen=True)
@@ -113,40 +109,34 @@ class BoundedRegion:
     cycle: tuple[QVec, ...]
 
 
-@lru_cache(maxsize=None)
-def bounded_regions(curve: TropicalCurve) -> tuple[BoundedRegion, ...]:
+def _region(curve: TropicalCurve, v: Vec) -> BoundedRegion:
+    """The bounded region dual to the interior vertex v."""
     sub = curve.sub
-    regions = []
-    star = stars(sub)
-    for v in interior_vertices(sub):
-        wedge_to_tri = {}
-        for t in star[v]:
-            pts = sub.triangle_points(t)
-            d1, d2 = (vsub(p, v) for p in pts if p != v)
-            if det2(d1, d2) < 0:
-                d1, d2 = d2, d1
-            wedge_to_tri[(d1, d2)] = t
-        # each ray of the fan at v opens exactly one counterclockwise wedge
-        f = make_fan(d1 for d1, _ in wedge_to_tri)
-        r = len(f.rays)
-        triangles = tuple(
-            wedge_to_tri[(f.rays[j], f.rays[(j + 1) % r])] for j in range(r)
-        )
-        cycle = tuple(curve.vertices[t] for t in triangles)
-        edge_keys = tuple(tuple(sorted((v, vadd(v, u)))) for u in f.rays)
-        regions.append(BoundedRegion(curve, v, f.rays, triangles, edge_keys, cycle))
-    return tuple(regions)
+    wedge_to_tri = {}
+    for t in curve.index.stars[v]:
+        pts = sub.triangle_points(t)
+        d1, d2 = (vsub(p, v) for p in pts if p != v)
+        if det2(d1, d2) < 0:
+            d1, d2 = d2, d1
+        wedge_to_tri[(d1, d2)] = t
+    # each ray of the fan at v opens exactly one counterclockwise wedge
+    f = make_fan(d1 for d1, _ in wedge_to_tri)
+    r = len(f.rays)
+    triangles = tuple(
+        wedge_to_tri[(f.rays[j], f.rays[(j + 1) % r])] for j in range(r)
+    )
+    cycle = tuple(curve.vertices[t] for t in triangles)
+    edge_keys = tuple(tuple(sorted((v, vadd(v, u)))) for u in f.rays)
+    return BoundedRegion(curve, v, f.rays, triangles, edge_keys, cycle)
 
 
-@lru_cache(maxsize=None)
-def regions_by_vertex(curve: TropicalCurve) -> Mapping[Vec, BoundedRegion]:
-    """The bounded regions keyed by their interior vertex, in region order."""
-    return MappingProxyType({r.dual_vertex: r for r in bounded_regions(curve)})
+def bounded_regions(curve: TropicalCurve) -> tuple[BoundedRegion, ...]:
+    return curve.regions
 
 
 def region_at(curve: TropicalCurve, v: Vec) -> BoundedRegion:
     v = tuple(v)
-    region = regions_by_vertex(curve).get(v)
-    if region is None:
+    i = curve.index.interior_vertices.get(v)
+    if i is None:
         raise LatticeError(f"{v} is not an interior vertex")
-    return region
+    return curve.regions[i]

@@ -362,6 +362,16 @@ def test_invalid_document(run, tmp_path):
     assert "parse error" in err
 
 
+def test_integer_literal_past_the_digit_limit(run, fixture_dir, tmp_path):
+    text = (fixture_dir / P2).read_text()
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"nu": [', '"nu": [' + "9" * 5000 + ",", 1))
+    code, out, err = run("validate", None, "--input", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse error: Exceeds the limit (4300 digits)")
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity"])
 def test_non_json_constant_in_document(run, fixture_dir, tmp_path, token):
     raw = json.loads((fixture_dir / P2).read_bytes())

@@ -98,6 +98,13 @@ def test_deep_nesting_is_a_parse_error():
         parse_input(b"[" * 100000 + b"]" * 100000)
 
 
+def test_integer_literal_past_the_digit_limit_is_a_parse_error(fixture_dir):
+    text = (fixture_dir / "p2.json").read_text()
+    data = text.replace('"nu": [', '"nu": [' + "9" * 5000 + ",", 1).encode()
+    with pytest.raises(InputError, match=r"^parse error: Exceeds the limit \(4300 digits\)"):
+        parse_input(data)
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_non_json_constants_are_rejected(token):
     data = as_bytes(minimal_doc(options={"epsilon": 0.5})).replace(b"0.5", token.encode())

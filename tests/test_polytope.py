@@ -1,5 +1,8 @@
 """Subdivision validation, edge combinatorics, and exact kinks."""
 
+import importlib
+import inspect
+import pkgutil
 import random
 import sys
 from fractions import Fraction
@@ -8,25 +11,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tropcoh
+from conftest import hex_grid
 from oracles import fraction_kinks, fraction_slope
-from tropcoh import lattice
-from tropcoh.bundles import phi_map
+from tropcoh import lattice, polytope
+from tropcoh.bundles import canonical_KC, phi_map
 from tropcoh.examples import a2d_subdivision, blowup_p2, local_p2
+from tropcoh.fan import fan_at_vertex
 from tropcoh.lattice import LatticeError, det2, dot, rot90, vsub
 from tropcoh.polytope import (
     affine_part,
+    checked,
     convex_hull,
     edge_kinks,
-    edge_triangles,
     edges,
-    edges_by_key,
     euler_characteristic,
     interior_edge_keys,
     interior_vertices,
     lattice_points_in_hull,
-    require_valid,
     slopes,
-    stars,
     subdivision,
     validate,
 )
@@ -115,10 +118,12 @@ class TestValidationCodes:
         sub = subdivision(P2_POINTS, P2_TRIS, [0, 0, 0, 0])
         assert codes(sub) == {"not-strictly-convex"}
 
-    def test_require_valid_raises_with_first_code(self):
+    def test_checked_raises_with_first_code(self):
         sub = subdivision(P2_POINTS, P2_TRIS, [0, 0, 0, 0])
-        with pytest.raises(LatticeError, match="invalid subdivision: not-strictly-convex"):
-            require_valid(sub)
+        assert validate(sub).index is None
+        for build in (checked, tropical_curve):
+            with pytest.raises(LatticeError, match="invalid subdivision: not-strictly-convex"):
+                build(sub)
 
 
 def test_edge_classification_on_p2(p2_sub):
@@ -139,17 +144,22 @@ def test_edge_classification_on_p2(p2_sub):
 
 def test_incidence_indexes_match_a_full_scan(p2_sub, blowup_sub, a2d3_sub):
     for sub in (p2_sub, blowup_sub, a2d3_sub):
+        index = checked(sub)
         tris = [sub.triangle_points(t) for t in range(len(sub.triangles))]
-        assert stars(sub) == {
-            p: tuple(t for t, pts in enumerate(tris) if p in pts) for p in sub.points
-        }
+        star = {p: tuple(t for t, pts in enumerate(tris) if p in pts) for p in sub.points}
+        assert index.stars == star
         sides = {}
         for t, (a, b, c) in enumerate(tris):
             for side in ((a, b), (b, c), (c, a)):
                 sides.setdefault(tuple(sorted(side)), []).append(t)
-        grouped = edge_triangles(sub)
+        grouped = index.edge_triangles
         assert list(grouped) == sorted(sides)
         assert grouped == {key: tuple(ts) for key, ts in sides.items()}
+        assert [e.key for e in index.edges] == sorted(sides)
+        # an interior point has as many edges as triangles, a boundary point one more
+        inner = sorted(p for p in sub.points if sum(p in key for key in sides) == len(star[p]))
+        assert dict(index.interior_vertices) == {v: i for i, v in enumerate(inner)}
+        assert index.slopes == tuple(fraction_slope(sub, sub.nu, t) for t in range(len(tris)))
 
 
 def test_interior_edge_keys_are_sorted(blowup_sub):
@@ -237,7 +247,7 @@ def test_curve_pipeline_takes_no_fraction_solve(oracle_subdivisions, monkeypatch
         if name.startswith("tropcoh") and getattr(module, "solve_dual", None) is real:
             monkeypatch.setattr(module, "solve_dual", boom)
     for sub in oracle_subdivisions:
-        # a constant shift keeps every kink, and misses the stage caches
+        # a constant shift keeps every kink, and misses the validate cache
         fresh = subdivision(sub.points, sub.triangles, [v + 1 for v in sub.nu])
         assert validate(fresh).ok
         curve = tropical_curve(fresh)
@@ -249,6 +259,57 @@ def test_interior_vertices(p2_sub, blowup_sub, a2d3_sub):
     assert interior_vertices(p2_sub) == ((0, 0),)
     assert interior_vertices(blowup_sub) == ((1, 1),)
     assert interior_vertices(a2d3_sub) == ((1, 1), (2, 1))
+
+
+def test_interior_vertices_and_fans_check_the_subdivision():
+    flat = subdivision(P2_POINTS, P2_TRIS, [0, 0, 0, 0])
+    with pytest.raises(LatticeError, match="invalid subdivision: not-strictly-convex"):
+        interior_vertices(flat)
+    with pytest.raises(LatticeError, match="invalid subdivision: not-strictly-convex"):
+        fan_at_vertex(flat, (0, 0))
+
+
+def test_curve_pipeline_solves_each_triangle_once(monkeypatch):
+    """validate, the curve, its regions, Phi and every canonical class: one slope solve each.
+
+    A repeated build after clearing the validate cache does the same work again.
+    """
+    calls = []
+    real = polytope._slope
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polytope, "_slope", counted)
+    for sub in (a2d_subdivision(20), hex_grid(6)):
+        for _ in range(2):
+            validate.cache_clear()
+            calls.clear()
+            assert validate(sub).ok
+            curve = tropical_curve(sub)
+            phi_map(curve)
+            for region in bounded_regions(curve):
+                canonical_KC(region)
+            assert len(calls) == len(sub.triangles)
+
+
+def test_validate_is_the_only_cache_keyed_on_a_subdivision_or_curve():
+    caches = {}
+    for info in pkgutil.iter_modules(tropcoh.__path__):
+        module = importlib.import_module(f"tropcoh.{info.name}")
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_clear", None)) and obj.__module__ == module.__name__:
+                caches[f"{module.__name__}.{name}"] = inspect.signature(obj.__wrapped__)
+    assert caches
+    keyed = set()
+    for name, sig in caches.items():
+        for param in sig.parameters.values():
+            # every cached function says what it takes
+            assert param.annotation is not inspect.Parameter.empty, (name, param)
+            if any(t in str(param.annotation) for t in ("Subdivision", "TropicalCurve")):
+                keyed.add(name)
+    assert keyed == {"tropcoh.polytope.validate"}
 
 
 def test_euler_characteristic_is_one(p2_sub, blowup_sub, a2d3_sub):
@@ -299,9 +360,3 @@ def test_lattice_points_in_hull_matches_brute_force(pts):
             ):
                 brute.add(p)
     assert inside == brute
-
-
-def test_edges_by_key_round_trip(blowup_sub):
-    by_key = edges_by_key(blowup_sub)
-    for e in edges(blowup_sub):
-        assert by_key[e.key] is e
