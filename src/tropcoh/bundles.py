@@ -10,8 +10,8 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .fan import balance, make_fan, self_intersections
-from .lattice import LatticeError, Vec, dot, integer_kernel, rot90, vadd, vsub
+from .fan import balance, self_intersections
+from .lattice import LatticeError, Vec, dot, integer_kernel, vadd, vsub
 from .polytope import EdgeKey, Subdivision, SubdivisionEdge, affine_part, checked, edge_kinks
 from .tropical import BoundedRegion, TropicalCurve
 
@@ -84,8 +84,8 @@ def phi_map(curve: TropicalCurve) -> PhiMap:
         verts.append(region.dual_vertex)
         rx = [0] * len(order)
         ry = [0] * len(order)
-        # the region's two rows send K to balance(fan_rays, -K)
-        for key, u in zip(region.edge_keys, region.fan_rays):
+        # the region's two rows send K to balance(fan.rays, -K)
+        for key, u in zip(region.edge_keys, region.fan.rays):
             rx[col[key]], ry[col[key]] = balance((u,), (-1,))
         rows.append(tuple(rx))
         rows.append(tuple(ry))
@@ -102,7 +102,7 @@ def _check_cocycle(
 ) -> None:
     """Raise unless K balances around each of the regions (default: all of them)."""
     for region in curve.regions if regions is None else regions:
-        if balance(region.fan_rays, [_kink_entry(K, key) for key in region.edge_keys]) != (0, 0):
+        if balance(region.fan.rays, [_kink_entry(K, key) for key in region.edge_keys]) != (0, 0):
             raise LatticeError(
                 f"not a cocycle: inconsistent around region {region.dual_vertex}"
             )
@@ -128,7 +128,7 @@ def support_from_kinks(K: KinkVector, sub: Subdivision) -> SupportFunction:
         m, c = parts[t]
         for e in adjacent.get(t, []):
             k = _kink_entry(K, e.key)
-            n_e = rot90(e.n_check)
+            n_e = e.normal
             if t == e.plus_triangle:
                 other = e.minus_triangle
                 m2 = (m[0] - k * n_e[0], m[1] - k * n_e[1])
@@ -164,7 +164,7 @@ def canonical_KC(region: BoundedRegion) -> dict[EdgeKey, int]:
     order; every other bounded edge carries kink 0.
     """
     curve = region.curve
-    b = self_intersections(make_fan(region.fan_rays))
+    b = self_intersections(region.fan)
     sides = curve.index.edge_triangles
     out = {}
     # the other bounded edges at the cycle are dual to the interior sides of
@@ -176,7 +176,7 @@ def canonical_KC(region: BoundedRegion) -> dict[EdgeKey, int]:
     for j, key in enumerate(region.edge_keys):
         out[key] = -b[j] - 2
     # only the rows of the region and of its neighbours touch nonzero entries
-    near = {region.dual_vertex, *(vadd(region.dual_vertex, u) for u in region.fan_rays)}
+    near = {region.dual_vertex, *(vadd(region.dual_vertex, u) for u in region.fan.rays)}
     inner = curve.index.interior_vertices
     _check_cocycle(curve, out, [curve.regions[inner[v]] for v in sorted(near) if v in inner])
     return {key: out[key] for key in sorted(out)}

@@ -10,7 +10,6 @@ from typing import Optional
 # Each handler imports what only it uses, so a fresh process loads just the modules
 # its command runs: `validate` never executes `spheres`, `winding` or `cohomology`.
 from .io import InputDocument, InputError, TwistingSet, parse_input, report_bytes
-from .lattice import LatticeError
 from .polytope import interior_edge_keys
 from .tropical import BoundedRegion, bounded_regions, tropical_curve
 
@@ -22,28 +21,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, needs_input: bool):
+    def add(name: str, help_text: str, needs_input: bool, svg: bool = False):
         p = sub.add_parser(name, help=help_text)
         if needs_input:
             p.add_argument("--input", required=True, help="input document path")
         p.add_argument("--out", help="directory for emitted artifacts (default: stdout)")
-        p.add_argument(
-            "--format", choices=("json", "svg"), default="json", help="artifact format"
-        )
+        if svg:
+            p.add_argument(
+                "--format", choices=("json", "svg"), default="json", help="artifact format"
+            )
         p.add_argument("--seed", type=int, help="recorded in the report envelope")
         return p
 
     add("validate", "parse and validate an input document", True)
-    add("tropical", "dual tropical curve of the subdivision", True)
+    add("tropical", "dual tropical curve of the subdivision", True, svg=True)
     add("picard", "kernel basis of the region boundary map", True)
 
-    for name, help_text in (
-        ("sphere", "validate twisting numbers and build the support function"),
-        ("winding", "winding-number table of the glued boundary curve"),
-        ("cohomology", "toric line bundle cohomology from the support function"),
-        ("verify-winding-theorem", "compare winding counts with cohomology dimensions"),
+    for name, help_text, svg in (
+        ("sphere", "validate twisting numbers and build the support function", True),
+        ("winding", "winding-number table of the glued boundary curve", True),
+        ("cohomology", "toric line bundle cohomology from the support function", False),
+        ("verify-winding-theorem", "compare winding counts with cohomology dimensions", False),
     ):
-        p = add(name, help_text, True)
+        p = add(name, help_text, True, svg)
         p.add_argument("--region", help="bounded region: index or interior vertex 'x,y'")
         p.add_argument("--ell", help="twisting numbers: named set or comma list")
 
@@ -112,7 +112,12 @@ def _resolve_region(curve, flag: Optional[str], tset: Optional[TwistingSet]) -> 
     raise InputError(f"{vertex} is not the dual vertex of a bounded region")
 
 
-def _emit(args, payload: bytes, ext: str) -> None:
+def _emit(args, result) -> None:
+    """Write an SVG figure (bytes) or the JSON report of a result."""
+    if isinstance(result, bytes):
+        payload, ext = result, "svg"
+    else:
+        payload, ext = report_bytes(args.command, result, args.seed), "json"
     if args.out:
         directory = Path(args.out)
         directory.mkdir(parents=True, exist_ok=True)
@@ -122,29 +127,28 @@ def _emit(args, payload: bytes, ext: str) -> None:
 
 
 def _theta_pipeline(args):
-    """Shared resolution: document -> region -> validated twisting -> theta."""
+    """Shared resolution: document -> region -> validated twisting -> theta.
+
+    Returns the document, the region, the twisting set and theta.
+    """
     from .spheres import theta_from_twisting, twisting
 
     doc = _load(args)
     curve = tropical_curve(doc.subdivision())
-    tset = None
-    if args.ell is not None and args.ell in doc.twisting_sets:
-        tset = doc.twisting_sets[args.ell]
-    region = _resolve_region(curve, args.region, tset)
+    region = _resolve_region(curve, args.region, doc.twisting_sets.get(args.ell))
     ell = _resolve_ell(doc, args.ell)
-    tw = twisting(region, ell.values)
-    return doc, curve, region, theta_from_twisting(tw)
+    return doc, region, ell, theta_from_twisting(twisting(region, ell.values))
 
 
 def _edge_key_json(key):
     return [list(key[0]), list(key[1])]
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> dict:
     doc = _load(args)
     sub = doc.subdivision()
     curve = tropical_curve(sub)
-    result = {
+    return {
         "ok": True,
         "points": len(doc.points),
         "triangles": len(doc.triangles),
@@ -153,19 +157,16 @@ def _cmd_validate(args) -> int:
         "twisting_sets": sorted(doc.twisting_sets),
         "kink_sets": sorted(doc.kink_sets),
     }
-    _emit(args, report_bytes(args.command, result, args.seed), "json")
-    return 0
 
 
-def _cmd_tropical(args) -> int:
+def _cmd_tropical(args) -> dict | bytes:
     doc = _load(args)
     curve = tropical_curve(doc.subdivision())
     if args.format == "svg":
         from .svg import render_svg
 
-        _emit(args, render_svg(curve), "svg")
-        return 0
-    result = {
+        return render_svg(curve)
+    return {
         "vertices": [
             {"triangle": t, "position": list(v)} for t, v in enumerate(curve.vertices)
         ],
@@ -186,11 +187,9 @@ def _cmd_tropical(args) -> int:
             for r in sorted(curve.rays, key=lambda r: r.key)
         ],
     }
-    _emit(args, report_bytes(args.command, result, args.seed), "json")
-    return 0
 
 
-def _cmd_picard(args) -> int:
+def _cmd_picard(args) -> dict:
     from .bundles import picard_basis
 
     doc = _load(args)
@@ -198,76 +197,57 @@ def _cmd_picard(args) -> int:
     curve = tropical_curve(sub)
     keys = interior_edge_keys(sub)
     basis = picard_basis(curve)
-    result = {
+    return {
         "rank": len(basis),
         "edge_order": [_edge_key_json(k) for k in keys],
         "basis": [[vec.get(k, 0) for k in keys] for vec in basis],
     }
-    _emit(args, report_bytes(args.command, result, args.seed), "json")
-    return 0
 
 
-def _cmd_sphere(args) -> int:
-    from .spheres import gamma_curve, theta_from_twisting, twisting, validate_twisting
+def _cmd_sphere(args) -> dict | bytes:
+    from .spheres import gamma_curve
 
-    doc = _load(args)
-    curve = tropical_curve(doc.subdivision())
-    tset = doc.twisting_sets.get(args.ell) if args.ell else None
-    region = _resolve_region(curve, args.region, tset)
-    ell = _resolve_ell(doc, args.ell)
-    report = validate_twisting(ell.values, region)
-    if not report.ok:
-        raise InputError(
-            "invalid twisting numbers: "
-            + "; ".join(f"{i.code}: {i.message}" for i in report.issues)
-        )
-    theta = theta_from_twisting(twisting(region, ell.values))
+    _, region, ell, theta = _theta_pipeline(args)
     gamma = gamma_curve(theta)
     if args.format == "svg":
         from .svg import render_svg
 
-        _emit(args, render_svg(gamma), "svg")
-        return 0
-    result = {
+        return render_svg(gamma)
+    return {
         "region": list(region.dual_vertex),
         "ell": list(ell.values),
         "thetas": [list(t) for t in theta.thetas],
         "gamma": [list(v) for v in gamma.vertices],
     }
-    _emit(args, report_bytes(args.command, result, args.seed), "json")
-    return 0
 
 
-def _cmd_winding(args) -> int:
+def _cmd_winding(args) -> dict | bytes:
     from .spheres import gamma_curve
     from .winding import winding_table
 
-    doc, curve, region, theta = _theta_pipeline(args)
+    _, region, _, theta = _theta_pipeline(args)
     table = winding_table(theta)
     if args.format == "svg":
         from .svg import render_svg
 
-        _emit(args, render_svg(gamma_curve(theta), table), "svg")
-        return 0
+        return render_svg(gamma_curve(theta), table)
     even, odd = table.h_even_odd()
-    result = {
+    return {
         "region": list(region.dual_vertex),
         "bounds": list(table.bounds),
         "entries": [[p[0], p[1], w] for p, w in sorted(table.entries.items())],
         "h_even": even,
         "h_odd": odd,
     }
-    _emit(args, report_bytes(args.command, result, args.seed), "json")
-    return 0
 
 
-def _cmd_cohomology(args) -> int:
+def _cmd_cohomology(args) -> dict:
     from .cohomology import cohomology_dims, divisor_coeffs, psi_from_theta, restriction_degrees
 
-    doc, curve, region, theta = _theta_pipeline(args)
+    doc, region, _, theta = _theta_pipeline(args)
     psi = psi_from_theta(theta)
     dims = cohomology_dims(psi, margin=doc.options.margin)
-    result = {
+    return {
         "region": list(region.dual_vertex),
         "rays": [list(u) for u in psi.fan.rays],
         "psi_parts": [list(m) for m in psi.parts],
@@ -275,14 +255,12 @@ def _cmd_cohomology(args) -> int:
         "restriction_degrees": list(restriction_degrees(psi)),
         "dims": list(dims.as_tuple()),
     }
-    _emit(args, report_bytes(args.command, result, args.seed), "json")
-    return 0
 
 
-def _cmd_verify_winding(args) -> int:
+def _cmd_verify_winding(args) -> dict:
     from .cohomology import verify_winding_theorem
 
-    doc, curve, region, theta = _theta_pipeline(args)
+    _, region, _, theta = _theta_pipeline(args)
     rep = verify_winding_theorem(theta)
     result = {
         "region": list(region.dual_vertex),
@@ -298,18 +276,17 @@ def _cmd_verify_winding(args) -> int:
             "winding": w.winding,
             "sign_pattern": w.sign_pattern,
         }
-    _emit(args, report_bytes(args.command, result, args.seed), "json")
-    return 0 if rep.ok else 1
+    return result
 
 
-def _cmd_a2d(args) -> int:
+def _cmd_a2d(args) -> dict:
     from .ext_chains import build_a2d_example, verify_a2d_configuration
 
     if args.d < 1:
         raise InputError("--d must be positive")
     example = build_a2d_example(args.d)
     report = verify_a2d_configuration(example)
-    result = {
+    return {
         "d": args.d,
         "ok": report.ok,
         "chain": list(example.chain),
@@ -327,15 +304,13 @@ def _cmd_a2d(args) -> int:
         "failures": list(report.failures),
         "assumptions": list(report.assumptions),
     }
-    _emit(args, report_bytes(args.command, result, args.seed), "json")
-    return 0 if report.ok else 1
 
 
-def _cmd_smooth_check(args) -> int:
+def _cmd_smooth_check(args) -> dict:
     # numpy is loaded here only, so the other commands start without it
     from .smoothing import MollifierParams, check_hessian_definiteness
 
-    doc, curve, region, theta = _theta_pipeline(args)
+    doc, region, _, theta = _theta_pipeline(args)
     epsilon = args.epsilon if args.epsilon is not None else doc.options.epsilon or 0.25
     order = args.order if args.order is not None else doc.options.quadrature_order
     params = (
@@ -344,7 +319,7 @@ def _cmd_smooth_check(args) -> int:
         else MollifierParams(epsilon=epsilon, quadrature_order=order)
     )
     rep = check_hessian_definiteness(theta, params, args.samples)
-    result = {
+    return {
         "region": list(region.dual_vertex),
         "convexity": rep.convexity,
         "epsilon": epsilon,
@@ -358,8 +333,6 @@ def _cmd_smooth_check(args) -> int:
         "max_hull_excess": rep.max_hull_excess,
         "ok": rep.ok,
     }
-    _emit(args, report_bytes(args.command, result, args.seed), "json")
-    return 0 if rep.ok else 1
 
 
 _HANDLERS = {
@@ -381,14 +354,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # InputError and LatticeError are ValueErrors too
     try:
-        return _HANDLERS[args.command](args)
-    except (InputError, LatticeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        result = _HANDLERS[args.command](args)
+        _emit(args, result)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # a verification command that found a mismatch reports "ok": false
+    return 1 if isinstance(result, dict) and not result.get("ok", True) else 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .fan import Fan, is_smooth
+from .fan import Fan, is_smooth, self_intersections
 from .lattice import LatticeError, Vec, det2, dot, solve_dual
 from .spheres import SemiIntegralSupport, gamma_curve
 from .winding import check_rows, h_even_odd, winding_runs
@@ -46,17 +46,7 @@ def _integral(v) -> Vec:
 
 def canonical_psi(fan: Fan) -> ToricSupport:
     """Support data of the canonical bundle: value -1 on every ray."""
-    if not is_smooth(fan):
-        raise LatticeError("fan not smooth")
-    r = len(fan.rays)
-    parts = []
-    for j in range(r):
-        part = solve_dual(fan.rays[j], fan.rays[(j + 1) % r], -1, -1)
-        parts.append((int(part[0]), int(part[1])))
-    psi = ToricSupport(fan, tuple(parts))
-    if any(psi.ray_value(j) != -1 for j in range(r)):
-        raise LatticeError("canonical support must take the value -1 on every ray")
-    return psi
+    return psi_from_ray_values(fan, (-1,) * len(fan.rays))
 
 
 def psi_from_ray_values(fan: Fan, values) -> ToricSupport:
@@ -91,8 +81,6 @@ def divisor_coeffs(psi: ToricSupport) -> tuple[int, ...]:
 
 def restriction_degrees(psi: ToricSupport) -> tuple[int, ...]:
     """Degree of the bundle on the torus-fixed curve of each ray."""
-    from .fan import self_intersections
-
     a = divisor_coeffs(psi)
     b = self_intersections(psi.fan)
     r = len(a)

@@ -25,6 +25,11 @@ class Fan:
         for j in range(r):
             if det2(self.rays[j], self.rays[(j + 1) % r]) <= 0:
                 raise LatticeError("rays do not span a complete fan")
+        # each step turns by less than a half turn, so the rays go round once
+        # exactly when they cross from the lower to the upper half plane once
+        turns = sum(not _upper(self.rays[j - 1]) and _upper(self.rays[j]) for j in range(r))
+        if turns != 1:
+            raise LatticeError(f"rays go round the origin {turns} times, not once")
         if min(self.rays) != self.rays[0]:
             raise LatticeError("rays must start at the lex smallest")
 
@@ -35,12 +40,14 @@ class Fan:
             raise LatticeError(f"{u} is not a ray of the fan") from None
 
 
-def _ccw_cmp(a: Vec, b: Vec) -> int:
-    def upper(v):
-        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
+def _upper(v: Vec) -> bool:
+    """Whether v has angle in [0, pi)."""
+    return v[1] > 0 or (v[1] == 0 and v[0] > 0)
 
-    if upper(a) != upper(b):
-        return upper(a) - upper(b)
+
+def _ccw_cmp(a: Vec, b: Vec) -> int:
+    if _upper(a) != _upper(b):
+        return _upper(b) - _upper(a)
     return -det2(a, b)
 
 

@@ -31,10 +31,6 @@ def vneg(v):
     return (-v[0], -v[1])
 
 
-def vscale(c, v):
-    return (c * v[0], c * v[1])
-
-
 def dot(u, v):
     return u[0] * v[0] + u[1] * v[1]
 
@@ -165,16 +161,6 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> l
             vec[i] = x
         kernel.append(vec)
     return kernel
-
-
-def solve2_int(u: Vec, v: Vec, rhs: Sequence) -> tuple:
-    """Solve x*u + y*v = rhs exactly for a 2x2 unimodular-or-not system."""
-    d = det2(u, v)
-    if d == 0:
-        raise LatticeError("singular system")
-    x = Fraction(det2(rhs, v), d)
-    y = Fraction(det2(u, rhs), d)
-    return (x, y)
 
 
 def solve_dual(u: Vec, v: Vec, a, b) -> QVec:

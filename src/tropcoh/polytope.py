@@ -22,6 +22,7 @@ from .lattice import (
     dot,
     primitive,
     rot90,
+    vneg,
     vsub,
 )
 
@@ -81,6 +82,7 @@ class SubdivisionEdge:
     is_boundary: bool
     plus_triangle: int | None
     minus_triangle: int | None
+    normal: Vec  # the primitive normal pointing into the plus triangle
 
     @property
     def key(self) -> EdgeKey:
@@ -176,7 +178,7 @@ def validate(sub: Subdivision) -> ValidationReport:
 
     # the one loop over the triangles: areas, sides, stars and slopes of nu
     pts, nu = sub.points, sub.nu
-    sides: dict[EdgeKey, list[int]] = {}
+    sides: dict[EdgeKey, list[tuple[int, bool]]] = {}
     star: dict[Vec, list[int]] = {p: [] for p in pts}
     slope_of_nu = []
     total = 0
@@ -195,8 +197,10 @@ def validate(sub: Subdivision) -> ValidationReport:
             )
         else:
             slope_of_nu.append(_slope(v0, v1, v2, nu[i0], nu[i1], nu[i2]))
+        # the plus side of an edge is left of its sorted key; the triangle lies
+        # left of a -> b when d > 0, so on the plus side when (a < b) == (d > 0)
         for a, b in ((v0, v1), (v1, v2), (v2, v0)):
-            sides.setdefault((a, b) if a < b else (b, a), []).append(t)
+            sides.setdefault((a, b) if a < b else (b, a), []).append((t, (a < b) == (d > 0)))
         for v in (v0, v1, v2):
             star[v].append(t)
     if degenerate:
@@ -223,7 +227,7 @@ def validate(sub: Subdivision) -> ValidationReport:
         if not star[p]:
             bad("unused-point", f"lattice point {p} is not a vertex of any triangle")
 
-    grouped = {key: tuple(sides[key]) for key in sorted(sides)}
+    grouped = {key: tuple(t for t, _ in sides[key]) for key in sorted(sides)}
     for key, ts in grouped.items():
         if len(ts) > 2:
             bad("nonmanifold-edge", f"edge {key} lies in {len(ts)} triangles")
@@ -238,7 +242,7 @@ def validate(sub: Subdivision) -> ValidationReport:
     if issues:
         return ValidationReport(tuple(issues))
 
-    labelled = tuple(_edge(sub, key, ts) for key, ts in grouped.items())
+    labelled = tuple(_edge(key, sides[key]) for key in grouped)
     for (a, b), k in _kinks(labelled, slope_of_nu).items():
         if k <= 0:
             bad("not-strictly-convex", f"nu has kink {k} across interior edge ({a}, {b})")
@@ -265,23 +269,19 @@ def checked(sub: Subdivision) -> CheckedSubdivision:
     return report.index
 
 
-def _edge(sub: Subdivision, key: EdgeKey, tris: tuple[int, ...]) -> SubdivisionEdge:
-    """The edge with the given key and triangles, labelled as ``edges`` describes."""
+def _edge(key: EdgeKey, sides: list[tuple[int, bool]]) -> SubdivisionEdge:
+    """The edge with the given key, labelled from its (triangle, on the plus side) pairs."""
     a, b = key
     n_check = primitive(vsub(b, a))
-    if len(tris) == 1:
-        return SubdivisionEdge(a, b, n_check, True, tris[0], None)
     n_e = rot90(n_check)
-    plus = minus = None
-    for t in tris:
-        c = next(p for p in sub.triangle_points(t) if p not in key)
-        if dot(n_e, vsub(c, a)) > 0:
-            plus = t
-        else:
-            minus = t
-    if plus is None or minus is None:
+    if len(sides) == 1:
+        t, plus = sides[0]
+        return SubdivisionEdge(a, b, n_check, True, t, None, n_e if plus else vneg(n_e))
+    (s, s_plus), (t, t_plus) = sides
+    if s_plus == t_plus:
         raise LatticeError(f"triangles on one side of edge {key}")
-    return SubdivisionEdge(a, b, n_check, False, plus, minus)
+    plus, minus = (s, t) if s_plus else (t, s)
+    return SubdivisionEdge(a, b, n_check, False, plus, minus, n_e)
 
 
 def interior_vertices(sub: Subdivision) -> tuple[Vec, ...]:
@@ -293,9 +293,10 @@ def edges(sub: Subdivision) -> tuple[SubdivisionEdge, ...]:
     """Every triangle edge once, in key order, with canonical tangent and side labels.
 
     The tangent n_check is the lexicographically positive primitive direction.
-    For an interior edge the plus triangle is the one whose opposite vertex c
-    has dot(rot90(n_check), c - a) > 0; the dual tropical edge then runs from
-    the plus vertex to the minus vertex along rot90(n_check).
+    For an interior edge the plus triangle is the one on the rot90(n_check)
+    side, which is its normal; the dual tropical edge then runs from the plus
+    vertex to the minus vertex along it.  A boundary edge's one triangle is
+    its plus triangle, and its normal points into that triangle.
     """
     return checked(sub).edges
 
@@ -356,14 +357,7 @@ def _kinks(es: Sequence[SubdivisionEdge], m: Sequence[QVec]) -> dict[EdgeKey, Fr
     out = {}
     for e in es:
         if not e.is_boundary:
-            n_e = rot90(e.n_check)
+            n_e = e.normal
             s, nn = dot(vsub(m[e.plus_triangle], m[e.minus_triangle]), n_e), dot(n_e, n_e)
             out[e.key] = s // nn if s % nn == 0 else Fraction(s, nn)
     return out
-
-
-def euler_characteristic(sub: Subdivision) -> int:
-    v = len(sub.points)
-    e = len(edges(sub))
-    f = len(sub.triangles)
-    return v - e + f

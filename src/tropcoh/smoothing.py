@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import LatticeError
+from .lattice import LatticeError, lex_positive
 from .polytope import Subdivision, convex_hull, edges
 from .spheres import SemiIntegralSupport, gamma_curve
 from .winding import is_strictly_convex
@@ -68,8 +68,8 @@ class FanPL:
             raise LatticeError("fan rays are not in counterclockwise order")
         self._angles = angles
         self._parts = np.array([[float(t[0]), float(t[1])] for t in theta.thetas])
-        keys = (u if u[0] > 0 or (u[0] == 0 and u[1] > 0) else (-u[0], -u[1]) for u in rays)
-        self._walls = tuple(_normalize_wall(-k[1], k[0], 0.0) for k in dict.fromkeys(keys))
+        keys = dict.fromkeys(lex_positive(u) for u in rays)
+        self._walls = tuple(_normalize_wall(-k[1], k[0], 0.0) for k in keys)
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         """Linear part of the cone containing each point."""
@@ -185,14 +185,9 @@ def epsilon_auto(sub: Subdivision) -> float:
         for q in pts[i + 1 :]
     )
     for e in edges(sub):
-        a = np.array(e.a, dtype=float)
-        b = np.array(e.b, dtype=float)
-        seg = b - a
-        for j, p in enumerate(pts):
-            if sub.points[j] in (e.a, e.b):
-                continue
-            t = float(np.clip((p - a) @ seg / (seg @ seg), 0.0, 1.0))
-            dmin = min(dmin, float(np.hypot(*(p - (a + t * seg)))))
+        for q, p in zip(sub.points, pts):
+            if q not in (e.a, e.b):
+                dmin = min(dmin, _point_to_segment(p, e.a, e.b))
     return dmin / 2
 
 
@@ -415,18 +410,3 @@ def check_hessian_definiteness(
     return DefinitenessReport(
         convexity, samples, failures, min_abs, gamma_samples, max_gamma, len(grads), max_excess
     )
-
-
-def spot_check_continuity(f, span: float = 2.0, count: int = 40) -> float:
-    """Largest value gap across declared walls at sampled wall points."""
-    worst = 0.0
-    for a, b, c in f.walls():
-        # points on the wall, offset to both sides along the normal
-        t = np.linspace(-span, span, count)
-        base = np.stack([-c * a + t * (-b), -c * b + t * a], axis=1)
-        for s in (1.0, -1.0):
-            side = base + s * 1e-9 * np.array([a, b])
-            vals = f.value(side)
-            ref = f.value(base - s * 1e-9 * np.array([a, b]))
-            worst = max(worst, float(np.max(np.abs(vals - ref))))
-    return worst

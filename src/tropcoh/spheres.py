@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .bundles import KinkVector, _check_cocycle, _kink_entry, canonical_KC
-from .fan import Fan, balance, make_fan, self_intersections
+from .fan import Fan, balance, self_intersections
 from .lattice import LatticeError, QVec, Vec, dot, rot90, solve_dual
 from .polytope import ValidationIssue, ValidationReport, interior_edge_keys
 from .tropical import BoundedRegion
@@ -21,9 +21,7 @@ RegionOrFan = Union[BoundedRegion, Fan]
 
 
 def _fan_of(source: RegionOrFan) -> Fan:
-    if isinstance(source, Fan):
-        return source
-    return make_fan(source.fan_rays)
+    return source if isinstance(source, Fan) else source.fan
 
 
 def _ell_tuple(ell, source: RegionOrFan) -> tuple[int, ...]:
@@ -67,14 +65,19 @@ def validate_twisting(ell, region: RegionOrFan) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
+def _check_twisting(ell, source: RegionOrFan) -> None:
+    """Raise a LatticeError that names every issue of validate_twisting."""
+    issues = validate_twisting(ell, source).issues
+    if issues:
+        raise LatticeError(
+            "invalid twisting numbers: " + "; ".join(f"{i.code}: {i.message}" for i in issues)
+        )
+
+
 def twisting(source: RegionOrFan, ell) -> Twisting:
-    report = validate_twisting(ell, source)
-    if not report.ok:
-        first = report.issues[0]
-        raise LatticeError(f"invalid twisting numbers: {first.code}: {first.message}")
-    fan = _fan_of(source)
+    _check_twisting(ell, source)
     region = source if isinstance(source, BoundedRegion) else None
-    return Twisting(fan, _ell_tuple(ell, source), region)
+    return Twisting(_fan_of(source), _ell_tuple(ell, source), region)
 
 
 @dataclass(frozen=True)
@@ -117,10 +120,7 @@ def canonical_seed(fan: Fan) -> QVec:
 
 def theta_from_twisting(tw: Twisting) -> SemiIntegralSupport:
     fan = tw.fan
-    report = validate_twisting(tw.ell, fan)
-    if not report.ok:
-        first = report.issues[0]
-        raise LatticeError(f"invalid twisting numbers: {first.code}: {first.message}")
+    _check_twisting(tw.ell, fan)
     r = len(fan.rays)
     thetas = [canonical_seed(fan)]
     for j in range(1, r):
@@ -203,5 +203,5 @@ def compact_support_class(K: KinkVector, region: BoundedRegion) -> Optional[int]
 
 def difference_sphere(region: BoundedRegion) -> Twisting:
     """Twisting numbers of the sphere representing a difference of sections."""
-    b = self_intersections(make_fan(region.fan_rays))
+    b = self_intersections(region.fan)
     return twisting(region, tuple(x + 2 for x in b))

@@ -1,4 +1,4 @@
-"""Discrete Legendre transform and the dual tropical curve.
+"""The dual tropical curve and its bounded regions.
 
 The curve lives in the dual plane: one vertex per triangle, one bounded edge
 per interior subdivision edge, one ray per boundary subdivision edge.  All
@@ -8,25 +8,10 @@ coordinates are exact rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .fan import make_fan
-from .lattice import LatticeError, QVec, Vec, det2, dot, rot90, vadd, vneg, vsub
+from .fan import Fan, make_fan
+from .lattice import LatticeError, QVec, Vec, det2, vadd, vneg, vsub
 from .polytope import CheckedSubdivision, EdgeKey, Subdivision, checked
-
-
-@dataclass(frozen=True)
-class TropicalFunction:
-    """m maps to the minimum of <v, m> + c over the stored terms."""
-
-    terms: tuple[tuple[Vec, Fraction], ...]
-
-    def __call__(self, m) -> Fraction:
-        return min(Fraction(v[0]) * m[0] + Fraction(v[1]) * m[1] + c for v, c in self.terms)
-
-
-def legendre(sub: Subdivision) -> TropicalFunction:
-    return TropicalFunction(tuple((p, Fraction(c)) for p, c in zip(sub.points, sub.nu)))
 
 
 @dataclass(frozen=True)
@@ -61,18 +46,9 @@ class TropicalCurve:
         return self.index.sub
 
 
-def _outgoing_direction(sub: Subdivision, edge) -> Vec:
-    """Dual-edge direction leaving the vertex of the given plus triangle."""
-    c = next(p for p in sub.triangle_points(edge.plus_triangle) if p not in edge.key)
-    d = rot90(edge.n_check)
-    if dot(d, vsub(c, edge.a)) > 0:
-        return d
-    return vneg(d)
-
-
 def tropical_curve(sub: Subdivision) -> TropicalCurve:
     # strict convexity across interior edges of a convex polygon is global, so
-    # each vertex below realizes the minimum of legendre(sub)
+    # each vertex below realizes the minimum of <p, m> + nu(p) over the points p
     index = checked(sub)
 
     # the dual vertex of a triangle is minus the slope of nu there
@@ -81,11 +57,12 @@ def tropical_curve(sub: Subdivision) -> TropicalCurve:
     rays = []
     for e in index.edges:
         if e.is_boundary:
-            rays.append(TropicalRay(e.key, vertices[e.plus_triangle], _outgoing_direction(sub, e)))
+            # a boundary edge's normal points into the polygon; the dual ray leaves along it
+            rays.append(TropicalRay(e.key, vertices[e.plus_triangle], e.normal))
         else:
-            # the positive kink validate proved is the edge length along rot90(n_check)
+            # the positive kink validate proved is the edge length along the normal
             p_plus, p_minus = vertices[e.plus_triangle], vertices[e.minus_triangle]
-            bounded.append(BoundedEdge(e.key, p_plus, p_minus, rot90(e.n_check)))
+            bounded.append(BoundedEdge(e.key, p_plus, p_minus, e.normal))
     curve = TropicalCurve(index, vertices, tuple(bounded), tuple(rays))
     object.__setattr__(curve, "regions", tuple(_region(curve, v) for v in index.interior_vertices))
     return curve
@@ -103,7 +80,7 @@ class BoundedRegion:
 
     curve: TropicalCurve
     dual_vertex: Vec
-    fan_rays: tuple[Vec, ...]
+    fan: Fan
     triangles: tuple[int, ...]
     edge_keys: tuple[EdgeKey, ...]
     cycle: tuple[QVec, ...]
@@ -127,7 +104,7 @@ def _region(curve: TropicalCurve, v: Vec) -> BoundedRegion:
     )
     cycle = tuple(curve.vertices[t] for t in triangles)
     edge_keys = tuple(tuple(sorted((v, vadd(v, u)))) for u in f.rays)
-    return BoundedRegion(curve, v, f.rays, triangles, edge_keys, cycle)
+    return BoundedRegion(curve, v, f, triangles, edge_keys, cycle)
 
 
 def bounded_regions(curve: TropicalCurve) -> tuple[BoundedRegion, ...]:

@@ -190,33 +190,6 @@ def is_strictly_convex(theta: SemiIntegralSupport) -> str:
     return "neither"
 
 
-def convex_intersection_count(theta: SemiIntegralSupport) -> int:
-    if is_strictly_convex(theta) == "neither":
-        raise LatticeError("convexity required")
-    verts = _doubled_vertices(gamma_curve(theta).vertices)
-    r = len(verts)
-    area2 = sum(det2(verts[j - 1], verts[j]) for j in range(r))
-    if area2 <= 0:
-        raise LatticeError("boundary curve must run counterclockwise")
-    xmin = -(-min(v[0] for v in verts) // 2)
-    xmax = max(v[0] for v in verts) // 2
-    ymin = -(-min(v[1] for v in verts) // 2)
-    ymax = max(v[1] for v in verts) // 2
-    count = 0
-    for x in range(xmin, xmax + 1):
-        for y in range(ymin, ymax + 1):
-            p = (2 * x, 2 * y)
-            inside = True
-            for j in range(r):
-                a, b = verts[j - 1], verts[j]
-                if det2((b[0] - a[0], b[1] - a[1]), (p[0] - a[0], p[1] - a[1])) < 0:
-                    inside = False
-                    break
-            if inside:
-                count += 1
-    return count
-
-
 def winding_via_T(theta: SemiIntegralSupport, m: Vec, direction: Vec) -> int:
     """Count extrema of the scaling parameter along rays; an independent oracle.
 

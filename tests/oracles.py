@@ -3,18 +3,34 @@
 These are the library's earlier implementations.  The library's results
 must equal theirs exactly: list for list for the kernel, value for value for
 the slopes and kinks, pointer and message for the input-document check.
+The per-point and sampled checks at the end serve only the tests.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import jsonschema
+import numpy as np
 
-from tropcoh.lattice import LatticeError, _xgcd, rot90, solve_dual, vsub
 from tropcoh.io import input_schema
-from tropcoh.polytope import edges
+from tropcoh.lattice import (
+    LatticeError,
+    Vec,
+    _xgcd,
+    det2,
+    dot,
+    primitive,
+    rot90,
+    solve_dual,
+    vneg,
+    vsub,
+)
+from tropcoh.polytope import Subdivision, edges
+from tropcoh.spheres import SemiIntegralSupport, gamma_curve
+from tropcoh.winding import _doubled_vertices, is_strictly_convex
 
 
 @lru_cache(maxsize=1)
@@ -97,3 +113,84 @@ def fraction_kinks(sub, values) -> dict:
             raise ValueError(f"slope jump {delta} across {e.key} is not along {n_e}")
         out[e.key] = Fraction(delta[0], n_e[0]) if n_e[0] else Fraction(delta[1], n_e[1])
     return out
+
+
+def opposite_vertex_sides(sub, key, tris) -> tuple[int, int | None, Vec]:
+    """(plus triangle, minus triangle, normal) of an edge by the opposite-vertex rule.
+
+    A triangle is on the plus side when its vertex c off the edge has
+    dot(rot90(n_check), c - a) > 0.  A boundary edge's one triangle is its
+    plus triangle, and its normal is the one of +-rot90(n_check) towards c.
+    """
+    a, b = key
+    n_e = rot90(primitive(vsub(b, a)))
+    on_plus = {}
+    for t in tris:
+        c = next(p for p in sub.triangle_points(t) if p not in key)
+        on_plus[t] = dot(n_e, vsub(c, a)) > 0
+    if len(tris) == 1:
+        t = tris[0]
+        return t, None, n_e if on_plus[t] else vneg(n_e)
+    plus = next(t for t in tris if on_plus[t])
+    minus = next(t for t in tris if not on_plus[t])
+    return plus, minus, n_e
+
+
+def euler_characteristic(sub: Subdivision) -> int:
+    return len(sub.points) - len(edges(sub)) + len(sub.triangles)
+
+
+@dataclass(frozen=True)
+class TropicalFunction:
+    """m maps to the minimum of <v, m> + c over the stored terms."""
+
+    terms: tuple[tuple[Vec, Fraction], ...]
+
+    def __call__(self, m) -> Fraction:
+        return min(Fraction(v[0]) * m[0] + Fraction(v[1]) * m[1] + c for v, c in self.terms)
+
+
+def legendre(sub: Subdivision) -> TropicalFunction:
+    return TropicalFunction(tuple((p, Fraction(c)) for p, c in zip(sub.points, sub.nu)))
+
+
+def convex_intersection_count(theta: SemiIntegralSupport) -> int:
+    if is_strictly_convex(theta) == "neither":
+        raise LatticeError("convexity required")
+    verts = _doubled_vertices(gamma_curve(theta).vertices)
+    r = len(verts)
+    area2 = sum(det2(verts[j - 1], verts[j]) for j in range(r))
+    if area2 <= 0:
+        raise LatticeError("boundary curve must run counterclockwise")
+    xmin = -(-min(v[0] for v in verts) // 2)
+    xmax = max(v[0] for v in verts) // 2
+    ymin = -(-min(v[1] for v in verts) // 2)
+    ymax = max(v[1] for v in verts) // 2
+    count = 0
+    for x in range(xmin, xmax + 1):
+        for y in range(ymin, ymax + 1):
+            p = (2 * x, 2 * y)
+            inside = True
+            for j in range(r):
+                a, b = verts[j - 1], verts[j]
+                if det2((b[0] - a[0], b[1] - a[1]), (p[0] - a[0], p[1] - a[1])) < 0:
+                    inside = False
+                    break
+            if inside:
+                count += 1
+    return count
+
+
+def spot_check_continuity(f, span: float = 2.0, count: int = 40) -> float:
+    """Largest value gap across declared walls at sampled wall points."""
+    worst = 0.0
+    for a, b, c in f.walls():
+        # points on the wall, offset to both sides along the normal
+        t = np.linspace(-span, span, count)
+        base = np.stack([-c * a + t * (-b), -c * b + t * a], axis=1)
+        for s in (1.0, -1.0):
+            side = base + s * 1e-9 * np.array([a, b])
+            vals = f.value(side)
+            ref = f.value(base - s * 1e-9 * np.array([a, b]))
+            worst = max(worst, float(np.max(np.abs(vals - ref))))
+    return worst

@@ -10,6 +10,7 @@ import random
 import numpy as np
 
 from gen_cases import cross_check
+from oracles import convex_intersection_count
 from tropcoh.bundles import canonical_KC, picard_basis
 from tropcoh.cohomology import (
     cohomology_dims,
@@ -40,7 +41,7 @@ from tropcoh.smoothing import (
 )
 from tropcoh.spheres import theta_from_twisting, twisting
 from tropcoh.tropical import region_at, tropical_curve
-from tropcoh.winding import convex_intersection_count, h_even_odd, winding_table
+from tropcoh.winding import h_even_odd, winding_table
 
 WORKED_ELL = (-14, 5, -14, -9)
 

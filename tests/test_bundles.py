@@ -18,7 +18,7 @@ from tropcoh.bundles import (
     support_function,
 )
 from tropcoh.examples import a2d_subdivision
-from tropcoh.fan import make_fan, self_intersections
+from tropcoh.fan import self_intersections
 from tropcoh.lattice import LatticeError, primitive, rot90, vneg, vsub
 from tropcoh.polytope import edges, interior_edge_keys
 from tropcoh.tropical import bounded_regions, tropical_curve
@@ -144,7 +144,7 @@ def test_canonical_KC_matches_a_cycle_scan(oracle_subdivisions):
         curve = tropical_curve(sub)
         phi = phi_map(curve)
         for region in bounded_regions(curve):
-            b = self_intersections(make_fan(region.fan_rays))
+            b = self_intersections(region.fan)
             want = {key: 0 for key in interior_edge_keys(sub)}
             want.update((key, -b[j] - 2) for j, key in enumerate(region.edge_keys))
             for be in curve.bounded:
@@ -185,7 +185,7 @@ def test_phi_matrix_matches_the_epsilon_construction(oracle_subdivisions):
         rows = []
         for region in bounded_regions(curve):
             rx, ry = [0] * len(order), [0] * len(order)
-            for key, u in zip(region.edge_keys, region.fan_rays):
+            for key, u in zip(region.edge_keys, region.fan.rays):
                 n = tangent[key]
                 ccw = vneg(rot90(u))
                 eps = 1 if n == ccw else -1

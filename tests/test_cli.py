@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, report contents, determinism."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -138,6 +139,40 @@ def test_winding_rejects_bad_parity(run):
     code, _, err = run("winding", P2, "--ell", "bad_parity")
     assert code == 2
     assert "parity" in err
+
+
+@pytest.mark.parametrize(
+    "command", ["sphere", "winding", "cohomology", "verify-winding-theorem", "smooth-check"]
+)
+def test_twisting_commands_name_every_issue(run, command):
+    code, out, err = run(command, P2, "--ell", "2,3,3")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: invalid twisting numbers: parity: edge 0: twist 2 and self-intersection 1 "
+        "differ mod 2; balance: edge sum (-1, 1) is not zero\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("validate", ()),
+        ("picard", ()),
+        ("cohomology", ("--ell", "3,3,3")),
+        ("verify-winding-theorem", ("--ell", "3,3,3")),
+        ("smooth-check", ("--ell", "3,3,3")),
+        ("a2d", ("--d", "3")),
+    ],
+)
+def test_format_only_where_an_svg_exists(run, command, extra):
+    """Only tropical, sphere and winding draw a figure; elsewhere --format is unknown."""
+    fixture = None if command == "a2d" else P2
+    code, out, err = run(command, fixture, *extra, "--format", "svg")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --format svg" in err
+    assert run(command, fixture, *extra)[0] == 0
 
 
 def test_cohomology_golden(run):
@@ -433,6 +468,23 @@ def test_library_raises_no_assertion_errors():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     found.append(f"{path.name}:{node.lineno} raise AssertionError")
     assert found == []
+
+
+def test_benchmark_and_tools_import_only_existing_names():
+    """Every `from tropcoh.X import name` in tropbench/ and tools/ names something that exists."""
+    root = Path(__file__).resolve().parents[1]
+    missing = []
+    checked = 0
+    for path in sorted([*root.glob("tropbench/*.py"), *root.glob("tools/*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tropcoh"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    checked += 1
+                    if not hasattr(module, alias.name):
+                        missing.append(f"{path.name}:{node.lineno} {node.module}.{alias.name}")
+    assert checked > 0
+    assert missing == []
 
 
 def test_unknown_command_exits_two(run):

@@ -232,13 +232,6 @@ def test_mismatch_names_the_first_witness(blowup_region, monkeypatch):
     assert rep.witness == first
 
 
-def test_canonical_check_is_not_an_assert(p2_fan, monkeypatch):
-    real = cohomology.solve_dual
-    monkeypatch.setattr(cohomology, "solve_dual", lambda u, v, a, b: real(u, v, a + 1, b + 1))
-    with pytest.raises(LatticeError, match="value -1 on every ray"):
-        canonical_psi(p2_fan)
-
-
 def test_search_box_check_is_not_an_assert(p2_fan, monkeypatch):
     monkeypatch.setattr(cohomology, "det2", lambda u, v: 0)
     with pytest.raises(LatticeError, match="crossing level lines"):

@@ -47,6 +47,14 @@ def test_fan_must_be_complete():
         make_fan([(1, 0), (1, 1), (0, 1)])
 
 
+def test_fan_rejects_rays_that_go_round_twice():
+    """p2's rays listed twice turn counterclockwise at every step, but twice round."""
+    with pytest.raises(LatticeError, match="rays go round the origin 2 times, not once"):
+        Fan(((-1, -1), (1, 0), (0, 1)) * 2)
+    with pytest.raises(LatticeError, match="3 times"):
+        Fan(((-1, 0), (0, -1), (1, 0), (0, 1)) * 3)
+
+
 def test_fan_constructor_enforces_start():
     with pytest.raises(LatticeError, match="lex smallest"):
         Fan(((1, 0), (0, 1), (-1, -1)))

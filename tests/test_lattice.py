@@ -19,11 +19,9 @@ from tropcoh.lattice import (
     lex_positive,
     primitive,
     rot90,
-    solve2_int,
     solve_dual,
     vadd,
     vneg,
-    vscale,
     vsub,
 )
 
@@ -35,7 +33,7 @@ vecs = st.tuples(ints, ints)
 def test_vector_arithmetic_round_trip(u, v):
     assert vsub(vadd(u, v), v) == u
     assert vadd(v, vneg(v)) == (0, 0)
-    assert vscale(3, v) == vadd(v, vadd(v, v))
+    assert (3 * v[0], 3 * v[1]) == vadd(v, vadd(v, v))
 
 
 @given(vecs, vecs)
@@ -56,7 +54,7 @@ def test_primitive_divides_and_has_coprime_entries(v):
     assert is_primitive(p)
     # v is a positive integer multiple of its primitive direction
     k = max(abs(v[0]), abs(v[1])) // max(abs(p[0]), abs(p[1]))
-    assert vscale(k, p) == v
+    assert (k * p[0], k * p[1]) == v
 
 
 def test_primitive_of_zero_fails():
@@ -150,20 +148,6 @@ def test_integer_kernel_errors_match_the_dense_echelon(kernel):
         kernel([[1, 2], [1]])
     with pytest.raises(LatticeError, match="ragged"):
         kernel([[1, 2]], 3)
-
-
-@given(vecs, vecs, vecs)
-def test_solve2_int_solves_or_reports_singular(u, v, rhs):
-    if det2(u, v) == 0:
-        with pytest.raises(LatticeError, match="singular"):
-            solve2_int(u, v, rhs)
-        return
-    a, b = solve2_int(u, v, rhs)
-    assert vadd(vscale_frac(a, u), vscale_frac(b, v)) == tuple(map(Fraction, rhs))
-
-
-def vscale_frac(c, v):
-    return (c * v[0], c * v[1])
 
 
 @given(vecs, vecs, ints, ints)

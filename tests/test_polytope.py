@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import tropcoh
 from conftest import hex_grid
-from oracles import fraction_kinks, fraction_slope
+from oracles import euler_characteristic, fraction_kinks, fraction_slope, opposite_vertex_sides
 from tropcoh import lattice, polytope
 from tropcoh.bundles import canonical_KC, phi_map
 from tropcoh.examples import a2d_subdivision, blowup_p2, local_p2
@@ -25,7 +25,6 @@ from tropcoh.polytope import (
     convex_hull,
     edge_kinks,
     edges,
-    euler_characteristic,
     interior_edge_keys,
     interior_vertices,
     lattice_points_in_hull,
@@ -126,20 +125,28 @@ class TestValidationCodes:
                 build(sub)
 
 
-def test_edge_classification_on_p2(p2_sub):
+def test_edge_classification_on_p2(p2_sub, oracle_subdivisions):
     es = edges(p2_sub)
     assert len(es) == 6
-    interior = [e for e in es if not e.is_boundary]
-    boundary = [e for e in es if e.is_boundary]
-    assert len(interior) == 3
-    assert len(boundary) == 3
-    for e in boundary:
-        assert e.minus_triangle is None
-    for e in interior:
-        # plus triangle sits on the rot90(n_check) side
-        tri = p2_sub.triangle_points(e.plus_triangle)
-        c = next(p for p in tri if p not in (e.a, e.b))
-        assert dot(rot90(e.n_check), vsub(c, e.a)) > 0
+    assert sum(e.is_boundary for e in es) == 3
+    # oracle: the old rule, which finds the vertex off the edge in each triangle
+    for sub in _both_orientations(oracle_subdivisions):
+        index = checked(sub)
+        curve = tropical_curve(sub)
+        rays = iter(curve.rays)
+        bounded = iter(curve.bounded)
+        for e in index.edges:
+            plus, minus, normal = opposite_vertex_sides(sub, e.key, index.edge_triangles[e.key])
+            assert (e.plus_triangle, e.minus_triangle, e.normal) == (plus, minus, normal)
+            if e.is_boundary:
+                ray = next(rays)
+                assert (ray.key, ray.origin, ray.direction) == (e.key, curve.vertices[plus], normal)
+            else:
+                assert normal == rot90(e.n_check)
+                edge = next(bounded)
+                want = (e.key, curve.vertices[plus], curve.vertices[minus], normal)
+                assert (edge.key, edge.p_plus, edge.p_minus, edge.n_e) == want
+        assert next(rays, None) is None and next(bounded, None) is None
 
 
 def test_incidence_indexes_match_a_full_scan(p2_sub, blowup_sub, a2d3_sub):

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import spot_check_continuity
 from tropcoh.fan import make_fan
 from tropcoh.lattice import LatticeError
 from tropcoh.smoothing import (
@@ -23,7 +24,6 @@ from tropcoh.smoothing import (
     grad,
     hessian,
     mollify_eval,
-    spot_check_continuity,
 )
 from tropcoh.spheres import theta_from_twisting, twisting
 

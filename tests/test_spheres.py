@@ -52,9 +52,17 @@ class TestValidateTwisting:
         assert validate_twisting((1, 1, 1), fan).ok
 
 
-def test_twisting_raises_on_first_issue(p2_region):
-    with pytest.raises(LatticeError, match="invalid twisting numbers: parity"):
+def test_twisting_and_theta_name_every_issue(p2_region):
+    both = (
+        "invalid twisting numbers: parity: edge 0: twist 2 and self-intersection 1 differ mod 2; "
+        "balance: edge sum (-1, 1) is not zero"
+    )
+    with pytest.raises(LatticeError) as raised:
         twisting(p2_region, (2, 3, 3))
+    assert str(raised.value) == both
+    with pytest.raises(LatticeError) as raised:
+        theta_from_twisting(Twisting(p2_region.fan, (2, 3, 3)))
+    assert str(raised.value) == both
 
 
 def test_twisting_keeps_region(p2_region):

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import legendre
 from tropcoh.examples import a2d_subdivision, blowup_p2, local_p2
 from tropcoh.lattice import LatticeError, lex_positive, rot90, vneg, vsub
 from tropcoh.polytope import edges
 from tropcoh.tropical import (
     bounded_regions,
-    legendre,
     region_at,
     tropical_curve,
 )
@@ -91,12 +91,12 @@ def test_region_counts(p2_curve, blowup_curve, a2d3_regions):
 
 def test_region_edge_alignment(p2_region, blowup_region, a2d3_regions):
     for region in (p2_region, blowup_region) + tuple(a2d3_regions):
-        r = len(region.fan_rays)
+        r = len(region.fan.rays)
         assert len(region.edge_keys) == r
         assert len(region.cycle) == r
         assert len(region.triangles) == r
         v = region.dual_vertex
-        for j, u in enumerate(region.fan_rays):
+        for j, u in enumerate(region.fan.rays):
             a, b = region.edge_keys[j]
             assert {a, b} == {v, (v[0] + u[0], v[1] + u[1])}
 
@@ -109,7 +109,7 @@ def test_region_epsilon_identity(p2_region, blowup_region, a2d3_regions):
     """
     for region in (p2_region, blowup_region) + tuple(a2d3_regions):
         by_key = {be.key: be for be in region.curve.bounded}
-        for j, u in enumerate(region.fan_rays):
+        for j, u in enumerate(region.fan.rays):
             n_e = by_key[region.edge_keys[j]].n_e
             want = vneg(rot90(u))
             assert n_e in (want, vneg(want))
@@ -129,7 +129,7 @@ def test_region_cycle_is_counterclockwise(blowup_region):
 
 def test_a2d3_regions_are_pentagons(a2d3_regions):
     for region in a2d3_regions:
-        assert len(region.fan_rays) == 5
+        assert len(region.fan.rays) == 5
 
 
 def test_region_at_unknown_vertex(p2_curve):

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from box_scan import scan_winding_table
+from oracles import convex_intersection_count
 from tropcoh.fan import make_fan
 from tropcoh.lattice import LatticeError
 from tropcoh.spheres import GammaCurve, gamma_curve, theta_from_twisting, twisting
 from tropcoh.winding import (
     GenericityError,
-    convex_intersection_count,
     h_even_odd,
     is_strictly_convex,
     probe_directions,
@@ -192,10 +192,10 @@ def test_table_matches_the_box_scan(request, region, ell):
 
 
 def test_counterclockwise_check_is_not_an_assert(p2_region, monkeypatch):
-    import tropcoh.winding as winding_module
+    import oracles
 
     theta = theta_from_twisting(twisting(p2_region, (3, 3, 3)))
     flipped = GammaCurve(gamma_curve(theta).vertices[::-1])
-    monkeypatch.setattr(winding_module, "gamma_curve", lambda _: flipped)
+    monkeypatch.setattr(oracles, "gamma_curve", lambda _: flipped)
     with pytest.raises(LatticeError, match="must run counterclockwise"):
         convex_intersection_count(theta)
