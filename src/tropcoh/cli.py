@@ -319,7 +319,7 @@ def _cmd_smooth_check(args) -> dict:
         else MollifierParams(epsilon=epsilon, quadrature_order=order)
     )
     rep = check_hessian_definiteness(theta, params, args.samples)
-    return {
+    result = {
         "region": list(region.dual_vertex),
         "convexity": rep.convexity,
         "epsilon": epsilon,
@@ -333,6 +333,18 @@ def _cmd_smooth_check(args) -> dict:
         "max_hull_excess": rep.max_hull_excess,
         "ok": rep.ok,
     }
+    if not rep.ok:
+        h, g = rep.worst_hessian, rep.worst_gradient
+        result["witness"] = {
+            "hessian": {"point": list(h.point), "eigenvalues": list(h.eigenvalues)},
+            "gradient": {
+                "point": list(g.point),
+                "gradient": list(g.gradient),
+                "gamma_distance": g.gamma_distance,
+                "hull_excess": g.hull_excess,
+            },
+        }
+    return result
 
 
 _HANDLERS = {
@@ -348,10 +360,26 @@ _HANDLERS = {
 }
 
 
+def _attach_signed_values(argv):
+    """Rewrite `--ell -3,-3,-3` as `--ell=-3,-3,-3`, and `--region -1,0` likewise.
+
+    argparse takes a word that starts with '-' for an option unless it is a
+    single negative number, so a comma list with a leading minus sign would
+    need the '=' spelling.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--ell", "--region") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     # InputError and LatticeError are ValueErrors too

@@ -2,12 +2,18 @@
 
 The smoothing of f is F(x) = int f(x - y) mu(y) dy / Z with the bump
 mu(y) = exp(1 / (|y|^2 - eps^2)) on |y| < eps.  Quadrature splits the disk at
-every declared kink line of f, so fixed-order Gauss-Legendre sees only smooth
-pieces; Z comes from the same nodes, so constants reproduce up to roundoff.
-Gradient and Hessian are closed forms over the same nodes, differentiating
-only the bump, never the kinks of f:
+every declared kink line of f into pieces: strips in y2 cut at every
+horizontal wall, rim crossing and wall intersection, and each of a strip's
+rows cut in y1 where it crosses the other walls.  No piece meets a wall, so f
+is affine on each and fixed-order Gauss-Legendre sees only smooth integrands;
+Z comes from the same nodes, so constants reproduce up to roundoff.  Gradient
+and Hessian are closed forms that differentiate only the bump, never the kinks
+of f, and take grad f once per piece P:
 
-    grad F = sum W mu grad f(x - y) / Z,  d_i d_j F = sum W d_j mu d_i f(x - y) / Z.
+    grad F = sum_P M_P grad f_P / Z,  d_i d_j F = sum_P (D_j)_P (d_i f)_P / Z,
+
+where M_P and D_P sum W mu and W grad mu over the nodes of P.  Values take f
+at every node: f is affine on a piece, not constant.
 
 "quadrature order too low" means that the bump mass on the split pieces
 differs from the same rule's mass on the unsplit disk by more than 1e-6
@@ -19,14 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .lattice import LatticeError, lex_positive
 from .polytope import Subdivision, convex_hull, edges
 from .spheres import SemiIntegralSupport, gamma_curve
-from .winding import is_strictly_convex
+from .winding import SizeLimitError, is_strictly_convex
 
 Wall = tuple[float, float, float]  # a*x + b*y + c = 0, (a, b) normalized
 
@@ -100,19 +106,18 @@ class SubdivisionPL:
         self._v = np.array(values, dtype=float)[tri]
         # slope g of each triangle: <g, e_k> = v_k - v_0
         self._slope = np.linalg.solve(self._e, (self._v[:, 1:] - self._v[:, :1])[:, :, None])[:, :, 0]
-        hull = convex_hull(sub.points)
-        self._hull = np.array(hull, dtype=float)
+        self._hull = np.array(convex_hull(sub.points), dtype=float)
         ws = []
         for e in edges(sub):
             a, b = e.a, e.b
             d = (b[0] - a[0], b[1] - a[1])
             ws.append(_normalize_wall(-d[1], d[0], d[1] * a[0] - d[0] * a[1]))
-        # outside the polygon the projection switches between the slab of a hull
-        # edge d and the wedge of its end points on the lines <d, x> = <d, end>
-        for a, b in zip(hull, hull[1:] + hull[:1]):
-            d = (b[0] - a[0], b[1] - a[1])
-            for end in (a, b):
-                ws.append(_normalize_wall(d[0], d[1], -(d[0] * end[0] + d[1] * end[1])))
+            if e.is_boundary:
+                # outside the polygon the projection lands on this edge between the
+                # lines <d, x> = <d, end>: beyond them lies the wedge of a hull
+                # vertex or the part of the slab over the next boundary edge
+                for end in (a, b):
+                    ws.append(_normalize_wall(d[0], d[1], -(d[0] * end[0] + d[1] * end[1])))
         self._walls = tuple(dict.fromkeys(ws))
 
     def _project(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,6 +169,13 @@ class SubdivisionPL:
         return self._walls
 
 
+# A derivative takes about order^2 nodes per strip (order 400: 0.2 s and 77 MB
+# at the fan vertex on a 2-vCPU host); a definiteness check takes `samples`
+# Hessians and about samples / 4 further gradients.
+MAX_QUADRATURE_ORDER = 400
+MAX_SAMPLES = 10_000
+
+
 @dataclass(frozen=True)
 class MollifierParams:
     epsilon: float
@@ -174,6 +186,10 @@ class MollifierParams:
             raise LatticeError(f"mollifier radius must be positive and finite, got {self.epsilon}")
         if self.quadrature_order < 1:
             raise LatticeError(f"quadrature order must be positive, got {self.quadrature_order}")
+        if self.quadrature_order > MAX_QUADRATURE_ORDER:
+            raise SizeLimitError(
+                f"quadrature order {self.quadrature_order} is above the limit of {MAX_QUADRATURE_ORDER}"
+            )
 
 
 def epsilon_auto(sub: Subdivision) -> float:
@@ -196,10 +212,16 @@ def _gl(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _nodes(lines, eps: float, order: int):
+# Most quadrature nodes built at once: a whole sample at order 24 (at most about
+# 23k nodes) is one group, while at order 300 each strip is a group of its own.
+_GROUP_NODES = 1 << 15
+
+
+def _rule(lines, eps: float, order: int):
     """Gauss-Legendre rule on the disk |y| < eps split at lines a*y1 + b*y2 = d.
 
-    Yields one strip at a time: nodes y (n, 2), W * mu and W * grad mu.
+    Yields groups of whole strips as arrays over (rows, pieces, order): piece
+    midpoints (..., 2), nodes (y1, y2), W * mu and W * grad mu as (y1, y2) parts.
     """
     gx, gw = _gl(order)
     cuts = set()
@@ -227,75 +249,72 @@ def _nodes(lines, eps: float, order: int):
         if t - bounds[-1] > 1e-13:
             bounds.append(t)
     bounds.append(eps)
+    los, his = np.array(bounds[:-1]), np.array(bounds[1:])
 
-    slope_walls = [(a, b, d) for a, b, d in lines if abs(a) >= 1e-14]
-    for lo, hi in zip(bounds, bounds[1:]):
-        mid, half = (lo + hi) / 2, (hi - lo) / 2
-        T = mid + half * gx
-        WT = half * gw
-        S = np.sqrt(np.maximum(eps * eps - T * T, 0.0))
-        crossings = [np.clip((d - b * T) / a, -S, S) for a, b, d in slope_walls]
-        edges_y1 = np.sort(np.stack([-S, *crossings, S], axis=1), axis=1)
-        lo1 = edges_y1[:, :-1]
-        hi1 = edges_y1[:, 1:]
-        mid1 = (lo1 + hi1) / 2
-        half1 = (hi1 - lo1) / 2
-        Y1 = mid1[:, :, None] + half1[:, :, None] * gx[None, None, :]
-        W = WT[:, None, None] * half1[:, :, None] * gw[None, None, :]
+    a, b, d = np.array([w for w in lines if abs(w[0]) >= 1e-14]).reshape(-1, 3).T
+    step = max(1, _GROUP_NODES // (order * order * (len(a) + 1)))
+    for k in range(0, len(los), step):
+        lo, hi = los[k : k + step], his[k : k + step]
+        T = ((lo + hi)[:, None] / 2 + (hi - lo)[:, None] / 2 * gx).ravel()
+        WT = ((hi - lo)[:, None] / 2 * gw).ravel()
+        S = np.sqrt(np.maximum(eps * eps - T * T, 0.0))[:, None]
+        crossings = np.clip((d - b * T[:, None]) / a, -S, S)
+        edges_y1 = np.sort(np.concatenate([-S, crossings, S], axis=1), axis=1)
+        mid1 = (edges_y1[:, :-1] + edges_y1[:, 1:]) / 2
+        half1 = (edges_y1[:, 1:] - edges_y1[:, :-1]) / 2
+        Y1 = mid1[..., None] + half1[..., None] * gx
         Y2 = np.broadcast_to(T[:, None, None], Y1.shape)
-        y = np.stack([Y1.ravel(), Y2.ravel()], axis=1)
-        r2 = y[:, 0] * y[:, 0] + y[:, 1] * y[:, 1]
+        r2 = Y1 * Y1 + (T * T)[:, None, None]
         ok = r2 < eps * eps * (1 - 1e-15)
-        inv = 1.0 / (r2[ok] - eps * eps)
-        wmu = np.zeros_like(r2)
-        wmu[ok] = W.ravel()[ok] * np.exp(inv)
-        wdmu = np.zeros_like(y)
-        wdmu[ok] = (-2.0 * wmu[ok] * inv * inv)[:, None] * y[ok]
-        yield y, wmu, wdmu
+        inv = 1.0 / np.where(ok, r2 - eps * eps, -1.0)
+        wmu = np.where(ok, (WT[:, None] * half1)[..., None] * gw * np.exp(inv), 0.0)
+        dmu = -2.0 * wmu * inv * inv
+        yield np.stack([mid1, Y2[..., 0]], axis=-1), (Y1, Y2), wmu, (dmu * Y1, dmu * Y2)
 
 
 @lru_cache(maxsize=None)
 def _disk_mass(eps: float, order: int) -> float:
-    return sum(float(np.sum(wmu)) for _, wmu, _ in _nodes([], eps, order))
+    return sum(float(np.sum(wmu)) for _, _, wmu, _ in _rule([], eps, order))
 
 
-def _quadrature(f, p: MollifierParams, x, terms):
-    """Sum of terms(W mu, W grad mu, x - y) over the split rule, and Z."""
+def _split_rule(f, p: MollifierParams, x):
+    """x as an array, and the groups of the rule split at the walls of f near x."""
     eps = float(p.epsilon)
-    order = int(p.quadrature_order)
     x = np.array([float(x[0]), float(x[1])])
     # wall lines in the y frame: a*y1 + b*y2 = d
-    lines = []
-    for a, b, c in f.walls():
-        d = a * x[0] + b * x[1] + c
-        if abs(d) <= eps + 1e-12:
-            lines.append((a, b, d))
-    total = 0.0
-    den = 0.0
-    for y, wmu, wdmu in _nodes(lines, eps, order):
-        total = total + terms(wmu, wdmu, x - y)
-        den += float(np.sum(wmu))
-    mass = _disk_mass(eps, order)
+    lines = [(a, b, a * x[0] + b * x[1] + c) for a, b, c in f.walls()]
+    return x, _rule([w for w in lines if abs(w[2]) <= eps + 1e-12], eps, int(p.quadrature_order))
+
+
+def _check_mass(den: float, p: MollifierParams) -> None:
+    mass = _disk_mass(float(p.epsilon), int(p.quadrature_order))
     if abs(den - mass) > 1e-6 * mass:
         raise LatticeError("quadrature order too low")
-    return total, den
 
 
 def mollify_eval(f, p: MollifierParams, x) -> float:
-    num, den = _quadrature(f, p, x, lambda wmu, wdmu, z: float(np.sum(wmu * f.value(z))))
+    x, groups = _split_rule(f, p, x)
+    num = den = 0.0
+    for _, (y1, y2), wmu, _ in groups:
+        num += float(np.sum(wmu.ravel() * f.value(x - np.stack([y1.ravel(), y2.ravel()], axis=1))))
+        den += float(np.sum(wmu))
+    _check_mass(den, p)
     return num / den
 
 
 def derivatives(f, p: MollifierParams, x):
     """Gradient (gx, gy) and Hessian ((h11, h12), (h12, h22)) of the smoothing at x."""
-
-    def terms(wmu, wdmu, z):
-        g = f.gradient(z)
-        return np.concatenate([np.einsum("n,ni->i", wmu, g), np.einsum("nj,ni->ji", wdmu, g).ravel()])
-
-    total, den = _quadrature(f, p, x, terms)
-    m = total[2:].reshape(2, 2) / den
-    return tuple((total[:2] / den).tolist()), tuple(map(tuple, ((m + m.T) / 2).tolist()))
+    x, groups = _split_rule(f, p, x)
+    mids, masses, dmasses = zip(
+        *((m, w.sum(axis=2), np.stack([dw1.sum(axis=2), dw2.sum(axis=2)], axis=-1)) for m, _, w, (dw1, dw2) in groups)
+    )
+    mass = np.concatenate(masses).ravel()
+    den = float(np.sum(mass))
+    _check_mass(den, p)
+    # no piece meets a wall, so grad f takes one value on each
+    g = f.gradient(x - np.concatenate(mids).reshape(-1, 2))
+    m = np.concatenate(dmasses).reshape(-1, 2).T @ g / den
+    return tuple((mass @ g / den).tolist()), tuple(map(tuple, ((m + m.T) / 2).tolist()))
 
 
 def grad(f, p: MollifierParams, x) -> tuple[float, float]:
@@ -331,6 +350,20 @@ def _dist_outside_hull(q, hull) -> float:
 
 
 @dataclass(frozen=True)
+class HessianSample:
+    point: tuple[float, float]
+    eigenvalues: tuple[float, float]
+
+
+@dataclass(frozen=True)
+class GradientSample:
+    point: tuple[float, float]
+    gradient: tuple[float, float]
+    gamma_distance: Optional[float]  # None near the fan vertex, where no edge of gamma applies
+    hull_excess: float
+
+
+@dataclass(frozen=True)
 class DefinitenessReport:
     convexity: str
     hessian_samples: int
@@ -340,6 +373,10 @@ class DefinitenessReport:
     max_gamma_distance: float
     grad_samples: int
     max_hull_excess: float
+    # the Hessian sample nearest to the wrong sign, and the gradient sample
+    # farthest from its edge of gamma or from the hull of gamma
+    worst_hessian: HessianSample
+    worst_gradient: GradientSample
 
     @property
     def ok(self) -> bool:
@@ -355,6 +392,8 @@ def check_hessian_definiteness(
 ) -> DefinitenessReport:
     if samples < 1:
         raise LatticeError(f"Hessian sample count must be positive, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise SizeLimitError(f"{samples} Hessian samples is above the limit of {MAX_SAMPLES}")
     convexity = is_strictly_convex(theta)
     if convexity == "neither":
         raise LatticeError("convexity required")
@@ -366,9 +405,8 @@ def check_hessian_definiteness(
     hull_pts = [np.array(g) for g in gamma]
 
     sign = 1.0 if convexity == "convex" else -1.0
-    failures = 0
-    min_abs = math.inf
-    grads = []
+    hessians = []
+    grads = []  # (point, gradient, distance to its edge of gamma or None)
 
     # near the fan vertex every direction bends: definite Hessian zone
     golden = math.pi * (3 - math.sqrt(5))
@@ -379,15 +417,10 @@ def check_hessian_definiteness(
         g, ((h11, h12), (_, h22)) = derivatives(f, p, b)
         tr, det = h11 + h22, h11 * h22 - h12 * h12
         disc = math.sqrt(max(tr * tr / 4 - det, 0.0))
-        eigs = (tr / 2 - disc, tr / 2 + disc)
-        if not all(sign * e > 0 for e in eigs):
-            failures += 1
-        min_abs = min(min_abs, abs(eigs[0]), abs(eigs[1]))
-        grads.append(g)
+        hessians.append(HessianSample(b, (tr / 2 - disc, tr / 2 + disc)))
+        grads.append((b, g, None))
 
     # far out along each ray only one edge bends: gradient walks the segment
-    max_gamma = 0.0
-    gamma_samples = 0
     per_ray = max(3, samples // (4 * r))
     for j, u in enumerate(rays):
         norm = math.hypot(*u)
@@ -402,11 +435,19 @@ def check_hessian_definiteness(
             rad = base * (1 + i)
             b = (rad * u[0] / norm, rad * u[1] / norm)
             g = grad(f, p, b)
-            max_gamma = max(max_gamma, _point_to_segment(g, seg_a, seg_b))
-            grads.append(g)
-            gamma_samples += 1
+            grads.append((b, g, _point_to_segment(g, seg_a, seg_b)))
 
-    max_excess = max(_dist_outside_hull(g, hull_pts) for g in grads)
+    checked = [GradientSample(b, g, dist, _dist_outside_hull(g, hull_pts)) for b, g, dist in grads]
+    gammas = [s.gamma_distance for s in checked if s.gamma_distance is not None]
     return DefinitenessReport(
-        convexity, samples, failures, min_abs, gamma_samples, max_gamma, len(grads), max_excess
+        convexity,
+        samples,
+        sum(not all(sign * e > 0 for e in s.eigenvalues) for s in hessians),
+        min(abs(e) for s in hessians for e in s.eigenvalues),
+        len(gammas),
+        max(gammas),
+        len(checked),
+        max(s.hull_excess for s in checked),
+        min(hessians, key=lambda s: min(sign * e for e in s.eigenvalues)),
+        max(checked, key=lambda s: max(s.gamma_distance or 0.0, s.hull_excess)),
     )

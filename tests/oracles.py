@@ -2,8 +2,9 @@
 
 These are the library's earlier implementations.  The library's results
 must equal theirs exactly: list for list for the kernel, value for value for
-the slopes and kinks, pointer and message for the input-document check.
-The per-point and sampled checks at the end serve only the tests.
+the slopes and kinks, pointer and message for the input-document check.  The
+per-node mollifier quadrature at the end must match the library's per-piece
+sums up to roundoff.  The per-point and sampled checks serve only the tests.
 """
 
 from __future__ import annotations
@@ -194,3 +195,88 @@ def spot_check_continuity(f, span: float = 2.0, count: int = 40) -> float:
             ref = f.value(base - s * 1e-9 * np.array([a, b]))
             worst = max(worst, float(np.max(np.abs(vals - ref))))
     return worst
+
+
+def _pointwise_nodes(lines, eps: float, order: int):
+    """The split Gauss-Legendre rule one strip at a time: nodes y (n, 2), W * mu and W * grad mu."""
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    cuts = set()
+    for a, b, d in lines:
+        if abs(a) < 1e-14:
+            cuts.add(d / b)
+        else:
+            disc = eps * eps * (a * a + b * b) - d * d
+            if disc > 0:
+                root = a * np.sqrt(disc)
+                base = b * d
+                s2 = a * a + b * b
+                cuts.add((base + root) / s2)
+                cuts.add((base - root) / s2)
+    for i, (a1, b1, d1) in enumerate(lines):
+        for a2, b2, d2 in lines[i + 1 :]:
+            det = a1 * b2 - a2 * b1
+            if abs(det) < 1e-14:
+                continue
+            cuts.add((a1 * d2 - a2 * d1) / det)
+    ts = sorted(t for t in cuts if -eps + 1e-13 < t < eps - 1e-13)
+    bounds = [-eps]
+    for t in ts:
+        if t - bounds[-1] > 1e-13:
+            bounds.append(t)
+    bounds.append(eps)
+
+    slope_walls = [(a, b, d) for a, b, d in lines if abs(a) >= 1e-14]
+    for lo, hi in zip(bounds, bounds[1:]):
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        T = mid + half * gx
+        WT = half * gw
+        S = np.sqrt(np.maximum(eps * eps - T * T, 0.0))
+        crossings = [np.clip((d - b * T) / a, -S, S) for a, b, d in slope_walls]
+        edges_y1 = np.sort(np.stack([-S, *crossings, S], axis=1), axis=1)
+        lo1 = edges_y1[:, :-1]
+        hi1 = edges_y1[:, 1:]
+        Y1 = ((lo1 + hi1) / 2)[:, :, None] + ((hi1 - lo1) / 2)[:, :, None] * gx[None, None, :]
+        W = WT[:, None, None] * ((hi1 - lo1) / 2)[:, :, None] * gw[None, None, :]
+        Y2 = np.broadcast_to(T[:, None, None], Y1.shape)
+        y = np.stack([Y1.ravel(), Y2.ravel()], axis=1)
+        r2 = y[:, 0] * y[:, 0] + y[:, 1] * y[:, 1]
+        ok = r2 < eps * eps * (1 - 1e-15)
+        inv = 1.0 / (r2[ok] - eps * eps)
+        wmu = np.zeros_like(r2)
+        wmu[ok] = W.ravel()[ok] * np.exp(inv)
+        wdmu = np.zeros_like(y)
+        wdmu[ok] = (-2.0 * wmu[ok] * inv * inv)[:, None] * y[ok]
+        yield y, wmu, wdmu
+
+
+def _pointwise_quadrature(f, p, x, terms):
+    eps = float(p.epsilon)
+    x = np.array([float(x[0]), float(x[1])])
+    lines = []
+    for a, b, c in f.walls():
+        d = a * x[0] + b * x[1] + c
+        if abs(d) <= eps + 1e-12:
+            lines.append((a, b, d))
+    total, den = 0.0, 0.0
+    for y, wmu, wdmu in _pointwise_nodes(lines, eps, int(p.quadrature_order)):
+        total = total + terms(wmu, wdmu, x - y)
+        den += float(np.sum(wmu))
+    return total, den
+
+
+def pointwise_mollify_eval(f, p, x) -> float:
+    """The smoothing at x with f evaluated at every node of the split rule."""
+    num, den = _pointwise_quadrature(f, p, x, lambda wmu, wdmu, z: float(np.sum(wmu * f.value(z))))
+    return num / den
+
+
+def pointwise_derivatives(f, p, x):
+    """Gradient and Hessian of the smoothing at x with grad f evaluated at every node."""
+
+    def terms(wmu, wdmu, z):
+        g = f.gradient(z)
+        return np.concatenate([np.einsum("n,ni->i", wmu, g), np.einsum("nj,ni->ji", wdmu, g).ravel()])
+
+    total, den = _pointwise_quadrature(f, p, x, terms)
+    m = total[2:].reshape(2, 2) / den
+    return tuple((total[:2] / den).tolist()), tuple(map(tuple, ((m + m.T) / 2).tolist()))

@@ -13,7 +13,7 @@ import pytest
 
 import tropcoh
 import tropcoh.cohomology as cohomology
-from tropcoh import cli
+from tropcoh import cli, smoothing
 from tropcoh.cohomology import (
     CohomologyDims,
     WindingTheoremReport,
@@ -364,6 +364,7 @@ def test_smooth_check(run):
     result = out_json(out)["result"]
     assert result["ok"] is True
     assert result["convexity"] == "convex"
+    assert "witness" not in result
 
 
 @pytest.mark.parametrize(
@@ -381,6 +382,105 @@ def test_smooth_check_rejects_bad_flags(run, flags, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--order", str(smoothing.MAX_QUADRATURE_ORDER + 1)), "quadrature order 401 is above the limit of 400"),
+        (("--samples", str(smoothing.MAX_SAMPLES + 1)), "10001 Hessian samples is above the limit of 10000"),
+    ],
+)
+def test_smooth_check_size_limits(run, monkeypatch, flags, message):
+    def refuse(*args):
+        raise AssertionError("quadrature started")
+
+    monkeypatch.setattr(smoothing, "_rule", refuse)
+    code, out, err = run("smooth-check", P2, "--ell", "cap_k1", *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_smooth_check_order_limit_in_the_document(run, fixture_dir, tmp_path):
+    raw = json.loads((fixture_dir / P2).read_bytes())
+    raw["options"] = {"quadrature_order": smoothing.MAX_QUADRATURE_ORDER + 1}
+    doc = tmp_path / "order.json"
+    doc.write_text(json.dumps(raw))
+    code, out, err = run("smooth-check", None, "--input", str(doc), "--ell", "cap_k1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: quadrature order 401 is above the limit of 400\n"
+
+
+def test_failed_hessian_sample_is_the_witness(run, monkeypatch):
+    real = smoothing.derivatives
+    bad = []
+
+    def flipped(f, p, x):
+        g, h = real(f, p, x)
+        if len(bad) == 2:  # the third Hessian sample turns negative definite
+            h = ((-2.0, 0.0), (0.0, -1.0))
+        bad.append(x)
+        return g, h
+
+    monkeypatch.setattr(smoothing, "derivatives", flipped)
+    code, out, _ = run("smooth-check", P2, "--ell", "cap_k1", "--samples", "4")
+    assert code == 1
+    result = out_json(out)["result"]
+    assert result["ok"] is False
+    assert result["hessian_failures"] == 1
+    assert result["witness"]["hessian"] == {"point": list(bad[2]), "eigenvalues": [-2.0, -1.0]}
+
+
+def test_failed_gradient_sample_is_the_witness(run, monkeypatch):
+    real = smoothing.grad
+    seen = []
+
+    def shifted(f, p, x):
+        g = real(f, p, x)
+        seen.append((x, g))
+        return (g[0] + 0.5, g[1]) if len(seen) == 2 else g
+
+    monkeypatch.setattr(smoothing, "grad", shifted)
+    code, out, _ = run("smooth-check", P2, "--ell", "cap_k1", "--samples", "4")
+    assert code == 1
+    result = out_json(out)["result"]
+    assert result["hessian_failures"] == 0
+    assert result["max_gamma_distance"] > 1e-5
+    witness = result["witness"]["gradient"]
+    point, g = seen[1]
+    assert witness["point"] == list(point)
+    assert witness["gradient"] == [g[0] + 0.5, g[1]]
+    assert witness["gamma_distance"] == result["max_gamma_distance"]
+    assert witness["hull_excess"] <= result["max_hull_excess"]
+
+
+@pytest.mark.parametrize(
+    "command", ["sphere", "winding", "cohomology", "verify-winding-theorem", "smooth-check"]
+)
+def test_negative_inline_ell_needs_no_equals_sign(run, command):
+    spaced = run(command, P2, "--ell", "-3,-3,-3")
+    joined = run(command, P2, "--ell=-3,-3,-3")
+    assert spaced == joined
+    assert spaced[0] == 0
+
+
+@pytest.mark.parametrize(
+    "command", ["sphere", "winding", "cohomology", "verify-winding-theorem", "smooth-check"]
+)
+def test_region_at_a_negative_vertex_needs_no_equals_sign(run, fixture_dir, tmp_path, command):
+    # p2 moved one step left: the bounded region is dual to (-1, 0)
+    raw = json.loads((fixture_dir / P2).read_bytes())
+    raw["points"] = [[x - 1, y] for x, y in raw["points"]]
+    raw["twisting_sets"] = {}
+    doc = tmp_path / "p2_left.json"
+    doc.write_text(json.dumps(raw))
+    spaced = run(command, None, "--input", str(doc), "--ell", "3,3,3", "--region", "-1,0")
+    joined = run(command, None, "--input", str(doc), "--ell", "3,3,3", "--region=-1,0")
+    assert spaced == joined
+    assert spaced[0] == 0
+    assert out_json(spaced[1])["result"]["region"] == [-1, 0]
 
 
 def test_missing_input_file(run, tmp_path):

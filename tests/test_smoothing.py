@@ -9,10 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import spot_check_continuity
+import tropcoh.smoothing as smoothing
+from oracles import pointwise_derivatives, pointwise_mollify_eval, spot_check_continuity
 from tropcoh.fan import make_fan
 from tropcoh.lattice import LatticeError
 from tropcoh.smoothing import (
+    MAX_QUADRATURE_ORDER,
+    MAX_SAMPLES,
     AffinePL,
     FanPL,
     MollifierParams,
@@ -26,6 +29,7 @@ from tropcoh.smoothing import (
     mollify_eval,
 )
 from tropcoh.spheres import theta_from_twisting, twisting
+from tropcoh.winding import SizeLimitError
 
 P2_NU = (0, 1, 1, 1)
 
@@ -260,3 +264,98 @@ def test_definiteness_rejects_non_positive_sample_counts(p2_theta, samples):
 def test_mollifier_radius_must_be_positive(eps):
     with pytest.raises(LatticeError, match="radius must be positive"):
         MollifierParams(eps)
+
+
+@pytest.mark.parametrize(
+    "kind, x",
+    [
+        ("fan", (0.01, 0.02)),  # near the vertex: every wall crosses the disk
+        ("fan", (1.5, 0.0)),  # on a wall
+        ("fan", (1.0, 0.05)),  # one wall crosses the disk
+        ("fan", (0.3, 0.3)),  # no wall crosses the disk
+        ("fan", (0.1, 0.5)),  # the wall x = 0 leaves the disk: empty pieces at the rim
+        ("subdivision", (0.2, 0.1)),  # inside the polygon
+        ("subdivision", (0.5, 0.0)),  # on an interior edge
+        ("subdivision", (2.0, 2.0)),  # in the slab of a hull edge
+        ("subdivision", (1.6, 0.6)),  # between a hull-edge slab and a hull-vertex wedge
+        ("subdivision", (3.0, 0.0)),  # in the wedge of a hull vertex
+    ],
+)
+def test_piecewise_quadrature_matches_the_pointwise_rule(p2_sub, p2_region, kind, x):
+    """One gradient per piece gives what grad f at every node gives, up to roundoff."""
+    if kind == "fan":
+        f = FanPL(theta_from_twisting(twisting(p2_region, (5, 5, 5))))
+    else:
+        f = SubdivisionPL(p2_sub, (0, 2, 1, 3))
+    p = MollifierParams(0.25)
+    (g, h), (g0, h0) = derivatives(f, p, x), pointwise_derivatives(f, p, x)
+    for got, want in zip((*g, *h[0], *h[1]), (*g0, *h0[0], *h0[1])):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (x, got, want)
+    want = pointwise_mollify_eval(f, p, x)
+    assert abs(mollify_eval(f, p, x) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_a_wall_crossing_clipped_at_the_rim_gives_an_empty_piece(p2_region):
+    f = FanPL(theta_from_twisting(twisting(p2_region, (5, 5, 5))))
+    eps = 0.25
+    _, groups = smoothing._split_rule(f, MollifierParams(eps), (0.1, 0.5))
+    mids = np.concatenate([m for m, _, _, _ in groups])
+    rim = np.sqrt(np.maximum(eps * eps - mids[:, 0, 1] ** 2, 0.0))
+    # a piece from a clipped crossing to the rim has its midpoint on the rim
+    assert np.any(np.abs(mids[:, :, 0]) == rim[:, None])
+
+
+def test_one_gradient_call_per_derivative(p2_region, monkeypatch):
+    f = FanPL(theta_from_twisting(twisting(p2_region, (5, 5, 5))))
+    p = MollifierParams(0.25)
+    rows = []
+    real = FanPL.gradient
+
+    def counted(self, pts):
+        rows.append(len(pts))
+        return real(self, pts)
+
+    monkeypatch.setattr(FanPL, "gradient", counted)
+    derivatives(f, p, (0.01, 0.02))
+    # 6 strips of 24 rows, each row cut into 3 pieces
+    assert rows == [432]
+    rows.clear()
+    pointwise_derivatives(f, p, (0.01, 0.02))
+    assert rows == [1728] * 6
+
+
+def test_boundary_points_inside_a_hull_edge_are_walls(a2d3_sub):
+    """Below the hull edge from (0, 0) to (6, 0) the extension bends over (4, 0).
+
+    (4, 0) is a boundary point in the middle of that hull edge, and no edge of
+    the subdivision lies on the vertical line through it.  Without the wall
+    x = 4 orders 24 and 300 differ by 8e-4 in value and 0.4 in h11.
+    """
+    f = SubdivisionPL(a2d3_sub, [(i * i) % 5 for i in range(len(a2d3_sub.points))])
+    x = (4.0, -0.3)
+    low, high = MollifierParams(0.25, 24), MollifierParams(0.25, 300)
+    assert abs(mollify_eval(f, low, x) - mollify_eval(f, high, x)) < 1e-12
+    assert np.allclose(hessian(f, low, x), hessian(f, high, x), rtol=0, atol=1e-7)
+
+
+def test_quadrature_order_limit():
+    assert MollifierParams(0.25, MAX_QUADRATURE_ORDER).quadrature_order == MAX_QUADRATURE_ORDER
+    with pytest.raises(SizeLimitError, match=f"above the limit of {MAX_QUADRATURE_ORDER}"):
+        MollifierParams(0.25, MAX_QUADRATURE_ORDER + 1)
+
+
+def test_sample_limit_is_checked_before_any_quadrature(p2_theta, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("quadrature started")
+
+    monkeypatch.setattr(smoothing, "_rule", refuse)
+    with pytest.raises(SizeLimitError, match=f"above the limit of {MAX_SAMPLES}"):
+        check_hessian_definiteness(p2_theta, MollifierParams(0.2), samples=MAX_SAMPLES + 1)
+
+
+def test_report_names_the_worst_samples(p2_theta):
+    rep = check_hessian_definiteness(p2_theta, MollifierParams(0.2), samples=8)
+    h, g = rep.worst_hessian, rep.worst_gradient
+    assert min(h.eigenvalues) == rep.min_abs_eigenvalue
+    assert g.hull_excess <= rep.max_hull_excess
+    assert max(g.gamma_distance or 0.0, g.hull_excess) == max(rep.max_gamma_distance, rep.max_hull_excess)
