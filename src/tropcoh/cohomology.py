@@ -14,9 +14,9 @@ from itertools import combinations
 from typing import Optional
 
 from .fan import Fan, is_smooth, self_intersections
-from .lattice import LatticeError, Vec, det2, dot, solve_dual
+from .lattice import LatticeError, Vec, cut_at_row, det2, dot, floor_sum, slabs, solve_dual
 from .spheres import SemiIntegralSupport, gamma_curve
-from .winding import check_rows, h_even_odd, winding_runs
+from .winding import SHORT_SLAB, check_rows, h_even_odd, winding_runs
 
 
 @dataclass(frozen=True)
@@ -135,73 +135,154 @@ def _search_box(fan: Fan, coeffs, margin: int) -> tuple[int, int, int, int]:
     )
 
 
-def pattern_runs(psi: ToricSupport, margin: int = 0):
-    """Yield (y, x0, x1, k, n): each lattice point x0 <= x < x1 of row y adds n to h^k.
+def _row_flips(rays, coeffs, box, y: int):
+    """Signs at (xmin, y), and the sorted (t, j) with xmin < t <= xmax.
 
-    On row y the value <m, u_j> + a_j is monotone in x, so each ray changes
-    sign at one integer threshold, and the cyclic sign pattern is constant
-    between consecutive thresholds.  A pattern that is all >= 0 adds one to
-    h^0, all < 0 one to h^2, and a mixed one (number of negative runs - 1) to
-    h^1; the runs of the search box that add nothing are skipped.  A point
-    that adds something on the box edge means the box is too small.
+    On row y the value <m, u_j> + a_j is monotone in x, so sign j flips at
+    one integer threshold t: between x = t - 1 and x = t.
     """
+    xmin, _, xmax, _ = box
+    signs = []
+    flips = []
+    for j, (u, a) in enumerate(zip(rays, coeffs)):
+        c = u[1] * y + a
+        signs.append(u[0] * xmin + c >= 0)
+        if u[0] > 0:
+            t = -(c // u[0])
+        elif u[0] < 0:
+            t = -c // u[0] + 1
+        else:
+            continue
+        if xmin < t <= xmax:
+            flips.append((t, j))
+    flips.sort()
+    return signs, flips
+
+
+def _slab_flips(rays, coeffs, box, lo: int, hi: int):
+    """Signs at (xmin, lo), and (sum of t over the rows lo..hi, j) in the slab's order.
+
+    Inside a slab no two level lines cross and none meets the box's vertical
+    edges, so the signs at xmin, the flips inside the box and their order
+    are those of every row.  The order is the exact crossing at the middle
+    row, then ceil before floor + 1 (the two meet on a level line through a
+    lattice point), then the index.
+    """
+    signs, flips = _row_flips(rays, coeffs, box, lo)
+    n = hi - lo + 1
+    order = []
+    for _, j in flips:
+        (u0, u1), a = rays[j], coeffs[j]
+        c = u1 * lo + a
+        if u0 > 0:
+            kind, total = 0, -floor_sum(n, u0, u1, c)
+        else:
+            kind, total = 1, floor_sum(n, -u0, u1, c) + n
+        order.append((Fraction(u1 * (lo + hi) + 2 * a, -2 * u0), kind, j, total))
+    order.sort()
+    return signs, [(total, j) for _, _, j, total in order]
+
+
+def _patterns(signs: list[bool], flips, lo: int, hi: int, edge: bool):
+    """Yield (x0, x1, k, n): the positions x0 <= x < x1 between flips add n to h^k each.
+
+    On a row, lo = xmin and hi = xmax + 1 bound the box and the flips are
+    the thresholds t.  On a slab of n rows, lo and hi are n times those and
+    the flips are the sums of t, so x1 - x0 is a run's total length.  A
+    pattern that is all >= 0 adds one to h^0, all < 0 one to h^2, and a mixed
+    one (number of negative runs - 1) to h^1; runs that add nothing are
+    skipped.  A run that adds something on an edge row, or at lo or hi,
+    means the box is too small.
+    """
+    r = len(signs)
+    positive = sum(signs)
+    runs = _minus_runs(signs)
+    x0 = lo
+    for t, j in flips + [(hi, None)]:
+        if t > x0:
+            if positive == r:
+                k, n = 0, 1
+            elif positive == 0:
+                k, n = 2, 1
+            else:
+                k, n = 1, runs - 1
+            if n:
+                if edge or x0 == lo or t == hi:
+                    raise LatticeError("search region too small")
+                yield x0, t, k, n
+            x0 = t
+        if j is None:
+            break
+        # flipping sign j can only start or end the blocks at j and j + 1
+        nxt = (j + 1) % r
+        runs -= _run_starts(signs, j) + _run_starts(signs, nxt)
+        signs[j] = not signs[j]
+        runs += _run_starts(signs, j) + _run_starts(signs, nxt)
+        positive += 1 if signs[j] else -1
+
+
+def _row_patterns(rays, coeffs, box, y: int):
+    xmin, ymin, xmax, ymax = box
+    signs, flips = _row_flips(rays, coeffs, box, y)
+    return _patterns(signs, flips, xmin, xmax + 1, y in (ymin, ymax))
+
+
+def _checked_box(psi: ToricSupport, margin: int):
     fan = psi.fan
     if not is_smooth(fan):
         raise LatticeError("fan not smooth")
     coeffs = divisor_coeffs(psi)
-    rays = fan.rays
-    r = len(rays)
-    xmin, ymin, xmax, ymax = _search_box(fan, coeffs, margin)
-    check_rows(ymax - ymin + 1, "the cohomology search box")
-    for y in range(ymin, ymax + 1):
-        signs = []
-        flips = []
-        for j, (u, a) in enumerate(zip(rays, coeffs)):
-            c = u[1] * y + a
-            signs.append(u[0] * xmin + c >= 0)
-            # the sign of u[0] * x + c changes between x = t - 1 and x = t
-            if u[0] > 0:
-                t = -(c // u[0])
-            elif u[0] < 0:
-                t = -c // u[0] + 1
-            else:
-                continue
-            if xmin < t <= xmax:
-                flips.append((t, j))
-        flips.sort()
-        flips.append((xmax + 1, None))
-        positive = sum(signs)
-        runs = _minus_runs(signs)
-        edge_row = y in (ymin, ymax)
-        x0 = xmin
-        for t, j in flips:
-            if t > x0:
-                if positive == r:
-                    k, n = 0, 1
-                elif positive == 0:
-                    k, n = 2, 1
-                else:
-                    k, n = 1, runs - 1
-                if n:
-                    if edge_row or x0 == xmin or t > xmax:
-                        raise LatticeError("search region too small")
-                    yield y, x0, t, k, n
-                x0 = t
-            if j is None:
-                break
-            # flipping sign j can only start or end the blocks at j and j + 1
-            nxt = (j + 1) % r
-            runs -= _run_starts(signs, j) + _run_starts(signs, nxt)
-            signs[j] = not signs[j]
-            runs += _run_starts(signs, j) + _run_starts(signs, nxt)
-            positive += 1 if signs[j] else -1
+    box = _search_box(fan, coeffs, margin)
+    check_rows(box[3] - box[1] + 1, "the cohomology search box")
+    return fan.rays, coeffs, box
+
+
+def pattern_runs(psi: ToricSupport, margin: int = 0):
+    """Yield (y, x0, x1, k, n): each lattice point x0 <= x < x1 of row y adds n to h^k.
+
+    Each ray changes sign at one integer threshold per row, and the cyclic
+    sign pattern is constant between consecutive thresholds.  A point that
+    adds something on the box edge means the box is too small.
+    """
+    rays, coeffs, box = _checked_box(psi, margin)
+    for y in range(box[1], box[3] + 1):
+        for x0, x1, k, n in _row_patterns(rays, coeffs, box, y):
+            yield y, x0, x1, k, n
 
 
 def cohomology_dims(psi: ToricSupport, margin: int = 0) -> CohomologyDims:
-    """Sum the sign-pattern runs of the search box padded by margin."""
+    """Sum the sign-pattern runs of the search box padded by margin, slab by slab.
+
+    The slabs start next to each crossing of two level lines and of a level
+    line with the box's vertical edges, and the two edge rows are slabs of
+    their own: O(r^2) slabs, each summed with O(r) floor_sums.
+    """
+    rays, coeffs, box = _checked_box(psi, margin)
+    xmin, ymin, xmax, ymax = box
+    if ymax - ymin + 1 <= len(rays) ** 2:
+        # fewer rows than slab cuts: every row is a slab of its own
+        starts = range(ymin, ymax + 1)
+    else:
+        starts = {ymin + 1, ymax}
+        for i, (u, a) in enumerate(zip(rays, coeffs)):
+            for v, b in zip(rays[:i], coeffs[:i]):
+                # the level lines of u and v meet at y = (v0 a - u0 b) / det(u, v)
+                cut_at_row(starts, v[0] * a - u[0] * b, det2(u, v))
+            if u[1]:
+                for x in (xmin, xmax):
+                    cut_at_row(starts, -(a + u[0] * x), u[1])
     dims = [0, 0, 0]
-    for _, x0, x1, k, n in pattern_runs(psi, margin):
-        dims[k] += n * (x1 - x0)
+    for lo, hi in slabs(starts, ymin, ymax):
+        if hi - lo < SHORT_SLAB:
+            pieces = [_row_patterns(rays, coeffs, box, y) for y in range(lo, hi + 1)]
+        else:
+            n = hi - lo + 1
+            signs, flips = _slab_flips(rays, coeffs, box, lo, hi)
+            edge = lo == ymin or hi == ymax
+            pieces = [_patterns(signs, flips, n * xmin, n * (xmax + 1), edge)]
+        for runs in pieces:
+            for x0, x1, k, count in runs:
+                dims[k] += count * (x1 - x0)
     return CohomologyDims(*dims)
 
 

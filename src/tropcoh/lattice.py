@@ -1,4 +1,4 @@
-"""Exact rank-two lattice arithmetic and small integer matrix kernels.
+"""Exact rank-two lattice arithmetic, small integer matrix kernels and floor sums.
 
 Everything here is plain integer or Fraction arithmetic; no floats.  Vectors
 are ordinary tuples so they stay hashable and JSON-friendly.
@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Vec = tuple[int, int]
 QVec = tuple[Fraction, Fraction]
@@ -74,6 +74,54 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
     return old_r, old_s, old_t
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a * i + b) / m) over 0 <= i < n, in O(log m) steps.
+
+    The Euclid-like recursion of the AtCoder Library (atcoder/math.hpp):
+    after a and b are reduced into [0, m), the sum counts the lattice points
+    under the line y = (a * x + b) / m, which is the same count with the axes
+    swapped and (m, a) replaced by (a, m mod a).
+    """
+    if n < 0 or m < 1:
+        raise LatticeError("floor_sum needs n >= 0 and m >= 1")
+    total = 0
+    while True:
+        # floor division reduces a negative a or b into [0, m) too
+        q, a = divmod(a, m)
+        total += n * (n - 1) // 2 * q
+        q, b = divmod(b, m)
+        total += n * q
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def cut_at_row(starts: set[int], p: int, q: int) -> None:
+    """Start slabs so that none holds rows on both sides of y = p / q.
+
+    A row y = p / q that is an integer becomes a slab of its own; q = 0
+    (parallel lines) cuts nothing.
+    """
+    if q == 0:
+        return
+    if q < 0:
+        p, q = -p, -q
+    starts.add(p // q + 1)
+    starts.add(-(-p // q))
+
+
+def slabs(starts: Iterable[int], first: int, last: int):
+    """Yield (a, b) for the slabs a <= y <= b that the starts cut [first, last] into."""
+    cuts = sorted(y for y in starts if first < y <= last)
+    a = first
+    for y in cuts:
+        yield a, y - 1
+        a = y
+    yield a, last
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> list[list[int]]:

@@ -96,11 +96,22 @@ def _half(x: Fraction) -> bool:
     return (2 * x).denominator == 1 and (2 * x).numerator % 2 == 1
 
 
+def _doubled(x) -> Optional[int]:
+    """2x as an int when x has denominator 1 or 2, else None."""
+    d = x.denominator
+    return 2 * x.numerator if d == 1 else x.numerator if d == 2 else None
+
+
 def _assert_semi_integral(fan: Fan, thetas) -> None:
     r = len(fan.rays)
     for j in range(r):
+        t0, t1 = _doubled(thetas[j][0]), _doubled(thetas[j][1])
         for k in (j, (j + 1) % r):
-            x = dot(thetas[j], fan.rays[k])
+            u = fan.rays[k]
+            # on the half lattice, theta pairs to a half-odd integer when (2 theta).u is odd
+            if t0 is not None and t1 is not None and (t0 * u[0] + t1 * u[1]) % 2:
+                continue
+            x = dot(thetas[j], u)
             if not _half(x):
                 raise LatticeError(f"cone {j}: theta pairs to {x} with ray {k}, not to a half-odd integer")
 

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import LatticeError, Vec, det2, dot
+from .lattice import LatticeError, Vec, cut_at_row, det2, dot, floor_sum, slabs
 from .spheres import GammaCurve, SemiIntegralSupport, gamma_curve, kinks_of_theta
 
 
@@ -25,6 +25,8 @@ class SizeLimitError(LatticeError):
 # A table lists every entry, so its box is capped; a sweep costs one pass per row.
 MAX_TABLE_POINTS = 2_000_000
 MAX_SWEEP_ROWS = 1_000_000
+# the totals sum a slab of at most this many rows row by row, which is cheaper there
+SHORT_SLAB = 4
 
 
 def check_rows(rows: int, what: str) -> None:
@@ -81,17 +83,14 @@ def winding(gamma: GammaCurve, m: Vec) -> int:
     return _cast(_doubled_vertices(gamma.vertices), m)
 
 
-def winding_runs(gamma: GammaCurve):
-    """Yield (y, x0, x1, w): the lattice points x0 <= x < x1 of row y wind w != 0 times.
+def _segments(gamma: GammaCurve) -> list[tuple[int, int, int, int, int, int]]:
+    """The non-horizontal segments as (y0, y1, n0, n1, den, sign), after the vertex checks.
 
-    Rows come in increasing order and runs from left to right.  Each curve
-    segment crosses row y at most once, under the same half-open rule as the
-    per-point cast, at X = 2 * x_c in doubled coordinates.  The point (x, y)
-    counts the crossing when x < x_c, that is when x < ceil(x_c), so every
-    segment gives one integer threshold and the winding number is constant
-    between consecutive thresholds.  A lattice point on the curve raises, as
-    it does in the per-point cast; a vertex that is a lattice point raises
-    before the sweep, since the half-open rule may give it to no segment.
+    Segment i crosses the rows y0 <= y <= y1 at x_c = (n0 + n1 * y) / den,
+    with den > 0, under the half-open rule of the per-point cast; sign is +1
+    for an upward segment.  A vertex that is a lattice point, or a horizontal
+    edge through one, raises here, since the half-open rule gives those
+    points to no segment.
     """
     doubled = _doubled_vertices(gamma.vertices)
     for x, y in doubled:
@@ -111,28 +110,68 @@ def winding_runs(gamma: GammaCurve):
         dy, dx = uy - ly, ux - lx
         # x_c = num / den with num = n0 + n1 * y on the rows ceil(ly/2) <= y < ceil(uy/2)
         segments.append((-(-ly // 2), -(-uy // 2) - 1, lx * dy - ly * dx, 2 * dx, 2 * dy, sign))
-    if not segments:
-        return
+    return segments
+
+
+def _row_cuts(segments, y: int) -> list[tuple[int, int]]:
+    """The thresholds (t, sign) of the segments on row y, in increasing order.
+
+    A lattice point on a segment raises, as it does in the per-point cast.
+    """
+    cuts = []
+    for y0, y1, n0, n1, den, sign in segments:
+        if y0 <= y <= y1:
+            num = n0 + n1 * y
+            q, rem = divmod(-num, den)
+            if rem == 0:
+                raise _on_curve((num // den, y))
+            cuts.append((-q, sign))
+    cuts.sort()
+    return cuts
+
+
+def _runs(cuts):
+    """Yield (x0, x1, w) between consecutive thresholds where the winding number w is not 0.
+
+    On a row the thresholds are integers t and a run is the lattice points
+    x0 <= x < x1.  On a slab they are the sums of t over its rows, so
+    x1 - x0 is the run's total length over the slab.
+    """
+    w = 0
+    prev = 0
+    for t, sign in cuts:
+        if w and t > prev:
+            yield prev, t, w
+        w -= sign
+        prev = t
+
+
+def _row_span(segments) -> tuple[int, int]:
     first = min(s[0] for s in segments)
     last = max(s[1] for s in segments)
     check_rows(last - first + 1, "the winding sweep")
+    return first, last
+
+
+def winding_runs(gamma: GammaCurve):
+    """Yield (y, x0, x1, w): the lattice points x0 <= x < x1 of row y wind w != 0 times.
+
+    Rows come in increasing order and runs from left to right.  Each curve
+    segment crosses row y at most once, under the same half-open rule as the
+    per-point cast, at X = 2 * x_c in doubled coordinates.  The point (x, y)
+    counts the crossing when x < x_c, that is when x < ceil(x_c), so every
+    segment gives one integer threshold and the winding number is constant
+    between consecutive thresholds.  A lattice point on the curve raises, as
+    it does in the per-point cast; a vertex that is a lattice point raises
+    before the sweep, since the half-open rule may give it to no segment.
+    """
+    segments = _segments(gamma)
+    if not segments:
+        return
+    first, last = _row_span(segments)
     for y in range(first, last + 1):
-        cuts = []
-        for y0, y1, n0, n1, den, sign in segments:
-            if y0 <= y <= y1:
-                num = n0 + n1 * y
-                q, rem = divmod(-num, den)
-                if rem == 0:
-                    raise _on_curve((num // den, y))
-                cuts.append((-q, sign))
-        cuts.sort()
-        w = 0
-        prev = 0
-        for t, sign in cuts:
-            if w and t > prev:
-                yield y, prev, t, w
-            w -= sign
-            prev = t
+        for x0, x1, w in _runs(_row_cuts(segments, y)):
+            yield y, x0, x1, w
 
 
 @dataclass(frozen=True)
@@ -169,14 +208,87 @@ def winding_table(theta: SemiIntegralSupport) -> WindingTable:
     return WindingTable(entries, (xmin, ymin, xmax, ymax))
 
 
+def _check_off_curve(segments) -> None:
+    """Raise for the lattice point on a segment that the row sweep would meet first.
+
+    That is the least row, then the first segment in list order: the least
+    y0 <= y <= y1 with n1 * y = -n0 (mod den).
+    """
+    found = None
+    for y0, y1, n0, n1, den, _ in segments:
+        g = math.gcd(n1, den)
+        if n0 % g:
+            continue
+        mod = den // g
+        root = -(n0 // g) * pow(n1 // g, -1, mod) % mod
+        y = y0 + (root - y0) % mod
+        if y <= y1 and (found is None or y < found[1]):
+            found = ((n0 + n1 * y) // den, y)
+    if found is not None:
+        raise _on_curve(found)
+
+
 def h_even_odd(theta: SemiIntegralSupport) -> tuple[int, int]:
-    """Totals of the positive and of the negative winding numbers, run by run."""
+    """Totals of the positive and of the negative winding numbers."""
+    return _curve_totals(gamma_curve(theta))
+
+
+def _slab_cuts(segments, a: int, b: int) -> list[tuple[int, int]]:
+    """(sum of t over the rows a..b, sign) per segment, in the left-to-right order of the slab.
+
+    No two segments cross inside a slab, so the order of their exact
+    crossings at the middle row, then the segment index for segments that
+    coincide, is their order on every row.
+    """
+    n = b - a + 1
+    cuts = []
+    for i, (y0, y1, n0, n1, den, sign) in enumerate(segments):
+        if y0 <= a and b <= y1:
+            # sum of ceil((n0 + n1 y) / den) over a <= y <= b
+            total = -floor_sum(n, den, -n1, -n0 - n1 * a)
+            cuts.append((Fraction(2 * n0 + n1 * (a + b), 2 * den), i, total, sign))
+    cuts.sort()
+    return [(total, sign) for _, _, total, sign in cuts]
+
+
+def _curve_totals(gamma: GammaCurve) -> tuple[int, int]:
+    """The totals of h_even_odd, slab by slab.
+
+    A slab is a range of rows on which every segment is either present on
+    all rows or on none, and no two segments cross, so the left-to-right
+    order of the thresholds is the same on every row.  Each run's total
+    length over the slab is then a difference of two sums of ceilings, each
+    summed in closed form by floor_sum.  The slabs start at the segment ends
+    and next to each crossing of two segments, which makes O(r^2) slabs.
+    """
+    segments = _segments(gamma)
+    if not segments:
+        return 0, 0
+    first, last = _row_span(segments)
+    _check_off_curve(segments)
+    if last - first + 1 <= len(segments) ** 2:
+        # fewer rows than slab cuts: every row is a slab of its own
+        starts = range(first, last + 1)
+    else:
+        starts = set()
+        for i, (y0, y1, n0, n1, den, _) in enumerate(segments):
+            starts.update((y0, y1 + 1))
+            for z0, z1, m0, m1, dem, _ in segments[:i]:
+                if max(y0, z0) <= min(y1, z1):
+                    # (n0 + n1 y) / den = (m0 + m1 y) / dem
+                    cut_at_row(starts, m0 * den - n0 * dem, n1 * dem - m1 * den)
     even = odd = 0
-    for _, x0, x1, w in winding_runs(gamma_curve(theta)):
-        if w > 0:
-            even += w * (x1 - x0)
+    for a, b in slabs(starts, first, last):
+        if b - a < SHORT_SLAB:
+            pieces = [_row_cuts(segments, y) for y in range(a, b + 1)]
         else:
-            odd -= w * (x1 - x0)
+            pieces = [_slab_cuts(segments, a, b)]
+        for cuts in pieces:
+            for x0, x1, w in _runs(cuts):
+                if w > 0:
+                    even += w * (x1 - x0)
+                else:
+                    odd -= w * (x1 - x0)
     return even, odd
 
 

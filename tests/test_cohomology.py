@@ -6,7 +6,7 @@ import pytest
 
 import tropcoh.cohomology as cohomology
 from box_scan import scan_cohomology_dims, sign_value
-from gen_cases import random_smooth_fan, riemann_roch
+from gen_cases import random_smooth_fan, random_theta, riemann_roch
 from tropcoh.cohomology import (
     CohomologyDims,
     ToricSupport,
@@ -15,6 +15,7 @@ from tropcoh.cohomology import (
     cohomology_dims,
     divisor_coeffs,
     p1_cohomology,
+    pattern_runs,
     psi_from_ray_values,
     psi_from_theta,
     restriction_degrees,
@@ -22,8 +23,16 @@ from tropcoh.cohomology import (
     verify_winding_theorem,
 )
 from tropcoh.fan import make_fan
+from tropcoh.io import parse_input
 from tropcoh.lattice import LatticeError
-from tropcoh.spheres import SemiIntegralSupport, gamma_curve, theta_from_twisting, twisting
+from tropcoh.spheres import (
+    SemiIntegralSupport,
+    gamma_curve,
+    kinks_of_theta,
+    theta_from_twisting,
+    twisting,
+)
+from tropcoh.tropical import region_at, tropical_curve
 from tropcoh.winding import winding
 
 P2_FAN_RAYS = [(1, 0), (0, 1), (-1, -1)]
@@ -196,8 +205,19 @@ def test_riemann_roch_on_the_worked_example(worked_psi):
 
 
 def test_verify_winding_theorem_far_beyond_the_box_scan(p2_region):
-    # the box scan tested about 2.5e7 points per count here; the sweeps take 5e3 rows
+    # the box scan tested about 2.5e7 points per count here; the slabs sum 5e3 rows in closed form
     k = 5000
+    theta = theta_from_twisting(twisting(p2_region, (2 * k + 1,) * 3))
+    rep = verify_winding_theorem(theta)
+    assert rep.ok and rep.witness is None
+    assert (rep.h_even, rep.h_odd) == (k * (k + 1) // 2, 0)
+    dims = rep.dims
+    assert dims.h0 - dims.h1 + dims.h2 == riemann_roch(psi_from_theta(theta))
+
+
+def test_verify_winding_theorem_at_twist_999999(p2_region):
+    # about 5e5 rows each: exact totals from a few slabs, well below MAX_SWEEP_ROWS
+    k = 499_999
     theta = theta_from_twisting(twisting(p2_region, (2 * k + 1,) * 3))
     rep = verify_winding_theorem(theta)
     assert rep.ok and rep.witness is None
@@ -236,3 +256,109 @@ def test_search_box_check_is_not_an_assert(p2_fan, monkeypatch):
     monkeypatch.setattr(cohomology, "det2", lambda u, v: 0)
     with pytest.raises(LatticeError, match="crossing level lines"):
         cohomology_dims(psi_from_ray_values(p2_fan, (1, 1, 1)))
+
+
+def _swept_dims(psi, margin=0):
+    dims = [0, 0, 0]
+    for _, x0, x1, k, n in pattern_runs(psi, margin):
+        dims[k] += n * (x1 - x0)
+    return CohomologyDims(*dims)
+
+
+def _slab_matches_sweep(psi, margin=0):
+    got = _outcome(cohomology_dims, psi, margin)
+    assert got == _outcome(_swept_dims, psi, margin), (psi.fan.rays, divisor_coeffs(psi), margin)
+    return got
+
+
+@pytest.fixture(params=["short-slabs-by-rows", "all-slabs-closed-form"])
+def closed_form_slabs(request, monkeypatch):
+    """Count the slabs summed in closed form; the second param sums one-row slabs that way too."""
+    if request.param == "all-slabs-closed-form":
+        monkeypatch.setattr(cohomology, "SHORT_SLAB", 0)
+    calls = []
+    slab_flips = cohomology._slab_flips
+
+    def counted(rays, coeffs, box, lo, hi):
+        calls.append(hi - lo + 1)
+        return slab_flips(rays, coeffs, box, lo, hi)
+
+    monkeypatch.setattr(cohomology, "_slab_flips", counted)
+    return calls
+
+
+def _scaled_psi(theta, factor):
+    ell = kinks_of_theta(theta).ell
+    return psi_from_theta(theta_from_twisting(twisting(theta.fan, tuple(factor * x for x in ell))))
+
+
+def test_slab_dims_match_the_sweep_on_random_thetas(closed_form_slabs):
+    outcomes = []
+    for seed in (97, 11, 2026):
+        rng = random.Random(seed)
+        for _ in range(60):
+            theta = random_theta(rng)
+            for factor in (1, 7):
+                for margin in (0, 3):
+                    outcomes.append(_slab_matches_sweep(_scaled_psi(theta, factor), margin))
+    assert sum(h1 > 0 for _, h1, _ in outcomes) > 300
+    assert sum(n > 1 for n in closed_form_slabs) > 300
+
+
+def test_slab_dims_match_the_sweep_on_the_fixture_sets(fixture_dir, closed_form_slabs):
+    checked = []
+    for path in sorted(fixture_dir.glob("*.json")):
+        doc = parse_input(path.read_bytes())
+        curve = tropical_curve(doc.subdivision())
+        for name, ts in sorted(doc.twisting_sets.items()):
+            try:
+                theta = theta_from_twisting(twisting(region_at(curve, ts.region), ts.values))
+            except LatticeError:
+                continue
+            for factor in (1, 5, 21):
+                checked.append(_slab_matches_sweep(_scaled_psi(theta, factor)))
+    assert len(checked) == 15
+    assert (10, 3, 0) in checked
+
+
+def test_slab_dims_match_the_sweep_on_the_p2_ladder(p2_region, closed_form_slabs):
+    for k in range(300):
+        for sign in (1, -1):
+            theta = theta_from_twisting(twisting(p2_region, (sign * (2 * k + 1),) * 3))
+            psi = psi_from_theta(theta)
+            dims = _slab_matches_sweep(psi)
+            assert dims[0] - dims[1] + dims[2] == riemann_roch(psi)
+    assert closed_form_slabs
+
+
+def test_slab_dims_match_the_sweep_on_random_supports(closed_form_slabs):
+    rng = random.Random(4412)
+    outcomes = set()
+    for _ in range(400):
+        fan = random_smooth_fan(rng, 3, 7)
+        spread = rng.choice((5, 30))
+        psi = psi_from_ray_values(fan, [rng.randrange(-spread, spread + 1) for _ in fan.rays])
+        for margin in (0, 3):
+            got = _slab_matches_sweep(psi, margin)
+            outcomes.add(tuple(map(bool, got)))
+    assert {(True, False, False), (False, True, False), (False, False, True)} <= outcomes
+    assert sum(n > 1 for n in closed_form_slabs) > 300
+
+
+def test_slab_dims_match_the_sweep_on_shifted_boxes(closed_form_slabs, monkeypatch):
+    """Boxes moved off the level lines' crossings: the same "search region too small" or dims."""
+    rng = random.Random(77)
+    search_box = cohomology._search_box
+    raised = 0
+    for _ in range(600):
+        fan = random_smooth_fan(rng, 3, 7)
+        psi = psi_from_ray_values(fan, [rng.randrange(-20, 21) for _ in fan.rays])
+        xmin, ymin, xmax, ymax = (b + rng.randrange(-4, 5) for b in search_box(fan, divisor_coeffs(psi), 0))
+        box = (xmin, ymin, max(xmin, xmax), max(ymin, ymax))
+        monkeypatch.setattr(cohomology, "_search_box", lambda fan, coeffs, margin: box)
+        got = _slab_matches_sweep(psi)
+        if isinstance(got, str):
+            assert got == "search region too small"
+            raised += 1
+    assert 200 < raised < 550
+    assert sum(n > 1 for n in closed_form_slabs) > 300

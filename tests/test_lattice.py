@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -12,13 +13,16 @@ from gen_cases import random_smooth_fan
 from oracles import dense_integer_kernel
 from tropcoh.lattice import (
     LatticeError,
+    cut_at_row,
     det2,
     dot,
+    floor_sum,
     integer_kernel,
     is_primitive,
     lex_positive,
     primitive,
     rot90,
+    slabs,
     solve_dual,
     vadd,
     vneg,
@@ -159,3 +163,61 @@ def test_solve_dual_reproduces_the_pairings(u, v, a, b):
     m = solve_dual(u, v, Fraction(a), Fraction(b))
     assert dot(m, u) == a
     assert dot(m, v) == b
+
+
+def brute_floor_sum(n, m, a, b):
+    return sum((a * i + b) // m for i in range(n))
+
+
+@given(st.integers(0, 60), st.integers(1, 60), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+@example(0, 1, 0, 0)
+@example(0, 7, -5, -9)
+@example(1, 1, -1, -1)
+@example(60, 1, -10**6, 10**6)
+def test_floor_sum_matches_the_brute_force_sum(n, m, a, b):
+    assert floor_sum(n, m, a, b) == brute_floor_sum(n, m, a, b)
+
+
+@pytest.mark.parametrize(
+    "n, m, a, b",
+    [
+        (0, 1, 5, 5),
+        (0, 10**30, -(10**40), 3),
+        (1, 1, 0, 0),
+        (5, 1, -3, -7),
+        (40, 10**20, 10**25 + 7, -(10**22) - 1),
+        (40, 10**20 + 3, -(10**25), 10**21),
+        (50, 7, -(10**30), -(10**30)),
+    ],
+)
+def test_floor_sum_on_edge_and_huge_arguments(n, m, a, b):
+    assert floor_sum(n, m, a, b) == brute_floor_sum(n, m, a, b)
+
+
+def test_floor_sum_of_a_huge_range_has_the_closed_forms():
+    n = 10**18 + 1
+    assert floor_sum(n, 1, 3, -5) == 3 * n * (n - 1) // 2 - 5 * n
+    assert floor_sum(n, 2, 1, 0) == (n - 1) ** 2 // 4
+    # reciprocity: sum of floor(a i / m) over 0 <= i < m is ((a-1)(m-1) + gcd(a, m) - 1) / 2
+    a, m = 10**17 + 9, 10**18 + 3
+    assert floor_sum(m, m, a, 0) == ((a - 1) * (m - 1) + gcd(a, m) - 1) // 2
+
+
+@pytest.mark.parametrize("n, m", [(-1, 1), (3, 0), (3, -2)])
+def test_floor_sum_rejects_a_negative_count_or_modulus(n, m):
+    with pytest.raises(LatticeError, match="n >= 0 and m >= 1"):
+        floor_sum(n, m, 1, 1)
+
+
+@given(st.integers(-40, 40), st.integers(-9, 9), st.integers(-30, 0), st.integers(0, 30))
+def test_slabs_never_straddle_a_cut_row(p, q, first, last):
+    starts = set()
+    cut_at_row(starts, p, q)
+    got = list(slabs(starts, first, last))
+    assert [y for a, b in got for y in range(a, b + 1)] == list(range(first, last + 1))
+    if q == 0:
+        assert got == [(first, last)]
+        return
+    y = Fraction(p, q)
+    for a, b in got:
+        assert b < y or a > y or a == b == y

@@ -1,17 +1,23 @@
 """Winding numbers of boundary value curves against two oracles."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+import tropcoh.winding as winding_module
 from box_scan import scan_winding_table
+from gen_cases import random_theta
 from oracles import convex_intersection_count
 from tropcoh.fan import make_fan
+from tropcoh.io import parse_input
 from tropcoh.lattice import LatticeError
-from tropcoh.spheres import GammaCurve, gamma_curve, theta_from_twisting, twisting
+from tropcoh.spheres import GammaCurve, gamma_curve, kinks_of_theta, theta_from_twisting, twisting
+from tropcoh.tropical import region_at, tropical_curve
 from tropcoh.winding import (
     GenericityError,
+    _curve_totals,
     h_even_odd,
     is_strictly_convex,
     probe_directions,
@@ -199,3 +205,105 @@ def test_counterclockwise_check_is_not_an_assert(p2_region, monkeypatch):
     monkeypatch.setattr(oracles, "gamma_curve", lambda _: flipped)
     with pytest.raises(LatticeError, match="must run counterclockwise"):
         convex_intersection_count(theta)
+
+
+def _swept_totals(gamma):
+    even = odd = 0
+    for _, x0, x1, w in winding_runs(gamma):
+        if w > 0:
+            even += w * (x1 - x0)
+        else:
+            odd -= w * (x1 - x0)
+    return even, odd
+
+
+def _outcome(count, gamma):
+    try:
+        return count(gamma)
+    except LatticeError as exc:
+        return str(exc)
+
+
+def _slab_matches_sweep(gamma):
+    got = _outcome(_curve_totals, gamma)
+    assert got == _outcome(_swept_totals, gamma), gamma.vertices
+    return got
+
+
+@pytest.fixture(params=["short-slabs-by-rows", "all-slabs-closed-form"])
+def closed_form_slabs(request, monkeypatch):
+    """Count the slabs summed in closed form; the second param sums one-row slabs that way too."""
+    if request.param == "all-slabs-closed-form":
+        monkeypatch.setattr(winding_module, "SHORT_SLAB", 0)
+    calls = []
+    slab_cuts = winding_module._slab_cuts
+
+    def counted(segments, a, b):
+        calls.append(b - a + 1)
+        return slab_cuts(segments, a, b)
+
+    monkeypatch.setattr(winding_module, "_slab_cuts", counted)
+    return calls
+
+
+def _scaled(theta, factor):
+    """The same fan with every twist times an odd factor: still admissible, and larger."""
+    ell = kinks_of_theta(theta).ell
+    return theta_from_twisting(twisting(theta.fan, tuple(factor * x for x in ell)))
+
+
+def test_slab_totals_match_the_sweep_on_random_thetas(closed_form_slabs):
+    outcomes = []
+    for seed in (97, 11, 2026):
+        rng = random.Random(seed)
+        for _ in range(60):
+            theta = random_theta(rng)
+            for factor in (1, 7):
+                outcomes.append(_slab_matches_sweep(gamma_curve(_scaled(theta, factor))))
+    assert sum(odd > 0 for _, odd in outcomes) > 100
+    assert sum(odd > 0 for _, odd in outcomes) > 300
+    assert sum(n > 1 for n in closed_form_slabs) > 300
+
+
+def test_slab_totals_match_the_sweep_on_the_fixture_sets(fixture_dir, closed_form_slabs):
+    checked = []
+    for path in sorted(fixture_dir.glob("*.json")):
+        doc = parse_input(path.read_bytes())
+        curve = tropical_curve(doc.subdivision())
+        for name, ts in sorted(doc.twisting_sets.items()):
+            try:
+                theta = theta_from_twisting(twisting(region_at(curve, ts.region), ts.values))
+            except LatticeError:
+                continue
+            for factor in (1, 5, 21):
+                checked.append(_slab_matches_sweep(gamma_curve(_scaled(theta, factor))))
+    assert len(checked) == 15
+    assert (10, 3) in checked
+
+
+def test_slab_totals_match_the_sweep_on_the_p2_ladder(p2_region, closed_form_slabs):
+    for k in range(300):
+        for sign in (1, -1):
+            theta = theta_from_twisting(twisting(p2_region, (sign * (2 * k + 1),) * 3))
+            assert _slab_matches_sweep(gamma_curve(theta)) == (k * (k + 1) // 2, 0)
+    assert closed_form_slabs
+
+
+def test_slab_totals_match_the_sweep_on_random_half_lattice_curves(closed_form_slabs):
+    """Random closed curves, most of them through a lattice point: the same message or totals."""
+    rng = random.Random(20261018)
+    messages = set()
+    raised = 0
+    for _ in range(3000):
+        size = rng.choice((3, 10, 40))
+        doubled = [
+            (rng.randrange(-size, size + 1), rng.randrange(-size, size + 1))
+            for _ in range(rng.randrange(3, 7))
+        ]
+        got = _slab_matches_sweep(_curve(doubled))
+        if isinstance(got, str):
+            raised += 1
+            messages.add(got)
+    assert 2000 < raised < 2900
+    assert len(messages) > 500
+    assert sum(n > 1 for n in closed_form_slabs) > 200
