@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
 from .fan import Fan, is_smooth, self_intersections
-from .lattice import LatticeError, Vec, cut_at_row, det2, dot, floor_sum, slabs, solve_dual
+from .lattice import (
+    LatticeError, Vec, as_ints, cut_at_row, det2, dot, dual_numerators, floor_sum, slabs, twice
+)
 from .spheres import SemiIntegralSupport, gamma_curve
 from .winding import SHORT_SLAB, check_rows, h_even_odd, winding_runs
 
@@ -37,13 +38,6 @@ class ToricSupport:
         return dot(self.parts[j], self.fan.rays[j])
 
 
-def _integral(v) -> Vec:
-    x, y = Fraction(v[0]), Fraction(v[1])
-    if x.denominator != 1 or y.denominator != 1:
-        raise LatticeError("parity violated")
-    return (int(x), int(y))
-
-
 def canonical_psi(fan: Fan) -> ToricSupport:
     """Support data of the canonical bundle: value -1 on every ray."""
     return psi_from_ray_values(fan, (-1,) * len(fan.rays))
@@ -53,25 +47,31 @@ def psi_from_ray_values(fan: Fan, values) -> ToricSupport:
     """Support data with the given value on each ray, in ray order."""
     if not is_smooth(fan):
         raise LatticeError("fan not smooth")
-    vals = tuple(int(v) for v in values)
+    vals = as_ints(values, "ray value")
     if len(vals) != len(fan.rays):
         raise LatticeError("one value per ray required")
-    r = len(fan.rays)
-    parts = []
-    for j in range(r):
-        part = solve_dual(fan.rays[j], fan.rays[(j + 1) % r], vals[j], vals[(j + 1) % r])
-        parts.append((int(part[0]), int(part[1])))
-    return ToricSupport(fan, tuple(parts))
+    rays = fan.rays
+    r = len(rays)
+    # every cone has det 1, so the numerators are the solve itself
+    parts = tuple(
+        dual_numerators(rays[j], rays[(j + 1) % r], vals[j], vals[(j + 1) % r]) for j in range(r)
+    )
+    return ToricSupport(fan, parts)
 
 
 def psi_from_theta(theta: SemiIntegralSupport) -> ToricSupport:
-    """Mirror bundle data: half the canonical parts minus the sphere parts."""
+    """Mirror bundle data: half the canonical parts minus the sphere parts.
+
+    Part j is (K_j - 2 theta_j) / 2, an integer pair exactly when the
+    canonical part and the doubled theta part agree mod 2.
+    """
     kc = canonical_psi(theta.fan)
     parts = []
-    for half, th in zip(kc.parts, theta.thetas):
-        parts.append(
-            _integral((Fraction(half[0], 2) - th[0], Fraction(half[1], 2) - th[1]))
-        )
+    for (k0, k1), th in zip(kc.parts, theta.thetas):
+        t = twice(th)
+        if t is None or (k0 - t[0]) % 2 or (k1 - t[1]) % 2:
+            raise LatticeError("parity violated")
+        parts.append(((k0 - t[0]) // 2, (k1 - t[1]) // 2))
     return ToricSupport(theta.fan, tuple(parts))
 
 
@@ -116,23 +116,30 @@ def _minus_runs(signs: list[bool]) -> int:
 
 
 def _search_box(fan: Fan, coeffs, margin: int) -> tuple[int, int, int, int]:
-    xs, ys = [], []
-    rays = fan.rays
-    for (i, u), (j, v) in combinations(enumerate(rays), 2):
-        if det2(u, v) == 0:
+    """The box of every crossing of two level lines, rounded outward and padded by 1 + margin.
+
+    The crossing of the level lines of u and v is m = (mx, my) / det(u, v);
+    one divmod per coordinate gives its floor and its ceiling.
+    """
+    floors, ceils = [], []
+    for (i, u), (j, v) in combinations(enumerate(fan.rays), 2):
+        d = det2(u, v)
+        if d == 0:
             continue
-        m = solve_dual(u, v, -coeffs[i], -coeffs[j])
-        xs.append(m[0])
-        ys.append(m[1])
-    if not xs:
+        a, b = -coeffs[i], -coeffs[j]
+        if d < 0:
+            d, a, b = -d, -a, -b
+        mx, my = dual_numerators(u, v, a, b)
+        qx, rx = divmod(mx, d)
+        qy, ry = divmod(my, d)
+        floors.append((qx, qy))
+        ceils.append((qx + (rx > 0), qy + (ry > 0)))
+    if not floors:
         raise LatticeError("a complete fan has crossing level lines")
     pad = 1 + margin
-    return (
-        math.floor(min(xs)) - pad,
-        math.floor(min(ys)) - pad,
-        math.ceil(max(xs)) + pad,
-        math.ceil(max(ys)) + pad,
-    )
+    xmin, ymin = map(min, zip(*floors))
+    xmax, ymax = map(max, zip(*ceils))
+    return (xmin - pad, ymin - pad, xmax + pad, ymax + pad)
 
 
 def _row_flips(rays, coeffs, box, y: int):
@@ -166,10 +173,13 @@ def _slab_flips(rays, coeffs, box, lo: int, hi: int):
     edges, so the signs at xmin, the flips inside the box and their order
     are those of every row.  The order is the exact crossing at the middle
     row, then ceil before floor + 1 (the two meet on a level line through a
-    lattice point), then the index.
+    lattice point), then the index.  The crossing
+    (u1 (lo + hi) + 2 a) / (-2 u0) is compared as its numerator scaled to
+    the least common multiple of the flips' 2 |u0|.
     """
     signs, flips = _row_flips(rays, coeffs, box, lo)
     n = hi - lo + 1
+    scale = math.lcm(*(2 * rays[j][0] for _, j in flips))
     order = []
     for _, j in flips:
         (u0, u1), a = rays[j], coeffs[j]
@@ -178,7 +188,7 @@ def _slab_flips(rays, coeffs, box, lo: int, hi: int):
             kind, total = 0, -floor_sum(n, u0, u1, c)
         else:
             kind, total = 1, floor_sum(n, -u0, u1, c) + n
-        order.append((Fraction(u1 * (lo + hi) + 2 * a, -2 * u0), kind, j, total))
+        order.append(((u1 * (lo + hi) + 2 * a) * (scale // (-2 * u0)), kind, j, total))
     order.sort()
     return signs, [(total, j) for _, _, j, total in order]
 

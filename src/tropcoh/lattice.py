@@ -2,14 +2,21 @@
 
 Everything here is plain integer or Fraction arithmetic; no floats.  Vectors
 are ordinary tuples so they stay hashable and JSON-friendly.
+
+Points of the half lattice (support parts theta, boundary curve vertices)
+are carried doubled, as integer pairs: `twice` reads a Fraction pair that
+way, and `dual_numerators` gives det(u, v) times the solution of a 2x2
+pairing system, which is the exact solution itself on a smooth cone
+(det = 1).  `solve_dual` is the same solve in Fractions.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import compress
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, int]
 QVec = tuple[Fraction, Fraction]
@@ -43,6 +50,35 @@ def det2(u: Sequence[int], v: Sequence[int]):
 def rot90(v):
     """Counterclockwise quarter turn."""
     return (-v[1], v[0])
+
+
+def as_ints(values, what: str) -> tuple[int, ...]:
+    """The entries as ints; an entry that is not an integer or an integral Fraction raises.
+
+    The message names the entry by what it is and its index, so 3.9 or 7/2
+    is refused rather than rounded toward zero.
+    """
+    values = tuple(values)
+    if all(type(x) is int for x in values):
+        return values
+    out = []
+    for j, x in enumerate(values):
+        if isinstance(x, Fraction) and x.denominator == 1:
+            x = x.numerator
+        try:
+            out.append(operator.index(x))
+        except TypeError:
+            raise LatticeError(f"{what} {j} is {x!r}, not an integer") from None
+    return tuple(out)
+
+
+def twice(v) -> Optional[Vec]:
+    """2v as an integer pair when both coordinates are integers or halves, else None."""
+    x, y = v
+    dx, dy = x.denominator, y.denominator
+    if dx > 2 or dy > 2:
+        return None
+    return (x.numerator * (2 // dx), y.numerator * (2 // dy))
 
 
 def primitive(v: Vec) -> Vec:
@@ -211,9 +247,15 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> l
     return kernel
 
 
+def dual_numerators(u: Vec, v: Vec, a, b) -> Vec:
+    """det(u, v) times the covector m with <m, u> = a and <m, v> = b."""
+    return (a * v[1] - b * u[1], b * u[0] - a * v[0])
+
+
 def solve_dual(u: Vec, v: Vec, a, b) -> QVec:
     """The covector m with <m, u> = a and <m, v> = b."""
     d = det2(u, v)
     if d == 0:
         raise LatticeError("singular system")
-    return (Fraction(a * v[1] - b * u[1], d), Fraction(b * u[0] - a * v[0], d))
+    m = dual_numerators(u, v, a, b)
+    return (Fraction(m[0], d), Fraction(m[1], d))

@@ -13,7 +13,7 @@ from typing import Mapping, Optional, Union
 
 from .bundles import KinkVector, _check_cocycle, _kink_entry, canonical_KC
 from .fan import Fan, balance, self_intersections
-from .lattice import LatticeError, QVec, Vec, dot, rot90, solve_dual
+from .lattice import LatticeError, QVec, Vec, as_ints, det2, dot, dual_numerators, twice
 from .polytope import ValidationIssue, ValidationReport, interior_edge_keys
 from .tropical import BoundedRegion
 
@@ -28,8 +28,8 @@ def _ell_tuple(ell, source: RegionOrFan) -> tuple[int, ...]:
     if isinstance(ell, Mapping):
         if isinstance(source, Fan):
             raise LatticeError("edge-keyed twisting numbers need a bounded region")
-        return tuple(int(ell[key]) for key in source.edge_keys)
-    return tuple(int(x) for x in ell)
+        ell = [ell[key] for key in source.edge_keys]
+    return as_ints(ell, "twisting number")
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,10 @@ def _check_twisting(ell, source: RegionOrFan) -> None:
 
 
 def twisting(source: RegionOrFan, ell) -> Twisting:
-    _check_twisting(ell, source)
+    values = _ell_tuple(ell, source)
+    _check_twisting(values, source)
     region = source if isinstance(source, BoundedRegion) else None
-    return Twisting(_fan_of(source), _ell_tuple(ell, source), region)
+    return Twisting(_fan_of(source), values, region)
 
 
 @dataclass(frozen=True)
@@ -96,24 +97,31 @@ def _half(x: Fraction) -> bool:
     return (2 * x).denominator == 1 and (2 * x).numerator % 2 == 1
 
 
-def _doubled(x) -> Optional[int]:
-    """2x as an int when x has denominator 1 or 2, else None."""
-    d = x.denominator
-    return 2 * x.numerator if d == 1 else x.numerator if d == 2 else None
+def _assert_semi_integral(fan: Fan, parts, thetas=()) -> None:
+    """Raise unless part j pairs to a half-odd integer with rays j and j + 1.
 
-
-def _assert_semi_integral(fan: Fan, thetas) -> None:
-    r = len(fan.rays)
-    for j in range(r):
-        t0, t1 = _doubled(thetas[j][0]), _doubled(thetas[j][1])
-        for k in (j, (j + 1) % r):
-            u = fan.rays[k]
-            # on the half lattice, theta pairs to a half-odd integer when (2 theta).u is odd
-            if t0 is not None and t1 is not None and (t0 * u[0] + t1 * u[1]) % 2:
+    parts holds each 2 theta_j as an integer pair, or None for a part off
+    the half lattice, which pairs through thetas[j] instead.
+    """
+    rays = fan.rays
+    for j, t in enumerate(parts):
+        for k in (j, (j + 1) % len(rays)):
+            u = rays[k]
+            if t is not None and dot(t, u) % 2:
                 continue
-            x = dot(thetas[j], u)
+            x = dot(thetas[j], u) if t is None else Fraction(dot(t, u), 2)
             if not _half(x):
                 raise LatticeError(f"cone {j}: theta pairs to {x} with ray {k}, not to a half-odd integer")
+
+
+def _doubled_seed(fan: Fan) -> Vec:
+    u0, u1 = fan.rays[0], fan.rays[1]
+    if det2(u0, u1) != 1:
+        raise LatticeError("fan not smooth")
+    # the seed is m / 2 mod 1 for the m with <m, u0> = <m, u1> = 1, and on a
+    # pair with det 1 the numerators are that m
+    x, y = dual_numerators(u0, u1, 1, 1)
+    return (x % 2, y % 2)
 
 
 def canonical_seed(fan: Fan) -> QVec:
@@ -122,49 +130,54 @@ def canonical_seed(fan: Fan) -> QVec:
     Reduced modulo the dual lattice into [0,1)^2, which makes it the lex
     smallest admissible choice.
     """
-    u0, u1 = fan.rays[0], fan.rays[1]
-    d0 = solve_dual(u0, u1, Fraction(1), Fraction(0))
-    d1 = solve_dual(u0, u1, Fraction(0), Fraction(1))
-    seed = ((d0[0] + d1[0]) / 2 % 1, (d0[1] + d1[1]) / 2 % 1)
-    return seed
+    x, y = _doubled_seed(fan)
+    return (Fraction(x, 2), Fraction(y, 2))
+
+
+def _doubled_thetas(fan: Fan, ell) -> list[Vec]:
+    """Every 2 theta_j: the doubled seed, then 2 theta_j = 2 theta_{j-1} + ell_j rot90(u_j)."""
+    rays = fan.rays
+    values = as_ints(ell, "twisting number")
+    if len(values) != len(rays):
+        raise LatticeError(f"{len(values)} twisting numbers for {len(rays)} edges")
+    x, y = _doubled_seed(fan)
+    parts = [(x, y)]
+    for (u0, u1), l in zip(rays[1:], values[1:]):
+        x, y = x - l * u1, y + l * u0
+        parts.append((x, y))
+    (u0, u1), l = rays[0], values[0]
+    if (x - l * u1, y + l * u0) != parts[0]:
+        raise LatticeError(f"twisting numbers {ell} do not close up around the fan")
+    _assert_semi_integral(fan, parts)
+    return parts
 
 
 def theta_from_twisting(tw: Twisting) -> SemiIntegralSupport:
     fan = tw.fan
-    _check_twisting(tw.ell, fan)
-    r = len(fan.rays)
-    thetas = [canonical_seed(fan)]
-    for j in range(1, r):
-        step = rot90(fan.rays[j])
-        half = Fraction(tw.ell[j], 2)
-        prev = thetas[-1]
-        thetas.append((prev[0] + half * step[0], prev[1] + half * step[1]))
-    step = rot90(fan.rays[0])
-    half = Fraction(tw.ell[0], 2)
-    closed = (thetas[-1][0] + half * step[0], thetas[-1][1] + half * step[1])
-    if closed != thetas[0]:
-        raise LatticeError(f"twisting numbers {tw.ell} do not close up around the fan")
-    _assert_semi_integral(fan, thetas)
-    return SemiIntegralSupport(fan, tuple(thetas), tw.region)
+    try:
+        parts = _doubled_thetas(fan, tw.ell)
+    except LatticeError:
+        # the recurrence closes up with half-odd pairings exactly when
+        # validate_twisting finds no issue, so a valid twisting is checked once
+        _check_twisting(tw.ell, fan)
+        raise
+    thetas = tuple((Fraction(x, 2), Fraction(y, 2)) for x, y in parts)
+    return SemiIntegralSupport(fan, thetas, tw.region)
 
 
 def kinks_of_theta(theta: SemiIntegralSupport) -> Twisting:
     fan = theta.fan
-    r = len(fan.rays)
+    parts = [twice(t) for t in theta.thetas]
     ell = []
-    for j in range(r):
-        delta = (
-            theta.thetas[j][0] - theta.thetas[j - 1][0],
-            theta.thetas[j][1] - theta.thetas[j - 1][1],
-        )
-        if dot(delta, fan.rays[j]) != 0:
+    for j, (u0, u1) in enumerate(fan.rays):
+        a, b = parts[j - 1], parts[j]
+        if a is None or b is None:
             raise LatticeError("not a support function on Σ_C")
-        step = rot90(fan.rays[j])
-        coeff = delta[0] / step[0] if step[0] != 0 else delta[1] / step[1]
-        two = 2 * coeff
-        if two.denominator != 1:
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        if dx * u0 + dy * u1 != 0:
             raise LatticeError("not a support function on Σ_C")
-        ell.append(int(two))
+        # an integer step orthogonal to the primitive u_j is ell_j rot90(u_j) = ell_j (-u1, u0)
+        ell.append(dy // u0 if u0 else -dx // u1)
     return Twisting(fan, tuple(ell), theta.region)
 
 
@@ -177,7 +190,7 @@ class GammaCurve:
 
 
 def gamma_curve(theta: SemiIntegralSupport) -> GammaCurve:
-    _assert_semi_integral(theta.fan, theta.thetas)
+    _assert_semi_integral(theta.fan, [twice(t) for t in theta.thetas], theta.thetas)
     return GammaCurve(theta.thetas, theta.fan)
 
 

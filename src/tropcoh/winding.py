@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import LatticeError, Vec, cut_at_row, det2, dot, floor_sum, slabs
+from .lattice import LatticeError, Vec, cut_at_row, det2, dot, floor_sum, slabs, twice
 from .spheres import GammaCurve, SemiIntegralSupport, gamma_curve, kinks_of_theta
 
 
@@ -38,12 +38,9 @@ def check_rows(rows: int, what: str) -> None:
 
 
 def _doubled_vertices(vertices) -> list[Vec]:
-    out = []
-    for v in vertices:
-        x2, y2 = 2 * Fraction(v[0]), 2 * Fraction(v[1])
-        if x2.denominator != 1 or y2.denominator != 1:
-            raise LatticeError("curve vertices must lie in the half lattice")
-        out.append((int(x2), int(y2)))
+    out = [twice(v) for v in vertices]
+    if None in out:
+        raise LatticeError("curve vertices must lie in the half lattice")
     return out
 
 
@@ -238,15 +235,18 @@ def _slab_cuts(segments, a: int, b: int) -> list[tuple[int, int]]:
 
     No two segments cross inside a slab, so the order of their exact
     crossings at the middle row, then the segment index for segments that
-    coincide, is their order on every row.
+    coincide, is their order on every row.  The crossing
+    (2 n0 + n1 (a + b)) / (2 den) is compared as its numerator scaled to the
+    least common multiple of the slab's 2 den.
     """
     n = b - a + 1
+    present = [(i, seg) for i, seg in enumerate(segments) if seg[0] <= a and b <= seg[1]]
+    scale = math.lcm(*(2 * seg[4] for _, seg in present))
     cuts = []
-    for i, (y0, y1, n0, n1, den, sign) in enumerate(segments):
-        if y0 <= a and b <= y1:
-            # sum of ceil((n0 + n1 y) / den) over a <= y <= b
-            total = -floor_sum(n, den, -n1, -n0 - n1 * a)
-            cuts.append((Fraction(2 * n0 + n1 * (a + b), 2 * den), i, total, sign))
+    for i, (_, _, n0, n1, den, sign) in present:
+        # sum of ceil((n0 + n1 y) / den) over a <= y <= b
+        total = -floor_sum(n, den, -n1, -n0 - n1 * a)
+        cuts.append(((2 * n0 + n1 * (a + b)) * (scale // (2 * den)), i, total, sign))
     cuts.sort()
     return [(total, sign) for _, _, total, sign in cuts]
 

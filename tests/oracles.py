@@ -2,16 +2,20 @@
 
 These are the library's earlier implementations.  The library's results
 must equal theirs exactly: list for list for the kernel, value for value for
-the slopes and kinks, pointer and message for the input-document check.  The
+the slopes and kinks, pointer and message for the input-document check, and
+value for value or message for message for the Fraction twist path (theta,
+its kinks, the mirror support, the search box and the slab orders).  The
 per-node mollifier quadrature at the end must match the library's per-piece
 sums up to roundoff.  The per-point and sampled checks serve only the tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import jsonschema
 import numpy as np
@@ -29,8 +33,11 @@ from tropcoh.lattice import (
     vneg,
     vsub,
 )
+from tropcoh.cohomology import ToricSupport, _row_flips
+from tropcoh.fan import Fan, is_smooth
+from tropcoh.lattice import floor_sum
 from tropcoh.polytope import Subdivision, edges
-from tropcoh.spheres import SemiIntegralSupport, gamma_curve
+from tropcoh.spheres import SemiIntegralSupport, Twisting, _check_twisting, gamma_curve
 from tropcoh.winding import _doubled_vertices, is_strictly_convex
 
 
@@ -280,3 +287,143 @@ def pointwise_derivatives(f, p, x):
     total, den = _pointwise_quadrature(f, p, x, terms)
     m = total[2:].reshape(2, 2) / den
     return tuple((total[:2] / den).tolist()), tuple(map(tuple, ((m + m.T) / 2).tolist()))
+
+
+# ------------------------------------------------- the twist path in Fractions
+
+
+def _half(x: Fraction) -> bool:
+    return (2 * x).denominator == 1 and (2 * x).numerator % 2 == 1
+
+
+def fraction_assert_semi_integral(fan: Fan, thetas) -> None:
+    r = len(fan.rays)
+    for j in range(r):
+        for k in (j, (j + 1) % r):
+            x = dot(thetas[j], fan.rays[k])
+            if not _half(x):
+                raise LatticeError(f"cone {j}: theta pairs to {x} with ray {k}, not to a half-odd integer")
+
+
+def fraction_canonical_seed(fan: Fan):
+    u0, u1 = fan.rays[0], fan.rays[1]
+    d0 = solve_dual(u0, u1, Fraction(1), Fraction(0))
+    d1 = solve_dual(u0, u1, Fraction(0), Fraction(1))
+    return ((d0[0] + d1[0]) / 2 % 1, (d0[1] + d1[1]) / 2 % 1)
+
+
+def fraction_theta_from_twisting(tw: Twisting) -> SemiIntegralSupport:
+    """Check, then step theta_j = theta_{j-1} + (ell_j / 2) rot90(u_j) in Fractions."""
+    fan = tw.fan
+    _check_twisting(tw.ell, fan)
+    r = len(fan.rays)
+    thetas = [fraction_canonical_seed(fan)]
+    for j in range(1, r):
+        step = rot90(fan.rays[j])
+        half = Fraction(tw.ell[j], 2)
+        prev = thetas[-1]
+        thetas.append((prev[0] + half * step[0], prev[1] + half * step[1]))
+    step = rot90(fan.rays[0])
+    half = Fraction(tw.ell[0], 2)
+    closed = (thetas[-1][0] + half * step[0], thetas[-1][1] + half * step[1])
+    if closed != thetas[0]:
+        raise LatticeError(f"twisting numbers {tw.ell} do not close up around the fan")
+    fraction_assert_semi_integral(fan, thetas)
+    return SemiIntegralSupport(fan, tuple(thetas), tw.region)
+
+
+def fraction_kinks_of_theta(theta: SemiIntegralSupport) -> tuple[int, ...]:
+    fan = theta.fan
+    ell = []
+    for j in range(len(fan.rays)):
+        delta = vsub(theta.thetas[j], theta.thetas[j - 1])
+        if dot(delta, fan.rays[j]) != 0:
+            raise LatticeError("not a support function on Σ_C")
+        step = rot90(fan.rays[j])
+        two = 2 * (delta[0] / step[0] if step[0] != 0 else delta[1] / step[1])
+        if two.denominator != 1:
+            raise LatticeError("not a support function on Σ_C")
+        ell.append(int(two))
+    return tuple(ell)
+
+
+def fraction_psi_from_ray_values(fan: Fan, values) -> ToricSupport:
+    if not is_smooth(fan):
+        raise LatticeError("fan not smooth")
+    if len(values) != len(fan.rays):
+        raise LatticeError("one value per ray required")
+    r = len(fan.rays)
+    parts = []
+    for j in range(r):
+        part = solve_dual(fan.rays[j], fan.rays[(j + 1) % r], values[j], values[(j + 1) % r])
+        parts.append((int(part[0]), int(part[1])))
+    return ToricSupport(fan, tuple(parts))
+
+
+def fraction_psi_from_theta(theta: SemiIntegralSupport) -> ToricSupport:
+    kc = fraction_psi_from_ray_values(theta.fan, (-1,) * len(theta.fan.rays))
+    parts = []
+    for half, th in zip(kc.parts, theta.thetas):
+        x, y = Fraction(half[0], 2) - th[0], Fraction(half[1], 2) - th[1]
+        if x.denominator != 1 or y.denominator != 1:
+            raise LatticeError("parity violated")
+        parts.append((int(x), int(y)))
+    return ToricSupport(theta.fan, tuple(parts))
+
+
+def fraction_search_box(fan: Fan, coeffs, margin: int) -> tuple[int, int, int, int]:
+    xs, ys = [], []
+    for (i, u), (j, v) in combinations(enumerate(fan.rays), 2):
+        if det2(u, v) == 0:
+            continue
+        m = solve_dual(u, v, -coeffs[i], -coeffs[j])
+        xs.append(m[0])
+        ys.append(m[1])
+    if not xs:
+        raise LatticeError("a complete fan has crossing level lines")
+    pad = 1 + margin
+    return (
+        math.floor(min(xs)) - pad,
+        math.floor(min(ys)) - pad,
+        math.ceil(max(xs)) + pad,
+        math.ceil(max(ys)) + pad,
+    )
+
+
+def fraction_doubled_vertices(vertices) -> list[Vec]:
+    out = []
+    for v in vertices:
+        x2, y2 = 2 * Fraction(v[0]), 2 * Fraction(v[1])
+        if x2.denominator != 1 or y2.denominator != 1:
+            raise LatticeError("curve vertices must lie in the half lattice")
+        out.append((int(x2), int(y2)))
+    return out
+
+
+def fraction_slab_cuts(segments, a: int, b: int) -> list[tuple[int, int]]:
+    """winding._slab_cuts ordered by the Fraction crossing at the middle row."""
+    n = b - a + 1
+    cuts = []
+    for i, (y0, y1, n0, n1, den, sign) in enumerate(segments):
+        if y0 <= a and b <= y1:
+            total = -floor_sum(n, den, -n1, -n0 - n1 * a)
+            cuts.append((Fraction(2 * n0 + n1 * (a + b), 2 * den), i, total, sign))
+    cuts.sort()
+    return [(total, sign) for _, _, total, sign in cuts]
+
+
+def fraction_slab_flips(rays, coeffs, box, lo: int, hi: int):
+    """cohomology._slab_flips ordered by the Fraction crossing at the middle row."""
+    signs, flips = _row_flips(rays, coeffs, box, lo)
+    n = hi - lo + 1
+    order = []
+    for _, j in flips:
+        (u0, u1), a = rays[j], coeffs[j]
+        c = u1 * lo + a
+        if u0 > 0:
+            kind, total = 0, -floor_sum(n, u0, u1, c)
+        else:
+            kind, total = 1, floor_sum(n, -u0, u1, c) + n
+        order.append((Fraction(u1 * (lo + hi) + 2 * a, -2 * u0), kind, j, total))
+    order.sort()
+    return signs, [(total, j) for _, _, j, total in order]

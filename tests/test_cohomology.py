@@ -1,6 +1,7 @@
 """Sign-pattern cohomology counts and the winding comparison."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -69,6 +70,27 @@ def test_psi_from_ray_values_round_trip(p2_fan):
 def test_psi_from_ray_values_length(p2_fan):
     with pytest.raises(LatticeError, match="one value per ray"):
         psi_from_ray_values(p2_fan, (1, 2))
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((1.5, 0, 0), "ray value 0 is 1.5, not an integer"),
+        ((0, Fraction(1, 2), 0), "ray value 1 is Fraction(1, 2), not an integer"),
+        ((0, 0, 2.0), "ray value 2 is 2.0, not an integer"),
+    ],
+)
+def test_psi_from_ray_values_refuses_entries_that_are_not_integers(p2_fan, values, message):
+    # int() used to cut these down to a support silently
+    with pytest.raises(LatticeError) as raised:
+        psi_from_ray_values(p2_fan, values)
+    assert str(raised.value) == message
+
+
+def test_psi_from_ray_values_takes_integral_fractions(p2_fan):
+    psi = psi_from_ray_values(p2_fan, (Fraction(2), -1, Fraction(8, 2)))
+    assert psi == psi_from_ray_values(p2_fan, (2, -1, 4))
+    assert all(type(x) is int for part in psi.parts for x in part)
 
 
 def test_toric_support_consistency_check(p2_fan):

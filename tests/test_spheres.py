@@ -65,6 +65,32 @@ def test_twisting_and_theta_name_every_issue(p2_region):
     assert str(raised.value) == both
 
 
+@pytest.mark.parametrize(
+    "ell, message",
+    [
+        ((3.9, 3, 3), "twisting number 0 is 3.9, not an integer"),
+        ((3, Fraction(7, 2), 3), "twisting number 1 is Fraction(7, 2), not an integer"),
+        ((3, 3, "3"), "twisting number 2 is '3', not an integer"),
+    ],
+)
+def test_twisting_refuses_entries_that_are_not_integers(p2_region, ell, message):
+    # int() used to cut these down, so (3.9, 3, 3) was taken for (3, 3, 3)
+    for source in (p2_region, p2_region.fan):
+        with pytest.raises(LatticeError) as raised:
+            twisting(source, ell)
+        assert str(raised.value) == message
+    keyed = dict(zip(p2_region.edge_keys, ell))
+    with pytest.raises(LatticeError) as raised:
+        twisting(p2_region, keyed)
+    assert str(raised.value) == message
+
+
+def test_twisting_takes_integral_fractions(p2_region):
+    tw = twisting(p2_region, (Fraction(3), Fraction(6, 2), 3))
+    assert tw.ell == (3, 3, 3)
+    assert all(type(x) is int for x in tw.ell)
+
+
 def test_twisting_keeps_region(p2_region):
     tw = twisting(p2_region, (3, 3, 3))
     assert tw.region is p2_region
