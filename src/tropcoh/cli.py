@@ -119,9 +119,12 @@ def _emit(args, result) -> None:
     else:
         payload, ext = report_bytes(args.command, result, args.seed), "json"
     if args.out:
-        directory = Path(args.out)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{args.command.replace('-', '_')}.{ext}").write_bytes(payload)
+        path = Path(args.out) / f"{args.command.replace('-', '_')}.{ext}"
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(payload)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(payload.decode("utf-8"))
 

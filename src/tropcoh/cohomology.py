@@ -7,17 +7,17 @@ the usual toric one, so external cross-checks must negate coefficients.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
 from .fan import Fan, is_smooth, self_intersections
 from .lattice import (
-    LatticeError, Vec, as_ints, cut_at_row, det2, dot, dual_numerators, floor_sum, slabs, twice
+    LatticeError, Vec, as_ints, cut_at_row, det2, dot, dual_numerators, row_thresholds,
+    threshold_slabs, twice,
 )
 from .spheres import SemiIntegralSupport, gamma_curve
-from .winding import SHORT_SLAB, check_rows, h_even_odd, winding_runs
+from .winding import check_rows, h_even_odd, winding_runs
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def _run_starts(signs: list[bool], j: int) -> bool:
 
 def _minus_runs(signs: list[bool]) -> int:
     """Number of maximal cyclic blocks of False entries."""
-    return sum(_run_starts(signs, j) for j in range(len(signs)))
+    return sum(prev and not cur for prev, cur in zip(signs[-1:] + signs, signs))
 
 
 def _search_box(fan: Fan, coeffs, margin: int) -> tuple[int, int, int, int]:
@@ -142,109 +142,106 @@ def _search_box(fan: Fan, coeffs, margin: int) -> tuple[int, int, int, int]:
     return (xmin - pad, ymin - pad, xmax + pad, ymax + pad)
 
 
-def _row_flips(rays, coeffs, box, y: int):
-    """Signs at (xmin, y), and the sorted (t, j) with xmin < t <= xmax.
+def _level_lines(rays, coeffs, box):
+    """Yield (j, line): the level line of each ray u_j with u0 != 0 as a threshold line.
 
-    On row y the value <m, u_j> + a_j is monotone in x, so sign j flips at
-    one integer threshold t: between x = t - 1 and x = t.
+    On row y the value <m, u_j> + a_j = u0 x + c, c = u1 y + a_j, is
+    monotone in x, so sign j flips at one integer threshold t.  For u0 > 0
+    the points x >= t are >= 0, with t = ceil(-c / u0): the line
+    (-a_j, -u1, u0).  For u0 < 0 the points x < t are >= 0, with
+    t = floor(c / -u0) + 1 = ceil((c + 1) / -u0): the line (a_j + 1, u1, -u0).
+    Each line spans the box's rows.
     """
-    xmin, _, xmax, _ = box
-    signs = []
-    flips = []
-    for j, (u, a) in enumerate(zip(rays, coeffs)):
-        c = u[1] * y + a
-        signs.append(u[0] * xmin + c >= 0)
-        if u[0] > 0:
-            t = -(c // u[0])
-        elif u[0] < 0:
-            t = -c // u[0] + 1
-        else:
-            continue
-        if xmin < t <= xmax:
-            flips.append((t, j))
-    flips.sort()
-    return signs, flips
-
-
-def _slab_flips(rays, coeffs, box, lo: int, hi: int):
-    """Signs at (xmin, lo), and (sum of t over the rows lo..hi, j) in the slab's order.
-
-    Inside a slab no two level lines cross and none meets the box's vertical
-    edges, so the signs at xmin, the flips inside the box and their order
-    are those of every row.  The order is the exact crossing at the middle
-    row, then ceil before floor + 1 (the two meet on a level line through a
-    lattice point), then the index.  The crossing
-    (u1 (lo + hi) + 2 a) / (-2 u0) is compared as its numerator scaled to
-    the least common multiple of the flips' 2 |u0|.
-    """
-    signs, flips = _row_flips(rays, coeffs, box, lo)
-    n = hi - lo + 1
-    scale = math.lcm(*(2 * rays[j][0] for _, j in flips))
-    order = []
-    for _, j in flips:
-        (u0, u1), a = rays[j], coeffs[j]
-        c = u1 * lo + a
+    ymin, ymax = box[1], box[3]
+    for j, ((u0, u1), a) in enumerate(zip(rays, coeffs)):
         if u0 > 0:
-            kind, total = 0, -floor_sum(n, u0, u1, c)
-        else:
-            kind, total = 1, floor_sum(n, -u0, u1, c) + n
-        order.append(((u1 * (lo + hi) + 2 * a) * (scale // (-2 * u0)), kind, j, total))
-    order.sort()
-    return signs, [(total, j) for _, _, j, total in order]
+            yield j, (ymin, ymax, -a, -u1, u0)
+        elif u0 < 0:
+            yield j, (ymin, ymax, a + 1, u1, -u0)
 
 
-def _patterns(signs: list[bool], flips, lo: int, hi: int, edge: bool):
-    """Yield (x0, x1, k, n): the positions x0 <= x < x1 between flips add n to h^k each.
+def _patterns(psi: ToricSupport, margin: int, by_slabs: bool):
+    """Yield (a, x0, x1, k, n): in the slab from row a, positions x0 <= x < x1 add n to h^k each.
 
-    On a row, lo = xmin and hi = xmax + 1 bound the box and the flips are
-    the thresholds t.  On a slab of n rows, lo and hi are n times those and
-    the flips are the sums of t, so x1 - x0 is a run's total length.  A
-    pattern that is all >= 0 adds one to h^0, all < 0 one to h^2, and a mixed
-    one (number of negative runs - 1) to h^1; runs that add nothing are
-    skipped.  A run that adds something on an edge row, or at lo or hi,
+    Left of every threshold the sign of ray j is < 0 for u0 > 0, >= 0 for
+    u0 < 0, and that of c = u1 y + a_j for u0 = 0; passing the threshold
+    (t, i) flips the sign of ray ray_of[i].  On a row, lo = xmin and
+    hi = xmax + 1 bound the box and the thresholds are the t; thresholds
+    at or left of lo flip before the first run, and the last run ends at
+    hi.  On a slab of n rows, lo and hi are n times those and the
+    thresholds are the sums of t, so x1 - x0 is a run's total length.  A
+    pattern that is all >= 0 adds one to h^0, all < 0 one to h^2, and a
+    mixed one (number of negative runs - 1) to h^1; runs that add nothing
+    are skipped.  A run that adds something on an edge row, or at lo or hi,
     means the box is too small.
+
+    Besides the cuts of lattice.threshold_slabs, the slabs start where a
+    level line meets the box's vertical edges and where c changes sign for
+    u0 = 0, and the two edge rows are slabs of their own.  by_slabs=False
+    yields every row.
     """
-    r = len(signs)
-    positive = sum(signs)
-    runs = _minus_runs(signs)
-    x0 = lo
-    for t, j in flips + [(hi, None)]:
-        if t > x0:
-            if positive == r:
-                k, n = 0, 1
-            elif positive == 0:
-                k, n = 2, 1
-            else:
-                k, n = 1, runs - 1
-            if n:
-                if edge or x0 == lo or t == hi:
-                    raise LatticeError("search region too small")
-                yield x0, t, k, n
-            x0 = t
-        if j is None:
-            break
-        # flipping sign j can only start or end the blocks at j and j + 1
-        nxt = (j + 1) % r
-        runs -= _run_starts(signs, j) + _run_starts(signs, nxt)
-        signs[j] = not signs[j]
-        runs += _run_starts(signs, j) + _run_starts(signs, nxt)
-        positive += 1 if signs[j] else -1
-
-
-def _row_patterns(rays, coeffs, box, y: int):
-    xmin, ymin, xmax, ymax = box
-    signs, flips = _row_flips(rays, coeffs, box, y)
-    return _patterns(signs, flips, xmin, xmax + 1, y in (ymin, ymax))
-
-
-def _checked_box(psi: ToricSupport, margin: int):
     fan = psi.fan
     if not is_smooth(fan):
         raise LatticeError("fan not smooth")
     coeffs = divisor_coeffs(psi)
     box = _search_box(fan, coeffs, margin)
-    check_rows(box[3] - box[1] + 1, "the cohomology search box")
-    return fan.rays, coeffs, box
+    xmin, ymin, xmax, ymax = box
+    check_rows(ymax - ymin + 1, "the cohomology search box")
+    ray_of, lines = zip(*_level_lines(fan.rays, coeffs, box))
+    r = len(fan.rays)
+    left = [u0 < 0 for u0, _ in fan.rays]
+    flat = [(j, u1, a) for j, ((u0, u1), a) in enumerate(zip(fan.rays, coeffs)) if u0 == 0]
+    starts = {ymin + 1, ymax}
+    for _, _, n0, n1, den in lines:
+        for x in (xmin, xmax):
+            # the threshold passes x where n0 + n1 y = den x
+            cut_at_row(starts, den * x - n0, n1)
+    for _, u1, a in flat:
+        cut_at_row(starts, -a, u1)
+    if by_slabs:
+        pieces = threshold_slabs(lines, ymin, ymax, starts)
+    else:
+        pieces = ((y, y, row_thresholds(lines, y)) for y in range(ymin, ymax + 1))
+    for a, b, thresholds in pieces:
+        lo, hi = (b - a + 1) * xmin, (b - a + 1) * (xmax + 1)
+        edge = a == ymin or a == ymax
+        signs = left.copy()
+        for j, u1, c in flat:
+            signs[j] = u1 * a + c >= 0
+        skip = 0
+        for t, i in thresholds:
+            if t > lo:
+                break
+            j = ray_of[i]
+            signs[j] = not signs[j]
+            skip += 1
+        positive = sum(signs)
+        runs = _minus_runs(signs)
+        x0 = lo
+        for t, i in thresholds[skip:] + [(hi, None)]:
+            if t > x0:
+                if t > hi:
+                    t = hi
+                if positive == r:
+                    k, n = 0, 1
+                elif positive == 0:
+                    k, n = 2, 1
+                else:
+                    k, n = 1, runs - 1
+                if n:
+                    if edge or x0 == lo or t == hi:
+                        raise LatticeError("search region too small")
+                    yield a, x0, t, k, n
+                x0 = t
+            if x0 == hi:
+                break
+            # flipping sign j can only start or end the blocks at j and j + 1
+            j = ray_of[i]
+            nxt = (j + 1) % r
+            runs -= _run_starts(signs, j) + _run_starts(signs, nxt)
+            signs[j] = not signs[j]
+            runs += _run_starts(signs, j) + _run_starts(signs, nxt)
+            positive += 1 if signs[j] else -1
 
 
 def pattern_runs(psi: ToricSupport, margin: int = 0):
@@ -254,45 +251,19 @@ def pattern_runs(psi: ToricSupport, margin: int = 0):
     sign pattern is constant between consecutive thresholds.  A point that
     adds something on the box edge means the box is too small.
     """
-    rays, coeffs, box = _checked_box(psi, margin)
-    for y in range(box[1], box[3] + 1):
-        for x0, x1, k, n in _row_patterns(rays, coeffs, box, y):
-            yield y, x0, x1, k, n
+    return _patterns(psi, margin, by_slabs=False)
 
 
 def cohomology_dims(psi: ToricSupport, margin: int = 0) -> CohomologyDims:
     """Sum the sign-pattern runs of the search box padded by margin, slab by slab.
 
-    The slabs start next to each crossing of two level lines and of a level
-    line with the box's vertical edges, and the two edge rows are slabs of
-    their own: O(r^2) slabs, each summed with O(r) floor_sums.
+    Inside a slab of _patterns no threshold crosses another or a vertical
+    box edge, so each run's total length is a difference of two sums of
+    ceilings: O(r^2) slabs, each summed with O(r) floor_sums.
     """
-    rays, coeffs, box = _checked_box(psi, margin)
-    xmin, ymin, xmax, ymax = box
-    if ymax - ymin + 1 <= len(rays) ** 2:
-        # fewer rows than slab cuts: every row is a slab of its own
-        starts = range(ymin, ymax + 1)
-    else:
-        starts = {ymin + 1, ymax}
-        for i, (u, a) in enumerate(zip(rays, coeffs)):
-            for v, b in zip(rays[:i], coeffs[:i]):
-                # the level lines of u and v meet at y = (v0 a - u0 b) / det(u, v)
-                cut_at_row(starts, v[0] * a - u[0] * b, det2(u, v))
-            if u[1]:
-                for x in (xmin, xmax):
-                    cut_at_row(starts, -(a + u[0] * x), u[1])
     dims = [0, 0, 0]
-    for lo, hi in slabs(starts, ymin, ymax):
-        if hi - lo < SHORT_SLAB:
-            pieces = [_row_patterns(rays, coeffs, box, y) for y in range(lo, hi + 1)]
-        else:
-            n = hi - lo + 1
-            signs, flips = _slab_flips(rays, coeffs, box, lo, hi)
-            edge = lo == ymin or hi == ymax
-            pieces = [_patterns(signs, flips, n * xmin, n * (xmax + 1), edge)]
-        for runs in pieces:
-            for x0, x1, k, count in runs:
-                dims[k] += count * (x1 - x0)
+    for _, x0, x1, k, n in _patterns(psi, margin, by_slabs=True):
+        dims[k] += n * (x1 - x0)
     return CohomologyDims(*dims)
 
 

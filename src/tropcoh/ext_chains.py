@@ -13,8 +13,12 @@ from typing import Optional
 
 from .cohomology import p1_cohomology
 from .lattice import LatticeError
+from .winding import SizeLimitError
 
 KINDS = ("point_intersection", "curve_in_surface", "surfaces_along_curve", "disjoint")
+
+# The report checks every pair of the 2d - 1 chain objects, so it grows as d^2.
+MAX_A2D_D = 200
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,8 @@ class A2dExample:
 def build_a2d_example(d: int) -> A2dExample:
     if d < 1:
         raise LatticeError("d must be positive")
+    if d > MAX_A2D_D:
+        raise SizeLimitError(f"the a2d chain at d = {d} is above the limit of d = {MAX_A2D_D}")
     K, ell, kappa = [], [], []
     for j in range(1, d):
         kj, lj = _KC(j), _ell(j)

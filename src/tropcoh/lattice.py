@@ -8,6 +8,10 @@ are carried doubled, as integer pairs: `twice` reads a Fraction pair that
 way, and `dual_numerators` gives det(u, v) times the solution of a 2x2
 pairing system, which is the exact solution itself on a smooth cone
 (det = 1).  `solve_dual` is the same solve in Fractions.
+
+The winding and cohomology counts share `threshold_slabs`: it cuts rows
+into slabs on which threshold lines keep their order, and sums each line's
+row thresholds ceil((n0 + n1 y) / den) over a slab with `floor_sum`.
 """
 
 from __future__ import annotations
@@ -15,11 +19,14 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import compress
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, int]
 QVec = tuple[Fraction, Fraction]
+
+# threshold_slabs sums a slab of at most this many rows row by row, which is cheaper there
+SHORT_SLAB = 4
 
 
 class LatticeError(ValueError):
@@ -158,6 +165,69 @@ def slabs(starts: Iterable[int], first: int, last: int):
         yield a, y - 1
         a = y
     yield a, last
+
+
+def row_thresholds(lines, y: int) -> list[tuple[int, int]]:
+    """(t, j) for each threshold line j present on row y, in increasing order of t, then j.
+
+    A line (y0, y1, n0, n1, den), with den > 0, is present on the rows
+    y0 <= y <= y1 and has the threshold t = ceil((n0 + n1 y) / den) there.
+    """
+    out = []
+    for j, (y0, y1, n0, n1, den) in enumerate(lines):
+        if y0 <= y <= y1:
+            out.append((-((-n0 - n1 * y) // den), j))
+    out.sort()
+    return out
+
+
+def slab_thresholds(lines, a: int, b: int) -> list[tuple[int, int]]:
+    """(sum of t over the rows a..b, j) per line present on them all, in the slab's order.
+
+    No two lines cross inside a slab, so the order of their exact values at
+    the middle row, then the index for lines that coincide, is their order
+    on every row.  The value (2 n0 + n1 (a + b)) / (2 den) is compared as
+    its numerator scaled to the least common multiple of the slab's 2 den.
+    """
+    n = b - a + 1
+    present = [(j, line) for j, line in enumerate(lines) if line[0] <= a and b <= line[1]]
+    scale = lcm(*(2 * line[4] for _, line in present))
+    order = []
+    for j, (_, _, n0, n1, den) in present:
+        total = -floor_sum(n, den, -n1, -n0 - n1 * a)
+        order.append(((2 * n0 + n1 * (a + b)) * (scale // (2 * den)), j, total))
+    order.sort()
+    return [(total, j) for _, j, total in order]
+
+
+def threshold_slabs(lines, first: int, last: int, starts: Iterable[int] = ()):
+    """Yield (a, b, thresholds) over the rows first..last, slab by slab.
+
+    The thresholds are those of row_thresholds on a row (a = b) and of
+    slab_thresholds on a longer slab: the (t, j) of the present lines in
+    left-to-right order, t summed over the slab's rows.  Slabs start at the
+    given starts, at the line ends and next to every crossing of two lines,
+    so inside one every line is present on all rows or on none and the
+    order is the same on every row.  With no more rows than lines squared,
+    and on slabs of at most SHORT_SLAB rows, the rows come one at a time.
+    """
+    if last - first + 1 <= len(lines) ** 2:
+        for y in range(first, last + 1):
+            yield y, y, row_thresholds(lines, y)
+        return
+    starts = set(starts)
+    for i, (y0, y1, n0, n1, den) in enumerate(lines):
+        starts.update((y0, y1 + 1))
+        for z0, z1, m0, m1, dem in lines[:i]:
+            if max(y0, z0) <= min(y1, z1):
+                # (n0 + n1 y) / den = (m0 + m1 y) / dem
+                cut_at_row(starts, m0 * den - n0 * dem, n1 * dem - m1 * den)
+    for a, b in slabs(starts, first, last):
+        if b - a < SHORT_SLAB:
+            for y in range(a, b + 1):
+                yield y, y, row_thresholds(lines, y)
+        else:
+            yield a, b, slab_thresholds(lines, a, b)
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> list[list[int]]:

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import LatticeError, Vec, cut_at_row, det2, dot, floor_sum, slabs, twice
+from .lattice import LatticeError, Vec, det2, dot, row_thresholds, threshold_slabs, twice
 from .spheres import GammaCurve, SemiIntegralSupport, gamma_curve, kinks_of_theta
 
 
@@ -25,8 +25,6 @@ class SizeLimitError(LatticeError):
 # A table lists every entry, so its box is capped; a sweep costs one pass per row.
 MAX_TABLE_POINTS = 2_000_000
 MAX_SWEEP_ROWS = 1_000_000
-# the totals sum a slab of at most this many rows row by row, which is cheaper there
-SHORT_SLAB = 4
 
 
 def check_rows(rows: int, what: str) -> None:
@@ -80,20 +78,20 @@ def winding(gamma: GammaCurve, m: Vec) -> int:
     return _cast(_doubled_vertices(gamma.vertices), m)
 
 
-def _segments(gamma: GammaCurve) -> list[tuple[int, int, int, int, int, int]]:
-    """The non-horizontal segments as (y0, y1, n0, n1, den, sign), after the vertex checks.
+def _segments(gamma: GammaCurve) -> tuple[list[tuple[int, int, int, int, int]], list[int]]:
+    """The non-horizontal segments as threshold lines (y0, y1, n0, n1, den), and their signs.
 
-    Segment i crosses the rows y0 <= y <= y1 at x_c = (n0 + n1 * y) / den,
-    with den > 0, under the half-open rule of the per-point cast; sign is +1
-    for an upward segment.  A vertex that is a lattice point, or a horizontal
-    edge through one, raises here, since the half-open rule gives those
-    points to no segment.
+    Segment j crosses the rows y0 <= y <= y1 at x_c = (n0 + n1 * y) / den,
+    with den > 0, under the half-open rule of the per-point cast; its sign
+    is +1 for an upward segment.  A vertex that is a lattice point, or a
+    horizontal edge through one, raises here, since the half-open rule gives
+    those points to no segment.
     """
     doubled = _doubled_vertices(gamma.vertices)
     for x, y in doubled:
         if x % 2 == 0 and y % 2 == 0:
             raise _on_curve((x // 2, y // 2))
-    segments = []
+    lines, signs = [], []
     for i in range(len(doubled)):
         (ax, ay), (bx, by) = doubled[i - 1], doubled[i]
         if ay == by:
@@ -106,47 +104,35 @@ def _segments(gamma: GammaCurve) -> list[tuple[int, int, int, int, int, int]]:
         (lx, ly), (ux, uy) = ((ax, ay), (bx, by)) if sign > 0 else ((bx, by), (ax, ay))
         dy, dx = uy - ly, ux - lx
         # x_c = num / den with num = n0 + n1 * y on the rows ceil(ly/2) <= y < ceil(uy/2)
-        segments.append((-(-ly // 2), -(-uy // 2) - 1, lx * dy - ly * dx, 2 * dx, 2 * dy, sign))
-    return segments
+        lines.append((-(-ly // 2), -(-uy // 2) - 1, lx * dy - ly * dx, 2 * dx, 2 * dy))
+        signs.append(sign)
+    return lines, signs
 
 
-def _row_cuts(segments, y: int) -> list[tuple[int, int]]:
-    """The thresholds (t, sign) of the segments on row y, in increasing order.
-
-    A lattice point on a segment raises, as it does in the per-point cast.
-    """
-    cuts = []
-    for y0, y1, n0, n1, den, sign in segments:
-        if y0 <= y <= y1:
-            num = n0 + n1 * y
-            q, rem = divmod(-num, den)
-            if rem == 0:
-                raise _on_curve((num // den, y))
-            cuts.append((-q, sign))
-    cuts.sort()
-    return cuts
-
-
-def _runs(cuts):
+def _runs(thresholds, signs):
     """Yield (x0, x1, w) between consecutive thresholds where the winding number w is not 0.
 
     On a row the thresholds are integers t and a run is the lattice points
     x0 <= x < x1.  On a slab they are the sums of t over its rows, so
-    x1 - x0 is the run's total length over the slab.
+    x1 - x0 is the run's total length over the slab.  The point left of
+    every threshold winds 0 times; passing segment j's threshold subtracts
+    signs[j].
     """
     w = 0
     prev = 0
-    for t, sign in cuts:
+    for t, j in thresholds:
         if w and t > prev:
             yield prev, t, w
-        w -= sign
+        w -= signs[j]
         prev = t
 
 
-def _row_span(segments) -> tuple[int, int]:
-    first = min(s[0] for s in segments)
-    last = max(s[1] for s in segments)
+def _checked_rows(lines) -> tuple[int, int]:
+    """The first and last row of the lines, after the row limit and _check_off_curve."""
+    first = min(line[0] for line in lines)
+    last = max(line[1] for line in lines)
     check_rows(last - first + 1, "the winding sweep")
+    _check_off_curve(lines)
     return first, last
 
 
@@ -158,16 +144,17 @@ def winding_runs(gamma: GammaCurve):
     per-point cast, at X = 2 * x_c in doubled coordinates.  The point (x, y)
     counts the crossing when x < x_c, that is when x < ceil(x_c), so every
     segment gives one integer threshold and the winding number is constant
-    between consecutive thresholds.  A lattice point on the curve raises, as
-    it does in the per-point cast; a vertex that is a lattice point raises
-    before the sweep, since the half-open rule may give it to no segment.
+    between consecutive thresholds.  A lattice point on the curve raises
+    before the sweep starts, naming the first one by row, and so does a
+    vertex that is a lattice point, since the half-open rule may give it to
+    no segment.
     """
-    segments = _segments(gamma)
-    if not segments:
+    lines, signs = _segments(gamma)
+    if not lines:
         return
-    first, last = _row_span(segments)
+    first, last = _checked_rows(lines)
     for y in range(first, last + 1):
-        for x0, x1, w in _runs(_row_cuts(segments, y)):
+        for x0, x1, w in _runs(row_thresholds(lines, y), signs):
             yield y, x0, x1, w
 
 
@@ -205,14 +192,14 @@ def winding_table(theta: SemiIntegralSupport) -> WindingTable:
     return WindingTable(entries, (xmin, ymin, xmax, ymax))
 
 
-def _check_off_curve(segments) -> None:
+def _check_off_curve(lines) -> None:
     """Raise for the lattice point on a segment that the row sweep would meet first.
 
     That is the least row, then the first segment in list order: the least
     y0 <= y <= y1 with n1 * y = -n0 (mod den).
     """
     found = None
-    for y0, y1, n0, n1, den, _ in segments:
+    for y0, y1, n0, n1, den in lines:
         g = math.gcd(n1, den)
         if n0 % g:
             continue
@@ -230,65 +217,25 @@ def h_even_odd(theta: SemiIntegralSupport) -> tuple[int, int]:
     return _curve_totals(gamma_curve(theta))
 
 
-def _slab_cuts(segments, a: int, b: int) -> list[tuple[int, int]]:
-    """(sum of t over the rows a..b, sign) per segment, in the left-to-right order of the slab.
-
-    No two segments cross inside a slab, so the order of their exact
-    crossings at the middle row, then the segment index for segments that
-    coincide, is their order on every row.  The crossing
-    (2 n0 + n1 (a + b)) / (2 den) is compared as its numerator scaled to the
-    least common multiple of the slab's 2 den.
-    """
-    n = b - a + 1
-    present = [(i, seg) for i, seg in enumerate(segments) if seg[0] <= a and b <= seg[1]]
-    scale = math.lcm(*(2 * seg[4] for _, seg in present))
-    cuts = []
-    for i, (_, _, n0, n1, den, sign) in present:
-        # sum of ceil((n0 + n1 y) / den) over a <= y <= b
-        total = -floor_sum(n, den, -n1, -n0 - n1 * a)
-        cuts.append(((2 * n0 + n1 * (a + b)) * (scale // (2 * den)), i, total, sign))
-    cuts.sort()
-    return [(total, sign) for _, _, total, sign in cuts]
-
-
 def _curve_totals(gamma: GammaCurve) -> tuple[int, int]:
     """The totals of h_even_odd, slab by slab.
 
-    A slab is a range of rows on which every segment is either present on
-    all rows or on none, and no two segments cross, so the left-to-right
-    order of the thresholds is the same on every row.  Each run's total
-    length over the slab is then a difference of two sums of ceilings, each
-    summed in closed form by floor_sum.  The slabs start at the segment ends
-    and next to each crossing of two segments, which makes O(r^2) slabs.
+    lattice.threshold_slabs cuts the rows into slabs on which the
+    left-to-right order of the segments' thresholds is the same on every
+    row, so each run's total length over a slab is a difference of two sums
+    of ceilings, each summed in closed form by floor_sum.
     """
-    segments = _segments(gamma)
-    if not segments:
+    lines, signs = _segments(gamma)
+    if not lines:
         return 0, 0
-    first, last = _row_span(segments)
-    _check_off_curve(segments)
-    if last - first + 1 <= len(segments) ** 2:
-        # fewer rows than slab cuts: every row is a slab of its own
-        starts = range(first, last + 1)
-    else:
-        starts = set()
-        for i, (y0, y1, n0, n1, den, _) in enumerate(segments):
-            starts.update((y0, y1 + 1))
-            for z0, z1, m0, m1, dem, _ in segments[:i]:
-                if max(y0, z0) <= min(y1, z1):
-                    # (n0 + n1 y) / den = (m0 + m1 y) / dem
-                    cut_at_row(starts, m0 * den - n0 * dem, n1 * dem - m1 * den)
+    first, last = _checked_rows(lines)
     even = odd = 0
-    for a, b in slabs(starts, first, last):
-        if b - a < SHORT_SLAB:
-            pieces = [_row_cuts(segments, y) for y in range(a, b + 1)]
-        else:
-            pieces = [_slab_cuts(segments, a, b)]
-        for cuts in pieces:
-            for x0, x1, w in _runs(cuts):
-                if w > 0:
-                    even += w * (x1 - x0)
-                else:
-                    odd -= w * (x1 - x0)
+    for _, _, thresholds in threshold_slabs(lines, first, last):
+        for x0, x1, w in _runs(thresholds, signs):
+            if w > 0:
+                even += w * (x1 - x0)
+            else:
+                odd -= w * (x1 - x0)
     return even, odd
 
 

@@ -33,12 +33,12 @@ from tropcoh.lattice import (
     vneg,
     vsub,
 )
-from tropcoh.cohomology import ToricSupport, _row_flips
+from tropcoh.cohomology import ToricSupport
 from tropcoh.fan import Fan, is_smooth
 from tropcoh.lattice import floor_sum
 from tropcoh.polytope import Subdivision, edges
 from tropcoh.spheres import SemiIntegralSupport, Twisting, _check_twisting, gamma_curve
-from tropcoh.winding import _doubled_vertices, is_strictly_convex
+from tropcoh.winding import _doubled_vertices, _on_curve, _segments, is_strictly_convex
 
 
 @lru_cache(maxsize=1)
@@ -400,30 +400,30 @@ def fraction_doubled_vertices(vertices) -> list[Vec]:
     return out
 
 
-def fraction_slab_cuts(segments, a: int, b: int) -> list[tuple[int, int]]:
-    """winding._slab_cuts ordered by the Fraction crossing at the middle row."""
+def fraction_slab_thresholds(lines, a: int, b: int) -> list[tuple[int, int]]:
+    """lattice.slab_thresholds ordered by the Fraction value at the middle row."""
     n = b - a + 1
-    cuts = []
-    for i, (y0, y1, n0, n1, den, sign) in enumerate(segments):
+    order = []
+    for j, (y0, y1, n0, n1, den) in enumerate(lines):
         if y0 <= a and b <= y1:
             total = -floor_sum(n, den, -n1, -n0 - n1 * a)
-            cuts.append((Fraction(2 * n0 + n1 * (a + b), 2 * den), i, total, sign))
-    cuts.sort()
-    return [(total, sign) for _, _, total, sign in cuts]
-
-
-def fraction_slab_flips(rays, coeffs, box, lo: int, hi: int):
-    """cohomology._slab_flips ordered by the Fraction crossing at the middle row."""
-    signs, flips = _row_flips(rays, coeffs, box, lo)
-    n = hi - lo + 1
-    order = []
-    for _, j in flips:
-        (u0, u1), a = rays[j], coeffs[j]
-        c = u1 * lo + a
-        if u0 > 0:
-            kind, total = 0, -floor_sum(n, u0, u1, c)
-        else:
-            kind, total = 1, floor_sum(n, -u0, u1, c) + n
-        order.append((Fraction(u1 * (lo + hi) + 2 * a, -2 * u0), kind, j, total))
+            order.append((Fraction(2 * n0 + n1 * (a + b), 2 * den), j, total))
     order.sort()
-    return signs, [(total, j) for _, _, j, total in order]
+    return [(total, j) for _, j, total in order]
+
+
+def check_rows_off_curve(gamma) -> None:
+    """Raise for the first lattice point on gamma, row by row: the winding sweep's old per-row check.
+
+    On each row, in segment order, a crossing x_c = (n0 + n1 y) / den that
+    is an integer is a lattice point on the curve.  This detector is
+    independent of winding._check_off_curve, which solves one linear
+    congruence per segment instead.
+    """
+    lines, _ = _segments(gamma)
+    for y in sorted({y for y0, y1, *_ in lines for y in range(y0, y1 + 1)}):
+        for y0, y1, n0, n1, den in lines:
+            if y0 <= y <= y1:
+                q, rem = divmod(n0 + n1 * y, den)
+                if rem == 0:
+                    raise _on_curve((q, y))

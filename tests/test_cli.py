@@ -21,6 +21,7 @@ from tropcoh.cohomology import (
     psi_from_ray_values,
     psi_from_theta,
 )
+from tropcoh.ext_chains import MAX_A2D_D
 from tropcoh.winding import MAX_SWEEP_ROWS, MAX_TABLE_POINTS
 
 P2 = "p2.json"
@@ -358,6 +359,14 @@ def test_a2d_rejects_zero(run):
     assert "must be positive" in err
 
 
+@pytest.mark.parametrize("d", [MAX_A2D_D + 1, 10**5])
+def test_a2d_size_limit(run, d):
+    code, out, err = run("a2d", None, "--d", str(d))
+    assert code == 2
+    assert out == ""
+    assert f"the a2d chain at d = {d} is above the limit of d = {MAX_A2D_D}" in err
+
+
 def test_smooth_check(run):
     code, out, _ = run("smooth-check", P2, "--ell", "cap_k1", "--samples", "4")
     assert code == 0
@@ -487,6 +496,25 @@ def test_missing_input_file(run, tmp_path):
     code, _, err = run("winding", None, "--input", str(tmp_path / "nope.json"), "--ell", "1,1,1")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_out_writes_the_report_into_a_new_directory(run, tmp_path):
+    code, out, _ = run("validate", P2, "--out", str(tmp_path / "new" / "dir"))
+    assert code == 0
+    assert out == ""
+    report = json.loads((tmp_path / "new" / "dir" / "validate.json").read_bytes())
+    assert report["command"] == "validate"
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_out_that_is_a_file_is_an_input_error(run, tmp_path, under):
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"kept")
+    code, out, err = run("validate", P2, "--out", str(afile / under))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {afile / under / 'validate.json'}: ")
+    assert afile.read_bytes() == b"kept"
 
 
 def test_invalid_document(run, tmp_path):

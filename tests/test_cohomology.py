@@ -8,6 +8,7 @@ import pytest
 import tropcoh.cohomology as cohomology
 from box_scan import scan_cohomology_dims, sign_value
 from gen_cases import random_smooth_fan, random_theta, riemann_roch
+from tropcoh import lattice
 from tropcoh.cohomology import (
     CohomologyDims,
     ToricSupport,
@@ -297,15 +298,15 @@ def _slab_matches_sweep(psi, margin=0):
 def closed_form_slabs(request, monkeypatch):
     """Count the slabs summed in closed form; the second param sums one-row slabs that way too."""
     if request.param == "all-slabs-closed-form":
-        monkeypatch.setattr(cohomology, "SHORT_SLAB", 0)
+        monkeypatch.setattr(lattice, "SHORT_SLAB", 0)
     calls = []
-    slab_flips = cohomology._slab_flips
+    slab_thresholds = lattice.slab_thresholds
 
-    def counted(rays, coeffs, box, lo, hi):
-        calls.append(hi - lo + 1)
-        return slab_flips(rays, coeffs, box, lo, hi)
+    def counted(lines, a, b):
+        calls.append(b - a + 1)
+        return slab_thresholds(lines, a, b)
 
-    monkeypatch.setattr(cohomology, "_slab_flips", counted)
+    monkeypatch.setattr(lattice, "slab_thresholds", counted)
     return calls
 
 

@@ -22,12 +22,12 @@ from oracles import (
     fraction_kinks_of_theta,
     fraction_psi_from_theta,
     fraction_search_box,
-    fraction_slab_cuts,
-    fraction_slab_flips,
+    fraction_slab_thresholds,
     fraction_theta_from_twisting,
 )
 from tropcoh import lattice, spheres
 from tropcoh.cohomology import (
+    _level_lines,
     _search_box,
     divisor_coeffs,
     psi_from_theta,
@@ -104,24 +104,31 @@ def test_theta_kinks_psi_and_box_match_the_fractions(twistings):
 
 @pytest.fixture
 def slab_orders(monkeypatch):
-    """Run both slab routines next to their Fraction versions; record the slab sizes."""
+    """Run lattice.slab_thresholds next to its Fraction version; record who asked and the slab sizes."""
     sizes = []
-    slab_cuts, slab_flips = winding._slab_cuts, cohomology._slab_flips
+    caller = [None]
 
-    def cuts(segments, a, b):
-        got = slab_cuts(segments, a, b)
-        assert got == fraction_slab_cuts(segments, a, b), (segments, a, b)
-        sizes.append(("cuts", b - a + 1))
+    def asking(kind, count):
+        def wrapped(*args):
+            caller.append(kind)
+            try:
+                return count(*args)
+            finally:
+                caller.pop()
+
+        return wrapped
+
+    slab_thresholds = lattice.slab_thresholds
+
+    def checked(lines, a, b):
+        got = slab_thresholds(lines, a, b)
+        assert got == fraction_slab_thresholds(lines, a, b), (lines, a, b)
+        sizes.append((caller[-1], b - a + 1))
         return got
 
-    def flips(rays, coeffs, box, lo, hi):
-        got = slab_flips(rays, coeffs, box, lo, hi)
-        assert got == fraction_slab_flips(rays, coeffs, box, lo, hi), (rays, coeffs, box, lo, hi)
-        sizes.append(("flips", hi - lo + 1))
-        return got
-
-    monkeypatch.setattr(winding, "_slab_cuts", cuts)
-    monkeypatch.setattr(cohomology, "_slab_flips", flips)
+    monkeypatch.setattr(winding, "_curve_totals", asking("cuts", winding._curve_totals))
+    monkeypatch.setattr(cohomology, "cohomology_dims", asking("flips", cohomology.cohomology_dims))
+    monkeypatch.setattr(lattice, "slab_thresholds", checked)
     return sizes
 
 
@@ -135,18 +142,19 @@ def test_slab_orders_match_the_fractions(twistings, slab_orders):
 
 
 def test_slab_orders_at_a_twist_of_ten_to_the_eighteen(slab_orders):
-    """Beyond the row limit the totals raise; the slab orders still agree over every segment span."""
+    """Beyond the row limit the totals raise; the slab orders still agree over every line's span."""
     for sign in (1, -1):
         theta = theta_from_twisting(twisting(P2, (sign * BIG[1],) * 3))
         with pytest.raises(LatticeError, match="above the limit"):
             h_even_odd(theta)
-        segments = _segments(gamma_curve(theta))
+        segments, _ = _segments(gamma_curve(theta))
         for y0, y1, *_ in segments:
-            winding._slab_cuts(segments, y0, y1)
+            lattice.slab_thresholds(segments, y0, y1)
         psi = psi_from_theta(theta)
         coeffs = divisor_coeffs(psi)
         box = _search_box(psi.fan, coeffs, 0)
-        cohomology._slab_flips(psi.fan.rays, coeffs, box, box[1] + 1, box[3] - 1)
+        level_lines = [line for _, line in _level_lines(psi.fan.rays, coeffs, box)]
+        lattice.slab_thresholds(level_lines, box[1] + 1, box[3] - 1)
     assert len(slab_orders) == 2 * (len(segments) + 1)
 
 

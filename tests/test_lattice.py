@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
+from unittest import mock
 
 import pytest
 import sympy
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from gen_cases import random_smooth_fan
 from oracles import dense_integer_kernel
+from tropcoh import lattice
 from tropcoh.lattice import (
     LatticeError,
     cut_at_row,
@@ -22,8 +24,10 @@ from tropcoh.lattice import (
     lex_positive,
     primitive,
     rot90,
+    row_thresholds,
     slabs,
     solve_dual,
+    threshold_slabs,
     vadd,
     vneg,
     vsub,
@@ -221,3 +225,68 @@ def test_slabs_never_straddle_a_cut_row(p, q, first, last):
     y = Fraction(p, q)
     for a, b in got:
         assert b < y or a > y or a == b == y
+
+
+@st.composite
+def threshold_lines(draw):
+    """Rows first..last, extra starts, and up to 8 lines (y0, y1, n0, n1, den).
+
+    Besides random lines there are parallel copies (the same slope n1 / den,
+    another offset) and coincident ones (the same line times k), on their own
+    ranges of rows, which may stick out of first..last or be empty.
+    """
+    first = draw(st.integers(-12, 0))
+    last = draw(st.integers(first, first + 70))
+    rows = st.integers(first - 4, last + 4)
+
+    def span():
+        y0 = draw(rows)
+        return y0, draw(st.integers(y0 - 1, last + 4))
+
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        n0, n1, den = draw(st.integers(-90, 90)), draw(st.integers(-12, 12)), draw(st.integers(1, 7))
+        lines.append((*span(), n0, n1, den))
+        k = draw(st.integers(1, 3))
+        copy = draw(st.sampled_from(("none", "parallel", "coincident")))
+        if copy == "parallel":
+            lines.append((*span(), k * n0 + draw(st.integers(-9, 9)), k * n1, k * den))
+        elif copy == "coincident":
+            lines.append((*span(), k * n0, k * n1, k * den))
+    starts = draw(st.sets(st.integers(first - 2, last + 2), max_size=3))
+    return lines, first, last, starts
+
+
+def _ceiling(line, y):
+    _, _, n0, n1, den = line
+    return ceil(Fraction(n0 + n1 * y, den))
+
+
+def _check_threshold_slabs(lines, first, last, starts):
+    got = list(threshold_slabs(lines, first, last, starts))
+    assert [y for a, b, _ in got for y in range(a, b + 1)] == list(range(first, last + 1))
+    if last - first + 1 > len(lines) ** 2:
+        assert {a for a, _, _ in got} >= {y for y in starts if first < y <= last}
+    for a, b, thresholds in got:
+        for y in range(a, b + 1):
+            present = [j for j, line in enumerate(lines) if line[0] <= y <= line[1]]
+            assert sorted(j for _, j in thresholds) == present
+            row = [_ceiling(lines[j], y) for _, j in thresholds]
+            assert row == sorted(row)
+        for total, j in thresholds:
+            assert total == sum(_ceiling(lines[j], y) for y in range(a, b + 1))
+
+
+@given(threshold_lines())
+@example(([(-5, 60, 7, 3, 2), (0, 40, -7, -3, 2), (3, 50, 1, 1, 1)], -5, 60, {10}))
+@example(([(0, 60, 3, 2, 5), (0, 60, 6, 4, 10), (10, 9, 0, 1, 1)], 0, 60, set()))
+def test_threshold_slabs_match_the_row_ceilings(case):
+    """Each slab's totals are the sums of its row ceilings, in an order sorted on every row."""
+    lines, first, last, starts = case
+    for y in range(first - 1, last + 2):
+        assert row_thresholds(lines, y) == sorted(
+            (_ceiling(line, y), j) for j, line in enumerate(lines) if line[0] <= y <= line[1]
+        )
+    _check_threshold_slabs(lines, first, last, starts)
+    with mock.patch.object(lattice, "SHORT_SLAB", 0):
+        _check_threshold_slabs(lines, first, last, starts)

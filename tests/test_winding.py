@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-import tropcoh.winding as winding_module
 from box_scan import scan_winding_table
 from gen_cases import random_theta
-from oracles import convex_intersection_count
+from oracles import check_rows_off_curve, convex_intersection_count
+from tropcoh import lattice
 from tropcoh.fan import make_fan
 from tropcoh.io import parse_input
 from tropcoh.lattice import LatticeError
@@ -208,6 +208,8 @@ def test_counterclockwise_check_is_not_an_assert(p2_region, monkeypatch):
 
 
 def _swept_totals(gamma):
+    # the per-row detector, so the sweep's on-curve messages do not come from _check_off_curve
+    check_rows_off_curve(gamma)
     even = odd = 0
     for _, x0, x1, w in winding_runs(gamma):
         if w > 0:
@@ -234,15 +236,15 @@ def _slab_matches_sweep(gamma):
 def closed_form_slabs(request, monkeypatch):
     """Count the slabs summed in closed form; the second param sums one-row slabs that way too."""
     if request.param == "all-slabs-closed-form":
-        monkeypatch.setattr(winding_module, "SHORT_SLAB", 0)
+        monkeypatch.setattr(lattice, "SHORT_SLAB", 0)
     calls = []
-    slab_cuts = winding_module._slab_cuts
+    slab_thresholds = lattice.slab_thresholds
 
-    def counted(segments, a, b):
+    def counted(lines, a, b):
         calls.append(b - a + 1)
-        return slab_cuts(segments, a, b)
+        return slab_thresholds(lines, a, b)
 
-    monkeypatch.setattr(winding_module, "_slab_cuts", counted)
+    monkeypatch.setattr(lattice, "slab_thresholds", counted)
     return calls
 
 

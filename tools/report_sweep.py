@@ -13,7 +13,8 @@ The sweep: ``sphere``, ``cohomology`` and ``verify-winding-theorem`` on p2
 at ell = +-(2k + 1) on every edge for k < 300, on the blowup ``mixed_sign``
 set times k for -25 <= k <= 25 (even k break the parity: exit 2), on every
 named set of the fixtures (``sphere`` also as SVG), and on a few invalid
-twistings.  Paths in argv are relative to the checkout root, so the digest
+twistings; then the ``winding`` table on p2 at ell = +-(2k + 1) for k < 60
+and on the blowup ``mixed_sign`` set times k for -9 <= k <= 9.  Paths in argv are relative to the checkout root, so the digest
 does not depend on where the checkout lives.
 """
 
@@ -69,6 +70,11 @@ def sweep() -> list[list[str]]:
     for name, ell in INVALID:
         for command in COMMANDS:
             runs.append([command, "--input", name, "--ell", ell])
+    for k in range(60):
+        for sign in (1, -1):
+            runs.append(["winding", "--input", "fixtures/p2.json", "--ell", _ell([sign * (2 * k + 1)] * 3)])
+    for k in range(-9, 10):
+        runs.append(["winding", "--input", "fixtures/blowup_p2.json", "--ell", _ell(k * x for x in BLOWUP_MIXED)])
     return runs
 
 
