@@ -1,28 +1,39 @@
 """Floating point checks of the mollifier smoothing claims.
 
 The smoothing of f is F(x) = int f(x - y) mu(y) dy / Z with the bump
-mu(y) = exp(1 / (|y|^2 - eps^2)) on |y| < eps.  Quadrature splits the disk at
-every declared kink line of f into pieces: strips in y2 cut at every
-horizontal wall, rim crossing and wall intersection, and each of a strip's
-rows cut in y1 where it crosses the other walls.  No piece meets a wall, so f
-is affine on each and fixed-order Gauss-Legendre sees only smooth integrands;
-Z comes from the same nodes, so constants reproduce up to roundoff.  Gradient
-and Hessian are closed forms that differentiate only the bump, never the kinks
-of f, and take grad f once per piece P:
+mu(y) = exp(1 / (|y|^2 - eps^2)) on |y| < eps.  Two Gauss-Legendre rules
+compute it.
+
+The split rule (mollify_eval, derivatives) serves any piecewise linear f.
+It splits the disk at every declared kink line of f into pieces: strips in y2
+cut at every horizontal wall, rim crossing and wall intersection, and each of
+a strip's rows cut in y1 where it crosses the other walls.  No piece meets a
+wall, so f is affine on each and fixed-order Gauss-Legendre sees only smooth
+integrands; Z comes from the same nodes, so constants reproduce up to
+roundoff.  Gradient and Hessian are closed forms that differentiate only the
+bump, never the kinks of f, and take grad f once per piece P:
 
     grad F = sum_P M_P grad f_P / Z,  d_i d_j F = sum_P (D_j)_P (d_i f)_P / Z,
 
 where M_P and D_P sum W mu and W grad mu over the nodes of P.  Values take f
-at every node: f is affine on a piece, not constant.
+at every node: f is affine on a piece, not constant.  Here "quadrature order
+too low" means that the bump mass on the split pieces differs from the same
+rule's mass on the unsplit disk by more than 1e-6 (relative): the pieces are
+too thin for the order.
 
-"quadrature order too low" means that the bump mass on the split pieces
-differs from the same rule's mass on the unsplit disk by more than 1e-6
-(relative): the pieces are too thin for the order.
+The fan rule (fan_derivatives, which check_hessian_definiteness uses) serves
+FanPL at many points in one batch.  grad F = sum_j theta_j m_j / Z from the
+bump mass m_j of each cone, in polar coordinates about the fan vertex, and
+the Hessian is a sum over the rays of the line mass of the bump on each
+(order x rays nodes a point).  Here "quadrature order too low" means that
+sum_j m_j differs from the exact mass of the bump, the one-dimensional polar
+integral in closed form, by more than 1e-6 (relative).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -74,6 +85,7 @@ class FanPL:
             raise LatticeError("fan rays are not in counterclockwise order")
         self._angles = angles
         self._parts = np.array([[float(t[0]), float(t[1])] for t in theta.thetas])
+        self._units = np.array(rays, dtype=float) / np.hypot(*np.array(rays, dtype=float).T)[:, None]
         keys = dict.fromkeys(lex_positive(u) for u in rays)
         self._walls = tuple(_normalize_wall(-k[1], k[0], 0.0) for k in keys)
 
@@ -169,9 +181,10 @@ class SubdivisionPL:
         return self._walls
 
 
-# A derivative takes about order^2 nodes per strip (order 400: 0.2 s and 77 MB
-# at the fan vertex on a 2-vCPU host); a definiteness check takes `samples`
-# Hessians and about samples / 4 further gradients.
+# A split-rule derivative takes about order^2 nodes per strip.  The fan rule
+# takes 2 order^2 nodes per cone that meets a point's disk: every cone at the
+# `samples` Hessian points near the fan vertex, one or two at the about
+# samples / 4 gradient points out along the rays.
 MAX_QUADRATURE_ORDER = 400
 MAX_SAMPLES = 10_000
 
@@ -184,6 +197,9 @@ class MollifierParams:
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise LatticeError(f"mollifier radius must be positive and finite, got {self.epsilon}")
+        if self.epsilon * self.epsilon * -math.log(sys.float_info.min) < 1:
+            # the bump's peak exp(-1/eps^2) is subnormal: every mass is roundoff
+            raise LatticeError(f"mollifier radius {self.epsilon} is too small: the bump underflows")
         if self.quadrature_order < 1:
             raise LatticeError(f"quadrature order must be positive, got {self.quadrature_order}")
         if self.quadrature_order > MAX_QUADRATURE_ORDER:
@@ -212,8 +228,10 @@ def _gl(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-# Most quadrature nodes built at once: a whole sample at order 24 (at most about
-# 23k nodes) is one group, while at order 300 each strip is a group of its own.
+# Most quadrature nodes built at once.  Split rule: a whole sample at order 24
+# (at most about 23k nodes) is one group, while at order 300 each strip is a
+# group of its own.  Fan rule: whole rows of 2 * order nodes, one per polar
+# angle or ray, whatever the number of points.
 _GROUP_NODES = 1 << 15
 
 
@@ -325,28 +343,158 @@ def hessian(f, p: MollifierParams, x):
     return derivatives(f, p, x)[1]
 
 
+def _bump_mass(eps: float) -> float:
+    """Z = 2 pi int_0^eps mu(r) r dr = pi Gamma(-1, 1/eps^2), in closed form.
+
+    With v = 1 / (eps^2 - r^2), Z = pi int_x^inf e^-v v^-2 dv for x = 1/eps^2:
+    an upper incomplete gamma function.  For x >= 1 its continued fraction
+    (modified Lentz, as in Numerical Recipes' gcf); below, e^-x / x - E1(x)
+    with the power series of the exponential integral E1.
+    """
+    x = 1 / (eps * eps)
+    if x < 1:
+        term, series = 1.0, 0.0
+        for k in range(1, 40):
+            term *= -x / k
+            series += term / k
+        return math.pi * (math.exp(-x) / x + np.euler_gamma + math.log(x) + series)
+    b = x + 2
+    c, d = 1e300, 1 / b
+    h = d
+    for i in range(1, 200):
+        an = -i * (i + 1)
+        b += 2
+        d = 1 / (an * d + b)
+        c = b + an / c
+        h *= d * c
+        if abs(d * c - 1) < 1e-16:
+            break
+    return math.pi * math.exp(-x) / x * h
+
+
+def _chords(x: np.ndarray, e: np.ndarray, eps: float):
+    """Ends s0 < s1 of {s : |x - s e| < eps} for unit vectors e, NaN-free (s0 = s1 when empty)."""
+    b = x[:, 0] * e[:, 0] + x[:, 1] * e[:, 1]
+    root = np.sqrt(np.maximum(b * b - (x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1]) + eps * eps, 0.0))
+    return b - root, b + root
+
+
+def _bump_on_chords(s0, s1, lo, gx, gw):
+    """Nodes s and W * mu on [lo, s1] of chords with ends s0 <= lo, s1, as (chords, 2 * order).
+
+    The rule is split at the chord's midpoint, the point nearest the disk's
+    centre, so each half runs from the top of the bump to the rim, as a radial
+    integral does.  |x - s e|^2 - eps^2 = (s - s0)(s - s1), which stays
+    accurate next to the rim.
+    """
+    mid = np.maximum((s0 + s1) / 2, lo)
+    ends = np.stack([lo, mid, mid, s1], axis=1).reshape(-1, 2, 2)
+    half = (ends[:, :, 1] - ends[:, :, 0]) / 2
+    s = (ends[:, :, 0] + half)[..., None] + half[..., None] * gx
+    # in place, so a group holds at most three arrays of its nodes at once
+    w = s - s0[:, None, None]
+    w *= s - s1[:, None, None]
+    np.minimum(w, -1e-300, out=w)
+    np.reciprocal(w, out=w)
+    np.exp(w, out=w)
+    w *= gw
+    w *= half[..., None]
+    return s.reshape(len(s0), -1), w.reshape(len(s0), -1)
+
+
+def _cone_masses(f: FanPL, x: np.ndarray, eps: float, order: int) -> np.ndarray:
+    """Bump mass m_j(x) = int over cone j of mu(x - z) dz for every point and cone, as (points, rays).
+
+    Polar coordinates z = rho (cos phi, sin phi) about the fan vertex: phi runs
+    over the cone, clipped to the arc that sees the disk when |x| >= eps, and
+    rho over the chord of the disk (_bump_on_chords).  Groups of rows, one
+    per phi node, hold at most _GROUP_NODES nodes.
+    """
+    gx, gw = _gl(order)
+    a0 = f._angles[0]
+    bounds = np.append(f._angles, a0 + 2 * math.pi)
+    r = len(f._angles)
+    rad = np.hypot(x[:, 0], x[:, 1])
+    # the window of directions that meet the disk, starting in [a0, a0 + 2 pi)
+    half = np.where(rad < eps, math.pi, np.arcsin(eps / np.maximum(rad, eps)))
+    lo = np.where(rad < eps, a0, a0 + np.mod(np.arctan2(x[:, 1], x[:, 0]) - half - a0, 2 * math.pi))
+    cone_lo = np.concatenate([bounds[:-1], bounds[:-1] + 2 * math.pi])
+    cone_hi = np.concatenate([bounds[1:], bounds[1:] + 2 * math.pi])
+    a = np.maximum(lo[:, None], cone_lo)
+    b = np.minimum((lo + 2 * half)[:, None], cone_hi)
+    pt, k = np.nonzero(b > a)
+    a, b, slot = a[pt, k], b[pt, k], pt * r + k % r
+
+    mass = np.zeros(len(x) * r)
+    step = max(1, _GROUP_NODES // (2 * order))
+    for start in range(0, len(pt) * order, step):
+        i, g = np.divmod(np.arange(start, min(start + step, len(pt) * order)), order)
+        phi = (a[i] + b[i]) / 2 + (b[i] - a[i]) / 2 * gx[g]
+        s0, s1 = _chords(x[pt[i]], np.stack([np.cos(phi), np.sin(phi)], axis=1), eps)
+        # sum of W * mu * rho over each chord; the group's node arrays die here
+        rows = np.einsum("ij,ij->i", *_bump_on_chords(s0, s1, np.maximum(s0, 0.0), gx, gw))
+        rows *= (b[i] - a[i]) / 2 * gw[g]
+        mass += np.bincount(slot[i], weights=rows, minlength=len(mass))
+    return mass.reshape(-1, r)
+
+
+def _ray_masses(f: FanPL, x: np.ndarray, eps: float, order: int) -> np.ndarray:
+    """L_j(x) = int of mu(x - s u_j) ds over s >= 0 for every point and unit ray, as (points, rays)."""
+    gx, gw = _gl(order)
+    r = len(f._units)
+    e = np.tile(f._units, (len(x), 1))
+    s0, s1 = _chords(np.repeat(x, r, axis=0), e, eps)
+    lo = np.maximum(s0, 0.0)
+    (hit,) = np.nonzero(s1 > lo)
+    out = np.zeros(len(e))
+    step = max(1, _GROUP_NODES // (2 * order))
+    for start in range(0, len(hit), step):
+        h = hit[start : start + step]
+        out[h] = np.sum(_bump_on_chords(s0[h], s1[h], lo[h], gx, gw)[1], axis=1)
+    return out.reshape(-1, r)
+
+
+def fan_derivatives(f: FanPL, p: MollifierParams, points) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (n, 2) and Hessians (n, 2, 2) of the smoothed fan support at n points.
+
+    grad f is theta_j on cone j, so grad F = sum_j theta_j m_j / Z with m_j
+    the bump mass of cone j (_cone_masses) and Z = sum_j m_j.  Across ray j
+    the gradient of f jumps by theta_j - theta_{j-1} in the direction
+    n_j = rot90(u_j), so
+
+        Hess F = sum_j (theta_j - theta_{j-1}) n_j^T L_j / Z
+
+    with L_j the line mass of the bump on ray j (_ray_masses), symmetrised.
+    "quadrature order too low" when Z at some point is off the exact mass
+    (_bump_mass) by more than 1e-6, relative.
+    """
+    eps, order = float(p.epsilon), int(p.quadrature_order)
+    x = np.asarray(points, dtype=float).reshape(-1, 2)
+    z = _bump_mass(eps)
+    mass = _cone_masses(f, x, eps, order)
+    den = np.sum(mass, axis=1)
+    if not np.all(np.abs(den - z) <= 1e-6 * z):
+        raise LatticeError("quadrature order too low")
+    normals = np.stack([-f._units[:, 1], f._units[:, 0]], axis=1)
+    jumps = f._parts - np.roll(f._parts, 1, axis=0)
+    h = np.einsum("pj,ja,jb->pab", _ray_masses(f, x, eps, order), jumps, normals) / den[:, None, None]
+    return mass @ f._parts / den[:, None], (h + h.transpose(0, 2, 1)) / 2
+
+
 def _point_to_segment(q, a, b) -> float:
-    q, a, b = (np.asarray(v, dtype=float) for v in (q, a, b))
-    e = b - a
-    denom = float(e @ e)
-    if denom == 0:
-        return float(np.hypot(*(q - a)))
-    t = float(np.clip((q - a) @ e / denom, 0.0, 1.0))
-    return float(np.hypot(*(q - (a + t * e))))
+    qx, qy, ax, ay = float(q[0]), float(q[1]), float(a[0]), float(a[1])
+    ex, ey = float(b[0]) - ax, float(b[1]) - ay
+    denom = ex * ex + ey * ey
+    t = 0.0 if denom == 0 else min(max(((qx - ax) * ex + (qy - ay) * ey) / denom, 0.0), 1.0)
+    return math.hypot(qx - (ax + t * ex), qy - (ay + t * ey))
 
 
 def _dist_outside_hull(q, hull) -> float:
     """0 inside; distance to the hull boundary outside."""
-    n = len(hull)
-    inside = True
-    for i in range(n):
-        a, b = hull[i], hull[(i + 1) % n]
-        if (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0]) < 0:
-            inside = False
-            break
-    if inside:
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    if all((b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0]) >= 0 for a, b in edges):
         return 0.0
-    return min(_point_to_segment(q, hull[i], hull[(i + 1) % n]) for i in range(n))
+    return min(_point_to_segment(q, a, b) for a, b in edges)
 
 
 @dataclass(frozen=True)
@@ -387,6 +535,35 @@ class DefinitenessReport:
         )
 
 
+def _sample_points(rays, eps: float, samples: int) -> tuple[list, list]:
+    """The check's points, and for each the index of its ray (None near the fan vertex)."""
+    # near the fan vertex every direction bends: definite Hessian zone
+    golden = math.pi * (3 - math.sqrt(5))
+    points = []
+    for i in range(samples):
+        rad = (eps / 2) * math.sqrt((i + 0.5) / samples)
+        ang = i * golden
+        points.append((rad * math.cos(ang), rad * math.sin(ang)))
+    on_ray = [None] * samples
+
+    # far out along each ray only one edge bends: gradient walks the segment
+    r = len(rays)
+    per_ray = max(3, samples // (4 * r))
+    for j, u in enumerate(rays):
+        norm = math.hypot(*u)
+        angs = []
+        for k in (-1, 1):
+            v = rays[(j + k) % r]
+            cosang = (u[0] * v[0] + u[1] * v[1]) / (norm * math.hypot(*v))
+            angs.append(math.acos(max(-1.0, min(1.0, cosang))))
+        base = 1.5 * eps / math.sin(min(angs)) + eps
+        for i in range(per_ray):
+            rad = base * (1 + i)
+            points.append((rad * u[0] / norm, rad * u[1] / norm))
+            on_ray.append(j)
+    return points, on_ray
+
+
 def check_hessian_definiteness(
     theta: SemiIntegralSupport, p: MollifierParams, samples: int
 ) -> DefinitenessReport:
@@ -397,47 +574,25 @@ def check_hessian_definiteness(
     convexity = is_strictly_convex(theta)
     if convexity == "neither":
         raise LatticeError("convexity required")
-    f = FanPL(theta)
-    eps = float(p.epsilon)
-    rays = theta.fan.rays
-    r = len(rays)
-    gamma = [(float(v[0]), float(v[1])) for v in gamma_curve(theta).vertices]
-    hull_pts = [np.array(g) for g in gamma]
-
     sign = 1.0 if convexity == "convex" else -1.0
-    hessians = []
-    grads = []  # (point, gradient, distance to its edge of gamma or None)
+    gamma = [(float(v[0]), float(v[1])) for v in gamma_curve(theta).vertices]
+    points, on_ray = _sample_points(theta.fan.rays, float(p.epsilon), samples)
+    grads, hess = fan_derivatives(FanPL(theta), p, points)
 
-    # near the fan vertex every direction bends: definite Hessian zone
-    golden = math.pi * (3 - math.sqrt(5))
-    for i in range(samples):
-        rad = (eps / 2) * math.sqrt((i + 0.5) / samples)
-        ang = i * golden
-        b = (rad * math.cos(ang), rad * math.sin(ang))
-        g, ((h11, h12), (_, h22)) = derivatives(f, p, b)
+    hessians = []
+    for b, ((h11, h12), (_, h22)) in zip(points, hess[:samples].tolist()):
         tr, det = h11 + h22, h11 * h22 - h12 * h12
         disc = math.sqrt(max(tr * tr / 4 - det, 0.0))
         hessians.append(HessianSample(b, (tr / 2 - disc, tr / 2 + disc)))
-        grads.append((b, g, None))
-
-    # far out along each ray only one edge bends: gradient walks the segment
-    per_ray = max(3, samples // (4 * r))
-    for j, u in enumerate(rays):
-        norm = math.hypot(*u)
-        angs = []
-        for k in (-1, 1):
-            v = rays[(j + k) % r]
-            cosang = (u[0] * v[0] + u[1] * v[1]) / (norm * math.hypot(*v))
-            angs.append(math.acos(max(-1.0, min(1.0, cosang))))
-        base = 1.5 * eps / math.sin(min(angs)) + eps
-        seg_a, seg_b = gamma[j - 1], gamma[j]
-        for i in range(per_ray):
-            rad = base * (1 + i)
-            b = (rad * u[0] / norm, rad * u[1] / norm)
-            g = grad(f, p, b)
-            grads.append((b, g, _point_to_segment(g, seg_a, seg_b)))
-
-    checked = [GradientSample(b, g, dist, _dist_outside_hull(g, hull_pts)) for b, g, dist in grads]
+    checked = [
+        GradientSample(
+            b,
+            g,
+            None if j is None else _point_to_segment(g, gamma[j - 1], gamma[j]),
+            _dist_outside_hull(g, gamma),
+        )
+        for b, g, j in zip(points, map(tuple, grads.tolist()), on_ray)
+    ]
     gammas = [s.gamma_distance for s in checked if s.gamma_distance is not None]
     return DefinitenessReport(
         convexity,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from tropcoh.fan import Fan, make_fan, self_intersections
-from tropcoh.lattice import integer_kernel, rot90, vadd
+from tropcoh.lattice import det2, integer_kernel, rot90, vadd
 from tropcoh.spheres import (
     SemiIntegralSupport,
     gamma_curve,
@@ -23,7 +23,7 @@ SEED_FANS = (P2,) + HIRZEBRUCH
 
 
 def random_smooth_fan(rng: random.Random, min_rays: int = 5, max_rays: int = 9) -> Fan:
-    """Grow a seed fan by star subdivisions until it has 5 to 9 rays.
+    """Grow a seed fan by star subdivisions until it has min_rays to max_rays rays.
 
     Inserting u_j + u_{j+1} between two adjacent rays keeps every consecutive
     determinant equal to one, so the result stays smooth and complete.
@@ -72,6 +72,40 @@ def random_theta(
             continue
         return theta
     raise AssertionError("rejection sampling failed to produce a case")
+
+
+def positive_relation(rays) -> list[int]:
+    """A strictly positive integer vector p with sum p_j u_j = 0.
+
+    Each -u_j lies in a smooth cone (u_k, u_{k+1}), so -u_j = a u_k + b u_{k+1}
+    with integers a, b >= 0; summing these relations over j gives p.
+    """
+    r = len(rays)
+    p = [0] * r
+    for j, u in enumerate(rays):
+        w = (-u[0], -u[1])
+        for k in range(r):
+            a, b = rays[k], rays[(k + 1) % r]
+            if det2(a, w) >= 0 and det2(w, b) >= 0:
+                p[j] += 1
+                p[k] += det2(w, b)
+                p[(k + 1) % r] += det2(a, w)
+                break
+    return p
+
+
+def random_definite_theta(rng: random.Random, sign: int) -> SemiIntegralSupport:
+    """A strictly convex (sign 1) or concave (sign -1) support on a smooth fan with 3 to 9 rays.
+
+    Twists ell_j = sign (b_j + 2 + 2 m p_j), with p from positive_relation:
+    +-(b + 2) meets the parity and balance constraints, 2 m p keeps both, and
+    2 m > |b_j + 2| gives every twist, so every kink, the sign of `sign`.
+    """
+    fan = random_smooth_fan(rng, 3, 9)
+    b = self_intersections(fan)
+    p = positive_relation(fan.rays)
+    m = max(abs(x + 2) for x in b) // 2 + 1 + rng.randrange(3)
+    return theta_from_twisting(twisting(fan, tuple(sign * (bj + 2 + 2 * m * pj) for bj, pj in zip(b, p))))
 
 
 def zero_probe_points(bounds: tuple[int, int, int, int], count: int = 20):

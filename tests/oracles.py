@@ -5,8 +5,10 @@ must equal theirs exactly: list for list for the kernel, value for value for
 the slopes and kinks, pointer and message for the input-document check, and
 value for value or message for message for the Fraction twist path (theta,
 its kinks, the mirror support, the search box and the slab orders).  The
-per-node mollifier quadrature at the end must match the library's per-piece
-sums up to roundoff.  The per-point and sampled checks serve only the tests.
+per-node mollifier quadrature must match the library's per-piece sums up to
+roundoff, and the split rule, the kink-line Hessian and the vertex gradient
+must match the fan rule within the quadrature's error.  The per-point and
+sampled checks serve only the tests.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from tropcoh.cohomology import ToricSupport
 from tropcoh.fan import Fan, is_smooth
 from tropcoh.lattice import floor_sum
 from tropcoh.polytope import Subdivision, edges
+from tropcoh.smoothing import derivatives
 from tropcoh.spheres import SemiIntegralSupport, Twisting, _check_twisting, gamma_curve
 from tropcoh.winding import _doubled_vertices, _on_curve, _segments, is_strictly_convex
 
@@ -287,6 +290,68 @@ def pointwise_derivatives(f, p, x):
     total, den = _pointwise_quadrature(f, p, x, terms)
     m = total[2:].reshape(2, 2) / den
     return tuple((total[:2] / den).tolist()), tuple(map(tuple, ((m + m.T) / 2).tolist()))
+
+
+def split_fan_derivatives(f, p, points):
+    """fan_derivatives by the split rule, one `derivatives` call per point, as the check once made them."""
+    pairs = [derivatives(f, p, x) for x in points]
+    return np.array([g for g, _ in pairs]), np.array([h for _, h in pairs])
+
+
+_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+
+def polar_disk_mass(eps, order=400) -> float:
+    """Z = 2 pi int_0^eps mu(r) r dr by one-dimensional Gauss-Legendre."""
+    gx, gw = _leggauss(order)
+    r = eps * (gx + 1) / 2
+    return float(np.sum(eps / 2 * gw * np.exp(1 / (r * r - eps * eps)) * 2 * math.pi * r))
+
+
+def wall_form_hessian(theta, eps, x, order=400):
+    """Hessian of the smoothed fan support from its kinks alone.
+
+    The gradient of the fan support jumps by D_j = theta_j - theta_{j-1}
+    across ray j, in the direction n_j = rot90(u_j), so its distributional
+    Hessian is sum_j D_j n_j^T times the line measure on ray j.  Smoothing
+    gives sum_j D_j n_j^T (int of mu along the ray inside the disk) / Z, with
+    one-dimensional Gauss-Legendre for each chord and for Z in polar form.
+    """
+    gx, gw = _leggauss(order)
+    z = polar_disk_mass(eps, order)
+    x = np.asarray(x, dtype=float)
+    thetas = [np.array([float(t[0]), float(t[1])]) for t in theta.thetas]
+    out = np.zeros((2, 2))
+    for j, u in enumerate(theta.fan.rays):
+        u = np.asarray(u, dtype=float) / math.hypot(*u)
+        # chord {s u : s >= 0, |x - s u| < eps}
+        b, c = float(x @ u), float(x @ x) - eps * eps
+        if b * b - c <= 0:
+            continue
+        lo, hi = max(0.0, b - math.sqrt(b * b - c)), b + math.sqrt(b * b - c)
+        if hi <= lo:
+            continue
+        s = lo + (hi - lo) * (gx + 1) / 2
+        y = x - s[:, None] * u
+        gap = np.minimum(np.sum(y * y, axis=1) - eps * eps, -1e-300)
+        line = float(np.sum((hi - lo) / 2 * gw * np.exp(1 / gap)))
+        out += np.outer(thetas[j] - thetas[j - 1], (-u[1], u[0])) * line
+    return out / z
+
+
+def vertex_gradient(theta) -> tuple[float, float]:
+    """Gradient of the smoothed fan support at the fan vertex: sum_j theta_j alpha_j / 2 pi.
+
+    The bump is radial, so each cone holds the share alpha_j / 2 pi of its
+    mass, alpha_j being the angle of the cone from ray j to ray j + 1.
+    """
+    rays = theta.fan.rays
+    total = [0.0, 0.0]
+    for j, t in enumerate(theta.thetas):
+        u, v = rays[j], rays[(j + 1) % len(rays)]
+        alpha = math.atan2(det2(u, v), dot(u, v)) % (2 * math.pi)
+        total = [total[0] + float(t[0]) * alpha, total[1] + float(t[1]) * alpha]
+    return total[0] / (2 * math.pi), total[1] / (2 * math.pi)
 
 
 # ------------------------------------------------- the twist path in Fractions

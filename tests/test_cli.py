@@ -404,7 +404,7 @@ def test_smooth_check_size_limits(run, monkeypatch, flags, message):
     def refuse(*args):
         raise AssertionError("quadrature started")
 
-    monkeypatch.setattr(smoothing, "_rule", refuse)
+    monkeypatch.setattr(smoothing, "fan_derivatives", refuse)
     code, out, err = run("smooth-check", P2, "--ell", "cap_k1", *flags)
     assert code == 2
     assert out == ""
@@ -423,17 +423,16 @@ def test_smooth_check_order_limit_in_the_document(run, fixture_dir, tmp_path):
 
 
 def test_failed_hessian_sample_is_the_witness(run, monkeypatch):
-    real = smoothing.derivatives
+    real = smoothing.fan_derivatives
     bad = []
 
-    def flipped(f, p, x):
-        g, h = real(f, p, x)
-        if len(bad) == 2:  # the third Hessian sample turns negative definite
-            h = ((-2.0, 0.0), (0.0, -1.0))
-        bad.append(x)
+    def flipped(f, p, points):
+        g, h = real(f, p, points)
+        h[2] = ((-2.0, 0.0), (0.0, -1.0))  # the third Hessian sample turns negative definite
+        bad.extend(points)
         return g, h
 
-    monkeypatch.setattr(smoothing, "derivatives", flipped)
+    monkeypatch.setattr(smoothing, "fan_derivatives", flipped)
     code, out, _ = run("smooth-check", P2, "--ell", "cap_k1", "--samples", "4")
     assert code == 1
     result = out_json(out)["result"]
@@ -443,15 +442,17 @@ def test_failed_hessian_sample_is_the_witness(run, monkeypatch):
 
 
 def test_failed_gradient_sample_is_the_witness(run, monkeypatch):
-    real = smoothing.grad
+    real = smoothing.fan_derivatives
     seen = []
 
-    def shifted(f, p, x):
-        g = real(f, p, x)
-        seen.append((x, g))
-        return (g[0] + 0.5, g[1]) if len(seen) == 2 else g
+    def shifted(f, p, points):
+        g, h = real(f, p, points)
+        # the points out along the rays follow the 4 Hessian samples
+        seen.extend((x, tuple(gx)) for x, gx in zip(points[4:], g[4:].tolist()))
+        g[5, 0] += 0.5
+        return g, h
 
-    monkeypatch.setattr(smoothing, "grad", shifted)
+    monkeypatch.setattr(smoothing, "fan_derivatives", shifted)
     code, out, _ = run("smooth-check", P2, "--ell", "cap_k1", "--samples", "4")
     assert code == 1
     result = out_json(out)["result"]

@@ -5,14 +5,24 @@ this module is exact.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 import tropcoh.smoothing as smoothing
-from oracles import pointwise_derivatives, pointwise_mollify_eval, spot_check_continuity
+from gen_cases import random_definite_theta, random_theta
+from oracles import (
+    pointwise_derivatives,
+    pointwise_mollify_eval,
+    polar_disk_mass,
+    split_fan_derivatives,
+    spot_check_continuity,
+    vertex_gradient,
+    wall_form_hessian,
+)
 from tropcoh.fan import make_fan
-from tropcoh.lattice import LatticeError
+from tropcoh.lattice import LatticeError, dot, lex_positive, rot90, vsub
 from tropcoh.smoothing import (
     MAX_QUADRATURE_ORDER,
     MAX_SAMPLES,
@@ -24,6 +34,7 @@ from tropcoh.smoothing import (
     check_hessian_definiteness,
     derivatives,
     epsilon_auto,
+    fan_derivatives,
     grad,
     hessian,
     mollify_eval,
@@ -165,38 +176,6 @@ def test_definiteness_requires_one_sided_twists(blowup_region):
         check_hessian_definiteness(theta, MollifierParams(0.2), samples=4)
 
 
-def _wall_form_hessian(theta, eps, x, order=400):
-    """Hessian of the smoothed fan support from its kinks alone.
-
-    The gradient of the fan support jumps by D_j = theta_j - theta_{j-1}
-    across ray j, in the direction n_j = rot90(u_j), so its distributional
-    Hessian is sum_j D_j n_j^T times the line measure on ray j.  Smoothing
-    gives sum_j D_j n_j^T (int of mu along the ray inside the disk) / Z, with
-    one-dimensional Gauss-Legendre for each chord and for Z in polar form.
-    """
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    r = eps * (gx + 1) / 2
-    z = float(np.sum(eps / 2 * gw * np.exp(1 / (r * r - eps * eps)) * 2 * math.pi * r))
-    x = np.asarray(x, dtype=float)
-    thetas = [np.array([float(t[0]), float(t[1])]) for t in theta.thetas]
-    out = np.zeros((2, 2))
-    for j, u in enumerate(theta.fan.rays):
-        u = np.asarray(u, dtype=float) / math.hypot(*u)
-        # chord {s u : s >= 0, |x - s u| < eps}
-        b, c = float(x @ u), float(x @ x) - eps * eps
-        if b * b - c <= 0:
-            continue
-        lo, hi = max(0.0, b - math.sqrt(b * b - c)), b + math.sqrt(b * b - c)
-        if hi <= lo:
-            continue
-        s = lo + (hi - lo) * (gx + 1) / 2
-        y = x - s[:, None] * u
-        gap = np.minimum(np.sum(y * y, axis=1) - eps * eps, -1e-300)
-        line = float(np.sum((hi - lo) / 2 * gw * np.exp(1 / gap)))
-        out += np.outer(thetas[j] - thetas[j - 1], (-u[1], u[0])) * line
-    return out / z
-
-
 @pytest.mark.parametrize("eps", [0.2, 0.25, 0.5])
 def test_hessian_matches_the_wall_form_pointwise(p2_theta, eps):
     f = FanPL(p2_theta)
@@ -210,7 +189,7 @@ def test_hessian_matches_the_wall_form_pointwise(p2_theta, eps):
     ]
     for x in points:
         got = np.array(derivatives(f, MollifierParams(eps), x)[1])
-        want = _wall_form_hessian(p2_theta, eps, x)
+        want = wall_form_hessian(p2_theta, eps, x)
         assert np.max(np.abs(got - want)) <= 1e-7 * max(1.0, np.max(np.abs(want))), x
         assert got[0, 1] == got[1, 0]
 
@@ -348,7 +327,7 @@ def test_sample_limit_is_checked_before_any_quadrature(p2_theta, monkeypatch):
     def refuse(*args):
         raise AssertionError("quadrature started")
 
-    monkeypatch.setattr(smoothing, "_rule", refuse)
+    monkeypatch.setattr(smoothing, "fan_derivatives", refuse)
     with pytest.raises(SizeLimitError, match=f"above the limit of {MAX_SAMPLES}"):
         check_hessian_definiteness(p2_theta, MollifierParams(0.2), samples=MAX_SAMPLES + 1)
 
@@ -359,3 +338,179 @@ def test_report_names_the_worst_samples(p2_theta):
     assert min(h.eigenvalues) == rep.min_abs_eigenvalue
     assert g.hull_excess <= rep.max_hull_excess
     assert max(g.gamma_distance or 0.0, g.hull_excess) == max(rep.max_gamma_distance, rep.max_hull_excess)
+
+
+# ---------------------------------------------------------------- the fan rule
+
+
+@pytest.fixture(scope="module")
+def definite_thetas():
+    """Seeded convex and concave supports on fans with 3, 9, 7, 5, 4 and 6 rays."""
+    rng = random.Random(2)
+    return [random_definite_theta(rng, sign) for sign in (1, -1) * 3]
+
+
+def _scale(want) -> float:
+    return max(1.0, float(np.max(np.abs(want))))
+
+
+def test_fan_rule_matches_the_oracles_pointwise(definite_thetas):
+    eps = 0.25
+    p, reference = MollifierParams(eps), MollifierParams(eps, 300)
+    for theta in definite_thetas:
+        f = FanPL(theta)
+        points, on_ray = smoothing._sample_points(theta.fan.rays, eps, 8)
+        points = [(0.0, 0.0)] + points
+        g, h = fan_derivatives(f, p, points)
+        want = vertex_gradient(theta)
+        assert np.max(np.abs(g[0] - want)) <= 1e-12 * _scale(want), theta.fan.rays
+        for x, hx in zip(points, h):
+            want = wall_form_hessian(theta, eps, x)
+            assert np.max(np.abs(hx - want)) <= 1e-9 * _scale(want), (theta.fan.rays, x)
+            assert hx[0, 1] == hx[1, 0]
+        # the split rule at order 300 on a vertex sample and on the first sample out along a ray
+        for k in (1, 1 + on_ray.index(0)):
+            g0, h0 = derivatives(f, reference, points[k])
+            want = np.concatenate([g0, np.ravel(h0)])
+            got = np.concatenate([g[k], h[k].ravel()])
+            assert np.max(np.abs(got - want)) <= 1e-9 * _scale(want), (theta.fan.rays, points[k])
+
+
+def _ray_distances(rays, x) -> list[float]:
+    """Distance from x to each closed ray {s u : s >= 0}."""
+    out = []
+    for u in rays:
+        norm = math.hypot(*u)
+        along = (x[0] * u[0] + x[1] * u[1]) / norm
+        out.append(math.hypot(*x) if along <= 0 else abs(x[0] * u[1] - x[1] * u[0]) / norm)
+    return out
+
+
+def test_hessian_certificate(definite_thetas):
+    """Where one wall meets the disk the Hessian has rank one; where non-parallel
+    walls whose kinks share a sign meet it, both eigenvalues have that sign.
+
+    A wall is a ray with a nonzero kink.  A ray counts as meeting the disk
+    when it passes within 0.7 eps of the centre and as missing it beyond eps;
+    points in between are skipped, since a ray that only grazes the disk adds
+    a mass below roundoff.
+    """
+    eps = 0.25
+    thetas = definite_thetas + [random_theta(random.Random(seed)) for seed in range(3)]
+    grid = [(i * eps / 3, k * eps / 3) for i in range(-9, 10) for k in range(-9, 10)]
+    rank_one = definite = 0
+    for theta in thetas:
+        rays = theta.fan.rays
+        kinks = [dot(vsub(theta.thetas[j], theta.thetas[j - 1]), rot90(u)) for j, u in enumerate(rays)]
+        _, hess = fan_derivatives(FanPL(theta), MollifierParams(eps), grid)
+        for x, h in zip(grid, hess):
+            dist = _ray_distances(rays, x)
+            if any(0.7 * eps <= d < eps for d in dist):
+                continue
+            meet = [j for j, d in enumerate(dist) if d < 0.7 * eps and kinks[j] != 0]
+            if not meet:
+                assert np.all(h == 0), x
+                continue
+            lines = {lex_positive(rays[j]) for j in meet}
+            low, high = sorted(np.linalg.eigvalsh(h), key=abs)
+            if len(lines) == 1:
+                rank_one += 1
+                assert abs(low) <= 1e-12 * abs(high), (rays, x)
+            elif len({kinks[j] > 0 for j in meet}) == 1:
+                definite += 1
+                sign = 1 if kinks[meet[0]] > 0 else -1
+                assert sign * low > 0 and sign * high > 0, (rays, x)
+    assert rank_one > 100 and definite > 100
+
+
+EPS_SWEEP = (0.05, 0.1, 0.15, 0.25, 0.5, 1, 1.5, 2, 4)
+
+
+@pytest.fixture(scope="module")
+def sweep_reference(definite_thetas):
+    """Points of a 4-sample check on a 5-ray fan, and the split rule at order 300 there, per radius."""
+    theta = definite_thetas[3]
+    f = FanPL(theta)
+    out = {}
+    for eps in EPS_SWEEP:
+        points = smoothing._sample_points(theta.fan.rays, eps, 4)[0][::2]
+        out[eps] = points, [derivatives(f, MollifierParams(eps, 300), x) for x in points]
+    return f, out
+
+
+def test_the_mass_check_is_sound(sweep_reference):
+    """Wherever the fan rule does not raise, it is within 1e-6 of the split rule at order 300."""
+    f, reference = sweep_reference
+    passed = raised = 0
+    for order in (8, 24, 64):
+        for eps in EPS_SWEEP:
+            p = MollifierParams(eps, order)
+            for x, (g0, h0) in zip(*reference[eps]):
+                try:
+                    g, h = fan_derivatives(f, p, [x])
+                except LatticeError as exc:
+                    assert str(exc) == "quadrature order too low"
+                    raised += 1
+                    continue
+                passed += 1
+                want = np.concatenate([g0, np.ravel(h0)])
+                got = np.concatenate([g[0], h[0].ravel()])
+                assert np.max(np.abs(got - want)) <= 1e-6 * _scale(want), (order, eps, x)
+    assert passed > 0 and raised > 0
+
+
+def _outcome(theta, p, samples):
+    try:
+        rep = check_hessian_definiteness(theta, p, samples)
+    except LatticeError as exc:
+        return str(exc), None
+    fields = (rep.convexity, rep.hessian_samples, rep.hessian_failures, rep.gamma_samples, rep.grad_samples, rep.ok)
+    return fields, (rep.min_abs_eigenvalue, rep.max_gamma_distance, rep.max_hull_excess)
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.25, 0.5])
+def test_check_reports_what_the_split_rule_reported(definite_thetas, monkeypatch, eps):
+    """Every non-float field, and each raise, as with the split rule at the same
+    order; the floats within 1e-8 of the split rule at order 300."""
+    runs = [(theta, 24) for theta in definite_thetas[:4]] + [(theta, 200) for theta in definite_thetas[:2]]
+    fan_rule = [_outcome(theta, MollifierParams(eps), samples) for theta, samples in runs]
+    fan_floats = _outcome(definite_thetas[0], MollifierParams(eps), 8)
+    monkeypatch.setattr(smoothing, "fan_derivatives", split_fan_derivatives)
+    for (theta, samples), (fields, _) in zip(runs, fan_rule):
+        assert _outcome(theta, MollifierParams(eps), samples)[0] == fields, (theta.fan.rays, samples)
+    fields, floats = _outcome(definite_thetas[0], MollifierParams(eps, 300), 8)
+    assert fields == fan_floats[0]
+    assert np.max(np.abs(np.array(floats) - fan_floats[1])) <= 1e-8
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.05, 0.1, 0.25, 0.5, 0.99, 1.0, 1.01, 2, 4, 10])
+def test_bump_mass_is_the_polar_integral(eps):
+    assert abs(smoothing._bump_mass(eps) - polar_disk_mass(eps)) <= 1e-12 * polar_disk_mass(eps)
+
+
+def test_fan_rule_groups_hold_at_most_group_nodes(p2_theta, monkeypatch):
+    sizes = []
+    real = smoothing._bump_on_chords
+
+    def counted(s0, s1, lo, gx, gw):
+        sizes.append(len(s0) * 2 * len(gx))
+        return real(s0, s1, lo, gx, gw)
+
+    monkeypatch.setattr(smoothing, "_bump_on_chords", counted)
+    fan_derivatives(FanPL(p2_theta), MollifierParams(0.25, MAX_QUADRATURE_ORDER), [(0.01, 0.02), (0.0, 2.0)])
+    assert len(sizes) > 2 and max(sizes) <= smoothing._GROUP_NODES
+
+
+def test_check_hessian_definiteness_runs_no_split_rule(p2_theta, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("split rule started")
+
+    monkeypatch.setattr(smoothing, "_rule", refuse)
+    assert check_hessian_definiteness(p2_theta, MollifierParams(0.25), samples=24).ok
+
+
+@pytest.mark.parametrize("eps", [0.0375, 1e-200])
+def test_a_radius_whose_bump_underflows_is_rejected(eps):
+    with pytest.raises(LatticeError, match=f"mollifier radius {eps} is too small: the bump underflows"):
+        MollifierParams(eps)
+    assert MollifierParams(0.0376).epsilon == 0.0376
