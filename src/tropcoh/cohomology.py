@@ -14,7 +14,7 @@ from typing import Optional
 from .fan import Fan, is_smooth, self_intersections
 from .lattice import (
     LatticeError, Vec, as_ints, cut_at_row, det2, dot, dual_numerators, row_thresholds,
-    threshold_slabs, twice,
+    threshold_slabs,
 )
 from .spheres import SemiIntegralSupport, gamma_curve
 from .winding import check_rows, h_even_odd, winding_runs
@@ -62,17 +62,15 @@ def psi_from_ray_values(fan: Fan, values) -> ToricSupport:
 def psi_from_theta(theta: SemiIntegralSupport) -> ToricSupport:
     """Mirror bundle data: half the canonical parts minus the sphere parts.
 
-    Part j is (K_j - 2 theta_j) / 2, an integer pair exactly when the
-    canonical part and the doubled theta part agree mod 2.
+    Part j is (K_j - 2 theta_j) / 2.  K_j pairs to -1 and 2 theta_j to an
+    odd number with rays j and j + 1, a basis of a smooth cone, so
+    K_j - 2 theta_j pairs evenly with a basis and lies in 2Z^2.
     """
     kc = canonical_psi(theta.fan)
-    parts = []
-    for (k0, k1), th in zip(kc.parts, theta.thetas):
-        t = twice(th)
-        if t is None or (k0 - t[0]) % 2 or (k1 - t[1]) % 2:
-            raise LatticeError("parity violated")
-        parts.append(((k0 - t[0]) // 2, (k1 - t[1]) // 2))
-    return ToricSupport(theta.fan, tuple(parts))
+    parts = tuple(
+        ((k0 - t0) // 2, (k1 - t1) // 2) for (k0, k1), (t0, t1) in zip(kc.parts, theta.doubled)
+    )
+    return ToricSupport(theta.fan, parts)
 
 
 def divisor_coeffs(psi: ToricSupport) -> tuple[int, ...]:

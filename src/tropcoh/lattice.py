@@ -4,10 +4,10 @@ Everything here is plain integer or Fraction arithmetic; no floats.  Vectors
 are ordinary tuples so they stay hashable and JSON-friendly.
 
 Points of the half lattice (support parts theta, boundary curve vertices)
-are carried doubled, as integer pairs: `twice` reads a Fraction pair that
-way, and `dual_numerators` gives det(u, v) times the solution of a 2x2
-pairing system, which is the exact solution itself on a smooth cone
-(det = 1).  `solve_dual` is the same solve in Fractions.
+are carried doubled, as integer pairs.  `dual_numerators` gives det(u, v)
+times the solution of a 2x2 pairing system, which is the exact solution
+itself on a smooth cone (det = 1).  `solve_dual` is the same solve in
+Fractions.
 
 The winding and cohomology counts share `threshold_slabs`: it cuts rows
 into slabs on which threshold lines keep their order, and sums each line's
@@ -20,7 +20,7 @@ import operator
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 Vec = tuple[int, int]
 QVec = tuple[Fraction, Fraction]
@@ -77,15 +77,6 @@ def as_ints(values, what: str) -> tuple[int, ...]:
         except TypeError:
             raise LatticeError(f"{what} {j} is {x!r}, not an integer") from None
     return tuple(out)
-
-
-def twice(v) -> Optional[Vec]:
-    """2v as an integer pair when both coordinates are integers or halves, else None."""
-    x, y = v
-    dx, dy = x.denominator, y.denominator
-    if dx > 2 or dy > 2:
-        return None
-    return (x.numerator * (2 // dx), y.numerator * (2 // dy))
 
 
 def primitive(v: Vec) -> Vec:

@@ -84,7 +84,7 @@ class FanPL:
         if not np.all(np.diff(angles) > 0):
             raise LatticeError("fan rays are not in counterclockwise order")
         self._angles = angles
-        self._parts = np.array([[float(t[0]), float(t[1])] for t in theta.thetas])
+        self._parts = np.array([[x / 2, y / 2] for x, y in theta.doubled])
         self._units = np.array(rays, dtype=float) / np.hypot(*np.array(rays, dtype=float).T)[:, None]
         keys = dict.fromkeys(lex_positive(u) for u in rays)
         self._walls = tuple(_normalize_wall(-k[1], k[0], 0.0) for k in keys)
@@ -187,6 +187,9 @@ class SubdivisionPL:
 # samples / 4 gradient points out along the rays.
 MAX_QUADRATURE_ORDER = 400
 MAX_SAMPLES = 10_000
+# The gradient's roundoff grows with |2 theta|: on the convex and concave fixture
+# sets scaled by 10^k + 1, max_gamma_distance first passes 1e-5 at |2 theta| = 3e11.
+MAX_DOUBLED_THETA = 10**10
 
 
 @dataclass(frozen=True)
@@ -200,6 +203,9 @@ class MollifierParams:
         if self.epsilon * self.epsilon * -math.log(sys.float_info.min) < 1:
             # the bump's peak exp(-1/eps^2) is subnormal: every mass is roundoff
             raise LatticeError(f"mollifier radius {self.epsilon} is too small: the bump underflows")
+        if not 1 / (self.epsilon * self.epsilon) >= sys.float_info.min:
+            # the bump's mass is a function of 1/eps^2, which is subnormal or 0 here
+            raise LatticeError(f"mollifier radius {self.epsilon} is too large: 1/eps^2 underflows")
         if self.quadrature_order < 1:
             raise LatticeError(f"quadrature order must be positive, got {self.quadrature_order}")
         if self.quadrature_order > MAX_QUADRATURE_ORDER:
@@ -571,11 +577,14 @@ def check_hessian_definiteness(
         raise LatticeError(f"Hessian sample count must be positive, got {samples}")
     if samples > MAX_SAMPLES:
         raise SizeLimitError(f"{samples} Hessian samples is above the limit of {MAX_SAMPLES}")
+    big = max(abs(c) for t in theta.doubled for c in t)
+    if big > MAX_DOUBLED_THETA:
+        raise SizeLimitError(f"a doubled theta coordinate is {big}, above the limit of {MAX_DOUBLED_THETA}")
     convexity = is_strictly_convex(theta)
     if convexity == "neither":
         raise LatticeError("convexity required")
     sign = 1.0 if convexity == "convex" else -1.0
-    gamma = [(float(v[0]), float(v[1])) for v in gamma_curve(theta).vertices]
+    gamma = [(x / 2, y / 2) for x, y in gamma_curve(theta).doubled]
     points, on_ray = _sample_points(theta.fan.rays, float(p.epsilon), samples)
     grads, hess = fan_derivatives(FanPL(theta), p, points)
 

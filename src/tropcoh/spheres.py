@@ -13,7 +13,7 @@ from typing import Mapping, Optional, Union
 
 from .bundles import KinkVector, _check_cocycle, _kink_entry, canonical_KC
 from .fan import Fan, balance, self_intersections
-from .lattice import LatticeError, QVec, Vec, as_ints, det2, dot, dual_numerators, twice
+from .lattice import LatticeError, QVec, Vec, as_ints, det2, dot, dual_numerators
 from .polytope import ValidationIssue, ValidationReport, interior_edge_keys
 from .tropical import BoundedRegion
 
@@ -83,35 +83,37 @@ def twisting(source: RegionOrFan, ell) -> Twisting:
 
 @dataclass(frozen=True)
 class SemiIntegralSupport:
-    """Per-cone linear parts theta_j on the cone spanned by (u_j, u_{j+1})."""
+    """Per-cone linear parts theta_j on the cone spanned by (u_j, u_{j+1}).
+
+    doubled[j] is 2 theta_j as an integer pair.  Building one checks, once,
+    that there is a part per ray and that part j pairs to a half-odd integer
+    with rays j and j + 1; thetas and ray_value are Fraction views.
+    """
 
     fan: Fan
-    thetas: tuple[QVec, ...]
+    doubled: tuple[Vec, ...]
     region: Optional[BoundedRegion] = None
 
+    def __post_init__(self):
+        rays = self.fan.rays
+        if len(self.doubled) != len(rays):
+            raise LatticeError(f"{len(self.doubled)} theta parts for {len(rays)} rays")
+        for j, t in enumerate(self.doubled):
+            for k in (j, (j + 1) % len(rays)):
+                x = dot(t, rays[k])
+                if type(x) is not int:
+                    raise LatticeError(f"doubled theta part {j} is {t!r}, not an integer pair")
+                if x % 2 == 0:
+                    raise LatticeError(
+                        f"cone {j}: theta pairs to {x // 2} with ray {k}, not to a half-odd integer"
+                    )
+
+    @property
+    def thetas(self) -> tuple[QVec, ...]:
+        return tuple((Fraction(x, 2), Fraction(y, 2)) for x, y in self.doubled)
+
     def ray_value(self, j: int) -> Fraction:
-        return dot(self.thetas[j], self.fan.rays[j])
-
-
-def _half(x: Fraction) -> bool:
-    return (2 * x).denominator == 1 and (2 * x).numerator % 2 == 1
-
-
-def _assert_semi_integral(fan: Fan, parts, thetas=()) -> None:
-    """Raise unless part j pairs to a half-odd integer with rays j and j + 1.
-
-    parts holds each 2 theta_j as an integer pair, or None for a part off
-    the half lattice, which pairs through thetas[j] instead.
-    """
-    rays = fan.rays
-    for j, t in enumerate(parts):
-        for k in (j, (j + 1) % len(rays)):
-            u = rays[k]
-            if t is not None and dot(t, u) % 2:
-                continue
-            x = dot(thetas[j], u) if t is None else Fraction(dot(t, u), 2)
-            if not _half(x):
-                raise LatticeError(f"cone {j}: theta pairs to {x} with ray {k}, not to a half-odd integer")
+        return Fraction(dot(self.doubled[j], self.fan.rays[j]), 2)
 
 
 def _doubled_seed(fan: Fan) -> Vec:
@@ -134,7 +136,7 @@ def canonical_seed(fan: Fan) -> QVec:
     return (Fraction(x, 2), Fraction(y, 2))
 
 
-def _doubled_thetas(fan: Fan, ell) -> list[Vec]:
+def _doubled_thetas(fan: Fan, ell) -> tuple[Vec, ...]:
     """Every 2 theta_j: the doubled seed, then 2 theta_j = 2 theta_{j-1} + ell_j rot90(u_j)."""
     rays = fan.rays
     values = as_ints(ell, "twisting number")
@@ -148,32 +150,26 @@ def _doubled_thetas(fan: Fan, ell) -> list[Vec]:
     (u0, u1), l = rays[0], values[0]
     if (x - l * u1, y + l * u0) != parts[0]:
         raise LatticeError(f"twisting numbers {ell} do not close up around the fan")
-    _assert_semi_integral(fan, parts)
-    return parts
+    return tuple(parts)
 
 
 def theta_from_twisting(tw: Twisting) -> SemiIntegralSupport:
-    fan = tw.fan
     try:
-        parts = _doubled_thetas(fan, tw.ell)
+        return SemiIntegralSupport(tw.fan, _doubled_thetas(tw.fan, tw.ell), tw.region)
     except LatticeError:
         # the recurrence closes up with half-odd pairings exactly when
         # validate_twisting finds no issue, so a valid twisting is checked once
-        _check_twisting(tw.ell, fan)
+        _check_twisting(tw.ell, tw.fan)
         raise
-    thetas = tuple((Fraction(x, 2), Fraction(y, 2)) for x, y in parts)
-    return SemiIntegralSupport(fan, thetas, tw.region)
 
 
 def kinks_of_theta(theta: SemiIntegralSupport) -> Twisting:
     fan = theta.fan
-    parts = [twice(t) for t in theta.thetas]
+    parts = theta.doubled
     ell = []
     for j, (u0, u1) in enumerate(fan.rays):
-        a, b = parts[j - 1], parts[j]
-        if a is None or b is None:
-            raise LatticeError("not a support function on Σ_C")
-        dx, dy = b[0] - a[0], b[1] - a[1]
+        (ax, ay), (bx, by) = parts[j - 1], parts[j]
+        dx, dy = bx - ax, by - ay
         if dx * u0 + dy * u1 != 0:
             raise LatticeError("not a support function on Σ_C")
         # an integer step orthogonal to the primitive u_j is ell_j rot90(u_j) = ell_j (-u1, u0)
@@ -183,15 +179,25 @@ def kinks_of_theta(theta: SemiIntegralSupport) -> Twisting:
 
 @dataclass(frozen=True)
 class GammaCurve:
-    """Closed polygonal boundary value curve through the cone linear parts."""
+    """Closed polygonal boundary value curve through the cone linear parts.
 
-    vertices: tuple[QVec, ...]
+    doubled[i] is 2 v_i for vertex v_i, an integer pair; vertices is the Fraction view.
+    """
+
+    doubled: tuple[Vec, ...]
     fan: Optional[Fan] = None
+
+    def __post_init__(self):
+        if not all(type(x) is int for v in self.doubled for x in v):
+            raise LatticeError(f"curve vertices {self.doubled!r} are not all integer pairs")
+
+    @property
+    def vertices(self) -> tuple[QVec, ...]:
+        return tuple((Fraction(x, 2), Fraction(y, 2)) for x, y in self.doubled)
 
 
 def gamma_curve(theta: SemiIntegralSupport) -> GammaCurve:
-    _assert_semi_integral(theta.fan, [twice(t) for t in theta.thetas], theta.thetas)
-    return GammaCurve(theta.thetas, theta.fan)
+    return GammaCurve(theta.doubled, theta.fan)
 
 
 def translate_sphere(tw: Twisting, K: KinkVector) -> Twisting:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Optional, Union
 
 from .lattice import LatticeError
@@ -24,15 +25,25 @@ def _fmt(x: float) -> str:
 
 
 class _Canvas:
-    """Maps lattice coordinates to a y-flipped pixel frame."""
+    """Maps lattice coordinates to a y-flipped pixel frame.
+
+    float() raises past the float range; that or an infinite frame raises
+    LatticeError.  Every point drawn lies in the frame, so its pixels are finite.
+    """
 
     def __init__(self, xs, ys):
+        try:
+            xs, ys = [float(x) for x in xs], [float(y) for y in ys]
+        except OverflowError:
+            xs = ys = [math.inf]
         self.xmin = min(xs) - PAD
         self.xmax = max(xs) + PAD
         self.ymin = min(ys) - PAD
         self.ymax = max(ys) + PAD
         self.width = (self.xmax - self.xmin) * SCALE
         self.height = (self.ymax - self.ymin) * SCALE
+        if not (math.isfinite(self.width) and math.isfinite(self.height)):
+            raise LatticeError("the figure's coordinates lie outside the float range")
 
     def to_px(self, p) -> tuple[float, float]:
         return (
@@ -130,17 +141,12 @@ def render_svg(
     if isinstance(obj, TropicalCurve):
         if table is not None:
             raise LatticeError("winding tables attach to a gamma curve")
-        vs = list(obj.vertices)
-        xs = [float(v[0]) for v in vs]
-        ys = [float(v[1]) for v in vs]
+        xs, ys = zip(*obj.vertices)
         canvas = _Canvas(xs, ys)
         body = _curve_elements(canvas, obj)
     else:
-        xs = [float(v[0]) for v in obj.vertices]
-        ys = [float(v[1]) for v in obj.vertices]
-        if table is not None and table.entries:
-            xs += [float(p[0]) for p in table.entries]
-            ys += [float(p[1]) for p in table.entries]
+        points = list(obj.vertices) + (list(table.entries) if table is not None else [])
+        xs, ys = zip(*points)
         canvas = _Canvas(xs, ys)
         body = _gamma_elements(canvas, obj, table)
     doc = _header(canvas) + body + ["</svg>"]

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .lattice import LatticeError, Vec, det2, dot, row_thresholds, threshold_slabs, twice
+from .lattice import LatticeError, Vec, det2, dot, row_thresholds, threshold_slabs
 from .spheres import GammaCurve, SemiIntegralSupport, gamma_curve, kinks_of_theta
 
 
@@ -35,18 +34,11 @@ def check_rows(rows: int, what: str) -> None:
         )
 
 
-def _doubled_vertices(vertices) -> list[Vec]:
-    out = [twice(v) for v in vertices]
-    if None in out:
-        raise LatticeError("curve vertices must lie in the half lattice")
-    return out
-
-
 def _on_curve(m: Vec) -> LatticeError:
     return LatticeError(f"lattice point ({m[0]}, {m[1]}) on the boundary curve")
 
 
-def _cast(doubled: list[Vec], m: Vec) -> int:
+def _cast(doubled: tuple[Vec, ...], m: Vec) -> int:
     """Signed crossings of the rightward horizontal ray from the lattice point m."""
     x, y = 2 * m[0], 2 * m[1]
     # the half-open rule below gives a vertex at a local maximum of y to no segment
@@ -75,7 +67,7 @@ def _cast(doubled: list[Vec], m: Vec) -> int:
 
 
 def winding(gamma: GammaCurve, m: Vec) -> int:
-    return _cast(_doubled_vertices(gamma.vertices), m)
+    return _cast(gamma.doubled, m)
 
 
 def _segments(gamma: GammaCurve) -> tuple[list[tuple[int, int, int, int, int]], list[int]]:
@@ -87,7 +79,7 @@ def _segments(gamma: GammaCurve) -> tuple[list[tuple[int, int, int, int, int]], 
     horizontal edge through one, raises here, since the half-open rule gives
     those points to no segment.
     """
-    doubled = _doubled_vertices(gamma.vertices)
+    doubled = gamma.doubled
     for x, y in doubled:
         if x % 2 == 0 and y % 2 == 0:
             raise _on_curve((x // 2, y // 2))
@@ -174,10 +166,10 @@ class WindingTable:
 def winding_table(theta: SemiIntegralSupport) -> WindingTable:
     """The nonzero entries of the sweep, inside the curve's box padded by one."""
     gamma = gamma_curve(theta)
-    xmin = math.floor(min(v[0] for v in gamma.vertices)) - 1
-    xmax = math.ceil(max(v[0] for v in gamma.vertices)) + 1
-    ymin = math.floor(min(v[1] for v in gamma.vertices)) - 1
-    ymax = math.ceil(max(v[1] for v in gamma.vertices)) + 1
+    xs, ys = zip(*gamma.doubled)
+    # floor and ceil of half the doubled extremes
+    xmin, ymin = min(xs) // 2 - 1, min(ys) // 2 - 1
+    xmax, ymax = -(-max(xs) // 2) + 1, -(-max(ys) // 2) + 1
     points = (xmax - xmin + 1) * (ymax - ymin + 1)
     if points > MAX_TABLE_POINTS:
         raise SizeLimitError(
@@ -257,20 +249,17 @@ def winding_via_T(theta: SemiIntegralSupport, m: Vec, direction: Vec) -> int:
     matching curve segment with T > 0 is a local extremum, and minima minus
     maxima is the winding number.
     """
-    fan = theta.fan
-    r = len(fan.rays)
+    thetas = theta.thetas
     w = 0
-    for j in range(r):
-        u = fan.rays[j]
+    for j, u in enumerate(theta.fan.rays):
         den = dot(direction, u)
         if den == 0:
             raise GenericityError("perturb direction")
-        num = theta.ray_value(j) - dot(m, u)
-        t = Fraction(num, den) if isinstance(num, int) else num / den
+        t = (dot(thetas[j], u) - dot(m, u)) / den
         if t <= 0:
             continue
         p = (m[0] + t * direction[0], m[1] + t * direction[1])
-        a, b = theta.thetas[j - 1], theta.thetas[j]
+        a, b = thetas[j - 1], thetas[j]
         d = (b[0] - a[0], b[1] - a[1])
         if d == (0, 0):
             if p == a:

@@ -17,7 +17,7 @@ from tropcoh.cohomology import (
 )
 from tropcoh.lattice import LatticeError
 from tropcoh.spheres import gamma_curve
-from tropcoh.winding import WindingTable, _cast, _doubled_vertices
+from tropcoh.winding import WindingTable, _cast
 
 
 def curve_box(gamma) -> tuple[int, int, int, int]:
@@ -31,7 +31,7 @@ def curve_box(gamma) -> tuple[int, int, int, int]:
 
 def scan_winding_table(theta) -> WindingTable:
     gamma = gamma_curve(theta)
-    doubled = _doubled_vertices(gamma.vertices)
+    doubled = gamma.doubled
     xmin, ymin, xmax, ymax = curve_box(gamma)
     entries = {}
     for x in range(xmin, xmax + 1):

@@ -161,7 +161,6 @@ def cross_check(rng_seed: int, cases: int) -> tuple[int, int]:
     )
     from tropcoh.winding import (
         _cast,
-        _doubled_vertices,
         h_even_odd,
         winding_table,
         winding_via_T_auto,
@@ -187,7 +186,7 @@ def cross_check(rng_seed: int, cases: int) -> tuple[int, int]:
         dims = rep.dims
         assert dims.h0 - dims.h1 + dims.h2 == riemann_roch(psi), f"Riemann-Roch fails on fan {fan}"
 
-        doubled = _doubled_vertices(gamma_curve(theta).vertices)
+        doubled = gamma_curve(theta).doubled
         rays, coeffs = psi.fan.rays, divisor_coeffs(psi)
         boxes = (table.bounds, _search_box(psi.fan, coeffs, 0))
         xmin, ymin = min(b[0] for b in boxes), min(b[1] for b in boxes)

@@ -41,7 +41,7 @@ from tropcoh.lattice import floor_sum
 from tropcoh.polytope import Subdivision, edges
 from tropcoh.smoothing import derivatives
 from tropcoh.spheres import SemiIntegralSupport, Twisting, _check_twisting, gamma_curve
-from tropcoh.winding import _doubled_vertices, _on_curve, _segments, is_strictly_convex
+from tropcoh.winding import _on_curve, _segments, is_strictly_convex
 
 
 @lru_cache(maxsize=1)
@@ -168,7 +168,7 @@ def legendre(sub: Subdivision) -> TropicalFunction:
 def convex_intersection_count(theta: SemiIntegralSupport) -> int:
     if is_strictly_convex(theta) == "neither":
         raise LatticeError("convexity required")
-    verts = _doubled_vertices(gamma_curve(theta).vertices)
+    verts = gamma_curve(theta).doubled
     r = len(verts)
     area2 = sum(det2(verts[j - 1], verts[j]) for j in range(r))
     if area2 <= 0:
@@ -394,7 +394,7 @@ def fraction_theta_from_twisting(tw: Twisting) -> SemiIntegralSupport:
     if closed != thetas[0]:
         raise LatticeError(f"twisting numbers {tw.ell} do not close up around the fan")
     fraction_assert_semi_integral(fan, thetas)
-    return SemiIntegralSupport(fan, tuple(thetas), tw.region)
+    return SemiIntegralSupport(fan, tuple((int(2 * x), int(2 * y)) for x, y in thetas), tw.region)
 
 
 def fraction_kinks_of_theta(theta: SemiIntegralSupport) -> tuple[int, ...]:
@@ -453,16 +453,6 @@ def fraction_search_box(fan: Fan, coeffs, margin: int) -> tuple[int, int, int, i
         math.ceil(max(xs)) + pad,
         math.ceil(max(ys)) + pad,
     )
-
-
-def fraction_doubled_vertices(vertices) -> list[Vec]:
-    out = []
-    for v in vertices:
-        x2, y2 = 2 * Fraction(v[0]), 2 * Fraction(v[1])
-        if x2.denominator != 1 or y2.denominator != 1:
-            raise LatticeError("curve vertices must lie in the half lattice")
-        out.append((int(x2), int(y2)))
-    return out
 
 
 def fraction_slab_thresholds(lines, a: int, b: int) -> list[tuple[int, int]]:

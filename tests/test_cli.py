@@ -384,6 +384,7 @@ def test_smooth_check(run):
         (("--epsilon", "0"), "radius must be positive"),
         (("--epsilon", "-1"), "radius must be positive"),
         (("--order", "0"), "order must be positive"),
+        (("--epsilon", "1e160"), "radius 1e+160 is too large: 1/eps^2 underflows"),
     ],
 )
 def test_smooth_check_rejects_bad_flags(run, flags, message):
@@ -409,6 +410,34 @@ def test_smooth_check_size_limits(run, monkeypatch, flags, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_smooth_check_theta_size_limit(run, sign):
+    """Below the limit the float checks pass; above it, where roundoff would fail them, exit 2."""
+    limit = smoothing.MAX_DOUBLED_THETA
+    code, out, _ = run("smooth-check", P2, "--ell", ",".join([str(sign * (limit - 1))] * 3))
+    assert code == 0
+    assert out_json(out)["result"]["max_gamma_distance"] < 1e-6
+    for ell in (limit + 1, 10**12 + 1, 10**400 + 1):
+        code, out, err = run("smooth-check", P2, "--ell", ",".join([str(sign * ell)] * 3))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: a doubled theta coordinate is ")
+        assert err.endswith(f", above the limit of {limit}\n")
+
+
+def test_svg_outside_the_float_range_exits_2(run, fixture_dir, tmp_path):
+    raw = json.loads((fixture_dir / P2).read_bytes())
+    raw["nu"] = [x * 10**400 for x in raw["nu"]]
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps(raw))
+    huge = ",".join([str(10**400 + 1)] * 3)
+    for argv in (("tropical", None, "--input", str(doc)), ("sphere", P2, "--ell", huge)):
+        code, out, err = run(*argv, "--format", "svg")
+        assert code == 2
+        assert out == ""
+        assert err == "error: the figure's coordinates lie outside the float range\n"
 
 
 def test_smooth_check_order_limit_in_the_document(run, fixture_dir, tmp_path):

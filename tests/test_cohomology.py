@@ -28,7 +28,6 @@ from tropcoh.fan import make_fan
 from tropcoh.io import parse_input
 from tropcoh.lattice import LatticeError
 from tropcoh.spheres import (
-    SemiIntegralSupport,
     gamma_curve,
     kinks_of_theta,
     theta_from_twisting,
@@ -106,12 +105,6 @@ def test_worked_psi_parts(worked_psi):
 def test_worked_psi_coeffs_and_degrees(worked_psi):
     assert divisor_coeffs(worked_psi) == (0, 0, -3, 6)
     assert restriction_degrees(worked_psi) == (6, -3, 6, 3)
-
-
-def test_psi_from_theta_parity_check(p2_fan):
-    theta = SemiIntegralSupport(p2_fan, ((0, 0), (0, 0), (0, 0)))
-    with pytest.raises(LatticeError, match="parity violated"):
-        psi_from_theta(theta)
 
 
 def test_restriction_degrees_of_canonical(p2_fan):

@@ -9,6 +9,7 @@ raise with the same message.
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +19,6 @@ from gen_cases import random_theta
 from oracles import (
     fraction_assert_semi_integral,
     fraction_canonical_seed,
-    fraction_doubled_vertices,
     fraction_kinks_of_theta,
     fraction_psi_from_theta,
     fraction_search_box,
@@ -46,7 +46,7 @@ from tropcoh.spheres import (
     twisting,
 )
 from tropcoh.tropical import region_at, tropical_curve
-from tropcoh.winding import _doubled_vertices, _segments, h_even_odd
+from tropcoh.winding import _segments, h_even_odd
 
 P2 = make_fan([(1, 0), (0, 1), (-1, -1)])
 BIG = (10**6 + 1, 10**18 + 1)
@@ -94,8 +94,7 @@ def test_theta_kinks_psi_and_box_match_the_fractions(twistings):
         assert all(type(x) is Fraction for part in theta.thetas for x in part)
         assert canonical_seed(tw.fan) == fraction_canonical_seed(tw.fan) == theta.thetas[0]
         assert kinks_of_theta(theta).ell == fraction_kinks_of_theta(theta) == tw.ell
-        vertices = gamma_curve(theta).vertices
-        assert _doubled_vertices(vertices) == fraction_doubled_vertices(vertices)
+        assert gamma_curve(theta).vertices == theta.thetas
         psi = _same(psi_from_theta, fraction_psi_from_theta, theta)
         coeffs = divisor_coeffs(psi)
         for margin in (0, 3):
@@ -158,39 +157,34 @@ def test_slab_orders_at_a_twist_of_ten_to_the_eighteen(slab_orders):
     assert len(slab_orders) == 2 * (len(segments) + 1)
 
 
-QUARTER = Fraction(1, 4)
 H = Fraction(1, 2)
 Z = Fraction(0)
+
+
+def _doubled_reads(thetas):
+    theta = SemiIntegralSupport(P2, tuple((int(2 * x), int(2 * y)) for x, y in thetas))
+    return gamma_curve(theta).vertices, kinks_of_theta(theta).ell, psi_from_theta(theta)
+
+
+def _fraction_reads(thetas):
+    fraction_assert_semi_integral(P2, thetas)
+    theta = SimpleNamespace(fan=P2, thetas=thetas)
+    return thetas, fraction_kinks_of_theta(theta), fraction_psi_from_theta(theta)
 
 
 @pytest.mark.parametrize(
     "thetas",
     [
-        ((H, 0), (H + 1, 0), (H, 0)),  # the step into part 1 does not annihilate ray 1
-        ((H, 0), (H, QUARTER), (H, 0)),  # a quarter step
-        ((H, QUARTER), (H, QUARTER), (H, QUARTER)),  # off the half lattice everywhere
+        ((H, 0), (H + 1, 0), (H, 0)),  # part 1 pairs to 0 with ray 2
+        ((H, 0), (Fraction(3, 2), H), (0, H)),  # half-odd pairings, but parts 0 and 1 differ on ray 1
+        ((H, 0), (H, 1), (0, H)),  # part 1 pairs to 1 with ray 2
         ((Z, Z), (Z, Z), (Z, Z)),  # integral parts: no half-odd pairing
         ((H, 0), (H, Fraction(3, 2)), (-1, Fraction(3, 2))),  # the cap_k1 parts
     ],
 )
 def test_hand_built_supports_raise_the_fraction_messages(thetas):
-    theta = SemiIntegralSupport(P2, thetas)
-    _same(
-        lambda t: gamma_curve(t).vertices,
-        lambda t: fraction_assert_semi_integral(t.fan, t.thetas) or t.thetas,
-        theta,
-    )
-    _same(psi_from_theta, fraction_psi_from_theta, theta)
-    _same(_doubled_vertices, fraction_doubled_vertices, thetas)
-    got = _outcome(lambda t: kinks_of_theta(t).ell, theta)
-    want = _outcome(fraction_kinks_of_theta, theta)
-    if thetas[0][1] == QUARTER:
-        # parts off the half lattice are no support on the half lattice: the Fraction
-        # version read their zero steps as kinks 0, the doubled parts refuse them
-        assert want == (0, 0, 0)
-        assert got == "LatticeError: not a support function on Σ_C"
-    else:
-        assert got == want
+    """Built from the doubled parts, a support checks itself as the Fraction twist path did."""
+    _same(_doubled_reads, _fraction_reads, thetas)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ this module is exact.
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -514,3 +515,10 @@ def test_a_radius_whose_bump_underflows_is_rejected(eps):
     with pytest.raises(LatticeError, match=f"mollifier radius {eps} is too small: the bump underflows"):
         MollifierParams(eps)
     assert MollifierParams(0.0376).epsilon == 0.0376
+
+
+@pytest.mark.parametrize("eps", [7e153, 1e160, 1e300])
+def test_a_radius_whose_inverse_square_underflows_is_rejected(eps):
+    with pytest.raises(LatticeError, match=re.escape(f"mollifier radius {eps} is too large: 1/eps^2 underflows")):
+        MollifierParams(eps)
+    assert MollifierParams(6e153).epsilon == 6e153

@@ -6,10 +6,11 @@ import pytest
 
 from tropcoh.bundles import canonical_KC
 from tropcoh.fan import make_fan
-from tropcoh.lattice import LatticeError, dot, vadd
+from tropcoh.lattice import LatticeError, dot
 from tropcoh import spheres
 from tropcoh.polytope import ValidationReport
 from tropcoh.spheres import (
+    GammaCurve,
     SemiIntegralSupport,
     Twisting,
     canonical_seed,
@@ -24,6 +25,7 @@ from tropcoh.spheres import (
 )
 
 H = Fraction(1, 2)
+P2 = make_fan([(1, 0), (0, 1), (-1, -1)])
 
 
 def codes(report):
@@ -141,29 +143,32 @@ def test_kinks_of_theta_inverts_construction(p2_region, blowup_region):
 
 
 def test_kinks_of_theta_rejects_non_support():
-    fan = make_fan([(1, 0), (0, 1), (-1, -1)])
-    seed = canonical_seed(fan)
-    # jump between parts 0 and 1 fails to annihilate ray 1
-    thetas = (seed, vadd(seed, (Fraction(1), Fraction(0))), seed)
+    # every part pairs half-oddly with its two rays, but parts 0 and 1 differ on ray 1
+    assert P2.rays[1] == (1, 0)
+    theta = SemiIntegralSupport(P2, ((1, 0), (3, 1), (0, 1)))
     with pytest.raises(LatticeError, match="not a support function"):
-        kinks_of_theta(SemiIntegralSupport(fan, thetas))
+        kinks_of_theta(theta)
 
 
-def test_kinks_of_theta_rejects_quarter_steps():
-    fan = make_fan([(1, 0), (0, 1), (-1, -1)])
-    seed = canonical_seed(fan)
-    quarter = Fraction(1, 4)
-    thetas = (seed, (seed[0], seed[1] + quarter), seed)
-    with pytest.raises(LatticeError, match="not a support function"):
-        kinks_of_theta(SemiIntegralSupport(fan, thetas))
+def test_support_names_a_part_that_pairs_to_an_integer():
+    with pytest.raises(LatticeError, match="cone 1: theta pairs to 1 with ray 2, not to a half-odd integer"):
+        SemiIntegralSupport(P2, ((1, 0), (1, 2), (0, 1)))
 
 
-def test_gamma_curve_names_a_part_off_the_half_lattice():
-    fan = make_fan([(1, 0), (0, 1), (-1, -1)])
-    seed = canonical_seed(fan)
-    thetas = (seed, (seed[0], seed[1] + Fraction(1, 4)), seed)
-    with pytest.raises(LatticeError, match="cone 1: theta pairs to 1/4 with ray 2, not to a half-odd integer"):
-        gamma_curve(SemiIntegralSupport(fan, thetas))
+@pytest.mark.parametrize("count", [2, 4])
+def test_support_needs_one_part_per_ray(count):
+    parts = ((1, 0), (1, 3), (0, 3), (1, 0))[:count]
+    with pytest.raises(LatticeError, match=f"{count} theta parts for 3 rays"):
+        SemiIntegralSupport(P2, parts)
+
+
+def test_support_and_curve_take_integer_pairs():
+    # the cap_k1 parts and curve, not doubled
+    halves = ((H, 0), (H, Fraction(3, 2)), (-1, Fraction(3, 2)))
+    with pytest.raises(LatticeError, match=r"doubled theta part 0 is \(Fraction\(1, 2\), 0\), not an integer pair"):
+        SemiIntegralSupport(P2, halves)
+    with pytest.raises(LatticeError, match="curve vertices .* are not all integer pairs"):
+        GammaCurve(halves)
 
 
 def test_unclosed_twisting_is_named(monkeypatch):

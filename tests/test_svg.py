@@ -1,5 +1,7 @@
 """Figure output: element counts, colors, and byte determinism."""
 
+from fractions import Fraction
+
 import pytest
 
 from tropcoh.lattice import LatticeError
@@ -71,6 +73,12 @@ def test_a_ray_that_stays_in_the_frame_is_named():
     canvas = _Canvas([0, 1], [0, 1])
     with pytest.raises(LatticeError, match=r"ray from \(0, 0\) along \(0, 0\)"):
         canvas.clip_ray((0, 0), (0, 0))
+
+
+@pytest.mark.parametrize("xs", [[0, 10**400], [0, Fraction(-(10**400), 3)], [-1e308, 1e308]])
+def test_a_frame_outside_the_float_range_is_named(xs):
+    with pytest.raises(LatticeError, match="the figure's coordinates lie outside the float range"):
+        _Canvas(xs, [0, 1])
 
 
 def test_label_text_shows_the_winding_value(blowup_theta):

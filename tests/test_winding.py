@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -128,7 +127,7 @@ def test_h_even_odd_signs(blowup_theta):
 
 def _curve(doubled):
     """A hand-made closed curve from doubled vertex coordinates."""
-    return GammaCurve(tuple((Fraction(x, 2), Fraction(y, 2)) for x, y in doubled))
+    return GammaCurve(tuple(doubled))
 
 
 def _swept(gamma):
@@ -201,7 +200,7 @@ def test_counterclockwise_check_is_not_an_assert(p2_region, monkeypatch):
     import oracles
 
     theta = theta_from_twisting(twisting(p2_region, (3, 3, 3)))
-    flipped = GammaCurve(gamma_curve(theta).vertices[::-1])
+    flipped = GammaCurve(gamma_curve(theta).doubled[::-1])
     monkeypatch.setattr(oracles, "gamma_curve", lambda _: flipped)
     with pytest.raises(LatticeError, match="must run counterclockwise"):
         convex_intersection_count(theta)

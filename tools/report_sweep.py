@@ -12,10 +12,12 @@ that differs.
 The sweep: ``sphere``, ``cohomology`` and ``verify-winding-theorem`` on p2
 at ell = +-(2k + 1) on every edge for k < 300, on the blowup ``mixed_sign``
 set times k for -25 <= k <= 25 (even k break the parity: exit 2), on every
-named set of the fixtures (``sphere`` also as SVG), and on a few invalid
-twistings; then the ``winding`` table on p2 at ell = +-(2k + 1) for k < 60
-and on the blowup ``mixed_sign`` set times k for -9 <= k <= 9.  Paths in argv are relative to the checkout root, so the digest
-does not depend on where the checkout lives.
+named set of the fixtures (``sphere`` also as SVG, and ``smooth-check`` at
+the default order and at ``--order 64``), and on a few invalid twistings;
+then the ``winding`` table, as JSON and as SVG, on p2 at ell = +-(2k + 1)
+for k < 60 and on the blowup ``mixed_sign`` set times k for -9 <= k <= 9.
+Paths in argv are relative to the checkout root, so the digest does not
+depend on where the checkout lives.
 """
 
 from __future__ import annotations
@@ -67,14 +69,17 @@ def sweep() -> list[list[str]]:
             for command in COMMANDS:
                 runs.append([command, "--input", name, "--ell", tset])
             runs.append(["sphere", "--input", name, "--ell", tset, "--format", "svg"])
+            runs.append(["smooth-check", "--input", name, "--ell", tset])
+            runs.append(["smooth-check", "--input", name, "--ell", tset, "--order", "64"])
     for name, ell in INVALID:
         for command in COMMANDS:
             runs.append([command, "--input", name, "--ell", ell])
-    for k in range(60):
-        for sign in (1, -1):
-            runs.append(["winding", "--input", "fixtures/p2.json", "--ell", _ell([sign * (2 * k + 1)] * 3)])
-    for k in range(-9, 10):
-        runs.append(["winding", "--input", "fixtures/blowup_p2.json", "--ell", _ell(k * x for x in BLOWUP_MIXED)])
+    for fmt in ([], ["--format", "svg"]):
+        for k in range(60):
+            for sign in (1, -1):
+                runs.append(["winding", "--input", "fixtures/p2.json", "--ell", _ell([sign * (2 * k + 1)] * 3), *fmt])
+        for k in range(-9, 10):
+            runs.append(["winding", "--input", "fixtures/blowup_p2.json", "--ell", _ell(k * x for x in BLOWUP_MIXED), *fmt])
     return runs
 
 
