@@ -1,33 +1,22 @@
 """Floating point checks of the mollifier smoothing claims.
 
 The smoothing of f is F(x) = int f(x - y) mu(y) dy / Z with the bump
-mu(y) = exp(1 / (|y|^2 - eps^2)) on |y| < eps.  Two Gauss-Legendre rules
-compute it.
+mu(y) = exp(1 / (|y|^2 - eps^2)) on |y| < eps.  One Gauss-Legendre rule, the
+fan rule, computes it for the piecewise linear form FanPL of a semi-integral
+support, at many points in one batch.  Nodes lie in polar coordinates about
+the fan vertex, so every cone is integrated on its own and no node sees a
+kink.  With m_j and M_j the bump's mass and first moment over cone j and
+Z = sum_j m_j,
 
-The split rule (mollify_eval, derivatives) serves any piecewise linear f.
-It splits the disk at every declared kink line of f into pieces: strips in y2
-cut at every horizontal wall, rim crossing and wall intersection, and each of
-a strip's rows cut in y1 where it crosses the other walls.  No piece meets a
-wall, so f is affine on each and fixed-order Gauss-Legendre sees only smooth
-integrands; Z comes from the same nodes, so constants reproduce up to
-roundoff.  Gradient and Hessian are closed forms that differentiate only the
-bump, never the kinks of f, and take grad f once per piece P:
+    F = sum_j <theta_j, M_j> / Z,  grad F = sum_j theta_j m_j / Z,
 
-    grad F = sum_P M_P grad f_P / Z,  d_i d_j F = sum_P (D_j)_P (d_i f)_P / Z,
-
-where M_P and D_P sum W mu and W grad mu over the nodes of P.  Values take f
-at every node: f is affine on a piece, not constant.  Here "quadrature order
-too low" means that the bump mass on the split pieces differs from the same
-rule's mass on the unsplit disk by more than 1e-6 (relative): the pieces are
-too thin for the order.
-
-The fan rule (fan_derivatives, which check_hessian_definiteness uses) serves
-FanPL at many points in one batch.  grad F = sum_j theta_j m_j / Z from the
-bump mass m_j of each cone, in polar coordinates about the fan vertex, and
-the Hessian is a sum over the rays of the line mass of the bump on each
-(order x rays nodes a point).  Here "quadrature order too low" means that
-sum_j m_j differs from the exact mass of the bump, the one-dimensional polar
-integral in closed form, by more than 1e-6 (relative).
+and the Hessian is a sum over the rays of the line mass of the bump on each
+(order x rays nodes a point), since grad f jumps only across the rays.
+fan_derivatives gives gradients and Hessians, which check_hessian_definiteness
+uses; grad, hessian and mollify_eval are its one-point views.  "quadrature
+order too low" means that sum_j m_j differs from the exact mass of the bump,
+the one-dimensional polar integral in closed form, by more than 1e-6
+(relative).
 """
 
 from __future__ import annotations
@@ -36,42 +25,13 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .lattice import LatticeError, lex_positive
-from .polytope import Subdivision, convex_hull, edges
+from .lattice import LatticeError
 from .spheres import SemiIntegralSupport, gamma_curve
 from .winding import SizeLimitError, is_strictly_convex
-
-Wall = tuple[float, float, float]  # a*x + b*y + c = 0, (a, b) normalized
-
-
-def _normalize_wall(a: float, b: float, c: float) -> Wall:
-    n = math.hypot(a, b)
-    if n == 0:
-        raise LatticeError("degenerate wall line")
-    if a < 0 or (a == 0 and b < 0):
-        a, b, c = -a, -b, -c
-    return (a / n, b / n, c / n)
-
-
-@dataclass(frozen=True)
-class AffinePL:
-    """f(x) = <slope, x> + offset; no kinks anywhere."""
-
-    slope: tuple[float, float]
-    offset: float = 0.0
-
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        return pts[:, 0] * self.slope[0] + pts[:, 1] * self.slope[1] + self.offset
-
-    def gradient(self, pts: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.slope, dtype=float), (len(pts), 2))
-
-    def walls(self) -> tuple[Wall, ...]:
-        return ()
 
 
 class FanPL:
@@ -86,8 +46,6 @@ class FanPL:
         self._angles = angles
         self._parts = np.array([[x / 2, y / 2] for x, y in theta.doubled])
         self._units = np.array(rays, dtype=float) / np.hypot(*np.array(rays, dtype=float).T)[:, None]
-        keys = dict.fromkeys(lex_positive(u) for u in rays)
-        self._walls = tuple(_normalize_wall(-k[1], k[0], 0.0) for k in keys)
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         """Linear part of the cone containing each point."""
@@ -101,90 +59,10 @@ class FanPL:
         parts = self.gradient(pts)
         return parts[:, 0] * pts[:, 0] + parts[:, 1] * pts[:, 1]
 
-    def walls(self) -> tuple[Wall, ...]:
-        return self._walls
 
-
-class SubdivisionPL:
-    """Integral support function extended beyond the polygon by projection."""
-
-    def __init__(self, sub: Subdivision, values: Sequence[int]):
-        self.sub = sub
-        self.values = tuple(values)
-        pts = np.array(sub.points, dtype=float)
-        tri = np.array(sub.triangles, dtype=int).reshape(-1, 3)
-        self._p0 = pts[tri[:, 0]]
-        self._e = np.stack([pts[tri[:, 1]] - self._p0, pts[tri[:, 2]] - self._p0], axis=1)
-        self._v = np.array(values, dtype=float)[tri]
-        # slope g of each triangle: <g, e_k> = v_k - v_0
-        self._slope = np.linalg.solve(self._e, (self._v[:, 1:] - self._v[:, :1])[:, :, None])[:, :, 0]
-        self._hull = np.array(convex_hull(sub.points), dtype=float)
-        ws = []
-        for e in edges(sub):
-            a, b = e.a, e.b
-            d = (b[0] - a[0], b[1] - a[1])
-            ws.append(_normalize_wall(-d[1], d[0], d[1] * a[0] - d[0] * a[1]))
-            if e.is_boundary:
-                # outside the polygon the projection lands on this edge between the
-                # lines <d, x> = <d, end>: beyond them lies the wedge of a hull
-                # vertex or the part of the slab over the next boundary edge
-                for end in (a, b):
-                    ws.append(_normalize_wall(d[0], d[1], -(d[0] * end[0] + d[1] * end[1])))
-        self._walls = tuple(dict.fromkeys(ws))
-
-    def _project(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest points of the polygon and the Jacobian of that projection.
-
-        The Jacobian is I inside the hull, e e^T / |e|^2 on the slab of a hull
-        edge e, and 0 in the wedge of a hull vertex.
-        """
-        a = self._hull
-        e = np.roll(a, -1, axis=0) - a
-        rel = pts[:, None, :] - a
-        inside = np.all(e[:, 0] * rel[..., 1] - e[:, 1] * rel[..., 0] >= -1e-12, axis=1)
-        t = np.sum(rel * e, axis=2) / np.sum(e * e, axis=1)
-        proj = a + np.clip(t, 0.0, 1.0)[..., None] * e
-        rows = np.arange(len(pts))
-        k = np.argmin(np.sum((pts[:, None, :] - proj) ** 2, axis=2), axis=1)
-        ek = e[k]
-        slab = (t[rows, k] > 0) & (t[rows, k] < 1)
-        jac = (slab / np.sum(ek * ek, axis=1))[:, None, None] * ek[:, :, None] * ek[:, None, :]
-        q = np.where(inside[:, None], pts, proj[rows, k])
-        return q, np.where(inside[:, None, None], np.eye(2), jac)
-
-    def _locate(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """First triangle containing each point, and its barycentric (s, t) there."""
-        r = q[:, None, :] - self._p0
-        e1, e2 = self._e[:, 0], self._e[:, 1]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        s = (r[..., 0] * e2[:, 1] - r[..., 1] * e2[:, 0]) / det
-        t = (e1[:, 0] * r[..., 1] - e1[:, 1] * r[..., 0]) / det
-        hit = (s >= -1e-9) & (t >= -1e-9) & (s + t <= 1 + 1e-9)
-        if not np.all(np.any(hit, axis=1)):
-            raise LatticeError("projected point escaped the triangulation")
-        k = np.argmax(hit, axis=1)
-        rows = np.arange(len(q))
-        return k, s[rows, k], t[rows, k]
-
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        q, _ = self._project(np.asarray(pts, dtype=float))
-        k, s, t = self._locate(q)
-        v = self._v[k]
-        return v[:, 0] + s * (v[:, 1] - v[:, 0]) + t * (v[:, 2] - v[:, 0])
-
-    def gradient(self, pts: np.ndarray) -> np.ndarray:
-        """Triangle slope at the projected point, times the projection's Jacobian."""
-        q, jac = self._project(np.asarray(pts, dtype=float))
-        return np.einsum("nij,nj->ni", jac, self._slope[self._locate(q)[0]])
-
-    def walls(self) -> tuple[Wall, ...]:
-        return self._walls
-
-
-# A split-rule derivative takes about order^2 nodes per strip.  The fan rule
-# takes 2 order^2 nodes per cone that meets a point's disk: every cone at the
-# `samples` Hessian points near the fan vertex, one or two at the about
-# samples / 4 gradient points out along the rays.
+# The fan rule takes 2 order^2 nodes per cone that meets a point's disk: every
+# cone at the `samples` Hessian points near the fan vertex, one or two at the
+# about samples / 4 gradient points out along the rays.
 MAX_QUADRATURE_ORDER = 400
 MAX_SAMPLES = 10_000
 # The gradient's roundoff grows with |2 theta|: on the convex and concave fixture
@@ -214,139 +92,14 @@ class MollifierParams:
             )
 
 
-def epsilon_auto(sub: Subdivision) -> float:
-    """Half the smallest feature distance of the subdivision."""
-    pts = [np.array(p, dtype=float) for p in sub.points]
-    dmin = min(
-        float(np.hypot(*(p - q)))
-        for i, p in enumerate(pts)
-        for q in pts[i + 1 :]
-    )
-    for e in edges(sub):
-        for q, p in zip(sub.points, pts):
-            if q not in (e.a, e.b):
-                dmin = min(dmin, _point_to_segment(p, e.a, e.b))
-    return dmin / 2
-
-
 @lru_cache(maxsize=None)
 def _gl(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-# Most quadrature nodes built at once.  Split rule: a whole sample at order 24
-# (at most about 23k nodes) is one group, while at order 300 each strip is a
-# group of its own.  Fan rule: whole rows of 2 * order nodes, one per polar
-# angle or ray, whatever the number of points.
+# Most quadrature nodes built at once: whole rows of 2 * order nodes, one per
+# polar angle or ray, whatever the number of points.
 _GROUP_NODES = 1 << 15
-
-
-def _rule(lines, eps: float, order: int):
-    """Gauss-Legendre rule on the disk |y| < eps split at lines a*y1 + b*y2 = d.
-
-    Yields groups of whole strips as arrays over (rows, pieces, order): piece
-    midpoints (..., 2), nodes (y1, y2), W * mu and W * grad mu as (y1, y2) parts.
-    """
-    gx, gw = _gl(order)
-    cuts = set()
-    for a, b, d in lines:
-        if abs(a) < 1e-14:
-            cuts.add(d / b)
-        else:
-            # crossings with the disk rim
-            disc = eps * eps * (a * a + b * b) - d * d
-            if disc > 0:
-                root = a * math.sqrt(disc)
-                base = b * d
-                s2 = a * a + b * b
-                cuts.add((base + root) / s2)
-                cuts.add((base - root) / s2)
-    for i, (a1, b1, d1) in enumerate(lines):
-        for a2, b2, d2 in lines[i + 1 :]:
-            det = a1 * b2 - a2 * b1
-            if abs(det) < 1e-14:
-                continue
-            cuts.add((a1 * d2 - a2 * d1) / det)
-    ts = sorted(t for t in cuts if -eps + 1e-13 < t < eps - 1e-13)
-    bounds = [-eps]
-    for t in ts:
-        if t - bounds[-1] > 1e-13:
-            bounds.append(t)
-    bounds.append(eps)
-    los, his = np.array(bounds[:-1]), np.array(bounds[1:])
-
-    a, b, d = np.array([w for w in lines if abs(w[0]) >= 1e-14]).reshape(-1, 3).T
-    step = max(1, _GROUP_NODES // (order * order * (len(a) + 1)))
-    for k in range(0, len(los), step):
-        lo, hi = los[k : k + step], his[k : k + step]
-        T = ((lo + hi)[:, None] / 2 + (hi - lo)[:, None] / 2 * gx).ravel()
-        WT = ((hi - lo)[:, None] / 2 * gw).ravel()
-        S = np.sqrt(np.maximum(eps * eps - T * T, 0.0))[:, None]
-        crossings = np.clip((d - b * T[:, None]) / a, -S, S)
-        edges_y1 = np.sort(np.concatenate([-S, crossings, S], axis=1), axis=1)
-        mid1 = (edges_y1[:, :-1] + edges_y1[:, 1:]) / 2
-        half1 = (edges_y1[:, 1:] - edges_y1[:, :-1]) / 2
-        Y1 = mid1[..., None] + half1[..., None] * gx
-        Y2 = np.broadcast_to(T[:, None, None], Y1.shape)
-        r2 = Y1 * Y1 + (T * T)[:, None, None]
-        ok = r2 < eps * eps * (1 - 1e-15)
-        inv = 1.0 / np.where(ok, r2 - eps * eps, -1.0)
-        wmu = np.where(ok, (WT[:, None] * half1)[..., None] * gw * np.exp(inv), 0.0)
-        dmu = -2.0 * wmu * inv * inv
-        yield np.stack([mid1, Y2[..., 0]], axis=-1), (Y1, Y2), wmu, (dmu * Y1, dmu * Y2)
-
-
-@lru_cache(maxsize=None)
-def _disk_mass(eps: float, order: int) -> float:
-    return sum(float(np.sum(wmu)) for _, _, wmu, _ in _rule([], eps, order))
-
-
-def _split_rule(f, p: MollifierParams, x):
-    """x as an array, and the groups of the rule split at the walls of f near x."""
-    eps = float(p.epsilon)
-    x = np.array([float(x[0]), float(x[1])])
-    # wall lines in the y frame: a*y1 + b*y2 = d
-    lines = [(a, b, a * x[0] + b * x[1] + c) for a, b, c in f.walls()]
-    return x, _rule([w for w in lines if abs(w[2]) <= eps + 1e-12], eps, int(p.quadrature_order))
-
-
-def _check_mass(den: float, p: MollifierParams) -> None:
-    mass = _disk_mass(float(p.epsilon), int(p.quadrature_order))
-    if abs(den - mass) > 1e-6 * mass:
-        raise LatticeError("quadrature order too low")
-
-
-def mollify_eval(f, p: MollifierParams, x) -> float:
-    x, groups = _split_rule(f, p, x)
-    num = den = 0.0
-    for _, (y1, y2), wmu, _ in groups:
-        num += float(np.sum(wmu.ravel() * f.value(x - np.stack([y1.ravel(), y2.ravel()], axis=1))))
-        den += float(np.sum(wmu))
-    _check_mass(den, p)
-    return num / den
-
-
-def derivatives(f, p: MollifierParams, x):
-    """Gradient (gx, gy) and Hessian ((h11, h12), (h12, h22)) of the smoothing at x."""
-    x, groups = _split_rule(f, p, x)
-    mids, masses, dmasses = zip(
-        *((m, w.sum(axis=2), np.stack([dw1.sum(axis=2), dw2.sum(axis=2)], axis=-1)) for m, _, w, (dw1, dw2) in groups)
-    )
-    mass = np.concatenate(masses).ravel()
-    den = float(np.sum(mass))
-    _check_mass(den, p)
-    # no piece meets a wall, so grad f takes one value on each
-    g = f.gradient(x - np.concatenate(mids).reshape(-1, 2))
-    m = np.concatenate(dmasses).reshape(-1, 2).T @ g / den
-    return tuple((mass @ g / den).tolist()), tuple(map(tuple, ((m + m.T) / 2).tolist()))
-
-
-def grad(f, p: MollifierParams, x) -> tuple[float, float]:
-    return derivatives(f, p, x)[0]
-
-
-def hessian(f, p: MollifierParams, x):
-    return derivatives(f, p, x)[1]
 
 
 def _bump_mass(eps: float) -> float:
@@ -408,13 +161,25 @@ def _bump_on_chords(s0, s1, lo, gx, gw):
     return s.reshape(len(s0), -1), w.reshape(len(s0), -1)
 
 
-def _cone_masses(f: FanPL, x: np.ndarray, eps: float, order: int) -> np.ndarray:
-    """Bump mass m_j(x) = int over cone j of mu(x - z) dz for every point and cone, as (points, rays).
+def _radial_moments(s0, s1, gx, gw) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of W * mu * rho and W * mu * rho^2 over the part rho >= 0 of each chord.
 
-    Polar coordinates z = rho (cos phi, sin phi) about the fan vertex: phi runs
-    over the cone, clipped to the arc that sees the disk when |x| >= eps, and
-    rho over the chord of the disk (_bump_on_chords).  Groups of rows, one
-    per phi node, hold at most _GROUP_NODES nodes.
+    The chord's node arrays die here, before the next group builds its own.
+    """
+    s, w = _bump_on_chords(s0, s1, np.maximum(s0, 0.0), gx, gw)
+    first = np.einsum("ij,ij->i", s, w)
+    w *= s
+    return first, np.einsum("ij,ij->i", s, w)
+
+
+def _cone_masses(f: FanPL, x: np.ndarray, eps: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bump mass and first moment over each cone, as (points, rays) and (points, rays, 2).
+
+    m_j(x) = int over cone j of mu(x - z) dz and M_j(x) = int over cone j of
+    z mu(x - z) dz.  Polar coordinates z = rho (cos phi, sin phi) about the
+    fan vertex: phi runs over the cone, clipped to the arc that sees the disk
+    when |x| >= eps, and rho over the chord of the disk (_bump_on_chords).
+    Groups of rows, one per phi node, hold at most _GROUP_NODES nodes.
     """
     gx, gw = _gl(order)
     a0 = f._angles[0]
@@ -432,16 +197,20 @@ def _cone_masses(f: FanPL, x: np.ndarray, eps: float, order: int) -> np.ndarray:
     a, b, slot = a[pt, k], b[pt, k], pt * r + k % r
 
     mass = np.zeros(len(x) * r)
+    moment = np.zeros((2, len(x) * r))
     step = max(1, _GROUP_NODES // (2 * order))
     for start in range(0, len(pt) * order, step):
         i, g = np.divmod(np.arange(start, min(start + step, len(pt) * order)), order)
         phi = (a[i] + b[i]) / 2 + (b[i] - a[i]) / 2 * gx[g]
-        s0, s1 = _chords(x[pt[i]], np.stack([np.cos(phi), np.sin(phi)], axis=1), eps)
-        # sum of W * mu * rho over each chord; the group's node arrays die here
-        rows = np.einsum("ij,ij->i", *_bump_on_chords(s0, s1, np.maximum(s0, 0.0), gx, gw))
-        rows *= (b[i] - a[i]) / 2 * gw[g]
-        mass += np.bincount(slot[i], weights=rows, minlength=len(mass))
-    return mass.reshape(-1, r)
+        e = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        first, second = _radial_moments(*_chords(x[pt[i]], e, eps), gx, gw)
+        weight = (b[i] - a[i]) / 2 * gw[g]
+        first *= weight
+        mass += np.bincount(slot[i], weights=first, minlength=len(mass))
+        second *= weight
+        for c in (0, 1):
+            moment[c] += np.bincount(slot[i], weights=second * e[:, c], minlength=len(mass))
+    return mass.reshape(-1, r), moment.T.reshape(-1, r, 2)
 
 
 def _ray_masses(f: FanPL, x: np.ndarray, eps: float, order: int) -> np.ndarray:
@@ -460,6 +229,17 @@ def _ray_masses(f: FanPL, x: np.ndarray, eps: float, order: int) -> np.ndarray:
     return out.reshape(-1, r)
 
 
+def _checked_masses(f: FanPL, p: MollifierParams, x: np.ndarray):
+    """_cone_masses at the points x, and Z = sum_j m_j, after the mass check."""
+    eps = float(p.epsilon)
+    mass, moment = _cone_masses(f, x, eps, int(p.quadrature_order))
+    den = np.sum(mass, axis=1)
+    z = _bump_mass(eps)
+    if not np.all(np.abs(den - z) <= 1e-6 * z):
+        raise LatticeError("quadrature order too low")
+    return mass, moment, den
+
+
 def fan_derivatives(f: FanPL, p: MollifierParams, points) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (n, 2) and Hessians (n, 2, 2) of the smoothed fan support at n points.
 
@@ -474,17 +254,27 @@ def fan_derivatives(f: FanPL, p: MollifierParams, points) -> tuple[np.ndarray, n
     "quadrature order too low" when Z at some point is off the exact mass
     (_bump_mass) by more than 1e-6, relative.
     """
-    eps, order = float(p.epsilon), int(p.quadrature_order)
     x = np.asarray(points, dtype=float).reshape(-1, 2)
-    z = _bump_mass(eps)
-    mass = _cone_masses(f, x, eps, order)
-    den = np.sum(mass, axis=1)
-    if not np.all(np.abs(den - z) <= 1e-6 * z):
-        raise LatticeError("quadrature order too low")
+    mass, _, den = _checked_masses(f, p, x)
     normals = np.stack([-f._units[:, 1], f._units[:, 0]], axis=1)
     jumps = f._parts - np.roll(f._parts, 1, axis=0)
-    h = np.einsum("pj,ja,jb->pab", _ray_masses(f, x, eps, order), jumps, normals) / den[:, None, None]
+    lines = _ray_masses(f, x, float(p.epsilon), int(p.quadrature_order))
+    h = np.einsum("pj,ja,jb->pab", lines, jumps, normals) / den[:, None, None]
     return mass @ f._parts / den[:, None], (h + h.transpose(0, 2, 1)) / 2
+
+
+def grad(f: FanPL, p: MollifierParams, x) -> tuple[float, float]:
+    return tuple(fan_derivatives(f, p, [x])[0][0].tolist())
+
+
+def hessian(f: FanPL, p: MollifierParams, x):
+    return tuple(map(tuple, fan_derivatives(f, p, [x])[1][0].tolist()))
+
+
+def mollify_eval(f: FanPL, p: MollifierParams, x) -> float:
+    """F(x) = sum_j <theta_j, M_j> / Z, with M_j the bump's first moment over cone j."""
+    _, moment, den = _checked_masses(f, p, np.asarray(x, dtype=float).reshape(1, 2))
+    return float(np.einsum("ja,ja->", moment[0], f._parts) / den[0])
 
 
 def _point_to_segment(q, a, b) -> float:

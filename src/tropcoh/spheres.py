@@ -87,7 +87,7 @@ class SemiIntegralSupport:
 
     doubled[j] is 2 theta_j as an integer pair.  Building one checks, once,
     that there is a part per ray and that part j pairs to a half-odd integer
-    with rays j and j + 1; thetas and ray_value are Fraction views.
+    with rays j and j + 1; thetas is a Fraction view.
     """
 
     fan: Fan
@@ -112,11 +112,10 @@ class SemiIntegralSupport:
     def thetas(self) -> tuple[QVec, ...]:
         return tuple((Fraction(x, 2), Fraction(y, 2)) for x, y in self.doubled)
 
-    def ray_value(self, j: int) -> Fraction:
-        return Fraction(dot(self.doubled[j], self.fan.rays[j]), 2)
-
 
 def _doubled_seed(fan: Fan) -> Vec:
+    """Twice the canonical seed: the half-lattice point pairing to 1/2 mod 1 with
+    the first two rays, reduced modulo the dual lattice into [0,1)^2."""
     u0, u1 = fan.rays[0], fan.rays[1]
     if det2(u0, u1) != 1:
         raise LatticeError("fan not smooth")
@@ -124,16 +123,6 @@ def _doubled_seed(fan: Fan) -> Vec:
     # pair with det 1 the numerators are that m
     x, y = dual_numerators(u0, u1, 1, 1)
     return (x % 2, y % 2)
-
-
-def canonical_seed(fan: Fan) -> QVec:
-    """Half-lattice point pairing to 1/2 mod 1 with the first two rays.
-
-    Reduced modulo the dual lattice into [0,1)^2, which makes it the lex
-    smallest admissible choice.
-    """
-    x, y = _doubled_seed(fan)
-    return (Fraction(x, 2), Fraction(y, 2))
 
 
 def _doubled_thetas(fan: Fan, ell) -> tuple[Vec, ...]:

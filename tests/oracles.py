@@ -5,9 +5,9 @@ must equal theirs exactly: list for list for the kernel, value for value for
 the slopes and kinks, pointer and message for the input-document check, and
 value for value or message for message for the Fraction twist path (theta,
 its kinks, the mirror support, the search box and the slab orders).  The
-per-node mollifier quadrature must match the library's per-piece sums up to
-roundoff, and the split rule, the kink-line Hessian and the vertex gradient
-must match the fan rule within the quadrature's error.  The per-point and
+split-disk rule's per-node and per-piece sums must match up to roundoff, and
+the split rule, the kink-line Hessian and the vertex gradient must match the
+library's fan rule within the quadrature's error.  The per-point and
 sampled checks serve only the tests.
 """
 
@@ -29,6 +29,7 @@ from tropcoh.lattice import (
     _xgcd,
     det2,
     dot,
+    lex_positive,
     primitive,
     rot90,
     solve_dual,
@@ -39,7 +40,6 @@ from tropcoh.cohomology import ToricSupport
 from tropcoh.fan import Fan, is_smooth
 from tropcoh.lattice import floor_sum
 from tropcoh.polytope import Subdivision, edges
-from tropcoh.smoothing import derivatives
 from tropcoh.spheres import SemiIntegralSupport, Twisting, _check_twisting, gamma_curve
 from tropcoh.winding import _on_curve, _segments, is_strictly_convex
 
@@ -192,10 +192,25 @@ def convex_intersection_count(theta: SemiIntegralSupport) -> int:
     return count
 
 
+# ------------------------------------------------------ the split-disk rule
+
+
+def fan_walls(f) -> list[tuple[float, float, float]]:
+    """Kink lines a*x + b*y + c = 0 of a FanPL, one per line through its rays; (a, b) is a unit normal."""
+    out = []
+    for k in dict.fromkeys(lex_positive(u) for u in f.theta.fan.rays):
+        a, b = -k[1], k[0]
+        if a < 0 or (a == 0 and b < 0):
+            a, b = -a, -b
+        n = math.hypot(a, b)
+        out.append((a / n, b / n, 0.0))
+    return out
+
+
 def spot_check_continuity(f, span: float = 2.0, count: int = 40) -> float:
-    """Largest value gap across declared walls at sampled wall points."""
+    """Largest value gap across the kink lines of a FanPL at sampled wall points."""
     worst = 0.0
-    for a, b, c in f.walls():
+    for a, b, c in fan_walls(f):
         # points on the wall, offset to both sides along the normal
         t = np.linspace(-span, span, count)
         base = np.stack([-c * a + t * (-b), -c * b + t * a], axis=1)
@@ -207,17 +222,33 @@ def spot_check_continuity(f, span: float = 2.0, count: int = 40) -> float:
     return worst
 
 
-def _pointwise_nodes(lines, eps: float, order: int):
-    """The split Gauss-Legendre rule one strip at a time: nodes y (n, 2), W * mu and W * grad mu."""
-    gx, gw = np.polynomial.legendre.leggauss(order)
+_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+
+# Most split-rule nodes built at once: a whole sample at order 24 (at most
+# about 23k nodes) is one group, while at order 300 each strip is its own.
+SPLIT_GROUP_NODES = 1 << 15
+
+
+def split_rule(lines, eps: float, order: int):
+    """Gauss-Legendre rule on the disk |y| < eps split at lines a*y1 + b*y2 = d.
+
+    The disk is cut into strips in y2 at every horizontal line, rim crossing
+    and crossing of two lines, and each row of a strip into pieces in y1
+    where it crosses the other lines, so no piece meets a line.  Yields
+    groups of whole strips as arrays over (rows, pieces, order): piece
+    midpoints (..., 2), nodes (y1, y2), W * mu and W * grad mu as (y1, y2) parts.
+    """
+    gx, gw = _leggauss(order)
     cuts = set()
     for a, b, d in lines:
         if abs(a) < 1e-14:
             cuts.add(d / b)
         else:
+            # crossings with the disk rim
             disc = eps * eps * (a * a + b * b) - d * d
             if disc > 0:
-                root = a * np.sqrt(disc)
+                root = a * math.sqrt(disc)
                 base = b * d
                 s2 = a * a + b * b
                 cuts.add((base + root) / s2)
@@ -234,71 +265,80 @@ def _pointwise_nodes(lines, eps: float, order: int):
         if t - bounds[-1] > 1e-13:
             bounds.append(t)
     bounds.append(eps)
+    los, his = np.array(bounds[:-1]), np.array(bounds[1:])
 
-    slope_walls = [(a, b, d) for a, b, d in lines if abs(a) >= 1e-14]
-    for lo, hi in zip(bounds, bounds[1:]):
-        mid, half = (lo + hi) / 2, (hi - lo) / 2
-        T = mid + half * gx
-        WT = half * gw
-        S = np.sqrt(np.maximum(eps * eps - T * T, 0.0))
-        crossings = [np.clip((d - b * T) / a, -S, S) for a, b, d in slope_walls]
-        edges_y1 = np.sort(np.stack([-S, *crossings, S], axis=1), axis=1)
-        lo1 = edges_y1[:, :-1]
-        hi1 = edges_y1[:, 1:]
-        Y1 = ((lo1 + hi1) / 2)[:, :, None] + ((hi1 - lo1) / 2)[:, :, None] * gx[None, None, :]
-        W = WT[:, None, None] * ((hi1 - lo1) / 2)[:, :, None] * gw[None, None, :]
+    a, b, d = np.array([w for w in lines if abs(w[0]) >= 1e-14]).reshape(-1, 3).T
+    step = max(1, SPLIT_GROUP_NODES // (order * order * (len(a) + 1)))
+    for k in range(0, len(los), step):
+        lo, hi = los[k : k + step], his[k : k + step]
+        T = ((lo + hi)[:, None] / 2 + (hi - lo)[:, None] / 2 * gx).ravel()
+        WT = ((hi - lo)[:, None] / 2 * gw).ravel()
+        S = np.sqrt(np.maximum(eps * eps - T * T, 0.0))[:, None]
+        crossings = np.clip((d - b * T[:, None]) / a, -S, S)
+        edges_y1 = np.sort(np.concatenate([-S, crossings, S], axis=1), axis=1)
+        mid1 = (edges_y1[:, :-1] + edges_y1[:, 1:]) / 2
+        half1 = (edges_y1[:, 1:] - edges_y1[:, :-1]) / 2
+        Y1 = mid1[..., None] + half1[..., None] * gx
         Y2 = np.broadcast_to(T[:, None, None], Y1.shape)
-        y = np.stack([Y1.ravel(), Y2.ravel()], axis=1)
-        r2 = y[:, 0] * y[:, 0] + y[:, 1] * y[:, 1]
+        r2 = Y1 * Y1 + (T * T)[:, None, None]
         ok = r2 < eps * eps * (1 - 1e-15)
-        inv = 1.0 / (r2[ok] - eps * eps)
-        wmu = np.zeros_like(r2)
-        wmu[ok] = W.ravel()[ok] * np.exp(inv)
-        wdmu = np.zeros_like(y)
-        wdmu[ok] = (-2.0 * wmu[ok] * inv * inv)[:, None] * y[ok]
-        yield y, wmu, wdmu
+        inv = 1.0 / np.where(ok, r2 - eps * eps, -1.0)
+        wmu = np.where(ok, (WT[:, None] * half1)[..., None] * gw * np.exp(inv), 0.0)
+        dmu = -2.0 * wmu * inv * inv
+        yield np.stack([mid1, Y2[..., 0]], axis=-1), (Y1, Y2), wmu, (dmu * Y1, dmu * Y2)
 
 
-def _pointwise_quadrature(f, p, x, terms):
-    eps = float(p.epsilon)
+@lru_cache(maxsize=None)
+def _split_disk_mass(eps: float, order: int) -> float:
+    return sum(float(np.sum(wmu)) for _, _, wmu, _ in split_rule([], eps, order))
+
+
+def split_smoothing(f, p, x, pointwise: bool = False):
+    """Value, gradient and Hessian of the smoothed FanPL at x by the split rule.
+
+    No piece meets a wall, so f is theta_P . z on each piece P and, with M_P,
+    Y_P and D_P the sums of W mu, W mu y and W grad mu over its nodes,
+
+        F = sum_P theta_P . (x M_P - Y_P) / Z,  grad F = sum_P theta_P M_P / Z,
+        d_i d_j F = sum_P (D_j)_P (theta_P)_i / Z,
+
+    with grad f read once per piece, at its midpoint.  With pointwise, f and
+    grad f are read at every node instead.  "quadrature order too low" when
+    the mass on the pieces differs from the same rule's mass on the unsplit
+    disk by more than 1e-6 (relative): the pieces are too thin for the order.
+    """
+    eps, order = float(p.epsilon), int(p.quadrature_order)
     x = np.array([float(x[0]), float(x[1])])
-    lines = []
-    for a, b, c in f.walls():
-        d = a * x[0] + b * x[1] + c
-        if abs(d) <= eps + 1e-12:
-            lines.append((a, b, d))
-    total, den = 0.0, 0.0
-    for y, wmu, wdmu in _pointwise_nodes(lines, eps, int(p.quadrature_order)):
-        total = total + terms(wmu, wdmu, x - y)
-        den += float(np.sum(wmu))
-    return total, den
-
-
-def pointwise_mollify_eval(f, p, x) -> float:
-    """The smoothing at x with f evaluated at every node of the split rule."""
-    num, den = _pointwise_quadrature(f, p, x, lambda wmu, wdmu, z: float(np.sum(wmu * f.value(z))))
-    return num / den
-
-
-def pointwise_derivatives(f, p, x):
-    """Gradient and Hessian of the smoothing at x with grad f evaluated at every node."""
-
-    def terms(wmu, wdmu, z):
-        g = f.gradient(z)
-        return np.concatenate([np.einsum("n,ni->i", wmu, g), np.einsum("nj,ni->ji", wdmu, g).ravel()])
-
-    total, den = _pointwise_quadrature(f, p, x, terms)
-    m = total[2:].reshape(2, 2) / den
-    return tuple((total[:2] / den).tolist()), tuple(map(tuple, ((m + m.T) / 2).tolist()))
+    lines = [(a, b, a * x[0] + b * x[1] + c) for a, b, c in fan_walls(f)]
+    value = den = 0.0
+    grad, m = np.zeros(2), np.zeros((2, 2))
+    for mid, (y1, y2), wmu, (d1, d2) in split_rule([w for w in lines if abs(w[2]) <= eps + 1e-12], eps, order):
+        if pointwise:
+            z = x - np.stack([y1.ravel(), y2.ravel()], axis=1)
+            weights, dweights, parts = wmu.ravel(), np.stack([d1.ravel(), d2.ravel()], axis=1), f.gradient(z)
+            value += float(weights @ f.value(z))
+        else:
+            mass = wmu.sum(axis=2)
+            # y2 is constant along a row
+            first = np.stack([np.einsum("rpk,rpk->rp", wmu, y1), mass * mid[..., 1]], axis=-1).reshape(-1, 2)
+            weights = mass.ravel()
+            dweights = np.stack([d1.sum(axis=2), d2.sum(axis=2)], axis=-1).reshape(-1, 2)
+            parts = f.gradient(x - mid.reshape(-1, 2))
+            value += float(np.sum(parts * (weights[:, None] * x - first)))
+        den += float(np.sum(weights))
+        grad += weights @ parts
+        m += dweights.T @ parts
+    disk = _split_disk_mass(eps, order)
+    if abs(den - disk) > 1e-6 * disk:
+        raise LatticeError("quadrature order too low")
+    m /= den
+    return value / den, tuple((grad / den).tolist()), tuple(map(tuple, ((m + m.T) / 2).tolist()))
 
 
 def split_fan_derivatives(f, p, points):
-    """fan_derivatives by the split rule, one `derivatives` call per point, as the check once made them."""
-    pairs = [derivatives(f, p, x) for x in points]
-    return np.array([g for g, _ in pairs]), np.array([h for _, h in pairs])
-
-
-_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+    """fan_derivatives by the split rule, one point at a time, as the check once made them."""
+    triples = [split_smoothing(f, p, x) for x in points]
+    return np.array([g for _, g, _ in triples]), np.array([h for _, _, h in triples])
 
 
 def polar_disk_mass(eps, order=400) -> float:

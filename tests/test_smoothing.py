@@ -14,10 +14,11 @@ import pytest
 import tropcoh.smoothing as smoothing
 from gen_cases import random_definite_theta, random_theta
 from oracles import (
-    pointwise_derivatives,
-    pointwise_mollify_eval,
+    fan_walls,
     polar_disk_mass,
     split_fan_derivatives,
+    split_rule,
+    split_smoothing,
     spot_check_continuity,
     vertex_gradient,
     wall_form_hessian,
@@ -27,23 +28,16 @@ from tropcoh.lattice import LatticeError, dot, lex_positive, rot90, vsub
 from tropcoh.smoothing import (
     MAX_QUADRATURE_ORDER,
     MAX_SAMPLES,
-    AffinePL,
     FanPL,
     MollifierParams,
-    SubdivisionPL,
-    _normalize_wall,
     check_hessian_definiteness,
-    derivatives,
-    epsilon_auto,
     fan_derivatives,
     grad,
     hessian,
     mollify_eval,
 )
-from tropcoh.spheres import theta_from_twisting, twisting
+from tropcoh.spheres import SemiIntegralSupport, theta_from_twisting, twisting
 from tropcoh.winding import SizeLimitError
-
-P2_NU = (0, 1, 1, 1)
 
 
 @pytest.fixture(scope="module")
@@ -51,40 +45,30 @@ def p2_theta(p2_region):
     return theta_from_twisting(twisting(p2_region, (3, 3, 3)))
 
 
-@pytest.fixture(scope="module")
-def p2_pl(p2_sub):
-    return SubdivisionPL(p2_sub, P2_NU)
-
-
-def test_epsilon_auto_p2(p2_sub):
-    # closest feature pair: a vertex against the opposite hull edge
-    assert abs(epsilon_auto(p2_sub) - 1 / (2 * math.sqrt(5))) < 1e-12
-
-
-def test_normalize_wall_rejects_zero_normal():
-    with pytest.raises(LatticeError, match="degenerate wall line"):
-        _normalize_wall(0.0, 0.0, 1.0)
-
-
-def test_quadrature_order_must_be_positive():
-    f = AffinePL((1.0, 0.0))
+def test_quadrature_order_must_be_positive(p2_theta):
     with pytest.raises(LatticeError, match="order must be positive"):
-        mollify_eval(f, MollifierParams(0.25, quadrature_order=0), (0.0, 0.0))
+        mollify_eval(FanPL(p2_theta), MollifierParams(0.25, quadrature_order=0), (0.0, 0.0))
 
 
 def test_affine_functions_mollify_to_themselves():
-    f = AffinePL((1.25, -0.75), 0.5)
+    # one part on every cone of the square fan: f(x) = (x + y) / 2, with rays crossing the disk at the vertex
+    f = FanPL(SemiIntegralSupport(make_fan(((1, 0), (0, 1), (-1, 0), (0, -1))), ((1, 1),) * 4))
     p = MollifierParams(0.3)
-    for x in [(0.0, 0.0), (1.7, -2.3), (-0.4, 0.9)]:
-        raw = f.slope[0] * x[0] + f.slope[1] * x[1] + f.offset
-        assert abs(mollify_eval(f, p, x) - raw) < 1e-8
+    for x in [(0.0, 0.0), (0.05, -0.1), (1.7, -2.3), (-0.4, 0.9)]:
+        assert abs(mollify_eval(f, p, x) - (x[0] + x[1]) / 2) < 1e-8
 
 
-def test_mollified_value_far_from_all_walls(p2_pl, p2_sub):
-    p = MollifierParams(epsilon_auto(p2_sub))
-    x = (0.3, 0.3)
-    raw = float(p2_pl.value(np.array([x]))[0])
-    assert abs(mollify_eval(p2_pl, p, x) - raw) < 1e-8
+def test_mollified_value_far_from_all_walls(definite_thetas):
+    """On the bisector of each cone, farther than eps from both of its rays, F = f."""
+    p = MollifierParams(0.25)
+    for theta in definite_thetas:
+        f = FanPL(theta)
+        ends = np.append(f._angles, f._angles[0] + 2 * math.pi)
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            rad = 2 * p.epsilon / math.sin(min((hi - lo) / 2, math.pi / 2))
+            x = (rad * math.cos((lo + hi) / 2), rad * math.sin((lo + hi) / 2))
+            raw = float(f.value(np.array([x]))[0])
+            assert abs(mollify_eval(f, p, x) - raw) <= 1e-8 * max(1.0, abs(raw)), (theta.fan.rays, x)
 
 
 def test_mollified_fan_value_far_from_walls(p2_theta):
@@ -124,34 +108,28 @@ def test_bend_is_constant_along_the_wall(p2_theta):
         assert abs(g[1] - grads[0][1]) < 1e-6
 
 
-def test_gradient_jump_across_an_interior_edge(p2_pl):
-    # the two triangles touching the edge from (0,0) to (1,0) have slopes
-    # (1, 1) and (1, -2); their difference is the kink normal to the edge
-    p = MollifierParams(0.1)
-    g_plus = grad(p2_pl, p, (0.4, 0.2))
-    g_minus = grad(p2_pl, p, (0.3, -0.2))
-    assert abs(g_plus[0] - 1.0) < 1e-7 and abs(g_plus[1] - 1.0) < 1e-7
-    assert abs(g_minus[0] - 1.0) < 1e-7 and abs(g_minus[1] + 2.0) < 1e-7
-    assert abs((g_plus[1] - g_minus[1]) - 3.0) < 1e-6
+def test_gradient_jump_across_an_interior_edge(p2_theta):
+    # the ray along (1, 0) runs along the interior edge from (0, 0) to (1, 0);
+    # beyond the disk on either side of it the gradient is the part of that
+    # cone, and the jump is (ell / 2) rot90(u) = (0, 3 / 2)
+    f = FanPL(p2_theta)
+    p = MollifierParams(0.2)
+    g_plus, g_minus = grad(f, p, (1.5, 0.3)), grad(f, p, (1.5, -0.3))
+    assert np.allclose(g_plus, [float(c) for c in p2_theta.thetas[1]], rtol=0, atol=1e-7)
+    assert np.allclose(g_minus, [float(c) for c in p2_theta.thetas[0]], rtol=0, atol=1e-7)
+    assert abs((g_plus[1] - g_minus[1]) - 1.5) < 1e-6
 
 
-def test_low_order_quadrature_is_rejected(p2_pl, p2_sub):
-    # on an interior edge the integrand kinks inside every sample disk,
-    # which a two-node rule cannot resolve
-    p = MollifierParams(epsilon_auto(p2_sub), quadrature_order=2)
-    with pytest.raises(LatticeError, match="quadrature order too low"):
-        hessian(p2_pl, p, (0.5, 0.0))
+def test_low_order_quadrature_is_rejected(p2_theta):
+    # near the fan vertex every cone meets the disk, which a two-node rule cannot resolve
+    p = MollifierParams(0.25, quadrature_order=2)
+    for view in (grad, hessian, mollify_eval):
+        with pytest.raises(LatticeError, match="quadrature order too low"):
+            view(FanPL(p2_theta), p, (0.05, 0.0))
 
 
-def test_continuity_across_walls(p2_theta, p2_pl):
+def test_continuity_across_walls(p2_theta):
     assert spot_check_continuity(FanPL(p2_theta)) < 1e-7
-    assert spot_check_continuity(p2_pl) < 1e-7
-
-
-def test_projection_outside_the_polygon(p2_pl):
-    # (5, 5) projects to the midpoint of the hull edge from (1,0) to (0,1)
-    val = float(p2_pl.value(np.array([[5.0, 5.0]]))[0])
-    assert abs(val - 1.0) < 1e-12
 
 
 def test_definiteness_convex(p2_theta):
@@ -189,39 +167,10 @@ def test_hessian_matches_the_wall_form_pointwise(p2_theta, eps):
         (0.3, 0.3),  # no ray crosses the disk
     ]
     for x in points:
-        got = np.array(derivatives(f, MollifierParams(eps), x)[1])
+        got = np.array(hessian(f, MollifierParams(eps), x))
         want = wall_form_hessian(p2_theta, eps, x)
         assert np.max(np.abs(got - want)) <= 1e-7 * max(1.0, np.max(np.abs(want))), x
         assert got[0, 1] == got[1, 0]
-
-
-def test_subdivision_gradient_matches_value_differences(p2_sub):
-    # values that make the extension slope differ on every region outside
-    # the polygon: inside, hull-edge slabs and hull-vertex wedges
-    f = SubdivisionPL(p2_sub, (0, 2, 1, 3))
-    h = 1e-6
-    for x in [(0.2, 0.1), (-0.3, 0.2), (2.0, 2.0), (1.0, -1.0), (-3.0, 1.0), (3.0, 0.0), (-2.0, -2.5)]:
-        q = np.array([x])
-        fd = [
-            (f.value(q + h * e)[0] - f.value(q - h * e)[0]) / (2 * h)
-            for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        ]
-        assert np.allclose(f.gradient(q)[0], fd, atol=1e-6), x
-
-
-def test_extension_kink_lines_are_walls(p2_sub):
-    """Orders 24 and 300 agree next to a kink line of the extension.
-
-    (1.6, 0.6) lies on the line through the hull vertex (1, 0) along the
-    outward normal of the hull edge to (0, 1), where the projection switches
-    from the edge's slab to the vertex's wedge.  A rule that does not split
-    the disk there misses the kink by about 3e-4 in value and 0.8 in h11.
-    """
-    f = SubdivisionPL(p2_sub, (0, 2, 1, 3))
-    x = (1.6, 0.6)
-    low, high = MollifierParams(0.25, 24), MollifierParams(0.25, 300)
-    assert abs(mollify_eval(f, low, x) - mollify_eval(f, high, x)) < 1e-12
-    assert np.allclose(hessian(f, low, x), hessian(f, high, x), rtol=0, atol=1e-7)
 
 
 def test_quadrature_defect_witness_is_convex_and_ok():
@@ -247,38 +196,30 @@ def test_mollifier_radius_must_be_positive(eps):
 
 
 @pytest.mark.parametrize(
-    "kind, x",
+    "x",
     [
-        ("fan", (0.01, 0.02)),  # near the vertex: every wall crosses the disk
-        ("fan", (1.5, 0.0)),  # on a wall
-        ("fan", (1.0, 0.05)),  # one wall crosses the disk
-        ("fan", (0.3, 0.3)),  # no wall crosses the disk
-        ("fan", (0.1, 0.5)),  # the wall x = 0 leaves the disk: empty pieces at the rim
-        ("subdivision", (0.2, 0.1)),  # inside the polygon
-        ("subdivision", (0.5, 0.0)),  # on an interior edge
-        ("subdivision", (2.0, 2.0)),  # in the slab of a hull edge
-        ("subdivision", (1.6, 0.6)),  # between a hull-edge slab and a hull-vertex wedge
-        ("subdivision", (3.0, 0.0)),  # in the wedge of a hull vertex
+        (0.01, 0.02),  # near the vertex: every wall crosses the disk
+        (1.5, 0.0),  # on a wall
+        (1.0, 0.05),  # one wall crosses the disk
+        (0.3, 0.3),  # no wall crosses the disk
+        (0.1, 0.5),  # the wall x = 0 leaves the disk: empty pieces at the rim
     ],
+    ids=[f"fan-x{k}" for k in range(5)],
 )
-def test_piecewise_quadrature_matches_the_pointwise_rule(p2_sub, p2_region, kind, x):
-    """One gradient per piece gives what grad f at every node gives, up to roundoff."""
-    if kind == "fan":
-        f = FanPL(theta_from_twisting(twisting(p2_region, (5, 5, 5))))
-    else:
-        f = SubdivisionPL(p2_sub, (0, 2, 1, 3))
+def test_piecewise_quadrature_matches_the_pointwise_rule(p2_region, x):
+    """The split rule with grad f once per piece gives what f at every node gives, up to roundoff."""
+    f = FanPL(theta_from_twisting(twisting(p2_region, (5, 5, 5))))
     p = MollifierParams(0.25)
-    (g, h), (g0, h0) = derivatives(f, p, x), pointwise_derivatives(f, p, x)
-    for got, want in zip((*g, *h[0], *h[1]), (*g0, *h0[0], *h0[1])):
+    (v, g, h), (v0, g0, h0) = split_smoothing(f, p, x), split_smoothing(f, p, x, pointwise=True)
+    for got, want in zip((v, *g, *h[0], *h[1]), (v0, *g0, *h0[0], *h0[1])):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (x, got, want)
-    want = pointwise_mollify_eval(f, p, x)
-    assert abs(mollify_eval(f, p, x) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_a_wall_crossing_clipped_at_the_rim_gives_an_empty_piece(p2_region):
     f = FanPL(theta_from_twisting(twisting(p2_region, (5, 5, 5))))
-    eps = 0.25
-    _, groups = smoothing._split_rule(f, MollifierParams(eps), (0.1, 0.5))
+    eps, x = 0.25, (0.1, 0.5)
+    lines = [(a, b, a * x[0] + b * x[1] + c) for a, b, c in fan_walls(f)]
+    groups = split_rule([w for w in lines if abs(w[2]) <= eps + 1e-12], eps, 24)
     mids = np.concatenate([m for m, _, _, _ in groups])
     rim = np.sqrt(np.maximum(eps * eps - mids[:, 0, 1] ** 2, 0.0))
     # a piece from a clipped crossing to the rim has its midpoint on the rim
@@ -286,6 +227,7 @@ def test_a_wall_crossing_clipped_at_the_rim_gives_an_empty_piece(p2_region):
 
 
 def test_one_gradient_call_per_derivative(p2_region, monkeypatch):
+    """The split rule reads grad f once per piece; pointwise, at every node."""
     f = FanPL(theta_from_twisting(twisting(p2_region, (5, 5, 5))))
     p = MollifierParams(0.25)
     rows = []
@@ -296,26 +238,13 @@ def test_one_gradient_call_per_derivative(p2_region, monkeypatch):
         return real(self, pts)
 
     monkeypatch.setattr(FanPL, "gradient", counted)
-    derivatives(f, p, (0.01, 0.02))
-    # 6 strips of 24 rows, each row cut into 3 pieces
+    split_smoothing(f, p, (0.01, 0.02))
+    # 6 strips of 24 rows, each row cut into 3 pieces, in one group
     assert rows == [432]
     rows.clear()
-    pointwise_derivatives(f, p, (0.01, 0.02))
-    assert rows == [1728] * 6
-
-
-def test_boundary_points_inside_a_hull_edge_are_walls(a2d3_sub):
-    """Below the hull edge from (0, 0) to (6, 0) the extension bends over (4, 0).
-
-    (4, 0) is a boundary point in the middle of that hull edge, and no edge of
-    the subdivision lies on the vertical line through it.  Without the wall
-    x = 4 orders 24 and 300 differ by 8e-4 in value and 0.4 in h11.
-    """
-    f = SubdivisionPL(a2d3_sub, [(i * i) % 5 for i in range(len(a2d3_sub.points))])
-    x = (4.0, -0.3)
-    low, high = MollifierParams(0.25, 24), MollifierParams(0.25, 300)
-    assert abs(mollify_eval(f, low, x) - mollify_eval(f, high, x)) < 1e-12
-    assert np.allclose(hessian(f, low, x), hessian(f, high, x), rtol=0, atol=1e-7)
+    split_smoothing(f, p, (0.01, 0.02), pointwise=True)
+    # grad f, then f, which reads the gradient too
+    assert rows == [1728 * 6] * 2
 
 
 def test_quadrature_order_limit():
@@ -357,11 +286,10 @@ def _scale(want) -> float:
 
 def test_fan_rule_matches_the_oracles_pointwise(definite_thetas):
     eps = 0.25
-    p, reference = MollifierParams(eps), MollifierParams(eps, 300)
+    p = MollifierParams(eps)
     for theta in definite_thetas:
         f = FanPL(theta)
-        points, on_ray = smoothing._sample_points(theta.fan.rays, eps, 8)
-        points = [(0.0, 0.0)] + points
+        points = [(0.0, 0.0)] + smoothing._sample_points(theta.fan.rays, eps, 8)[0]
         g, h = fan_derivatives(f, p, points)
         want = vertex_gradient(theta)
         assert np.max(np.abs(g[0] - want)) <= 1e-12 * _scale(want), theta.fan.rays
@@ -369,12 +297,26 @@ def test_fan_rule_matches_the_oracles_pointwise(definite_thetas):
             want = wall_form_hessian(theta, eps, x)
             assert np.max(np.abs(hx - want)) <= 1e-9 * _scale(want), (theta.fan.rays, x)
             assert hx[0, 1] == hx[1, 0]
-        # the split rule at order 300 on a vertex sample and on the first sample out along a ray
-        for k in (1, 1 + on_ray.index(0)):
-            g0, h0 = derivatives(f, reference, points[k])
-            want = np.concatenate([g0, np.ravel(h0)])
-            got = np.concatenate([g[k], h[k].ravel()])
-            assert np.max(np.abs(got - want)) <= 1e-9 * _scale(want), (theta.fan.rays, points[k])
+
+
+@pytest.mark.parametrize("eps, tol", [(0.2, 1e-9), (0.25, 1e-9), (0.5, 1e-9), (1, 1e-7)])
+def test_one_point_views_match_the_split_rule(definite_thetas, eps, tol):
+    """grad, hessian and mollify_eval at order 24 against the split rule at order 300,
+    on the first vertex sample and the first sample out along a ray.
+
+    Errors are relative to the largest gradient or Hessian entry.  At eps = 1
+    the order-24 rule's own error reaches about 3e-8; at the smaller radii it
+    stays below 1e-10.
+    """
+    p, reference = MollifierParams(eps), MollifierParams(eps, 300)
+    for theta in definite_thetas:
+        f = FanPL(theta)
+        points, on_ray = smoothing._sample_points(theta.fan.rays, eps, 8)
+        for x in (points[0], points[on_ray.index(0)]):
+            v0, g0, h0 = split_smoothing(f, reference, x)
+            want = np.concatenate([[v0], g0, np.ravel(h0)])
+            got = np.concatenate([[mollify_eval(f, p, x)], grad(f, p, x), np.ravel(hessian(f, p, x))])
+            assert np.max(np.abs(got - want)) <= tol * _scale(want[1:]), (theta.fan.rays, x)
 
 
 def _ray_distances(rays, x) -> list[float]:
@@ -435,7 +377,7 @@ def sweep_reference(definite_thetas):
     out = {}
     for eps in EPS_SWEEP:
         points = smoothing._sample_points(theta.fan.rays, eps, 4)[0][::2]
-        out[eps] = points, [derivatives(f, MollifierParams(eps, 300), x) for x in points]
+        out[eps] = points, [split_smoothing(f, MollifierParams(eps, 300), x)[1:] for x in points]
     return f, out
 
 
@@ -500,14 +442,6 @@ def test_fan_rule_groups_hold_at_most_group_nodes(p2_theta, monkeypatch):
     monkeypatch.setattr(smoothing, "_bump_on_chords", counted)
     fan_derivatives(FanPL(p2_theta), MollifierParams(0.25, MAX_QUADRATURE_ORDER), [(0.01, 0.02), (0.0, 2.0)])
     assert len(sizes) > 2 and max(sizes) <= smoothing._GROUP_NODES
-
-
-def test_check_hessian_definiteness_runs_no_split_rule(p2_theta, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("split rule started")
-
-    monkeypatch.setattr(smoothing, "_rule", refuse)
-    assert check_hessian_definiteness(p2_theta, MollifierParams(0.25), samples=24).ok
 
 
 @pytest.mark.parametrize("eps", [0.0375, 1e-200])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import fraction_canonical_seed
 from tropcoh.bundles import canonical_KC
 from tropcoh.fan import make_fan
 from tropcoh.lattice import LatticeError, dot
@@ -13,7 +14,6 @@ from tropcoh.spheres import (
     GammaCurve,
     SemiIntegralSupport,
     Twisting,
-    canonical_seed,
     compact_support_class,
     difference_sphere,
     gamma_curve,
@@ -101,8 +101,8 @@ def test_twisting_keeps_region(p2_region):
 
 def test_canonical_seed_p2():
     fan = make_fan([(1, 0), (0, 1), (-1, -1)])
-    seed = canonical_seed(fan)
-    assert seed == (H, 0)
+    seed = theta_from_twisting(twisting(fan, (3, 3, 3))).thetas[0]
+    assert seed == fraction_canonical_seed(fan) == (H, 0)
     # pairs half-integrally with the first two rays, reduced into [0,1)^2
     assert (2 * dot(seed, fan.rays[0])) % 2 == 1
     assert (2 * dot(seed, fan.rays[1])) % 2 == 1
