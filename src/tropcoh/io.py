@@ -9,6 +9,7 @@ the decoder.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -29,11 +30,10 @@ class InputError(ValueError):
 
 @lru_cache(maxsize=1)
 def input_schema() -> dict:
-    """The published JSON Schema of input documents; ``parse_input`` checks its rules itself."""
-    from importlib import resources
-
-    text = resources.files("tropcoh").joinpath("schema/input.schema.json").read_text()
-    return json.loads(text)
+    """The published JSON Schema of input documents, read once; ``parse_input`` walks it."""
+    path = os.path.join(os.path.dirname(__file__), "schema", "input.schema.json")
+    with open(path, "rb") as f:
+        return json.load(f)
 
 
 @dataclass(frozen=True)
@@ -73,112 +73,85 @@ def _reject_constant(token: str):
     raise InputError(f"parse error: {token} is not a JSON value")
 
 
-# The rules of schema/input.schema.json, checked without jsonschema. Each check
-# takes (value, path) and returns the (path, message) that jsonschema's Draft 7
-# validator lists first when its errors are sorted by path, or None. An error at
-# a path sorts before every error below it, and jsonschema applies a schema's
-# keywords in the order the file lists them, so a check stops at its first
-# failing keyword and visits children in sorted key order. The messages are
-# jsonschema's, word for word. One rule is stricter: "integer" means a JSON
-# integer, so 2.0 is rejected where Draft 7 would accept it.
+# The walker behind parse_input. It reads schema/input.schema.json and returns
+# the (path, message) that jsonschema's Draft 7 validator lists first when its
+# errors are sorted by path, or None. An error at a path sorts before every
+# error below it, and jsonschema applies a node's keywords in the order the
+# file lists them, so the walker stops at a node's first failing keyword and
+# visits children in sorted key order. The messages are jsonschema's, word for
+# word. One rule is stricter: "integer" means a JSON integer, so 2.0 is
+# rejected where Draft 7 would accept it.
+
+_TYPES = {"integer": (int,), "number": (int, float), "array": (list,), "object": (dict,)}
+_KEYWORDS = frozenset(
+    {"type", "const", "minimum", "exclusiveMinimum", "minItems", "maxItems", "required"}
+    | {"additionalProperties", "properties", "items", "$ref"}
+    | {"$schema", "$id", "title", "description", "definitions"}  # annotations
+)
 
 
-def _integer(minimum=None):
-    def check(value, path):
-        if type(value) is not int:
-            return path, f"{value!r} is not of type 'integer'"
-        if minimum is not None and value < minimum:
-            return path, f"{value!r} is less than the minimum of {minimum!r}"
-        return None
+def _keyword_error(word: str, arg, value, node: dict) -> Optional[str]:
+    """jsonschema's message when keyword ``word`` of ``node`` rejects ``value``, or None.
 
-    return check
-
-
-def _positive_number(value, path):
-    if type(value) not in (int, float):
-        return path, f"{value!r} is not of type 'number'"
-    if value <= 0:
-        return path, f"{value!r} is less than or equal to the minimum of 0"
+    As in jsonschema, a keyword other than "type" and "const" passes every
+    value of a JSON type it does not apply to.
+    """
+    kind = type(value)
+    if word == "type" and kind not in _TYPES[arg]:
+        return f"{value!r} is not of type {arg!r}"
+    # jsonschema's equality: 1.0 matches 1, but True does not
+    if word == "const" and ((kind is bool) != (type(arg) is bool) or value != arg):
+        return f"{arg!r} was expected"
+    if word == "minimum" and kind in _TYPES["number"] and value < arg:
+        return f"{value!r} is less than the minimum of {arg!r}"
+    if word == "exclusiveMinimum" and kind in _TYPES["number"] and value <= arg:
+        return f"{value!r} is less than or equal to the minimum of {arg!r}"
+    if word == "minItems" and kind is list and len(value) < arg:
+        return f"{value!r} " + ("should be non-empty" if arg == 1 else "is too short")
+    if word == "maxItems" and kind is list and len(value) > arg:
+        return f"{value!r} " + ("is expected to be empty" if arg == 0 else "is too long")
+    if word == "required" and kind is dict:
+        missing = [name for name in arg if name not in value]
+        if missing:
+            return f"{missing[0]!r} is a required property"
+    if word == "additionalProperties" and arg is False and kind is dict:
+        unexpected = sorted(key for key in value if key not in node.get("properties", {}))
+        if unexpected:
+            verb = "was" if len(unexpected) == 1 else "were"
+            listed = ", ".join(map(repr, unexpected))
+            return f"Additional properties are not allowed ({listed} {verb} unexpected)"
+    if word not in _KEYWORDS:
+        raise NotImplementedError(f"input schema keyword {word!r} is not implemented")
     return None
 
 
-def _const(expected):
-    def check(value, path):
-        # jsonschema's equality: 1.0 matches 1, but True does not
-        if type(value) is bool or value != expected:
-            return path, f"{expected!r} was expected"
+def _walk(value, node: dict, root: dict, path: tuple):
+    if "$ref" in node:  # Draft 7 ignores the siblings of "$ref"
+        node = root["definitions"][node["$ref"].removeprefix("#/definitions/")]
+    for word, arg in node.items():
+        message = _keyword_error(word, arg, value, node)
+        if message is not None:
+            return path, message
+    if type(value) is list and "items" in node:
+        children = ((i, node["items"]) for i in range(len(value)))
+    elif type(value) is dict:
+        named, others = node.get("properties", {}), node.get("additionalProperties")
+        children = ((key, named.get(key, others)) for key in sorted(value))
+    else:
         return None
-
-    return check
-
-
-def _array(items, min_items=0, max_items=None):
-    def check(value, path):
-        if type(value) is not list:
-            return path, f"{value!r} is not of type 'array'"
-        if len(value) < min_items:
-            return path, f"{value!r} " + ("should be non-empty" if min_items == 1 else "is too short")
-        if max_items is not None and len(value) > max_items:
-            return path, f"{value!r} is too long"
-        for i, item in enumerate(value):
-            error = items(item, path + (i,))
+    for key, child in children:
+        # None, False and {} hold no rule for the child: absent, rejected above, or empty
+        if child:
+            error = _walk(value[key], child, root, path + (key,))
             if error is not None:
                 return error
-        return None
-
-    return check
+    return None
 
 
-def _object(properties, required=(), others=None):
-    """Keys outside ``properties`` take the check ``others``; with None they are rejected."""
-
-    def check(value, path):
-        if type(value) is not dict:
-            return path, f"{value!r} is not of type 'object'"
-        if others is None:
-            unexpected = sorted(key for key in value if key not in properties)
-            if unexpected:
-                verb = "was" if len(unexpected) == 1 else "were"
-                listed = ", ".join(map(repr, unexpected))
-                return path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
-        for name in required:
-            if name not in value:
-                return path, f"{name!r} is a required property"
-        for key in sorted(value):
-            error = properties.get(key, others)(value[key], path + (key,))
-            if error is not None:
-                return error
-        return None
-
-    return check
-
-
-_lattice_point = _array(_integer(), 2, 2)
-_integers = _array(_integer())
-_check_document = _object(
-    {
-        "format": _const("tropcoh-input"),
-        "version": _const(1),
-        "points": _array(_lattice_point, 3),
-        "triangles": _array(_array(_integer(minimum=0), 3, 3), 1),
-        "nu": _integers,
-        "twisting_sets": _object(
-            {},
-            others=_object(
-                {"region": _lattice_point, "values": _array(_integer(), 3)}, required=("values",)
-            ),
-        ),
-        "kink_sets": _object({}, others=_integers),
-        "options": _object(
-            {
-                "margin": _integer(minimum=0),
-                "epsilon": _positive_number,
-                "quadrature_order": _integer(minimum=1),
-            }
-        ),
-    },
-    required=("format", "version", "points", "triangles", "nu"),
-)
+def _schema_error(raw, schema: Optional[dict] = None):
+    """(path, message) of jsonschema's first error under ``schema``, the published one by default."""
+    root = input_schema() if schema is None else schema
+    return _walk(raw, root, root, ())
 
 
 def parse_input(data: bytes) -> InputDocument:
@@ -198,7 +171,7 @@ def parse_input(data: bytes) -> InputDocument:
         raise
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise InputError(f"parse error: {exc}") from exc
-    error = _check_document(raw, ())
+    error = _schema_error(raw)
     if error is not None:
         path, message = error
         raise InputError(f"invalid input at {_pointer(path)}: {message}")

@@ -87,11 +87,11 @@ def oracle_subdivisions():
 @pytest.fixture
 def schema_oracle(monkeypatch):
     """Every document parse_input checks is also checked by jsonschema: same pointer, same message."""
-    check = tropcoh.io._check_document
+    check = tropcoh.io._schema_error
 
-    def checked(raw, path):
-        got = check(raw, path)
+    def checked(raw):
+        got = check(raw)
         assert got == schema_first_error(raw)
         return got
 
-    monkeypatch.setattr(tropcoh.io, "_check_document", checked)
+    monkeypatch.setattr(tropcoh.io, "_schema_error", checked)

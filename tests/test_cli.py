@@ -68,6 +68,38 @@ def test_validate_a2d(run):
     assert result["bounded_regions"] == 2
 
 
+def test_validate_a_thin_triangle_in_a_huge_box(tmp_path):
+    """One elementary triangle whose bounding box holds about 10**18 lattice points."""
+    n = 10**9
+    doc = tmp_path / "thin.json"
+    doc.write_text(json.dumps({
+        "format": "tropcoh-input", "version": 1, "points": [[0, 0], [n, n - 1], [n - 1, n - 2]],
+        "triangles": [[0, 1, 2]], "nu": [0, 0, 0],
+    }))
+    src = str(Path(tropcoh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "tropcoh.cli", "validate", "--input", str(doc)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert out_json(done.stdout)["result"]["triangles"] == 1
+
+
+def test_validate_overlapping_triangles_names_the_edge(run, tmp_path):
+    doc = tmp_path / "overlap.json"
+    doc.write_text(json.dumps({
+        "format": "tropcoh-input", "version": 1, "points": [[0, 0], [1, 0], [0, 1], [1, 1]],
+        "triangles": [[0, 1, 2], [0, 1, 3]], "nu": [0, 0, 0, 0],
+    }))
+    assert run("validate", None, "--input", str(doc)) == (
+        2,
+        "",
+        "error: invalid subdivision: overlapping-triangles: "
+        "triangles 0 and 1 lie on one side of edge ((0, 0), (1, 0))\n",
+    )
+
+
 def test_tropical_json_counts(run):
     code, out, _ = run("tropical", P2)
     assert code == 0

@@ -20,6 +20,7 @@ from tropcoh.examples import a2d_subdivision, blowup_p2, local_p2
 from tropcoh.fan import fan_at_vertex
 from tropcoh.lattice import LatticeError, det2, dot, rot90, vsub
 from tropcoh.polytope import (
+    ValidationIssue,
     affine_part,
     checked,
     convex_hull,
@@ -108,6 +109,20 @@ class TestValidationCodes:
         )
         assert "tiling" in codes(sub)
         assert "unused-point" in codes(sub)
+
+    def test_overlapping_triangles(self):
+        # both triangles lie above (0, 0)-(1, 0), yet their areas tile the square
+        sub = subdivision(
+            [(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 2), (0, 1, 3)], [0, 0, 0, 0]
+        )
+        assert validate(sub).issues == (
+            ValidationIssue(
+                "overlapping-triangles",
+                "triangles 0 and 1 lie on one side of edge ((0, 0), (1, 0))",
+            ),
+        )
+        with pytest.raises(LatticeError, match="invalid subdivision: overlapping-triangles"):
+            checked(sub)
 
     def test_nu_not_integral(self):
         sub = subdivision(P2_POINTS, P2_TRIS, [0, 1, 1, Fraction(1, 2)])
@@ -367,3 +382,23 @@ def test_lattice_points_in_hull_matches_brute_force(pts):
             ):
                 brute.add(p)
     assert inside == brute
+
+
+@given(points_strategy)
+def test_missing_lattice_points_match_a_box_scan(pts):
+    """validate counts P's lattice points and lists the missing ones in lexicographic order."""
+    listed = sorted(set(pts))
+    hull = convex_hull(listed)
+    if len(hull) < 3:
+        return
+    missing = [p for p in lattice_points_in_hull(hull) if p not in listed]
+    issues = validate(subdivision(listed, [], [0] * len(listed))).issues
+    found = [i.message for i in issues if i.code == "missing-lattice-point"]
+    assert found == [f"lattice point {p} of P is not listed" for p in missing]
+
+
+def test_a_thin_triangle_is_counted_not_scanned():
+    # one elementary triangle whose bounding box holds about 10**18 points
+    n = 10**9
+    sub = subdivision([(0, 0), (n, n - 1), (n - 1, n - 2)], [(0, 1, 2)], [0, 0, 0])
+    assert validate(sub).ok

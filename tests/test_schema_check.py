@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from oracles import schema_first_error
 from test_io_schema import FIXTURE_NAMES, minimal_doc
-from tropcoh.io import _check_document
+from tropcoh.io import _KEYWORDS, _schema_error, input_schema
 
 BASES = {name: json.loads((FIXTURES / name).read_bytes()) for name in FIXTURE_NAMES}
 BASES["minimal"] = minimal_doc()
@@ -94,19 +94,19 @@ def test_check_matches_jsonschema_on_every_replaced_value(name):
     for path, _ in nodes(base):
         for value in (None, True, -1, 0, 0.5, 2.0, "s", [], {}, {"x": 0}):
             doc = replace(copy.deepcopy(base), path, value)
-            assert _check_document(doc, ()) == schema_first_error(doc), (path, value)
+            assert _schema_error(doc) == schema_first_error(doc), (path, value)
 
 
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(mutated())
 def test_check_matches_jsonschema_on_mutated_documents(doc):
-    assert _check_document(doc, ()) == schema_first_error(doc)
+    assert _schema_error(doc) == schema_first_error(doc)
 
 
 @pytest.mark.parametrize("name", list(BASES))
 def test_check_accepts_what_jsonschema_accepts(name):
     doc = BASES[name]
-    assert _check_document(doc, ()) is None
+    assert _schema_error(doc) is None
     assert schema_first_error(doc) is None
 
 
@@ -138,4 +138,27 @@ def test_check_accepts_what_jsonschema_accepts(name):
     ],
 )
 def test_check_names_jsonschemas_first_error(doc, pointer, message):
-    assert _check_document(doc, ()) == schema_first_error(doc) == (pointer, message)
+    assert _schema_error(doc) == schema_first_error(doc) == (pointer, message)
+
+
+def schema_nodes(node):
+    """Every schema node of the published schema's tree, the root first."""
+    yield node
+    for word in ("properties", "definitions"):
+        for child in node.get(word, {}).values():
+            yield from schema_nodes(child)
+    for word in ("items", "additionalProperties"):
+        if isinstance(node.get(word), dict):
+            yield from schema_nodes(node[word])
+
+
+def test_every_keyword_of_the_published_schema_is_implemented():
+    used = {word for node in schema_nodes(input_schema()) for word in node}
+    assert used <= _KEYWORDS, used - _KEYWORDS
+
+
+def test_a_keyword_the_walker_does_not_implement_raises():
+    schema = copy.deepcopy(input_schema())
+    schema["properties"]["format"]["pattern"] = "^tropcoh-"
+    with pytest.raises(NotImplementedError, match="input schema keyword 'pattern' is not implemented"):
+        _schema_error(minimal_doc(), schema)

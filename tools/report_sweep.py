@@ -15,9 +15,14 @@ set times k for -25 <= k <= 25 (even k break the parity: exit 2), on every
 named set of the fixtures (``sphere`` also as SVG, and ``smooth-check`` at
 the default order and at ``--order 64``), and on a few invalid twistings;
 then the ``winding`` table, as JSON and as SVG, on p2 at ell = +-(2k + 1)
-for k < 60 and on the blowup ``mixed_sign`` set times k for -9 <= k <= 9.
-Paths in argv are relative to the checkout root, so the digest does not
-depend on where the checkout lives.
+for k < 60 and on the blowup ``mixed_sign`` set times k for -9 <= k <= 9;
+then ``validate`` on documents the sweep builds itself (``documents``): one
+per rule of the input schema, a set name holding "~" and "/", bytes that
+are not UTF-8, ``NaN``, nesting too deep to parse, a missing lattice point,
+two triangles on one side of an edge, and an elementary triangle in a
+3000 x 2999 box.  Paths in argv are relative to the checkout root, and a
+built document is hashed by its bytes in place of its temporary path, so
+the digest does not depend on where the checkout lives.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,6 +89,60 @@ def sweep() -> list[list[str]]:
     return runs
 
 
+def _doc(**changes) -> dict:
+    doc = {
+        "format": "tropcoh-input",
+        "version": 1,
+        "points": [[0, 0], [1, 0], [0, 1], [-1, -1]],
+        "triangles": [[0, 1, 2], [0, 2, 3], [0, 3, 1]],
+        "nu": [0, 1, 1, 1],
+    }
+    doc.update(changes)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+def documents() -> dict[str, bytes]:
+    """The documents ``validate`` reads after the fixture sweep, by name, in a fixed order."""
+    n = 3000
+    docs = {
+        "valid": _doc(options={"margin": 1, "epsilon": 0.5, "quadrature_order": 8}),
+        "type-array": _doc(nu="abc"),
+        "type-integer": _doc(points=[[0, 0], [1, 0.5], [0, 1], [-1, -1]]),
+        "type-integer-float": _doc(options={"margin": 2.0}),
+        "type-number": _doc(options={"epsilon": "0.5"}),
+        "type-object": _doc(twisting_sets=[]),
+        "const-string": _doc(format="other"),
+        "const-bool": _doc(version=True),
+        "const-float": _doc(version=1.0),
+        "minimum": _doc(triangles=[[0, 1, 2], [0, 2, -3], [0, 3, 1]]),
+        "minimum-option": _doc(options={"quadrature_order": 0}),
+        "exclusiveMinimum": _doc(options={"epsilon": 0}),
+        "minItems-empty": _doc(triangles=[]),
+        "minItems-short": _doc(points=[[0, 0], [1, 0]]),
+        "minItems-point": _doc(points=[[0, 0], [1], [0, 1], [-1, -1]]),
+        "maxItems": _doc(triangles=[[0, 1, 2, 3]]),
+        "required": _doc(nu=None),
+        "required-values": _doc(twisting_sets={"a": {"region": [0, 0]}}),
+        "additionalProperties": _doc(flavor="mint"),
+        "additionalProperties-plural": _doc(flavor="mint", colour="red"),
+        "additionalProperties-option": _doc(options={"margin": 0, "seed": 1}),
+        "additionalProperties-schema": _doc(kink_sets={"k": "s"}),
+        "pointer-escape": _doc(twisting_sets={"a~/b": {"values": [3, "3", 3]}}),
+        "missing-lattice-point": _doc(
+            points=[[0, 0], [1, 0], [2, 0], [0, 1], [0, 2]], triangles=[[0, 1, 3], [3, 1, 4]], nu=[0] * 5
+        ),
+        "overlapping-triangles": _doc(
+            points=[[0, 0], [1, 0], [0, 1], [1, 1]], triangles=[[0, 1, 2], [0, 1, 3]], nu=[0] * 4
+        ),
+        "thin-triangle": _doc(points=[[0, 0], [n, n - 1], [n - 1, n - 2]], triangles=[[0, 1, 2]], nu=[0] * 3),
+    }
+    built = {name: json.dumps(doc).encode() for name, doc in docs.items()}
+    built["not-utf-8"] = b'{"format": "tropcoh-input\xff"}'
+    built["nan"] = json.dumps(_doc(options={"epsilon": 0.5})).replace("0.5", "NaN").encode()
+    built["too-deep"] = b"[" * 100000 + b"]" * 100000
+    return built
+
+
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -97,14 +157,21 @@ def main(args=None) -> int:
     os.chdir(ROOT)
     total = hashlib.sha256()
     codes: dict[int, int] = {}
-    runs = sweep()
-    for argv in runs:
-        code, out, err = run(argv)
-        record = json.dumps([argv, code, out, err]).encode("utf-8")
-        total.update(record + b"\n")
-        codes[code] = codes.get(code, 0) + 1
-        if opts.verbose:
-            print(code, hashlib.sha256(record).hexdigest()[:16], " ".join(argv))
+    runs = [(argv, argv, argv) for argv in sweep()]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in documents().items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_bytes(data)
+            # (the argv run, the argv hashed, the argv shown)
+            shown = ["validate", "--input", f"<{name}>"]
+            runs.append((["validate", "--input", str(path)], [*shown[:2], data.decode("latin-1")], shown))
+        for argv, hashed, shown in runs:
+            code, out, err = run(argv)
+            record = json.dumps([hashed, code, out, err]).encode("utf-8")
+            total.update(record + b"\n")
+            codes[code] = codes.get(code, 0) + 1
+            if opts.verbose:
+                print(code, hashlib.sha256(record).hexdigest()[:16], " ".join(shown))
     tally = ", ".join(f"exit {c}: {n}" for c, n in sorted(codes.items()))
     print(f"{len(runs)} calls ({tally})")
     print(total.hexdigest())
