@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -71,6 +72,15 @@ def _pointer(path) -> str:
 
 def _reject_constant(token: str):
     raise InputError(f"parse error: {token} is not a JSON value")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its members; json.loads would keep the last value of a repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise InputError(f"parse error: duplicate key {key!r}")
+    return obj
 
 
 # The walker behind parse_input. It reads schema/input.schema.json and returns
@@ -158,7 +168,9 @@ def parse_input(data: bytes) -> InputDocument:
     if not data.strip():
         raise InputError("empty document")
     try:
-        raw = json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
+        raw = json.loads(
+            data.decode("utf-8"), parse_constant=_reject_constant, object_pairs_hook=_unique_keys
+        )
     except UnicodeDecodeError as exc:
         raise InputError(f"input is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -19,8 +18,10 @@ from .lattice import (
     LatticeError,
     QVec,
     Vec,
+    as_ints,
     det2,
     dot,
+    lex_positive,
     primitive,
     rot90,
     vneg,
@@ -50,13 +51,19 @@ class Subdivision:
 
 
 def subdivision(points: Iterable, triangles: Iterable, nu: Iterable) -> Subdivision:
-    pts = tuple((int(p[0]), int(p[1])) for p in points)
-    tris = tuple(tuple(int(i) for i in t) for t in triangles)
-    # integral values are stored as ints, so slopes and kinks stay in integers
-    vals = tuple(q.numerator if q.denominator == 1 else q for q in map(Fraction, nu))
+    """A subdivision of integer points and indices and int or Fraction nu; nothing is rounded."""
+    pts = tuple(as_ints(p, f"point {i} coordinate") for i, p in enumerate(points))
+    tris = tuple(as_ints(t, f"triangle {i} vertex") for i, t in enumerate(triangles))
+    if any(len(p) != 2 for p in pts):
+        raise LatticeError("points must have two coordinates")
     if any(len(t) != 3 for t in tris):
         raise LatticeError("triangles must have three vertices")
-    return Subdivision(pts, tris, vals)
+    # integral values become ints, so slopes and kinks stay in integers; a
+    # non-integral Fraction is kept for validate to report as nu-not-integral
+    nu = tuple(nu)
+    kept = {j: v for j, v in enumerate(nu) if isinstance(v, Fraction) and v.denominator != 1}
+    vals = as_ints((0 if j in kept else v for j, v in enumerate(nu)), "nu")
+    return Subdivision(pts, tris, tuple(kept.get(j, v) for j, v in enumerate(vals)))
 
 
 @dataclass(frozen=True)
@@ -123,31 +130,10 @@ def convex_hull(points: Sequence[Vec]) -> list[Vec]:
     return lower[:-1] + upper[:-1]
 
 
-def _hull_sides(hull: Sequence[Vec]) -> list[tuple[Vec, Vec]]:
-    return [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
-
-
-def _on_segment(p: Vec, a: Vec, b: Vec) -> bool:
-    if det2(vsub(b, a), vsub(p, a)) != 0:
-        return False
-    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-
-
-def lattice_points_in_hull(hull: Sequence[Vec]) -> list[Vec]:
-    xs = [p[0] for p in hull]
-    ys = [p[1] for p in hull]
-    sides = _hull_sides(hull)
-    found = []
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            p = (x, y)
-            if all(det2(vsub(b, a), vsub(p, a)) >= 0 for a, b in sides):
-                found.append(p)
-    return found
-
-
-def _boundary_point(p: Vec, hull: Sequence[Vec]) -> bool:
-    return any(_on_segment(p, a, b) for a, b in _hull_sides(hull))
+def _line(a: Vec, b: Vec) -> tuple[Vec, int]:
+    """The line through a != b: its lex-positive primitive direction u and offset det2(u, a)."""
+    u = lex_positive(primitive(vsub(b, a)))
+    return u, det2(u, a)
 
 
 @lru_cache(maxsize=None)
@@ -214,14 +200,6 @@ def validate(sub: Subdivision) -> ValidationReport:
     area2 = sum(
         det2(vsub(hull[i], hull[0]), vsub(hull[i + 1], hull[0])) for i in range(1, len(hull) - 1)
     )
-    # Pick's theorem: P holds (area2 + b) / 2 + 1 lattice points, b of them on
-    # its boundary. Each listed point lies in P and they are distinct, so the
-    # box scan runs only when some point is missing.
-    boundary = sum(gcd(b[0] - a[0], b[1] - a[1]) for a, b in _hull_sides(hull))
-    if (area2 + boundary) // 2 + 1 > len(seen):
-        for p in lattice_points_in_hull(hull):
-            if p not in seen:
-                bad("missing-lattice-point", f"lattice point {p} of P is not listed")
     if total != area2:
         bad("tiling", f"triangles cover normalized area {total}, polygon has {area2}")
 
@@ -229,16 +207,21 @@ def validate(sub: Subdivision) -> ValidationReport:
         if not star[p]:
             bad("unused-point", f"lattice point {p} is not a vertex of any triangle")
 
+    # Edges are primitive. If each lies in two triangles on opposite sides, or in one and on a side
+    # of P, the triangles cover P off the edges equally often, and once by the area check: they
+    # tile P, and every lattice point of P is a vertex. README states the argument in full.
+    hull_lines = {_line(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
     grouped = {key: tuple(t for t, _ in sides[key]) for key in sorted(sides)}
+    on_boundary: set[Vec] = set()
     for key, ts in grouped.items():
         if len(ts) > 2:
             bad("nonmanifold-edge", f"edge {key} lies in {len(ts)} triangles")
         elif len(ts) == 2 and sides[key][0][1] == sides[key][1][1]:
             bad("overlapping-triangles", f"triangles {ts[0]} and {ts[1]} lie on one side of edge {key}")
-        elif len(ts) == 1 and not (
-            _boundary_point(key[0], hull) and _boundary_point(key[1], hull)
-        ):
-            bad("dangling-edge", f"edge {key} lies in one triangle but is not on the boundary")
+        elif len(ts) == 1:
+            if _line(*key) not in hull_lines:
+                bad("dangling-edge", f"edge {key} lies in one triangle but is not on the boundary")
+            on_boundary.update(key)
 
     for i, v in enumerate(sub.nu):
         if Fraction(v).denominator != 1:
@@ -252,7 +235,8 @@ def validate(sub: Subdivision) -> ValidationReport:
             bad("not-strictly-convex", f"nu has kink {k} across interior edge ({a}, {b})")
     if issues:
         return ValidationReport(tuple(issues))
-    inner = sorted(p for p in sub.points if not _boundary_point(p, hull))
+    # the boundary edges of a tiling cover the sides of P, so its ends are the boundary points
+    inner = sorted(p for p in sub.points if p not in on_boundary)
     index = CheckedSubdivision(
         sub,
         labelled,

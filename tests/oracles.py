@@ -7,8 +7,9 @@ value for value or message for message for the Fraction twist path (theta,
 its kinks, the mirror support, the search box and the slab orders).  The
 split-disk rule's per-node and per-piece sums must match up to roundoff, and
 the split rule, the kink-line Hessian and the vertex gradient must match the
-library's fan rule within the quadrature's error.  The per-point and
-sampled checks serve only the tests.
+library's fan rule within the quadrature's error.  The tiling check
+decides from the definition what ``validate`` decides from the edges.  The
+per-point and sampled checks serve only the tests.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from tropcoh.lattice import (
 from tropcoh.cohomology import ToricSupport
 from tropcoh.fan import Fan, is_smooth
 from tropcoh.lattice import floor_sum
-from tropcoh.polytope import Subdivision, edges
+from tropcoh.polytope import Subdivision, convex_hull, edges
 from tropcoh.spheres import SemiIntegralSupport, Twisting, _check_twisting, gamma_curve
 from tropcoh.winding import _on_curve, _segments, is_strictly_convex
 
@@ -145,6 +146,38 @@ def opposite_vertex_sides(sub, key, tris) -> tuple[int, int | None, Vec]:
     plus = next(t for t in tris if on_plus[t])
     minus = next(t for t in tris if not on_plus[t])
     return plus, minus, n_e
+
+
+def is_tiling(points, triangles) -> bool:
+    """Whether the triangles tile P = conv(points), decided from the definition.
+
+    Every triangle is elementary, the interiors of no two meet (some side of
+    one has the other weakly on its far side), the areas add up to P's, and
+    the vertices of the triangles are exactly the listed points.
+    """
+    corners = []
+    for i, j, k in triangles:
+        a, b, c = points[i], points[j], points[k]
+        d = det2(vsub(b, a), vsub(c, a))
+        if abs(d) != 1:
+            return False
+        corners.append((a, b, c) if d > 0 else (a, c, b))
+
+    def separated(s, t):
+        return any(
+            all(det2(vsub(q, p), vsub(x, p)) <= 0 for x in t)
+            for p, q in ((s[0], s[1]), (s[1], s[2]), (s[2], s[0]))
+        )
+
+    if not all(separated(s, t) or separated(t, s) for s, t in combinations(corners, 2)):
+        return False
+    return len(corners) == normalized_area(points) and {p for t in corners for p in t} == set(points)
+
+
+def normalized_area(points) -> int:
+    """Twice the area of conv(points): the number of elementary triangles in a tiling."""
+    hull = convex_hull(points)
+    return sum(det2(vsub(hull[i], hull[0]), vsub(hull[i + 1], hull[0])) for i in range(1, len(hull) - 1))
 
 
 def euler_characteristic(sub: Subdivision) -> int:

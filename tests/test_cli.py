@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,44 @@ def test_validate_overlapping_triangles_names_the_edge(run, tmp_path):
         "error: invalid subdivision: overlapping-triangles: "
         "triangles 0 and 1 lie on one side of edge ((0, 0), (1, 0))\n",
     )
+
+
+def test_validate_rejects_a_chord_in_one_triangle(run, tmp_path):
+    """Triangles of the 2 x 1 rectangle whose areas add up, but which overlap."""
+    doc = tmp_path / "chord.json"
+    doc.write_text(json.dumps({
+        "format": "tropcoh-input", "version": 1,
+        "points": [[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [2, 1]],
+        "triangles": [[1, 3, 4], [0, 1, 2], [1, 2, 4], [2, 3, 5]], "nu": [0, 0, 0, 2, 1, 0],
+    }))
+    assert run("validate", None, "--input", str(doc)) == (
+        2,
+        "",
+        "error: invalid subdivision: dangling-edge: "
+        "edge ((1, 0), (1, 1)) lies in one triangle but is not on the boundary\n",
+    )
+    assert run("picard", None, "--input", str(doc))[0] == 2
+
+
+def test_validate_a_huge_triangle_listed_by_its_corners(run, tmp_path):
+    """P holds about 5 * 10**17 lattice points; none is scanned for."""
+    n = 10**9
+    doc = tmp_path / "corners.json"
+    doc.write_text(json.dumps({
+        "format": "tropcoh-input", "version": 1, "points": [[0, 0], [n, 0], [0, n]],
+        "triangles": [[0, 1, 2]], "nu": [0, 0, 0],
+    }))
+    start = time.perf_counter()
+    code, out, err = run("validate", None, "--input", str(doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid subdivision: not-elementary: triangle 0 ")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_validate_rejects_a_duplicate_key(run, fixture_dir, tmp_path):
+    doc = tmp_path / "twice.json"
+    doc.write_text((fixture_dir / P2).read_text().replace('"version": 1', '"version": 1, "version": 1'))
+    assert run("validate", None, "--input", str(doc)) == (2, "", "error: parse error: duplicate key 'version'\n")
 
 
 def test_tropical_json_counts(run):

@@ -105,6 +105,21 @@ def test_integer_literal_past_the_digit_limit_is_a_parse_error(fixture_dir):
         parse_input(data)
 
 
+def test_duplicate_top_level_key_is_a_parse_error():
+    # json keeps the last value: the document would be checked on the second list
+    data = as_bytes(minimal_doc()).replace(b'"nu": [0, 1, 1, 1]', b'"nu": [0, 1, 1, 1], "nu": [5, 5, 5, 5]')
+    assert data.count(b'"nu"') == 2
+    with pytest.raises(InputError, match=r"^parse error: duplicate key 'nu'$"):
+        parse_input(data)
+
+
+def test_duplicate_nested_key_is_a_parse_error():
+    doc = minimal_doc(twisting_sets={"a": {"values": [3, 3, 3]}, "b": {"values": [1, 1, 1]}})
+    data = as_bytes(doc).replace(b'"b"', b'"a"')
+    with pytest.raises(InputError, match=r"^parse error: duplicate key 'a'$"):
+        parse_input(data)
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_non_json_constants_are_rejected(token):
     data = as_bytes(minimal_doc(options={"epsilon": 0.5})).replace(b"0.5", token.encode())

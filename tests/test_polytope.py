@@ -4,8 +4,10 @@ import importlib
 import inspect
 import pkgutil
 import random
+import re
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -13,7 +15,14 @@ from hypothesis import strategies as st
 
 import tropcoh
 from conftest import hex_grid
-from oracles import euler_characteristic, fraction_kinks, fraction_slope, opposite_vertex_sides
+from oracles import (
+    euler_characteristic,
+    fraction_kinks,
+    fraction_slope,
+    is_tiling,
+    normalized_area,
+    opposite_vertex_sides,
+)
 from tropcoh import lattice, polytope
 from tropcoh.bundles import canonical_KC, phi_map
 from tropcoh.examples import a2d_subdivision, blowup_p2, local_p2
@@ -28,7 +37,6 @@ from tropcoh.polytope import (
     edges,
     interior_edge_keys,
     interior_vertices,
-    lattice_points_in_hull,
     slopes,
     subdivision,
     validate,
@@ -88,13 +96,30 @@ class TestValidationCodes:
         assert "degenerate-polytope" in codes(sub)
 
     def test_missing_lattice_point(self):
-        # (1, 1) sits in conv{(0,0), (2,0), (0,2)} but is not listed
+        # (1, 1) sits in conv{(0,0), (2,0), (0,2)} but is not listed, so the
+        # triangle at (1, 0), (0, 1), (0, 2) has a side inside P
         sub = subdivision(
             [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)],
             [(0, 1, 3), (3, 1, 4)],
             [0, 0, 0, 0, 0],
         )
-        assert "missing-lattice-point" in codes(sub)
+        assert not validate(sub).ok
+        assert ValidationIssue(
+            "dangling-edge", "edge ((0, 2), (1, 0)) lies in one triangle but is not on the boundary"
+        ) in validate(sub).issues
+
+    def test_chord_in_one_triangle_is_dangling(self):
+        # every edge here ends on the boundary of the 2 x 1 rectangle, but three
+        # cross it in one triangle; the triangles overlap yet add up to its area
+        sub = subdivision(
+            [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)],
+            [(1, 3, 4), (0, 1, 2), (1, 2, 4), (2, 3, 5)],
+            [0, 0, 0, 2, 1, 0],
+        )
+        assert validate(sub).issues == tuple(
+            ValidationIssue("dangling-edge", f"edge {key} lies in one triangle but is not on the boundary")
+            for key in (((1, 0), (1, 1)), ((1, 0), (2, 1)), ((1, 1), (2, 0)))
+        )
 
     def test_tiling_mismatch(self):
         sub = subdivision(
@@ -119,6 +144,14 @@ class TestValidationCodes:
             ValidationIssue(
                 "overlapping-triangles",
                 "triangles 0 and 1 lie on one side of edge ((0, 0), (1, 0))",
+            ),
+            ValidationIssue(
+                "dangling-edge",
+                "edge ((0, 0), (1, 1)) lies in one triangle but is not on the boundary",
+            ),
+            ValidationIssue(
+                "dangling-edge",
+                "edge ((0, 1), (1, 0)) lies in one triangle but is not on the boundary",
             ),
         )
         with pytest.raises(LatticeError, match="invalid subdivision: overlapping-triangles"):
@@ -165,7 +198,7 @@ def test_edge_classification_on_p2(p2_sub, oracle_subdivisions):
 
 
 def test_incidence_indexes_match_a_full_scan(p2_sub, blowup_sub, a2d3_sub):
-    for sub in (p2_sub, blowup_sub, a2d3_sub):
+    for sub in (p2_sub, blowup_sub, a2d3_sub, a2d_subdivision(6), hex_grid(4)):
         index = checked(sub)
         tris = [sub.triangle_points(t) for t in range(len(sub.triangles))]
         star = {p: tuple(t for t, pts in enumerate(tris) if p in pts) for p in sub.points}
@@ -364,41 +397,67 @@ def test_convex_hull_is_convex_and_contains_input(pts):
             assert det2(vsub(b, a), vsub(p, a)) >= 0
 
 
-@given(points_strategy)
-def test_lattice_points_in_hull_matches_brute_force(pts):
-    hull = convex_hull(pts)
-    if len(hull) < 3:
-        return
-    inside = set(lattice_points_in_hull(hull))
-    xs = [p[0] for p in hull]
-    ys = [p[1] for p in hull]
-    brute = set()
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            p = (x, y)
-            if all(
-                det2(vsub(hull[(i + 1) % len(hull)], hull[i]), vsub(p, hull[i])) >= 0
-                for i in range(len(hull))
-            ):
-                brute.add(p)
-    assert inside == brute
-
-
-@given(points_strategy)
-def test_missing_lattice_points_match_a_box_scan(pts):
-    """validate counts P's lattice points and lists the missing ones in lexicographic order."""
-    listed = sorted(set(pts))
-    hull = convex_hull(listed)
-    if len(hull) < 3:
-        return
-    missing = [p for p in lattice_points_in_hull(hull) if p not in listed]
-    issues = validate(subdivision(listed, [], [0] * len(listed))).issues
-    found = [i.message for i in issues if i.code == "missing-lattice-point"]
-    assert found == [f"lattice point {p} of P is not listed" for p in missing]
-
-
 def test_a_thin_triangle_is_counted_not_scanned():
     # one elementary triangle whose bounding box holds about 10**18 points
     n = 10**9
     sub = subdivision([(0, 0), (n, n - 1), (n - 1, n - 2)], [(0, 1, 2)], [0, 0, 0])
     assert validate(sub).ok
+
+
+RECTANGLE = [(x, y) for x in range(3) for y in range(2)]
+
+
+def test_validate_accepts_exactly_the_tilings():
+    """Every set of 1 to A + 1 elementary triangles on the 2 x 1 rectangle and on its 5-point subsets.
+
+    With nu = 0 a tiling fails strict convexity and nothing else, so validate
+    takes the triangles for a tiling when that is its only issue.
+    """
+    documents, tilings, wrong = 0, 0, []
+    for pts in [RECTANGLE, *map(list, combinations(RECTANGLE, 5))]:
+        elementary = [
+            t for t in combinations(range(len(pts)), 3)
+            if abs(det2(vsub(pts[t[1]], pts[t[0]]), vsub(pts[t[2]], pts[t[0]]))) == 1
+        ]
+        for k in range(1, normalized_area(pts) + 2):
+            for tris in combinations(elementary, k):
+                issues = validate(subdivision(pts, tris, [0] * len(pts))).issues
+                accepted = all(i.code == "not-strictly-convex" for i in issues)
+                tiling = is_tiling(pts, tris)
+                documents += 1
+                tilings += tiling
+                if accepted != tiling:
+                    wrong.append((pts, tris, [i.code for i in issues]))
+    assert documents == 2007 and tilings > 0
+    assert not wrong, f"{len(wrong)} disagreements with the tiling oracle, first {wrong[:3]}"
+
+
+@pytest.mark.parametrize(
+    "points, triangles, nu, message",
+    [
+        ([(0.9, 0), (1, 0), (0, 1), (-1, -1.7)], P2_TRIS, P2_NU, "point 0 coordinate 0 is 0.9, not an integer"),
+        ([(0, 0), (1, 0), (0, 1), (-1, -1.7)], P2_TRIS, P2_NU, "point 3 coordinate 1 is -1.7, not an integer"),
+        ([(0, 0), (1, 0), (Fraction(1, 2), 1)], [(0, 1, 2)], [0] * 3, "point 2 coordinate 0 is Fraction(1, 2)"),
+        (P2_POINTS, [(0, 1, 2), (0, 1.9, 3), (0, 3, 1)], P2_NU, "triangle 1 vertex 1 is 1.9, not an integer"),
+        (P2_POINTS, [(0, 1, 2), (0, 2, "3"), (0, 3, 1)], P2_NU, "triangle 1 vertex 2 is '3', not an integer"),
+        (P2_POINTS, P2_TRIS, [0, "1", 1, 1], "nu 1 is '1', not an integer"),
+        (P2_POINTS, P2_TRIS, [0, 1, 1, 1.0], "nu 3 is 1.0, not an integer"),
+        ([(0, 0, 0), (1, 0), (0, 1)], [(0, 1, 2)], [0] * 3, "points must have two coordinates"),
+    ],
+)
+def test_subdivision_does_not_round(points, triangles, nu, message):
+    with pytest.raises(LatticeError, match=re.escape(message)):
+        subdivision(points, triangles, nu)
+
+
+def test_subdivision_keeps_integral_fractions_as_ints():
+    sub = subdivision(
+        [(Fraction(0), 0), (1, Fraction(2, 2)), (0, 1), (-1, -1)],
+        [(0, 1, 2), (Fraction(0), 2, 3), (0, 3, 1)],
+        [Fraction(0), Fraction(2, 2), 1, 1],
+    )
+    assert sub == subdivision([(0, 0), (1, 1), (0, 1), (-1, -1)], [(0, 1, 2), (0, 2, 3), (0, 3, 1)], [0, 1, 1, 1])
+    assert all(type(x) is int for p in sub.points for x in p) and all(type(v) is int for v in sub.nu)
+    half = subdivision(P2_POINTS, P2_TRIS, [0, 1, 1, Fraction(1, 2)])
+    assert half.nu[3] == Fraction(1, 2)
+    assert "nu-not-integral" in codes(half)

@@ -18,11 +18,13 @@ then the ``winding`` table, as JSON and as SVG, on p2 at ell = +-(2k + 1)
 for k < 60 and on the blowup ``mixed_sign`` set times k for -9 <= k <= 9;
 then ``validate`` on documents the sweep builds itself (``documents``): one
 per rule of the input schema, a set name holding "~" and "/", bytes that
-are not UTF-8, ``NaN``, nesting too deep to parse, a missing lattice point,
-two triangles on one side of an edge, and an elementary triangle in a
-3000 x 2999 box.  Paths in argv are relative to the checkout root, and a
-built document is hashed by its bytes in place of its temporary path, so
-the digest does not depend on where the checkout lives.
+are not UTF-8, ``NaN``, nesting too deep to parse, a key given twice, a
+missing lattice point, two triangles on one side of an edge, an elementary
+triangle in a 3000 x 2999 box, triangles of the 2 x 1 rectangle that add up
+to its area but overlap, and a triangle listed by its corners at 10^9.
+Paths in argv are relative to the checkout root, and a built document is
+hashed by its bytes in place of its temporary path, so the digest does not
+depend on where the checkout lives.
 """
 
 from __future__ import annotations
@@ -135,11 +137,19 @@ def documents() -> dict[str, bytes]:
             points=[[0, 0], [1, 0], [0, 1], [1, 1]], triangles=[[0, 1, 2], [0, 1, 3]], nu=[0] * 4
         ),
         "thin-triangle": _doc(points=[[0, 0], [n, n - 1], [n - 1, n - 2]], triangles=[[0, 1, 2]], nu=[0] * 3),
+        "chord-in-one-triangle": _doc(
+            points=[[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [2, 1]],
+            triangles=[[1, 3, 4], [0, 1, 2], [1, 2, 4], [2, 3, 5]],
+            nu=[0, 0, 0, 2, 1, 0],
+        ),
+        "corners-only": _doc(points=[[0, 0], [10**9, 0], [0, 10**9]], triangles=[[0, 1, 2]], nu=[0] * 3),
     }
     built = {name: json.dumps(doc).encode() for name, doc in docs.items()}
     built["not-utf-8"] = b'{"format": "tropcoh-input\xff"}'
     built["nan"] = json.dumps(_doc(options={"epsilon": 0.5})).replace("0.5", "NaN").encode()
     built["too-deep"] = b"[" * 100000 + b"]" * 100000
+    twice = '"nu": [0, 1, 1, 1], "nu": [5, 5, 5, 5]'
+    built["duplicate-key"] = json.dumps(_doc()).replace('"nu": [0, 1, 1, 1]', twice).encode()
     return built
 
 
