@@ -247,9 +247,9 @@ def _cmd_winding(args) -> dict | bytes:
 def _cmd_cohomology(args) -> dict:
     from .cohomology import cohomology_dims, divisor_coeffs, psi_from_theta, restriction_degrees
 
-    doc, region, _, theta = _theta_pipeline(args)
+    _, region, _, theta = _theta_pipeline(args)
     psi = psi_from_theta(theta)
-    dims = cohomology_dims(psi, margin=doc.options.margin)
+    dims = cohomology_dims(psi)
     return {
         "region": list(region.dual_vertex),
         "rays": [list(u) for u in psi.fan.rays],

@@ -1,8 +1,9 @@
 """Line bundle cohomology on the smooth complete surface of a fan.
 
-Dimensions come from cyclic sign patterns of ⟨m, u_j⟩ + a_j over a finite
-search window; the divisor-coefficient sign convention is the opposite of
-the usual toric one, so external cross-checks must negate coefficients.
+Dimensions come from cyclic sign patterns of ⟨m, u_j⟩ + a_j, counted on
+the rows between the crossings of their level lines; the
+divisor-coefficient sign convention is the opposite of the usual toric one,
+so external cross-checks must negate coefficients.
 """
 
 from __future__ import annotations
@@ -22,13 +23,22 @@ from .winding import check_rows, h_even_odd, winding_runs
 
 @dataclass(frozen=True)
 class ToricSupport:
-    """Integral per-cone linear parts; part j lives on the cone (u_j, u_{j+1})."""
+    """Integral per-cone linear parts; part j lives on the cone (u_j, u_{j+1}).
+
+    Building one checks that there is an integer pair per ray and that
+    consecutive parts agree on the ray between them.
+    """
 
     fan: Fan
     parts: tuple[Vec, ...]
 
     def __post_init__(self):
         r = len(self.fan.rays)
+        if len(self.parts) != r:
+            raise LatticeError(f"{len(self.parts)} support parts for {r} rays")
+        for j, p in enumerate(self.parts):
+            if not (type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is int):
+                raise LatticeError(f"support part {j} is {p!r}, not an integer pair")
         for j in range(r):
             u = self.fan.rays[j]
             if dot(self.parts[j], u) != dot(self.parts[j - 1], u):
@@ -108,18 +118,13 @@ def _run_starts(signs: list[bool], j: int) -> bool:
     return not signs[j] and signs[j - 1]
 
 
-def _minus_runs(signs: list[bool]) -> int:
-    """Number of maximal cyclic blocks of False entries."""
-    return sum(prev and not cur for prev, cur in zip(signs[-1:] + signs, signs))
+def _search_rows(fan: Fan, coeffs) -> tuple[int, int]:
+    """The rows of every crossing of two level lines, rounded outward and padded by one.
 
-
-def _search_box(fan: Fan, coeffs, margin: int) -> tuple[int, int, int, int]:
-    """The box of every crossing of two level lines, rounded outward and padded by 1 + margin.
-
-    The crossing of the level lines of u and v is m = (mx, my) / det(u, v);
-    one divmod per coordinate gives its floor and its ceiling.
+    The crossing of the level lines of u and v has y = my / det(u, v); its
+    floor and its ceiling are two integer divisions.
     """
-    floors, ceils = [], []
+    lows, highs = [], []
     for (i, u), (j, v) in combinations(enumerate(fan.rays), 2):
         d = det2(u, v)
         if d == 0:
@@ -127,20 +132,15 @@ def _search_box(fan: Fan, coeffs, margin: int) -> tuple[int, int, int, int]:
         a, b = -coeffs[i], -coeffs[j]
         if d < 0:
             d, a, b = -d, -a, -b
-        mx, my = dual_numerators(u, v, a, b)
-        qx, rx = divmod(mx, d)
-        qy, ry = divmod(my, d)
-        floors.append((qx, qy))
-        ceils.append((qx + (rx > 0), qy + (ry > 0)))
-    if not floors:
+        my = dual_numerators(u, v, a, b)[1]
+        lows.append(my // d)
+        highs.append(-(-my // d))
+    if not lows:
         raise LatticeError("a complete fan has crossing level lines")
-    pad = 1 + margin
-    xmin, ymin = map(min, zip(*floors))
-    xmax, ymax = map(max, zip(*ceils))
-    return (xmin - pad, ymin - pad, xmax + pad, ymax + pad)
+    return min(lows) - 1, max(highs) + 1
 
 
-def _level_lines(rays, coeffs, box):
+def _level_lines(rays, coeffs, ymin: int, ymax: int):
     """Yield (j, line): the level line of each ray u_j with u0 != 0 as a threshold line.
 
     On row y the value <m, u_j> + a_j = u0 x + c, c = u1 y + a_j, is
@@ -148,9 +148,8 @@ def _level_lines(rays, coeffs, box):
     the points x >= t are >= 0, with t = ceil(-c / u0): the line
     (-a_j, -u1, u0).  For u0 < 0 the points x < t are >= 0, with
     t = floor(c / -u0) + 1 = ceil((c + 1) / -u0): the line (a_j + 1, u1, -u0).
-    Each line spans the box's rows.
+    Each line spans the rows ymin..ymax.
     """
-    ymin, ymax = box[1], box[3]
     for j, ((u0, u1), a) in enumerate(zip(rays, coeffs)):
         if u0 > 0:
             yield j, (ymin, ymax, -a, -u1, u0)
@@ -158,109 +157,90 @@ def _level_lines(rays, coeffs, box):
             yield j, (ymin, ymax, a + 1, u1, -u0)
 
 
-def _patterns(psi: ToricSupport, margin: int, by_slabs: bool):
+def _patterns(psi: ToricSupport, by_slabs: bool):
     """Yield (a, x0, x1, k, n): in the slab from row a, positions x0 <= x < x1 add n to h^k each.
 
-    Left of every threshold the sign of ray j is < 0 for u0 > 0, >= 0 for
-    u0 < 0, and that of c = u1 y + a_j for u0 = 0; passing the threshold
-    (t, i) flips the sign of ray ray_of[i].  On a row, lo = xmin and
-    hi = xmax + 1 bound the box and the thresholds are the t; thresholds
-    at or left of lo flip before the first run, and the last run ends at
-    hi.  On a slab of n rows, lo and hi are n times those and the
-    thresholds are the sums of t, so x1 - x0 is a run's total length.  A
-    pattern that is all >= 0 adds one to h^0, all < 0 one to h^2, and a
-    mixed one (number of negative runs - 1) to h^1; runs that add nothing
-    are skipped.  A run that adds something on an edge row, or at lo or hi,
-    means the box is too small.
+    A pattern that is all >= 0 adds one to h^0, all < 0 one to h^2, and a
+    mixed one (number of negative runs - 1) to h^1.
 
-    Besides the cuts of lattice.threshold_slabs, the slabs start where a
-    level line meets the box's vertical edges and where c changes sign for
-    u0 = 0, and the two edge rows are slabs of their own.  by_slabs=False
-    yields every row.
+    Lemma: a point that counts lies between the level lines' crossings.
+    Suppose a pattern holds at m and along the whole ray m + s d.  For large
+    s the sign of ray j is [<d, u_j> > 0], except for the at most two rays
+    orthogonal to d; so the negative entries form one cyclic block, and the
+    pattern is mixed and adds nothing.  A point that counts therefore lies
+    in a bounded cell of the level-line arrangement, whose vertices are
+    crossings of two level lines.  On a row, the run left of every threshold
+    has the pattern of d = (-1, 0), exactly one negative run, and so has the
+    run right of every threshold.
+
+    So only the rows of _search_rows are walked, each row or slab from that
+    left state: ray j is >= 0 for u0 < 0, < 0 for u0 > 0, and has the sign
+    of c = u1 y + a_j for u0 = 0.  Passing the threshold (t, i) flips the
+    sign of ray ray_of[i], and only the runs between two thresholds are
+    yielded.  On a row the thresholds are the t; on a slab of n rows they
+    are the sums of t, so x1 - x0 is a run's total length.  Besides the cuts
+    of lattice.threshold_slabs, slabs start where c changes sign for
+    u0 = 0.  by_slabs=False yields every row.
     """
     fan = psi.fan
     if not is_smooth(fan):
         raise LatticeError("fan not smooth")
     coeffs = divisor_coeffs(psi)
-    box = _search_box(fan, coeffs, margin)
-    xmin, ymin, xmax, ymax = box
+    ymin, ymax = _search_rows(fan, coeffs)
     check_rows(ymax - ymin + 1, "the cohomology search box")
-    ray_of, lines = zip(*_level_lines(fan.rays, coeffs, box))
+    ray_of, lines = zip(*_level_lines(fan.rays, coeffs, ymin, ymax))
     r = len(fan.rays)
     left = [u0 < 0 for u0, _ in fan.rays]
     flat = [(j, u1, a) for j, ((u0, u1), a) in enumerate(zip(fan.rays, coeffs)) if u0 == 0]
-    starts = {ymin + 1, ymax}
-    for _, _, n0, n1, den in lines:
-        for x in (xmin, xmax):
-            # the threshold passes x where n0 + n1 y = den x
-            cut_at_row(starts, den * x - n0, n1)
+    starts = set()
     for _, u1, a in flat:
         cut_at_row(starts, -a, u1)
     if by_slabs:
         pieces = threshold_slabs(lines, ymin, ymax, starts)
     else:
         pieces = ((y, y, row_thresholds(lines, y)) for y in range(ymin, ymax + 1))
-    for a, b, thresholds in pieces:
-        lo, hi = (b - a + 1) * xmin, (b - a + 1) * (xmax + 1)
-        edge = a == ymin or a == ymax
+    for a, _, thresholds in pieces:
         signs = left.copy()
         for j, u1, c in flat:
             signs[j] = u1 * a + c >= 0
-        skip = 0
+        # left of every threshold: one negative run, which adds nothing
+        runs = 1
+        k = n = x0 = 0
         for t, i in thresholds:
-            if t > lo:
-                break
-            j = ray_of[i]
-            signs[j] = not signs[j]
-            skip += 1
-        positive = sum(signs)
-        runs = _minus_runs(signs)
-        x0 = lo
-        for t, i in thresholds[skip:] + [(hi, None)]:
-            if t > x0:
-                if t > hi:
-                    t = hi
-                if positive == r:
-                    k, n = 0, 1
-                elif positive == 0:
-                    k, n = 2, 1
-                else:
-                    k, n = 1, runs - 1
-                if n:
-                    if edge or x0 == lo or t == hi:
-                        raise LatticeError("search region too small")
-                    yield a, x0, t, k, n
-                x0 = t
-            if x0 == hi:
-                break
+            if n and t > x0:
+                yield a, x0, t, k, n
             # flipping sign j can only start or end the blocks at j and j + 1
             j = ray_of[i]
             nxt = (j + 1) % r
             runs -= _run_starts(signs, j) + _run_starts(signs, nxt)
             signs[j] = not signs[j]
             runs += _run_starts(signs, j) + _run_starts(signs, nxt)
-            positive += 1 if signs[j] else -1
+            if runs:
+                k, n = 1, runs - 1
+            else:
+                # no negative run: every sign is that of ray j
+                k, n = (0 if signs[j] else 2), 1
+            x0 = t
 
 
-def pattern_runs(psi: ToricSupport, margin: int = 0):
+def pattern_runs(psi: ToricSupport):
     """Yield (y, x0, x1, k, n): each lattice point x0 <= x < x1 of row y adds n to h^k.
 
     Each ray changes sign at one integer threshold per row, and the cyclic
-    sign pattern is constant between consecutive thresholds.  A point that
-    adds something on the box edge means the box is too small.
+    sign pattern is constant between consecutive thresholds.
     """
-    return _patterns(psi, margin, by_slabs=False)
+    return _patterns(psi, by_slabs=False)
 
 
-def cohomology_dims(psi: ToricSupport, margin: int = 0) -> CohomologyDims:
-    """Sum the sign-pattern runs of the search box padded by margin, slab by slab.
+def cohomology_dims(psi: ToricSupport) -> CohomologyDims:
+    """Sum the sign-pattern runs between the level lines' crossings, slab by slab.
 
-    Inside a slab of _patterns no threshold crosses another or a vertical
-    box edge, so each run's total length is a difference of two sums of
-    ceilings: O(r^2) slabs, each summed with O(r) floor_sums.
+    Inside a slab of _patterns no threshold crosses another, so each run's
+    total length is a difference of two sums of ceilings: O(r^2) slabs,
+    each summed with O(r) floor_sums.
     """
     dims = [0, 0, 0]
-    for _, x0, x1, k, n in _patterns(psi, margin, by_slabs=True):
+    for _, x0, x1, k, n in _patterns(psi, by_slabs=True):
         dims[k] += n * (x1 - x0)
     return CohomologyDims(*dims)
 

@@ -45,7 +45,6 @@ class TwistingSet:
 
 @dataclass(frozen=True)
 class InputOptions:
-    margin: int = 0
     epsilon: Optional[float] = None
     quadrature_order: Optional[int] = None
 
@@ -217,7 +216,6 @@ def parse_input(data: bytes) -> InputDocument:
             raise InputError(f"{where}: {exc}") from exc
     opts = raw.get("options", {})
     options = InputOptions(
-        margin=opts.get("margin", 0),
         epsilon=opts.get("epsilon"),
         quadrature_order=opts.get("quadrature_order"),
     )
@@ -244,8 +242,6 @@ def serialize_input(doc: InputDocument) -> bytes:
     if doc.kink_sets:
         raw["kink_sets"] = {name: list(v) for name, v in doc.kink_sets.items()}
     opt_fields = {}
-    if doc.options.margin:
-        opt_fields["margin"] = doc.options.margin
     if doc.options.epsilon is not None:
         opt_fields["epsilon"] = doc.options.epsilon
     if doc.options.quadrature_order is not None:

@@ -63,7 +63,7 @@ def as_ints(values, what: str) -> tuple[int, ...]:
     """The entries as ints; an entry that is not an integer or an integral Fraction raises.
 
     The message names the entry by what it is and its index, so 3.9 or 7/2
-    is refused rather than rounded toward zero.
+    is refused rather than rounded toward zero, and True rather than read as 1.
     """
     values = tuple(values)
     if all(type(x) is int for x in values):
@@ -73,6 +73,8 @@ def as_ints(values, what: str) -> tuple[int, ...]:
         if isinstance(x, Fraction) and x.denominator == 1:
             x = x.numerator
         try:
+            if isinstance(x, bool):
+                raise TypeError
             out.append(operator.index(x))
         except TypeError:
             raise LatticeError(f"{what} {j} is {x!r}, not an integer") from None

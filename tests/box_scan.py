@@ -2,20 +2,16 @@
 
 These are the counting routines the library used before its row sweeps.
 They cost O(box area * r) and stay here as the reference the sweeps must
-match entry for entry.
+match entry for entry.  The cohomology scan takes its box, every crossing
+of two level lines rounded outward and padded, from the Fraction oracle.
 """
 
 from __future__ import annotations
 
 import math
 
-from tropcoh.cohomology import (
-    CohomologyDims,
-    _minus_runs,
-    _search_box,
-    divisor_coeffs,
-)
-from tropcoh.lattice import LatticeError
+from oracles import fraction_search_box
+from tropcoh.cohomology import CohomologyDims, divisor_coeffs
 from tropcoh.spheres import gamma_curve
 from tropcoh.winding import WindingTable, _cast
 
@@ -47,34 +43,38 @@ def signs_at(rays, coeffs, m) -> list[bool]:
     return [m[0] * u[0] + m[1] * u[1] + a >= 0 for u, a in zip(rays, coeffs)]
 
 
+def minus_runs(signs: list[bool]) -> int:
+    """Number of maximal cyclic blocks of False entries: the indices where one starts."""
+    return sum(signs[j - 1] and not signs[j] for j in range(len(signs)))
+
+
 def sign_value(rays, coeffs, m) -> int:
     """1 if every <m, u_j> + a_j is >= 0 or every one is < 0, else 1 - negative runs."""
     signs = signs_at(rays, coeffs, m)
     if all(signs) or not any(signs):
         return 1
-    return 1 - _minus_runs(signs)
+    return 1 - minus_runs(signs)
 
 
-def scan_cohomology_dims(psi, margin: int = 0) -> CohomologyDims:
+def counting_points(psi, margin: int = 0):
+    """Yield (m, k, n) for each point m of the crossings' box, padded by 1 + margin, that adds n to h^k."""
     rays, coeffs = psi.fan.rays, divisor_coeffs(psi)
-    xmin, ymin, xmax, ymax = _search_box(psi.fan, coeffs, margin)
-    h0 = h1 = h2 = 0
+    xmin, ymin, xmax, ymax = fraction_search_box(psi.fan, coeffs, margin)
     for x in range(xmin, xmax + 1):
         for y in range(ymin, ymax + 1):
             signs = signs_at(rays, coeffs, (x, y))
-            on_edge = x in (xmin, xmax) or y in (ymin, ymax)
             if all(signs):
-                if on_edge:
-                    raise LatticeError("search region too small")
-                h0 += 1
+                yield (x, y), 0, 1
             elif not any(signs):
-                if on_edge:
-                    raise LatticeError("search region too small")
-                h2 += 1
+                yield (x, y), 2, 1
             else:
-                extra = _minus_runs(signs) - 1
+                extra = minus_runs(signs) - 1
                 if extra:
-                    if on_edge:
-                        raise LatticeError("search region too small")
-                    h1 += extra
-    return CohomologyDims(h0, h1, h2)
+                    yield (x, y), 1, extra
+
+
+def scan_cohomology_dims(psi) -> CohomologyDims:
+    dims = [0, 0, 0]
+    for _, k, n in counting_points(psi):
+        dims[k] += n
+    return CohomologyDims(*dims)

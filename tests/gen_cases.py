@@ -144,16 +144,16 @@ def cross_check(rng_seed: int, cases: int) -> tuple[int, int]:
     """Compare the sweeps with the box scans, the ray oracle and two identities.
 
     Per case: the winding table and its totals equal the box scan's; the
-    cohomology dimensions equal the box scan's at margins 0 and 3; on every
-    point of a box holding both supports the winding number equals the
-    sign-pattern value; h0 - h1 + h2 is the Riemann-Roch number; and the
-    table entries and a few zero points agree with the ray oracle.  Asserts
+    cohomology dimensions equal the box scan's; on every point of a box
+    holding both supports the winding number equals the sign-pattern value;
+    h0 - h1 + h2 is the Riemann-Roch number; and the table entries and a few
+    zero points agree with the ray oracle.  Asserts
     on the first disagreement; returns (nonempty tables, total entries) so
     callers can confirm the sample was not vacuous.
     """
     from box_scan import scan_cohomology_dims, scan_winding_table, sign_value
+    from oracles import fraction_search_box
     from tropcoh.cohomology import (
-        _search_box,
         cohomology_dims,
         divisor_coeffs,
         psi_from_theta,
@@ -178,9 +178,7 @@ def cross_check(rng_seed: int, cases: int) -> tuple[int, int]:
         assert table.entries == scan.entries, f"table entries differ on fan {fan}"
         assert h_even_odd(theta) == scan.h_even_odd(), f"totals differ on fan {fan}"
         psi = psi_from_theta(theta)
-        for margin in (0, 3):
-            got = cohomology_dims(psi, margin)
-            assert got == scan_cohomology_dims(psi, margin), f"dims differ on fan {fan}"
+        assert cohomology_dims(psi) == scan_cohomology_dims(psi), f"dims differ on fan {fan}"
         rep = verify_winding_theorem(theta)
         assert rep.ok, f"cohomology disagrees with the cast on fan {fan}"
         dims = rep.dims
@@ -188,7 +186,7 @@ def cross_check(rng_seed: int, cases: int) -> tuple[int, int]:
 
         doubled = gamma_curve(theta).doubled
         rays, coeffs = psi.fan.rays, divisor_coeffs(psi)
-        boxes = (table.bounds, _search_box(psi.fan, coeffs, 0))
+        boxes = (table.bounds, fraction_search_box(psi.fan, coeffs, 0))
         xmin, ymin = min(b[0] for b in boxes), min(b[1] for b in boxes)
         xmax, ymax = max(b[2] for b in boxes), max(b[3] for b in boxes)
         for x in range(xmin, xmax + 1):

@@ -370,16 +370,23 @@ def test_cli_import_loads_neither_numpy_nor_jsonschema(fixture_dir):
 
 @pytest.mark.parametrize("option, value", [("margin", 2.0), ("quadrature_order", 24.0)])
 def test_options_take_json_integers_only(run, fixture_dir, tmp_path, option, value):
-    """Draft 7 takes 2.0 as an integer; cohomology then failed with a TypeError traceback."""
+    """Draft 7 takes 2.0 as an integer; cohomology then failed with a TypeError traceback.
+
+    margin is no longer an option, so any value of it is refused as unexpected.
+    """
     raw = json.loads((fixture_dir / P2).read_bytes())
     raw["options"] = {option: value}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
+    if option == "margin":
+        expected = "invalid input at /options: Additional properties are not allowed ('margin' was unexpected)"
+    else:
+        expected = f"invalid input at /options/{option}: {value!r} is not of type 'integer'"
     for command in ("cohomology", "smooth-check"):
         code, out, err = run(command, None, "--input", str(bad), "--ell", "cap_k1")
         assert code == 2
         assert out == ""
-        assert err == f"error: invalid input at /options/{option}: {value!r} is not of type 'integer'\n"
+        assert err == f"error: {expected}\n"
 
 
 def test_deeply_nested_document(run, tmp_path):

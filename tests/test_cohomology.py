@@ -1,13 +1,15 @@
 """Sign-pattern cohomology counts and the winding comparison."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import tropcoh.cohomology as cohomology
-from box_scan import scan_cohomology_dims, sign_value
+from box_scan import counting_points, minus_runs, scan_cohomology_dims, sign_value, signs_at
 from gen_cases import random_smooth_fan, random_theta, riemann_roch
+from oracles import fraction_search_box
 from tropcoh import lattice
 from tropcoh.cohomology import (
     CohomologyDims,
@@ -78,6 +80,7 @@ def test_psi_from_ray_values_length(p2_fan):
         ((1.5, 0, 0), "ray value 0 is 1.5, not an integer"),
         ((0, Fraction(1, 2), 0), "ray value 1 is Fraction(1, 2), not an integer"),
         ((0, 0, 2.0), "ray value 2 is 2.0, not an integer"),
+        ((0, True, 0), "ray value 1 is True, not an integer"),
     ],
 )
 def test_psi_from_ray_values_refuses_entries_that_are_not_integers(p2_fan, values, message):
@@ -96,6 +99,23 @@ def test_psi_from_ray_values_takes_integral_fractions(p2_fan):
 def test_toric_support_consistency_check(p2_fan):
     with pytest.raises(LatticeError, match="linear parts disagree"):
         ToricSupport(p2_fan, ((0, 0), (1, 0), (0, 0)))
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        (((0, 0), (0, 0)), "2 support parts for 3 rays"),
+        (((0, 0),) * 4, "4 support parts for 3 rays"),
+        (((0, 0), (0.5, 0), (0, 0)), "support part 1 is (0.5, 0), not an integer pair"),
+        (((0, 0), (0, 0), (0, 0, 0)), "support part 2 is (0, 0, 0), not an integer pair"),
+        (((True, 0), (0, 0), (0, 0)), "support part 0 is (True, 0), not an integer pair"),
+    ],
+)
+def test_toric_support_checks_its_shape(p2_fan, parts, message):
+    # two parts used to raise IndexError, four passed, and floats failed inside the slab sums
+    with pytest.raises(LatticeError) as raised:
+        ToricSupport(p2_fan, parts)
+    assert str(raised.value) == message
 
 
 def test_worked_psi_parts(worked_psi):
@@ -125,11 +145,6 @@ def test_dims_p2_positive_multiples(p2_fan, a, h0):
 
 def test_worked_example_dims(worked_psi):
     assert cohomology_dims(worked_psi).as_tuple() == (10, 3, 0)
-
-
-@pytest.mark.parametrize("margin", [0, 1, 2, 3])
-def test_dims_stable_under_margin(worked_psi, margin):
-    assert cohomology_dims(worked_psi, margin=margin).as_tuple() == (10, 3, 0)
 
 
 def test_cohomology_dims_needs_smooth_fan():
@@ -182,9 +197,9 @@ def test_verify_winding_theorem_p2_family(p2_region, k):
     assert verify_winding_theorem(theta).ok
 
 
-def _outcome(count, psi, margin):
+def _outcome(count, psi):
     try:
-        return count(psi, margin).as_tuple()
+        return count(psi).as_tuple()
     except LatticeError as exc:
         return str(exc)
 
@@ -195,25 +210,12 @@ def test_sweep_matches_the_box_scan_on_random_supports():
     for _ in range(300):
         fan = random_smooth_fan(rng, 3, 7)
         psi = psi_from_ray_values(fan, [rng.randrange(-5, 6) for _ in fan.rays])
-        for margin in (0, 3):
-            got = _outcome(cohomology_dims, psi, margin)
-            assert got == _outcome(scan_cohomology_dims, psi, margin), (fan.rays, margin)
-            if not isinstance(got, str):
-                assert got[0] - got[1] + got[2] == riemann_roch(psi)
-            outcomes.add(tuple(map(bool, got)))
+        got = _outcome(cohomology_dims, psi)
+        assert got == _outcome(scan_cohomology_dims, psi), fan.rays
+        if not isinstance(got, str):
+            assert got[0] - got[1] + got[2] == riemann_roch(psi)
+        outcomes.add(tuple(map(bool, got)))
     assert {(True, False, False), (False, True, False), (False, False, True)} <= outcomes
-
-
-@pytest.mark.parametrize("side", range(4))
-def test_each_box_edge_is_checked(p2_fan, side, monkeypatch):
-    # h0 = 55 fills x, y >= -3, x + y <= 3; pull one side of the box onto it
-    psi = psi_from_ray_values(p2_fan, (3, 3, 3))
-    box = list(cohomology._search_box(p2_fan, (3, 3, 3), 0))
-    assert box == [-4, -4, 7, 7]
-    box[side] = (-3, -3, 6, 6)[side]
-    monkeypatch.setattr(cohomology, "_search_box", lambda fan, coeffs, margin: tuple(box))
-    with pytest.raises(LatticeError, match="search region too small"):
-        cohomology_dims(psi)
 
 
 def test_riemann_roch_on_the_worked_example(worked_psi):
@@ -271,19 +273,67 @@ def test_mismatch_names_the_first_witness(blowup_region, monkeypatch):
 def test_search_box_check_is_not_an_assert(p2_fan, monkeypatch):
     monkeypatch.setattr(cohomology, "det2", lambda u, v: 0)
     with pytest.raises(LatticeError, match="crossing level lines"):
+        cohomology._search_rows(p2_fan, (1, 1, 1))
+    with pytest.raises(LatticeError, match="crossing level lines"):
         cohomology_dims(psi_from_ray_values(p2_fan, (1, 1, 1)))
 
 
-def _swept_dims(psi, margin=0):
+def test_search_rows_are_the_crossings_rows_padded_by_one(p2_fan):
+    # h0 = 55 fills x, y >= -3, x + y <= 3; the crossings are (-3, -3), (-3, 6), (6, -3)
+    assert cohomology._search_rows(p2_fan, (3, 3, 3)) == (-4, 7)
+    assert scan_cohomology_dims(psi_from_ray_values(p2_fan, (3, 3, 3))).as_tuple() == (55, 0, 0)
+
+
+def _row_ends(rays, coeffs, y):
+    """The lattice points of row y left and right of every level line, from the Fractions."""
+    xs = [Fraction(-(u1 * y + a), u0) for (u0, u1), a in zip(rays, coeffs) if u0]
+    return math.floor(min(xs)) - 1, math.ceil(max(xs)) + 1
+
+
+def test_points_that_count_lie_between_the_crossings():
+    """The lemma of cohomology._patterns, on random supports with 3 to 8 rays.
+
+    A box scan padded by 3 finds no point that counts outside the crossings'
+    box; the row sweep yields exactly the points it finds; and on every row
+    the points left and right of every level line have one negative run.
+    """
+    rng = random.Random(1903)
+    counted = rows = 0
+    for _ in range(250):
+        fan = random_smooth_fan(rng, 3, 8)
+        spread = rng.choice((3, 6, 12))
+        psi = psi_from_ray_values(fan, [rng.randrange(-spread, spread + 1) for _ in fan.rays])
+        rays, coeffs = fan.rays, divisor_coeffs(psi)
+        xmin, ymin, xmax, ymax = fraction_search_box(fan, coeffs, -1)
+        scanned = {}
+        for (x, y), k, n in counting_points(psi, 3):
+            assert xmin <= x <= xmax and ymin <= y <= ymax, (rays, coeffs, (x, y))
+            scanned[(x, y)] = (k, n)
+        swept = {(x, y): (k, n) for y, x0, x1, k, n in pattern_runs(psi) for x in range(x0, x1)}
+        assert swept == scanned, (rays, coeffs)
+        dims = [0, 0, 0]
+        for k, n in scanned.values():
+            dims[k] += n
+        assert cohomology_dims(psi) == CohomologyDims(*dims), (rays, coeffs)
+        for y in range(ymin - 4, ymax + 5):
+            for x in _row_ends(rays, coeffs, y):
+                signs = signs_at(rays, coeffs, (x, y))
+                assert any(signs) and minus_runs(signs) == 1, (rays, coeffs, (x, y))
+            rows += 1
+        counted += bool(scanned)
+    assert counted > 200 and rows > 5000
+
+
+def _swept_dims(psi):
     dims = [0, 0, 0]
-    for _, x0, x1, k, n in pattern_runs(psi, margin):
+    for _, x0, x1, k, n in pattern_runs(psi):
         dims[k] += n * (x1 - x0)
     return CohomologyDims(*dims)
 
 
-def _slab_matches_sweep(psi, margin=0):
-    got = _outcome(cohomology_dims, psi, margin)
-    assert got == _outcome(_swept_dims, psi, margin), (psi.fan.rays, divisor_coeffs(psi), margin)
+def _slab_matches_sweep(psi):
+    got = _outcome(cohomology_dims, psi)
+    assert got == _outcome(_swept_dims, psi), (psi.fan.rays, divisor_coeffs(psi))
     return got
 
 
@@ -315,8 +365,7 @@ def test_slab_dims_match_the_sweep_on_random_thetas(closed_form_slabs):
         for _ in range(60):
             theta = random_theta(rng)
             for factor in (1, 7):
-                for margin in (0, 3):
-                    outcomes.append(_slab_matches_sweep(_scaled_psi(theta, factor), margin))
+                outcomes.append(_slab_matches_sweep(_scaled_psi(theta, factor)))
     assert sum(h1 > 0 for _, h1, _ in outcomes) > 300
     assert sum(n > 1 for n in closed_form_slabs) > 300
 
@@ -354,27 +403,6 @@ def test_slab_dims_match_the_sweep_on_random_supports(closed_form_slabs):
         fan = random_smooth_fan(rng, 3, 7)
         spread = rng.choice((5, 30))
         psi = psi_from_ray_values(fan, [rng.randrange(-spread, spread + 1) for _ in fan.rays])
-        for margin in (0, 3):
-            got = _slab_matches_sweep(psi, margin)
-            outcomes.add(tuple(map(bool, got)))
+        outcomes.add(tuple(map(bool, _slab_matches_sweep(psi))))
     assert {(True, False, False), (False, True, False), (False, False, True)} <= outcomes
-    assert sum(n > 1 for n in closed_form_slabs) > 300
-
-
-def test_slab_dims_match_the_sweep_on_shifted_boxes(closed_form_slabs, monkeypatch):
-    """Boxes moved off the level lines' crossings: the same "search region too small" or dims."""
-    rng = random.Random(77)
-    search_box = cohomology._search_box
-    raised = 0
-    for _ in range(600):
-        fan = random_smooth_fan(rng, 3, 7)
-        psi = psi_from_ray_values(fan, [rng.randrange(-20, 21) for _ in fan.rays])
-        xmin, ymin, xmax, ymax = (b + rng.randrange(-4, 5) for b in search_box(fan, divisor_coeffs(psi), 0))
-        box = (xmin, ymin, max(xmin, xmax), max(ymin, ymax))
-        monkeypatch.setattr(cohomology, "_search_box", lambda fan, coeffs, margin: box)
-        got = _slab_matches_sweep(psi)
-        if isinstance(got, str):
-            assert got == "search region too small"
-            raised += 1
-    assert 200 < raised < 550
     assert sum(n > 1 for n in closed_form_slabs) > 300

@@ -1,7 +1,7 @@
 """The twist path in doubled integers against its Fraction versions in oracles.py.
 
 theta_from_twisting, kinks_of_theta, psi_from_theta, the cohomology search
-box and the slab orders of the winding and cohomology totals carry 2 theta
+rows and the slab orders of the winding and cohomology totals carry 2 theta
 as integer pairs.  Each must give the value the Fraction version gives, or
 raise with the same message.
 """
@@ -28,7 +28,7 @@ from oracles import (
 from tropcoh import lattice, spheres
 from tropcoh.cohomology import (
     _level_lines,
-    _search_box,
+    _search_rows,
     divisor_coeffs,
     psi_from_theta,
     verify_winding_theorem,
@@ -86,6 +86,11 @@ def twistings():
     return list(_twistings())
 
 
+def _fraction_search_rows(fan, coeffs):
+    _, ymin, _, ymax = fraction_search_box(fan, coeffs, 0)
+    return ymin, ymax
+
+
 def test_theta_kinks_psi_and_box_match_the_fractions(twistings):
     assert len(twistings) == 3 * 40 * 3 + 600 + 4
     for tw in twistings:
@@ -96,8 +101,7 @@ def test_theta_kinks_psi_and_box_match_the_fractions(twistings):
         assert gamma_curve(theta).vertices == theta.thetas
         psi = _same(psi_from_theta, fraction_psi_from_theta, theta)
         coeffs = divisor_coeffs(psi)
-        for margin in (0, 3):
-            _same(_search_box, fraction_search_box, psi.fan, coeffs, margin)
+        _same(_search_rows, _fraction_search_rows, psi.fan, coeffs)
 
 
 @pytest.fixture
@@ -150,9 +154,9 @@ def test_slab_orders_at_a_twist_of_ten_to_the_eighteen(slab_orders):
             lattice.slab_thresholds(segments, y0, y1)
         psi = psi_from_theta(theta)
         coeffs = divisor_coeffs(psi)
-        box = _search_box(psi.fan, coeffs, 0)
-        level_lines = [line for _, line in _level_lines(psi.fan.rays, coeffs, box)]
-        lattice.slab_thresholds(level_lines, box[1] + 1, box[3] - 1)
+        ymin, ymax = _search_rows(psi.fan, coeffs)
+        level_lines = [line for _, line in _level_lines(psi.fan.rays, coeffs, ymin, ymax)]
+        lattice.slab_thresholds(level_lines, ymin + 1, ymax - 1)
     assert len(slab_orders) == 2 * (len(segments) + 1)
 
 

@@ -74,8 +74,8 @@ def test_p2_named_sets(fixture_dir):
     assert doc.twisting_sets["cap_k1"].region == (0, 0)
     assert doc.twisting_sets["bad_parity"].values == (2, 3, 3)
     assert doc.kink_sets["canonical"] == (-3, -3, -3)
-    assert doc.options.margin == 0
     assert doc.options.epsilon is None
+    assert doc.options.quadrature_order is None
 
 
 def test_empty_document():
@@ -166,9 +166,14 @@ def test_twisting_set_requires_values():
 
 
 def test_options_margin_must_be_nonnegative():
-    doc = minimal_doc(options={"margin": -1})
-    with pytest.raises(InputError, match="invalid input at /options/margin"):
-        parse_input(as_bytes(doc))
+    """margin widened a cohomology search box that is gone; now no value of it is taken."""
+    for value in (-1, 0, 3):
+        doc = minimal_doc(options={"margin": value})
+        with pytest.raises(InputError) as raised:
+            parse_input(as_bytes(doc))
+        assert str(raised.value) == (
+            "invalid input at /options: Additional properties are not allowed ('margin' was unexpected)"
+        )
 
 
 @pytest.mark.parametrize(

@@ -290,3 +290,17 @@ def test_threshold_slabs_match_the_row_ceilings(case):
     _check_threshold_slabs(lines, first, last, starts)
     with mock.patch.object(lattice, "SHORT_SLAB", 0):
         _check_threshold_slabs(lines, first, last, starts)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((True, 0), "entry 0 is True, not an integer"),
+        ((0, Fraction(2, 2), False), "entry 2 is False, not an integer"),
+    ],
+)
+def test_as_ints_refuses_booleans(values, message):
+    # operator.index(True) is 1, so a bool used to pass as 0 or 1
+    with pytest.raises(LatticeError) as raised:
+        lattice.as_ints(values, "entry")
+    assert str(raised.value) == message

@@ -443,6 +443,8 @@ def test_validate_accepts_exactly_the_tilings():
         (P2_POINTS, P2_TRIS, [0, "1", 1, 1], "nu 1 is '1', not an integer"),
         (P2_POINTS, P2_TRIS, [0, 1, 1, 1.0], "nu 3 is 1.0, not an integer"),
         ([(0, 0, 0), (1, 0), (0, 1)], [(0, 1, 2)], [0] * 3, "points must have two coordinates"),
+        ([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)], [True, 0, True], "nu 0 is True, not an integer"),
+        ([(0, 0), (True, 0), (0, 1)], [(0, 1, 2)], [0] * 3, "point 1 coordinate 0 is True, not an integer"),
     ],
 )
 def test_subdivision_does_not_round(points, triangles, nu, message):

@@ -20,7 +20,7 @@ from tropcoh.io import _KEYWORDS, _schema_error, input_schema
 BASES = {name: json.loads((FIXTURES / name).read_bytes()) for name in FIXTURE_NAMES}
 BASES["minimal"] = minimal_doc()
 BASES["every_section"] = minimal_doc(
-    options={"margin": 1, "epsilon": 0.5, "quadrature_order": 8},
+    options={"epsilon": 0.5, "quadrature_order": 8},
     twisting_sets={"a": {"values": [3, 3, 3]}, "b/c": {"region": [0, 0], "values": [1, 1, 1]}},
     kink_sets={"k": [-3, -3, -3]},
 )
@@ -134,7 +134,11 @@ def test_check_accepts_what_jsonschema_accepts(name):
             ("options", "quadrature_order"),
             "0 is less than the minimum of 1",
         ),
-        (minimal_doc(options={"margin": 2.0}), ("options", "margin"), "2.0 is not of type 'integer'"),
+        (
+            minimal_doc(options={"quadrature_order": 2.0}),
+            ("options", "quadrature_order"),
+            "2.0 is not of type 'integer'",
+        ),
     ],
 )
 def test_check_names_jsonschemas_first_error(doc, pointer, message):

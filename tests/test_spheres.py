@@ -73,6 +73,7 @@ def test_twisting_and_theta_name_every_issue(p2_region):
         ((3.9, 3, 3), "twisting number 0 is 3.9, not an integer"),
         ((3, Fraction(7, 2), 3), "twisting number 1 is Fraction(7, 2), not an integer"),
         ((3, 3, "3"), "twisting number 2 is '3', not an integer"),
+        ((True, True, True), "twisting number 0 is True, not an integer"),
     ],
 )
 def test_twisting_refuses_entries_that_are_not_integers(p2_region, ell, message):

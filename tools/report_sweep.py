@@ -17,11 +17,12 @@ the default order and at ``--order 64``), and on a few invalid twistings;
 then the ``winding`` table, as JSON and as SVG, on p2 at ell = +-(2k + 1)
 for k < 60 and on the blowup ``mixed_sign`` set times k for -9 <= k <= 9;
 then ``validate`` on documents the sweep builds itself (``documents``): one
-per rule of the input schema, a set name holding "~" and "/", bytes that
-are not UTF-8, ``NaN``, nesting too deep to parse, a key given twice, a
-missing lattice point, two triangles on one side of an edge, an elementary
-triangle in a 3000 x 2999 box, triangles of the 2 x 1 rectangle that add up
-to its area but overlap, and a triangle listed by its corners at 10^9.
+per rule of the input schema, one carrying the removed ``margin`` option, a
+set name holding "~" and "/", bytes that are not UTF-8, ``NaN``, nesting too
+deep to parse, a key given twice, a missing lattice point, two triangles on
+one side of an edge, an elementary triangle in a 3000 x 2999 box, triangles
+of the 2 x 1 rectangle that add up to its area but overlap, and a triangle
+listed by its corners at 10^9.
 Paths in argv are relative to the checkout root, and a built document is
 hashed by its bytes in place of its temporary path, so the digest does not
 depend on where the checkout lives.
@@ -107,10 +108,10 @@ def documents() -> dict[str, bytes]:
     """The documents ``validate`` reads after the fixture sweep, by name, in a fixed order."""
     n = 3000
     docs = {
-        "valid": _doc(options={"margin": 1, "epsilon": 0.5, "quadrature_order": 8}),
+        "valid": _doc(options={"epsilon": 0.5, "quadrature_order": 8}),
         "type-array": _doc(nu="abc"),
         "type-integer": _doc(points=[[0, 0], [1, 0.5], [0, 1], [-1, -1]]),
-        "type-integer-float": _doc(options={"margin": 2.0}),
+        "type-integer-float": _doc(options={"quadrature_order": 2.0}),
         "type-number": _doc(options={"epsilon": "0.5"}),
         "type-object": _doc(twisting_sets=[]),
         "const-string": _doc(format="other"),
@@ -127,7 +128,8 @@ def documents() -> dict[str, bytes]:
         "required-values": _doc(twisting_sets={"a": {"region": [0, 0]}}),
         "additionalProperties": _doc(flavor="mint"),
         "additionalProperties-plural": _doc(flavor="mint", colour="red"),
-        "additionalProperties-option": _doc(options={"margin": 0, "seed": 1}),
+        "additionalProperties-option": _doc(options={"epsilon": 0.5, "seed": 1}),
+        "additionalProperties-margin": _doc(options={"margin": 1}),
         "additionalProperties-schema": _doc(kink_sets={"k": "s"}),
         "pointer-escape": _doc(twisting_sets={"a~/b": {"values": [3, "3", 3]}}),
         "missing-lattice-point": _doc(
