@@ -238,7 +238,7 @@ def _cmd_winding(args) -> dict | bytes:
     return {
         "region": list(region.dual_vertex),
         "bounds": list(table.bounds),
-        "entries": [[p[0], p[1], w] for p, w in sorted(table.entries.items())],
+        "entries": sorted([x, y, w] for (x, y), w in table.entries.items()),
         "h_even": even,
         "h_odd": odd,
     }

@@ -9,11 +9,13 @@ the decoder.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping, Optional, Sequence
 
 from .bundles import _check_cocycle
@@ -251,35 +253,53 @@ def serialize_input(doc: InputDocument) -> bytes:
     return (json.dumps(raw, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def encode_exact(value):
-    """Ints stay ints; non-integral rationals become "p/q" strings."""
-    if isinstance(value, bool):
-        return value
+def _json(value, nl: str) -> str:
+    """``value`` as json.dumps(indent=2, sort_keys=True, allow_nan=False) writes it after ``nl``.
+
+    ``nl`` is the newline and indent of the line ``value`` starts on. Fractions become ints
+    or "p/q" strings and mapping keys str(key); the exact types of report trees go first.
+    """
+    kind = type(value)
+    if kind is int:
+        return repr(value)
+    if kind is str:
+        return _quote(value)
+    inner = nl + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        ints = all(type(v) is int for v in value)
+        parts = map(repr, value) if ints else [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + nl + "]"
+    if kind is dict:
+        # every value is written, so one that str() merges with another key still raises
+        items = {str(k): _json(v, inner) for k, v in value.items()}
+        parts = [_quote(k) + ": " + items[k] for k in sorted(items)]
+        return "{" + inner + ("," + inner).join(parts) + nl + "}" if parts else "{}"
+    if value is None or kind is bool:
+        return json.dumps(value)
     if isinstance(value, int):
-        return value
+        return int.__repr__(value)
     if isinstance(value, Fraction):
         if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
+            return repr(int(value))
+        return _quote(f"{value.numerator}/{value.denominator}")
     if isinstance(value, float):
-        return value
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
     if isinstance(value, str):
-        return value
+        return _quote(value)
     if isinstance(value, Mapping):
-        return {str(k): encode_exact(v) for k, v in value.items()}
+        return _json(dict(value.items()), nl)
     if isinstance(value, Sequence):
-        return [encode_exact(v) for v in value]
-    if value is None:
-        return None
+        return _json(list(value), nl)
     raise TypeError(f"cannot encode {type(value).__name__} in a report")
 
 
 def report_bytes(command: str, result, seed: Optional[int] = None) -> bytes:
-    doc = {
-        "format": REPORT_FORMAT,
-        "version": REPORT_VERSION,
-        "command": command,
-        "seed": seed,
-        "result": encode_exact(result),
-    }
-    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
+    """The report envelope, in the bytes json.dumps(..., indent=2, sort_keys=True) writes."""
+    doc = dict(
+        format=REPORT_FORMAT, version=REPORT_VERSION, command=command, seed=seed, result=result
+    )
+    return (_json(doc, "\n") + "\n").encode("utf-8")

@@ -8,8 +8,9 @@ its kinks, the mirror support, the search box and the slab orders).  The
 split-disk rule's per-node and per-piece sums must match up to roundoff, and
 the split rule, the kink-line Hessian and the vertex gradient must match the
 library's fan rule within the quadrature's error.  The tiling check
-decides from the definition what ``validate`` decides from the edges.  The
-per-point and sampled checks serve only the tests.
+decides from the definition what ``validate`` decides from the edges.  A
+report's bytes must equal those of ``json.dumps`` on ``encode_exact``'s copy
+of its result.  The per-point and sampled checks serve only the tests.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import Mapping, Sequence
 
 import jsonschema
 import numpy as np
@@ -59,6 +61,29 @@ def schema_first_error(raw):
     """(path, message) of jsonschema's first error when sorted by path, or None if it accepts."""
     errors = sorted(_strict_draft7().iter_errors(raw), key=lambda e: list(e.absolute_path))
     return (tuple(errors[0].absolute_path), errors[0].message) if errors else None
+
+
+def encode_exact(value):
+    """Ints stay ints; non-integral rationals become "p/q" strings."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return value
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return int(value)
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, float):
+        return value
+    if isinstance(value, str):
+        return value
+    if isinstance(value, Mapping):
+        return {str(k): encode_exact(v) for k, v in value.items()}
+    if isinstance(value, Sequence):
+        return [encode_exact(v) for v in value]
+    if value is None:
+        return None
+    raise TypeError(f"cannot encode {type(value).__name__} in a report")
 
 
 def dense_integer_kernel(rows, ncols=None) -> list[list[int]]:

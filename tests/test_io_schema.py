@@ -3,15 +3,18 @@
 import importlib.util
 import json
 import math
+from collections import OrderedDict
 from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import encode_exact
 from tropcoh.examples import local_p2
 from tropcoh.io import (
     InputError,
-    encode_exact,
     input_schema,
     parse_input,
     report_bytes,
@@ -240,3 +243,77 @@ def test_report_rejects_non_finite_floats(bad):
     # strict JSON: no report may print Infinity or NaN
     with pytest.raises(ValueError):
         report_bytes("smooth-check", {"min_abs_eigenvalue": bad})
+
+
+class Count(int):
+    def __repr__(self):
+        return "Count()"
+
+
+class Label(str):
+    def __str__(self):
+        return "label:" + self
+
+
+class Ratio(float):
+    def __repr__(self):
+        return "Ratio()"
+
+
+# Leaves of every type a report may hold, some through the writer's slow path:
+# bools among ints, int, str and float subclasses, and strings JSON must escape.
+LEAVES = st.one_of(
+    st.integers(),
+    st.integers(-(10**60), 10**60),
+    st.booleans(),
+    st.none(),
+    st.fractions(max_denominator=4),
+    st.integers(-5, 5).map(Fraction),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\u2028", "é", "😀", "\ud800"]),
+    st.integers(-5, 5).map(Count),
+    st.text(max_size=3).map(Label),
+    st.floats(allow_nan=False, allow_infinity=False).map(Ratio),
+)
+# Keys that are not str, and strings they equal after str(): 1 and "1", None
+# and "None", Fraction(1, 2) and "1/2", Label("a") and "label:a", ...
+KEYS = st.one_of(
+    st.text(max_size=3),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.none(),
+    st.fractions(max_denominator=2, min_value=-2, max_value=2),
+    st.sampled_from([1.5, "1.5", "1", "-1", "True", "False", "None", "1/2", "label:a"]),
+    st.sampled_from(["a", ""]).map(Label),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(st.integers(), max_size=5),
+        st.dictionaries(KEYS, children, max_size=5),
+        st.dictionaries(KEYS, children, max_size=3).map(OrderedDict),
+    ),
+    max_leaves=30,
+)
+
+
+@given(TREES, st.sampled_from(["winding", "a2d"]), st.none() | st.integers(0, 10**6))
+@settings(max_examples=400, deadline=None)
+@example([1, True, 2], "winding", None)
+@example([1, Count(2)], "winding", None)
+@example({"b": 1, "a": 2, 1: [3], "1": [4]}, "winding", 5)
+def test_report_bytes_are_json_dumps_of_the_exact_encoding(value, command, seed):
+    doc = {"format": "tropcoh-report", "version": 1, "command": command, "seed": seed}
+    doc["result"] = encode_exact(value)
+    expected = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert report_bytes(command, value, seed) == expected.encode()
+
+
+@pytest.mark.parametrize("bad", [object(), [1, object()], {"a": {"b": object()}}, {1: object(), "1": 2}])
+def test_report_rejects_values_of_no_report_type(bad):
+    with pytest.raises(TypeError):
+        report_bytes("winding", bad)

@@ -16,7 +16,8 @@ named set of the fixtures (``sphere`` also as SVG, and ``smooth-check`` at
 the default order and at ``--order 64``), and on a few invalid twistings;
 then the ``winding`` table, as JSON and as SVG, on p2 at ell = +-(2k + 1)
 for k < 60 and on the blowup ``mixed_sign`` set times k for -9 <= k <= 9;
-then ``validate`` on documents the sweep builds itself (``documents``): one
+then ``a2d`` for 1 <= d <= 60, and ``picard`` and ``tropical`` (also as SVG)
+on every fixture; then ``validate`` on documents the sweep builds itself (``documents``): one
 per rule of the input schema, one carrying the removed ``margin`` option, a
 set name holding "~" and "/", bytes that are not UTF-8, ``NaN``, nesting too
 deep to parse, a key given twice, a missing lattice point, two triangles on
@@ -89,6 +90,13 @@ def sweep() -> list[list[str]]:
                 runs.append(["winding", "--input", "fixtures/p2.json", "--ell", _ell([sign * (2 * k + 1)] * 3), *fmt])
         for k in range(-9, 10):
             runs.append(["winding", "--input", "fixtures/blowup_p2.json", "--ell", _ell(k * x for x in BLOWUP_MIXED), *fmt])
+    for d in range(1, 61):
+        runs.append(["a2d", "--d", str(d)])
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        name = f"fixtures/{path.name}"
+        runs.append(["picard", "--input", name])
+        runs.append(["tropical", "--input", name])
+        runs.append(["tropical", "--input", name, "--format", "svg"])
     return runs
 
 
