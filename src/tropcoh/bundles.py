@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .fan import balance, self_intersections
 from .lattice import LatticeError, Vec, dot, integer_kernel, vadd, vsub
-from .polytope import EdgeKey, Subdivision, SubdivisionEdge, affine_part, checked, edge_kinks
+from .polytope import EdgeKey, Subdivision, SubdivisionEdge, checked, edge_kinks
 from .tropical import BoundedRegion, TropicalCurve
 
 KinkVector = Mapping[EdgeKey, int]
@@ -22,17 +22,6 @@ KinkVector = Mapping[EdgeKey, int]
 class SupportFunction:
     sub: Subdivision
     values: tuple[int, ...]
-
-    def value_at(self, p: Vec) -> int:
-        return self.values[self.sub.points.index(tuple(p))]
-
-    def affine_parts(self):
-        """Per-triangle (linear part, constant); both are integral."""
-        out = []
-        for t in range(len(self.sub.triangles)):
-            m, c = affine_part(self.sub, self.values, t)
-            out.append(((int(m[0]), int(m[1])), int(c)))
-        return tuple(out)
 
 
 def support_function(sub: Subdivision, values) -> SupportFunction:
@@ -180,13 +169,6 @@ def canonical_KC(region: BoundedRegion) -> dict[EdgeKey, int]:
     inner = curve.index.interior_vertices
     _check_cocycle(curve, out, [curve.regions[inner[v]] for v in sorted(near) if v in inner])
     return {key: out[key] for key in sorted(out)}
-
-
-def restriction_degree(K: KinkVector, edge: SubdivisionEdge) -> int:
-    """Twist of the bundle along the projective line dual to an interior edge."""
-    if edge.is_boundary:
-        raise LatticeError("no compact curve")
-    return _kink_entry(K, edge.key)
 
 
 def hms_line_bundle(K: KinkVector) -> dict[EdgeKey, int]:

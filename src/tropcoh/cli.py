@@ -10,8 +10,9 @@ from typing import Optional
 # Each handler imports what only it uses, so a fresh process loads just the modules
 # its command runs: `validate` never executes `spheres`, `winding` or `cohomology`.
 from .io import InputDocument, InputError, TwistingSet, parse_input, report_bytes
+from .lattice import LatticeError
 from .polytope import interior_edge_keys
-from .tropical import BoundedRegion, bounded_regions, tropical_curve
+from .tropical import BoundedRegion, bounded_regions, region_at, tropical_curve
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,10 +107,10 @@ def _resolve_region(curve, flag: Optional[str], tset: Optional[TwistingSet]) -> 
         vertex = (int(parts[0]), int(parts[1]))
     except ValueError as exc:
         raise InputError(f"--region {flag!r} is neither an index nor a vertex 'x,y'") from exc
-    for region in regions:
-        if region.dual_vertex == vertex:
-            return region
-    raise InputError(f"{vertex} is not the dual vertex of a bounded region")
+    try:
+        return region_at(curve, vertex)
+    except LatticeError:
+        raise InputError(f"{vertex} is not the dual vertex of a bounded region") from None
 
 
 def _emit(args, result) -> None:

@@ -95,14 +95,6 @@ def restriction_degrees(psi: ToricSupport) -> tuple[int, ...]:
     return tuple(a[j - 1] + a[(j + 1) % r] + b[j] * a[j] for j in range(r))
 
 
-def serre_dual_psi(psi: ToricSupport) -> ToricSupport:
-    kc = canonical_psi(psi.fan)
-    parts = tuple(
-        (k[0] - p[0], k[1] - p[1]) for k, p in zip(kc.parts, psi.parts)
-    )
-    return ToricSupport(psi.fan, parts)
-
-
 @dataclass(frozen=True)
 class CohomologyDims:
     h0: int

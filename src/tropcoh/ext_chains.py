@@ -178,43 +178,3 @@ def verify_a2d_configuration(example: A2dExample) -> A2dReport:
         "sphericality of the chain objects is assumed, not computed",
     )
     return A2dReport(example.d, not failures, tuple(checks), tuple(failures), assumptions)
-
-
-@dataclass(frozen=True)
-class BFEExpression:
-    """Formal combination b*B + f*F + e*E of the three divisor generators."""
-
-    b: int
-    f: int
-    e: int
-
-    def __str__(self):
-        out = []
-        for coeff, name in ((self.b, "B"), (self.f, "F"), (self.e, "E")):
-            if coeff == 0:
-                continue
-            sign = "-" if coeff < 0 else ("+" if out else "")
-            mag = abs(coeff)
-            head = f"{sign} " if out else sign
-            out.append(f"{head}{'' if mag == 1 else mag}{name}")
-        return " ".join(out) if out else "0"
-
-
-def express_in_BFE(kappa_j, j: int) -> BFEExpression:
-    """Divisor expression of a ladder twist class on the j-th surface.
-
-    Verified against the pairing rules B*B=-j, F*F=0, E*E=-1, B*F=1,
-    E*B=E*F=0: the first, fifth, and third entries of kappa_j must be the
-    pairings with B, F, and E.
-    """
-    kappa_j = tuple(kappa_j)
-    if j % 2 == 1:
-        expr = BFEExpression(-1, -(j + 1) // 2, 0)
-    else:
-        expr = BFEExpression(-1, -(j + 2) // 2, 1)
-    dot_B = expr.b * (-j) + expr.f * 1
-    dot_F = expr.b * 1
-    dot_E = expr.e * (-1)
-    if (kappa_j[0], kappa_j[4], kappa_j[2]) != (dot_B, dot_F, dot_E):
-        raise LatticeError("expression disagrees with the intersection pairings")
-    return expr

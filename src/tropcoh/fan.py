@@ -33,12 +33,6 @@ class Fan:
         if min(self.rays) != self.rays[0]:
             raise LatticeError("rays must start at the lex smallest")
 
-    def index_of(self, u: Vec) -> int:
-        try:
-            return self.rays.index(u)
-        except ValueError:
-            raise LatticeError(f"{u} is not a ray of the fan") from None
-
 
 def _upper(v: Vec) -> bool:
     """Whether v has angle in [0, pi)."""

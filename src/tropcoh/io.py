@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .bundles import _check_cocycle
 from .lattice import LatticeError, Vec
@@ -222,35 +222,6 @@ def parse_input(data: bytes) -> InputDocument:
         quadrature_order=opts.get("quadrature_order"),
     )
     return InputDocument(points, triangles, nu, tsets, ksets, options)
-
-
-def serialize_input(doc: InputDocument) -> bytes:
-    raw: dict[str, Any] = {
-        "format": "tropcoh-input",
-        "version": 1,
-        "points": [list(p) for p in doc.points],
-        "triangles": [list(t) for t in doc.triangles],
-        "nu": list(doc.nu),
-    }
-    if doc.twisting_sets:
-        raw["twisting_sets"] = {
-            name: (
-                {"region": list(ts.region), "values": list(ts.values)}
-                if ts.region is not None
-                else {"values": list(ts.values)}
-            )
-            for name, ts in doc.twisting_sets.items()
-        }
-    if doc.kink_sets:
-        raw["kink_sets"] = {name: list(v) for name, v in doc.kink_sets.items()}
-    opt_fields = {}
-    if doc.options.epsilon is not None:
-        opt_fields["epsilon"] = doc.options.epsilon
-    if doc.options.quadrature_order is not None:
-        opt_fields["quadrature_order"] = doc.options.quadrature_order
-    if opt_fields:
-        raw["options"] = opt_fields
-    return (json.dumps(raw, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def _json(value, nl: str) -> str:

@@ -6,8 +6,7 @@ are ordinary tuples so they stay hashable and JSON-friendly.
 Points of the half lattice (support parts theta, boundary curve vertices)
 are carried doubled, as integer pairs.  `dual_numerators` gives det(u, v)
 times the solution of a 2x2 pairing system, which is the exact solution
-itself on a smooth cone (det = 1).  `solve_dual` is the same solve in
-Fractions.
+itself on a smooth cone (det = 1).
 
 The winding and cohomology counts share `threshold_slabs`: it cuts rows
 into slabs on which threshold lines keep their order, and sums each line's
@@ -313,12 +312,3 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> l
 def dual_numerators(u: Vec, v: Vec, a, b) -> Vec:
     """det(u, v) times the covector m with <m, u> = a and <m, v> = b."""
     return (a * v[1] - b * u[1], b * u[0] - a * v[0])
-
-
-def solve_dual(u: Vec, v: Vec, a, b) -> QVec:
-    """The covector m with <m, u> = a and <m, v> = b."""
-    d = det2(u, v)
-    if d == 0:
-        raise LatticeError("singular system")
-    m = dual_numerators(u, v, a, b)
-    return (Fraction(m[0], d), Fraction(m[1], d))

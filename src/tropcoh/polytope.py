@@ -308,14 +308,6 @@ def _slope(p0: Vec, p1: Vec, p2: Vec, f0, f1, f2) -> QVec:
     return ((a * vy - b * uy) * d, (b * ux - a * vx) * d)
 
 
-def affine_part(sub: Subdivision, values: Sequence, t: int) -> tuple[QVec, Fraction | int]:
-    """Exact (slope, constant) of the affine interpolant on triangle t."""
-    i0, i1, i2 = sub.triangles[t]
-    p0 = sub.points[i0]
-    m = _slope(p0, sub.points[i1], sub.points[i2], values[i0], values[i1], values[i2])
-    return m, values[i0] - dot(m, p0)
-
-
 def slopes(sub: Subdivision, values: Sequence) -> tuple[QVec, ...]:
     """Exact slope of the affine interpolant on each triangle, one solve each."""
     pts = sub.points

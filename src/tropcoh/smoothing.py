@@ -47,18 +47,6 @@ class FanPL:
         self._parts = np.array([[x / 2, y / 2] for x, y in theta.doubled])
         self._units = np.array(rays, dtype=float) / np.hypot(*np.array(rays, dtype=float).T)[:, None]
 
-    def gradient(self, pts: np.ndarray) -> np.ndarray:
-        """Linear part of the cone containing each point."""
-        ang = np.arctan2(pts[:, 1], pts[:, 0])
-        a0 = self._angles[0]
-        ang = a0 + np.mod(ang - a0, 2 * math.pi)
-        idx = np.clip(np.searchsorted(self._angles, ang, side="right") - 1, 0, len(self._angles) - 1)
-        return self._parts[idx]
-
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        parts = self.gradient(pts)
-        return parts[:, 0] * pts[:, 0] + parts[:, 1] * pts[:, 1]
-
 
 # The fan rule takes 2 order^2 nodes per cone that meets a point's disk: every
 # cone at the `samples` Hessian points near the fan vertex, one or two at the

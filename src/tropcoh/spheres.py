@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .bundles import KinkVector, _check_cocycle, _kink_entry, canonical_KC
+from .bundles import KinkVector, _check_cocycle, _kink_entry
 from .fan import Fan, balance, self_intersections
 from .lattice import LatticeError, QVec, Vec, as_ints, det2, dot, dual_numerators
-from .polytope import ValidationIssue, ValidationReport, interior_edge_keys
+from .polytope import ValidationIssue, ValidationReport
 from .tropical import BoundedRegion
 
 RegionOrFan = Union[BoundedRegion, Fan]
@@ -197,30 +197,3 @@ def translate_sphere(tw: Twisting, K: KinkVector) -> Twisting:
         l + 2 * _kink_entry(K, key) for l, key in zip(tw.ell, tw.region.edge_keys)
     )
     return twisting(tw.region, ell)
-
-
-def compact_support_class(K: KinkVector, region: BoundedRegion) -> Optional[int]:
-    """The multiple a with K = a * K_C when one exists."""
-    kc = canonical_KC(region)
-    keys = interior_edge_keys(region.curve.sub)
-    a = None
-    for key in keys:
-        base = kc.get(key, 0)
-        if base != 0:
-            val = _kink_entry(K, key)
-            if val % base != 0:
-                return None
-            a = val // base
-            break
-    if a is None:
-        a = 0
-    for key in keys:
-        if _kink_entry(K, key) != a * kc.get(key, 0):
-            return None
-    return a
-
-
-def difference_sphere(region: BoundedRegion) -> Twisting:
-    """Twisting numbers of the sphere representing a difference of sections."""
-    b = self_intersections(region.fan)
-    return twisting(region, tuple(x + 2 for x in b))

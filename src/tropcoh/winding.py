@@ -38,46 +38,14 @@ def _on_curve(m: Vec) -> LatticeError:
     return LatticeError(f"lattice point ({m[0]}, {m[1]}) on the boundary curve")
 
 
-def _cast(doubled: tuple[Vec, ...], m: Vec) -> int:
-    """Signed crossings of the rightward horizontal ray from the lattice point m."""
-    x, y = 2 * m[0], 2 * m[1]
-    # the half-open rule below gives a vertex at a local maximum of y to no segment
-    if (x, y) in doubled:
-        raise _on_curve(m)
-    w = 0
-    n = len(doubled)
-    for i in range(n):
-        ax, ay = doubled[i - 1]
-        bx, by = doubled[i]
-        if ay == by:
-            if ay == y and min(ax, bx) <= x <= max(ax, bx):
-                raise _on_curve(m)
-            continue
-        up = ay <= y < by
-        down = by <= y < ay
-        if not (up or down):
-            continue
-        d = by - ay
-        num = (ax - x) * d + (y - ay) * (bx - ax)
-        if num == 0:
-            raise _on_curve(m)
-        if (num > 0) == (d > 0):
-            w += 1 if up else -1
-    return w
-
-
-def winding(gamma: GammaCurve, m: Vec) -> int:
-    return _cast(gamma.doubled, m)
-
-
 def _segments(gamma: GammaCurve) -> tuple[list[tuple[int, int, int, int, int]], list[int]]:
     """The non-horizontal segments as threshold lines (y0, y1, n0, n1, den), and their signs.
 
     Segment j crosses the rows y0 <= y <= y1 at x_c = (n0 + n1 * y) / den,
-    with den > 0, under the half-open rule of the per-point cast; its sign
-    is +1 for an upward segment.  A vertex that is a lattice point, or a
-    horizontal edge through one, raises here, since the half-open rule gives
-    those points to no segment.
+    with den > 0, under the half-open rule ay <= y < by of a rightward ray
+    cast; its sign is +1 for an upward segment.  A vertex that is a lattice
+    point, or a horizontal edge through one, raises here, since the
+    half-open rule gives those points to no segment.
     """
     doubled = gamma.doubled
     for x, y in doubled:
@@ -132,9 +100,9 @@ def winding_runs(gamma: GammaCurve):
     """Yield (y, x0, x1, w): the lattice points x0 <= x < x1 of row y wind w != 0 times.
 
     Rows come in increasing order and runs from left to right.  Each curve
-    segment crosses row y at most once, under the same half-open rule as the
-    per-point cast, at X = 2 * x_c in doubled coordinates.  The point (x, y)
-    counts the crossing when x < x_c, that is when x < ceil(x_c), so every
+    segment crosses row y at most once, under the same half-open rule, at
+    X = 2 * x_c in doubled coordinates.  The point (x, y) counts the
+    crossing when x < x_c, that is when x < ceil(x_c), so every
     segment gives one integer threshold and the winding number is constant
     between consecutive thresholds.  A lattice point on the curve raises
     before the sweep starts, naming the first one by row, and so does a

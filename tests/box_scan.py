@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 
-from oracles import fraction_search_box
+from oracles import fraction_search_box, ray_cast
 from tropcoh.cohomology import CohomologyDims, divisor_coeffs
 from tropcoh.spheres import gamma_curve
-from tropcoh.winding import WindingTable, _cast
+from tropcoh.winding import WindingTable
 
 
 def curve_box(gamma) -> tuple[int, int, int, int]:
@@ -32,7 +32,7 @@ def scan_winding_table(theta) -> WindingTable:
     entries = {}
     for x in range(xmin, xmax + 1):
         for y in range(ymin, ymax + 1):
-            w = _cast(doubled, (x, y))
+            w = ray_cast(doubled, (x, y))
             if w != 0:
                 assert xmin < x < xmax and ymin < y < ymax, "winding on the box edge"
                 entries[(x, y)] = w

@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -59,6 +60,16 @@ def a2d3_regions(a2d3_sub):
 @pytest.fixture(scope="session")
 def fixture_dir():
     return FIXTURES
+
+
+@pytest.fixture(scope="session")
+def gen_fixtures():
+    """The fixture generator tools/gen_fixtures.py, loaded from its file."""
+    path = FIXTURES.parent / "tools" / "gen_fixtures.py"
+    spec = importlib.util.spec_from_file_location("gen_fixtures", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def hex_grid(n):

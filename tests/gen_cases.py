@@ -152,7 +152,7 @@ def cross_check(rng_seed: int, cases: int) -> tuple[int, int]:
     callers can confirm the sample was not vacuous.
     """
     from box_scan import scan_cohomology_dims, scan_winding_table, sign_value
-    from oracles import fraction_search_box
+    from oracles import fraction_search_box, ray_cast
     from tropcoh.cohomology import (
         cohomology_dims,
         divisor_coeffs,
@@ -160,7 +160,6 @@ def cross_check(rng_seed: int, cases: int) -> tuple[int, int]:
         verify_winding_theorem,
     )
     from tropcoh.winding import (
-        _cast,
         h_even_odd,
         winding_table,
         winding_via_T_auto,
@@ -191,7 +190,7 @@ def cross_check(rng_seed: int, cases: int) -> tuple[int, int]:
         xmax, ymax = max(b[2] for b in boxes), max(b[3] for b in boxes)
         for x in range(xmin, xmax + 1):
             for y in range(ymin, ymax + 1):
-                w = _cast(doubled, (x, y))
+                w = ray_cast(doubled, (x, y))
                 v = sign_value(rays, coeffs, (x, y))
                 assert w == v, f"winding {w} but sign value {v} at {(x, y)} on fan {fan}"
 

@@ -11,6 +11,11 @@ library's fan rule within the quadrature's error.  The tiling check
 decides from the definition what ``validate`` decides from the edges.  A
 report's bytes must equal those of ``json.dumps`` on ``encode_exact``'s copy
 of its result.  The per-point and sampled checks serve only the tests.
+
+Library names whose only callers were tests live here too, next to those
+tests' other oracles: the Fraction solve ``solve_dual``, the per-point ray
+cast ``winding`` and the Serre dual ``serre_dual_psi`` among them (the
+README lists them all).
 """
 
 from __future__ import annotations
@@ -26,24 +31,27 @@ import jsonschema
 import numpy as np
 
 from tropcoh.io import input_schema
+from tropcoh.bundles import KinkVector, _kink_entry, canonical_KC
 from tropcoh.lattice import (
     LatticeError,
+    QVec,
     Vec,
     _xgcd,
     det2,
     dot,
+    dual_numerators,
     lex_positive,
     primitive,
     rot90,
-    solve_dual,
     vneg,
     vsub,
 )
-from tropcoh.cohomology import ToricSupport
+from tropcoh.cohomology import ToricSupport, canonical_psi
 from tropcoh.fan import Fan, is_smooth
 from tropcoh.lattice import floor_sum
-from tropcoh.polytope import Subdivision, convex_hull, edges
+from tropcoh.polytope import Subdivision, SubdivisionEdge, _slope, convex_hull, edges, interior_edge_keys
 from tropcoh.spheres import SemiIntegralSupport, Twisting, _check_twisting, gamma_curve
+from tropcoh.tropical import BoundedRegion
 from tropcoh.winding import _on_curve, _segments, is_strictly_convex
 
 
@@ -124,6 +132,15 @@ def dense_integer_kernel(rows, ncols=None) -> list[list[int]]:
     return [list(trans[j]) for j in range(pivot, ncols)]
 
 
+def solve_dual(u: Vec, v: Vec, a, b) -> QVec:
+    """The covector m with <m, u> = a and <m, v> = b, in Fractions."""
+    d = det2(u, v)
+    if d == 0:
+        raise LatticeError("singular system")
+    m = dual_numerators(u, v, a, b)
+    return (Fraction(m[0], d), Fraction(m[1], d))
+
+
 def fraction_slope(sub, values, t: int) -> tuple[Fraction, Fraction]:
     """Slope of the interpolant on triangle t by an exact Fraction 2x2 solve."""
     i0, i1, i2 = sub.triangles[t]
@@ -199,6 +216,112 @@ def is_tiling(points, triangles) -> bool:
     return len(corners) == normalized_area(points) and {p for t in corners for p in t} == set(points)
 
 
+def affine_part(sub: Subdivision, values: Sequence, t: int) -> tuple[QVec, Fraction | int]:
+    """Exact (slope, constant) of the affine interpolant on triangle t."""
+    i0, i1, i2 = sub.triangles[t]
+    p0 = sub.points[i0]
+    m = _slope(p0, sub.points[i1], sub.points[i2], values[i0], values[i1], values[i2])
+    return m, values[i0] - dot(m, p0)
+
+
+def value_at(phi, p: Vec) -> int:
+    """The value of a SupportFunction at the lattice point p."""
+    return phi.values[phi.sub.points.index(tuple(p))]
+
+
+def affine_parts(phi):
+    """Per-triangle (linear part, constant) of a SupportFunction; both are integral."""
+    out = []
+    for t in range(len(phi.sub.triangles)):
+        m, c = affine_part(phi.sub, phi.values, t)
+        out.append(((int(m[0]), int(m[1])), int(c)))
+    return tuple(out)
+
+
+def restriction_degree(K: KinkVector, edge: SubdivisionEdge) -> int:
+    """Twist of the bundle along the projective line dual to an interior edge."""
+    if edge.is_boundary:
+        raise LatticeError("no compact curve")
+    return _kink_entry(K, edge.key)
+
+
+def compact_support_class(K: KinkVector, region: BoundedRegion) -> int | None:
+    """The multiple a with K = a * K_C when one exists."""
+    kc = canonical_KC(region)
+    keys = interior_edge_keys(region.curve.sub)
+    a = None
+    for key in keys:
+        base = kc.get(key, 0)
+        if base != 0:
+            val = _kink_entry(K, key)
+            if val % base != 0:
+                return None
+            a = val // base
+            break
+    if a is None:
+        a = 0
+    for key in keys:
+        if _kink_entry(K, key) != a * kc.get(key, 0):
+            return None
+    return a
+
+
+def index_of(fan: Fan, u: Vec) -> int:
+    try:
+        return fan.rays.index(u)
+    except ValueError:
+        raise LatticeError(f"{u} is not a ray of the fan") from None
+
+
+def serre_dual_psi(psi: ToricSupport) -> ToricSupport:
+    """K - psi, the support of the Serre dual bundle."""
+    kc = canonical_psi(psi.fan)
+    parts = tuple(
+        (k[0] - p[0], k[1] - p[1]) for k, p in zip(kc.parts, psi.parts)
+    )
+    return ToricSupport(psi.fan, parts)
+
+
+@dataclass(frozen=True)
+class BFEExpression:
+    """Formal combination b*B + f*F + e*E of the three divisor generators."""
+
+    b: int
+    f: int
+    e: int
+
+    def __str__(self):
+        out = []
+        for coeff, name in ((self.b, "B"), (self.f, "F"), (self.e, "E")):
+            if coeff == 0:
+                continue
+            sign = "-" if coeff < 0 else ("+" if out else "")
+            mag = abs(coeff)
+            head = f"{sign} " if out else sign
+            out.append(f"{head}{'' if mag == 1 else mag}{name}")
+        return " ".join(out) if out else "0"
+
+
+def express_in_BFE(kappa_j, j: int) -> BFEExpression:
+    """Divisor expression of a ladder twist class on the j-th surface.
+
+    Verified against the pairing rules B*B=-j, F*F=0, E*E=-1, B*F=1,
+    E*B=E*F=0: the first, fifth, and third entries of kappa_j must be the
+    pairings with B, F, and E.
+    """
+    kappa_j = tuple(kappa_j)
+    if j % 2 == 1:
+        expr = BFEExpression(-1, -(j + 1) // 2, 0)
+    else:
+        expr = BFEExpression(-1, -(j + 2) // 2, 1)
+    dot_B = expr.b * (-j) + expr.f * 1
+    dot_F = expr.b * 1
+    dot_E = expr.e * (-1)
+    if (kappa_j[0], kappa_j[4], kappa_j[2]) != (dot_B, dot_F, dot_E):
+        raise LatticeError("expression disagrees with the intersection pairings")
+    return expr
+
+
 def normalized_area(points) -> int:
     """Twice the area of conv(points): the number of elementary triangles in a tiling."""
     hull = convex_hull(points)
@@ -221,6 +344,39 @@ class TropicalFunction:
 
 def legendre(sub: Subdivision) -> TropicalFunction:
     return TropicalFunction(tuple((p, Fraction(c)) for p, c in zip(sub.points, sub.nu)))
+
+
+def ray_cast(doubled: tuple[Vec, ...], m: Vec) -> int:
+    """Signed crossings of the rightward horizontal ray from the lattice point m."""
+    x, y = 2 * m[0], 2 * m[1]
+    # the half-open rule below gives a vertex at a local maximum of y to no segment
+    if (x, y) in doubled:
+        raise _on_curve(m)
+    w = 0
+    n = len(doubled)
+    for i in range(n):
+        ax, ay = doubled[i - 1]
+        bx, by = doubled[i]
+        if ay == by:
+            if ay == y and min(ax, bx) <= x <= max(ax, bx):
+                raise _on_curve(m)
+            continue
+        up = ay <= y < by
+        down = by <= y < ay
+        if not (up or down):
+            continue
+        d = by - ay
+        num = (ax - x) * d + (y - ay) * (bx - ax)
+        if num == 0:
+            raise _on_curve(m)
+        if (num > 0) == (d > 0):
+            w += 1 if up else -1
+    return w
+
+
+def winding(gamma, m: Vec) -> int:
+    """Winding number of the GammaCurve gamma about the lattice point m, by one ray cast."""
+    return ray_cast(gamma.doubled, m)
 
 
 def convex_intersection_count(theta: SemiIntegralSupport) -> int:
@@ -265,6 +421,21 @@ def fan_walls(f) -> list[tuple[float, float, float]]:
     return out
 
 
+def fan_pl_gradient(f, pts: np.ndarray) -> np.ndarray:
+    """Linear part of the cone of the FanPL f containing each point."""
+    ang = np.arctan2(pts[:, 1], pts[:, 0])
+    a0 = f._angles[0]
+    ang = a0 + np.mod(ang - a0, 2 * math.pi)
+    idx = np.clip(np.searchsorted(f._angles, ang, side="right") - 1, 0, len(f._angles) - 1)
+    return f._parts[idx]
+
+
+def fan_pl_value(f, pts: np.ndarray) -> np.ndarray:
+    """The FanPL f at each point."""
+    parts = fan_pl_gradient(f, pts)
+    return parts[:, 0] * pts[:, 0] + parts[:, 1] * pts[:, 1]
+
+
 def spot_check_continuity(f, span: float = 2.0, count: int = 40) -> float:
     """Largest value gap across the kink lines of a FanPL at sampled wall points."""
     worst = 0.0
@@ -274,8 +445,8 @@ def spot_check_continuity(f, span: float = 2.0, count: int = 40) -> float:
         base = np.stack([-c * a + t * (-b), -c * b + t * a], axis=1)
         for s in (1.0, -1.0):
             side = base + s * 1e-9 * np.array([a, b])
-            vals = f.value(side)
-            ref = f.value(base - s * 1e-9 * np.array([a, b]))
+            vals = fan_pl_value(f, side)
+            ref = fan_pl_value(f, base - s * 1e-9 * np.array([a, b]))
             worst = max(worst, float(np.max(np.abs(vals - ref))))
     return worst
 
@@ -373,15 +544,15 @@ def split_smoothing(f, p, x, pointwise: bool = False):
     for mid, (y1, y2), wmu, (d1, d2) in split_rule([w for w in lines if abs(w[2]) <= eps + 1e-12], eps, order):
         if pointwise:
             z = x - np.stack([y1.ravel(), y2.ravel()], axis=1)
-            weights, dweights, parts = wmu.ravel(), np.stack([d1.ravel(), d2.ravel()], axis=1), f.gradient(z)
-            value += float(weights @ f.value(z))
+            weights, dweights, parts = wmu.ravel(), np.stack([d1.ravel(), d2.ravel()], axis=1), fan_pl_gradient(f, z)
+            value += float(weights @ fan_pl_value(f, z))
         else:
             mass = wmu.sum(axis=2)
             # y2 is constant along a row
             first = np.stack([np.einsum("rpk,rpk->rp", wmu, y1), mass * mid[..., 1]], axis=-1).reshape(-1, 2)
             weights = mass.ravel()
             dweights = np.stack([d1.sum(axis=2), d2.sum(axis=2)], axis=-1).reshape(-1, 2)
-            parts = f.gradient(x - mid.reshape(-1, 2))
+            parts = fan_pl_gradient(f, x - mid.reshape(-1, 2))
             value += float(np.sum(parts * (weights[:, None] * x - first)))
         den += float(np.sum(weights))
         grad += weights @ parts

@@ -9,7 +9,7 @@ import pytest
 import tropcoh.cohomology as cohomology
 from box_scan import counting_points, minus_runs, scan_cohomology_dims, sign_value, signs_at
 from gen_cases import random_smooth_fan, random_theta, riemann_roch
-from oracles import fraction_search_box
+from oracles import fraction_search_box, serre_dual_psi, winding
 from tropcoh import lattice
 from tropcoh.cohomology import (
     CohomologyDims,
@@ -23,7 +23,6 @@ from tropcoh.cohomology import (
     psi_from_ray_values,
     psi_from_theta,
     restriction_degrees,
-    serre_dual_psi,
     verify_winding_theorem,
 )
 from tropcoh.fan import make_fan
@@ -36,7 +35,6 @@ from tropcoh.spheres import (
     twisting,
 )
 from tropcoh.tropical import region_at, tropical_curve
-from tropcoh.winding import winding
 
 P2_FAN_RAYS = [(1, 0), (0, 1), (-1, -1)]
 WORKED_ELL = (-14, 5, -14, -9)

@@ -248,16 +248,8 @@ NAMED_REPORTS = {
 }
 
 
-def test_twist_path_takes_no_fraction_solve(fixture_dir, monkeypatch):
-    """With solve_dual raising in every module, the named sets give the same reports."""
-    real = lattice.solve_dual
-
-    def boom(*args):
-        raise RuntimeError("solve_dual called")
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("tropcoh") and getattr(module, "solve_dual", None) is real:
-            monkeypatch.setattr(module, "solve_dual", boom)
+def test_twist_path_takes_no_fraction_solve(fixture_dir):
+    """The named sets give the same reports, and no module the twist path loads has the Fraction solve."""
 
     def report(region, values):
         rep = verify_winding_theorem(theta_from_twisting(twisting(region, values)))
@@ -271,3 +263,6 @@ def test_twist_path_takes_no_fraction_solve(fixture_dir, monkeypatch):
         for name, ts in doc.twisting_sets.items():
             got[(path.name, name)] = _outcome(report, region_at(curve, ts.region), ts.values)
     assert got == NAMED_REPORTS
+    loaded = {name: module for name, module in sys.modules.items() if name.startswith("tropcoh")}
+    assert {"tropcoh.lattice", "tropcoh.spheres", "tropcoh.winding", "tropcoh.cohomology"} <= set(loaded)
+    assert [name for name, module in loaded.items() if hasattr(module, "solve_dual")] == []

@@ -4,14 +4,13 @@ import dataclasses
 
 import pytest
 
+from oracles import BFEExpression, express_in_BFE
 from tropcoh import ext_chains
 from tropcoh.ext_chains import (
     KINDS,
     A2dExample,
-    BFEExpression,
     SphericalPair,
     build_a2d_example,
-    express_in_BFE,
     ext_total_dims,
     verify_a2d_configuration,
 )

@@ -1,6 +1,5 @@
 """Strict input parsing, canonical serialization, and exact JSON encoding."""
 
-import importlib.util
 import json
 import math
 from collections import OrderedDict
@@ -18,7 +17,6 @@ from tropcoh.io import (
     input_schema,
     parse_input,
     report_bytes,
-    serialize_input,
 )
 
 FIXTURE_NAMES = ("p2.json", "blowup_p2.json", "a2d_d3.json")
@@ -47,7 +45,8 @@ def test_schema_is_valid_draft7():
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_fixtures_are_canonical_and_round_trip(fixture_dir, name):
+def test_fixtures_are_canonical_and_round_trip(fixture_dir, gen_fixtures, name):
+    serialize_input = gen_fixtures.serialize_input
     data = (fixture_dir / name).read_bytes()
     doc = parse_input(data)
     assert serialize_input(doc) == data
@@ -55,12 +54,8 @@ def test_fixtures_are_canonical_and_round_trip(fixture_dir, name):
     assert serialize_input(again) == data
 
 
-def test_fixture_generator_reproduces_the_fixtures(fixture_dir):
-    path = fixture_dir.parent / "tools" / "gen_fixtures.py"
-    spec = importlib.util.spec_from_file_location("gen_fixtures", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    built = gen.build()
+def test_fixture_generator_reproduces_the_fixtures(fixture_dir, gen_fixtures):
+    built = gen_fixtures.build()
     assert sorted(built) == sorted(FIXTURE_NAMES)
     for name, data in built.items():
         assert data == (fixture_dir / name).read_bytes(), name
@@ -193,9 +188,9 @@ def test_integral_floats_are_not_integers(field, value, pointer):
         parse_input(as_bytes(minimal_doc(**{field: value})))
 
 
-def test_serialize_omits_empty_sections():
+def test_serialize_omits_empty_sections(gen_fixtures):
     doc = parse_input(as_bytes(minimal_doc()))
-    out = serialize_input(doc).decode()
+    out = gen_fixtures.serialize_input(doc).decode()
     parsed = json.loads(out)
     assert "twisting_sets" not in parsed
     assert "kink_sets" not in parsed

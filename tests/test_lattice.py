@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gen_cases import random_smooth_fan
-from oracles import dense_integer_kernel
+from oracles import dense_integer_kernel, solve_dual
 from tropcoh import lattice
 from tropcoh.lattice import (
     LatticeError,
@@ -26,7 +26,6 @@ from tropcoh.lattice import (
     rot90,
     row_thresholds,
     slabs,
-    solve_dual,
     threshold_slabs,
     vadd,
     vneg,

@@ -1,0 +1,168 @@
+"""The library is what the CLI runs: every public name in src/tropcoh has a caller there.
+
+The test walks the package's modules with ``ast``.  It lists every public
+module-level function and class, and every public method of those classes,
+and fails on one that no other code in the package uses, unless the
+allow-list below names it with its reason.  An allow-list entry that has
+gained a user in the package, or that no longer exists, fails too, so the
+list only shrinks.  Code that only tests use lives in ``tests/oracles.py``
+or in the tool that uses it.
+
+A module-level name is used when a module loads it by name: its own module
+outside its definition, or a module that imports it from there.  A method
+is used when code calls it as an attribute, or reads an attribute of that
+name that is no data field of any class in the package; a property is used
+when code reads an attribute of its name.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+import tropcoh
+
+SRC = Path(tropcoh.__file__).resolve().parent
+ROOT = SRC.parents[1]
+
+README = "README library entry point"
+BENCH = "tropbench imports (item 1b)"
+SECTIONS = "item 4"
+
+ALLOWED = {
+    "examples.local_p2": README,
+    "examples.blowup_p2": README,
+    "examples.a2d_subdivision": README,
+    "bundles.canonical_KC": README,
+    "fan.fan_at_vertex": BENCH,
+    "polytope.interior_vertices": BENCH,
+    "winding.winding_via_T_auto": BENCH,
+    "smoothing.grad": BENCH,
+    "smoothing.hessian": BENCH,
+    "smoothing.mollify_eval": BENCH,
+    "bundles.PhiMap.apply": BENCH,
+    "bundles.support_function": SECTIONS,
+    "bundles.kinks": SECTIONS,
+    "bundles.support_from_kinks": SECTIONS,
+    "bundles.hms_line_bundle": SECTIONS,
+    "spheres.translate_sphere": SECTIONS,
+}
+
+
+def _parse() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _public_defs(trees):
+    """(qualified name, node, kind) of each public function, class, method and property."""
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            out.append((f"{mod}.{node.name}", node, "global"))
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        prop = any(isinstance(d, ast.Name) and d.id == "property" for d in sub.decorator_list)
+                        out.append((f"{mod}.{node.name}.{sub.name}", sub, "property" if prop else "method"))
+    return out
+
+
+def _data_fields(trees) -> set[str]:
+    """Names of class-body fields and of attributes assigned on self, in any class."""
+    names = set()
+    for tree in trees.values():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    names.add(node.target.id)
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    if isinstance(node.value, ast.Name) and node.value.id == "self":
+                        names.add(node.attr)
+    return names
+
+
+def _imports(trees) -> dict[str, dict[str, tuple[str, str]]]:
+    """Per module, each name imported from a package module: local alias -> (its module, its name)."""
+    out = {mod: {} for mod in trees}
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("tropcoh.")):
+                source = (node.module or "").rpartition(".")[2]
+                for alias in node.names:
+                    out[mod][alias.asname or alias.name] = (source, alias.name)
+    return out
+
+
+def _count(nodes, imported) -> tuple[Counter, Counter]:
+    """Names loaded, keyed (module, name), and attributes used, keyed ("call" or "read", name)."""
+    names, attrs = Counter(), Counter()
+    called = {id(n.func) for n in nodes if isinstance(n, ast.Call)}
+    for n in nodes:
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names[imported.get(n.id, n.id)] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            attrs["call" if id(n) in called else "read", n.attr] += 1
+    return names, attrs
+
+
+def _unused(trees) -> list[str]:
+    fields = _data_fields(trees)
+    imports = _imports(trees)
+    names, attrs = Counter(), Counter()
+    for mod, tree in trees.items():
+        local = {**imports[mod], **{n.name: (mod, n.name) for n in tree.body if hasattr(n, "name")}}
+        n, a = _count(list(ast.walk(tree)), local)
+        names += n
+        attrs += a
+    out = []
+    for qual, node, kind in _public_defs(trees):
+        mod, name = qual.split(".")[0], node.name
+        own_names, own_attrs = _count(list(ast.walk(node)), {name: (mod, name)})
+        if kind == "global":
+            used = names[mod, name] - own_names[mod, name] > 0
+        else:
+            calls = attrs["call", name] - own_attrs["call", name]
+            reads = attrs["read", name] - own_attrs["read", name]
+            used = calls > 0 or (reads > 0 and (kind == "property" or name not in fields))
+        if not used:
+            out.append(qual)
+    return out
+
+
+def test_every_public_name_has_a_library_user_or_a_listed_reason():
+    trees = _parse()
+    unused = _unused(trees)
+    assert [q for q in unused if q not in ALLOWED] == []
+    defined = {q for q, _, _ in _public_defs(trees)}
+    assert sorted(set(ALLOWED) - defined) == [], "allow-listed names that no longer exist"
+    assert sorted(set(ALLOWED) - set(unused)) == [], "allow-listed names that now have a library user"
+
+
+def test_every_allow_list_reason_holds():
+    assert set(ALLOWED.values()) == {README, BENCH, SECTIONS}
+    readme = (ROOT / "README.md").read_text()
+    bench = "\n".join(p.read_text() for p in sorted((ROOT / "tropbench").glob("*.py")))
+    for qual, reason in ALLOWED.items():
+        word = re.compile(rf"\b{qual.rpartition('.')[2]}\b")
+        if reason != SECTIONS:
+            assert word.search(readme if reason == README else bench), qual
+
+
+def test_the_walk_sees_a_name_put_back_without_a_caller():
+    """A function, a method and a Fraction solve added with no caller are reported; one used is not."""
+    trees = _parse()
+    trees["lattice"].body += ast.parse("def solve_dual(u, v, a, b):\n    return solve_dual(v, u, b, a)\n").body
+    fan_cls = next(n for n in trees["fan"].body if isinstance(n, ast.ClassDef) and n.name == "Fan")
+    fan_cls.body += ast.parse("def index_of(self, u):\n    return self.index_of(u)\n").body
+    pl_cls = next(n for n in trees["smoothing"].body if isinstance(n, ast.ClassDef) and n.name == "FanPL")
+    # a data field of another class has this name, and cli reads it
+    pl_cls.body += ast.parse("def gradient(self, pts):\n    return pts\n").body
+    trees["io"].body += ast.parse("def _helper():\n    return used_once()\ndef used_once():\n    return 1\n").body
+    unused = _unused(trees)
+    assert {"lattice.solve_dual", "fan.Fan.index_of", "smoothing.FanPL.gradient"} <= set(unused)
+    assert "io.used_once" not in unused

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import tropcoh
 from conftest import hex_grid
 from oracles import (
+    affine_part,
     euler_characteristic,
     fraction_kinks,
     fraction_slope,
@@ -23,14 +24,13 @@ from oracles import (
     normalized_area,
     opposite_vertex_sides,
 )
-from tropcoh import lattice, polytope
+from tropcoh import polytope
 from tropcoh.bundles import canonical_KC, phi_map
 from tropcoh.examples import a2d_subdivision, blowup_p2, local_p2
 from tropcoh.fan import fan_at_vertex
 from tropcoh.lattice import LatticeError, det2, dot, rot90, vsub
 from tropcoh.polytope import (
     ValidationIssue,
-    affine_part,
     checked,
     convex_hull,
     edge_kinks,
@@ -291,16 +291,8 @@ def test_slopes_reject_a_triangle_that_is_not_elementary():
         slopes(big, big.nu)
 
 
-def test_curve_pipeline_takes_no_fraction_solve(oracle_subdivisions, monkeypatch):
-    """With solve_dual raising everywhere, validation, the curve and Phi still build."""
-    real = lattice.solve_dual
-
-    def boom(*args):
-        raise RuntimeError("solve_dual called")
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("tropcoh") and getattr(module, "solve_dual", None) is real:
-            monkeypatch.setattr(module, "solve_dual", boom)
+def test_curve_pipeline_takes_no_fraction_solve(oracle_subdivisions):
+    """Validation, the curve and Phi build, and no module they load has the Fraction solve."""
     for sub in oracle_subdivisions:
         # a constant shift keeps every kink, and misses the validate cache
         fresh = subdivision(sub.points, sub.triangles, [v + 1 for v in sub.nu])
@@ -308,6 +300,9 @@ def test_curve_pipeline_takes_no_fraction_solve(oracle_subdivisions, monkeypatch
         curve = tropical_curve(fresh)
         phi = phi_map(curve)
         assert len(phi.matrix) == 2 * len(bounded_regions(curve))
+    loaded = {name: module for name, module in sys.modules.items() if name.startswith("tropcoh")}
+    assert {"tropcoh.lattice", "tropcoh.polytope", "tropcoh.tropical", "tropcoh.bundles"} <= set(loaded)
+    assert [name for name, module in loaded.items() if hasattr(module, "solve_dual")] == []
 
 
 def test_interior_vertices(p2_sub, blowup_sub, a2d3_sub):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_canonical_seed
+from oracles import compact_support_class, fraction_canonical_seed
 from tropcoh.bundles import canonical_KC
 from tropcoh.fan import make_fan
 from tropcoh.lattice import LatticeError, dot
@@ -14,8 +14,6 @@ from tropcoh.spheres import (
     GammaCurve,
     SemiIntegralSupport,
     Twisting,
-    compact_support_class,
-    difference_sphere,
     gamma_curve,
     kinks_of_theta,
     theta_from_twisting,
@@ -219,12 +217,14 @@ def test_compact_support_class_rejects_others(blowup_region):
     assert compact_support_class(K, blowup_region) is None
 
 
-def test_difference_sphere_values(p2_region, blowup_region):
+def test_difference_sphere_values(gen_fixtures, p2_region, blowup_region):
+    difference_sphere = gen_fixtures.difference_sphere
     assert difference_sphere(p2_region).ell == (3, 3, 3)
     assert difference_sphere(blowup_region).ell == (2, 1, 2, 3)
 
 
-def test_difference_sphere_a2d(a2d3_regions):
+def test_difference_sphere_a2d(gen_fixtures, a2d3_regions):
+    difference_sphere = gen_fixtures.difference_sphere
     by_vertex = {r.dual_vertex: r for r in a2d3_regions}
     assert difference_sphere(by_vertex[(1, 1)]).ell == (1, 1, 1, 2, 2)
     assert difference_sphere(by_vertex[(2, 1)]).ell == (2, 0, 1, 1, 3)

@@ -7,7 +7,7 @@ import pytest
 
 from box_scan import scan_winding_table
 from gen_cases import random_theta
-from oracles import check_rows_off_curve, convex_intersection_count
+from oracles import check_rows_off_curve, convex_intersection_count, winding
 from tropcoh import lattice
 from tropcoh.fan import make_fan
 from tropcoh.io import parse_input
@@ -20,7 +20,6 @@ from tropcoh.winding import (
     h_even_odd,
     is_strictly_convex,
     probe_directions,
-    winding,
     winding_runs,
     winding_table,
     winding_via_T,

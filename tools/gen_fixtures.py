@@ -1,22 +1,62 @@
 """Regenerate the JSON fixtures under fixtures/ from the stock examples.
 
 Run as ``python tools/gen_fixtures.py``; ``build()`` returns the bytes without
-writing them.
+writing them.  ``serialize_input`` writes an input document in the canonical
+form the fixtures are stored in, and ``difference_sphere`` gives the a2d
+fixture's twisting sets.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
+from typing import Any
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tropcoh.examples import a2d_subdivision, blowup_p2, local_p2
-from tropcoh.io import InputDocument, TwistingSet, serialize_input
-from tropcoh.spheres import difference_sphere
-from tropcoh.tropical import bounded_regions, tropical_curve
+from tropcoh.fan import self_intersections
+from tropcoh.io import InputDocument, TwistingSet
+from tropcoh.spheres import Twisting, twisting
+from tropcoh.tropical import BoundedRegion, bounded_regions, tropical_curve
 
 OUT = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def serialize_input(doc: InputDocument) -> bytes:
+    raw: dict[str, Any] = {
+        "format": "tropcoh-input",
+        "version": 1,
+        "points": [list(p) for p in doc.points],
+        "triangles": [list(t) for t in doc.triangles],
+        "nu": list(doc.nu),
+    }
+    if doc.twisting_sets:
+        raw["twisting_sets"] = {
+            name: (
+                {"region": list(ts.region), "values": list(ts.values)}
+                if ts.region is not None
+                else {"values": list(ts.values)}
+            )
+            for name, ts in doc.twisting_sets.items()
+        }
+    if doc.kink_sets:
+        raw["kink_sets"] = {name: list(v) for name, v in doc.kink_sets.items()}
+    opt_fields = {}
+    if doc.options.epsilon is not None:
+        opt_fields["epsilon"] = doc.options.epsilon
+    if doc.options.quadrature_order is not None:
+        opt_fields["quadrature_order"] = doc.options.quadrature_order
+    if opt_fields:
+        raw["options"] = opt_fields
+    return (json.dumps(raw, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def difference_sphere(region: BoundedRegion) -> Twisting:
+    """Twisting numbers of the sphere representing a difference of sections."""
+    b = self_intersections(region.fan)
+    return twisting(region, tuple(x + 2 for x in b))
 
 
 def doc_from(sub, twisting_sets=None, kink_sets=None) -> InputDocument:
