@@ -81,11 +81,6 @@ def phi_map(curve: TropicalCurve) -> PhiMap:
     return PhiMap(order, tuple(verts), tuple(rows))
 
 
-def picard_basis(curve: TropicalCurve) -> list[dict[EdgeKey, int]]:
-    phi = phi_map(curve)
-    return [dict(zip(phi.edge_order, v)) for v in phi.kernel_vectors()]
-
-
 def _check_cocycle(
     curve: TropicalCurve, K: KinkVector, regions: Sequence[BoundedRegion] | None = None
 ) -> None:

@@ -55,8 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", help="bounded region: index or interior vertex 'x,y'")
     p.add_argument("--ell", help="twisting numbers: named set or comma list")
     p.add_argument("--samples", type=int, default=24, help="Hessian sample count")
-    p.add_argument("--epsilon", type=float, help="mollifier radius")
-    p.add_argument("--order", type=int, help="quadrature order")
+    p.add_argument("--epsilon", type=float, default=0.25, help="mollifier radius")
+    p.add_argument("--order", type=int, default=24, help="quadrature order")
     return parser
 
 
@@ -133,7 +133,7 @@ def _emit(args, result) -> None:
 def _theta_pipeline(args):
     """Shared resolution: document -> region -> validated twisting -> theta.
 
-    Returns the document, the region, the twisting set and theta.
+    Returns the region, the twisting set and theta.
     """
     from .spheres import theta_from_twisting, twisting
 
@@ -141,7 +141,7 @@ def _theta_pipeline(args):
     curve = tropical_curve(doc.subdivision())
     region = _resolve_region(curve, args.region, doc.twisting_sets.get(args.ell))
     ell = _resolve_ell(doc, args.ell)
-    return doc, region, ell, theta_from_twisting(twisting(region, ell.values))
+    return region, ell, theta_from_twisting(twisting(region, ell.values))
 
 
 def _edge_key_json(key):
@@ -194,24 +194,21 @@ def _cmd_tropical(args) -> dict | bytes:
 
 
 def _cmd_picard(args) -> dict:
-    from .bundles import picard_basis
+    from .bundles import phi_map
 
-    doc = _load(args)
-    sub = doc.subdivision()
-    curve = tropical_curve(sub)
-    keys = interior_edge_keys(sub)
-    basis = picard_basis(curve)
+    phi = phi_map(tropical_curve(_load(args).subdivision()))
+    basis = phi.kernel_vectors()
     return {
         "rank": len(basis),
-        "edge_order": [_edge_key_json(k) for k in keys],
-        "basis": [[vec.get(k, 0) for k in keys] for vec in basis],
+        "edge_order": [_edge_key_json(k) for k in phi.edge_order],
+        "basis": [list(vec) for vec in basis],
     }
 
 
 def _cmd_sphere(args) -> dict | bytes:
     from .spheres import gamma_curve
 
-    _, region, ell, theta = _theta_pipeline(args)
+    region, ell, theta = _theta_pipeline(args)
     gamma = gamma_curve(theta)
     if args.format == "svg":
         from .svg import render_svg
@@ -229,7 +226,7 @@ def _cmd_winding(args) -> dict | bytes:
     from .spheres import gamma_curve
     from .winding import winding_table
 
-    _, region, _, theta = _theta_pipeline(args)
+    region, _, theta = _theta_pipeline(args)
     table = winding_table(theta)
     if args.format == "svg":
         from .svg import render_svg
@@ -248,7 +245,7 @@ def _cmd_winding(args) -> dict | bytes:
 def _cmd_cohomology(args) -> dict:
     from .cohomology import cohomology_dims, divisor_coeffs, psi_from_theta, restriction_degrees
 
-    _, region, _, theta = _theta_pipeline(args)
+    region, _, theta = _theta_pipeline(args)
     psi = psi_from_theta(theta)
     dims = cohomology_dims(psi)
     return {
@@ -264,7 +261,7 @@ def _cmd_cohomology(args) -> dict:
 def _cmd_verify_winding(args) -> dict:
     from .cohomology import verify_winding_theorem
 
-    _, region, _, theta = _theta_pipeline(args)
+    region, _, theta = _theta_pipeline(args)
     rep = verify_winding_theorem(theta)
     result = {
         "region": list(region.dual_vertex),
@@ -314,20 +311,14 @@ def _cmd_smooth_check(args) -> dict:
     # numpy is loaded here only, so the other commands start without it
     from .smoothing import MollifierParams, check_hessian_definiteness
 
-    doc, region, _, theta = _theta_pipeline(args)
-    epsilon = args.epsilon if args.epsilon is not None else doc.options.epsilon or 0.25
-    order = args.order if args.order is not None else doc.options.quadrature_order
-    params = (
-        MollifierParams(epsilon=epsilon)
-        if order is None
-        else MollifierParams(epsilon=epsilon, quadrature_order=order)
-    )
+    region, _, theta = _theta_pipeline(args)
+    params = MollifierParams(epsilon=args.epsilon, quadrature_order=args.order)
     rep = check_hessian_definiteness(theta, params, args.samples)
     result = {
         "region": list(region.dual_vertex),
         "convexity": rep.convexity,
-        "epsilon": epsilon,
-        "quadrature_order": params.quadrature_order,
+        "epsilon": args.epsilon,
+        "quadrature_order": args.order,
         "hessian_samples": rep.hessian_samples,
         "hessian_failures": rep.hessian_failures,
         "min_abs_eigenvalue": rep.min_abs_eigenvalue,

@@ -46,19 +46,12 @@ class TwistingSet:
 
 
 @dataclass(frozen=True)
-class InputOptions:
-    epsilon: Optional[float] = None
-    quadrature_order: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class InputDocument:
     points: tuple[Vec, ...]
     triangles: tuple[tuple[int, int, int], ...]
     nu: tuple[int, ...]
     twisting_sets: Mapping[str, TwistingSet] = field(default_factory=dict)
     kink_sets: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
-    options: InputOptions = InputOptions()
 
     def subdivision(self) -> Subdivision:
         return subdivision(self.points, self.triangles, self.nu)
@@ -93,9 +86,9 @@ def _unique_keys(pairs: list) -> dict:
 # word. One rule is stricter: "integer" means a JSON integer, so 2.0 is
 # rejected where Draft 7 would accept it.
 
-_TYPES = {"integer": (int,), "number": (int, float), "array": (list,), "object": (dict,)}
+_TYPES = {"integer": (int,), "array": (list,), "object": (dict,)}
 _KEYWORDS = frozenset(
-    {"type", "const", "minimum", "exclusiveMinimum", "minItems", "maxItems", "required"}
+    {"type", "const", "minimum", "minItems", "maxItems", "required"}
     | {"additionalProperties", "properties", "items", "$ref"}
     | {"$schema", "$id", "title", "description", "definitions"}  # annotations
 )
@@ -113,10 +106,8 @@ def _keyword_error(word: str, arg, value, node: dict) -> Optional[str]:
     # jsonschema's equality: 1.0 matches 1, but True does not
     if word == "const" and ((kind is bool) != (type(arg) is bool) or value != arg):
         return f"{arg!r} was expected"
-    if word == "minimum" and kind in _TYPES["number"] and value < arg:
+    if word == "minimum" and kind in (int, float) and value < arg:
         return f"{value!r} is less than the minimum of {arg!r}"
-    if word == "exclusiveMinimum" and kind in _TYPES["number"] and value <= arg:
-        return f"{value!r} is less than or equal to the minimum of {arg!r}"
     if word == "minItems" and kind is list and len(value) < arg:
         return f"{value!r} " + ("should be non-empty" if arg == 1 else "is too short")
     if word == "maxItems" and kind is list and len(value) > arg:
@@ -216,12 +207,7 @@ def parse_input(data: bytes) -> InputDocument:
             _check_cocycle(curve, dict(zip(order, vals)))
         except LatticeError as exc:
             raise InputError(f"{where}: {exc}") from exc
-    opts = raw.get("options", {})
-    options = InputOptions(
-        epsilon=opts.get("epsilon"),
-        quadrature_order=opts.get("quadrature_order"),
-    )
-    return InputDocument(points, triangles, nu, tsets, ksets, options)
+    return InputDocument(points, triangles, nu, tsets, ksets)
 
 
 def _json(value, nl: str) -> str:

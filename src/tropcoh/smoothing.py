@@ -50,9 +50,14 @@ class FanPL:
 
 # The fan rule takes 2 order^2 nodes per cone that meets a point's disk: every
 # cone at the `samples` Hessian points near the fan vertex, one or two at the
-# about samples / 4 gradient points out along the rays.
+# about samples / 4 gradient points out along the rays.  Each factor has its
+# limit, and so does their product, the node count samples x rays x 2 order^2:
+# on p2 (3 rays) 10^8 nodes allow 104 samples at order 400, about 1.5 s once
+# the rule is built, on a shared 2-vCPU host, and 10_000 samples at order 24
+# take 34.6 million.
 MAX_QUADRATURE_ORDER = 400
 MAX_SAMPLES = 10_000
+MAX_QUADRATURE_NODES = 10**8
 # The gradient's roundoff grows with |2 theta|: on the convex and concave fixture
 # sets scaled by 10^k + 1, max_gamma_distance first passes 1e-5 at |2 theta| = 3e11.
 MAX_DOUBLED_THETA = 10**10
@@ -355,6 +360,13 @@ def check_hessian_definiteness(
         raise LatticeError(f"Hessian sample count must be positive, got {samples}")
     if samples > MAX_SAMPLES:
         raise SizeLimitError(f"{samples} Hessian samples is above the limit of {MAX_SAMPLES}")
+    rays, order = len(theta.fan.rays), p.quadrature_order
+    nodes = samples * rays * 2 * order * order
+    if nodes > MAX_QUADRATURE_NODES:
+        raise SizeLimitError(
+            f"{samples} Hessian samples on {rays} rays at quadrature order {order} take about "
+            f"{nodes} quadrature nodes, above the limit of {MAX_QUADRATURE_NODES}"
+        )
     big = max(abs(c) for t in theta.doubled for c in t)
     if big > MAX_DOUBLED_THETA:
         raise SizeLimitError(f"a doubled theta coordinate is {big}, above the limit of {MAX_DOUBLED_THETA}")

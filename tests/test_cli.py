@@ -28,6 +28,7 @@ from tropcoh.winding import MAX_SWEEP_ROWS, MAX_TABLE_POINTS
 P2 = "p2.json"
 BLOWUP = "blowup_p2.json"
 A2D = "a2d_d3.json"
+OPTIONS_UNEXPECTED = "Additional properties are not allowed ('options' was unexpected)"
 
 pytestmark = pytest.mark.usefixtures("schema_oracle")
 
@@ -368,20 +369,22 @@ def test_cli_import_loads_neither_numpy_nor_jsonschema(fixture_dir):
     assert "tropcoh.cohomology" in after_rest
 
 
-@pytest.mark.parametrize("option, value", [("margin", 2.0), ("quadrature_order", 24.0)])
-def test_options_take_json_integers_only(run, fixture_dir, tmp_path, option, value):
+@pytest.mark.parametrize("field, value", [("margin", 2.0), ("nu", 2.0)])
+def test_options_take_json_integers_only(run, fixture_dir, tmp_path, field, value):
     """Draft 7 takes 2.0 as an integer; cohomology then failed with a TypeError traceback.
 
-    margin is no longer an option, so any value of it is refused as unexpected.
+    margin and the options section that held it are gone, so any value of it is
+    refused as unexpected.
     """
     raw = json.loads((fixture_dir / P2).read_bytes())
-    raw["options"] = {option: value}
+    if field == "margin":
+        raw["options"] = {field: value}
+        expected = f"invalid input at document root: {OPTIONS_UNEXPECTED}"
+    else:
+        raw["nu"][0] = value
+        expected = f"invalid input at /nu/0: {value!r} is not of type 'integer'"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
-    if option == "margin":
-        expected = "invalid input at /options: Additional properties are not allowed ('margin' was unexpected)"
-    else:
-        expected = f"invalid input at /options/{option}: {value!r} is not of type 'integer'"
     for command in ("cohomology", "smooth-check"):
         code, out, err = run(command, None, "--input", str(bad), "--ell", "cap_k1")
         assert code == 2
@@ -454,6 +457,28 @@ def test_smooth_check(run):
     assert "witness" not in result
 
 
+def test_smooth_check_defaults_come_from_the_flags(run):
+    code, out, _ = run("smooth-check", P2, "--ell", "cap_k1")
+    assert code == 0
+    result = out_json(out)["result"]
+    assert (result["epsilon"], result["quadrature_order"]) == (0.25, 24)
+
+
+@pytest.mark.parametrize("options", [{}, {"epsilon": 0.5}, {"epsilon": 0.5, "quadrature_order": 8}])
+@pytest.mark.parametrize("command", ["validate", "smooth-check"])
+def test_a_document_with_options_is_refused(run, fixture_dir, tmp_path, options, command):
+    """The mollifier radius and quadrature order are set by --epsilon and --order alone."""
+    raw = json.loads((fixture_dir / P2).read_bytes())
+    raw["options"] = options
+    doc = tmp_path / "options.json"
+    doc.write_text(json.dumps(raw))
+    ell = ("--ell", "cap_k1") if command == "smooth-check" else ()
+    code, out, err = run(command, None, "--input", str(doc), *ell)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: invalid input at document root: {OPTIONS_UNEXPECTED}\n"
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -477,6 +502,16 @@ def test_smooth_check_rejects_bad_flags(run, flags, message):
     [
         (("--order", str(smoothing.MAX_QUADRATURE_ORDER + 1)), "quadrature order 401 is above the limit of 400"),
         (("--samples", str(smoothing.MAX_SAMPLES + 1)), "10001 Hessian samples is above the limit of 10000"),
+        (
+            ("--samples", "105", "--order", "400"),
+            "105 Hessian samples on 3 rays at quadrature order 400 take about 100800000 quadrature nodes,"
+            " above the limit of 100000000",
+        ),
+        (
+            ("--samples", str(smoothing.MAX_SAMPLES), "--order", "400"),
+            "10000 Hessian samples on 3 rays at quadrature order 400 take about 9600000000 quadrature nodes,"
+            " above the limit of 100000000",
+        ),
     ],
 )
 def test_smooth_check_size_limits(run, monkeypatch, flags, message):
@@ -516,17 +551,6 @@ def test_svg_outside_the_float_range_exits_2(run, fixture_dir, tmp_path):
         assert code == 2
         assert out == ""
         assert err == "error: the figure's coordinates lie outside the float range\n"
-
-
-def test_smooth_check_order_limit_in_the_document(run, fixture_dir, tmp_path):
-    raw = json.loads((fixture_dir / P2).read_bytes())
-    raw["options"] = {"quadrature_order": smoothing.MAX_QUADRATURE_ORDER + 1}
-    doc = tmp_path / "order.json"
-    doc.write_text(json.dumps(raw))
-    code, out, err = run("smooth-check", None, "--input", str(doc), "--ell", "cap_k1")
-    assert code == 2
-    assert out == ""
-    assert err == "error: quadrature order 401 is above the limit of 400\n"
 
 
 def test_failed_hessian_sample_is_the_witness(run, monkeypatch):
@@ -646,7 +670,7 @@ def test_integer_literal_past_the_digit_limit(run, fixture_dir, tmp_path):
 @pytest.mark.parametrize("token", ["NaN", "Infinity"])
 def test_non_json_constant_in_document(run, fixture_dir, tmp_path, token):
     raw = json.loads((fixture_dir / P2).read_bytes())
-    raw["options"] = {"epsilon": float(token.lower())}
+    raw["nu"][0] = float(token.lower())
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     code, out, err = run("validate", None, "--input", str(bad))

@@ -72,8 +72,6 @@ def test_p2_named_sets(fixture_dir):
     assert doc.twisting_sets["cap_k1"].region == (0, 0)
     assert doc.twisting_sets["bad_parity"].values == (2, 3, 3)
     assert doc.kink_sets["canonical"] == (-3, -3, -3)
-    assert doc.options.epsilon is None
-    assert doc.options.quadrature_order is None
 
 
 def test_empty_document():
@@ -120,7 +118,7 @@ def test_duplicate_nested_key_is_a_parse_error():
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_non_json_constants_are_rejected(token):
-    data = as_bytes(minimal_doc(options={"epsilon": 0.5})).replace(b"0.5", token.encode())
+    data = as_bytes(minimal_doc(nu=[0.5, 1, 1, 1])).replace(b"0.5", token.encode())
     with pytest.raises(InputError, match=f"parse error: {token} is not a JSON value"):
         parse_input(data)
 
@@ -164,13 +162,16 @@ def test_twisting_set_requires_values():
 
 
 def test_options_margin_must_be_nonnegative():
-    """margin widened a cohomology search box that is gone; now no value of it is taken."""
+    """margin widened a cohomology search box that is gone; now no value of it is taken.
+
+    The options section that held it is gone too, so the document root refuses it.
+    """
     for value in (-1, 0, 3):
         doc = minimal_doc(options={"margin": value})
         with pytest.raises(InputError) as raised:
             parse_input(as_bytes(doc))
         assert str(raised.value) == (
-            "invalid input at /options: Additional properties are not allowed ('margin' was unexpected)"
+            "invalid input at document root: Additional properties are not allowed ('options' was unexpected)"
         )
 
 
@@ -194,7 +195,6 @@ def test_serialize_omits_empty_sections(gen_fixtures):
     parsed = json.loads(out)
     assert "twisting_sets" not in parsed
     assert "kink_sets" not in parsed
-    assert "options" not in parsed
     assert out.endswith("\n")
 
 

@@ -15,12 +15,11 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from oracles import schema_first_error
 from test_io_schema import FIXTURE_NAMES, minimal_doc
-from tropcoh.io import _KEYWORDS, _schema_error, input_schema
+from tropcoh.io import _KEYWORDS, _TYPES, _schema_error, input_schema
 
 BASES = {name: json.loads((FIXTURES / name).read_bytes()) for name in FIXTURE_NAMES}
 BASES["minimal"] = minimal_doc()
 BASES["every_section"] = minimal_doc(
-    options={"epsilon": 0.5, "quadrature_order": 8},
     twisting_sets={"a": {"values": [3, 3, 3]}, "b/c": {"region": [0, 0], "values": [1, 1, 1]}},
     kink_sets={"k": [-3, -3, -3]},
 )
@@ -73,7 +72,7 @@ def mutated(draw):
             target = draw(st.sampled_from(nonempty))
             del target[draw(st.sampled_from(sorted(target)))]
         elif kind == "add" and dicts:
-            # the root, a twisting set, options, or any other object
+            # the root, a twisting set, or any other object
             draw(st.sampled_from(dicts))[draw(NAMES)] = draw(VALUES)
         elif kind == "resize" and lists:
             target = draw(st.sampled_from(lists))
@@ -125,20 +124,16 @@ def test_check_accepts_what_jsonschema_accepts(name):
         (minimal_doc(version=True), ("version",), "1 was expected"),
         (minimal_doc(triangles=[[0, -1, 2]]), ("triangles", 0, 1), "-1 is less than the minimum of 0"),
         (
-            minimal_doc(options={"epsilon": 0}),
-            ("options", "epsilon"),
-            "0 is less than or equal to the minimum of 0",
+            minimal_doc(twisting_sets={"a": {"values": [3, 3, 3], "seed": 1}}),
+            ("twisting_sets", "a"),
+            "Additional properties are not allowed ('seed' was unexpected)",
         ),
         (
-            minimal_doc(options={"quadrature_order": 0}),
-            ("options", "quadrature_order"),
-            "0 is less than the minimum of 1",
+            minimal_doc(triangles=[[0, 1, 2], [0, 2, -3], [0, 3, 1]]),
+            ("triangles", 1, 2),
+            "-3 is less than the minimum of 0",
         ),
-        (
-            minimal_doc(options={"quadrature_order": 2.0}),
-            ("options", "quadrature_order"),
-            "2.0 is not of type 'integer'",
-        ),
+        (minimal_doc(nu=[2.0, 1, 1, 1]), ("nu", 0), "2.0 is not of type 'integer'"),
     ],
 )
 def test_check_names_jsonschemas_first_error(doc, pointer, message):
@@ -159,6 +154,15 @@ def schema_nodes(node):
 def test_every_keyword_of_the_published_schema_is_implemented():
     used = {word for node in schema_nodes(input_schema()) for word in node}
     assert used <= _KEYWORDS, used - _KEYWORDS
+
+
+def test_every_keyword_and_type_the_walker_implements_is_in_the_published_schema():
+    """A walker branch that no schema node reaches is dead code."""
+    found = list(schema_nodes(input_schema()))
+    used = {word for node in found for word in node}
+    assert _KEYWORDS <= used, _KEYWORDS - used
+    types = {node["type"] for node in found if "type" in node}
+    assert set(_TYPES) <= types, set(_TYPES) - types
 
 
 def test_a_keyword_the_walker_does_not_implement_raises():

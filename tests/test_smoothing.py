@@ -28,6 +28,7 @@ from oracles import (
 from tropcoh.fan import make_fan
 from tropcoh.lattice import LatticeError, dot, lex_positive, rot90, vsub
 from tropcoh.smoothing import (
+    MAX_QUADRATURE_NODES,
     MAX_QUADRATURE_ORDER,
     MAX_SAMPLES,
     FanPL,
@@ -262,6 +263,24 @@ def test_sample_limit_is_checked_before_any_quadrature(p2_theta, monkeypatch):
     monkeypatch.setattr(smoothing, "fan_derivatives", refuse)
     with pytest.raises(SizeLimitError, match=f"above the limit of {MAX_SAMPLES}"):
         check_hessian_definiteness(p2_theta, MollifierParams(0.2), samples=MAX_SAMPLES + 1)
+
+
+def test_node_limit_is_checked_before_any_quadrature(p2_theta, monkeypatch):
+    """samples x rays x 2 order^2 is bounded, and each factor's own limit still fits on p2."""
+
+    def refuse(*args):
+        raise AssertionError("quadrature started")
+
+    monkeypatch.setattr(smoothing, "fan_derivatives", refuse)
+    for samples, order in ((24, MAX_QUADRATURE_ORDER), (MAX_SAMPLES, 24), (104, MAX_QUADRATURE_ORDER)):
+        with pytest.raises(AssertionError, match="quadrature started"):
+            check_hessian_definiteness(p2_theta, MollifierParams(0.25, order), samples)
+    message = (
+        "105 Hessian samples on 3 rays at quadrature order 400 take about 100800000 quadrature nodes, "
+        f"above the limit of {MAX_QUADRATURE_NODES}"
+    )
+    with pytest.raises(SizeLimitError, match=f"^{message}$"):
+        check_hessian_definiteness(p2_theta, MollifierParams(0.25, MAX_QUADRATURE_ORDER), 105)
 
 
 def test_report_names_the_worst_samples(p2_theta):

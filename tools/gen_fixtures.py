@@ -43,13 +43,6 @@ def serialize_input(doc: InputDocument) -> bytes:
         }
     if doc.kink_sets:
         raw["kink_sets"] = {name: list(v) for name, v in doc.kink_sets.items()}
-    opt_fields = {}
-    if doc.options.epsilon is not None:
-        opt_fields["epsilon"] = doc.options.epsilon
-    if doc.options.quadrature_order is not None:
-        opt_fields["quadrature_order"] = doc.options.quadrature_order
-    if opt_fields:
-        raw["options"] = opt_fields
     return (json.dumps(raw, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 

@@ -17,13 +17,14 @@ the default order and at ``--order 64``), and on a few invalid twistings;
 then the ``winding`` table, as JSON and as SVG, on p2 at ell = +-(2k + 1)
 for k < 60 and on the blowup ``mixed_sign`` set times k for -9 <= k <= 9;
 then ``a2d`` for 1 <= d <= 60, and ``picard`` and ``tropical`` (also as SVG)
-on every fixture; then ``validate`` on documents the sweep builds itself (``documents``): one
-per rule of the input schema, one carrying the removed ``margin`` option, a
-set name holding "~" and "/", bytes that are not UTF-8, ``NaN``, nesting too
-deep to parse, a key given twice, a missing lattice point, two triangles on
-one side of an edge, an elementary triangle in a 3000 x 2999 box, triangles
-of the 2 x 1 rectangle that add up to its area but overlap, and a triangle
-listed by its corners at 10^9.
+on every fixture; then ``validate`` on documents the sweep builds itself
+(``documents``): one per rule of the input schema, one carrying the removed
+``options`` section with its removed ``margin`` option, a set name holding "~"
+and "/", bytes that are not UTF-8, ``NaN``, nesting too deep to parse, a key
+given twice, a missing lattice point, two triangles on one side of an edge,
+an elementary triangle in a 3000 x 2999 box, triangles of the 2 x 1 rectangle
+that add up to its area but overlap, and a triangle listed by its corners at
+10^9.
 Paths in argv are relative to the checkout root, and a built document is
 hashed by its bytes in place of its temporary path, so the digest does not
 depend on where the checkout lives.
@@ -116,18 +117,21 @@ def documents() -> dict[str, bytes]:
     """The documents ``validate`` reads after the fixture sweep, by name, in a fixed order."""
     n = 3000
     docs = {
-        "valid": _doc(options={"epsilon": 0.5, "quadrature_order": 8}),
+        "valid": _doc(
+            twisting_sets={"a": {"values": [3, 3, 3]}, "b/c": {"region": [0, 0], "values": [1, 1, 1]}},
+            kink_sets={"k": [-3, -3, -3]},
+        ),
         "type-array": _doc(nu="abc"),
         "type-integer": _doc(points=[[0, 0], [1, 0.5], [0, 1], [-1, -1]]),
-        "type-integer-float": _doc(options={"quadrature_order": 2.0}),
-        "type-number": _doc(options={"epsilon": "0.5"}),
+        "type-integer-float": _doc(nu=[2.0, 1, 1, 1]),
+        "type-integer-string": _doc(kink_sets={"k": [-3, "-3", -3]}),
         "type-object": _doc(twisting_sets=[]),
         "const-string": _doc(format="other"),
         "const-bool": _doc(version=True),
         "const-float": _doc(version=1.0),
         "minimum": _doc(triangles=[[0, 1, 2], [0, 2, -3], [0, 3, 1]]),
-        "minimum-option": _doc(options={"quadrature_order": 0}),
-        "exclusiveMinimum": _doc(options={"epsilon": 0}),
+        "minimum-first": _doc(triangles=[[-1, 1, 2], [0, 2, 3], [0, 3, 1]]),
+        "type-object-entry": _doc(twisting_sets={"a": [3, 3, 3]}),
         "minItems-empty": _doc(triangles=[]),
         "minItems-short": _doc(points=[[0, 0], [1, 0]]),
         "minItems-point": _doc(points=[[0, 0], [1], [0, 1], [-1, -1]]),
@@ -136,7 +140,7 @@ def documents() -> dict[str, bytes]:
         "required-values": _doc(twisting_sets={"a": {"region": [0, 0]}}),
         "additionalProperties": _doc(flavor="mint"),
         "additionalProperties-plural": _doc(flavor="mint", colour="red"),
-        "additionalProperties-option": _doc(options={"epsilon": 0.5, "seed": 1}),
+        "additionalProperties-entry": _doc(twisting_sets={"a": {"values": [3, 3, 3], "seed": 1}}),
         "additionalProperties-margin": _doc(options={"margin": 1}),
         "additionalProperties-schema": _doc(kink_sets={"k": "s"}),
         "pointer-escape": _doc(twisting_sets={"a~/b": {"values": [3, "3", 3]}}),
@@ -156,7 +160,7 @@ def documents() -> dict[str, bytes]:
     }
     built = {name: json.dumps(doc).encode() for name, doc in docs.items()}
     built["not-utf-8"] = b'{"format": "tropcoh-input\xff"}'
-    built["nan"] = json.dumps(_doc(options={"epsilon": 0.5})).replace("0.5", "NaN").encode()
+    built["nan"] = json.dumps(_doc(nu=[0.5, 1, 1, 1])).replace("0.5", "NaN").encode()
     built["too-deep"] = b"[" * 100000 + b"]" * 100000
     twice = '"nu": [0, 1, 1, 1], "nu": [5, 5, 5, 5]'
     built["duplicate-key"] = json.dumps(_doc()).replace('"nu": [0, 1, 1, 1]', twice).encode()
