@@ -59,7 +59,7 @@ class PhiMap:
         vec = [_kink_entry(K, key) for key in self.edge_order]
         return tuple(sum(r * v for r, v in zip(row, vec)) for row in self.matrix)
 
-    def kernel_vectors(self) -> tuple[tuple[int, ...], ...]:
+    def kernel_vectors(self) -> list[list[int]]:
         return integer_kernel(self.matrix, ncols=len(self.edge_order))
 
 

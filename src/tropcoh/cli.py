@@ -201,7 +201,7 @@ def _cmd_picard(args) -> dict:
     return {
         "rank": len(basis),
         "edge_order": [_edge_key_json(k) for k in phi.edge_order],
-        "basis": [list(vec) for vec in basis],
+        "basis": basis,
     }
 
 

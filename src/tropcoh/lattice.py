@@ -225,17 +225,22 @@ def threshold_slabs(lines, first: int, last: int, starts: Iterable[int] = ()):
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> list[list[int]]:
     """Z-basis of the integer kernel of the matrix with the given rows.
 
-    Unimodular column operations reduce the matrix to column echelon form
-    while the same operations accumulate in an identity matrix; the
-    accumulated columns sitting over zero columns form a saturated basis of
-    the kernel (any integer solution is an integer combination of them).
+    Unimodular column operations G1, ..., Gn (two-column combines and swaps)
+    reduce the matrix A to column echelon form A T, T = G1 ... Gn.  The
+    columns of T over the zero columns of A T, T E_S with E_S selecting
+    those positions, form a saturated basis of the kernel (any integer
+    solution is an integer combination of them).
 
-    Columns and transform are sparse, and each row keeps the positions of the
-    unreduced columns that are nonzero there.  Row r visits only those, in
-    increasing position.  A column operation on (lead, j) leaves row r
-    nonzero in lead and zero in j and does not touch the other columns, so
-    this is the operation sequence of a dense sweep over every column, and
-    the basis is the same.
+    Columns are sparse, and each row keeps the positions of the unreduced
+    columns that are nonzero there.  Row r visits only those, in increasing
+    position.  A column operation on (lead, j) leaves row r nonzero in lead
+    and zero in j and does not touch the other columns, so this is the
+    operation sequence of a dense sweep over every column, and the basis is
+    the same.
+
+    T itself is never built.  The sweep records G1, ..., Gn, and the basis
+    T E_S = G1 (G2 (... (Gn E_S))) is computed from the right, replaying
+    them in reverse as row operations on the kernel columns only.
     """
     nrows = len(rows)
     if ncols is None:
@@ -246,7 +251,7 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> l
         raise LatticeError("ragged matrix")
 
     cols: list[dict[int, int]] = [{} for _ in range(ncols)]
-    trans: list[dict[int, int]] = [{j: 1} for j in range(ncols)]
+    ops: list[tuple[int, ...]] = []  # (j0, j1, a, b, c, d) per combine, (pivot, lead) per swap
     nonzero: list[set[int]] = []  # row -> positions of unreduced columns nonzero there
     positions = range(ncols)
     for i, row in enumerate(rows):
@@ -276,7 +281,7 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> l
                 nonzero[i].discard(j)
             for i in new.keys() - old.keys():
                 nonzero[i].add(j)
-        trans[j0], trans[j1] = mix(trans[j0], trans[j1], a, b, c, d)
+        ops.append((j0, j1, a, b, c, d))
 
     pivot = 0
     for r in range(nrows):
@@ -297,15 +302,24 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> l
                 for i in cols[pivot]:
                     nonzero[i].discard(pivot)
                     nonzero[i].add(lead)
+                ops.append((pivot, lead))
             cols[pivot], cols[lead] = cols[lead], cols[pivot]
-            trans[pivot], trans[lead] = trans[lead], trans[pivot]
             pivot += 1
-    kernel = []
-    for t in trans[pivot:]:
-        vec = [0] * ncols
-        for i, x in t.items():
-            vec[i] = x
-        kernel.append(vec)
+    # from the right: the combine that maps columns (j0, j1) of T by (a, b, c, d)
+    # maps rows (j0, j1) of the running product by (a, c, b, d)
+    basis_rows: list[dict[int, int]] = [{} for _ in range(pivot)]
+    basis_rows += [{s: 1} for s in range(ncols - pivot)]
+    for op in reversed(ops):
+        if len(op) == 2:
+            p, q = op
+            basis_rows[p], basis_rows[q] = basis_rows[q], basis_rows[p]
+        else:
+            j0, j1, a, b, c, d = op
+            basis_rows[j0], basis_rows[j1] = mix(basis_rows[j0], basis_rows[j1], a, c, b, d)
+    kernel = [[0] * ncols for _ in range(ncols - pivot)]
+    for j, row in enumerate(basis_rows):
+        for s, x in row.items():
+            kernel[s][j] = x
     return kernel
 
 

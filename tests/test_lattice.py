@@ -138,6 +138,21 @@ def test_integer_kernel_equals_the_dense_echelon(case):
         assert integer_kernel(rows) == want
 
 
+@st.composite
+def larger_sparse_matrices(draw):
+    """Up to 14 x 20, mostly zeros: non-unit leads and pivot swaps deep in a long sweep."""
+    nrows = draw(st.integers(0, 14))
+    ncols = draw(st.integers(1, 20))
+    row = st.lists(sparse_entries, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols
+
+
+@given(larger_sparse_matrices())
+def test_integer_kernel_equals_the_dense_echelon_on_larger_matrices(case):
+    rows, ncols = case
+    assert integer_kernel(rows, ncols) == dense_integer_kernel(rows, ncols)
+
+
 def test_integer_kernel_equals_the_dense_echelon_on_fan_balance_matrices():
     """The 2 x r balancing rows of random smooth fans, as the twisting draws use them."""
     rng = random.Random(5)

@@ -17,14 +17,16 @@ the default order and at ``--order 64``), and on a few invalid twistings;
 then the ``winding`` table, as JSON and as SVG, on p2 at ell = +-(2k + 1)
 for k < 60 and on the blowup ``mixed_sign`` set times k for -9 <= k <= 9;
 then ``a2d`` for 1 <= d <= 60, and ``picard`` and ``tropical`` (also as SVG)
-on every fixture; then ``validate`` on documents the sweep builds itself
-(``documents``): one per rule of the input schema, one carrying the removed
-``options`` section with its removed ``margin`` option, a set name holding "~"
-and "/", bytes that are not UTF-8, ``NaN``, nesting too deep to parse, a key
-given twice, a missing lattice point, two triangles on one side of an edge,
-an elementary triangle in a 3000 x 2999 box, triangles of the 2 x 1 rectangle
-that add up to its area but overlap, and a triangle listed by its corners at
-10^9.
+on every fixture; then ``picard`` on documents the sweep builds itself
+(``picard_documents``): the a2d chain at d = 10 and 40 and the hexagonal
+grid at n = 4 and 8, whose kernels take long eliminations; then ``validate``
+on more built documents (``documents``): one per rule of the input schema,
+one carrying the removed ``options`` section with its removed ``margin``
+option, a set name holding "~" and "/", bytes that are not UTF-8, ``NaN``,
+nesting too deep to parse, a key given twice, a missing lattice point, two
+triangles on one side of an edge, an elementary triangle in a 3000 x 2999
+box, triangles of the 2 x 1 rectangle that add up to its area but overlap,
+and a triangle listed by its corners at 10^9.
 Paths in argv are relative to the checkout root, and a built document is
 hashed by its bytes in place of its temporary path, so the digest does not
 depend on where the checkout lives.
@@ -46,6 +48,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from tropcoh import cli  # noqa: E402
+from tropcoh.examples import a2d_subdivision  # noqa: E402
 
 COMMANDS = ("sphere", "cohomology", "verify-winding-theorem")
 BLOWUP_MIXED = (-14, 5, -14, -9)
@@ -111,6 +114,30 @@ def _doc(**changes) -> dict:
     }
     doc.update(changes)
     return {key: value for key, value in doc.items() if value is not None}
+
+
+def _hex_grid(n: int) -> dict:
+    """[0,n]^2 cut along (1,-1) diagonals, lift x^2 + xy + y^2: six rays at every interior vertex."""
+    points = [[x, y] for x in range(n + 1) for y in range(n + 1)]
+    triangles = []
+    for x in range(n):
+        for y in range(n):
+            i = x * (n + 1) + y
+            triangles += [[i, i + n + 1, i + 1], [i + n + 1, i + n + 2, i + 1]]
+    return _doc(points=points, triangles=triangles, nu=[x * x + x * y + y * y for x, y in points])
+
+
+def picard_documents() -> dict[str, bytes]:
+    """The documents ``picard`` reads after the fixture sweep, by name, in a fixed order."""
+    docs = {}
+    for d in (10, 40):
+        sub = a2d_subdivision(d)
+        docs[f"a2d-{d}"] = _doc(
+            points=[list(p) for p in sub.points], triangles=[list(t) for t in sub.triangles], nu=list(sub.nu)
+        )
+    for n in (4, 8):
+        docs[f"hex-{n}"] = _hex_grid(n)
+    return {name: json.dumps(doc).encode() for name, doc in docs.items()}
 
 
 def documents() -> dict[str, bytes]:
@@ -182,13 +209,15 @@ def main(args=None) -> int:
     total = hashlib.sha256()
     codes: dict[int, int] = {}
     runs = [(argv, argv, argv) for argv in sweep()]
+    built = [("picard", name, data) for name, data in picard_documents().items()]
+    built += [("validate", name, data) for name, data in documents().items()]
     with tempfile.TemporaryDirectory() as tmp:
-        for name, data in documents().items():
-            path = Path(tmp) / f"{name}.json"
+        for command, name, data in built:
+            path = Path(tmp) / f"{command}-{name}.json"
             path.write_bytes(data)
             # (the argv run, the argv hashed, the argv shown)
-            shown = ["validate", "--input", f"<{name}>"]
-            runs.append((["validate", "--input", str(path)], [*shown[:2], data.decode("latin-1")], shown))
+            shown = [command, "--input", f"<{name}>"]
+            runs.append(([command, "--input", str(path)], [*shown[:2], data.decode("latin-1")], shown))
         for argv, hashed, shown in runs:
             code, out, err = run(argv)
             record = json.dumps([hashed, code, out, err]).encode("utf-8")
