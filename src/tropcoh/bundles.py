@@ -7,15 +7,16 @@ kernel of the balancing map are exactly the realizable ones.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .fan import balance, self_intersections
 from .lattice import LatticeError, Vec, dot, integer_kernel, vadd, vsub
 from .polytope import EdgeKey, Subdivision, SubdivisionEdge, checked, edge_kinks
-from .tropical import BoundedRegion, TropicalCurve
-
-KinkVector = Mapping[EdgeKey, int]
+from .tropical import (
+    BoundedRegion, KinkVector, TropicalCurve, check_cocycle, kink_entry, kink_vector,
+    tropical_curve,
+)
 
 
 @dataclass(frozen=True)
@@ -42,11 +43,6 @@ def kinks(phi: SupportFunction) -> dict[EdgeKey, int]:
     return {key: int(k) for key, k in edge_kinks(phi.sub, phi.values).items()}
 
 
-def _kink_entry(K: KinkVector, key: EdgeKey) -> int:
-    # sparse vectors are allowed; absent edges carry no kink
-    return int(K.get(key, 0)) if isinstance(K, Mapping) else int(K[key])
-
-
 @dataclass(frozen=True)
 class PhiMap:
     """Matrix of the per-region balancing sums, two rows per bounded region."""
@@ -56,7 +52,7 @@ class PhiMap:
     matrix: tuple[tuple[int, ...], ...]
 
     def apply(self, K: KinkVector) -> tuple[int, ...]:
-        vec = [_kink_entry(K, key) for key in self.edge_order]
+        vec = [kink_entry(K, key) for key in self.edge_order]
         return tuple(sum(r * v for r, v in zip(row, vec)) for row in self.matrix)
 
     def kernel_vectors(self) -> list[list[int]]:
@@ -81,22 +77,9 @@ def phi_map(curve: TropicalCurve) -> PhiMap:
     return PhiMap(order, tuple(verts), tuple(rows))
 
 
-def _check_cocycle(
-    curve: TropicalCurve, K: KinkVector, regions: Sequence[BoundedRegion] | None = None
-) -> None:
-    """Raise unless K balances around each of the regions (default: all of them)."""
-    for region in curve.regions if regions is None else regions:
-        if balance(region.fan.rays, [_kink_entry(K, key) for key in region.edge_keys]) != (0, 0):
-            raise LatticeError(
-                f"not a cocycle: inconsistent around region {region.dual_vertex}"
-            )
-
-
 def support_from_kinks(K: KinkVector, sub: Subdivision) -> SupportFunction:
-    from .tropical import tropical_curve
-
     curve = tropical_curve(sub)
-    _check_cocycle(curve, K)
+    check_cocycle(curve, K)
 
     base = min(range(len(sub.triangles)), key=lambda t: tuple(sorted(sub.triangle_points(t))))
     parts: dict[int, tuple[Vec, int]] = {base: ((0, 0), 0)}
@@ -111,7 +94,7 @@ def support_from_kinks(K: KinkVector, sub: Subdivision) -> SupportFunction:
         t = queue.pop(0)
         m, c = parts[t]
         for e in adjacent.get(t, []):
-            k = _kink_entry(K, e.key)
+            k = kink_entry(K, e.key)
             n_e = e.normal
             if t == e.plus_triangle:
                 other = e.minus_triangle
@@ -162,10 +145,10 @@ def canonical_KC(region: BoundedRegion) -> dict[EdgeKey, int]:
     # only the rows of the region and of its neighbours touch nonzero entries
     near = {region.dual_vertex, *(vadd(region.dual_vertex, u) for u in region.fan.rays)}
     inner = curve.index.interior_vertices
-    _check_cocycle(curve, out, [curve.regions[inner[v]] for v in sorted(near) if v in inner])
+    check_cocycle(curve, out, [curve.regions[inner[v]] for v in sorted(near) if v in inner])
     return {key: out[key] for key in sorted(out)}
 
 
 def hms_line_bundle(K: KinkVector) -> dict[EdgeKey, int]:
     """Kink vector of the line bundle mirror to the section of K."""
-    return {key: -_kink_entry(K, key) for key in K}
+    return {key: -kink_entry(K, key) for key in kink_vector(K)}

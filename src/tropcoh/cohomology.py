@@ -14,7 +14,7 @@ from typing import Optional
 
 from .fan import Fan, is_smooth, self_intersections
 from .lattice import (
-    LatticeError, Vec, as_ints, cut_at_row, det2, dot, dual_numerators, row_thresholds,
+    LatticeError, Vec, as_ints, cut_at_row, det2, dot, dual_numerators, threshold_rows,
     threshold_slabs,
 )
 from .spheres import SemiIntegralSupport, gamma_curve
@@ -190,7 +190,7 @@ def _patterns(psi: ToricSupport, by_slabs: bool):
     if by_slabs:
         pieces = threshold_slabs(lines, ymin, ymax, starts)
     else:
-        pieces = ((y, y, row_thresholds(lines, y)) for y in range(ymin, ymax + 1))
+        pieces = threshold_rows(lines, ymin, ymax)
     for a, _, thresholds in pieces:
         signs = left.copy()
         for j, u1, c in flat:

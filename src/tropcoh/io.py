@@ -18,10 +18,9 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping, Optional, Sequence
 
-from .bundles import _check_cocycle
 from .lattice import LatticeError, Vec
 from .polytope import Subdivision, checked, interior_edge_keys, subdivision
-from .tropical import tropical_curve
+from .tropical import check_cocycle, tropical_curve
 
 REPORT_FORMAT = "tropcoh-report"
 REPORT_VERSION = 1
@@ -204,7 +203,7 @@ def parse_input(data: bytes) -> InputDocument:
         if len(vals) != len(order):
             raise InputError(f"{where}: {len(vals)} kinks for {len(order)} interior edges")
         try:
-            _check_cocycle(curve, dict(zip(order, vals)))
+            check_cocycle(curve, dict(zip(order, vals)))
         except LatticeError as exc:
             raise InputError(f"{where}: {exc}") from exc
     return InputDocument(points, triangles, nu, tsets, ksets)

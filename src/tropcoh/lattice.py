@@ -58,26 +58,28 @@ def rot90(v):
     return (-v[1], v[0])
 
 
-def as_ints(values, what: str) -> tuple[int, ...]:
-    """The entries as ints; an entry that is not an integer or an integral Fraction raises.
+def as_int(x, what: str) -> int:
+    """x as an int; anything but an integer or an integral Fraction raises, naming what it is.
 
-    The message names the entry by what it is and its index, so 3.9 or 7/2
-    is refused rather than rounded toward zero, and True rather than read as 1.
+    So 3.9 or 7/2 is refused rather than rounded toward zero, and True
+    rather than read as 1.
     """
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise LatticeError(f"{what} is {x!r}, not an integer")
+
+
+def as_ints(values, what: str) -> tuple[int, ...]:
+    """The entries as ints, by as_int; a refused entry is named by what it is and its index."""
     values = tuple(values)
     if all(type(x) is int for x in values):
         return values
-    out = []
-    for j, x in enumerate(values):
-        if isinstance(x, Fraction) and x.denominator == 1:
-            x = x.numerator
-        try:
-            if isinstance(x, bool):
-                raise TypeError
-            out.append(operator.index(x))
-        except TypeError:
-            raise LatticeError(f"{what} {j} is {x!r}, not an integer") from None
-    return tuple(out)
+    return tuple(as_int(x, f"{what} {j}") for j, x in enumerate(values))
 
 
 def primitive(v: Vec) -> Vec:
@@ -173,6 +175,12 @@ def row_thresholds(lines, y: int) -> list[tuple[int, int]]:
     return out
 
 
+def threshold_rows(lines, first: int, last: int):
+    """Yield (y, y, row_thresholds(lines, y)) per row first..last, in threshold_slabs' form."""
+    for y in range(first, last + 1):
+        yield y, y, row_thresholds(lines, y)
+
+
 def slab_thresholds(lines, a: int, b: int) -> list[tuple[int, int]]:
     """(sum of t over the rows a..b, j) per line present on them all, in the slab's order.
 
@@ -201,11 +209,10 @@ def threshold_slabs(lines, first: int, last: int, starts: Iterable[int] = ()):
     given starts, at the line ends and next to every crossing of two lines,
     so inside one every line is present on all rows or on none and the
     order is the same on every row.  With no more rows than lines squared,
-    and on slabs of at most SHORT_SLAB rows, the rows come one at a time.
+    and on slabs of at most SHORT_SLAB rows, threshold_rows gives the rows.
     """
     if last - first + 1 <= len(lines) ** 2:
-        for y in range(first, last + 1):
-            yield y, y, row_thresholds(lines, y)
+        yield from threshold_rows(lines, first, last)
         return
     starts = set(starts)
     for i, (y0, y1, n0, n1, den) in enumerate(lines):
@@ -216,8 +223,7 @@ def threshold_slabs(lines, first: int, last: int, starts: Iterable[int] = ()):
                 cut_at_row(starts, m0 * den - n0 * dem, n1 * dem - m1 * den)
     for a, b in slabs(starts, first, last):
         if b - a < SHORT_SLAB:
-            for y in range(a, b + 1):
-                yield y, y, row_thresholds(lines, y)
+            yield from threshold_rows(lines, a, b)
         else:
             yield a, b, slab_thresholds(lines, a, b)
 

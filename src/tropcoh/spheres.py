@@ -11,11 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .bundles import KinkVector, _check_cocycle, _kink_entry
 from .fan import Fan, balance, self_intersections
 from .lattice import LatticeError, QVec, Vec, as_ints, det2, dot, dual_numerators
 from .polytope import ValidationIssue, ValidationReport
-from .tropical import BoundedRegion
+from .tropical import BoundedRegion, KinkVector, check_cocycle, kink_entry
 
 RegionOrFan = Union[BoundedRegion, Fan]
 
@@ -192,8 +191,6 @@ def gamma_curve(theta: SemiIntegralSupport) -> GammaCurve:
 def translate_sphere(tw: Twisting, K: KinkVector) -> Twisting:
     if tw.region is None:
         raise LatticeError("twisting numbers are not attached to a bounded region")
-    _check_cocycle(tw.region.curve, K)
-    ell = tuple(
-        l + 2 * _kink_entry(K, key) for l, key in zip(tw.ell, tw.region.edge_keys)
-    )
+    check_cocycle(tw.region.curve, K)
+    ell = tuple(l + 2 * kink_entry(K, key) for l, key in zip(tw.ell, tw.region.edge_keys))
     return twisting(tw.region, ell)

@@ -1,4 +1,4 @@
-"""The dual tropical curve and its bounded regions.
+"""The dual tropical curve, its bounded regions, and the kink vectors on its edges.
 
 The curve lives in the dual plane: one vertex per triangle, one bounded edge
 per interior subdivision edge, one ray per boundary subdivision edge.  All
@@ -7,10 +7,11 @@ coordinates are exact rationals.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-from .fan import Fan, make_fan
-from .lattice import LatticeError, QVec, Vec, det2, vadd, vneg, vsub
+from .fan import Fan, balance, make_fan
+from .lattice import LatticeError, QVec, Vec, as_int, det2, vadd, vneg, vsub
 from .polytope import CheckedSubdivision, EdgeKey, Subdivision, checked
 
 
@@ -117,3 +118,32 @@ def region_at(curve: TropicalCurve, v: Vec) -> BoundedRegion:
     if i is None:
         raise LatticeError(f"{v} is not an interior vertex")
     return curve.regions[i]
+
+
+KinkVector = Mapping[EdgeKey, int]
+
+
+def kink_vector(K) -> KinkVector:
+    """K itself; a kink vector is a Mapping from edge keys to integers, and any other K raises."""
+    if not isinstance(K, Mapping):
+        raise LatticeError(f"kink vector is a {type(K).__name__}, not a mapping from edge keys")
+    return K
+
+
+def kink_entry(K: KinkVector, key: EdgeKey) -> int:
+    """K's integer on the edge key, and 0 where K has no entry.
+
+    K must pass kink_vector, and an entry that is not an integer or an
+    integral Fraction raises.
+    """
+    x = kink_vector(K).get(key, 0)
+    return x if type(x) is int else as_int(x, f"kink on edge {key}")
+
+
+def check_cocycle(
+    curve: TropicalCurve, K: KinkVector, regions: Sequence[BoundedRegion] | None = None
+) -> None:
+    """Raise unless K balances around each of the regions (default: all of them)."""
+    for region in curve.regions if regions is None else regions:
+        if balance(region.fan.rays, [kink_entry(K, key) for key in region.edge_keys]) != (0, 0):
+            raise LatticeError(f"not a cocycle: inconsistent around region {region.dual_vertex}")

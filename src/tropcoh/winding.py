@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import LatticeError, Vec, det2, dot, row_thresholds, threshold_slabs
+from .lattice import LatticeError, Vec, det2, dot, threshold_rows, threshold_slabs
 from .spheres import GammaCurve, SemiIntegralSupport, gamma_curve, kinks_of_theta
 
 
@@ -69,31 +69,29 @@ def _segments(gamma: GammaCurve) -> tuple[list[tuple[int, int, int, int, int]], 
     return lines, signs
 
 
-def _runs(thresholds, signs):
-    """Yield (x0, x1, w) between consecutive thresholds where the winding number w is not 0.
+def _pieces(gamma: GammaCurve, by_slabs: bool):
+    """Yield (a, x0, x1, w): in the slab from row a, positions x0 <= x < x1 wind w != 0 times.
 
-    On a row the thresholds are integers t and a run is the lattice points
-    x0 <= x < x1.  On a slab they are the sums of t over its rows, so
-    x1 - x0 is the run's total length over the slab.  The point left of
-    every threshold winds 0 times; passing segment j's threshold subtracts
-    signs[j].
+    On a row a run is the lattice points x0 <= x < x1; on a slab of
+    lattice.threshold_slabs, x1 - x0 is its total length over the rows.
+    The point left of every threshold winds 0 times, and passing segment
+    j's threshold subtracts signs[j].  by_slabs=False yields every row.
     """
-    w = 0
-    prev = 0
-    for t, j in thresholds:
-        if w and t > prev:
-            yield prev, t, w
-        w -= signs[j]
-        prev = t
-
-
-def _checked_rows(lines) -> tuple[int, int]:
-    """The first and last row of the lines, after the row limit and _check_off_curve."""
+    lines, signs = _segments(gamma)
+    if not lines:
+        return
     first = min(line[0] for line in lines)
     last = max(line[1] for line in lines)
     check_rows(last - first + 1, "the winding sweep")
     _check_off_curve(lines)
-    return first, last
+    sweep = threshold_slabs if by_slabs else threshold_rows
+    for a, _, thresholds in sweep(lines, first, last):
+        w = prev = 0
+        for t, j in thresholds:
+            if w and t > prev:
+                yield a, prev, t, w
+            w -= signs[j]
+            prev = t
 
 
 def winding_runs(gamma: GammaCurve):
@@ -109,13 +107,7 @@ def winding_runs(gamma: GammaCurve):
     vertex that is a lattice point, since the half-open rule may give it to
     no segment.
     """
-    lines, signs = _segments(gamma)
-    if not lines:
-        return
-    first, last = _checked_rows(lines)
-    for y in range(first, last + 1):
-        for x0, x1, w in _runs(row_thresholds(lines, y), signs):
-            yield y, x0, x1, w
+    return _pieces(gamma, by_slabs=False)
 
 
 @dataclass(frozen=True)
@@ -185,17 +177,12 @@ def _curve_totals(gamma: GammaCurve) -> tuple[int, int]:
     row, so each run's total length over a slab is a difference of two sums
     of ceilings, each summed in closed form by floor_sum.
     """
-    lines, signs = _segments(gamma)
-    if not lines:
-        return 0, 0
-    first, last = _checked_rows(lines)
     even = odd = 0
-    for _, _, thresholds in threshold_slabs(lines, first, last):
-        for x0, x1, w in _runs(thresholds, signs):
-            if w > 0:
-                even += w * (x1 - x0)
-            else:
-                odd -= w * (x1 - x0)
+    for _, x0, x1, w in _pieces(gamma, by_slabs=True):
+        if w > 0:
+            even += w * (x1 - x0)
+        else:
+            odd -= w * (x1 - x0)
     return even, odd
 
 

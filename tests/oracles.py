@@ -31,7 +31,7 @@ import jsonschema
 import numpy as np
 
 from tropcoh.io import input_schema
-from tropcoh.bundles import KinkVector, _kink_entry, canonical_KC
+from tropcoh.bundles import canonical_KC
 from tropcoh.lattice import (
     LatticeError,
     QVec,
@@ -51,7 +51,7 @@ from tropcoh.fan import Fan, is_smooth
 from tropcoh.lattice import floor_sum
 from tropcoh.polytope import Subdivision, SubdivisionEdge, _slope, convex_hull, edges, interior_edge_keys
 from tropcoh.spheres import SemiIntegralSupport, Twisting, _check_twisting, gamma_curve
-from tropcoh.tropical import BoundedRegion
+from tropcoh.tropical import BoundedRegion, KinkVector, kink_entry
 from tropcoh.winding import _on_curve, _segments, is_strictly_convex
 
 
@@ -242,7 +242,7 @@ def restriction_degree(K: KinkVector, edge: SubdivisionEdge) -> int:
     """Twist of the bundle along the projective line dual to an interior edge."""
     if edge.is_boundary:
         raise LatticeError("no compact curve")
-    return _kink_entry(K, edge.key)
+    return kink_entry(K, edge.key)
 
 
 def compact_support_class(K: KinkVector, region: BoundedRegion) -> int | None:
@@ -253,7 +253,7 @@ def compact_support_class(K: KinkVector, region: BoundedRegion) -> int | None:
     for key in keys:
         base = kc.get(key, 0)
         if base != 0:
-            val = _kink_entry(K, key)
+            val = kink_entry(K, key)
             if val % base != 0:
                 return None
             a = val // base
@@ -261,7 +261,7 @@ def compact_support_class(K: KinkVector, region: BoundedRegion) -> int | None:
     if a is None:
         a = 0
     for key in keys:
-        if _kink_entry(K, key) != a * kc.get(key, 0):
+        if kink_entry(K, key) != a * kc.get(key, 0):
             return None
     return a
 

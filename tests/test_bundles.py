@@ -19,6 +19,7 @@ from tropcoh.examples import a2d_subdivision
 from tropcoh.fan import self_intersections
 from tropcoh.lattice import LatticeError, primitive, rot90, vneg, vsub
 from tropcoh.polytope import edges, interior_edge_keys
+from tropcoh.spheres import translate_sphere, twisting
 from tropcoh.tropical import bounded_regions, tropical_curve
 
 
@@ -72,7 +73,7 @@ def test_support_from_kinks_rejects_unbalanced(blowup_sub):
 
 
 def test_support_from_kinks_names_the_edge_past_the_cocycle_check(blowup_sub, monkeypatch):
-    monkeypatch.setattr(bundles, "_check_cocycle", lambda curve, K: None)
+    monkeypatch.setattr(bundles, "check_cocycle", lambda curve, K: None)
     K = {key: 1 for key in interior_edge_keys(blowup_sub)}
     with pytest.raises(LatticeError, match="kinks disagree around edge"):
         support_from_kinks(K, blowup_sub)
@@ -212,3 +213,40 @@ def test_hms_line_bundle_negates(blowup_region):
     mirror = hms_line_bundle(K)
     assert set(mirror) == set(K)
     assert all(mirror[k] == -K[k] for k in K)
+
+
+KINK_FORMS = {
+    "list": (lambda keys: [1] * len(keys), "kink vector is a list, not a mapping from edge keys"),
+    "tuple": (lambda keys: (1,) * len(keys), "kink vector is a tuple, not a mapping from edge keys"),
+    "empty-list": (lambda keys: [], "kink vector is a list, not a mapping from edge keys"),
+    "empty-tuple": (lambda keys: (), "kink vector is a tuple, not a mapping from edge keys"),
+    "float": (lambda keys: dict.fromkeys(keys, 0.9), "is 0.9, not an integer"),
+    "bool": (lambda keys: dict.fromkeys(keys, True), "is True, not an integer"),
+}
+
+
+@pytest.mark.parametrize("form", KINK_FORMS)
+@pytest.mark.parametrize(
+    "use", ["translate_sphere", "PhiMap.apply", "support_from_kinks", "hms_line_bundle"]
+)
+def test_a_kink_vector_is_a_mapping_to_integers(p2_sub, p2_curve, p2_region, use, form):
+    """A list or tuple K, even an empty one, raises naming its type; a float or bool entry, its edge.
+
+    int() used to truncate 0.9 to 0 and read True as 1, and a list K, the
+    form picard reports, failed with a TypeError or was read as edge keys.
+    """
+    keys = interior_edge_keys(p2_sub)
+    build, message = KINK_FORMS[form]
+    K = build(keys)
+    calls = {
+        "translate_sphere": lambda: translate_sphere(twisting(p2_region, (3, 3, 3)), K),
+        "PhiMap.apply": lambda: phi_map(p2_curve).apply(K),
+        "support_from_kinks": lambda: support_from_kinks(K, p2_sub),
+        "hms_line_bundle": lambda: hms_line_bundle(K),
+    }
+    with pytest.raises(LatticeError) as raised:
+        calls[use]()
+    if isinstance(K, dict):
+        assert str(raised.value) in {f"kink on edge {key} {message}" for key in keys}
+    else:
+        assert str(raised.value) == message

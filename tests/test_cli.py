@@ -333,7 +333,6 @@ def test_cli_import_loads_neither_numpy_nor_jsonschema(fixture_dir):
         ["validate", "--input", p2],
         ["tropical", "--input", blowup],
         ["tropical", "--input", a2d, "--format", "svg"],
-        ["picard", "--input", a2d],
     ]
     rest = [
         ["sphere", "--input", p2, "--ell", "cap_k1"],
@@ -342,31 +341,39 @@ def test_cli_import_loads_neither_numpy_nor_jsonschema(fixture_dir):
         ["verify-winding-theorem", "--input", blowup, "--ell", "mixed_sign"],
         ["a2d", "--d", "3"],
     ]
+    picard = [["picard", "--input", a2d]]
     code = textwrap.dedent(
         """
         import contextlib, io, json, sys
         from tropcoh.cli import main
         watched = {"numpy", "jsonschema", "tropcoh.spheres", "tropcoh.winding",
-                   "tropcoh.cohomology", "tropcoh.ext_chains"}
+                   "tropcoh.cohomology", "tropcoh.ext_chains", "tropcoh.bundles"}
         loaded = [sorted(watched & set(sys.modules))]
-        lean, rest = json.loads(sys.argv[1])
+        codes = []
         with contextlib.redirect_stdout(io.StringIO()):
-            codes = [main(argv) for argv in lean]
-            loaded.append(sorted(watched & set(sys.modules)))
-            codes += [main(argv) for argv in rest]
-        loaded.append(sorted(watched & set(sys.modules)))
+            for group in json.loads(sys.argv[1]):
+                codes += [main(argv) for argv in group]
+                loaded.append(sorted(watched & set(sys.modules)))
         print(json.dumps([codes, loaded]))
         """
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code, json.dumps([lean, rest])],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    codes, (after_import, after_lean, after_rest) = json.loads(out)
-    assert codes == [0] * (len(lean) + len(rest))
+
+    def loaded_after(*groups):
+        out = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(groups)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        codes, loaded = json.loads(out)
+        assert codes == [0] * sum(map(len, groups))
+        return loaded
+
+    after_import, after_lean, after_rest = loaded_after(lean, rest)
     assert after_import == after_lean == []
     assert "numpy" not in after_rest and "jsonschema" not in after_rest
     assert "tropcoh.cohomology" in after_rest
+    # only picard reads the balancing map, so only picard loads bundles
+    assert "tropcoh.bundles" not in after_rest
+    assert loaded_after(lean, picard)[1:] == [[], ["tropcoh.bundles"]]
 
 
 @pytest.mark.parametrize("field, value", [("margin", 2.0), ("nu", 2.0)])

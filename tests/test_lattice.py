@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import ceil, gcd
 from unittest import mock
 
+import numpy
 import pytest
 import sympy
 from hypothesis import example, given
@@ -311,10 +312,12 @@ def test_threshold_slabs_match_the_row_ceilings(case):
     [
         ((True, 0), "entry 0 is True, not an integer"),
         ((0, Fraction(2, 2), False), "entry 2 is False, not an integer"),
+        ((0, numpy.array(1.5)), "entry 1 is array(1.5), not an integer"),
     ],
 )
 def test_as_ints_refuses_booleans(values, message):
-    # operator.index(True) is 1, so a bool used to pass as 0 or 1
+    # operator.index(True) is 1, so a bool used to pass as 0 or 1; a 0-d
+    # float array has __index__ but refuses it with a TypeError
     with pytest.raises(LatticeError) as raised:
         lattice.as_ints(values, "entry")
     assert str(raised.value) == message

@@ -166,3 +166,14 @@ def test_the_walk_sees_a_name_put_back_without_a_caller():
     unused = _unused(trees)
     assert {"lattice.solve_dual", "fan.Fan.index_of", "smoothing.FanPL.gradient"} <= set(unused)
     assert "io.used_once" not in unused
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A name that a second module needs is public: no ``from .module import _name``."""
+    found = [
+        f"{mod} imports {source}.{name}"
+        for mod, imported in _imports(_parse()).items()
+        for source, name in imported.values()
+        if name.startswith("_") and source != mod
+    ]
+    assert found == []
