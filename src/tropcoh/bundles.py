@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .fan import balance, self_intersections
+from .fan import balance
 from .lattice import LatticeError, Vec, dot, integer_kernel, vadd, vsub
 from .polytope import EdgeKey, Subdivision, SubdivisionEdge, checked, edge_kinks
 from .tropical import (
@@ -48,7 +48,6 @@ class PhiMap:
     """Matrix of the per-region balancing sums, two rows per bounded region."""
 
     edge_order: tuple[EdgeKey, ...]
-    region_vertices: tuple[Vec, ...]
     matrix: tuple[tuple[int, ...], ...]
 
     def apply(self, K: KinkVector) -> tuple[int, ...]:
@@ -64,9 +63,7 @@ def phi_map(curve: TropicalCurve) -> PhiMap:
     order = tuple(e.key for e in curve.bounded)
     col = {key: i for i, key in enumerate(order)}
     rows = []
-    verts = []
     for region in curve.regions:
-        verts.append(region.dual_vertex)
         rx = [0] * len(order)
         ry = [0] * len(order)
         # the region's two rows send K to balance(fan.rays, -K)
@@ -74,7 +71,7 @@ def phi_map(curve: TropicalCurve) -> PhiMap:
             rx[col[key]], ry[col[key]] = balance((u,), (-1,))
         rows.append(tuple(rx))
         rows.append(tuple(ry))
-    return PhiMap(order, tuple(verts), tuple(rows))
+    return PhiMap(order, tuple(rows))
 
 
 def support_from_kinks(K: KinkVector, sub: Subdivision) -> SupportFunction:
@@ -124,29 +121,36 @@ def support_from_kinks(K: KinkVector, sub: Subdivision) -> SupportFunction:
     return SupportFunction(sub, tuple(values))
 
 
-def canonical_KC(region: BoundedRegion) -> dict[EdgeKey, int]:
-    """Kink vector of the canonical class of the region's compact surface.
+def divisor_kinks(sub: Subdivision, p: Vec) -> dict[EdgeKey, int]:
+    """The class of O(D_p): the kinks of the hat function, 1 at p and 0 at every other point.
 
-    Sparse: only the region's edges and the kink-1 sides have entries, in key
-    order; every other bounded edge carries kink 0.
+    See Cox, Little and Schenck, Toric Varieties, Thm 4.1.3 and 4.2.1.  The hat
+    bends by 1 across each interior side ab of a triangle pab, and by s - 2
+    across an edge pa between triangles pac and pad, where c + d - 2p = s (a - p).
+    Sparse, in key order: every interior edge at p has an entry, zeros included.
     """
-    curve = region.curve
-    b = self_intersections(region.fan)
-    sides = curve.index.edge_triangles
+    stars = checked(sub).stars
     out = {}
-    # the other bounded edges at the cycle are dual to the interior sides of
-    # the wedge triangles opposite the centre; each carries kink 1
-    for t in region.triangles:
-        key = tuple(sorted(p for p in curve.sub.triangle_points(t) if p != region.dual_vertex))
-        if len(sides[key]) == 2:
-            out[key] = 1
-    for j, key in enumerate(region.edge_keys):
-        out[key] = -b[j] - 2
-    # only the rows of the region and of its neighbours touch nonzero entries
-    near = {region.dual_vertex, *(vadd(region.dual_vertex, u) for u in region.fan.rays)}
-    inner = curve.index.interior_vertices
-    check_cocycle(curve, out, [curve.regions[inner[v]] for v in sorted(near) if v in inner])
+    across: dict[Vec, list[Vec]] = {}  # each neighbour a of p to the third vertices on pa
+    for t in stars[p]:
+        a, b = (q for q in sub.triangle_points(t) if q != p)
+        if len(set(stars[a]).intersection(stars[b])) == 2:
+            out[min(a, b), max(a, b)] = 1
+        across.setdefault(a, []).append(b)
+        across.setdefault(b, []).append(a)
+    for a, third in across.items():
+        if len(third) == 2:
+            u, w = vsub(a, p), vsub(vsub(vadd(*third), p), p)
+            out[min(p, a), max(p, a)] = dot(w, u) // dot(u, u) - 2
     return {key: out[key] for key in sorted(out)}
+
+
+def canonical_KC(region: BoundedRegion) -> dict[EdgeKey, int]:
+    """The canonical class of the region's compact surface D_v, as a kink vector.
+
+    On a Calabi-Yau threefold adjunction gives K_{D_v} = O(D_v)|_{D_v}.
+    """
+    return divisor_kinks(region.curve.sub, region.dual_vertex)
 
 
 def hms_line_bundle(K: KinkVector) -> dict[EdgeKey, int]:

@@ -330,15 +330,16 @@ def _cmd_smooth_check(args) -> dict:
     }
     if not rep.ok:
         h, g = rep.worst_hessian, rep.worst_gradient
-        result["witness"] = {
-            "hessian": {"point": list(h.point), "eigenvalues": list(h.eigenvalues)},
-            "gradient": {
+        witness = result["witness"] = {}
+        if rep.hessian_failures:
+            witness["hessian"] = {"point": list(h.point), "eigenvalues": list(h.eigenvalues)}
+        if not rep.gradients_ok:
+            witness["gradient"] = {
                 "point": list(g.point),
                 "gradient": list(g.gradient),
                 "gamma_distance": g.gamma_distance,
                 "hull_excess": g.hull_excess,
-            },
-        }
+            }
     return result
 
 

@@ -103,7 +103,6 @@ class CheckedSubdivision:
 
     sub: Subdivision
     edges: tuple[SubdivisionEdge, ...]  # in key order
-    edge_triangles: Mapping[EdgeKey, tuple[int, ...]]  # in key order
     stars: Mapping[Vec, tuple[int, ...]]  # triangles at each lattice point
     # each interior vertex, lexicographically sorted, to its position: the
     # position of its bounded region too
@@ -240,7 +239,6 @@ def validate(sub: Subdivision) -> ValidationReport:
     index = CheckedSubdivision(
         sub,
         labelled,
-        MappingProxyType(grouped),
         MappingProxyType({p: tuple(ts) for p, ts in star.items()}),
         MappingProxyType({v: i for i, v in enumerate(inner)}),
         tuple(slope_of_nu),

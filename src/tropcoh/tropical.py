@@ -7,7 +7,7 @@ coordinates are exact rationals.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .fan import Fan, balance, make_fan
@@ -82,30 +82,25 @@ class BoundedRegion:
     curve: TropicalCurve
     dual_vertex: Vec
     fan: Fan
-    triangles: tuple[int, ...]
     edge_keys: tuple[EdgeKey, ...]
     cycle: tuple[QVec, ...]
 
 
 def _region(curve: TropicalCurve, v: Vec) -> BoundedRegion:
     """The bounded region dual to the interior vertex v."""
-    sub = curve.sub
-    wedge_to_tri = {}
+    # each wedge triangle, by its two rays counterclockwise, to its dual vertex
+    wedge_vertex = {}
     for t in curve.index.stars[v]:
-        pts = sub.triangle_points(t)
-        d1, d2 = (vsub(p, v) for p in pts if p != v)
+        d1, d2 = (vsub(p, v) for p in curve.sub.triangle_points(t) if p != v)
         if det2(d1, d2) < 0:
             d1, d2 = d2, d1
-        wedge_to_tri[(d1, d2)] = t
+        wedge_vertex[(d1, d2)] = curve.vertices[t]
     # each ray of the fan at v opens exactly one counterclockwise wedge
-    f = make_fan(d1 for d1, _ in wedge_to_tri)
+    f = make_fan(d1 for d1, _ in wedge_vertex)
     r = len(f.rays)
-    triangles = tuple(
-        wedge_to_tri[(f.rays[j], f.rays[(j + 1) % r])] for j in range(r)
-    )
-    cycle = tuple(curve.vertices[t] for t in triangles)
+    cycle = tuple(wedge_vertex[(f.rays[j], f.rays[(j + 1) % r])] for j in range(r))
     edge_keys = tuple(tuple(sorted((v, vadd(v, u)))) for u in f.rays)
-    return BoundedRegion(curve, v, f, triangles, edge_keys, cycle)
+    return BoundedRegion(curve, v, f, edge_keys, cycle)
 
 
 def bounded_regions(curve: TropicalCurve) -> tuple[BoundedRegion, ...]:
@@ -140,10 +135,8 @@ def kink_entry(K: KinkVector, key: EdgeKey) -> int:
     return x if type(x) is int else as_int(x, f"kink on edge {key}")
 
 
-def check_cocycle(
-    curve: TropicalCurve, K: KinkVector, regions: Sequence[BoundedRegion] | None = None
-) -> None:
-    """Raise unless K balances around each of the regions (default: all of them)."""
-    for region in curve.regions if regions is None else regions:
+def check_cocycle(curve: TropicalCurve, K: KinkVector) -> None:
+    """Raise unless K balances around every region of the curve."""
+    for region in curve.regions:
         if balance(region.fan.rays, [kink_entry(K, key) for key in region.edge_keys]) != (0, 0):
             raise LatticeError(f"not a cocycle: inconsistent around region {region.dual_vertex}")

@@ -2,9 +2,10 @@
 
 These are the library's earlier implementations.  The library's results
 must equal theirs exactly: list for list for the kernel, value for value for
-the slopes and kinks, pointer and message for the input-document check, and
-value for value or message for message for the Fraction twist path (theta,
-its kinks, the mirror support, the search box and the slab orders).  The
+the slopes and kinks, entry for entry and in key order for the canonical
+class, pointer and message for the input-document check, and value for
+value or message for message for the Fraction twist path (theta, its kinks,
+the mirror support, the search box and the slab orders).  The
 split-disk rule's per-node and per-piece sums must match up to roundoff, and
 the split rule, the kink-line Hessian and the vertex gradient must match the
 library's fan rule within the quadrature's error.  The tiling check
@@ -21,6 +22,7 @@ README lists them all).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,9 +49,9 @@ from tropcoh.lattice import (
     vsub,
 )
 from tropcoh.cohomology import ToricSupport, canonical_psi
-from tropcoh.fan import Fan, is_smooth
+from tropcoh.fan import Fan, is_smooth, self_intersections
 from tropcoh.lattice import floor_sum
-from tropcoh.polytope import Subdivision, SubdivisionEdge, _slope, convex_hull, edges, interior_edge_keys
+from tropcoh.polytope import EdgeKey, Subdivision, SubdivisionEdge, _slope, convex_hull, edges, interior_edge_keys
 from tropcoh.spheres import SemiIntegralSupport, Twisting, _check_twisting, gamma_curve
 from tropcoh.tropical import BoundedRegion, KinkVector, kink_entry
 from tropcoh.winding import _on_curve, _segments, is_strictly_convex
@@ -264,6 +266,28 @@ def compact_support_class(K: KinkVector, region: BoundedRegion) -> int | None:
         if kink_entry(K, key) != a * kc.get(key, 0):
             return None
     return a
+
+
+def wedge_canonical_KC(region: BoundedRegion) -> dict[EdgeKey, int]:
+    """The library's earlier canonical_KC, from the wedge triangles and self-intersections.
+
+    Each wedge triangle's side opposite the centre v carries kink 1 when it is
+    interior, and the region's edge j carries -b_j - 2, with b_j the
+    self-intersection of the curve D_j on the compact surface; in key order.
+    """
+    sub, v = region.curve.sub, region.dual_vertex
+    tris = [sub.triangle_points(t) for t in range(len(sub.triangles))]
+    sides = Counter(tuple(sorted(side)) for pts in tris for side in combinations(pts, 2))
+    out = {}
+    for pts in tris:
+        key = tuple(sorted(p for p in pts if p != v))
+        # a wedge triangle leaves two points once v is dropped
+        if len(key) == 2 and sides[key] == 2:
+            out[key] = 1
+    b = self_intersections(region.fan)
+    for j, key in enumerate(region.edge_keys):
+        out[key] = -b[j] - 2
+    return {key: out[key] for key in sorted(out)}
 
 
 def index_of(fan: Fan, u: Vec) -> int:

@@ -1,14 +1,18 @@
-"""Kink vectors, the balancing map, and canonical classes."""
+"""Kink vectors, the balancing map, and divisor and canonical classes."""
 
 from math import gcd
 
 import pytest
+import sympy
 
 from conftest import hex_grid
-from oracles import affine_parts, dense_integer_kernel, restriction_degree, value_at
+from oracles import (
+    affine_parts, dense_integer_kernel, restriction_degree, value_at, wedge_canonical_KC,
+)
 from tropcoh import bundles
 from tropcoh.bundles import (
     canonical_KC,
+    divisor_kinks,
     hms_line_bundle,
     kinks,
     phi_map,
@@ -18,9 +22,9 @@ from tropcoh.bundles import (
 from tropcoh.examples import a2d_subdivision
 from tropcoh.fan import self_intersections
 from tropcoh.lattice import LatticeError, primitive, rot90, vneg, vsub
-from tropcoh.polytope import edges, interior_edge_keys
+from tropcoh.polytope import edge_kinks, edges, interior_edge_keys
 from tropcoh.spheres import translate_sphere, twisting
-from tropcoh.tropical import bounded_regions, tropical_curve
+from tropcoh.tropical import bounded_regions, kink_entry, tropical_curve
 
 
 def test_support_function_accepts_mapping(p2_sub):
@@ -83,7 +87,7 @@ def test_phi_map_shape(p2_curve, blowup_curve):
     phi = phi_map(p2_curve)
     assert len(phi.matrix) == 2
     assert len(phi.edge_order) == 3
-    assert phi.region_vertices == ((0, 0),)
+    assert len(phi.matrix) == 2 * len(p2_curve.regions)
     phi2 = phi_map(blowup_curve)
     assert len(phi2.matrix) == 2
     assert len(phi2.edge_order) == 4
@@ -159,6 +163,45 @@ def test_canonical_KC_matches_a_cycle_scan(oracle_subdivisions):
             assert all(v != 0 or k in region.edge_keys for k, v in got.items())
             assert all(want[k] == 0 for k in set(want) - set(got))
             assert not any(phi.apply(got))
+
+
+def test_canonical_KC_equals_the_wedge_oracle(oracle_subdivisions):
+    """Entry for entry, zeros and key order included, against the earlier wedge walk."""
+    for sub in oracle_subdivisions:
+        for region in bounded_regions(tropical_curve(sub)):
+            assert list(canonical_KC(region).items()) == list(wedge_canonical_KC(region).items())
+
+
+def test_hat_classes_and_the_picard_basis_generate_one_lattice(oracle_subdivisions):
+    """The divisor classes D_p of the points off the base triangle are a basis of ker Phi.
+
+    Each kernel vector K is the kink vector of f = support_from_kinks(K),
+    which vanishes on the base triangle, so K = sum_p f(p) D_p; the f values
+    form a square matrix of determinant +-1, so the D_p generate the same
+    lattice as the Picard basis.  At every point, D_p is the nonzero part of
+    the hat function's kinks and balances around every region.
+    """
+    for sub in oracle_subdivisions:
+        phi = phi_map(tropical_curve(sub))
+        hats = {}
+        for i, p in enumerate(sub.points):
+            hats[p] = divisor_kinks(sub, p)
+            hat = [int(j == i) for j in range(len(sub.points))]
+            nonzero = {key: k for key, k in edge_kinks(sub, hat).items() if k}
+            assert {key: k for key, k in hats[p].items() if k} == nonzero
+            assert not any(phi.apply(hats[p]))
+        base = min(range(len(sub.triangles)), key=lambda t: tuple(sorted(sub.triangle_points(t))))
+        off = [p for p in sub.points if p not in sub.triangle_points(base)]
+        basis = phi.kernel_vectors()
+        assert len(off) == len(basis)
+        square = []
+        for vec in basis:
+            f = dict(zip(sub.points, support_from_kinks(dict(zip(phi.edge_order, vec)), sub).values))
+            assert all(f[p] == 0 for p in sub.triangle_points(base))
+            combined = [sum(f[p] * kink_entry(hats[p], key) for p in sub.points) for key in phi.edge_order]
+            assert combined == vec
+            square.append([f[p] for p in off])
+        assert abs(sympy.Matrix(square).det()) == 1
 
 
 def test_kernel_equals_the_dense_echelon_on_phi(oracle_subdivisions):

@@ -577,6 +577,7 @@ def test_failed_hessian_sample_is_the_witness(run, monkeypatch):
     assert result["ok"] is False
     assert result["hessian_failures"] == 1
     assert result["witness"]["hessian"] == {"point": list(bad[2]), "eigenvalues": [-2.0, -1.0]}
+    assert "gradient" not in result["witness"]
 
 
 def test_failed_gradient_sample_is_the_witness(run, monkeypatch):
@@ -596,6 +597,7 @@ def test_failed_gradient_sample_is_the_witness(run, monkeypatch):
     result = out_json(out)["result"]
     assert result["hessian_failures"] == 0
     assert result["max_gamma_distance"] > 1e-5
+    assert "hessian" not in result["witness"]
     witness = result["witness"]["gradient"]
     point, g = seen[1]
     assert witness["point"] == list(point)

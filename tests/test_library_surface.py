@@ -177,3 +177,28 @@ def test_no_module_imports_a_private_name_of_another():
         if name.startswith("_") and source != mod
     ]
     assert found == []
+
+
+def _unread_imports(trees) -> list[str]:
+    """Each module-level import whose bound name its module never reads."""
+    found = []
+    for mod, tree in trees.items():
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        found.append(f"{mod} imports {alias.name}")
+    return found
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """A removal leaves no import behind, like ``self_intersections`` in ``bundles``."""
+    trees = _parse()
+    assert _unread_imports(trees) == []
+    # the walk sees such an import when one is put back
+    trees["bundles"].body[1:1] = ast.parse("from .fan import self_intersections\nimport sys\n").body
+    assert _unread_imports(trees) == ["bundles imports self_intersections", "bundles imports sys"]

@@ -184,7 +184,8 @@ def test_edge_classification_on_p2(p2_sub, oracle_subdivisions):
         rays = iter(curve.rays)
         bounded = iter(curve.bounded)
         for e in index.edges:
-            plus, minus, normal = opposite_vertex_sides(sub, e.key, index.edge_triangles[e.key])
+            tris = tuple(t for t in index.stars[e.a] if t in index.stars[e.b])
+            plus, minus, normal = opposite_vertex_sides(sub, e.key, tris)
             assert (e.plus_triangle, e.minus_triangle, e.normal) == (plus, minus, normal)
             if e.is_boundary:
                 ray = next(rays)
@@ -207,10 +208,9 @@ def test_incidence_indexes_match_a_full_scan(p2_sub, blowup_sub, a2d3_sub):
         for t, (a, b, c) in enumerate(tris):
             for side in ((a, b), (b, c), (c, a)):
                 sides.setdefault(tuple(sorted(side)), []).append(t)
-        grouped = index.edge_triangles
-        assert list(grouped) == sorted(sides)
-        assert grouped == {key: tuple(ts) for key, ts in sides.items()}
         assert [e.key for e in index.edges] == sorted(sides)
+        on_edge = {e.key: {e.plus_triangle, e.minus_triangle} - {None} for e in index.edges}
+        assert on_edge == {key: set(ts) for key, ts in sides.items()}
         # an interior point has as many edges as triangles, a boundary point one more
         inner = sorted(p for p in sub.points if sum(p in key for key in sides) == len(star[p]))
         assert dict(index.interior_vertices) == {v: i for i, v in enumerate(inner)}

@@ -94,8 +94,9 @@ def test_region_edge_alignment(p2_region, blowup_region, a2d3_regions):
         r = len(region.fan.rays)
         assert len(region.edge_keys) == r
         assert len(region.cycle) == r
-        assert len(region.triangles) == r
         v = region.dual_vertex
+        curve = region.curve
+        assert sorted(region.cycle) == sorted(curve.vertices[t] for t in curve.index.stars[v])
         for j, u in enumerate(region.fan.rays):
             a, b = region.edge_keys[j]
             assert {a, b} == {v, (v[0] + u[0], v[1] + u[1])}
