@@ -92,13 +92,13 @@ def support_from_kinks(K: KinkVector, sub: Subdivision) -> SupportFunction:
         m, c = parts[t]
         for e in adjacent.get(t, []):
             k = kink_entry(K, e.key)
-            n_e = e.normal
+            normal = e.normal
             if t == e.plus_triangle:
                 other = e.minus_triangle
-                m2 = (m[0] - k * n_e[0], m[1] - k * n_e[1])
+                m2 = (m[0] - k * normal[0], m[1] - k * normal[1])
             else:
                 other = e.plus_triangle
-                m2 = (m[0] + k * n_e[0], m[1] + k * n_e[1])
+                m2 = (m[0] + k * normal[0], m[1] + k * normal[1])
             c2 = c + dot(vsub(m, m2), e.a)
             if other not in parts:
                 parts[other] = (m2, c2)

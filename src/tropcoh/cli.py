@@ -177,18 +177,18 @@ def _cmd_tropical(args) -> dict | bytes:
         "bounded_edges": [
             {
                 "dual_edge": _edge_key_json(e.key),
-                "endpoints": [list(e.p_plus), list(e.p_minus)],
-                "tangent": list(e.n_e),
+                "endpoints": [list(curve.vertices[t]) for t in (e.plus_triangle, e.minus_triangle)],
+                "tangent": list(e.normal),
             }
-            for e in sorted(curve.bounded, key=lambda e: e.key)
+            for e in curve.bounded
         ],
         "rays": [
             {
-                "dual_edge": _edge_key_json(r.key),
-                "origin": list(r.origin),
-                "direction": list(r.direction),
+                "dual_edge": _edge_key_json(e.key),
+                "origin": list(curve.vertices[e.plus_triangle]),
+                "direction": list(e.normal),
             }
-            for r in sorted(curve.rays, key=lambda r: r.key)
+            for e in curve.rays
         ],
     }
 

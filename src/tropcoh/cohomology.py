@@ -237,10 +237,6 @@ def cohomology_dims(psi: ToricSupport) -> CohomologyDims:
     return CohomologyDims(*dims)
 
 
-def p1_cohomology(d: int) -> tuple[int, int]:
-    return (max(d + 1, 0), max(-d - 1, 0))
-
-
 @dataclass(frozen=True)
 class Witness:
     """A lattice point whose winding number differs from its sign-pattern value."""

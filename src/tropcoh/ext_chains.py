@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cohomology import p1_cohomology
-from .lattice import LatticeError
-from .winding import SizeLimitError
+from .lattice import LatticeError, SizeLimitError
 
 KINDS = ("point_intersection", "curve_in_surface", "surfaces_along_curve", "disjoint")
 
@@ -40,6 +38,10 @@ class SphericalPair:
             raise LatticeError(f"{self.kind} takes no parameter k")
         if not need_m and self.m is not None:
             raise LatticeError(f"{self.kind} takes no parameter m")
+
+
+def p1_cohomology(d: int) -> tuple[int, int]:
+    return (max(d + 1, 0), max(-d - 1, 0))
 
 
 def ext_total_dims(pair: SphericalPair) -> tuple[int, int, int, int]:

@@ -32,6 +32,10 @@ class LatticeError(ValueError):
     """Raised when exact geometric preconditions fail."""
 
 
+class SizeLimitError(LatticeError):
+    """Raised when a requested table or sweep is larger than its documented limit."""
+
+
 def vadd(u, v):
     return (u[0] + v[0], u[1] + v[1])
 

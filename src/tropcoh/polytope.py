@@ -259,13 +259,13 @@ def _edge(key: EdgeKey, sides: list[tuple[int, bool]]) -> SubdivisionEdge:
     """The edge with the given key, labelled from its (triangle, on the plus side) pairs."""
     a, b = key
     n_check = primitive(vsub(b, a))
-    n_e = rot90(n_check)
+    normal = rot90(n_check)
     if len(sides) == 1:
         t, plus = sides[0]
-        return SubdivisionEdge(a, b, n_check, True, t, None, n_e if plus else vneg(n_e))
+        return SubdivisionEdge(a, b, n_check, True, t, None, normal if plus else vneg(normal))
     (s, s_plus), (t, _) = sides
     plus, minus = (s, t) if s_plus else (t, s)
-    return SubdivisionEdge(a, b, n_check, False, plus, minus, n_e)
+    return SubdivisionEdge(a, b, n_check, False, plus, minus, normal)
 
 
 def interior_vertices(sub: Subdivision) -> tuple[Vec, ...]:
@@ -322,7 +322,7 @@ def edge_kinks(sub: Subdivision, values: Sequence) -> dict[EdgeKey, Fraction | i
     rot90(n_check); it is positive exactly where the function is locally
     convex, and does not depend on which side was labeled plus.  For integer
     values the kink is an integer (the jump is an integer multiple of the
-    primitive n_e), so the quotient is exact; Fraction values may give
+    primitive normal), so the quotient is exact; Fraction values may give
     a Fraction.
     """
     return _kinks(edges(sub), slopes(sub, values))
@@ -333,7 +333,7 @@ def _kinks(es: Sequence[SubdivisionEdge], m: Sequence[QVec]) -> dict[EdgeKey, Fr
     out = {}
     for e in es:
         if not e.is_boundary:
-            n_e = e.normal
-            s, nn = dot(vsub(m[e.plus_triangle], m[e.minus_triangle]), n_e), dot(n_e, n_e)
+            normal = e.normal
+            s, nn = dot(vsub(m[e.plus_triangle], m[e.minus_triangle]), normal), dot(normal, normal)
             out[e.key] = s // nn if s % nn == 0 else Fraction(s, nn)
     return out

@@ -12,11 +12,13 @@ Z = sum_j m_j,
 
 and the Hessian is a sum over the rays of the line mass of the bump on each
 (order x rays nodes a point), since grad f jumps only across the rays.
-fan_derivatives gives gradients and Hessians, which check_hessian_definiteness
-uses; grad, hessian and mollify_eval are its one-point views.  "quadrature
-order too low" means that Z differs from the exact mass of the bump, the
-one-dimensional polar integral in closed form, by more than 1e-6 (relative).
-The check bounds the total mass Z, not how it splits between the cones.
+_wall_weights gives gradients and the weight of each ray in the Hessian,
+which check_hessian_definiteness uses; fan_derivatives builds the Hessians
+from them, and grad, hessian and mollify_eval are its one-point views.
+"quadrature order too low" means that Z differs from the exact mass of the
+bump, the one-dimensional polar integral in closed form, by more than 1e-6
+(relative).  The check bounds the total mass Z, not how it splits between
+the cones.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import LatticeError
-from .spheres import SemiIntegralSupport, gamma_curve
-from .winding import SizeLimitError, is_strictly_convex
+from .lattice import LatticeError, SizeLimitError
+from .spheres import SemiIntegralSupport, gamma_curve, is_strictly_convex
 
 
 class FanPL:
@@ -46,6 +47,12 @@ class FanPL:
         self._angles = angles
         self._parts = np.array([[x / 2, y / 2] for x, y in theta.doubled])
         self._units = np.array(rays, dtype=float) / np.hypot(*np.array(rays, dtype=float).T)[:, None]
+        # unit normals n_j = rot90(u_j) / |u_j|, and kappa_j with theta_j - theta_{j-1} = kappa_j n_j
+        n = np.stack([-self._units[:, 1], self._units[:, 0]], axis=1)
+        self._kinks = np.einsum("ja,ja->j", self._parts - np.roll(self._parts, 1, axis=0), n)
+        # n_j n_j^T as (xx, xy, yy), and det(n_i, n_j)^2 for i < j
+        self._outer = n[:, [0, 0, 1]] * n[:, [0, 1, 1]]
+        self._cross = np.triu(np.square(np.outer(n[:, 0], n[:, 1]) - np.outer(n[:, 1], n[:, 0])), 1)
 
 
 # The fan rule takes 2 order^2 nodes per cone that meets a point's disk: every
@@ -233,27 +240,30 @@ def _checked_masses(f: FanPL, p: MollifierParams, x: np.ndarray):
     return mass, moment, den
 
 
-def fan_derivatives(f: FanPL, p: MollifierParams, points) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (n, 2) and Hessians (n, 2, 2) of the smoothed fan support at n points.
+def _wall_weights(f: FanPL, p: MollifierParams, points) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (n, 2) of the smoothed fan support at n points, and the weights c (n, rays).
 
     grad f is theta_j on cone j, so grad F = sum_j theta_j m_j / Z with m_j
     the bump mass of cone j (_cone_masses) and Z = sum_j m_j.  Across ray j
-    the gradient of f jumps by theta_j - theta_{j-1} in the direction
-    n_j = rot90(u_j), so
+    the gradient of f jumps by kappa_j n_j, so
 
-        Hess F = sum_j (theta_j - theta_{j-1}) n_j^T L_j / Z
+        Hess F = sum_j c_j n_j n_j^T,  c_j = kappa_j L_j / Z
 
-    with L_j the line mass of the bump on ray j (_ray_masses), symmetrised.
+    with L_j the line mass of the bump on ray j (_ray_masses).  Each L_j is
+    divided by Z before any product: at eps = 0.05, Z^2 underflows.
     "quadrature order too low" when Z at some point is off the exact mass
     (_bump_mass) by more than 1e-6, relative.
     """
     x = np.asarray(points, dtype=float).reshape(-1, 2)
     mass, _, den = _checked_masses(f, p, x)
-    normals = np.stack([-f._units[:, 1], f._units[:, 0]], axis=1)
-    jumps = f._parts - np.roll(f._parts, 1, axis=0)
     lines = _ray_masses(f, x, float(p.epsilon), int(p.quadrature_order))
-    h = np.einsum("pj,ja,jb->pab", lines, jumps, normals) / den[:, None, None]
-    return mass @ f._parts / den[:, None], (h + h.transpose(0, 2, 1)) / 2
+    return mass @ f._parts / den[:, None], lines / den[:, None] * f._kinks
+
+
+def fan_derivatives(f: FanPL, p: MollifierParams, points) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (n, 2) and Hessians (n, 2, 2), exactly symmetric, of the smoothed fan support at n points."""
+    grads, c = _wall_weights(f, p, points)
+    return grads, (c @ f._outer)[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
 
 
 def grad(f: FanPL, p: MollifierParams, x) -> tuple[float, float]:
@@ -376,13 +386,19 @@ def check_hessian_definiteness(
     sign = 1.0 if convexity == "convex" else -1.0
     gamma = [(x / 2, y / 2) for x, y in gamma_curve(theta).doubled]
     points, on_ray = _sample_points(theta.fan.rays, float(p.epsilon), samples)
-    grads, hess = fan_derivatives(FanPL(theta), p, points)
+    f = FanPL(theta)
+    grads, c = _wall_weights(f, p, points)
 
+    # The eigenvalue farther from 0 is tr/2 + sign(tr) disc, free of cancellation.  The
+    # nearer one is det over it, with det = sum_{i<j} c_i c_j det(n_i, n_j)^2 (Cauchy-Binet):
+    # where every c_j has one sign, so has every term, and tr/2 - disc would cancel.
+    c = c[:samples]
+    dets = np.einsum("pi,ij,pj->p", c, f._cross, c)
     hessians = []
-    for b, ((h11, h12), (_, h22)) in zip(points, hess[:samples].tolist()):
-        tr, det = h11 + h22, h11 * h22 - h12 * h12
-        disc = math.sqrt(max(tr * tr / 4 - det, 0.0))
-        hessians.append(HessianSample(b, (tr / 2 - disc, tr / 2 + disc)))
+    for b, (xx, xy, yy), det in zip(points, (c @ f._outer).tolist(), dets.tolist()):
+        tr, disc = xx + yy, math.hypot((xx - yy) / 2, xy)
+        far = tr / 2 + math.copysign(disc, tr)
+        hessians.append(HessianSample(b, tuple(sorted((det / far if far else 0.0, far)))))
     checked = [
         GradientSample(
             b,

@@ -165,6 +165,16 @@ def kinks_of_theta(theta: SemiIntegralSupport) -> Twisting:
     return Twisting(fan, tuple(ell), theta.region)
 
 
+def is_strictly_convex(theta: SemiIntegralSupport) -> str:
+    """One of "convex", "concave", "neither" for the glued piecewise form."""
+    ell = kinks_of_theta(theta).ell
+    if all(l > 0 for l in ell):
+        return "convex"
+    if all(l < 0 for l in ell):
+        return "concave"
+    return "neither"
+
+
 @dataclass(frozen=True)
 class GammaCurve:
     """Closed polygonal boundary value curve through the cone linear parts.
@@ -173,7 +183,6 @@ class GammaCurve:
     """
 
     doubled: tuple[Vec, ...]
-    fan: Optional[Fan] = None
 
     def __post_init__(self):
         if not all(type(x) is int for v in self.doubled for x in v):
@@ -185,7 +194,7 @@ class GammaCurve:
 
 
 def gamma_curve(theta: SemiIntegralSupport) -> GammaCurve:
-    return GammaCurve(theta.doubled, theta.fan)
+    return GammaCurve(theta.doubled)
 
 
 def translate_sphere(tw: Twisting, K: KinkVector) -> Twisting:

@@ -81,16 +81,17 @@ def _header(canvas: _Canvas) -> list[str]:
 
 def _curve_elements(canvas: _Canvas, curve: TropicalCurve) -> list[str]:
     out = []
-    for edge in sorted(curve.bounded, key=lambda e: e.key):
-        a = canvas.to_px(edge.p_plus)
-        b = canvas.to_px(edge.p_minus)
+    for e in curve.bounded:
+        a = canvas.to_px(curve.vertices[e.plus_triangle])
+        b = canvas.to_px(curve.vertices[e.minus_triangle])
         out.append(
             f'<line class="edge" x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
             f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" stroke="#202020" stroke-width="2.00"/>'
         )
-    for ray in sorted(curve.rays, key=lambda r: r.key):
-        a = canvas.to_px(ray.origin)
-        far = canvas.to_px(canvas.clip_ray(ray.origin, ray.direction))
+    for e in curve.rays:
+        origin = curve.vertices[e.plus_triangle]
+        a = canvas.to_px(origin)
+        far = canvas.to_px(canvas.clip_ray(origin, e.normal))
         out.append(
             f'<line class="ray" x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
             f'x2="{_fmt(far[0])}" y2="{_fmt(far[1])}" stroke="#606060" stroke-width="1.50"/>'

@@ -10,24 +10,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .fan import Fan, balance, make_fan
-from .lattice import LatticeError, QVec, Vec, as_int, det2, vadd, vneg, vsub
-from .polytope import CheckedSubdivision, EdgeKey, Subdivision, checked
-
-
-@dataclass(frozen=True)
-class BoundedEdge:
-    key: EdgeKey
-    p_plus: QVec
-    p_minus: QVec
-    n_e: Vec
-
-
-@dataclass(frozen=True)
-class TropicalRay:
-    key: EdgeKey
-    origin: QVec
-    direction: Vec
+from .fan import Fan, balance, fan_at_vertex
+from .lattice import LatticeError, QVec, Vec, as_int, vadd, vneg
+from .polytope import CheckedSubdivision, EdgeKey, Subdivision, SubdivisionEdge, checked
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,8 +22,12 @@ class TropicalCurve:
 
     index: CheckedSubdivision = field(repr=False)
     vertices: tuple[QVec, ...]
-    bounded: tuple[BoundedEdge, ...]
-    rays: tuple[TropicalRay, ...]
+    # the index's own interior and boundary edges, in key order.  Bounded edge
+    # e runs from vertices[e.plus_triangle] to vertices[e.minus_triangle] along
+    # e.normal, for a length of its kink, which validate proved positive; ray e
+    # leaves vertices[e.plus_triangle] along e.normal, into the polygon
+    bounded: tuple[SubdivisionEdge, ...]
+    rays: tuple[SubdivisionEdge, ...]
     # set once, when the curve is built; in interior vertex order
     regions: tuple[BoundedRegion, ...] = field(default=(), repr=False)
 
@@ -54,17 +43,9 @@ def tropical_curve(sub: Subdivision) -> TropicalCurve:
 
     # the dual vertex of a triangle is minus the slope of nu there
     vertices = tuple(vneg(m) for m in index.slopes)
-    bounded = []
-    rays = []
-    for e in index.edges:
-        if e.is_boundary:
-            # a boundary edge's normal points into the polygon; the dual ray leaves along it
-            rays.append(TropicalRay(e.key, vertices[e.plus_triangle], e.normal))
-        else:
-            # the positive kink validate proved is the edge length along the normal
-            p_plus, p_minus = vertices[e.plus_triangle], vertices[e.minus_triangle]
-            bounded.append(BoundedEdge(e.key, p_plus, p_minus, e.normal))
-    curve = TropicalCurve(index, vertices, tuple(bounded), tuple(rays))
+    bounded = tuple(e for e in index.edges if not e.is_boundary)
+    rays = tuple(e for e in index.edges if e.is_boundary)
+    curve = TropicalCurve(index, vertices, bounded, rays)
     object.__setattr__(curve, "regions", tuple(_region(curve, v) for v in index.interior_vertices))
     return curve
 
@@ -74,33 +55,20 @@ class BoundedRegion:
     """A bounded component of the curve complement, dual to an interior vertex.
 
     Entry j of every per-edge tuple refers to the boundary edge dual to ray
-    u_j of the vertex fan; the cycle lists the dual vertices of the wedge
-    triangles counterclockwise, so edge j runs from cycle[j-1] to cycle[j]
-    along -rot90(u_j).
+    u_j of the vertex fan.
     """
 
     curve: TropicalCurve
     dual_vertex: Vec
     fan: Fan
     edge_keys: tuple[EdgeKey, ...]
-    cycle: tuple[QVec, ...]
 
 
 def _region(curve: TropicalCurve, v: Vec) -> BoundedRegion:
     """The bounded region dual to the interior vertex v."""
-    # each wedge triangle, by its two rays counterclockwise, to its dual vertex
-    wedge_vertex = {}
-    for t in curve.index.stars[v]:
-        d1, d2 = (vsub(p, v) for p in curve.sub.triangle_points(t) if p != v)
-        if det2(d1, d2) < 0:
-            d1, d2 = d2, d1
-        wedge_vertex[(d1, d2)] = curve.vertices[t]
-    # each ray of the fan at v opens exactly one counterclockwise wedge
-    f = make_fan(d1 for d1, _ in wedge_vertex)
-    r = len(f.rays)
-    cycle = tuple(wedge_vertex[(f.rays[j], f.rays[(j + 1) % r])] for j in range(r))
+    f = fan_at_vertex(curve.sub, v)
     edge_keys = tuple(tuple(sorted((v, vadd(v, u)))) for u in f.rays)
-    return BoundedRegion(curve, v, f, edge_keys, cycle)
+    return BoundedRegion(curve, v, f, edge_keys)
 
 
 def bounded_regions(curve: TropicalCurve) -> tuple[BoundedRegion, ...]:

@@ -9,16 +9,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import LatticeError, Vec, det2, dot, threshold_rows, threshold_slabs
-from .spheres import GammaCurve, SemiIntegralSupport, gamma_curve, kinks_of_theta
+from .lattice import LatticeError, SizeLimitError, Vec, det2, dot, threshold_rows, threshold_slabs
+from .spheres import GammaCurve, SemiIntegralSupport, gamma_curve
 
 
 class GenericityError(LatticeError):
     """Raised when a probe direction is degenerate for the requested point."""
-
-
-class SizeLimitError(LatticeError):
-    """Raised when a requested table or sweep is larger than its documented limit."""
 
 
 # A table lists every entry, so its box is capped; a sweep costs one pass per row.
@@ -184,16 +180,6 @@ def _curve_totals(gamma: GammaCurve) -> tuple[int, int]:
         else:
             odd -= w * (x1 - x0)
     return even, odd
-
-
-def is_strictly_convex(theta: SemiIntegralSupport) -> str:
-    """One of "convex", "concave", "neither" for the glued piecewise form."""
-    ell = kinks_of_theta(theta).ell
-    if all(l > 0 for l in ell):
-        return "convex"
-    if all(l < 0 for l in ell):
-        return "concave"
-    return "neither"
 
 
 def winding_via_T(theta: SemiIntegralSupport, m: Vec, direction: Vec) -> int:

@@ -52,9 +52,9 @@ from tropcoh.cohomology import ToricSupport, canonical_psi
 from tropcoh.fan import Fan, is_smooth, self_intersections
 from tropcoh.lattice import floor_sum
 from tropcoh.polytope import EdgeKey, Subdivision, SubdivisionEdge, _slope, convex_hull, edges, interior_edge_keys
-from tropcoh.spheres import SemiIntegralSupport, Twisting, _check_twisting, gamma_curve
+from tropcoh.spheres import SemiIntegralSupport, Twisting, _check_twisting, gamma_curve, is_strictly_convex
 from tropcoh.tropical import BoundedRegion, KinkVector, kink_entry
-from tropcoh.winding import _on_curve, _segments, is_strictly_convex
+from tropcoh.winding import _on_curve, _segments
 
 
 @lru_cache(maxsize=1)
@@ -288,6 +288,25 @@ def wedge_canonical_KC(region: BoundedRegion) -> dict[EdgeKey, int]:
     for j, key in enumerate(region.edge_keys):
         out[key] = -b[j] - 2
     return {key: out[key] for key in sorted(out)}
+
+
+def region_cycle(region: BoundedRegion) -> tuple[QVec, ...]:
+    """The library's earlier BoundedRegion.cycle: the region's polygon, by a walk over the wedges.
+
+    It lists the dual vertices of the wedge triangles counterclockwise, so
+    the region's edge j runs from cycle[j-1] to cycle[j] along -rot90(u_j).
+    """
+    curve, v = region.curve, region.dual_vertex
+    # each wedge triangle, by its two rays counterclockwise, to its dual vertex
+    wedge_vertex = {}
+    for t in curve.index.stars[v]:
+        d1, d2 = (vsub(p, v) for p in curve.sub.triangle_points(t) if p != v)
+        if det2(d1, d2) < 0:
+            d1, d2 = d2, d1
+        wedge_vertex[d1, d2] = curve.vertices[t]
+    # each ray of the fan at v opens exactly one counterclockwise wedge
+    rays = region.fan.rays
+    return tuple(wedge_vertex[rays[j], rays[(j + 1) % len(rays)]] for j in range(len(rays)))
 
 
 def index_of(fan: Fan, u: Vec) -> int:
@@ -588,10 +607,13 @@ def split_smoothing(f, p, x, pointwise: bool = False):
     return value / den, tuple((grad / den).tolist()), tuple(map(tuple, ((m + m.T) / 2).tolist()))
 
 
-def split_fan_derivatives(f, p, points):
-    """fan_derivatives by the split rule, one point at a time, as the check once made them."""
-    triples = [split_smoothing(f, p, x) for x in points]
-    return np.array([g for _, g, _ in triples]), np.array([h for _, _, h in triples])
+def split_wall_weights(f, p, points):
+    """smoothing._wall_weights by the oracles, one point at a time: the gradients by the
+    split rule and the Hessian's weights by the kink-line form, both at the rule's order."""
+    eps, order = float(p.epsilon), int(p.quadrature_order)
+    grads = [split_smoothing(f, p, x)[1] for x in points]
+    weights = [[np.dot(d, n) * line for d, n, line in _wall_lines(f.theta, eps, x, order)] for x in points]
+    return np.array(grads), np.array(weights)
 
 
 def polar_disk_mass(eps, order=400) -> float:
@@ -601,35 +623,40 @@ def polar_disk_mass(eps, order=400) -> float:
     return float(np.sum(eps / 2 * gw * np.exp(1 / (r * r - eps * eps)) * 2 * math.pi * r))
 
 
+def _wall_lines(theta, eps, x, order):
+    """For each ray j that meets the disk about x: D_j = theta_j - theta_{j-1}, the unit
+    normal n_j = rot90(u_j) / |u_j|, and int of mu along the ray inside the disk over Z,
+    by one-dimensional Gauss-Legendre for the chord and for Z in polar form."""
+    gx, gw = _leggauss(order)
+    z = polar_disk_mass(eps, order)
+    x = np.asarray(x, dtype=float)
+    thetas = [np.array([float(t[0]), float(t[1])]) for t in theta.thetas]
+    out = []
+    for j, u in enumerate(theta.fan.rays):
+        u = np.asarray(u, dtype=float) / math.hypot(*u)
+        # chord {s u : s >= 0, |x - s u| < eps}
+        b, c = float(x @ u), float(x @ x) - eps * eps
+        root = math.sqrt(max(b * b - c, 0.0))
+        lo, hi = max(0.0, b - root), b + root
+        line = 0.0
+        if root > 0 and hi > lo:
+            s = lo + (hi - lo) * (gx + 1) / 2
+            y = x - s[:, None] * u
+            gap = np.minimum(np.sum(y * y, axis=1) - eps * eps, -1e-300)
+            line = float(np.sum((hi - lo) / 2 * gw * np.exp(1 / gap)))
+        out.append((thetas[j] - thetas[j - 1], np.array([-u[1], u[0]]), line / z))
+    return out
+
+
 def wall_form_hessian(theta, eps, x, order=400):
     """Hessian of the smoothed fan support from its kinks alone.
 
     The gradient of the fan support jumps by D_j = theta_j - theta_{j-1}
     across ray j, in the direction n_j = rot90(u_j), so its distributional
     Hessian is sum_j D_j n_j^T times the line measure on ray j.  Smoothing
-    gives sum_j D_j n_j^T (int of mu along the ray inside the disk) / Z, with
-    one-dimensional Gauss-Legendre for each chord and for Z in polar form.
+    gives sum_j D_j n_j^T (int of mu along the ray inside the disk) / Z.
     """
-    gx, gw = _leggauss(order)
-    z = polar_disk_mass(eps, order)
-    x = np.asarray(x, dtype=float)
-    thetas = [np.array([float(t[0]), float(t[1])]) for t in theta.thetas]
-    out = np.zeros((2, 2))
-    for j, u in enumerate(theta.fan.rays):
-        u = np.asarray(u, dtype=float) / math.hypot(*u)
-        # chord {s u : s >= 0, |x - s u| < eps}
-        b, c = float(x @ u), float(x @ x) - eps * eps
-        if b * b - c <= 0:
-            continue
-        lo, hi = max(0.0, b - math.sqrt(b * b - c)), b + math.sqrt(b * b - c)
-        if hi <= lo:
-            continue
-        s = lo + (hi - lo) * (gx + 1) / 2
-        y = x - s[:, None] * u
-        gap = np.minimum(np.sum(y * y, axis=1) - eps * eps, -1e-300)
-        line = float(np.sum((hi - lo) / 2 * gw * np.exp(1 / gap)))
-        out += np.outer(thetas[j] - thetas[j - 1], (-u[1], u[0])) * line
-    return out / z
+    return sum((np.outer(d, n) * line for d, n, line in _wall_lines(theta, eps, x, order)), np.zeros((2, 2)))
 
 
 def vertex_gradient(theta) -> tuple[float, float]:

@@ -50,7 +50,7 @@ def _blowup_theta():
 def test_criterion_1_p2_curve_geometry():
     curve = tropical_curve(local_p2())
     vertices_ok = set(curve.vertices) == {(-1, -1), (2, -1), (-1, 2)}
-    tangents = {lex_positive(e.n_e) for e in curve.bounded}
+    tangents = {lex_positive(e.normal) for e in curve.bounded}
     tangents_ok = tangents == {
         lex_positive(t) for t in ((1, 0), (-1, 1), (0, -1))
     }

@@ -7,7 +7,7 @@ import sympy
 
 from conftest import hex_grid
 from oracles import (
-    affine_parts, dense_integer_kernel, restriction_degree, value_at, wedge_canonical_KC,
+    affine_parts, dense_integer_kernel, region_cycle, restriction_degree, value_at, wedge_canonical_KC,
 )
 from tropcoh import bundles
 from tropcoh.bundles import (
@@ -150,8 +150,9 @@ def test_canonical_KC_matches_a_cycle_scan(oracle_subdivisions):
             b = self_intersections(region.fan)
             want = {key: 0 for key in interior_edge_keys(sub)}
             want.update((key, -b[j] - 2) for j, key in enumerate(region.edge_keys))
+            cycle = region_cycle(region)
             for be in curve.bounded:
-                on_cycle = be.p_plus in region.cycle or be.p_minus in region.cycle
+                on_cycle = curve.vertices[be.plus_triangle] in cycle or curve.vertices[be.minus_triangle] in cycle
                 if on_cycle and be.key not in region.edge_keys:
                     want[be.key] = 1
             got = canonical_KC(region)
@@ -226,7 +227,10 @@ def test_phi_matrix_matches_the_epsilon_construction(oracle_subdivisions):
         curve = tropical_curve(sub)
         order = interior_edge_keys(sub)
         col = {key: i for i, key in enumerate(order)}
-        tangent = {be.key: _primitive_q(vsub(be.p_minus, be.p_plus)) for be in curve.bounded}
+        pos = curve.vertices
+        tangent = {
+            be.key: _primitive_q(vsub(pos[be.minus_triangle], pos[be.plus_triangle])) for be in curve.bounded
+        }
         rows = []
         for region in bounded_regions(curve):
             rx, ry = [0] * len(order), [0] * len(order)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import textwrap
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tropcoh
@@ -342,6 +344,8 @@ def test_cli_import_loads_neither_numpy_nor_jsonschema(fixture_dir):
         ["a2d", "--d", "3"],
     ]
     picard = [["picard", "--input", a2d]]
+    chain = [["a2d", "--d", "3"]]
+    smooth = [["smooth-check", "--input", p2, "--ell", "cap_k1", "--samples", "4"]]
     code = textwrap.dedent(
         """
         import contextlib, io, json, sys
@@ -374,6 +378,10 @@ def test_cli_import_loads_neither_numpy_nor_jsonschema(fixture_dir):
     # only picard reads the balancing map, so only picard loads bundles
     assert "tropcoh.bundles" not in after_rest
     assert loaded_after(lean, picard)[1:] == [[], ["tropcoh.bundles"]]
+    # a2d reads only the chain rules; smooth-check needs neither winding counts nor cohomology
+    assert loaded_after(chain)[1:] == [["tropcoh.ext_chains"]]
+    after_smooth = loaded_after(smooth)[1]
+    assert "tropcoh.winding" not in after_smooth and "tropcoh.cohomology" not in after_smooth
 
 
 @pytest.mark.parametrize("field, value", [("margin", 2.0), ("nu", 2.0)])
@@ -464,6 +472,18 @@ def test_smooth_check(run):
     assert "witness" not in result
 
 
+@pytest.mark.parametrize(
+    "ell, eps", [("cap_k1", "0.075"), ("cap_k1", "0.05"), ("cap_k_minus2", "0.075"), ("cap_k_minus2", "0.05")]
+)
+def test_smooth_check_passes_at_small_radii(run, ell, eps):
+    """Near the fan vertex one eigenvalue is far below the other; it is read without cancellation."""
+    code, out, _ = run("smooth-check", P2, "--ell", ell, "--epsilon", eps, "--order", "64")
+    assert code == 0
+    result = out_json(out)["result"]
+    assert (result["ok"], result["hessian_failures"]) == (True, 0)
+    assert result["min_abs_eigenvalue"] > 0
+
+
 def test_smooth_check_defaults_come_from_the_flags(run):
     code, out, _ = run("smooth-check", P2, "--ell", "cap_k1")
     assert code == 0
@@ -525,7 +545,7 @@ def test_smooth_check_size_limits(run, monkeypatch, flags, message):
     def refuse(*args):
         raise AssertionError("quadrature started")
 
-    monkeypatch.setattr(smoothing, "fan_derivatives", refuse)
+    monkeypatch.setattr(smoothing, "_wall_weights", refuse)
     code, out, err = run("smooth-check", P2, "--ell", "cap_k1", *flags)
     assert code == 2
     assert out == ""
@@ -561,37 +581,43 @@ def test_svg_outside_the_float_range_exits_2(run, fixture_dir, tmp_path):
 
 
 def test_failed_hessian_sample_is_the_witness(run, monkeypatch):
-    real = smoothing.fan_derivatives
+    real = smoothing._wall_weights
     bad = []
 
     def flipped(f, p, points):
-        g, h = real(f, p, points)
-        h[2] = ((-2.0, 0.0), (0.0, -1.0))  # the third Hessian sample turns negative definite
-        bad.extend(points)
-        return g, h
+        g, c = real(f, p, points)
+        c[2] = -c[2]  # the third Hessian sample turns negative definite
+        bad.extend((points[2], f.theta.fan.rays, c[2].tolist()))
+        return g, c
 
-    monkeypatch.setattr(smoothing, "fan_derivatives", flipped)
+    monkeypatch.setattr(smoothing, "_wall_weights", flipped)
     code, out, _ = run("smooth-check", P2, "--ell", "cap_k1", "--samples", "4")
     assert code == 1
     result = out_json(out)["result"]
     assert result["ok"] is False
     assert result["hessian_failures"] == 1
-    assert result["witness"]["hessian"] == {"point": list(bad[2]), "eigenvalues": [-2.0, -1.0]}
+    point, rays, c = bad
+    normals = [np.array([-u[1], u[0]]) / math.hypot(*u) for u in rays]
+    want = np.linalg.eigvalsh(sum(cj * np.outer(n, n) for cj, n in zip(c, normals)))
+    witness = result["witness"]["hessian"]
+    assert witness["point"] == list(point)
+    assert max(want) < 0
+    assert np.allclose(witness["eigenvalues"], want, rtol=1e-12, atol=0)
     assert "gradient" not in result["witness"]
 
 
 def test_failed_gradient_sample_is_the_witness(run, monkeypatch):
-    real = smoothing.fan_derivatives
+    real = smoothing._wall_weights
     seen = []
 
     def shifted(f, p, points):
-        g, h = real(f, p, points)
+        g, c = real(f, p, points)
         # the points out along the rays follow the 4 Hessian samples
         seen.extend((x, tuple(gx)) for x, gx in zip(points[4:], g[4:].tolist()))
         g[5, 0] += 0.5
-        return g, h
+        return g, c
 
-    monkeypatch.setattr(smoothing, "fan_derivatives", shifted)
+    monkeypatch.setattr(smoothing, "_wall_weights", shifted)
     code, out, _ = run("smooth-check", P2, "--ell", "cap_k1", "--samples", "4")
     assert code == 1
     result = out_json(out)["result"]

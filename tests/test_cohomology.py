@@ -18,13 +18,13 @@ from tropcoh.cohomology import (
     canonical_psi,
     cohomology_dims,
     divisor_coeffs,
-    p1_cohomology,
     pattern_runs,
     psi_from_ray_values,
     psi_from_theta,
     restriction_degrees,
     verify_winding_theorem,
 )
+from tropcoh.ext_chains import p1_cohomology
 from tropcoh.fan import make_fan
 from tropcoh.io import parse_input
 from tropcoh.lattice import LatticeError

@@ -36,7 +36,6 @@ ALLOWED = {
     "examples.blowup_p2": README,
     "examples.a2d_subdivision": README,
     "bundles.canonical_KC": README,
-    "fan.fan_at_vertex": BENCH,
     "polytope.interior_vertices": BENCH,
     "winding.winding_via_T_auto": BENCH,
     "smoothing.grad": BENCH,

@@ -189,12 +189,14 @@ def test_edge_classification_on_p2(p2_sub, oracle_subdivisions):
             assert (e.plus_triangle, e.minus_triangle, e.normal) == (plus, minus, normal)
             if e.is_boundary:
                 ray = next(rays)
-                assert (ray.key, ray.origin, ray.direction) == (e.key, curve.vertices[plus], normal)
+                origin = curve.vertices[ray.plus_triangle]
+                assert (ray.key, origin, ray.normal) == (e.key, curve.vertices[plus], normal)
             else:
                 assert normal == rot90(e.n_check)
                 edge = next(bounded)
                 want = (e.key, curve.vertices[plus], curve.vertices[minus], normal)
-                assert (edge.key, edge.p_plus, edge.p_minus, edge.n_e) == want
+                ends = curve.vertices[edge.plus_triangle], curve.vertices[edge.minus_triangle]
+                assert (edge.key, *ends, edge.normal) == want
         assert next(rays, None) is None and next(bounded, None) is None
 
 

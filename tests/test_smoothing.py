@@ -18,15 +18,15 @@ from oracles import (
     fan_pl_value,
     fan_walls,
     polar_disk_mass,
-    split_fan_derivatives,
     split_rule,
     split_smoothing,
+    split_wall_weights,
     spot_check_continuity,
     vertex_gradient,
     wall_form_hessian,
 )
 from tropcoh.fan import make_fan
-from tropcoh.lattice import LatticeError, dot, lex_positive, rot90, vsub
+from tropcoh.lattice import LatticeError, SizeLimitError, dot, lex_positive, rot90, vsub
 from tropcoh.smoothing import (
     MAX_QUADRATURE_NODES,
     MAX_QUADRATURE_ORDER,
@@ -40,7 +40,6 @@ from tropcoh.smoothing import (
     mollify_eval,
 )
 from tropcoh.spheres import SemiIntegralSupport, theta_from_twisting, twisting
-from tropcoh.winding import SizeLimitError
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +259,7 @@ def test_sample_limit_is_checked_before_any_quadrature(p2_theta, monkeypatch):
     def refuse(*args):
         raise AssertionError("quadrature started")
 
-    monkeypatch.setattr(smoothing, "fan_derivatives", refuse)
+    monkeypatch.setattr(smoothing, "_wall_weights", refuse)
     with pytest.raises(SizeLimitError, match=f"above the limit of {MAX_SAMPLES}"):
         check_hessian_definiteness(p2_theta, MollifierParams(0.2), samples=MAX_SAMPLES + 1)
 
@@ -271,7 +270,7 @@ def test_node_limit_is_checked_before_any_quadrature(p2_theta, monkeypatch):
     def refuse(*args):
         raise AssertionError("quadrature started")
 
-    monkeypatch.setattr(smoothing, "fan_derivatives", refuse)
+    monkeypatch.setattr(smoothing, "_wall_weights", refuse)
     for samples, order in ((24, MAX_QUADRATURE_ORDER), (MAX_SAMPLES, 24), (104, MAX_QUADRATURE_ORDER)):
         with pytest.raises(AssertionError, match="quadrature started"):
             check_hessian_definiteness(p2_theta, MollifierParams(0.25, order), samples)
@@ -434,12 +433,12 @@ def _outcome(theta, p, samples):
 
 @pytest.mark.parametrize("eps", [0.2, 0.25, 0.5])
 def test_check_reports_what_the_split_rule_reported(definite_thetas, monkeypatch, eps):
-    """Every non-float field, and each raise, as with the split rule at the same
-    order; the floats within 1e-8 of the split rule at order 300."""
+    """Every non-float field, and each raise, as with the oracles' weights at the same
+    order (split_wall_weights); the floats within 1e-8 of the oracles at order 300."""
     runs = [(theta, 24) for theta in definite_thetas[:4]] + [(theta, 200) for theta in definite_thetas[:2]]
     fan_rule = [_outcome(theta, MollifierParams(eps), samples) for theta, samples in runs]
     fan_floats = _outcome(definite_thetas[0], MollifierParams(eps), 8)
-    monkeypatch.setattr(smoothing, "fan_derivatives", split_fan_derivatives)
+    monkeypatch.setattr(smoothing, "_wall_weights", split_wall_weights)
     for (theta, samples), (fields, _) in zip(runs, fan_rule):
         assert _outcome(theta, MollifierParams(eps), samples)[0] == fields, (theta.fan.rays, samples)
     fields, floats = _outcome(definite_thetas[0], MollifierParams(eps, 300), 8)

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import legendre
+from oracles import legendre, region_cycle
 from tropcoh.examples import a2d_subdivision, blowup_p2, local_p2
 from tropcoh.lattice import LatticeError, lex_positive, rot90, vneg, vsub
-from tropcoh.polytope import edges
+from tropcoh.polytope import checked, edges
 from tropcoh.tropical import (
     bounded_regions,
     region_at,
@@ -23,7 +23,7 @@ def test_p2_curve_vertices_exact(p2_curve):
 
 
 def test_p2_bounded_edge_tangents_up_to_sign(p2_curve):
-    got = {lex_positive(e.n_e) for e in p2_curve.bounded}
+    got = {lex_positive(e.normal) for e in p2_curve.bounded}
     assert got == {lex_positive(t) for t in P2_TANGENTS}
 
 
@@ -34,6 +34,18 @@ def test_curve_counts_match_duality(p2_sub, blowup_sub, a2d3_sub):
         assert len(curve.vertices) == len(sub.triangles)
         assert len(curve.bounded) == sum(1 for e in es if not e.is_boundary)
         assert len(curve.rays) == sum(1 for e in es if e.is_boundary)
+
+
+def test_curve_edges_are_the_index_edges(oracle_subdivisions):
+    """The bounded edges and rays are the checked index's own edges, split by is_boundary, in key order."""
+    for sub in oracle_subdivisions:
+        curve = tropical_curve(sub)
+        index = checked(sub)
+        assert curve.index is index
+        for got, boundary in ((curve.bounded, False), (curve.rays, True)):
+            want = [e for e in index.edges if e.is_boundary == boundary]
+            assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+            assert [e.key for e in got] == sorted(e.key for e in got)
 
 
 def test_vertices_realize_the_legendre_minimum():
@@ -58,17 +70,12 @@ def test_balancing_at_every_vertex(p2_sub, blowup_sub, a2d3_sub):
     """Primitive directions of the three edges at a vertex sum to zero."""
     for sub in (p2_sub, blowup_sub, a2d3_sub):
         curve = tropical_curve(sub)
-        by_key = {be.key: be for be in curve.bounded}
         outgoing = {t: [] for t in range(len(sub.triangles))}
-        for e in edges(sub):
-            if e.is_boundary:
-                continue
-            be = by_key[e.key]
-            outgoing[e.plus_triangle].append(be.n_e)
-            outgoing[e.minus_triangle].append(vneg(be.n_e))
+        for e in curve.bounded:
+            outgoing[e.plus_triangle].append(e.normal)
+            outgoing[e.minus_triangle].append(vneg(e.normal))
         for ray in curve.rays:
-            t = curve.vertices.index(ray.origin)
-            outgoing[t].append(ray.direction)
+            outgoing[ray.plus_triangle].append(ray.normal)
         for t, dirs in outgoing.items():
             assert len(dirs) == 3
             assert sum(d[0] for d in dirs) == 0
@@ -77,10 +84,11 @@ def test_balancing_at_every_vertex(p2_sub, blowup_sub, a2d3_sub):
 
 def test_bounded_edge_orientation(blowup_curve):
     # stored tangent runs from the plus vertex towards the minus vertex
+    pos = blowup_curve.vertices
     for e in blowup_curve.bounded:
-        d = vsub(e.p_minus, e.p_plus)
-        assert d[0] * e.n_e[1] == d[1] * e.n_e[0]
-        assert d[0] * e.n_e[0] + d[1] * e.n_e[1] > 0
+        d = vsub(pos[e.minus_triangle], pos[e.plus_triangle])
+        assert d[0] * e.normal[1] == d[1] * e.normal[0]
+        assert d[0] * e.normal[0] + d[1] * e.normal[1] > 0
 
 
 def test_region_counts(p2_curve, blowup_curve, a2d3_regions):
@@ -93,10 +101,11 @@ def test_region_edge_alignment(p2_region, blowup_region, a2d3_regions):
     for region in (p2_region, blowup_region) + tuple(a2d3_regions):
         r = len(region.fan.rays)
         assert len(region.edge_keys) == r
-        assert len(region.cycle) == r
+        cycle = region_cycle(region)
+        assert len(cycle) == r
         v = region.dual_vertex
         curve = region.curve
-        assert sorted(region.cycle) == sorted(curve.vertices[t] for t in curve.index.stars[v])
+        assert sorted(cycle) == sorted(curve.vertices[t] for t in curve.index.stars[v])
         for j, u in enumerate(region.fan.rays):
             a, b = region.edge_keys[j]
             assert {a, b} == {v, (v[0] + u[0], v[1] + u[1])}
@@ -109,18 +118,19 @@ def test_region_epsilon_identity(p2_region, blowup_region, a2d3_regions):
     which is why the balancing rows come from the fan rays alone.
     """
     for region in (p2_region, blowup_region) + tuple(a2d3_regions):
-        by_key = {be.key: be for be in region.curve.bounded}
+        by_key = {e.key: e for e in region.curve.bounded}
+        cycle = region_cycle(region)
         for j, u in enumerate(region.fan.rays):
-            n_e = by_key[region.edge_keys[j]].n_e
+            n_e = by_key[region.edge_keys[j]].normal
             want = vneg(rot90(u))
             assert n_e in (want, vneg(want))
-            d = vsub(region.cycle[j], region.cycle[j - 1])
+            d = vsub(cycle[j], cycle[j - 1])
             assert d[0] * want[1] == d[1] * want[0]
             assert d[0] * want[0] + d[1] * want[1] > 0
 
 
 def test_region_cycle_is_counterclockwise(blowup_region):
-    cyc = blowup_region.cycle
+    cyc = region_cycle(blowup_region)
     r = len(cyc)
     area2 = sum(
         cyc[j - 1][0] * cyc[j][1] - cyc[j - 1][1] * cyc[j][0] for j in range(r)

@@ -12,13 +12,19 @@ from tropcoh import lattice
 from tropcoh.fan import make_fan
 from tropcoh.io import parse_input
 from tropcoh.lattice import LatticeError
-from tropcoh.spheres import GammaCurve, gamma_curve, kinks_of_theta, theta_from_twisting, twisting
+from tropcoh.spheres import (
+    GammaCurve,
+    gamma_curve,
+    is_strictly_convex,
+    kinks_of_theta,
+    theta_from_twisting,
+    twisting,
+)
 from tropcoh.tropical import region_at, tropical_curve
 from tropcoh.winding import (
     GenericityError,
     _curve_totals,
     h_even_odd,
-    is_strictly_convex,
     probe_directions,
     winding_runs,
     winding_table,
