@@ -232,6 +232,27 @@ def threshold_slabs(lines, first: int, last: int, starts: Iterable[int] = ()):
             yield a, b, slab_thresholds(lines, a, b)
 
 
+def _lin(p: int, x: dict[int, int], q: int, y: dict[int, int]) -> dict[int, int]:
+    """p x + q y for sparse vectors {position: nonzero entry}, p and q not both 0.
+
+    Vectors are replaced, never changed in place, so (p, q) = (1, 0) gives x itself and (0, 1)
+    gives y.  Otherwise the longer vector is copied and the shorter one added to it.
+    """
+    if p == 0 or (q != 0 and len(x) < len(y)):
+        p, x, q, y = q, y, p, x
+    if p == 1 and q == 0:
+        return x
+    out = dict(x) if p == 1 else {k: p * v for k, v in x.items()}
+    if q:
+        for k, v in y.items():
+            w = out.get(k, 0) + q * v
+            if w:
+                out[k] = w
+            else:
+                del out[k]
+    return out
+
+
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> list[list[int]]:
     """Z-basis of the integer kernel of the matrix with the given rows.
 
@@ -241,16 +262,18 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> l
     those positions, form a saturated basis of the kernel (any integer
     solution is an integer combination of them).
 
-    Columns are sparse, and each row keeps the positions of the unreduced
-    columns that are nonzero there.  Row r visits only those, in increasing
-    position.  A column operation on (lead, j) leaves row r nonzero in lead
-    and zero in j and does not touch the other columns, so this is the
-    operation sequence of a dense sweep over every column, and the basis is
-    the same.
+    Columns are sparse: only nonzero entries are read, and each must be an
+    integer (as_int), while a zero of any type reads as 0.  Each row keeps
+    the positions of the unreduced columns that are nonzero there.  Row r
+    visits only those, in increasing position.  A column operation on
+    (lead, j) leaves row r nonzero in lead and zero in j and does not touch
+    the other columns, so this is the operation sequence of a dense sweep
+    over every column, and the basis is the same.
 
     T itself is never built.  The sweep records G1, ..., Gn, and the basis
     T E_S = G1 (G2 (... (Gn E_S))) is computed from the right, replaying
-    them in reverse as row operations on the kernel columns only.
+    them in reverse as row operations on the kernel columns only.  A row is
+    kept as a sign and a dict, so one that is only moved or negated is not copied.
     """
     nrows = len(rows)
     if ncols is None:
@@ -261,30 +284,20 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> l
         raise LatticeError("ragged matrix")
 
     cols: list[dict[int, int]] = [{} for _ in range(ncols)]
-    ops: list[tuple[int, ...]] = []  # (j0, j1, a, b, c, d) per combine, (pivot, lead) per swap
+    ops: list[tuple[int, ...]] = []  # (j0, j1, a, b, c, d); a swap is (pivot, lead, 0, 1, 1, 0)
     nonzero: list[set[int]] = []  # row -> positions of unreduced columns nonzero there
     positions = range(ncols)
     for i, row in enumerate(rows):
         where = list(compress(positions, row))
         for j in where:
-            cols[j][i] = row[j]
+            x = row[j]
+            cols[j][i] = x if type(x) is int else as_int(x, f"row {i}, column {j}")
         nonzero.append(set(where))
-
-    def mix(x: dict, y: dict, a: int, b: int, c: int, d: int) -> tuple[dict, dict]:
-        nx, ny = {}, {}
-        for k in x.keys() | y.keys():
-            xk, yk = x.get(k, 0), y.get(k, 0)
-            u, v = a * xk + b * yk, c * xk + d * yk
-            if u:
-                nx[k] = u
-            if v:
-                ny[k] = v
-        return nx, ny
 
     def combine(j0: int, j1: int, a: int, b: int, c: int, d: int) -> None:
         # columns (j0, j1) <- (a*j0 + b*j1, c*j0 + d*j1), with ad - bc = +-1
         old0, old1 = cols[j0], cols[j1]
-        new0, new1 = mix(old0, old1, a, b, c, d)
+        new0, new1 = _lin(a, old0, b, old1), _lin(c, old0, d, old1)
         cols[j0], cols[j1] = new0, new1
         for j, old, new in ((j0, old0, new0), (j1, old1, new1)):
             for i in old.keys() - new.keys():
@@ -312,24 +325,31 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> l
                 for i in cols[pivot]:
                     nonzero[i].discard(pivot)
                     nonzero[i].add(lead)
-                ops.append((pivot, lead))
+                ops.append((pivot, lead, 0, 1, 1, 0))
             cols[pivot], cols[lead] = cols[lead], cols[pivot]
             pivot += 1
-    # from the right: the combine that maps columns (j0, j1) of T by (a, b, c, d)
-    # maps rows (j0, j1) of the running product by (a, c, b, d)
+    # from the right: the operation that maps columns (j0, j1) of T by (a, b, c, d)
+    # maps rows (X, Y) of the running product to (a X + c Y, b X + d Y), where
+    # X = sx x for sx = sign[j0] and x = basis_rows[j0], and Y likewise; c is never 0
     basis_rows: list[dict[int, int]] = [{} for _ in range(pivot)]
     basis_rows += [{s: 1} for s in range(ncols - pivot)]
-    for op in reversed(ops):
-        if len(op) == 2:
-            p, q = op
-            basis_rows[p], basis_rows[q] = basis_rows[q], basis_rows[p]
+    sign = [1] * ncols
+    for j0, j1, a, b, c, d in reversed(ops):
+        x, y, sx, sy = basis_rows[j0], basis_rows[j1], sign[j0], sign[j1]
+        if b == 0:  # a, d = +-1: Y keeps its dict
+            basis_rows[j0] = _lin(1, x, a * sx * c * sy, y)
+            sign[j0], sign[j1] = a * sx, d * sy
+        elif a == 0:  # b, c = +-1: Y's dict moves to row j0 (and x's to row j1 on a swap)
+            basis_rows[j0], basis_rows[j1] = y, _lin(1, x, b * sx * d * sy, y)
+            sign[j0], sign[j1] = c * sy, b * sx
         else:
-            j0, j1, a, b, c, d = op
-            basis_rows[j0], basis_rows[j1] = mix(basis_rows[j0], basis_rows[j1], a, c, b, d)
+            basis_rows[j0] = _lin(a * sx, x, c * sy, y)
+            basis_rows[j1] = _lin(b * sx, x, d * sy, y)
+            sign[j0] = sign[j1] = 1
     kernel = [[0] * ncols for _ in range(ncols - pivot)]
-    for j, row in enumerate(basis_rows):
-        for s, x in row.items():
-            kernel[s][j] = x
+    for j, (s, row) in enumerate(zip(sign, basis_rows)):
+        for t, x in row.items():
+            kernel[t][j] = s * x
     return kernel
 
 

@@ -131,12 +131,44 @@ def sparse_matrices(draw):
 @given(sparse_matrices())
 @example(([], 5))
 @example(([[0, 0, 0], [0, 0, 0]], 3))
+# each branch of the replay: a divides b, so row j1 keeps its dict (b = 0) ...
+@example(([[1, 3]], 2))
+# ... a = +-b, so row j1's dict moves to row j0 with a sign (a = 0), as on a
+# pivot swap under a nonempty kernel ...
+@example(([[1, 1]], 2))
+@example(([[1, -1]], 2))
+@example(([[-2, 2]], 2))
+@example(([[0, 1, 1]], 3))
+# ... and neither, so both rows are new: coefficients that are not units,
+# unit coefficients, and rows that already carry a sign
+@example(([[3, 5]], 2))
+@example(([[6, 10, 15]], 3))
+@example(([[2, 3]], 2))
+@example(([[1, -2, 1], [1, 0, 0]], 3))
 def test_integer_kernel_equals_the_dense_echelon(case):
     rows, ncols = case
+    before = [list(r) for r in rows]
     want = dense_integer_kernel(rows, ncols)
     assert integer_kernel(rows, ncols) == want
     if rows:
         assert integer_kernel(rows) == want
+    assert rows == before
+
+
+@pytest.mark.parametrize("bad", [1.5, True, Fraction(1, 2), float("nan"), "a"])
+def test_integer_kernel_refuses_entries_that_are_not_integers(bad):
+    with pytest.raises(LatticeError, match=r"row 1, column 2 is .+, not an integer"):
+        integer_kernel([[1, 0, 0], [0, 1, bad]])
+
+
+def test_integer_kernel_reads_integral_entries_and_zeros_of_any_type_as_ints():
+    rows = [[2, 0, 4, -6], [0, 3, 0, 9]]
+    want = integer_kernel(rows)
+    for entry in (lambda x: Fraction(2 * x, 2), numpy.int64):
+        got = integer_kernel([[entry(x) for x in r] for r in rows])
+        assert got == want
+        assert all(type(x) is int for v in got for x in v)
+    assert integer_kernel([[Fraction(4, 2), 0.0, 4, -6], [False, 3, Fraction(0), 9]]) == want
 
 
 @st.composite
