@@ -1,4 +1,4 @@
-"""Integral support functions, kink vectors, and the region balancing map.
+"""Kink vectors, the region balancing map, and divisor classes.
 
 A kink vector assigns an integer to each interior subdivision edge
 (equivalently, to each bounded edge of the dual curve).  Vectors in the
@@ -7,40 +7,12 @@ kernel of the balancing map are exactly the realizable ones.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .fan import balance
-from .lattice import LatticeError, Vec, dot, integer_kernel, vadd, vsub
-from .polytope import EdgeKey, Subdivision, SubdivisionEdge, checked, edge_kinks
-from .tropical import (
-    BoundedRegion, KinkVector, TropicalCurve, check_cocycle, kink_entry, kink_vector,
-    tropical_curve,
-)
-
-
-@dataclass(frozen=True)
-class SupportFunction:
-    sub: Subdivision
-    values: tuple[int, ...]
-
-
-def support_function(sub: Subdivision, values) -> SupportFunction:
-    checked(sub)
-    if isinstance(values, Mapping):
-        vals = tuple(values[p] for p in sub.points)
-    else:
-        vals = tuple(values)
-    if len(vals) != len(sub.points):
-        raise LatticeError("one value per lattice point required")
-    if any(v != int(v) for v in vals):
-        raise LatticeError("support function values must be integers")
-    return SupportFunction(sub, tuple(int(v) for v in vals))
-
-
-def kinks(phi: SupportFunction) -> dict[EdgeKey, int]:
-    # integral values on elementary triangles have integral slopes and kinks
-    return {key: int(k) for key, k in edge_kinks(phi.sub, phi.values).items()}
+from .lattice import Vec, dot, integer_kernel, vadd, vsub
+from .polytope import EdgeKey, Subdivision, checked
+from .tropical import BoundedRegion, KinkVector, TropicalCurve, kink_entry
 
 
 @dataclass(frozen=True)
@@ -55,7 +27,7 @@ class PhiMap:
         return tuple(sum(r * v for r, v in zip(row, vec)) for row in self.matrix)
 
     def kernel_vectors(self) -> list[list[int]]:
-        return integer_kernel(self.matrix, ncols=len(self.edge_order))
+        return integer_kernel(self.matrix, len(self.edge_order))
 
 
 def phi_map(curve: TropicalCurve) -> PhiMap:
@@ -72,53 +44,6 @@ def phi_map(curve: TropicalCurve) -> PhiMap:
         rows.append(tuple(rx))
         rows.append(tuple(ry))
     return PhiMap(order, tuple(rows))
-
-
-def support_from_kinks(K: KinkVector, sub: Subdivision) -> SupportFunction:
-    curve = tropical_curve(sub)
-    check_cocycle(curve, K)
-
-    base = min(range(len(sub.triangles)), key=lambda t: tuple(sorted(sub.triangle_points(t))))
-    parts: dict[int, tuple[Vec, int]] = {base: ((0, 0), 0)}
-    queue = [base]
-    adjacent: dict[int, list[SubdivisionEdge]] = {}
-    for e in curve.index.edges:
-        if e.is_boundary:
-            continue
-        adjacent.setdefault(e.plus_triangle, []).append(e)
-        adjacent.setdefault(e.minus_triangle, []).append(e)
-    while queue:
-        t = queue.pop(0)
-        m, c = parts[t]
-        for e in adjacent.get(t, []):
-            k = kink_entry(K, e.key)
-            normal = e.normal
-            if t == e.plus_triangle:
-                other = e.minus_triangle
-                m2 = (m[0] - k * normal[0], m[1] - k * normal[1])
-            else:
-                other = e.plus_triangle
-                m2 = (m[0] + k * normal[0], m[1] + k * normal[1])
-            c2 = c + dot(vsub(m, m2), e.a)
-            if other not in parts:
-                parts[other] = (m2, c2)
-                queue.append(other)
-            elif parts[other] != (m2, c2):
-                raise LatticeError(f"kinks disagree around edge {e.key} after the cocycle check")
-    for t in range(len(sub.triangles)):
-        if t not in parts:
-            raise LatticeError(f"triangle {t} is not reached from triangle {base} across edges")
-
-    values = [None] * len(sub.points)
-    for t, (i0, i1, i2) in enumerate(sub.triangles):
-        m, c = parts[t]
-        for i in (i0, i1, i2):
-            v = dot(m, sub.points[i]) + c
-            if values[i] is None:
-                values[i] = v
-            elif values[i] != v:
-                raise LatticeError(f"triangle {t} gives lattice point {sub.points[i]} a second value")
-    return SupportFunction(sub, tuple(values))
 
 
 def divisor_kinks(sub: Subdivision, p: Vec) -> dict[EdgeKey, int]:
@@ -151,8 +76,3 @@ def canonical_KC(region: BoundedRegion) -> dict[EdgeKey, int]:
     On a Calabi-Yau threefold adjunction gives K_{D_v} = O(D_v)|_{D_v}.
     """
     return divisor_kinks(region.curve.sub, region.dual_vertex)
-
-
-def hms_line_bundle(K: KinkVector) -> dict[EdgeKey, int]:
-    """Kink vector of the line bundle mirror to the section of K."""
-    return {key: -kink_entry(K, key) for key in kink_vector(K)}

@@ -253,7 +253,7 @@ def _lin(p: int, x: dict[int, int], q: int, y: dict[int, int]) -> dict[int, int]
     return out
 
 
-def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> list[list[int]]:
+def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
     """Z-basis of the integer kernel of the matrix with the given rows.
 
     Unimodular column operations G1, ..., Gn (two-column combines and swaps)
@@ -275,11 +275,6 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> l
     them in reverse as row operations on the kernel columns only.  A row is
     kept as a sign and a dict, so one that is only moved or negated is not copied.
     """
-    nrows = len(rows)
-    if ncols is None:
-        if nrows == 0:
-            raise LatticeError("column count needed for an empty matrix")
-        ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise LatticeError("ragged matrix")
 
@@ -307,7 +302,7 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> l
         ops.append((j0, j1, a, b, c, d))
 
     pivot = 0
-    for r in range(nrows):
+    for r in range(len(rows)):
         lead = None
         for j in sorted(nonzero[r]):
             if lead is None:

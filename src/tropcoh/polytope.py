@@ -1,4 +1,4 @@
-"""Subdivided lattice polygons: validation, interior vertices, edges, slopes, kinks.
+"""Subdivided lattice polygons: validation, interior vertices, edges, the slopes and kinks of nu.
 
 The input datum is a convex lattice polygon P together with a triangulation
 into elementary triangles and an integral strictly convex function nu on the
@@ -86,7 +86,6 @@ class ValidationReport:
 class SubdivisionEdge:
     a: Vec
     b: Vec
-    n_check: Vec
     is_boundary: bool
     plus_triangle: int | None
     minus_triangle: int | None
@@ -258,14 +257,13 @@ def checked(sub: Subdivision) -> CheckedSubdivision:
 def _edge(key: EdgeKey, sides: list[tuple[int, bool]]) -> SubdivisionEdge:
     """The edge with the given key, labelled from its (triangle, on the plus side) pairs."""
     a, b = key
-    n_check = primitive(vsub(b, a))
-    normal = rot90(n_check)
+    normal = rot90(primitive(vsub(b, a)))
     if len(sides) == 1:
         t, plus = sides[0]
-        return SubdivisionEdge(a, b, n_check, True, t, None, normal if plus else vneg(normal))
+        return SubdivisionEdge(a, b, True, t, None, normal if plus else vneg(normal))
     (s, s_plus), (t, _) = sides
     plus, minus = (s, t) if s_plus else (t, s)
-    return SubdivisionEdge(a, b, n_check, False, plus, minus, normal)
+    return SubdivisionEdge(a, b, False, plus, minus, normal)
 
 
 def interior_vertices(sub: Subdivision) -> tuple[Vec, ...]:
@@ -274,13 +272,13 @@ def interior_vertices(sub: Subdivision) -> tuple[Vec, ...]:
 
 
 def edges(sub: Subdivision) -> tuple[SubdivisionEdge, ...]:
-    """Every triangle edge once, in key order, with canonical tangent and side labels.
+    """Every triangle edge once, in key order, with its normal and side labels.
 
-    The tangent n_check is the lexicographically positive primitive direction.
-    For an interior edge the plus triangle is the one on the rot90(n_check)
-    side, which is its normal; the dual tropical edge then runs from the plus
-    vertex to the minus vertex along it.  A boundary edge's one triangle is
-    its plus triangle, and its normal points into that triangle.
+    For an interior edge ab, a < b, the normal is rot90 of the primitive
+    direction of b - a, and the plus triangle is the one on its side; the
+    dual tropical edge then runs from the plus vertex to the minus vertex
+    along it.  A boundary edge's one triangle is its plus triangle, and its
+    normal points into that triangle.
     """
     return checked(sub).edges
 
@@ -306,34 +304,18 @@ def _slope(p0: Vec, p1: Vec, p2: Vec, f0, f1, f2) -> QVec:
     return ((a * vy - b * uy) * d, (b * ux - a * vx) * d)
 
 
-def slopes(sub: Subdivision, values: Sequence) -> tuple[QVec, ...]:
-    """Exact slope of the affine interpolant on each triangle, one solve each."""
-    pts = sub.points
-    return tuple(
-        _slope(pts[i0], pts[i1], pts[i2], values[i0], values[i1], values[i2])
-        for i0, i1, i2 in sub.triangles
-    )
+def _kinks(es: Sequence[SubdivisionEdge], m: Sequence[Vec]) -> dict[EdgeKey, int]:
+    """Signed bend across each interior edge, in edge order, from the integer slopes m.
 
-
-def edge_kinks(sub: Subdivision, values: Sequence) -> dict[EdgeKey, Fraction | int]:
-    """Signed bend of the interpolant across each interior edge, in edge order.
-
-    The slope jump from the minus to the plus triangle is the kink times
-    rot90(n_check); it is positive exactly where the function is locally
-    convex, and does not depend on which side was labeled plus.  For integer
-    values the kink is an integer (the jump is an integer multiple of the
-    primitive normal), so the quotient is exact; Fraction values may give
-    a Fraction.
+    The slope jump from the minus to the plus triangle is the kink times the
+    normal; it is positive exactly where the function is locally convex, and
+    does not depend on which side was labelled plus.  Integer values give
+    integer slopes, whose jump is an integer multiple of the primitive normal.
     """
-    return _kinks(edges(sub), slopes(sub, values))
-
-
-def _kinks(es: Sequence[SubdivisionEdge], m: Sequence[QVec]) -> dict[EdgeKey, Fraction | int]:
-    """``edge_kinks`` from the edges and the slopes m of the triangles."""
     out = {}
     for e in es:
         if not e.is_boundary:
             normal = e.normal
-            s, nn = dot(vsub(m[e.plus_triangle], m[e.minus_triangle]), normal), dot(normal, normal)
-            out[e.key] = s // nn if s % nn == 0 else Fraction(s, nn)
+            jump = dot(vsub(m[e.plus_triangle], m[e.minus_triangle]), normal)
+            out[e.key] = jump // dot(normal, normal)
     return out

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Union
 
 from .fan import Fan, balance, self_intersections
 from .lattice import LatticeError, QVec, Vec, as_ints, det2, dot, dual_numerators
 from .polytope import ValidationIssue, ValidationReport
-from .tropical import BoundedRegion, KinkVector, check_cocycle, kink_entry
+from .tropical import BoundedRegion
 
 RegionOrFan = Union[BoundedRegion, Fan]
 
@@ -23,24 +23,15 @@ def _fan_of(source: RegionOrFan) -> Fan:
     return source if isinstance(source, Fan) else source.fan
 
 
-def _ell_tuple(ell, source: RegionOrFan) -> tuple[int, ...]:
-    if isinstance(ell, Mapping):
-        if isinstance(source, Fan):
-            raise LatticeError("edge-keyed twisting numbers need a bounded region")
-        ell = [ell[key] for key in source.edge_keys]
-    return as_ints(ell, "twisting number")
-
-
 @dataclass(frozen=True)
 class Twisting:
     fan: Fan
     ell: tuple[int, ...]
-    region: Optional[BoundedRegion] = None
 
 
 def validate_twisting(ell, region: RegionOrFan) -> ValidationReport:
     fan = _fan_of(region)
-    values = _ell_tuple(ell, region)
+    values = as_ints(ell, "twisting number")
     issues = []
     if len(values) != len(fan.rays):
         issues.append(
@@ -74,10 +65,9 @@ def _check_twisting(ell, source: RegionOrFan) -> None:
 
 
 def twisting(source: RegionOrFan, ell) -> Twisting:
-    values = _ell_tuple(ell, source)
+    values = as_ints(ell, "twisting number")
     _check_twisting(values, source)
-    region = source if isinstance(source, BoundedRegion) else None
-    return Twisting(_fan_of(source), values, region)
+    return Twisting(_fan_of(source), values)
 
 
 @dataclass(frozen=True)
@@ -91,7 +81,6 @@ class SemiIntegralSupport:
 
     fan: Fan
     doubled: tuple[Vec, ...]
-    region: Optional[BoundedRegion] = None
 
     def __post_init__(self):
         rays = self.fan.rays
@@ -143,7 +132,7 @@ def _doubled_thetas(fan: Fan, ell) -> tuple[Vec, ...]:
 
 def theta_from_twisting(tw: Twisting) -> SemiIntegralSupport:
     try:
-        return SemiIntegralSupport(tw.fan, _doubled_thetas(tw.fan, tw.ell), tw.region)
+        return SemiIntegralSupport(tw.fan, _doubled_thetas(tw.fan, tw.ell))
     except LatticeError:
         # the recurrence closes up with half-odd pairings exactly when
         # validate_twisting finds no issue, so a valid twisting is checked once
@@ -162,7 +151,7 @@ def kinks_of_theta(theta: SemiIntegralSupport) -> Twisting:
             raise LatticeError("not a support function on Σ_C")
         # an integer step orthogonal to the primitive u_j is ell_j rot90(u_j) = ell_j (-u1, u0)
         ell.append(dy // u0 if u0 else -dx // u1)
-    return Twisting(fan, tuple(ell), theta.region)
+    return Twisting(fan, tuple(ell))
 
 
 def is_strictly_convex(theta: SemiIntegralSupport) -> str:
@@ -195,11 +184,3 @@ class GammaCurve:
 
 def gamma_curve(theta: SemiIntegralSupport) -> GammaCurve:
     return GammaCurve(theta.doubled)
-
-
-def translate_sphere(tw: Twisting, K: KinkVector) -> Twisting:
-    if tw.region is None:
-        raise LatticeError("twisting numbers are not attached to a bounded region")
-    check_cocycle(tw.region.curve, K)
-    ell = tuple(l + 2 * kink_entry(K, key) for l, key in zip(tw.ell, tw.region.edge_keys))
-    return twisting(tw.region, ell)

@@ -86,20 +86,15 @@ def region_at(curve: TropicalCurve, v: Vec) -> BoundedRegion:
 KinkVector = Mapping[EdgeKey, int]
 
 
-def kink_vector(K) -> KinkVector:
-    """K itself; a kink vector is a Mapping from edge keys to integers, and any other K raises."""
-    if not isinstance(K, Mapping):
-        raise LatticeError(f"kink vector is a {type(K).__name__}, not a mapping from edge keys")
-    return K
-
-
 def kink_entry(K: KinkVector, key: EdgeKey) -> int:
     """K's integer on the edge key, and 0 where K has no entry.
 
-    K must pass kink_vector, and an entry that is not an integer or an
-    integral Fraction raises.
+    A K that is not a Mapping from edge keys raises, and so does an entry
+    that is not an integer or an integral Fraction.
     """
-    x = kink_vector(K).get(key, 0)
+    if not isinstance(K, Mapping):
+        raise LatticeError(f"kink vector is a {type(K).__name__}, not a mapping from edge keys")
+    x = K.get(key, 0)
     return x if type(x) is int else as_int(x, f"kink on edge {key}")
 
 

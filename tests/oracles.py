@@ -16,7 +16,11 @@ of its result.  The per-point and sampled checks serve only the tests.
 Library names whose only callers were tests live here too, next to those
 tests' other oracles: the Fraction solve ``solve_dual``, the per-point ray
 cast ``winding`` and the Serre dual ``serre_dual_psi`` among them (the
-README lists them all).
+README lists them all).  ``support_from_kinks``, which rebuilds a function
+from its kinks, is the reference for the divisor classes: their
+combinations must give back every Picard basis vector.  The Fraction
+``fraction_slope`` and ``fraction_kinks`` stand in for the removed
+``polytope.slopes`` and ``edge_kinks`` on any values.
 """
 
 from __future__ import annotations
@@ -96,13 +100,9 @@ def encode_exact(value):
     raise TypeError(f"cannot encode {type(value).__name__} in a report")
 
 
-def dense_integer_kernel(rows, ncols=None) -> list[list[int]]:
+def dense_integer_kernel(rows, ncols: int) -> list[list[int]]:
     """Column echelon over dense lists, every column of every row visited."""
     nrows = len(rows)
-    if ncols is None:
-        if nrows == 0:
-            raise LatticeError("column count needed for an empty matrix")
-        ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise LatticeError("ragged matrix")
 
@@ -164,7 +164,7 @@ def fraction_kinks(sub, values) -> dict:
         m_plus = fraction_slope(sub, values, e.plus_triangle)
         m_minus = fraction_slope(sub, values, e.minus_triangle)
         delta = vsub(m_plus, m_minus)
-        n_e = rot90(e.n_check)
+        n_e = rot90(primitive(vsub(e.b, e.a)))
         if delta[0] * n_e[1] != delta[1] * n_e[0]:
             raise ValueError(f"slope jump {delta} across {e.key} is not along {n_e}")
         out[e.key] = Fraction(delta[0], n_e[0]) if n_e[0] else Fraction(delta[1], n_e[1])
@@ -174,9 +174,10 @@ def fraction_kinks(sub, values) -> dict:
 def opposite_vertex_sides(sub, key, tris) -> tuple[int, int | None, Vec]:
     """(plus triangle, minus triangle, normal) of an edge by the opposite-vertex rule.
 
-    A triangle is on the plus side when its vertex c off the edge has
-    dot(rot90(n_check), c - a) > 0.  A boundary edge's one triangle is its
-    plus triangle, and its normal is the one of +-rot90(n_check) towards c.
+    With n_e rot90 of the primitive direction of b - a, a triangle is on the
+    plus side when its vertex c off the edge has dot(n_e, c - a) > 0.  A
+    boundary edge's one triangle is its plus triangle, and its normal is the
+    one of +-n_e towards c.
     """
     a, b = key
     n_e = rot90(primitive(vsub(b, a)))
@@ -226,18 +227,40 @@ def affine_part(sub: Subdivision, values: Sequence, t: int) -> tuple[QVec, Fract
     return m, values[i0] - dot(m, p0)
 
 
-def value_at(phi, p: Vec) -> int:
-    """The value of a SupportFunction at the lattice point p."""
-    return phi.values[phi.sub.points.index(tuple(p))]
+def support_from_kinks(K: KinkVector, sub: Subdivision) -> tuple[int, ...]:
+    """The values at the points of the function with kinks K that is 0 on the base triangle.
 
-
-def affine_parts(phi):
-    """Per-triangle (linear part, constant) of a SupportFunction; both are integral."""
-    out = []
-    for t in range(len(phi.sub.triangles)):
-        m, c = affine_part(phi.sub, phi.values, t)
-        out.append(((int(m[0]), int(m[1])), int(c)))
-    return tuple(out)
+    The base triangle is the least by its sorted vertices.  A walk from it
+    crosses each interior edge, stepping the linear part by the kink times
+    the edge's normal.  K must be a cocycle: nothing here checks that.
+    """
+    base = min(range(len(sub.triangles)), key=lambda t: tuple(sorted(sub.triangle_points(t))))
+    parts: dict[int, tuple[Vec, int]] = {base: ((0, 0), 0)}
+    queue = [base]
+    adjacent: dict[int, list[SubdivisionEdge]] = {}
+    for e in edges(sub):
+        if not e.is_boundary:
+            adjacent.setdefault(e.plus_triangle, []).append(e)
+            adjacent.setdefault(e.minus_triangle, []).append(e)
+    while queue:
+        t = queue.pop(0)
+        m, c = parts[t]
+        for e in adjacent.get(t, []):
+            k = kink_entry(K, e.key)
+            if t == e.plus_triangle:
+                other, step = e.minus_triangle, -k
+            else:
+                other, step = e.plus_triangle, k
+            if other not in parts:
+                m2 = (m[0] + step * e.normal[0], m[1] + step * e.normal[1])
+                parts[other] = (m2, c + dot(vsub(m, m2), e.a))
+                queue.append(other)
+    values = [0] * len(sub.points)
+    for t, tri in enumerate(sub.triangles):
+        m, c = parts[t]
+        for i in tri:
+            values[i] = dot(m, sub.points[i]) + c
+    return tuple(values)
 
 
 def restriction_degree(K: KinkVector, edge: SubdivisionEdge) -> int:
@@ -714,7 +737,7 @@ def fraction_theta_from_twisting(tw: Twisting) -> SemiIntegralSupport:
     if closed != thetas[0]:
         raise LatticeError(f"twisting numbers {tw.ell} do not close up around the fan")
     fraction_assert_semi_integral(fan, thetas)
-    return SemiIntegralSupport(fan, tuple((int(2 * x), int(2 * y)) for x, y in thetas), tw.region)
+    return SemiIntegralSupport(fan, tuple((int(2 * x), int(2 * y)) for x, y in thetas))
 
 
 def fraction_kinks_of_theta(theta: SemiIntegralSupport) -> tuple[int, ...]:

@@ -7,56 +7,35 @@ import sympy
 
 from conftest import hex_grid
 from oracles import (
-    affine_parts, dense_integer_kernel, region_cycle, restriction_degree, value_at, wedge_canonical_KC,
+    affine_part, dense_integer_kernel, fraction_kinks, region_cycle, restriction_degree, support_from_kinks,
+    wedge_canonical_KC,
 )
-from tropcoh import bundles
-from tropcoh.bundles import (
-    canonical_KC,
-    divisor_kinks,
-    hms_line_bundle,
-    kinks,
-    phi_map,
-    support_from_kinks,
-    support_function,
-)
+from tropcoh.bundles import canonical_KC, divisor_kinks, phi_map
 from tropcoh.examples import a2d_subdivision
 from tropcoh.fan import self_intersections
 from tropcoh.lattice import LatticeError, primitive, rot90, vneg, vsub
-from tropcoh.polytope import edge_kinks, edges, interior_edge_keys
-from tropcoh.spheres import translate_sphere, twisting
-from tropcoh.tropical import bounded_regions, kink_entry, tropical_curve
-
-
-def test_support_function_accepts_mapping(p2_sub):
-    by_point = {p: v for p, v in zip(p2_sub.points, (0, 1, 1, 1))}
-    phi = support_function(p2_sub, by_point)
-    assert phi.values == (0, 1, 1, 1)
-    assert value_at(phi, (-1, -1)) == 1
-
-
-def test_support_function_length_check(p2_sub):
-    with pytest.raises(LatticeError, match="one value per lattice point"):
-        support_function(p2_sub, (0, 1, 1))
-
-
-def test_support_function_integrality_check(p2_sub):
-    with pytest.raises(LatticeError, match="must be integers"):
-        support_function(p2_sub, (0, 1, 1, 1.5))
+from tropcoh.polytope import edges, interior_edge_keys
+from tropcoh.spheres import twisting
+from tropcoh.tropical import bounded_regions, check_cocycle, kink_entry, tropical_curve
 
 
 def test_affine_parts_are_integral(blowup_sub):
-    phi = support_function(blowup_sub, (1, 1, 1, 1, 0))
-    for (m, c), tri in zip(affine_parts(phi), blowup_sub.triangles):
+    values = (1, 1, 1, 1, 0)
+    for t, tri in enumerate(blowup_sub.triangles):
+        m, c = affine_part(blowup_sub, values, t)
+        assert all(type(x) is int for x in (*m, c))
         for i in tri:
             p = blowup_sub.points[i]
-            assert m[0] * p[0] + m[1] * p[1] + c == phi.values[i]
+            assert m[0] * p[0] + m[1] * p[1] + c == values[i]
 
 
 def test_p2_nu_kinks_are_three(p2_sub):
-    phi = support_function(p2_sub, (0, 1, 1, 1))
-    K = kinks(phi)
+    """nu = sum_p nu(p) D_p: the hat classes weighted by nu give nu's kinks."""
+    nu = (0, 1, 1, 1)
+    hats = [divisor_kinks(p2_sub, p) for p in p2_sub.points]
+    K = {key: sum(v * kink_entry(D, key) for D, v in zip(hats, nu)) for key in interior_edge_keys(p2_sub)}
     assert set(K.values()) == {3}
-    assert set(K) == set(interior_edge_keys(p2_sub))
+    assert K == fraction_kinks(p2_sub, nu)
 
 
 def test_kinks_then_support_round_trip(p2_sub, blowup_sub, a2d3_sub):
@@ -65,22 +44,8 @@ def test_kinks_then_support_round_trip(p2_sub, blowup_sub, a2d3_sub):
         (blowup_sub, (1, 1, 1, 1, 0)),
         (a2d3_sub, tuple(int(v) for v in a2d_subdivision(3).nu)),
     ):
-        K = kinks(support_function(sub, values))
-        phi = support_from_kinks(K, sub)
-        assert kinks(phi) == K
-
-
-def test_support_from_kinks_rejects_unbalanced(blowup_sub):
-    key = interior_edge_keys(blowup_sub)[0]
-    with pytest.raises(LatticeError, match=r"not a cocycle.*\(1, 1\)"):
-        support_from_kinks({key: 1}, blowup_sub)
-
-
-def test_support_from_kinks_names_the_edge_past_the_cocycle_check(blowup_sub, monkeypatch):
-    monkeypatch.setattr(bundles, "check_cocycle", lambda curve, K: None)
-    K = {key: 1 for key in interior_edge_keys(blowup_sub)}
-    with pytest.raises(LatticeError, match="kinks disagree around edge"):
-        support_from_kinks(K, blowup_sub)
+        K = fraction_kinks(sub, values)
+        assert fraction_kinks(sub, support_from_kinks(K, sub)) == K
 
 
 def test_phi_map_shape(p2_curve, blowup_curve):
@@ -188,7 +153,7 @@ def test_hat_classes_and_the_picard_basis_generate_one_lattice(oracle_subdivisio
         for i, p in enumerate(sub.points):
             hats[p] = divisor_kinks(sub, p)
             hat = [int(j == i) for j in range(len(sub.points))]
-            nonzero = {key: k for key, k in edge_kinks(sub, hat).items() if k}
+            nonzero = {key: k for key, k in fraction_kinks(sub, hat).items() if k}
             assert {key: k for key, k in hats[p].items() if k} == nonzero
             assert not any(phi.apply(hats[p]))
         base = min(range(len(sub.triangles)), key=lambda t: tuple(sorted(sub.triangle_points(t))))
@@ -197,7 +162,7 @@ def test_hat_classes_and_the_picard_basis_generate_one_lattice(oracle_subdivisio
         assert len(off) == len(basis)
         square = []
         for vec in basis:
-            f = dict(zip(sub.points, support_from_kinks(dict(zip(phi.edge_order, vec)), sub).values))
+            f = dict(zip(sub.points, support_from_kinks(dict(zip(phi.edge_order, vec)), sub)))
             assert all(f[p] == 0 for p in sub.triangle_points(base))
             combined = [sum(f[p] * kink_entry(hats[p], key) for p in sub.points) for key in phi.edge_order]
             assert combined == vec
@@ -255,13 +220,6 @@ def test_restriction_degree(blowup_sub, blowup_region):
         restriction_degree(K, boundary)
 
 
-def test_hms_line_bundle_negates(blowup_region):
-    K = canonical_KC(blowup_region)
-    mirror = hms_line_bundle(K)
-    assert set(mirror) == set(K)
-    assert all(mirror[k] == -K[k] for k in K)
-
-
 KINK_FORMS = {
     "list": (lambda keys: [1] * len(keys), "kink vector is a list, not a mapping from edge keys"),
     "tuple": (lambda keys: (1,) * len(keys), "kink vector is a tuple, not a mapping from edge keys"),
@@ -273,23 +231,25 @@ KINK_FORMS = {
 
 
 @pytest.mark.parametrize("form", KINK_FORMS)
-@pytest.mark.parametrize(
-    "use", ["translate_sphere", "PhiMap.apply", "support_from_kinks", "hms_line_bundle"]
-)
+@pytest.mark.parametrize("use", ["translate_sphere", "PhiMap.apply", "check_cocycle", "support_from_kinks"])
 def test_a_kink_vector_is_a_mapping_to_integers(p2_sub, p2_curve, p2_region, use, form):
     """A list or tuple K, even an empty one, raises naming its type; a float or bool entry, its edge.
 
     int() used to truncate 0.9 to 0 and read True as 1, and a list K, the
     form picard reports, failed with a TypeError or was read as edge keys.
+    The README's replacement for the removed translate_sphere, and the
+    support_from_kinks oracle, read K through kink_entry and refuse it too.
     """
     keys = interior_edge_keys(p2_sub)
     build, message = KINK_FORMS[form]
     K = build(keys)
     calls = {
-        "translate_sphere": lambda: translate_sphere(twisting(p2_region, (3, 3, 3)), K),
+        "translate_sphere": lambda: twisting(
+            p2_region, [l + 2 * kink_entry(K, key) for l, key in zip((3, 3, 3), p2_region.edge_keys)]
+        ),
         "PhiMap.apply": lambda: phi_map(p2_curve).apply(K),
+        "check_cocycle": lambda: check_cocycle(p2_curve, K),
         "support_from_kinks": lambda: support_from_kinks(K, p2_sub),
-        "hms_line_bundle": lambda: hms_line_bundle(K),
     }
     with pytest.raises(LatticeError) as raised:
         calls[use]()

@@ -3,7 +3,9 @@
 The test walks the package's modules with ``ast``.  It lists every public
 module-level function and class, and every public method of those classes,
 and fails on one that no other code in the package uses, unless the
-allow-list below names it with its reason.  An allow-list entry that has
+allow-list below names it with its reason.  It fails, too, on a class-body
+field of a package record whose name no package module reads as an
+attribute, under the same allow-list.  An allow-list entry that has
 gained a user in the package, or that no longer exists, fails too, so the
 list only shrinks.  Code that only tests use lives in ``tests/oracles.py``
 or in the tool that uses it.
@@ -29,7 +31,6 @@ ROOT = SRC.parents[1]
 
 README = "README library entry point"
 BENCH = "tropbench imports (item 1b)"
-SECTIONS = "item 4"
 
 ALLOWED = {
     "examples.local_p2": README,
@@ -42,11 +43,6 @@ ALLOWED = {
     "smoothing.hessian": BENCH,
     "smoothing.mollify_eval": BENCH,
     "bundles.PhiMap.apply": BENCH,
-    "bundles.support_function": SECTIONS,
-    "bundles.kinks": SECTIONS,
-    "bundles.support_from_kinks": SECTIONS,
-    "bundles.hms_line_bundle": SECTIONS,
-    "spheres.translate_sphere": SECTIONS,
 }
 
 
@@ -70,14 +66,22 @@ def _public_defs(trees):
     return out
 
 
-def _data_fields(trees) -> set[str]:
-    """Names of class-body fields and of attributes assigned on self, in any class."""
-    names = set()
-    for tree in trees.values():
+def _fields(trees) -> list[tuple[str, str]]:
+    """(qualified name, name) of each class-body field, in any class."""
+    out = []
+    for mod, tree in trees.items():
         for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
             for node in cls.body:
                 if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                    names.add(node.target.id)
+                    out.append((f"{mod}.{cls.name}.{node.target.id}", node.target.id))
+    return out
+
+
+def _data_fields(trees) -> set[str]:
+    """Names of class-body fields and of attributes assigned on self, in any class."""
+    names = {name for _, name in _fields(trees)}
+    for tree in trees.values():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
             for node in ast.walk(cls):
                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
                     if isinstance(node.value, ast.Name) and node.value.id == "self":
@@ -133,23 +137,33 @@ def _unused(trees) -> list[str]:
     return out
 
 
+def _unread_fields(trees) -> list[str]:
+    """Each class-body field whose name no module reads as an attribute."""
+    reads = {
+        n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    return [qual for qual, name in _fields(trees) if name not in reads]
+
+
 def test_every_public_name_has_a_library_user_or_a_listed_reason():
     trees = _parse()
-    unused = _unused(trees)
+    unused = _unused(trees) + _unread_fields(trees)
     assert [q for q in unused if q not in ALLOWED] == []
-    defined = {q for q, _, _ in _public_defs(trees)}
+    defined = {q for q, _, _ in _public_defs(trees)} | {q for q, _ in _fields(trees)}
     assert sorted(set(ALLOWED) - defined) == [], "allow-listed names that no longer exist"
     assert sorted(set(ALLOWED) - set(unused)) == [], "allow-listed names that now have a library user"
 
 
 def test_every_allow_list_reason_holds():
-    assert set(ALLOWED.values()) == {README, BENCH, SECTIONS}
+    assert set(ALLOWED.values()) == {README, BENCH}
     readme = (ROOT / "README.md").read_text()
     bench = "\n".join(p.read_text() for p in sorted((ROOT / "tropbench").glob("*.py")))
     for qual, reason in ALLOWED.items():
         word = re.compile(rf"\b{qual.rpartition('.')[2]}\b")
-        if reason != SECTIONS:
-            assert word.search(readme if reason == README else bench), qual
+        assert word.search(readme if reason == README else bench), qual
 
 
 def test_the_walk_sees_a_name_put_back_without_a_caller():
@@ -165,6 +179,16 @@ def test_the_walk_sees_a_name_put_back_without_a_caller():
     unused = _unused(trees)
     assert {"lattice.solve_dual", "fan.Fan.index_of", "smoothing.FanPL.gradient"} <= set(unused)
     assert "io.used_once" not in unused
+
+
+def test_the_walk_sees_a_field_put_back_without_a_reader():
+    """A record field that no module reads is reported, as ``SubdivisionEdge.n_check`` was."""
+    trees = _parse()
+    assert _unread_fields(trees) == []
+    edge = next(n for n in trees["polytope"].body if isinstance(n, ast.ClassDef) and n.name == "SubdivisionEdge")
+    edge.body[1:1] = ast.parse("n_check: Vec\nnormal: Vec\n").body
+    # a second field of a name the package reads is not reported
+    assert _unread_fields(trees) == ["polytope.SubdivisionEdge.n_check"]
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -8,6 +8,7 @@ from oracles import compact_support_class, fraction_canonical_seed
 from tropcoh.bundles import canonical_KC
 from tropcoh.fan import make_fan
 from tropcoh.lattice import LatticeError, dot
+from tropcoh.tropical import kink_entry
 from tropcoh import spheres
 from tropcoh.polytope import ValidationReport
 from tropcoh.spheres import (
@@ -17,7 +18,6 @@ from tropcoh.spheres import (
     gamma_curve,
     kinks_of_theta,
     theta_from_twisting,
-    translate_sphere,
     twisting,
     validate_twisting,
 )
@@ -80,10 +80,9 @@ def test_twisting_refuses_entries_that_are_not_integers(p2_region, ell, message)
         with pytest.raises(LatticeError) as raised:
             twisting(source, ell)
         assert str(raised.value) == message
-    keyed = dict(zip(p2_region.edge_keys, ell))
-    with pytest.raises(LatticeError) as raised:
-        twisting(p2_region, keyed)
-    assert str(raised.value) == message
+    # edge-keyed twisting numbers are not taken: ell is a sequence in fan order
+    with pytest.raises(LatticeError):
+        twisting(p2_region, dict(zip(p2_region.edge_keys, ell)))
 
 
 def test_twisting_takes_integral_fractions(p2_region):
@@ -93,9 +92,10 @@ def test_twisting_takes_integral_fractions(p2_region):
 
 
 def test_twisting_keeps_region(p2_region):
+    """A twisting keeps its region's fan, and nothing else of the region."""
     tw = twisting(p2_region, (3, 3, 3))
-    assert tw.region is p2_region
-    assert tw.ell == (3, 3, 3)
+    assert tw == Twisting(p2_region.fan, (3, 3, 3))
+    assert tw.fan is p2_region.fan
 
 
 def test_canonical_seed_p2():
@@ -186,20 +186,11 @@ def test_gamma_vertices_live_in_the_half_lattice(p2_region):
 
 
 def test_translate_sphere_shifts_by_twice_the_kinks(blowup_region):
+    """The README's replacement for the removed translate_sphere: a shift by twice a cocycle is a twisting."""
     tw = twisting(blowup_region, (2, 1, 2, 3))
     K = canonical_KC(blowup_region)
-    shifted = translate_sphere(tw, K)
-    want = tuple(
-        l + 2 * K[key] for l, key in zip(tw.ell, blowup_region.edge_keys)
-    )
-    assert shifted.ell == want
-
-
-def test_translate_sphere_needs_a_region():
-    fan = make_fan([(1, 0), (0, 1), (-1, -1)])
-    tw = twisting(fan, (1, 1, 1))
-    with pytest.raises(LatticeError, match="not attached to a bounded region"):
-        translate_sphere(tw, {})
+    shifted = twisting(blowup_region, [l + 2 * kink_entry(K, key) for l, key in zip(tw.ell, blowup_region.edge_keys)])
+    assert shifted.ell == (-2, -1, -2, -3)
 
 
 def test_compact_support_class_detects_multiples(blowup_region):
