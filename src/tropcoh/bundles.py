@@ -14,6 +14,10 @@ from .lattice import Vec, dot, integer_kernel, vadd, vsub
 from .polytope import EdgeKey, Subdivision, checked
 from .tropical import BoundedRegion, KinkVector, TropicalCurve, kink_entry
 
+# `picard` refuses a basis with more entries, (points - 3) x interior edges: the
+# kernel's coefficients grow with the hexagonal grid, so its time grows faster still
+MAX_PICARD_CELLS = 600_000
+
 
 @dataclass(frozen=True)
 class PhiMap:

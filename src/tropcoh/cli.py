@@ -10,7 +10,7 @@ from typing import Optional
 # Each handler imports what only it uses, so a fresh process loads just the modules
 # its command runs: `validate` never executes `spheres`, `winding` or `cohomology`.
 from .io import InputDocument, InputError, TwistingSet, parse_input, report_bytes
-from .lattice import LatticeError
+from .lattice import LatticeError, SizeLimitError
 from .polytope import interior_edge_keys
 from .tropical import BoundedRegion, bounded_regions, region_at, tropical_curve
 
@@ -119,15 +119,16 @@ def _emit(args, result) -> None:
         payload, ext = result, "svg"
     else:
         payload, ext = report_bytes(args.command, result, args.seed), "json"
-    if args.out:
-        path = Path(args.out) / f"{args.command.replace('-', '_')}.{ext}"
-        try:
+    path = Path(args.out) / f"{args.command.replace('-', '_')}.{ext}" if args.out else "stdout"
+    try:
+        if args.out:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(payload)
-        except OSError as exc:
-            raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(payload.decode("utf-8"))
+        else:
+            sys.stdout.write(payload.decode("utf-8"))
+            sys.stdout.flush()
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _theta_pipeline(args):
@@ -194,9 +195,17 @@ def _cmd_tropical(args) -> dict | bytes:
 
 
 def _cmd_picard(args) -> dict:
-    from .bundles import phi_map
+    from .bundles import MAX_PICARD_CELLS, phi_map
 
-    phi = phi_map(tropical_curve(_load(args).subdivision()))
+    curve = tropical_curve(_load(args).subdivision())
+    # the basis has one vector per point off a triangle, one entry per interior edge
+    rank, width = len(curve.sub.points) - 3, len(curve.bounded)
+    if rank * width > MAX_PICARD_CELLS:
+        raise SizeLimitError(
+            f"the Picard basis of {rank} vectors on {width} interior edges has {rank * width} entries, "
+            f"above the limit of {MAX_PICARD_CELLS}"
+        )
+    phi = phi_map(curve)
     basis = phi.kernel_vectors()
     return {
         "rank": len(basis),

@@ -11,7 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .bundles import canonical_KC
+from .examples import a2d_subdivision
+from .fan import self_intersections
 from .lattice import LatticeError, SizeLimitError
+from .tropical import region_at, tropical_curve
 
 KINDS = ("point_intersection", "curve_in_surface", "surfaces_along_curve", "disjoint")
 
@@ -58,33 +62,27 @@ def ext_total_dims(pair: SphericalPair) -> tuple[int, int, int, int]:
     return (0, 0, 0, 0)
 
 
-def _kappa(j: int) -> tuple[int, int, int, int, int]:
-    if j % 2 == 1:
-        return ((j - 1) // 2, -1, 0, -(j + 1) // 2, -1)
-    return ((j - 2) // 2, 0, -1, -j // 2, -1)
-
-
 def _ell(j: int) -> tuple[int, int, int, int, int]:
+    """The twisting chosen on surface j: a choice, not a property of the curve."""
     return (-1, 1, -1, 0, 0) if j % 2 == 1 else (0, -1, 1, -1, 0)
-
-
-def _KC(j: int) -> tuple[int, int, int, int, int]:
-    return (j - 2, -1, -1, -j - 1, -2)
 
 
 @dataclass(frozen=True)
 class A2dExample:
     """Ladder data for the string with d surface rungs minus one.
 
-    Entry j-1 of each per-region tuple belongs to the j-th compact surface;
-    edge numbering follows the five-sided region boundary walked
-    counterclockwise from the long bottom edge.
+    Entry j-1 of each per-region tuple belongs to the j-th compact surface,
+    the region of a2d_subdivision(d) at (j, 1).  Its five edges are those dual
+    to the neighbours in directions (-1,0), (0,-1), (1,-1), (1,0) and (-j,1).
+    Entry j-2 of m is the self-intersection, in surface j >= 2, of the curve
+    it shares with surface j-1.
     """
 
     d: int
     K: tuple[tuple[int, ...], ...]
     ell: tuple[tuple[int, ...], ...]
     kappa: tuple[tuple[int, ...], ...]
+    m: tuple[int, ...]
     chain: tuple[str, ...]
 
 
@@ -93,23 +91,22 @@ def build_a2d_example(d: int) -> A2dExample:
         raise LatticeError("d must be positive")
     if d > MAX_A2D_D:
         raise SizeLimitError(f"the a2d chain at d = {d} is above the limit of d = {MAX_A2D_D}")
-    K, ell, kappa = [], [], []
+    curve = tropical_curve(a2d_subdivision(d))
+    K, ell, kappa, m = [], [], [], []
     for j in range(1, d):
-        kj, lj = _KC(j), _ell(j)
+        region = region_at(curve, (j, 1))
+        kc, keys = canonical_KC(region), dict(zip(region.fan.rays, region.edge_keys))
+        kj = tuple(kc[keys[u]] for u in ((-1, 0), (0, -1), (1, -1), (1, 0), (-j, 1)))
+        lj = _ell(j)
         if any((a - b) % 2 for a, b in zip(kj, lj)):
             raise LatticeError(f"surface {j}: K_C {kj} and twists {lj} differ in parity")
-        cj = tuple((a - b) // 2 for a, b in zip(kj, lj))
-        if cj != _kappa(j):
-            raise LatticeError(f"surface {j}: kappa {cj} is not the closed form {_kappa(j)}")
         K.append(kj)
         ell.append(lj)
-        kappa.append(cj)
-    chain = []
-    for j in range(1, d):
-        chain.append(f"N{j}")
-        chain.append(f"L{j}")
-    chain.append(f"N{d}")
-    return A2dExample(d, tuple(K), tuple(ell), tuple(kappa), tuple(chain))
+        kappa.append(tuple((a - b) // 2 for a, b in zip(kj, lj)))
+        if j >= 2:
+            m.append(dict(zip(region.fan.rays, self_intersections(region.fan)))[-1, 0])
+    chain = [f"{name}{j}" for j in range(1, d) for name in "NL"] + [f"N{d}"]
+    return A2dExample(d, tuple(K), tuple(ell), tuple(kappa), tuple(m), tuple(chain))
 
 
 @dataclass(frozen=True)
@@ -132,18 +129,18 @@ class A2dReport:
 
 
 def _pair_for(example: A2dExample, i: int, j: int) -> SphericalPair:
-    """Configuration of chain objects at positions i < j."""
-    a, b = example.chain[i], example.chain[j]
+    """Configuration of chain objects at positions i < j.
+
+    Object i is N_{i//2+1} for even i and the surface L_{i//2+1} for odd i.
+    """
+    r = i // 2
     if j == i + 1:
-        if a.startswith("N"):
+        if i % 2 == 0:
             return SphericalPair("point_intersection")
-        jj = int(a[1:])
-        k = example.kappa[jj - 1][2] + 1
-        return SphericalPair("curve_in_surface", k=k)
-    if a.startswith("L") and b.startswith("L") and int(b[1:]) == int(a[1:]) + 1:
-        jj = int(a[1:])
-        k = -example.kappa[jj - 1][3] + example.kappa[jj][0]
-        return SphericalPair("surfaces_along_curve", k=k, m=-(jj + 1))
+        return SphericalPair("curve_in_surface", k=example.kappa[r][2] + 1)
+    if i % 2 == 1 and j == i + 2:
+        k = -example.kappa[r][3] + example.kappa[r + 1][0]
+        return SphericalPair("surfaces_along_curve", k=k, m=example.m[r])
     return SphericalPair("disjoint")
 
 
@@ -155,9 +152,9 @@ def verify_a2d_configuration(example: A2dExample) -> A2dReport:
         if tuple((a - b) for a, b in zip(kj, lj)) != tuple(2 * c for c in cj):
             failures.append(f"kappa of region {j} is not half the twist difference")
     for j in range(1, example.d - 1):
-        lhs = -example.kappa[j - 1][3] + example.kappa[j][0]
-        if lhs != j:
-            failures.append(f"ladder identity fails between regions {j} and {j + 1}: {lhs} != {j}")
+        lhs, rhs = -example.kappa[j - 1][3] + example.kappa[j][0], -1 - example.m[j - 1]
+        if lhs != rhs:
+            failures.append(f"ladder identity fails between regions {j} and {j + 1}: {lhs} != {rhs}")
     n = len(example.chain)
     for i in range(n):
         for j in range(i + 1, n):

@@ -20,7 +20,9 @@ README lists them all).  ``support_from_kinks``, which rebuilds a function
 from its kinks, is the reference for the divisor classes: their
 combinations must give back every Picard basis vector.  The Fraction
 ``fraction_slope`` and ``fraction_kinks`` stand in for the removed
-``polytope.slopes`` and ``edge_kinks`` on any values.
+``polytope.slopes`` and ``edge_kinks`` on any values.  ``a2d_KC`` and
+``a2d_kappa`` are hand-derived closed forms of the ladder data that
+``ext_chains`` reads off the curve.
 """
 
 from __future__ import annotations
@@ -346,6 +348,19 @@ def serre_dual_psi(psi: ToricSupport) -> ToricSupport:
         (k[0] - p[0], k[1] - p[1]) for k, p in zip(kc.parts, psi.parts)
     )
     return ToricSupport(psi.fan, parts)
+
+
+def a2d_KC(j: int) -> tuple[int, int, int, int, int]:
+    """The canonical class of the j-th a2d surface, by hand: entries on the edges
+    to the neighbours in directions (-1,0), (0,-1), (1,-1), (1,0) and (-j,1)."""
+    return (j - 2, -1, -1, -j - 1, -2)
+
+
+def a2d_kappa(j: int) -> tuple[int, int, int, int, int]:
+    """(a2d_KC(j) - ell) / 2 for the twisting ``ext_chains`` chooses on surface j."""
+    if j % 2 == 1:
+        return ((j - 1) // 2, -1, 0, -(j + 1) // 2, -1)
+    return ((j - 2) // 2, 0, -1, -j // 2, -1)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ import pytest
 
 import tropcoh
 import tropcoh.cohomology as cohomology
-from tropcoh import cli, smoothing
+from conftest import hex_grid
+from tropcoh import bundles, cli, smoothing
+from tropcoh.bundles import MAX_PICARD_CELLS
 from tropcoh.cohomology import (
     CohomologyDims,
     WindingTheoremReport,
@@ -165,6 +167,28 @@ def test_picard_ranks(run):
     code, out2, _ = run("picard", A2D)
     assert code == 0
     assert json.loads(out2)["result"]["rank"] == 9
+
+
+def test_picard_size_limit(run, monkeypatch, tmp_path):
+    """hex_grid(21) has 484 points and 1281 interior edges: refused before the balancing map is built."""
+    sub = hex_grid(21)
+    doc = tmp_path / "hex21.json"
+    doc.write_text(json.dumps({
+        "format": "tropcoh-input", "version": 1, "points": [list(p) for p in sub.points],
+        "triangles": [list(t) for t in sub.triangles], "nu": list(sub.nu),
+    }))
+
+    def no_kernel_work(curve):
+        raise AssertionError("phi_map ran")
+
+    monkeypatch.setattr(bundles, "phi_map", no_kernel_work)
+    code, out, err = run("picard", None, "--input", str(doc))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: the Picard basis of 481 vectors on 1281 interior edges has {481 * 1281} entries, "
+        f"above the limit of {MAX_PICARD_CELLS}\n"
+    )
+    assert 481 * 1281 > MAX_PICARD_CELLS
 
 
 def test_sphere_reports_rational_parts(run):
@@ -341,7 +365,6 @@ def test_cli_import_loads_neither_numpy_nor_jsonschema(fixture_dir):
         ["winding", "--input", blowup, "--ell", "mixed_sign"],
         ["cohomology", "--input", a2d, "--ell", "difference_c1"],
         ["verify-winding-theorem", "--input", blowup, "--ell", "mixed_sign"],
-        ["a2d", "--d", "3"],
     ]
     picard = [["picard", "--input", a2d]]
     chain = [["a2d", "--d", "3"]]
@@ -375,11 +398,11 @@ def test_cli_import_loads_neither_numpy_nor_jsonschema(fixture_dir):
     assert after_import == after_lean == []
     assert "numpy" not in after_rest and "jsonschema" not in after_rest
     assert "tropcoh.cohomology" in after_rest
-    # only picard reads the balancing map, so only picard loads bundles
+    # only picard (the balancing map) and a2d (the canonical classes) load bundles
     assert "tropcoh.bundles" not in after_rest
     assert loaded_after(lean, picard)[1:] == [[], ["tropcoh.bundles"]]
-    # a2d reads only the chain rules; smooth-check needs neither winding counts nor cohomology
-    assert loaded_after(chain)[1:] == [["tropcoh.ext_chains"]]
+    # a2d reads its chain off the curve; smooth-check needs neither winding counts nor cohomology
+    assert loaded_after(chain)[1:] == [["tropcoh.bundles", "tropcoh.ext_chains"]]
     after_smooth = loaded_after(smooth)[1]
     assert "tropcoh.winding" not in after_smooth and "tropcoh.cohomology" not in after_smooth
 
@@ -682,6 +705,25 @@ def test_out_that_is_a_file_is_an_input_error(run, tmp_path, under):
     assert out == ""
     assert err.startswith(f"error: cannot write {afile / under / 'validate.json'}: ")
     assert afile.read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_a_report_that_stdout_refuses_is_an_input_error(run, monkeypatch, failing):
+    """A full disk or a closed pipe on stdout exits 2, as an unwritable --out does."""
+
+    class FullStdout:
+        def write(self, text):
+            if failing == "write":
+                raise OSError(28, "No space left on device")
+            return len(text)
+
+        def flush(self):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    code, _, err = run("validate", P2)
+    assert code == 2
+    assert err == "error: cannot write stdout: No space left on device\n"
 
 
 def test_invalid_document(run, tmp_path):

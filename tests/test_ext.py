@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from oracles import BFEExpression, express_in_BFE
+from oracles import BFEExpression, a2d_KC, a2d_kappa, express_in_BFE
 from tropcoh import ext_chains
 from tropcoh.ext_chains import (
     KINDS,
@@ -95,6 +95,7 @@ def test_build_d3_chain_and_ladder_data():
     assert ex.kappa == ((0, -1, 0, -1, -1), (0, 0, -1, -1, -1))
     assert ex.K == ((-1, -1, -1, -2, -2), (0, -1, -1, -3, -2))
     assert ex.ell == ((-1, 1, -1, 0, 0), (0, -1, 1, -1, 0))
+    assert ex.m == (-2,)
 
 
 def test_kappa_is_half_the_twist_difference():
@@ -104,10 +105,13 @@ def test_kappa_is_half_the_twist_difference():
             assert tuple(a - b for a, b in zip(kj, lj)) == tuple(2 * c for c in cj)
 
 
-def test_build_names_the_surface_with_a_wrong_closed_form(monkeypatch):
-    monkeypatch.setattr(ext_chains, "_kappa", lambda j: (0, 0, 0, 0, 0))
-    with pytest.raises(LatticeError, match="surface 1: kappa"):
-        build_a2d_example(3)
+def test_curve_classes_equal_the_closed_forms():
+    """K_C, kappa and m, read off a2d_subdivision(d), are the hand-derived ladder data."""
+    for d in (*range(1, 61), 200):
+        ex = build_a2d_example(d)
+        assert ex.K == tuple(a2d_KC(j) for j in range(1, d)), d
+        assert ex.kappa == tuple(a2d_kappa(j) for j in range(1, d)), d
+        assert ex.m == tuple(-j for j in range(2, d)), d
 
 
 def test_build_names_the_surface_with_a_parity_clash(monkeypatch):

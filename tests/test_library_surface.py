@@ -35,8 +35,6 @@ BENCH = "tropbench imports (item 1b)"
 ALLOWED = {
     "examples.local_p2": README,
     "examples.blowup_p2": README,
-    "examples.a2d_subdivision": README,
-    "bundles.canonical_KC": README,
     "polytope.interior_vertices": BENCH,
     "winding.winding_via_T_auto": BENCH,
     "smoothing.grad": BENCH,
