@@ -11,7 +11,7 @@ from typing import Optional
 # its command runs: `validate` never executes `spheres`, `winding` or `cohomology`.
 from .io import InputDocument, InputError, TwistingSet, parse_input, report_bytes
 from .lattice import LatticeError, SizeLimitError
-from .polytope import interior_edge_keys
+from .polytope import checked, interior_edge_keys
 from .tropical import BoundedRegion, bounded_regions, region_at, tropical_curve
 
 
@@ -152,13 +152,12 @@ def _edge_key_json(key):
 def _cmd_validate(args) -> dict:
     doc = _load(args)
     sub = doc.subdivision()
-    curve = tropical_curve(sub)
     return {
         "ok": True,
         "points": len(doc.points),
         "triangles": len(doc.triangles),
         "interior_edges": len(interior_edge_keys(sub)),
-        "bounded_regions": len(bounded_regions(curve)),
+        "bounded_regions": len(checked(sub).interior_vertices),
         "twisting_sets": sorted(doc.twisting_sets),
         "kink_sets": sorted(doc.kink_sets),
     }

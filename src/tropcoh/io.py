@@ -232,8 +232,10 @@ def _json(value, nl: str) -> str:
         items = {str(k): _json(v, inner) for k, v in value.items()}
         parts = [_quote(k) + ": " + items[k] for k in sorted(items)]
         return "{" + inner + ("," + inner).join(parts) + nl + "}" if parts else "{}"
-    if value is None or kind is bool:
-        return json.dumps(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, Fraction):

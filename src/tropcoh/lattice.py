@@ -16,6 +16,7 @@ row thresholds ceil((n0 + n1 y) / den) over a slab with `floor_sum`.
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -263,12 +264,15 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]
     solution is an integer combination of them).
 
     Columns are sparse: only nonzero entries are read, and each must be an
-    integer (as_int), while a zero of any type reads as 0.  Each row keeps
-    the positions of the unreduced columns that are nonzero there.  Row r
-    visits only those, in increasing position.  A column operation on
-    (lead, j) leaves row r nonzero in lead and zero in j and does not touch
-    the other columns, so this is the operation sequence of a dense sweep
-    over every column, and the basis is the same.
+    integer (as_int), while a zero of any type reads as 0.  Each unreduced
+    column is filed under its first nonzero row.  The rows above row r are
+    reduced, so the columns filed under r are the ones nonzero there, and
+    row r visits them in increasing position.  A combine on (lead, j)
+    leaves row r nonzero in lead and zero in j, so only j is filed again,
+    under its new first row.  The column that a swap moves to position
+    lead is zero at r, since lead is the least position filed there.  So
+    this is the operation sequence of a dense sweep over every column, and
+    the basis is the same.
 
     T itself is never built.  The sweep records G1, ..., Gn, and the basis
     T E_S = G1 (G2 (... (Gn E_S))) is computed from the right, replaying
@@ -280,49 +284,38 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]
 
     cols: list[dict[int, int]] = [{} for _ in range(ncols)]
     ops: list[tuple[int, ...]] = []  # (j0, j1, a, b, c, d); a swap is (pivot, lead, 0, 1, 1, 0)
-    nonzero: list[set[int]] = []  # row -> positions of unreduced columns nonzero there
+    first: defaultdict[int, set[int]] = defaultdict(set)  # row -> columns first nonzero there
     positions = range(ncols)
     for i, row in enumerate(rows):
-        where = list(compress(positions, row))
-        for j in where:
+        for j in compress(positions, row):
             x = row[j]
+            if not cols[j]:
+                first[i].add(j)
             cols[j][i] = x if type(x) is int else as_int(x, f"row {i}, column {j}")
-        nonzero.append(set(where))
-
-    def combine(j0: int, j1: int, a: int, b: int, c: int, d: int) -> None:
-        # columns (j0, j1) <- (a*j0 + b*j1, c*j0 + d*j1), with ad - bc = +-1
-        old0, old1 = cols[j0], cols[j1]
-        new0, new1 = _lin(a, old0, b, old1), _lin(c, old0, d, old1)
-        cols[j0], cols[j1] = new0, new1
-        for j, old, new in ((j0, old0, new0), (j1, old1, new1)):
-            for i in old.keys() - new.keys():
-                nonzero[i].discard(j)
-            for i in new.keys() - old.keys():
-                nonzero[i].add(j)
-        ops.append((j0, j1, a, b, c, d))
 
     pivot = 0
     for r in range(len(rows)):
-        lead = None
-        for j in sorted(nonzero[r]):
-            if lead is None:
-                lead = j
-                continue
+        if r not in first:
+            continue
+        lead, *rest = sorted(first.pop(r))
+        for j in rest:
+            # columns (lead, j) <- (x lead + y j, c lead + d j), with xd - yc = 1
             a, b = cols[lead][r], cols[j][r]
             g, x, y = _xgcd(a, b)
-            combine(lead, j, x, y, -(b // g), a // g)
-        if lead is not None:
-            # the lead column is reduced: it leaves the row index, and the
-            # column it swaps with moves to position lead
-            for i in cols[lead]:
-                nonzero[i].discard(lead)
-            if lead != pivot:
-                for i in cols[pivot]:
-                    nonzero[i].discard(pivot)
-                    nonzero[i].add(lead)
-                ops.append((pivot, lead, 0, 1, 1, 0))
-            cols[pivot], cols[lead] = cols[lead], cols[pivot]
-            pivot += 1
+            c, d = -(b // g), a // g
+            old = cols[lead]
+            cols[lead], cols[j] = _lin(x, old, y, cols[j]), _lin(c, old, d, cols[j])
+            ops.append((lead, j, x, y, c, d))
+            if cols[j]:
+                first[min(cols[j])].add(j)
+        if lead != pivot:
+            if cols[pivot]:
+                bucket = first[min(cols[pivot])]
+                bucket.remove(pivot)
+                bucket.add(lead)
+            ops.append((pivot, lead, 0, 1, 1, 0))
+        cols[pivot], cols[lead] = cols[lead], cols[pivot]
+        pivot += 1
     # from the right: the operation that maps columns (j0, j1) of T by (a, b, c, d)
     # maps rows (X, Y) of the running product to (a X + c Y, b X + d Y), where
     # X = sx x for sx = sign[j0] and x = basis_rows[j0], and Y likewise; c is never 0

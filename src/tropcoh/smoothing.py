@@ -235,8 +235,14 @@ def _checked_masses(f: FanPL, p: MollifierParams, x: np.ndarray):
     mass, moment = _cone_masses(f, x, eps, int(p.quadrature_order))
     den = np.sum(mass, axis=1)
     z = _bump_mass(eps)
-    if not np.all(np.abs(den - z) <= 1e-6 * z):
-        raise LatticeError("quadrature order too low")
+    off = np.abs(den - z)
+    if not np.all(off <= 1e-6 * z):
+        k = int(np.argmax(off))
+        raise LatticeError(
+            f"quadrature order too low: at order {p.quadrature_order}, the mass Z at"
+            f" ({x[k, 0]:.6g}, {x[k, 1]:.6g}) is off the exact bump mass by {off[k] / z:.3g}"
+            " relative, above the 1e-06 bound"
+        )
     return mass, moment, den
 
 

@@ -9,9 +9,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 pytest.register_assert_rewrite("box_scan", "gen_cases")
 
 import tropcoh.io
+from gen_cases import cross_check
 from oracles import schema_first_error
+from tropcoh import lattice
 from tropcoh.examples import a2d_subdivision, blowup_p2, local_p2
 from tropcoh.polytope import subdivision
+from tropcoh.spheres import theta_from_twisting, twisting
 from tropcoh.tropical import bounded_regions, region_at, tropical_curve
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -48,6 +51,12 @@ def blowup_region(blowup_curve):
 
 
 @pytest.fixture(scope="session")
+def blowup_theta(blowup_region):
+    """The worked example: the blowup's sphere at (1, 1) twisted by (-14, 5, -14, -9)."""
+    return theta_from_twisting(twisting(blowup_region, (-14, 5, -14, -9)))
+
+
+@pytest.fixture(scope="session")
 def a2d3_sub():
     return a2d_subdivision(3)
 
@@ -70,6 +79,28 @@ def gen_fixtures():
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     return gen
+
+
+@pytest.fixture(scope="session")
+def random_cross_check():
+    """cross_check(97, 500), run once for the random suite and acceptance criterion 5."""
+    return cross_check(97, 500)
+
+
+@pytest.fixture(params=["short-slabs-by-rows", "all-slabs-closed-form"])
+def closed_form_slabs(request, monkeypatch):
+    """Count the slabs summed in closed form; the second param sums one-row slabs that way too."""
+    if request.param == "all-slabs-closed-form":
+        monkeypatch.setattr(lattice, "SHORT_SLAB", 0)
+    calls = []
+    slab_thresholds = lattice.slab_thresholds
+
+    def counted(lines, a, b):
+        calls.append(b - a + 1)
+        return slab_thresholds(lines, a, b)
+
+    monkeypatch.setattr(lattice, "slab_thresholds", counted)
+    return calls
 
 
 def hex_grid(n):

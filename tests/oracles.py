@@ -640,7 +640,7 @@ def split_smoothing(f, p, x, pointwise: bool = False):
         m += dweights.T @ parts
     disk = _split_disk_mass(eps, order)
     if abs(den - disk) > 1e-6 * disk:
-        raise LatticeError("quadrature order too low")
+        raise LatticeError(f"quadrature order too low: at order {order}, the pieces' mass is off the disk's")
     m /= den
     return value / den, tuple((grad / den).tolist()), tuple(map(tuple, ((m + m.T) / 2).tolist()))
 

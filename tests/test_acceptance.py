@@ -9,7 +9,6 @@ import random
 
 import numpy as np
 
-from gen_cases import cross_check
 from oracles import convex_intersection_count, fan_pl_value, serre_dual_psi
 from tropcoh.bundles import canonical_KC, phi_map
 from tropcoh.cohomology import (
@@ -96,13 +95,9 @@ def test_criterion_4_worked_example():
     _report(4, ok, "worked blowup example with twists (-14, 5, -14, -9)")
 
 
-def test_criterion_5_random_oracle_agreement():
-    try:
-        nonempty, _ = cross_check(97, 500)
-        ok = nonempty > 400
-    except AssertionError:
-        ok = False
-    _report(5, ok, "500 random supports against both oracles")
+def test_criterion_5_random_oracle_agreement(random_cross_check):
+    nonempty, _ = random_cross_check
+    _report(5, nonempty > 400, "500 random supports against both oracles")
 
 
 def test_criterion_6_ladder_families():

@@ -10,7 +10,6 @@ import tropcoh.cohomology as cohomology
 from box_scan import counting_points, minus_runs, scan_cohomology_dims, sign_value, signs_at
 from gen_cases import random_smooth_fan, random_theta, riemann_roch
 from oracles import fraction_search_box, serre_dual_psi, winding
-from tropcoh import lattice
 from tropcoh.cohomology import (
     CohomologyDims,
     ToricSupport,
@@ -333,22 +332,6 @@ def _slab_matches_sweep(psi):
     got = _outcome(cohomology_dims, psi)
     assert got == _outcome(_swept_dims, psi), (psi.fan.rays, divisor_coeffs(psi))
     return got
-
-
-@pytest.fixture(params=["short-slabs-by-rows", "all-slabs-closed-form"])
-def closed_form_slabs(request, monkeypatch):
-    """Count the slabs summed in closed form; the second param sums one-row slabs that way too."""
-    if request.param == "all-slabs-closed-form":
-        monkeypatch.setattr(lattice, "SHORT_SLAB", 0)
-    calls = []
-    slab_thresholds = lattice.slab_thresholds
-
-    def counted(lines, a, b):
-        calls.append(b - a + 1)
-        return slab_thresholds(lines, a, b)
-
-    monkeypatch.setattr(lattice, "slab_thresholds", counted)
-    return calls
 
 
 def _scaled_psi(theta, factor):

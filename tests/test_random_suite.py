@@ -2,14 +2,11 @@
 
 import random
 
-from gen_cases import cross_check, random_theta
-
-CASES = 500
-SEED = 97
+from gen_cases import random_theta
 
 
-def test_five_hundred_random_cases_agree():
-    nonempty, entries = cross_check(SEED, CASES)
+def test_five_hundred_random_cases_agree(random_cross_check):
+    nonempty, entries = random_cross_check
     # the sample has to exercise the oracles, not just empty tables
     assert nonempty > 400
     assert entries > 2000

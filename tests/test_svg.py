@@ -10,11 +10,6 @@ from tropcoh.svg import NEGATIVE_FILL, POSITIVE_FILL, _Canvas, render_svg
 from tropcoh.winding import winding_table
 
 
-@pytest.fixture(scope="module")
-def blowup_theta(blowup_region):
-    return theta_from_twisting(twisting(blowup_region, (-14, 5, -14, -9)))
-
-
 def test_p2_curve_figure_counts(p2_curve):
     svg = render_svg(p2_curve)
     assert svg.count(b'class="vertex"') == 3

@@ -8,7 +8,6 @@ import pytest
 from box_scan import scan_winding_table
 from gen_cases import random_theta
 from oracles import check_rows_off_curve, convex_intersection_count, winding
-from tropcoh import lattice
 from tropcoh.fan import make_fan
 from tropcoh.io import parse_input
 from tropcoh.lattice import LatticeError
@@ -39,11 +38,6 @@ WORKED_PLUS = [
     (4, -5), (4, -4), (5, -6), (5, -5), (6, -6),
 ]
 WORKED_MINUS = [(1, 0), (2, -1), (2, 0)]
-
-
-@pytest.fixture(scope="module")
-def blowup_theta(blowup_region):
-    return theta_from_twisting(twisting(blowup_region, WORKED_ELL))
 
 
 def test_worked_example_table_is_frozen(blowup_theta):
@@ -234,22 +228,6 @@ def _slab_matches_sweep(gamma):
     got = _outcome(_curve_totals, gamma)
     assert got == _outcome(_swept_totals, gamma), gamma.vertices
     return got
-
-
-@pytest.fixture(params=["short-slabs-by-rows", "all-slabs-closed-form"])
-def closed_form_slabs(request, monkeypatch):
-    """Count the slabs summed in closed form; the second param sums one-row slabs that way too."""
-    if request.param == "all-slabs-closed-form":
-        monkeypatch.setattr(lattice, "SHORT_SLAB", 0)
-    calls = []
-    slab_thresholds = lattice.slab_thresholds
-
-    def counted(lines, a, b):
-        calls.append(b - a + 1)
-        return slab_thresholds(lines, a, b)
-
-    monkeypatch.setattr(lattice, "slab_thresholds", counted)
-    return calls
 
 
 def _scaled(theta, factor):

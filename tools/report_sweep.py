@@ -17,11 +17,12 @@ the default order and at ``--order 64``), and on a few invalid twistings;
 then the ``winding`` table, as JSON and as SVG, on p2 at ell = +-(2k + 1)
 for k < 60 and on the blowup ``mixed_sign`` set times k for -9 <= k <= 9;
 then ``a2d`` for 1 <= d <= 60, and ``picard`` and ``tropical`` (also as SVG)
-on every fixture; then ``picard`` on documents the sweep builds itself
-(``picard_documents``): the a2d chain at d = 10 and 40 and the hexagonal
-grid at n = 4 and 8, whose kernels take long eliminations, and the grid at
-n = 21, which is above the size limit; then ``validate``
-on more built documents (``documents``): one per rule of the input schema,
+on every fixture; then ``smooth-check`` on p2 ``cap_k1`` at ``--samples 2
+--order 8``, which the mass check refuses; then ``picard`` on documents the
+sweep builds itself (``picard_documents``): the a2d chain at d = 10 and 40
+and the hexagonal grid at n = 4 and 8, whose kernels take long
+eliminations, and the grid at n = 21, which is above the size limit; then
+``validate`` on more built documents (``documents``): one per rule of the input schema,
 one carrying the removed ``options`` section with its removed ``margin``
 option, a set name holding "~" and "/", bytes that are not UTF-8, ``NaN``,
 nesting too deep to parse, a key given twice, a missing lattice point, two
@@ -102,6 +103,7 @@ def sweep() -> list[list[str]]:
         runs.append(["picard", "--input", name])
         runs.append(["tropical", "--input", name])
         runs.append(["tropical", "--input", name, "--format", "svg"])
+    runs.append(["smooth-check", "--input", "fixtures/p2.json", "--ell", "cap_k1", "--samples", "2", "--order", "8"])
     return runs
 
 
