@@ -7,10 +7,10 @@ kernel of the balancing map are exactly the realizable ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fan import balance
-from .lattice import Vec, dot, integer_kernel, vadd, vsub
+from .lattice import Vec, dot, integer_kernel, record, vadd, vsub
 from .polytope import EdgeKey, Subdivision, checked
 from .tropical import BoundedRegion, KinkVector, TropicalCurve, kink_entry
 
@@ -19,8 +19,8 @@ from .tropical import BoundedRegion, KinkVector, TropicalCurve, kink_entry
 MAX_PICARD_CELLS = 600_000
 
 
-@dataclass(frozen=True)
-class PhiMap:
+@record
+class PhiMap(NamedTuple):
     """Matrix of the per-region balancing sums, two rows per bounded region."""
 
     edge_order: tuple[EdgeKey, ...]
@@ -63,7 +63,8 @@ def divisor_kinks(sub: Subdivision, p: Vec) -> dict[EdgeKey, int]:
     across: dict[Vec, list[Vec]] = {}  # each neighbour a of p to the third vertices on pa
     for t in stars[p]:
         a, b = (q for q in sub.triangle_points(t) if q != p)
-        if len(set(stars[a]).intersection(stars[b])) == 2:
+        small = a if len(stars[a]) <= len(stars[b]) else b  # count the triangles on ab in the smaller star
+        if sum(a in q and b in q for q in map(sub.triangle_points, stars[small])) == 2:
             out[min(a, b), max(a, b)] = 1
         across.setdefault(a, []).append(b)
         across.setdefault(b, []).append(a)

@@ -7,12 +7,12 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-# Each handler imports what only it uses, so a fresh process loads just the modules
-# its command runs: `validate` never executes `spheres`, `winding` or `cohomology`.
+# Each handler imports what only it uses, so a fresh process loads just the modules its
+# command runs: `validate` never executes `spheres`, `winding` or `cohomology`, and
+# executes `tropical` only to check a kink set.
 from .io import InputDocument, InputError, TwistingSet, parse_input, report_bytes
 from .lattice import LatticeError, SizeLimitError
 from .polytope import checked, interior_edge_keys
-from .tropical import BoundedRegion, bounded_regions, region_at, tropical_curve
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,7 +83,9 @@ def _resolve_ell(doc: InputDocument, flag: Optional[str]) -> TwistingSet:
     return TwistingSet(values)
 
 
-def _resolve_region(curve, flag: Optional[str], tset: Optional[TwistingSet]) -> BoundedRegion:
+def _resolve_region(curve, flag: Optional[str], tset: Optional[TwistingSet]):
+    from .tropical import bounded_regions, region_at
+
     regions = bounded_regions(curve)
     if not regions:
         raise InputError("the input has no bounded region")
@@ -100,17 +102,14 @@ def _resolve_region(curve, flag: Optional[str], tset: Optional[TwistingSet]) -> 
         if not 0 <= index < len(regions):
             raise InputError(f"region index {flag} out of range")
         return regions[index]
-    parts = flag.split(",")
-    if len(parts) != 2:
-        raise InputError(f"--region {flag!r} is neither an index nor a vertex 'x,y'")
     try:
-        vertex = (int(parts[0]), int(parts[1]))
-    except ValueError as exc:
-        raise InputError(f"--region {flag!r} is neither an index nor a vertex 'x,y'") from exc
+        x, y = map(int, flag.split(","))
+    except ValueError:
+        raise InputError(f"--region {flag!r} is neither an index nor a vertex 'x,y'") from None
     try:
-        return region_at(curve, vertex)
+        return region_at(curve, (x, y))
     except LatticeError:
-        raise InputError(f"{vertex} is not the dual vertex of a bounded region") from None
+        raise InputError(f"{(x, y)} is not the dual vertex of a bounded region") from None
 
 
 def _emit(args, result) -> None:
@@ -137,6 +136,7 @@ def _theta_pipeline(args):
     Returns the region, the twisting set and theta.
     """
     from .spheres import theta_from_twisting, twisting
+    from .tropical import tropical_curve
 
     doc = _load(args)
     curve = tropical_curve(doc.subdivision())
@@ -164,6 +164,8 @@ def _cmd_validate(args) -> dict:
 
 
 def _cmd_tropical(args) -> dict | bytes:
+    from .tropical import tropical_curve
+
     doc = _load(args)
     curve = tropical_curve(doc.subdivision())
     if args.format == "svg":
@@ -195,6 +197,7 @@ def _cmd_tropical(args) -> dict | bytes:
 
 def _cmd_picard(args) -> dict:
     from .bundles import MAX_PICARD_CELLS, phi_map
+    from .tropical import tropical_curve
 
     curve = tropical_curve(_load(args).subdivision())
     # the basis has one vector per point off a triangle, one entry per interior edge

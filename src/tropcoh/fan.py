@@ -3,19 +3,19 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .lattice import LatticeError, Vec, det2, is_primitive, rot90, vsub
+from .lattice import LatticeError, Vec, det2, is_primitive, record, rot90, vsub
 from .polytope import Subdivision, checked
 
 
-@dataclass(frozen=True)
-class Fan:
+@record
+class Fan(NamedTuple):
     """Rays of a complete simplicial fan, counterclockwise from the lex smallest."""
 
     rays: tuple[Vec, ...]
 
-    def __post_init__(self):
+    def _check(self, *_) -> None:
         r = len(self.rays)
         if r < 3:
             raise LatticeError("a complete fan needs at least three rays")

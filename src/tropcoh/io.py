@@ -12,15 +12,14 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .lattice import LatticeError, Vec
+from .lattice import LatticeError, Vec, record
 from .polytope import Subdivision, checked, interior_edge_keys, subdivision
-from .tropical import check_cocycle, tropical_curve
 
 REPORT_FORMAT = "tropcoh-report"
 REPORT_VERSION = 1
@@ -38,19 +37,19 @@ def input_schema() -> dict:
         return json.load(f)
 
 
-@dataclass(frozen=True)
-class TwistingSet:
+@record
+class TwistingSet(NamedTuple):
     values: tuple[int, ...]
     region: Optional[Vec] = None
 
 
-@dataclass(frozen=True)
-class InputDocument:
+@record
+class InputDocument(NamedTuple):
     points: tuple[Vec, ...]
     triangles: tuple[tuple[int, int, int], ...]
     nu: tuple[int, ...]
-    twisting_sets: Mapping[str, TwistingSet] = field(default_factory=dict)
-    kink_sets: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
+    twisting_sets: Mapping[str, TwistingSet] = MappingProxyType({})
+    kink_sets: Mapping[str, tuple[int, ...]] = MappingProxyType({})
 
     def subdivision(self) -> Subdivision:
         return subdivision(self.points, self.triangles, self.nu)
@@ -197,7 +196,10 @@ def parse_input(data: bytes) -> InputDocument:
         tsets[name] = TwistingSet(tuple(entry["values"]), region)
     ksets = {name: tuple(vals) for name, vals in raw.get("kink_sets", {}).items()}
     order = interior_edge_keys(sub)
-    curve = tropical_curve(sub) if ksets else None
+    if ksets:  # only a kink set needs the curve: other documents load no curve module
+        from .tropical import check_cocycle, tropical_curve
+
+        curve = tropical_curve(sub)
     for name, vals in ksets.items():
         where = f"invalid input at {_pointer(('kink_sets', name))}"
         if len(vals) != len(order):

@@ -37,6 +37,17 @@ class SizeLimitError(LatticeError):
     """Raised when a requested table or sweep is larger than its documented limit."""
 
 
+def record(cls):
+    """A typing.NamedTuple class as a record: cheap to define and build, equal only to a record of
+    its own type with equal fields (unless it defines __eq__); its _check, if any, is its __init__."""
+    if "__eq__" not in vars(cls):
+        cls.__eq__ = lambda self, other: type(other) is cls and tuple.__eq__(self, other)
+    cls.__ne__ = object.__ne__
+    if "_check" in vars(cls):
+        cls.__init__ = cls._check
+    return cls
+
+
 def vadd(u, v):
     return (u[0] + v[0], u[1] + v[1])
 

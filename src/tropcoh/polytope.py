@@ -8,11 +8,10 @@ are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .lattice import (
     LatticeError,
@@ -23,6 +22,7 @@ from .lattice import (
     dot,
     lex_positive,
     primitive,
+    record,
     rot90,
     vneg,
     vsub,
@@ -31,19 +31,30 @@ from .lattice import (
 EdgeKey = tuple[Vec, Vec]  # endpoints sorted lexicographically
 
 
-@dataclass(frozen=True)
 class Subdivision:
+    __slots__ = ("points", "triangles", "nu", "_hash")
     points: tuple[Vec, ...]
     triangles: tuple[tuple[int, int, int], ...]
     nu: tuple[Fraction | int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, points, triangles, nu) -> None:
         # the validate cache is keyed on the subdivision, and tuples do not
         # cache their hash: hash the fields once, not at every lookup
-        object.__setattr__(self, "_hash", hash((self.points, self.triangles, self.nu)))
+        for name, value in zip(self.__slots__, (points, triangles, nu, hash((points, triangles, nu)))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        fields = (self.points, self.triangles, self.nu)
+        return type(other) is Subdivision and fields == (other.points, other.triangles, other.nu)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"Subdivision(points={self.points!r}, triangles={self.triangles!r}, nu={self.nu!r})"
 
     def triangle_points(self, t: int) -> tuple[Vec, Vec, Vec]:
         i, j, k = self.triangles[t]
@@ -66,24 +77,30 @@ def subdivision(points: Iterable, triangles: Iterable, nu: Iterable) -> Subdivis
     return Subdivision(pts, tris, tuple(kept.get(j, v) for j, v in enumerate(vals)))
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+@record
+class ValidationIssue(NamedTuple):
     code: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+@record
+class ValidationReport(NamedTuple):
     issues: tuple[ValidationIssue, ...]
-    index: CheckedSubdivision | None = field(default=None, repr=False, compare=False)
+    index: CheckedSubdivision | None = None  # compared and hashed by its issues alone
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ValidationReport and self.issues == other.issues
+
+    def __hash__(self) -> int:
+        return hash(self.issues)
 
     @property
     def ok(self) -> bool:
         return not self.issues
 
 
-@dataclass(frozen=True)
-class SubdivisionEdge:
+@record
+class SubdivisionEdge(NamedTuple):
     a: Vec
     b: Vec
     is_boundary: bool
@@ -96,8 +113,8 @@ class SubdivisionEdge:
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
-class CheckedSubdivision:
+@record
+class CheckedSubdivision(NamedTuple):
     """A valid subdivision and its incidence data, built by ``validate`` in one pass."""
 
     sub: Subdivision
@@ -222,7 +239,7 @@ def validate(sub: Subdivision) -> ValidationReport:
             on_boundary.update(key)
 
     for i, v in enumerate(sub.nu):
-        if Fraction(v).denominator != 1:
+        if type(v) is not int and Fraction(v).denominator != 1:
             bad("nu-not-integral", f"nu({sub.points[i]}) = {v} is not an integer")
     if issues:
         return ValidationReport(tuple(issues))

@@ -7,12 +7,11 @@ which separates the cones (u_{j-1}, u_j) and (u_j, u_{j+1}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .fan import Fan, balance, self_intersections
-from .lattice import LatticeError, QVec, Vec, as_ints, det2, dot, dual_numerators
+from .lattice import LatticeError, QVec, Vec, as_ints, det2, dot, dual_numerators, record
 from .polytope import ValidationIssue, ValidationReport
 from .tropical import BoundedRegion
 
@@ -23,8 +22,8 @@ def _fan_of(source: RegionOrFan) -> Fan:
     return source if isinstance(source, Fan) else source.fan
 
 
-@dataclass(frozen=True)
-class Twisting:
+@record
+class Twisting(NamedTuple):
     fan: Fan
     ell: tuple[int, ...]
 
@@ -70,8 +69,8 @@ def twisting(source: RegionOrFan, ell) -> Twisting:
     return Twisting(_fan_of(source), values)
 
 
-@dataclass(frozen=True)
-class SemiIntegralSupport:
+@record
+class SemiIntegralSupport(NamedTuple):
     """Per-cone linear parts theta_j on the cone spanned by (u_j, u_{j+1}).
 
     doubled[j] is 2 theta_j as an integer pair.  Building one checks, once,
@@ -82,7 +81,7 @@ class SemiIntegralSupport:
     fan: Fan
     doubled: tuple[Vec, ...]
 
-    def __post_init__(self):
+    def _check(self, *_) -> None:
         rays = self.fan.rays
         if len(self.doubled) != len(rays):
             raise LatticeError(f"{len(self.doubled)} theta parts for {len(rays)} rays")
@@ -164,8 +163,8 @@ def is_strictly_convex(theta: SemiIntegralSupport) -> str:
     return "neither"
 
 
-@dataclass(frozen=True)
-class GammaCurve:
+@record
+class GammaCurve(NamedTuple):
     """Closed polygonal boundary value curve through the cone linear parts.
 
     doubled[i] is 2 v_i for vertex v_i, an integer pair; vertices is the Fraction view.
@@ -173,7 +172,7 @@ class GammaCurve:
 
     doubled: tuple[Vec, ...]
 
-    def __post_init__(self):
+    def _check(self, *_) -> None:
         if not all(type(x) is int for v in self.doubled for x in v):
             raise LatticeError(f"curve vertices {self.doubled!r} are not all integer pairs")
 

@@ -8,19 +8,19 @@ coordinates are exact rationals.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .fan import Fan, balance, fan_at_vertex
-from .lattice import LatticeError, QVec, Vec, as_int, vadd, vneg
+from .lattice import LatticeError, QVec, Vec, as_int, record, vadd, vneg
 from .polytope import CheckedSubdivision, EdgeKey, Subdivision, SubdivisionEdge, checked
 
 
-@dataclass(frozen=True, eq=False)
 class TropicalCurve:
     """Compared and hashed by identity, not field by field: its regions refer
-    back to it."""
+    back to it. It is built from a valid subdivision's index, and each field is set once."""
 
-    index: CheckedSubdivision = field(repr=False)
+    __slots__ = ("index", "vertices", "bounded", "rays", "regions")
+    index: CheckedSubdivision
     vertices: tuple[QVec, ...]
     # the index's own interior and boundary edges, in key order.  Bounded edge
     # e runs from vertices[e.plus_triangle] to vertices[e.minus_triangle] along
@@ -28,8 +28,21 @@ class TropicalCurve:
     # leaves vertices[e.plus_triangle] along e.normal, into the polygon
     bounded: tuple[SubdivisionEdge, ...]
     rays: tuple[SubdivisionEdge, ...]
-    # set once, when the curve is built; in interior vertex order
-    regions: tuple[BoundedRegion, ...] = field(default=(), repr=False)
+    regions: tuple[BoundedRegion, ...]  # in interior vertex order
+
+    def __init__(self, index: CheckedSubdivision) -> None:
+        # strict convexity across interior edges of a convex polygon is global, so
+        # each vertex realizes the minimum of <p, m> + nu(p) over the points p;
+        # the dual vertex of a triangle is minus the slope of nu there
+        vertices = tuple(vneg(m) for m in index.slopes)
+        bounded = tuple(e for e in index.edges if not e.is_boundary)
+        rays = tuple(e for e in index.edges if e.is_boundary)
+        for name, value in zip(self.__slots__, (index, vertices, bounded, rays)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "regions", tuple(_region(self, v) for v in index.interior_vertices))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def sub(self) -> Subdivision:
@@ -37,21 +50,11 @@ class TropicalCurve:
 
 
 def tropical_curve(sub: Subdivision) -> TropicalCurve:
-    # strict convexity across interior edges of a convex polygon is global, so
-    # each vertex below realizes the minimum of <p, m> + nu(p) over the points p
-    index = checked(sub)
-
-    # the dual vertex of a triangle is minus the slope of nu there
-    vertices = tuple(vneg(m) for m in index.slopes)
-    bounded = tuple(e for e in index.edges if not e.is_boundary)
-    rays = tuple(e for e in index.edges if e.is_boundary)
-    curve = TropicalCurve(index, vertices, bounded, rays)
-    object.__setattr__(curve, "regions", tuple(_region(curve, v) for v in index.interior_vertices))
-    return curve
+    return TropicalCurve(checked(sub))
 
 
-@dataclass(frozen=True)
-class BoundedRegion:
+@record
+class BoundedRegion(NamedTuple):
     """A bounded component of the curve complement, dual to an interior vertex.
 
     Entry j of every per-edge tuple refers to the boundary edge dual to ray

@@ -351,10 +351,16 @@ def test_twists_far_beyond_the_box_scan_run(run):
 
 
 def test_cli_import_loads_neither_numpy_nor_jsonschema(fixture_dir):
-    """A fresh process loads only the modules its command runs, and neither jsonschema nor numpy."""
+    """A fresh process loads only the modules its command runs, and neither jsonschema nor numpy.
+
+    Nor does it load `dataclasses` (with `inspect`) before a command that needs it, or the
+    curve modules before a command that builds a curve.
+    """
     src = str(Path(tropcoh.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     p2, blowup, a2d = (str(fixture_dir / name) for name in (P2, BLOWUP, A2D))
+    # neither fixture has a kink set; p2's is checked on its curve
+    validate = [["validate", "--input", blowup], ["validate", "--input", a2d]]
     lean = [
         ["validate", "--input", p2],
         ["tropical", "--input", blowup],
@@ -367,14 +373,18 @@ def test_cli_import_loads_neither_numpy_nor_jsonschema(fixture_dir):
         ["verify-winding-theorem", "--input", blowup, "--ell", "mixed_sign"],
     ]
     picard = [["picard", "--input", a2d]]
+    sphere = [
+        ["sphere", "--input", p2, "--ell", "cap_k1"],
+        ["sphere", "--input", a2d, "--ell", "difference_c2", "--format", "svg"],
+    ]
     chain = [["a2d", "--d", "3"]]
     smooth = [["smooth-check", "--input", p2, "--ell", "cap_k1", "--samples", "4"]]
     code = textwrap.dedent(
         """
         import contextlib, io, json, sys
         from tropcoh.cli import main
-        watched = {"numpy", "jsonschema", "tropcoh.spheres", "tropcoh.winding",
-                   "tropcoh.cohomology", "tropcoh.ext_chains", "tropcoh.bundles"}
+        watched = {"numpy", "jsonschema", "dataclasses", "tropcoh.tropical", "tropcoh.spheres",
+                   "tropcoh.winding", "tropcoh.cohomology", "tropcoh.ext_chains", "tropcoh.bundles"}
         loaded = [sorted(watched & set(sys.modules))]
         codes = []
         with contextlib.redirect_stdout(io.StringIO()):
@@ -394,15 +404,24 @@ def test_cli_import_loads_neither_numpy_nor_jsonschema(fixture_dir):
         assert codes == [0] * sum(map(len, groups))
         return loaded
 
-    after_import, after_lean, after_rest = loaded_after(lean, rest)
-    assert after_import == after_lean == []
+    after_import, after_validate, after_lean, after_rest = loaded_after(validate, lean, rest)
+    assert after_import == after_validate == []
+    assert after_lean == ["tropcoh.tropical"]
     assert "numpy" not in after_rest and "jsonschema" not in after_rest
     assert "tropcoh.cohomology" in after_rest
+    # winding and cohomology keep their reports as dataclasses: tropbench's twist_count
+    # corruptions call dataclasses.replace on WindingTheoremReport, CohomologyDims and
+    # WindingTable (tropbench/workloads.py, TwistCount.corruptions)
+    assert "dataclasses" in after_rest
     # only picard (the balancing map) and a2d (the canonical classes) load bundles
     assert "tropcoh.bundles" not in after_rest
-    assert loaded_after(lean, picard)[1:] == [[], ["tropcoh.bundles"]]
+    assert loaded_after(validate, picard, sphere)[1:] == [
+        [],
+        ["tropcoh.bundles", "tropcoh.tropical"],
+        ["tropcoh.bundles", "tropcoh.spheres", "tropcoh.tropical"],
+    ]
     # a2d reads its chain off the curve; smooth-check needs neither winding counts nor cohomology
-    assert loaded_after(chain)[1:] == [["tropcoh.bundles", "tropcoh.ext_chains"]]
+    assert loaded_after(chain)[1:] == [["dataclasses", "tropcoh.bundles", "tropcoh.ext_chains", "tropcoh.tropical"]]
     after_smooth = loaded_after(smooth)[1]
     assert "tropcoh.winding" not in after_smooth and "tropcoh.cohomology" not in after_smooth
 
