@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .fan import balance
-from .lattice import Vec, dot, integer_kernel, record, vadd, vsub
+from .lattice import Vec, column_kernel, dot, record, vadd, vsub
 from .polytope import EdgeKey, Subdivision, checked
 from .tropical import BoundedRegion, KinkVector, TropicalCurve, kink_entry
 
@@ -21,33 +20,46 @@ MAX_PICARD_CELLS = 600_000
 
 @record
 class PhiMap(NamedTuple):
-    """Matrix of the per-region balancing sums, two rows per bounded region."""
+    """The per-region balancing sums by column: column j holds the (row, nonzero entry) pairs of
+    edge_order[j], rows increasing; rows 2i and 2i + 1 send K to balance(fan.rays, -K) of region i."""
 
     edge_order: tuple[EdgeKey, ...]
-    matrix: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
+    nrows: int
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows."""
+        rows = [[0] * len(self.columns) for _ in range(self.nrows)]
+        for j, col in enumerate(self.columns):
+            for i, x in col:
+                rows[i][j] = x
+        return tuple(map(tuple, rows))
 
     def apply(self, K: KinkVector) -> tuple[int, ...]:
-        vec = [kink_entry(K, key) for key in self.edge_order]
-        return tuple(sum(r * v for r, v in zip(row, vec)) for row in self.matrix)
+        out = [0] * self.nrows
+        for key, col in zip(self.edge_order, self.columns):
+            k = kink_entry(K, key)
+            for i, x in col:
+                out[i] += x * k
+        return tuple(out)
 
     def kernel_vectors(self) -> list[list[int]]:
-        return integer_kernel(self.matrix, len(self.edge_order))
+        return column_kernel([dict(col) for col in self.columns], self.nrows)
 
 
 def phi_map(curve: TropicalCurve) -> PhiMap:
     # the bounded edges are the interior subdivision edges, in key order
-    order = tuple(e.key for e in curve.bounded)
-    col = {key: i for i, key in enumerate(order)}
-    rows = []
-    for region in curve.regions:
-        rx = [0] * len(order)
-        ry = [0] * len(order)
-        # the region's two rows send K to balance(fan.rays, -K)
-        for key, u in zip(region.edge_keys, region.fan.rays):
-            rx[col[key]], ry[col[key]] = balance((u,), (-1,))
-        rows.append(tuple(rx))
-        rows.append(tuple(ry))
-    return PhiMap(order, tuple(rows))
+    columns: dict[EdgeKey, list[tuple[int, int]]] = {e.key: [] for e in curve.bounded}
+    for i, region in enumerate(curve.regions):
+        # balance((u,), (-1,)) is -rot90(u) = (u1, -u0)
+        for key, (u0, u1) in zip(region.edge_keys, region.fan.rays):
+            col = columns[key]
+            if u1:
+                col.append((2 * i, u1))
+            if u0:
+                col.append((2 * i + 1, -u0))
+    return PhiMap(tuple(columns), tuple(map(tuple, columns.values())), 2 * len(curve.regions))
 
 
 def divisor_kinks(sub: Subdivision, p: Vec) -> dict[EdgeKey, int]:
@@ -58,14 +70,14 @@ def divisor_kinks(sub: Subdivision, p: Vec) -> dict[EdgeKey, int]:
     across an edge pa between triangles pac and pad, where c + d - 2p = s (a - p).
     Sparse, in key order: every interior edge at p has an entry, zeros included.
     """
-    stars = checked(sub).stars
+    index = checked(sub)
     out = {}
     across: dict[Vec, list[Vec]] = {}  # each neighbour a of p to the third vertices on pa
-    for t in stars[p]:
+    for t in index.stars[p]:
         a, b = (q for q in sub.triangle_points(t) if q != p)
-        small = a if len(stars[a]) <= len(stars[b]) else b  # count the triangles on ab in the smaller star
-        if sum(a in q and b in q for q in map(sub.triangle_points, stars[small])) == 2:
-            out[min(a, b), max(a, b)] = 1
+        key = (a, b) if a < b else (b, a)
+        if key not in index.boundary_edges:
+            out[key] = 1
         across.setdefault(a, []).append(b)
         across.setdefault(b, []).append(a)
     for a, third in across.items():

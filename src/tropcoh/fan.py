@@ -60,10 +60,15 @@ def fan_at_vertex(sub: Subdivision, v: Vec) -> Fan:
     index = checked(sub)
     if v not in index.interior_vertices:
         raise LatticeError(f"{v} is not an interior vertex")
-    dirs = set()
-    for t in index.stars[v]:
-        dirs.update(vsub(p, v) for p in sub.triangle_points(t) if p != v)
-    return make_fan(dirs)
+    # the rays walk v's link counterclockwise: a triangle vab steps from a to b when det(a - v, b - v) > 0
+    links = ((vsub(p, v) for p in sub.triangle_points(t) if p != v) for t in index.stars[v])
+    step = dict((a, b) if det2(a, b) > 0 else (b, a) for a, b in links)
+    rays = [min(step)]
+    for _ in step:
+        rays.append(step.get(rays[-1]))
+    if rays.pop() != rays[0]:
+        raise LatticeError(f"the link of {v} does not close")
+    return Fan(tuple(rays))
 
 
 def balance(rays, values) -> Vec:

@@ -245,28 +245,55 @@ def threshold_slabs(lines, first: int, last: int, starts: Iterable[int] = ()):
 
 
 def _lin(p: int, x: dict[int, int], q: int, y: dict[int, int]) -> dict[int, int]:
-    """p x + q y for sparse vectors {position: nonzero entry}, p and q not both 0.
-
-    Vectors are replaced, never changed in place, so (p, q) = (1, 0) gives x itself and (0, 1)
-    gives y.  Otherwise the longer vector is copied and the shorter one added to it.
-    """
-    if p == 0 or (q != 0 and len(x) < len(y)):
+    """p x + q y for sparse vectors {position: nonzero entry} and nonzero p and q, as a new dict:
+    the longer vector is copied (by ``dict``, in C, when its coefficient is 1), the shorter added."""
+    if len(x) < len(y):
         p, x, q, y = q, y, p, x
-    if p == 1 and q == 0:
-        return x
-    out = dict(x) if p == 1 else {k: p * v for k, v in x.items()}
-    if q:
-        for k, v in y.items():
-            w = out.get(k, 0) + q * v
-            if w:
-                out[k] = w
-            else:
-                del out[k]
-    return out
+    return _add(dict(x) if p == 1 else {k: p * v for k, v in x.items()}, q, y)
+
+
+def _add(x: dict[int, int], q: int, y: dict[int, int]) -> dict[int, int]:
+    """x + q y for nonzero q, made in x itself."""
+    for k, v in y.items():
+        w = x.get(k, 0) + q * v
+        if w:
+            x[k] = w
+        else:
+            del x[k]
+    return x
+
+
+def _pair(p: int, q: int, r: int, s: int, x: dict, sx: int, y: dict, sy: int) -> tuple:
+    """(p X + q Y, r X + s Y) as (dict, sign, dict, sign), for X = sx x and Y = sy y, signs +-1.
+
+    Here ps - qr = 1, r is not 0 where q is, and s is 0 only where p is (a swap).  Where a
+    coefficient is 0, one result is X or Y up to sign and keeps its dict, and the other is
+    made in the other dict; otherwise both are new dicts.
+    """
+    if q == 0:  # p, s = +-1
+        return x, p * sx, _add(y, r * s * sx * sy, x), s * sy
+    if r == 0:  # p, s = +-1
+        return _add(x, p * q * sx * sy, y), p * sx, y, s * sy
+    if p == 0:  # q, r = +-1
+        return y, q * sy, _add(x, r * s * sx * sy, y) if s else x, r * sx
+    return _lin(p * sx, x, q * sy, y), 1, _lin(r * sx, x, s * sy, y), 1
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Z-basis of the integer kernel of the matrix with the given rows.
+    """column_kernel of the matrix with the given rows; a zero of any type reads as 0, and
+    every other entry must be an integer (as_int)."""
+    if any(len(r) != ncols for r in rows):
+        raise LatticeError("ragged matrix")
+    cols: list[dict[int, int]] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in compress(range(ncols), row):
+            cols[j][i] = as_int(row[j], f"row {i}, column {j}")
+    return column_kernel(cols, len(rows))
+
+
+def column_kernel(cols: list[dict[int, int]], nrows: int) -> list[list[int]]:
+    """Z-basis of the integer kernel of the nrows-row matrix with the given sparse columns,
+    dicts {row: nonzero int entry} that it changes in place.
 
     Unimodular column operations G1, ..., Gn (two-column combines and swaps)
     reduce the matrix A to column echelon form A T, T = G1 ... Gn.  The
@@ -274,49 +301,41 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]
     those positions, form a saturated basis of the kernel (any integer
     solution is an integer combination of them).
 
-    Columns are sparse: only nonzero entries are read, and each must be an
-    integer (as_int), while a zero of any type reads as 0.  Each unreduced
-    column is filed under its first nonzero row.  The rows above row r are
-    reduced, so the columns filed under r are the ones nonzero there, and
-    row r visits them in increasing position.  A combine on (lead, j)
-    leaves row r nonzero in lead and zero in j, so only j is filed again,
-    under its new first row.  The column that a swap moves to position
-    lead is zero at r, since lead is the least position filed there.  So
-    this is the operation sequence of a dense sweep over every column, and
-    the basis is the same.
+    Each unreduced column is filed under its first nonzero row.  The rows
+    above row r are reduced, so the columns filed under r are the ones
+    nonzero there, and row r visits them in increasing position.  A combine
+    on (lead, j) leaves row r nonzero in lead and zero in j, so only j is
+    filed again, under its new first row.  The column that a swap moves to
+    position lead is zero at r, since lead is the least position filed
+    there.  So this is the operation sequence of a dense sweep over every
+    column, and the basis is the same.
 
     T itself is never built.  The sweep records G1, ..., Gn, and the basis
     T E_S = G1 (G2 (... (Gn E_S))) is computed from the right, replaying
-    them in reverse as row operations on the kernel columns only.  A row is
-    kept as a sign and a dict, so one that is only moved or negated is not copied.
+    them in reverse as row operations on the kernel columns only.  Columns
+    and rows are kept as a sign and a dict, and combined by _pair.
     """
-    if any(len(r) != ncols for r in rows):
-        raise LatticeError("ragged matrix")
-
-    cols: list[dict[int, int]] = [{} for _ in range(ncols)]
+    ncols = len(cols)
     ops: list[tuple[int, ...]] = []  # (j0, j1, a, b, c, d); a swap is (pivot, lead, 0, 1, 1, 0)
     first: defaultdict[int, set[int]] = defaultdict(set)  # row -> columns first nonzero there
-    positions = range(ncols)
-    for i, row in enumerate(rows):
-        for j in compress(positions, row):
-            x = row[j]
-            if not cols[j]:
-                first[i].add(j)
-            cols[j][i] = x if type(x) is int else as_int(x, f"row {i}, column {j}")
+    for j, col in enumerate(cols):
+        if col:
+            first[min(col)].add(j)
+    sign = [1] * ncols  # column j is sign[j] * cols[j]
 
     pivot = 0
-    for r in range(len(rows)):
+    for r in range(nrows):
         if r not in first:
             continue
         lead, *rest = sorted(first.pop(r))
         for j in rest:
             # columns (lead, j) <- (x lead + y j, c lead + d j), with xd - yc = 1
-            a, b = cols[lead][r], cols[j][r]
+            u, w, su, sw = cols[lead], cols[j], sign[lead], sign[j]
+            a, b = su * u[r], sw * w[r]
             g, x, y = _xgcd(a, b)
             c, d = -(b // g), a // g
-            old = cols[lead]
-            cols[lead], cols[j] = _lin(x, old, y, cols[j]), _lin(c, old, d, cols[j])
             ops.append((lead, j, x, y, c, d))
+            cols[lead], sign[lead], cols[j], sign[j] = _pair(x, y, c, d, u, su, w, sw)
             if cols[j]:
                 first[min(cols[j])].add(j)
         if lead != pivot:
@@ -326,6 +345,7 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]
                 bucket.add(lead)
             ops.append((pivot, lead, 0, 1, 1, 0))
         cols[pivot], cols[lead] = cols[lead], cols[pivot]
+        sign[pivot], sign[lead] = sign[lead], sign[pivot]
         pivot += 1
     # from the right: the operation that maps columns (j0, j1) of T by (a, b, c, d)
     # maps rows (X, Y) of the running product to (a X + c Y, b X + d Y), where
@@ -334,17 +354,8 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]
     basis_rows += [{s: 1} for s in range(ncols - pivot)]
     sign = [1] * ncols
     for j0, j1, a, b, c, d in reversed(ops):
-        x, y, sx, sy = basis_rows[j0], basis_rows[j1], sign[j0], sign[j1]
-        if b == 0:  # a, d = +-1: Y keeps its dict
-            basis_rows[j0] = _lin(1, x, a * sx * c * sy, y)
-            sign[j0], sign[j1] = a * sx, d * sy
-        elif a == 0:  # b, c = +-1: Y's dict moves to row j0 (and x's to row j1 on a swap)
-            basis_rows[j0], basis_rows[j1] = y, _lin(1, x, b * sx * d * sy, y)
-            sign[j0], sign[j1] = c * sy, b * sx
-        else:
-            basis_rows[j0] = _lin(a * sx, x, c * sy, y)
-            basis_rows[j1] = _lin(b * sx, x, d * sy, y)
-            sign[j0] = sign[j1] = 1
+        rows = _pair(a, c, b, d, basis_rows[j0], sign[j0], basis_rows[j1], sign[j1])
+        basis_rows[j0], sign[j0], basis_rows[j1], sign[j1] = rows
     kernel = [[0] * ncols for _ in range(ncols - pivot)]
     for j, (s, row) in enumerate(zip(sign, basis_rows)):
         for t, x in row.items():

@@ -23,7 +23,6 @@ from .lattice import (
     lex_positive,
     primitive,
     record,
-    rot90,
     vneg,
     vsub,
 )
@@ -124,6 +123,7 @@ class CheckedSubdivision(NamedTuple):
     # position of its bounded region too
     interior_vertices: Mapping[Vec, int]
     slopes: tuple[Vec, ...]  # of nu, one per triangle
+    boundary_edges: frozenset[EdgeKey]  # the keys of the edges in one triangle
 
 
 def convex_hull(points: Sequence[Vec]) -> list[Vec]:
@@ -226,17 +226,17 @@ def validate(sub: Subdivision) -> ValidationReport:
     # of P, the triangles cover P off the edges equally often, and once by the area check: they
     # tile P, and every lattice point of P is a vertex. README states the argument in full.
     hull_lines = {_line(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
-    grouped = {key: tuple(t for t, _ in sides[key]) for key in sorted(sides)}
-    on_boundary: set[Vec] = set()
-    for key, ts in grouped.items():
+    ordered = sorted(sides.items())
+    boundary = []
+    for key, ts in ordered:
         if len(ts) > 2:
             bad("nonmanifold-edge", f"edge {key} lies in {len(ts)} triangles")
-        elif len(ts) == 2 and sides[key][0][1] == sides[key][1][1]:
-            bad("overlapping-triangles", f"triangles {ts[0]} and {ts[1]} lie on one side of edge {key}")
+        elif len(ts) == 2 and ts[0][1] == ts[1][1]:
+            bad("overlapping-triangles", f"triangles {ts[0][0]} and {ts[1][0]} lie on one side of edge {key}")
         elif len(ts) == 1:
             if _line(*key) not in hull_lines:
                 bad("dangling-edge", f"edge {key} lies in one triangle but is not on the boundary")
-            on_boundary.update(key)
+            boundary.append(key)
 
     for i, v in enumerate(sub.nu):
         if type(v) is not int and Fraction(v).denominator != 1:
@@ -244,13 +244,14 @@ def validate(sub: Subdivision) -> ValidationReport:
     if issues:
         return ValidationReport(tuple(issues))
 
-    labelled = tuple(_edge(key, sides[key]) for key in grouped)
+    labelled = tuple(_edge(key, ts) for key, ts in ordered)
     for (a, b), k in _kinks(labelled, slope_of_nu).items():
         if k <= 0:
             bad("not-strictly-convex", f"nu has kink {k} across interior edge ({a}, {b})")
     if issues:
         return ValidationReport(tuple(issues))
     # the boundary edges of a tiling cover the sides of P, so its ends are the boundary points
+    on_boundary = {p for key in boundary for p in key}
     inner = sorted(p for p in sub.points if p not in on_boundary)
     index = CheckedSubdivision(
         sub,
@@ -258,6 +259,7 @@ def validate(sub: Subdivision) -> ValidationReport:
         MappingProxyType({p: tuple(ts) for p, ts in star.items()}),
         MappingProxyType({v: i for i, v in enumerate(inner)}),
         tuple(slope_of_nu),
+        frozenset(boundary),
     )
     return ValidationReport((), index)
 
@@ -274,7 +276,7 @@ def checked(sub: Subdivision) -> CheckedSubdivision:
 def _edge(key: EdgeKey, sides: list[tuple[int, bool]]) -> SubdivisionEdge:
     """The edge with the given key, labelled from its (triangle, on the plus side) pairs."""
     a, b = key
-    normal = rot90(primitive(vsub(b, a)))
+    normal = (a[1] - b[1], b[0] - a[0])  # rot90(b - a), primitive since every triangle is elementary
     if len(sides) == 1:
         t, plus = sides[0]
         return SubdivisionEdge(a, b, True, t, None, normal if plus else vneg(normal))

@@ -22,7 +22,11 @@ combinations must give back every Picard basis vector.  The Fraction
 ``fraction_slope`` and ``fraction_kinks`` stand in for the removed
 ``polytope.slopes`` and ``edge_kinks`` on any values.  ``a2d_KC`` and
 ``a2d_kappa`` are hand-derived closed forms of the ladder data that
-``ext_chains`` reads off the curve.
+``ext_chains`` reads off the curve.  ``dense_phi_matrix`` and
+``sorted_fan_at_vertex`` are the dense balancing rows and the angle sort of
+a vertex's fan that ``phi_map`` and ``fan_at_vertex`` replaced;
+``one_triangle_edge_keys`` counts each edge's triangles, the count that
+``checked(sub).boundary_edges`` replaced in ``divisor_kinks``.
 """
 
 from __future__ import annotations
@@ -55,9 +59,11 @@ from tropcoh.lattice import (
     vsub,
 )
 from tropcoh.cohomology import ToricSupport, canonical_psi
-from tropcoh.fan import Fan, is_smooth, self_intersections
+from tropcoh.fan import Fan, balance, is_smooth, make_fan, self_intersections
 from tropcoh.lattice import floor_sum
-from tropcoh.polytope import EdgeKey, Subdivision, SubdivisionEdge, _slope, convex_hull, edges, interior_edge_keys
+from tropcoh.polytope import (
+    EdgeKey, Subdivision, SubdivisionEdge, _slope, checked, convex_hull, edges, interior_edge_keys,
+)
 from tropcoh.spheres import SemiIntegralSupport, Twisting, _check_twisting, gamma_curve, is_strictly_convex
 from tropcoh.tropical import BoundedRegion, KinkVector, kink_entry
 from tropcoh.winding import _on_curve, _segments
@@ -134,6 +140,41 @@ def dense_integer_kernel(rows, ncols: int) -> list[list[int]]:
             trans[pivot], trans[lead] = trans[lead], trans[pivot]
             pivot += 1
     return [list(trans[j]) for j in range(pivot, ncols)]
+
+
+def dense_phi_matrix(curve) -> tuple[tuple[int, ...], ...]:
+    """The balancing map as dense rows: region i's rows 2i and 2i + 1 send K to balance(fan.rays, -K)."""
+    order = tuple(e.key for e in curve.bounded)
+    col = {key: i for i, key in enumerate(order)}
+    rows = []
+    for region in curve.regions:
+        rx = [0] * len(order)
+        ry = [0] * len(order)
+        for key, u in zip(region.edge_keys, region.fan.rays):
+            rx[col[key]], ry[col[key]] = balance((u,), (-1,))
+        rows.append(tuple(rx))
+        rows.append(tuple(ry))
+    return tuple(rows)
+
+
+def sorted_fan_at_vertex(sub: Subdivision, v: Vec) -> Fan:
+    """The fan at an interior vertex, its star's directions sorted by angle with make_fan."""
+    index = checked(sub)
+    if v not in index.interior_vertices:
+        raise LatticeError(f"{v} is not an interior vertex")
+    dirs = set()
+    for t in index.stars[v]:
+        dirs.update(vsub(p, v) for p in sub.triangle_points(t) if p != v)
+    return make_fan(dirs)
+
+
+def one_triangle_edge_keys(sub: Subdivision) -> set[EdgeKey]:
+    """The keys of the edges that lie in exactly one triangle, counted over every triangle."""
+    count = Counter()
+    for t in range(len(sub.triangles)):
+        a, b, c = sub.triangle_points(t)
+        count.update((min(p, q), max(p, q)) for p, q in ((a, b), (b, c), (c, a)))
+    return {key for key, n in count.items() if n == 1}
 
 
 def solve_dual(u: Vec, v: Vec, a, b) -> QVec:

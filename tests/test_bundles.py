@@ -1,5 +1,6 @@
 """Kink vectors, the balancing map, and divisor and canonical classes."""
 
+import random
 from math import gcd
 
 import pytest
@@ -7,8 +8,8 @@ import sympy
 
 from conftest import hex_grid
 from oracles import (
-    affine_part, dense_integer_kernel, fraction_kinks, region_cycle, restriction_degree, support_from_kinks,
-    wedge_canonical_KC,
+    affine_part, dense_integer_kernel, dense_phi_matrix, fraction_kinks, region_cycle, restriction_degree,
+    support_from_kinks, wedge_canonical_KC,
 )
 from tropcoh.bundles import canonical_KC, divisor_kinks, phi_map
 from tropcoh.examples import a2d_subdivision
@@ -179,6 +180,26 @@ def test_kernel_equals_the_dense_echelon_on_phi(oracle_subdivisions):
         phi = phi_map(tropical_curve(sub))
         want = dense_integer_kernel(phi.matrix, len(phi.edge_order))
         assert phi.kernel_vectors() == want
+
+
+def test_phi_columns_give_the_dense_rows_and_their_product(oracle_subdivisions):
+    """Phi's sparse columns against the dense rows they replace, and apply against the row product."""
+    rng = random.Random(0)
+    for sub in (*oracle_subdivisions, a2d_subdivision(40), hex_grid(8)):
+        curve = tropical_curve(sub)
+        phi, dense = phi_map(curve), dense_phi_matrix(curve)
+        assert phi.matrix == dense and phi.nrows == len(dense)
+        assert all(col == tuple(sorted(col)) and all(x for _, x in col) for col in phi.columns)
+        for _ in range(5):
+            K = {key: rng.randint(-9, 9) for key in phi.edge_order if rng.random() < 0.7}
+            vec = [K.get(key, 0) for key in phi.edge_order]
+            assert phi.apply(K) == tuple(sum(r * k for r, k in zip(row, vec)) for row in dense)
+
+
+def test_the_kernel_leaves_phi_as_it_was():
+    """column_kernel changes the dicts it is given, so kernel_vectors hands it copies."""
+    phi = phi_map(tropical_curve(hex_grid(5)))
+    assert phi.kernel_vectors() == phi.kernel_vectors()
 
 
 def _primitive_q(v):

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import hex_grid
 from gen_cases import random_smooth_fan
-from oracles import index_of
+from oracles import index_of, sorted_fan_at_vertex
+from tropcoh import fan as fan_module
 from tropcoh.fan import (
     Fan,
     fan_at_vertex,
@@ -14,6 +16,7 @@ from tropcoh.fan import (
     self_intersections,
 )
 from tropcoh.lattice import LatticeError, det2
+from tropcoh.polytope import checked
 
 
 def test_make_fan_sorts_ccw_from_lex_smallest():
@@ -113,6 +116,23 @@ def test_a2d_vertex_fans_match_ladder(a2d3_sub):
         fan = fan_at_vertex(a2d3_sub, v)
         assert len(fan.rays) == 5
         assert is_smooth(fan)
+
+
+def test_the_link_walk_equals_the_angle_sort(oracle_subdivisions):
+    """fan_at_vertex walks v's link; the oracle sorts the star's directions by angle."""
+    for sub in (*oracle_subdivisions, *(hex_grid(n) for n in range(4, 13))):
+        for v in checked(sub).interior_vertices:
+            assert fan_at_vertex(sub, v) == sorted_fan_at_vertex(sub, v)
+
+
+def test_a_link_that_does_not_close_raises(p2_sub, monkeypatch):
+    """With one triangle gone from the star of (0, 0), the walk cannot get back to its first ray."""
+    index = checked(p2_sub)
+    stars = dict(index.stars)
+    stars[0, 0] = stars[0, 0][1:]
+    monkeypatch.setattr(fan_module, "checked", lambda sub: index._replace(stars=stars))
+    with pytest.raises(LatticeError, match=r"the link of \(0, 0\) does not close"):
+        fan_at_vertex(p2_sub, (0, 0))
 
 
 def test_self_intersections_sum_rule():

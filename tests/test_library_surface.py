@@ -41,6 +41,9 @@ ALLOWED = {
     "smoothing.hessian": BENCH,
     "smoothing.mollify_eval": BENCH,
     "bundles.PhiMap.apply": BENCH,
+    "bundles.PhiMap.matrix": BENCH,
+    "lattice.integer_kernel": BENCH,
+    "fan.make_fan": BENCH,
 }
 
 

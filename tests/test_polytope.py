@@ -22,6 +22,7 @@ from oracles import (
     fraction_slope,
     is_tiling,
     normalized_area,
+    one_triangle_edge_keys,
     opposite_vertex_sides,
 )
 from tropcoh import polytope
@@ -171,6 +172,13 @@ class TestValidationCodes:
         for build in (checked, tropical_curve):
             with pytest.raises(LatticeError, match="invalid subdivision: not-strictly-convex"):
                 build(sub)
+
+
+def test_boundary_edges_are_the_edges_in_one_triangle(oracle_subdivisions):
+    for sub in (*oracle_subdivisions, hex_grid(8), a2d_subdivision(40)):
+        index = checked(sub)
+        assert index.boundary_edges == one_triangle_edge_keys(sub)
+        assert index.boundary_edges == {e.key for e in index.edges if e.is_boundary}
 
 
 def test_edge_classification_on_p2(p2_sub, oracle_subdivisions):
