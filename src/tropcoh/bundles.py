@@ -45,7 +45,7 @@ class PhiMap(NamedTuple):
         return tuple(out)
 
     def kernel_vectors(self) -> list[list[int]]:
-        return column_kernel([dict(col) for col in self.columns], self.nrows)
+        return column_kernel(self.columns, self.nrows)
 
 
 def phi_map(curve: TropicalCurve) -> PhiMap:

@@ -284,16 +284,16 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]
     every other entry must be an integer (as_int)."""
     if any(len(r) != ncols for r in rows):
         raise LatticeError("ragged matrix")
-    cols: list[dict[int, int]] = [{} for _ in range(ncols)]
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j in compress(range(ncols), row):
-            cols[j][i] = as_int(row[j], f"row {i}, column {j}")
+            cols[j].append((i, as_int(row[j], f"row {i}, column {j}")))
     return column_kernel(cols, len(rows))
 
 
-def column_kernel(cols: list[dict[int, int]], nrows: int) -> list[list[int]]:
+def column_kernel(columns: Sequence[Iterable[tuple[int, int]]], nrows: int) -> list[list[int]]:
     """Z-basis of the integer kernel of the nrows-row matrix with the given sparse columns,
-    dicts {row: nonzero int entry} that it changes in place.
+    each an iterable of (row, nonzero int entry) pairs.
 
     Unimodular column operations G1, ..., Gn (two-column combines and swaps)
     reduce the matrix A to column echelon form A T, T = G1 ... Gn.  The
@@ -315,6 +315,7 @@ def column_kernel(cols: list[dict[int, int]], nrows: int) -> list[list[int]]:
     them in reverse as row operations on the kernel columns only.  Columns
     and rows are kept as a sign and a dict, and combined by _pair.
     """
+    cols = [dict(col) for col in columns]  # changed in place below
     ncols = len(cols)
     ops: list[tuple[int, ...]] = []  # (j0, j1, a, b, c, d); a swap is (pivot, lead, 0, 1, 1, 0)
     first: defaultdict[int, set[int]] = defaultdict(set)  # row -> columns first nonzero there

@@ -23,6 +23,7 @@ from .lattice import (
     lex_positive,
     primitive,
     record,
+    rot90,
     vneg,
     vsub,
 )
@@ -227,7 +228,6 @@ def validate(sub: Subdivision) -> ValidationReport:
     # tile P, and every lattice point of P is a vertex. README states the argument in full.
     hull_lines = {_line(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
     ordered = sorted(sides.items())
-    boundary = []
     for key, ts in ordered:
         if len(ts) > 2:
             bad("nonmanifold-edge", f"edge {key} lies in {len(ts)} triangles")
@@ -236,7 +236,6 @@ def validate(sub: Subdivision) -> ValidationReport:
         elif len(ts) == 1:
             if _line(*key) not in hull_lines:
                 bad("dangling-edge", f"edge {key} lies in one triangle but is not on the boundary")
-            boundary.append(key)
 
     for i, v in enumerate(sub.nu):
         if type(v) is not int and Fraction(v).denominator != 1:
@@ -251,6 +250,7 @@ def validate(sub: Subdivision) -> ValidationReport:
     if issues:
         return ValidationReport(tuple(issues))
     # the boundary edges of a tiling cover the sides of P, so its ends are the boundary points
+    boundary = frozenset(e.key for e in labelled if e.is_boundary)
     on_boundary = {p for key in boundary for p in key}
     inner = sorted(p for p in sub.points if p not in on_boundary)
     index = CheckedSubdivision(
@@ -259,7 +259,7 @@ def validate(sub: Subdivision) -> ValidationReport:
         MappingProxyType({p: tuple(ts) for p, ts in star.items()}),
         MappingProxyType({v: i for i, v in enumerate(inner)}),
         tuple(slope_of_nu),
-        frozenset(boundary),
+        boundary,
     )
     return ValidationReport((), index)
 
@@ -276,7 +276,7 @@ def checked(sub: Subdivision) -> CheckedSubdivision:
 def _edge(key: EdgeKey, sides: list[tuple[int, bool]]) -> SubdivisionEdge:
     """The edge with the given key, labelled from its (triangle, on the plus side) pairs."""
     a, b = key
-    normal = (a[1] - b[1], b[0] - a[0])  # rot90(b - a), primitive since every triangle is elementary
+    normal = rot90(vsub(b, a))  # primitive, since every triangle is elementary
     if len(sides) == 1:
         t, plus = sides[0]
         return SubdivisionEdge(a, b, True, t, None, normal if plus else vneg(normal))

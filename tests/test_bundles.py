@@ -197,7 +197,7 @@ def test_phi_columns_give_the_dense_rows_and_their_product(oracle_subdivisions):
 
 
 def test_the_kernel_leaves_phi_as_it_was():
-    """column_kernel changes the dicts it is given, so kernel_vectors hands it copies."""
+    """The kernel builds its own dicts from phi's columns, so a second call finds them unchanged."""
     phi = phi_map(tropical_curve(hex_grid(5)))
     assert phi.kernel_vectors() == phi.kernel_vectors()
 

@@ -1,12 +1,12 @@
-"""Best-of-N time of each curve-build stage, for one checkout or two alternating.
+"""Best-of-ROUNDS time of each curve-build stage, for one checkout or two alternating.
 
-    python tools/curve_stages.py CHECKOUT [CHECKOUT] [--rounds 9]
+    python tools/curve_stages.py CHECKOUT [CHECKOUT]
 
 A CHECKOUT is a repository root with ``src/`` and ``tropbench/`` (whose hexagonal grid it uses).
-Each round runs every input once per checkout, alternating which goes first, in a fresh
-interpreter.  For each input the ``validate`` cache is cleared, then the stages run in order,
-each after ``gc.collect()``.  The table gives each stage's best time over the rounds in ms, as
-``before -> after`` for two checkouts.
+Each of the ROUNDS rounds runs every input once per checkout, alternating which goes first,
+in a fresh interpreter.  For each input the ``validate`` cache is cleared, then the stages run
+in order, each after ``gc.collect()``.  The table gives each stage's best time over the rounds
+in ms, as ``before -> after`` for two checkouts.
 """
 
 import argparse
@@ -19,6 +19,7 @@ from pathlib import Path
 
 INPUTS = [("a2d_subdivision", d) for d in (10, 40, 160, 640)] + [("hex_grid", n) for n in (4, 8, 12, 20)]
 STAGES = ("validate", "tropical_curve", "phi_map", "kernel", "canonical_KC")
+ROUNDS = 9
 
 
 def one_round() -> list[list[float]]:
@@ -48,14 +49,13 @@ def one_round() -> list[list[float]]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", type=Path, nargs="+")
-    parser.add_argument("--rounds", type=int, default=9)
     parser.add_argument("--one-round", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.one_round:
         sys.path[:0] = [str(args.checkouts[0] / "src"), str(args.checkouts[0] / "tropbench")]
         return print(json.dumps(one_round()))
     best = [[[float("inf")] * len(STAGES) for _ in INPUTS] for _ in args.checkouts]
-    for i in range(args.rounds):
+    for i in range(ROUNDS):
         for side in range(len(best))[:: 1 - 2 * (i % 2)]:
             argv = [sys.executable, __file__, str(args.checkouts[side].resolve()), "--one-round"]
             got = json.loads(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
