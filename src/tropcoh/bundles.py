@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .lattice import Vec, column_kernel, dot, record, vadd, vsub
-from .polytope import EdgeKey, Subdivision, checked
-from .tropical import BoundedRegion, KinkVector, TropicalCurve, kink_entry
+from .lattice import Vec, column_kernel, record
+from .polytope import EdgeKey, KinkVector, Subdivision, checked, kink_entry
+from .tropical import BoundedRegion, TropicalCurve
 
 # `picard` refuses a basis with more entries, (points - 3) x interior edges: the
 # kernel's coefficients grow with the hexagonal grid, so its time grows faster still
@@ -71,19 +71,18 @@ def divisor_kinks(sub: Subdivision, p: Vec) -> dict[EdgeKey, int]:
     Sparse, in key order: every interior edge at p has an entry, zeros included.
     """
     index = checked(sub)
+    link = index.link(p)
+    px, py = p
     out = {}
-    across: dict[Vec, list[Vec]] = {}  # each neighbour a of p to the third vertices on pa
-    for t in index.stars[p]:
-        a, b = (q for q in sub.triangle_points(t) if q != p)
-        key = (a, b) if a < b else (b, a)
+    for c, a in link.items():
+        key = (c, a) if c < a else (a, c)
         if key not in index.boundary_edges:
             out[key] = 1
-        across.setdefault(a, []).append(b)
-        across.setdefault(b, []).append(a)
-    for a, third in across.items():
-        if len(third) == 2:
-            u, w = vsub(a, p), vsub(vsub(vadd(*third), p), p)
-            out[min(p, a), max(p, a)] = dot(w, u) // dot(u, u) - 2
+        d = link.get(a)
+        if d is not None:  # pa is interior, between the triangles pca and pad
+            ux, uy = a[0] - px, a[1] - py
+            s = (ux * (c[0] + d[0] - 2 * px) + uy * (c[1] + d[1] - 2 * py)) // (ux * ux + uy * uy)
+            out[(p, a) if p < a else (a, p)] = s - 2
     return {key: out[key] for key in sorted(out)}
 
 

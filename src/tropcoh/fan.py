@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .lattice import LatticeError, Vec, det2, is_primitive, record, rot90, vsub
+from .lattice import LatticeError, Vec, det2, is_primitive, record, rot90
 from .polytope import Subdivision, checked
 
 
@@ -60,15 +60,14 @@ def fan_at_vertex(sub: Subdivision, v: Vec) -> Fan:
     index = checked(sub)
     if v not in index.interior_vertices:
         raise LatticeError(f"{v} is not an interior vertex")
-    # the rays walk v's link counterclockwise: a triangle vab steps from a to b when det(a - v, b - v) > 0
-    links = ((vsub(p, v) for p in sub.triangle_points(t) if p != v) for t in index.stars[v])
-    step = dict((a, b) if det2(a, b) > 0 else (b, a) for a, b in links)
-    rays = [min(step)]
-    for _ in step:
-        rays.append(step.get(rays[-1]))
-    if rays.pop() != rays[0]:
+    # the rays walk v's link counterclockwise from the lex-least, which is v + the lex-least ray
+    link = index.link(v)
+    walk = [min(link)]
+    for _ in link:
+        walk.append(link.get(walk[-1]))
+    if walk.pop() != walk[0]:
         raise LatticeError(f"the link of {v} does not close")
-    return Fan(tuple(rays))
+    return Fan(tuple((x - v[0], y - v[1]) for x, y in walk))
 
 
 def balance(rays, values) -> Vec:

@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .lattice import LatticeError, Vec, record
-from .polytope import Subdivision, checked, interior_edge_keys, subdivision
+from .polytope import Subdivision, check_cocycle, checked, interior_edge_keys, subdivision
 
 REPORT_FORMAT = "tropcoh-report"
 REPORT_VERSION = 1
@@ -196,16 +196,12 @@ def parse_input(data: bytes) -> InputDocument:
         tsets[name] = TwistingSet(tuple(entry["values"]), region)
     ksets = {name: tuple(vals) for name, vals in raw.get("kink_sets", {}).items()}
     order = interior_edge_keys(sub)
-    if ksets:  # only a kink set needs the curve: other documents load no curve module
-        from .tropical import check_cocycle, tropical_curve
-
-        curve = tropical_curve(sub)
     for name, vals in ksets.items():
         where = f"invalid input at {_pointer(('kink_sets', name))}"
         if len(vals) != len(order):
             raise InputError(f"{where}: {len(vals)} kinks for {len(order)} interior edges")
         try:
-            check_cocycle(curve, dict(zip(order, vals)))
+            check_cocycle(sub, dict(zip(order, vals)))
         except LatticeError as exc:
             raise InputError(f"{where}: {exc}") from exc
     return InputDocument(points, triangles, nu, tsets, ksets)

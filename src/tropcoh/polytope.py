@@ -17,14 +17,12 @@ from .lattice import (
     LatticeError,
     QVec,
     Vec,
+    as_int,
     as_ints,
     det2,
-    dot,
     lex_positive,
     primitive,
     record,
-    rot90,
-    vneg,
     vsub,
 )
 
@@ -55,10 +53,6 @@ class Subdivision:
 
     def __repr__(self) -> str:
         return f"Subdivision(points={self.points!r}, triangles={self.triangles!r}, nu={self.nu!r})"
-
-    def triangle_points(self, t: int) -> tuple[Vec, Vec, Vec]:
-        i, j, k = self.triangles[t]
-        return (self.points[i], self.points[j], self.points[k])
 
 
 def subdivision(points: Iterable, triangles: Iterable, nu: Iterable) -> Subdivision:
@@ -126,6 +120,23 @@ class CheckedSubdivision(NamedTuple):
     slopes: tuple[Vec, ...]  # of nu, one per triangle
     boundary_edges: frozenset[EdgeKey]  # the keys of the edges in one triangle
 
+    def link(self, p: Vec) -> dict[Vec, Vec]:
+        """The star of p walked once: each triangle pab at p as a -> b, with det(a - p, b - p) > 0."""
+        pts, tris = self.sub.points, self.sub.triangles
+        px, py = p
+        out = {}
+        for t in self.stars[p]:
+            i, j, k = tris[t]
+            a, b, c = pts[i], pts[j], pts[k]
+            if a == p:  # a, b become the two vertices other than p
+                a = c
+            elif b == p:
+                b = c
+            if (a[0] - px) * (b[1] - py) <= (a[1] - py) * (b[0] - px):
+                a, b = b, a
+            out[a] = b
+        return out
+
 
 def convex_hull(points: Sequence[Vec]) -> list[Vec]:
     """Counterclockwise hull (monotone chain), collinear points dropped."""
@@ -136,7 +147,10 @@ def convex_hull(points: Sequence[Vec]) -> list[Vec]:
     def build(seq):
         out: list[Vec] = []
         for p in seq:
-            while len(out) >= 2 and det2(vsub(out[-1], out[-2]), vsub(p, out[-2])) <= 0:
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0:
+                    break
                 out.pop()
             out.append(p)
         return out
@@ -163,103 +177,116 @@ def validate(sub: Subdivision) -> ValidationReport:
     """
     issues: list[ValidationIssue] = []
 
-    def bad(code: str, message: str) -> None:
-        issues.append(ValidationIssue(code, message))
+    def bad(code: str, message: str, into: list[ValidationIssue] = issues) -> None:
+        into.append(ValidationIssue(code, message))
 
+    n = len(sub.points)
     seen: dict[Vec, int] = {}
     for i, p in enumerate(sub.points):
         if p in seen:
             bad("duplicate-point", f"point {p} listed at indices {seen[p]} and {i}")
         seen[p] = i
-    if len(sub.nu) != len(sub.points):
-        bad("nu-length", f"{len(sub.nu)} nu values for {len(sub.points)} points")
+    if len(sub.nu) != n:
+        bad("nu-length", f"{len(sub.nu)} nu values for {n} points")
     for t, tri in enumerate(sub.triangles):
-        if len(set(tri)) != 3 or any(i < 0 or i >= len(sub.points) for i in tri):
+        if len(set(tri)) != 3 or min(tri) < 0 or max(tri) >= n:
             bad("bad-triangle", f"triangle {t} has invalid vertex indices {tri}")
     if issues:
         return ValidationReport(tuple(issues))
 
-    # the one loop over the triangles: areas, sides, stars and slopes of nu
+    # the one loop over the triangles: areas, sides, stars and slopes of nu. An edge is keyed
+    # by the ranks of its ends in lexicographic order, so the keys sort as the point pairs do
     pts, nu = sub.points, sub.nu
-    sides: dict[EdgeKey, list[tuple[int, bool]]] = {}
-    star: dict[Vec, list[int]] = {p: [] for p in pts}
+    order = sorted(range(n), key=pts.__getitem__)
+    rank = sorted(range(n), key=order.__getitem__)  # the inverse of order
+    sides: dict[int, list[tuple[int, bool]]] = {}
+    star: list[list[int]] = [[] for _ in pts]
     slope_of_nu = []
     total = 0
-    degenerate = False
     for t, (i0, i1, i2) in enumerate(sub.triangles):
         v0, v1, v2 = pts[i0], pts[i1], pts[i2]
-        d = det2(vsub(v1, v0), vsub(v2, v0))
+        d = (v1[0] - v0[0]) * (v2[1] - v0[1]) - (v1[1] - v0[1]) * (v2[0] - v0[0])
         total += abs(d)
-        if d == 0:
-            bad("collinear-triangle", f"triangle {t} with vertices {v0}, {v1}, {v2} is collinear")
-            degenerate = True
-        elif abs(d) != 1:
-            bad(
-                "not-elementary",
-                f"triangle {t} with vertices {v0}, {v1}, {v2} has normalized area {abs(d)}",
-            )
-        else:
+        if d == 1 or d == -1:
             slope_of_nu.append(_slope(v0, v1, v2, nu[i0], nu[i1], nu[i2]))
-        # the plus side of an edge is left of its sorted key; the triangle lies
-        # left of a -> b when d > 0, so on the plus side when (a < b) == (d > 0)
-        for a, b in ((v0, v1), (v1, v2), (v2, v0)):
-            sides.setdefault((a, b) if a < b else (b, a), []).append((t, (a < b) == (d > 0)))
-        for v in (v0, v1, v2):
-            star[v].append(t)
-    if degenerate:
+        elif d == 0:
+            bad("collinear-triangle", f"triangle {t} with vertices {v0}, {v1}, {v2} is collinear")
+        else:
+            bad("not-elementary", f"triangle {t} with vertices {v0}, {v1}, {v2} has normalized area {abs(d)}")
+        # the plus side of an edge is left of its key; the triangle lies left of a -> b when d > 0
+        left = d > 0
+        r0, r1, r2 = rank[i0], rank[i1], rank[i2]
+        for ra, rb in ((r0, r1), (r1, r2), (r2, r0)):
+            q = ra * n + rb if ra < rb else rb * n + ra
+            sides.setdefault(q, []).append((t, (ra < rb) == left))
+        for i in (i0, i1, i2):
+            star[i].append(t)
+    if any(issue.code == "collinear-triangle" for issue in issues):
         return ValidationReport(tuple(issues))
 
     hull = convex_hull(sub.points)
     if len(hull) < 3:
         bad("degenerate-polytope", "points do not span a two-dimensional polygon")
         return ValidationReport(tuple(issues))
-    area2 = sum(
-        det2(vsub(hull[i], hull[0]), vsub(hull[i + 1], hull[0])) for i in range(1, len(hull) - 1)
-    )
+    area2 = sum(det2(vsub(b, hull[0]), vsub(c, hull[0])) for b, c in zip(hull[1:], hull[2:]))
     if total != area2:
         bad("tiling", f"triangles cover normalized area {total}, polygon has {area2}")
 
-    for p in sub.points:
-        if not star[p]:
+    for p, ts in zip(pts, star):
+        if not ts:
             bad("unused-point", f"lattice point {p} is not a vertex of any triangle")
 
     # Edges are primitive. If each lies in two triangles on opposite sides, or in one and on a side
     # of P, the triangles cover P off the edges equally often, and once by the area check: they
     # tile P, and every lattice point of P is a vertex. README states the argument in full.
+    # The one loop over the edges checks, labels and, while no issue is found, bends each.
     hull_lines = {_line(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
-    ordered = sorted(sides.items())
-    for key, ts in ordered:
+    labelled, concave = [], []
+    on_boundary = [False] * n
+    for q, ts in sorted(sides.items()):
+        ra, rb = divmod(q, n)
+        a, b = key = pts[order[ra]], pts[order[rb]]
         if len(ts) > 2:
             bad("nonmanifold-edge", f"edge {key} lies in {len(ts)} triangles")
-        elif len(ts) == 2 and ts[0][1] == ts[1][1]:
-            bad("overlapping-triangles", f"triangles {ts[0][0]} and {ts[1][0]} lie on one side of edge {key}")
-        elif len(ts) == 1:
-            if _line(*key) not in hull_lines:
+            continue
+        # rot90(b - a): primitive, since every triangle is elementary
+        nx, ny = a[1] - b[1], b[0] - a[0]
+        if len(ts) == 1:
+            t, plus = ts[0]
+            if _line(a, b) not in hull_lines:
                 bad("dangling-edge", f"edge {key} lies in one triangle but is not on the boundary")
+            on_boundary[ra] = on_boundary[rb] = True
+            labelled.append(SubdivisionEdge(a, b, True, t, None, (nx, ny) if plus else (-nx, -ny)))
+            continue
+        (s, s_plus), (t, t_plus) = ts
+        if s_plus == t_plus:
+            bad("overlapping-triangles", f"triangles {s} and {t} lie on one side of edge {key}")
+            continue
+        if t_plus:
+            s, t = t, s
+        labelled.append(SubdivisionEdge(a, b, False, s, t, (nx, ny)))
+        if not issues:  # every triangle has its slope
+            # the slope jump from the minus to the plus triangle is the kink times the normal;
+            # it is positive exactly where nu is locally convex, whichever side is plus
+            (mx, my), (wx, wy) = slope_of_nu[s], slope_of_nu[t]
+            k = ((mx - wx) * nx + (my - wy) * ny) // (nx * nx + ny * ny)
+            if k <= 0:
+                bad("not-strictly-convex", f"nu has kink {k} across interior edge ({a}, {b})", concave)
 
-    for i, v in enumerate(sub.nu):
+    for i, v in enumerate(nu):
         if type(v) is not int and Fraction(v).denominator != 1:
-            bad("nu-not-integral", f"nu({sub.points[i]}) = {v} is not an integer")
-    if issues:
-        return ValidationReport(tuple(issues))
-
-    labelled = tuple(_edge(key, ts) for key, ts in ordered)
-    for (a, b), k in _kinks(labelled, slope_of_nu).items():
-        if k <= 0:
-            bad("not-strictly-convex", f"nu has kink {k} across interior edge ({a}, {b})")
-    if issues:
-        return ValidationReport(tuple(issues))
+            bad("nu-not-integral", f"nu({pts[i]}) = {v} is not an integer")
+    if issues or concave:
+        return ValidationReport(tuple(issues or concave))
     # the boundary edges of a tiling cover the sides of P, so its ends are the boundary points
-    boundary = frozenset(e.key for e in labelled if e.is_boundary)
-    on_boundary = {p for key in boundary for p in key}
-    inner = sorted(p for p in sub.points if p not in on_boundary)
+    inner = [pts[i] for r, i in enumerate(order) if not on_boundary[r]]
     index = CheckedSubdivision(
         sub,
-        labelled,
-        MappingProxyType({p: tuple(ts) for p, ts in star.items()}),
+        tuple(labelled),
+        MappingProxyType({p: tuple(ts) for p, ts in zip(pts, star)}),
         MappingProxyType({v: i for i, v in enumerate(inner)}),
         tuple(slope_of_nu),
-        boundary,
+        frozenset(e.key for e in labelled if e.is_boundary),
     )
     return ValidationReport((), index)
 
@@ -273,16 +300,35 @@ def checked(sub: Subdivision) -> CheckedSubdivision:
     return report.index
 
 
-def _edge(key: EdgeKey, sides: list[tuple[int, bool]]) -> SubdivisionEdge:
-    """The edge with the given key, labelled from its (triangle, on the plus side) pairs."""
-    a, b = key
-    normal = rot90(vsub(b, a))  # primitive, since every triangle is elementary
-    if len(sides) == 1:
-        t, plus = sides[0]
-        return SubdivisionEdge(a, b, True, t, None, normal if plus else vneg(normal))
-    (s, s_plus), (t, _) = sides
-    plus, minus = (s, t) if s_plus else (t, s)
-    return SubdivisionEdge(a, b, False, plus, minus, normal)
+KinkVector = Mapping[EdgeKey, int]
+
+
+def kink_entry(K: KinkVector, key: EdgeKey) -> int:
+    """K's integer on the edge key, and 0 where K has no entry.
+
+    A K that is not a Mapping from edge keys raises, and so does an entry
+    that is not an integer or an integral Fraction.
+    """
+    if not isinstance(K, Mapping):
+        raise LatticeError(f"kink vector is a {type(K).__name__}, not a mapping from edge keys")
+    x = K.get(key, 0)
+    return x if type(x) is int else as_int(x, f"kink on edge {key}")
+
+
+def check_cocycle(sub: Subdivision, K: KinkVector) -> None:
+    """Raise unless K(vw) rot90(w - v) sums to zero over the edges vw at each interior vertex v,
+    naming the first v where it does not. Each edge ab is read once, its normal rot90(b - a)."""
+    index = checked(sub)
+    sums = dict.fromkeys(index.interior_vertices, (0, 0))
+    for e in index.edges:
+        if e.a in sums or e.b in sums:  # an interior edge, since a boundary edge has boundary ends
+            k, (x, y) = kink_entry(K, (e.a, e.b)), e.normal
+            for p, c in ((e.a, k), (e.b, -k)):
+                if p in sums:
+                    sums[p] = (sums[p][0] + c * x, sums[p][1] + c * y)
+    for v, s in sums.items():
+        if s != (0, 0):
+            raise LatticeError(f"not a cocycle: inconsistent around region {v}")
 
 
 def interior_vertices(sub: Subdivision) -> tuple[Vec, ...]:
@@ -321,20 +367,3 @@ def _slope(p0: Vec, p1: Vec, p2: Vec, f0, f1, f2) -> QVec:
         raise LatticeError(f"triangle {p0}, {p1}, {p2} is not elementary")
     a, b = f1 - f0, f2 - f0
     return ((a * vy - b * uy) * d, (b * ux - a * vx) * d)
-
-
-def _kinks(es: Sequence[SubdivisionEdge], m: Sequence[Vec]) -> dict[EdgeKey, int]:
-    """Signed bend across each interior edge, in edge order, from the integer slopes m.
-
-    The slope jump from the minus to the plus triangle is the kink times the
-    normal; it is positive exactly where the function is locally convex, and
-    does not depend on which side was labelled plus.  Integer values give
-    integer slopes, whose jump is an integer multiple of the primitive normal.
-    """
-    out = {}
-    for e in es:
-        if not e.is_boundary:
-            normal = e.normal
-            jump = dot(vsub(m[e.plus_triangle], m[e.minus_triangle]), normal)
-            out[e.key] = jump // dot(normal, normal)
-    return out

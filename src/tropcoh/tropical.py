@@ -1,4 +1,4 @@
-"""The dual tropical curve, its bounded regions, and the kink vectors on its edges.
+"""The dual tropical curve and its bounded regions.
 
 The curve lives in the dual plane: one vertex per triangle, one bounded edge
 per interior subdivision edge, one ray per boundary subdivision edge.  All
@@ -7,11 +7,10 @@ coordinates are exact rationals.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from typing import NamedTuple
 
-from .fan import Fan, balance, fan_at_vertex
-from .lattice import LatticeError, QVec, Vec, as_int, record, vadd, vneg
+from .fan import Fan, fan_at_vertex
+from .lattice import LatticeError, QVec, Vec, record, vadd, vneg
 from .polytope import CheckedSubdivision, EdgeKey, Subdivision, SubdivisionEdge, checked
 
 
@@ -70,7 +69,7 @@ class BoundedRegion(NamedTuple):
 def _region(curve: TropicalCurve, v: Vec) -> BoundedRegion:
     """The bounded region dual to the interior vertex v."""
     f = fan_at_vertex(curve.sub, v)
-    edge_keys = tuple(tuple(sorted((v, vadd(v, u)))) for u in f.rays)
+    edge_keys = tuple((v, w) if v < w else (w, v) for w in (vadd(v, u) for u in f.rays))
     return BoundedRegion(curve, v, f, edge_keys)
 
 
@@ -84,25 +83,3 @@ def region_at(curve: TropicalCurve, v: Vec) -> BoundedRegion:
     if i is None:
         raise LatticeError(f"{v} is not an interior vertex")
     return curve.regions[i]
-
-
-KinkVector = Mapping[EdgeKey, int]
-
-
-def kink_entry(K: KinkVector, key: EdgeKey) -> int:
-    """K's integer on the edge key, and 0 where K has no entry.
-
-    A K that is not a Mapping from edge keys raises, and so does an entry
-    that is not an integer or an integral Fraction.
-    """
-    if not isinstance(K, Mapping):
-        raise LatticeError(f"kink vector is a {type(K).__name__}, not a mapping from edge keys")
-    x = K.get(key, 0)
-    return x if type(x) is int else as_int(x, f"kink on edge {key}")
-
-
-def check_cocycle(curve: TropicalCurve, K: KinkVector) -> None:
-    """Raise unless K balances around every region of the curve."""
-    for region in curve.regions:
-        if balance(region.fan.rays, [kink_entry(K, key) for key in region.edge_keys]) != (0, 0):
-            raise LatticeError(f"not a cocycle: inconsistent around region {region.dual_vertex}")

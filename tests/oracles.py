@@ -27,6 +27,11 @@ combinations must give back every Picard basis vector.  The Fraction
 a vertex's fan that ``phi_map`` and ``fan_at_vertex`` replaced;
 ``one_triangle_edge_keys`` counts each edge's triangles, the count that
 ``checked(sub).boundary_edges`` replaced in ``divisor_kinks``.
+``triangle_dot_divisor_kinks`` reads each triangle at p whole and each spoke's
+kink off dot products, as ``divisor_kinks`` did before it walked
+``checked(sub).link(p)``, and ``region_check_cocycle`` balances K round each
+region's fan, as ``check_cocycle`` did before it read each edge once off the
+index; ``triangle_points`` is the removed ``Subdivision.triangle_points``.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from tropcoh.lattice import (
     lex_positive,
     primitive,
     rot90,
+    vadd,
     vneg,
     vsub,
 )
@@ -62,10 +68,11 @@ from tropcoh.cohomology import ToricSupport, canonical_psi
 from tropcoh.fan import Fan, balance, is_smooth, make_fan, self_intersections
 from tropcoh.lattice import floor_sum
 from tropcoh.polytope import (
-    EdgeKey, Subdivision, SubdivisionEdge, _slope, checked, convex_hull, edges, interior_edge_keys,
+    EdgeKey, KinkVector, Subdivision, SubdivisionEdge, _slope, checked, convex_hull, edges, interior_edge_keys,
+    kink_entry,
 )
 from tropcoh.spheres import SemiIntegralSupport, Twisting, _check_twisting, gamma_curve, is_strictly_convex
-from tropcoh.tropical import BoundedRegion, KinkVector, kink_entry
+from tropcoh.tropical import BoundedRegion
 from tropcoh.winding import _on_curve, _segments
 
 
@@ -157,6 +164,38 @@ def dense_phi_matrix(curve) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def triangle_points(sub: Subdivision, t: int) -> tuple[Vec, Vec, Vec]:
+    i, j, k = sub.triangles[t]
+    return (sub.points[i], sub.points[j], sub.points[k])
+
+
+def triangle_dot_divisor_kinks(sub: Subdivision, p: Vec) -> dict[EdgeKey, int]:
+    """The library's earlier divisor_kinks: each triangle pab at p read whole, and the kink
+    across a spoke pa between pac and pad read off dot products, with c + d - 2p = s (a - p)."""
+    index = checked(sub)
+    out = {}
+    across: dict[Vec, list[Vec]] = {}  # each neighbour a of p to the third vertices on pa
+    for t in index.stars[p]:
+        a, b = (q for q in triangle_points(sub, t) if q != p)
+        key = (a, b) if a < b else (b, a)
+        if key not in index.boundary_edges:
+            out[key] = 1
+        across.setdefault(a, []).append(b)
+        across.setdefault(b, []).append(a)
+    for a, third in across.items():
+        if len(third) == 2:
+            u, w = vsub(a, p), vsub(vsub(vadd(*third), p), p)
+            out[min(p, a), max(p, a)] = dot(w, u) // dot(u, u) - 2
+    return {key: out[key] for key in sorted(out)}
+
+
+def region_check_cocycle(curve, K: KinkVector) -> None:
+    """The library's earlier check_cocycle: K balanced round each region's fan, in region order."""
+    for region in curve.regions:
+        if balance(region.fan.rays, [kink_entry(K, key) for key in region.edge_keys]) != (0, 0):
+            raise LatticeError(f"not a cocycle: inconsistent around region {region.dual_vertex}")
+
+
 def sorted_fan_at_vertex(sub: Subdivision, v: Vec) -> Fan:
     """The fan at an interior vertex, its star's directions sorted by angle with make_fan."""
     index = checked(sub)
@@ -164,7 +203,7 @@ def sorted_fan_at_vertex(sub: Subdivision, v: Vec) -> Fan:
         raise LatticeError(f"{v} is not an interior vertex")
     dirs = set()
     for t in index.stars[v]:
-        dirs.update(vsub(p, v) for p in sub.triangle_points(t) if p != v)
+        dirs.update(vsub(p, v) for p in triangle_points(sub, t) if p != v)
     return make_fan(dirs)
 
 
@@ -172,7 +211,7 @@ def one_triangle_edge_keys(sub: Subdivision) -> set[EdgeKey]:
     """The keys of the edges that lie in exactly one triangle, counted over every triangle."""
     count = Counter()
     for t in range(len(sub.triangles)):
-        a, b, c = sub.triangle_points(t)
+        a, b, c = triangle_points(sub, t)
         count.update((min(p, q), max(p, q)) for p, q in ((a, b), (b, c), (c, a)))
     return {key for key, n in count.items() if n == 1}
 
@@ -226,7 +265,7 @@ def opposite_vertex_sides(sub, key, tris) -> tuple[int, int | None, Vec]:
     n_e = rot90(primitive(vsub(b, a)))
     on_plus = {}
     for t in tris:
-        c = next(p for p in sub.triangle_points(t) if p not in key)
+        c = next(p for p in triangle_points(sub, t) if p not in key)
         on_plus[t] = dot(n_e, vsub(c, a)) > 0
     if len(tris) == 1:
         t = tris[0]
@@ -277,7 +316,7 @@ def support_from_kinks(K: KinkVector, sub: Subdivision) -> tuple[int, ...]:
     crosses each interior edge, stepping the linear part by the kink times
     the edge's normal.  K must be a cocycle: nothing here checks that.
     """
-    base = min(range(len(sub.triangles)), key=lambda t: tuple(sorted(sub.triangle_points(t))))
+    base = min(range(len(sub.triangles)), key=lambda t: tuple(sorted(triangle_points(sub, t))))
     parts: dict[int, tuple[Vec, int]] = {base: ((0, 0), 0)}
     queue = [base]
     adjacent: dict[int, list[SubdivisionEdge]] = {}
@@ -342,7 +381,7 @@ def wedge_canonical_KC(region: BoundedRegion) -> dict[EdgeKey, int]:
     self-intersection of the curve D_j on the compact surface; in key order.
     """
     sub, v = region.curve.sub, region.dual_vertex
-    tris = [sub.triangle_points(t) for t in range(len(sub.triangles))]
+    tris = [triangle_points(sub, t) for t in range(len(sub.triangles))]
     sides = Counter(tuple(sorted(side)) for pts in tris for side in combinations(pts, 2))
     out = {}
     for pts in tris:
@@ -366,7 +405,7 @@ def region_cycle(region: BoundedRegion) -> tuple[QVec, ...]:
     # each wedge triangle, by its two rays counterclockwise, to its dual vertex
     wedge_vertex = {}
     for t in curve.index.stars[v]:
-        d1, d2 = (vsub(p, v) for p in curve.sub.triangle_points(t) if p != v)
+        d1, d2 = (vsub(p, v) for p in triangle_points(curve.sub, t) if p != v)
         if det2(d1, d2) < 0:
             d1, d2 = d2, d1
         wedge_vertex[d1, d2] = curve.vertices[t]

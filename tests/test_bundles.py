@@ -8,16 +8,17 @@ import sympy
 
 from conftest import hex_grid
 from oracles import (
-    affine_part, dense_integer_kernel, dense_phi_matrix, fraction_kinks, region_cycle, restriction_degree,
-    support_from_kinks, wedge_canonical_KC,
+    affine_part, dense_integer_kernel, dense_phi_matrix, fraction_kinks, region_check_cocycle, region_cycle,
+    restriction_degree, sorted_fan_at_vertex, support_from_kinks, triangle_dot_divisor_kinks, triangle_points,
+    wedge_canonical_KC,
 )
 from tropcoh.bundles import canonical_KC, divisor_kinks, phi_map
-from tropcoh.examples import a2d_subdivision
-from tropcoh.fan import self_intersections
+from tropcoh.examples import a2d_subdivision, blowup_p2
+from tropcoh.fan import fan_at_vertex, self_intersections
 from tropcoh.lattice import LatticeError, primitive, rot90, vneg, vsub
-from tropcoh.polytope import edges, interior_edge_keys
+from tropcoh.polytope import check_cocycle, checked, edges, interior_edge_keys, kink_entry
 from tropcoh.spheres import twisting
-from tropcoh.tropical import bounded_regions, check_cocycle, kink_entry, tropical_curve
+from tropcoh.tropical import bounded_regions, tropical_curve
 
 
 def test_affine_parts_are_integral(blowup_sub):
@@ -139,6 +140,50 @@ def test_canonical_KC_equals_the_wedge_oracle(oracle_subdivisions):
             assert list(canonical_KC(region).items()) == list(wedge_canonical_KC(region).items())
 
 
+def test_the_star_walk_gives_the_angle_sorted_fans_and_the_triangle_and_dot_hats(oracle_subdivisions):
+    """fan_at_vertex and divisor_kinks read each star once, through checked(sub).link.
+
+    At every interior vertex the fan is the angle sort of the star's directions, and at every
+    point, boundary points too, the hat class is the one the rule that read each triangle
+    whole gives, entry for entry and in key order.
+    """
+    for sub in (*oracle_subdivisions, hex_grid(12), a2d_subdivision(80)):
+        for v in checked(sub).interior_vertices:
+            assert fan_at_vertex(sub, v) == sorted_fan_at_vertex(sub, v)
+        for p in sub.points:
+            assert list(divisor_kinks(sub, p).items()) == list(triangle_dot_divisor_kinks(sub, p).items())
+
+
+def test_check_cocycle_names_the_region_the_region_walk_named(oracle_subdivisions):
+    """check_cocycle reads each edge once off the index; the oracle balances K round each region.
+
+    Sums of hat classes balance. A random K, or such a sum with one entry moved, fails at one or
+    more vertices, and both name the first of them in interior vertex order.
+    """
+    rng = random.Random(3)
+    outcomes = set()
+    for sub in (*oracle_subdivisions, blowup_p2(), hex_grid(6)):
+        curve, keys = tropical_curve(sub), interior_edge_keys(sub)
+        hats = [divisor_kinks(sub, p) for p in sub.points]
+        for trial in range(6):
+            coeffs = [rng.randrange(-3, 4) for _ in hats]
+            K = {key: sum(c * kink_entry(hat, key) for c, hat in zip(coeffs, hats)) for key in keys}
+            if trial % 3 == 1:
+                K[rng.choice(keys)] += 1
+            elif trial % 3 == 2:
+                K = {key: rng.randrange(-3, 4) for key in keys}
+            said = []
+            for check in (lambda: check_cocycle(sub, K), lambda: region_check_cocycle(curve, K)):
+                try:
+                    check()
+                    said.append("balanced")
+                except LatticeError as exc:
+                    said.append(str(exc))
+            assert said[0] == said[1]
+            outcomes.add(said[0] == "balanced")
+    assert outcomes == {True, False}
+
+
 def test_hat_classes_and_the_picard_basis_generate_one_lattice(oracle_subdivisions):
     """The divisor classes D_p of the points off the base triangle are a basis of ker Phi.
 
@@ -157,14 +202,14 @@ def test_hat_classes_and_the_picard_basis_generate_one_lattice(oracle_subdivisio
             nonzero = {key: k for key, k in fraction_kinks(sub, hat).items() if k}
             assert {key: k for key, k in hats[p].items() if k} == nonzero
             assert not any(phi.apply(hats[p]))
-        base = min(range(len(sub.triangles)), key=lambda t: tuple(sorted(sub.triangle_points(t))))
-        off = [p for p in sub.points if p not in sub.triangle_points(base)]
+        base = min(range(len(sub.triangles)), key=lambda t: tuple(sorted(triangle_points(sub, t))))
+        off = [p for p in sub.points if p not in triangle_points(sub, base)]
         basis = phi.kernel_vectors()
         assert len(off) == len(basis)
         square = []
         for vec in basis:
             f = dict(zip(sub.points, support_from_kinks(dict(zip(phi.edge_order, vec)), sub)))
-            assert all(f[p] == 0 for p in sub.triangle_points(base))
+            assert all(f[p] == 0 for p in triangle_points(sub, base))
             combined = [sum(f[p] * kink_entry(hats[p], key) for p in sub.points) for key in phi.edge_order]
             assert combined == vec
             square.append([f[p] for p in off])
@@ -269,7 +314,7 @@ def test_a_kink_vector_is_a_mapping_to_integers(p2_sub, p2_curve, p2_region, use
             p2_region, [l + 2 * kink_entry(K, key) for l, key in zip((3, 3, 3), p2_region.edge_keys)]
         ),
         "PhiMap.apply": lambda: phi_map(p2_curve).apply(K),
-        "check_cocycle": lambda: check_cocycle(p2_curve, K),
+        "check_cocycle": lambda: check_cocycle(p2_sub, K),
         "support_from_kinks": lambda: support_from_kinks(K, p2_sub),
     }
     with pytest.raises(LatticeError) as raised:

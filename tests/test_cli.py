@@ -359,10 +359,9 @@ def test_cli_import_loads_neither_numpy_nor_jsonschema(fixture_dir):
     src = str(Path(tropcoh.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     p2, blowup, a2d = (str(fixture_dir / name) for name in (P2, BLOWUP, A2D))
-    # neither fixture has a kink set; p2's is checked on its curve
-    validate = [["validate", "--input", blowup], ["validate", "--input", a2d]]
+    # p2's kink set is checked on the index, so no validate builds a fan or a curve
+    validate = [["validate", "--input", blowup], ["validate", "--input", a2d], ["validate", "--input", p2]]
     lean = [
-        ["validate", "--input", p2],
         ["tropical", "--input", blowup],
         ["tropical", "--input", a2d, "--format", "svg"],
     ]
@@ -383,7 +382,7 @@ def test_cli_import_loads_neither_numpy_nor_jsonschema(fixture_dir):
         """
         import contextlib, io, json, sys
         from tropcoh.cli import main
-        watched = {"numpy", "jsonschema", "dataclasses", "tropcoh.tropical", "tropcoh.spheres",
+        watched = {"numpy", "jsonschema", "dataclasses", "tropcoh.fan", "tropcoh.tropical", "tropcoh.spheres",
                    "tropcoh.winding", "tropcoh.cohomology", "tropcoh.ext_chains", "tropcoh.bundles"}
         loaded = [sorted(watched & set(sys.modules))]
         codes = []
@@ -406,7 +405,7 @@ def test_cli_import_loads_neither_numpy_nor_jsonschema(fixture_dir):
 
     after_import, after_validate, after_lean, after_rest = loaded_after(validate, lean, rest)
     assert after_import == after_validate == []
-    assert after_lean == ["tropcoh.tropical"]
+    assert after_lean == ["tropcoh.fan", "tropcoh.tropical"]
     assert "numpy" not in after_rest and "jsonschema" not in after_rest
     assert "tropcoh.cohomology" in after_rest
     # winding and cohomology keep their reports as dataclasses: tropbench's twist_count
@@ -417,11 +416,13 @@ def test_cli_import_loads_neither_numpy_nor_jsonschema(fixture_dir):
     assert "tropcoh.bundles" not in after_rest
     assert loaded_after(validate, picard, sphere)[1:] == [
         [],
-        ["tropcoh.bundles", "tropcoh.tropical"],
-        ["tropcoh.bundles", "tropcoh.spheres", "tropcoh.tropical"],
+        ["tropcoh.bundles", "tropcoh.fan", "tropcoh.tropical"],
+        ["tropcoh.bundles", "tropcoh.fan", "tropcoh.spheres", "tropcoh.tropical"],
     ]
     # a2d reads its chain off the curve; smooth-check needs neither winding counts nor cohomology
-    assert loaded_after(chain)[1:] == [["dataclasses", "tropcoh.bundles", "tropcoh.ext_chains", "tropcoh.tropical"]]
+    assert loaded_after(chain)[1:] == [
+        ["dataclasses", "tropcoh.bundles", "tropcoh.ext_chains", "tropcoh.fan", "tropcoh.tropical"]
+    ]
     after_smooth = loaded_after(smooth)[1]
     assert "tropcoh.winding" not in after_smooth and "tropcoh.cohomology" not in after_smooth
 

@@ -1,5 +1,6 @@
 """Subdivision validation, edge combinatorics, and exact kinks."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -24,6 +25,7 @@ from oracles import (
     normalized_area,
     one_triangle_edge_keys,
     opposite_vertex_sides,
+    triangle_points,
 )
 from tropcoh import polytope
 from tropcoh.bundles import canonical_KC, phi_map
@@ -32,7 +34,6 @@ from tropcoh.fan import fan_at_vertex
 from tropcoh.lattice import LatticeError, det2, dot, primitive, rot90, vsub
 from tropcoh.polytope import (
     ValidationIssue,
-    _kinks,
     _slope,
     checked,
     convex_hull,
@@ -158,6 +159,44 @@ class TestValidationCodes:
         with pytest.raises(LatticeError, match="invalid subdivision: overlapping-triangles"):
             checked(sub)
 
+    def test_several_faults_are_reported_at_once_and_in_order(self):
+        """Triangles in order, then area, unused points, edges in key order, and nu last."""
+        triangles = subdivision(
+            [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (3, 1), (1, 2)],
+            [(0, 2, 4), (1, 3, 6), (3, 7, 6)],
+            [0] * 9,
+        )
+        area, dangling = "has normalized area 2", "lies in one triangle but is not on the boundary"
+        assert validate(triangles).issues == (
+            ValidationIssue("not-elementary", "triangle 0 with vertices (0, 0), (2, 0), (0, 1) " + area),
+            ValidationIssue("not-elementary", "triangle 1 with vertices (1, 0), (3, 0), (2, 1) " + area),
+            ValidationIssue("tiling", "triangles cover normalized area 5, polygon has 9"),
+            ValidationIssue("unused-point", "lattice point (1, 1) is not a vertex of any triangle"),
+            ValidationIssue("unused-point", "lattice point (1, 2) is not a vertex of any triangle"),
+            ValidationIssue("dangling-edge", f"edge ((0, 1), (2, 0)) {dangling}"),
+            ValidationIssue("dangling-edge", f"edge ((1, 0), (2, 1)) {dangling}"),
+            ValidationIssue("dangling-edge", f"edge ((2, 1), (3, 1)) {dangling}"),
+        )
+        edges_and_nu = subdivision(
+            [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, -1), (1, -1)],
+            [(0, 1, 3), (0, 1, 4), (0, 6, 1), (1, 2, 4), (1, 5, 4), (6, 7, 1), (2, 5, 4)],
+            [0, 1, Fraction(1, 2), 1, 0, 2, Fraction(-3, 2), 1],
+        )
+        assert validate(edges_and_nu).issues == (
+            ValidationIssue("nonmanifold-edge", "edge ((0, 0), (1, 0)) lies in 3 triangles"),
+            ValidationIssue("dangling-edge", f"edge ((0, 0), (1, 1)) {dangling}"),
+            ValidationIssue("dangling-edge", f"edge ((0, 1), (1, 0)) {dangling}"),
+            ValidationIssue("dangling-edge", f"edge ((1, -1), (1, 0)) {dangling}"),
+            ValidationIssue("nonmanifold-edge", "edge ((1, 0), (1, 1)) lies in 3 triangles"),
+            ValidationIssue("dangling-edge", f"edge ((1, 0), (2, 0)) {dangling}"),
+            ValidationIssue("dangling-edge", f"edge ((1, 0), (2, 1)) {dangling}"),
+            ValidationIssue(
+                "overlapping-triangles", "triangles 4 and 6 lie on one side of edge ((1, 1), (2, 1))"
+            ),
+            ValidationIssue("nu-not-integral", "nu((2, 0)) = 1/2 is not an integer"),
+            ValidationIssue("nu-not-integral", "nu((0, -1)) = -3/2 is not an integer"),
+        )
+
     def test_nu_not_integral(self):
         sub = subdivision(P2_POINTS, P2_TRIS, [0, 1, 1, Fraction(1, 2)])
         assert "nu-not-integral" in codes(sub)
@@ -211,7 +250,7 @@ def test_edge_classification_on_p2(p2_sub, oracle_subdivisions):
 def test_incidence_indexes_match_a_full_scan(p2_sub, blowup_sub, a2d3_sub):
     for sub in (p2_sub, blowup_sub, a2d3_sub, a2d_subdivision(6), hex_grid(4)):
         index = checked(sub)
-        tris = [sub.triangle_points(t) for t in range(len(sub.triangles))]
+        tris = [triangle_points(sub, t) for t in range(len(sub.triangles))]
         star = {p: tuple(t for t, pts in enumerate(tris) if p in pts) for p in sub.points}
         assert index.stars == star
         sides = {}
@@ -245,12 +284,29 @@ def test_affine_part_interpolates(p2_sub):
 
 def _slopes(sub, values):
     """The slope of the interpolant on each triangle, by validate's one solve each."""
-    return [_slope(*sub.triangle_points(t), *(values[i] for i in tri)) for t, tri in enumerate(sub.triangles)]
+    return [_slope(*triangle_points(sub, t), *(values[i] for i in tri)) for t, tri in enumerate(sub.triangles)]
+
+
+def _reported_kinks(sub, values):
+    """The kinks validate reports as not strictly convex, by edge key, in the order reported."""
+    issues = validate(subdivision(sub.points, sub.triangles, values)).issues
+    assert {i.code for i in issues} <= {"not-strictly-convex"}
+    found = (re.fullmatch(r"nu has kink (-?\d+) across interior edge (.+)", i.message) for i in issues)
+    return {ast.literal_eval(m[2]): int(m[1]) for m in found}
 
 
 def _edge_kinks(sub, values):
-    """The kink across each interior edge, in edge order, as validate computes nu's."""
-    return _kinks(edges(sub), _slopes(sub, values))
+    """The kink across each interior edge, in edge order, as validate computes nu's.
+
+    validate reports only the kinks that are not positive. The valid sub.nu bends up by at least 1
+    across every interior edge, so for n large enough values - n nu bends down across them all
+    and each is reported; adding back n times the kinks of nu gives those of values.
+    """
+    nu_kinks = {key: -k for key, k in _reported_kinks(sub, [-v for v in sub.nu]).items()}
+    n = 1
+    while len(shifted := _reported_kinks(sub, [v - n * w for v, w in zip(values, sub.nu)])) < len(nu_kinks):
+        n *= 2
+    return {key: k + n * nu_kinks[key] for key, k in shifted.items()}
 
 
 def test_every_p2_kink_is_three(p2_sub):
@@ -307,7 +363,6 @@ def test_edge_kinks_match_two_solves_per_edge(oracle_subdivisions):
             got = _edge_kinks(sub, values)
             assert got == want
             assert list(got) == list(want)
-            assert all(type(k) is int for k in got.values())
 
 
 def test_slopes_reject_a_triangle_that_is_not_elementary():

@@ -8,9 +8,8 @@ from oracles import compact_support_class, fraction_canonical_seed
 from tropcoh.bundles import canonical_KC
 from tropcoh.fan import make_fan
 from tropcoh.lattice import LatticeError, dot
-from tropcoh.tropical import kink_entry
 from tropcoh import spheres
-from tropcoh.polytope import ValidationReport
+from tropcoh.polytope import ValidationReport, kink_entry
 from tropcoh.spheres import (
     GammaCurve,
     SemiIntegralSupport,
