@@ -11,7 +11,7 @@ from typing import Optional
 # command runs: `validate` never executes `spheres`, `winding` or `cohomology`, and
 # executes `tropical` only to check a kink set.
 from .io import InputDocument, InputError, TwistingSet, parse_input, report_bytes
-from .lattice import LatticeError, SizeLimitError
+from .lattice import InternalError, LatticeError, SizeLimitError
 from .polytope import checked, interior_edge_keys
 
 
@@ -393,6 +393,9 @@ def main(argv=None) -> int:
     try:
         result = _HANDLERS[args.command](args)
         _emit(args, result)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .lattice import LatticeError, Vec, det2, is_primitive, record, rot90
+from .lattice import InternalError, LatticeError, Vec, det2, is_primitive, record, rot90
 from .polytope import Subdivision, checked
 
 
@@ -66,7 +66,7 @@ def fan_at_vertex(sub: Subdivision, v: Vec) -> Fan:
     for _ in link:
         walk.append(link.get(walk[-1]))
     if walk.pop() != walk[0]:
-        raise LatticeError(f"the link of {v} does not close")
+        raise InternalError(f"the link of {v} does not close")
     return Fan(tuple((x - v[0], y - v[1]) for x, y in walk))
 
 

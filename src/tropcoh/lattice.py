@@ -37,6 +37,10 @@ class SizeLimitError(LatticeError):
     """Raised when a requested table or sweep is larger than its documented limit."""
 
 
+class InternalError(LatticeError):
+    """Raised by a guard that runs after validation: a broken invariant of the package, not of its input."""
+
+
 def record(cls):
     """A typing.NamedTuple class as a record: cheap to define and build, equal only to a record of
     its own type with equal fields (unless it defines __eq__); its _check, if any, is its __init__."""

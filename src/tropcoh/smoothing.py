@@ -12,6 +12,8 @@ Z = sum_j m_j,
 
 and the Hessian is a sum over the rays of the line mass of the bump on each
 (order x rays nodes a point), since grad f jumps only across the rays.
+Only mollify_eval reads the M_j, so only it has them summed.  The nodes are
+built a group at a time into three buffers that each call allocates once.
 _wall_weights gives gradients and the weight of each ray in the Hessian,
 which check_hessian_definiteness uses; fan_derivatives builds the Hessians
 from them, and grad, hessian and mollify_eval are its one-point views.
@@ -31,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import LatticeError, SizeLimitError
+from .lattice import InternalError, LatticeError, SizeLimitError
 from .spheres import SemiIntegralSupport, gamma_curve, is_strictly_convex
 
 
@@ -43,7 +45,7 @@ class FanPL:
         rays = theta.fan.rays
         angles = np.unwrap([math.atan2(u[1], u[0]) for u in rays])
         if not np.all(np.diff(angles) > 0):
-            raise LatticeError("fan rays are not in counterclockwise order")
+            raise InternalError("fan rays are not in counterclockwise order")
         self._angles = angles
         self._parts = np.array([[x / 2, y / 2] for x, y in theta.doubled])
         self._units = np.array(rays, dtype=float) / np.hypot(*np.array(rays, dtype=float).T)[:, None]
@@ -138,21 +140,23 @@ def _chords(x: np.ndarray, e: np.ndarray, eps: float):
     return b - root, b + root
 
 
-def _bump_on_chords(s0, s1, lo, gx, gw):
+def _bump_on_chords(s0, s1, lo, gx, gw, work):
     """Nodes s and W * mu on [lo, s1] of chords with ends s0 <= lo, s1, as (chords, 2 * order).
 
     The rule is split at the chord's midpoint, the point nearest the disk's
     centre, so each half runs from the top of the bump to the rim, as a radial
     integral does.  |x - s e|^2 - eps^2 = (s - s0)(s - s1), which stays
-    accurate next to the rim.
+    accurate next to the rim.  s and W * mu are views into the first two of
+    the three node buffers in work, which the caller allocates once per call.
     """
     mid = np.maximum((s0 + s1) / 2, lo)
     ends = np.stack([lo, mid, mid, s1], axis=1).reshape(-1, 2, 2)
     half = (ends[:, :, 1] - ends[:, :, 0]) / 2
-    s = (ends[:, :, 0] + half)[..., None] + half[..., None] * gx
-    # in place, so a group holds at most three arrays of its nodes at once
-    w = s - s0[:, None, None]
-    w *= s - s1[:, None, None]
+    s, w, tmp = (a[: half.size * len(gx)].reshape(*half.shape, len(gx)) for a in work)
+    np.multiply(half[..., None], gx, out=s)
+    s += (ends[:, :, 0] + half)[..., None]
+    np.subtract(s, s0[:, None, None], out=w)
+    w *= np.subtract(s, s1[:, None, None], out=tmp)
     np.minimum(w, -1e-300, out=w)
     np.reciprocal(w, out=w)
     np.exp(w, out=w)
@@ -161,24 +165,14 @@ def _bump_on_chords(s0, s1, lo, gx, gw):
     return s.reshape(len(s0), -1), w.reshape(len(s0), -1)
 
 
-def _radial_moments(s0, s1, gx, gw) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of W * mu * rho and W * mu * rho^2 over the part rho >= 0 of each chord.
-
-    The chord's node arrays die here, before the next group builds its own.
-    """
-    s, w = _bump_on_chords(s0, s1, np.maximum(s0, 0.0), gx, gw)
-    first = np.einsum("ij,ij->i", s, w)
-    w *= s
-    return first, np.einsum("ij,ij->i", s, w)
-
-
-def _cone_masses(f: FanPL, x: np.ndarray, eps: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bump mass and first moment over each cone, as (points, rays) and (points, rays, 2).
+def _cone_masses(f: FanPL, x: np.ndarray, eps: float, order: int, moment=None) -> np.ndarray:
+    """Bump mass m_j over each cone, as (points, rays); M_j is added into moment, (2, points * rays), if given.
 
     m_j(x) = int over cone j of mu(x - z) dz and M_j(x) = int over cone j of
     z mu(x - z) dz.  Polar coordinates z = rho (cos phi, sin phi) about the
     fan vertex: phi runs over the cone, clipped to the arc that sees the disk
-    when |x| >= eps, and rho over the chord of the disk (_bump_on_chords).
+    when |x| >= eps, and rho over the chord of the disk (_bump_on_chords), so
+    m_j and M_j sum W * mu * rho and W * mu * rho^2 e over the part rho >= 0.
     Groups of rows, one per phi node, hold at most _GROUP_NODES nodes.
     """
     gx, gw = _gl(order)
@@ -197,20 +191,25 @@ def _cone_masses(f: FanPL, x: np.ndarray, eps: float, order: int) -> tuple[np.nd
     a, b, slot = a[pt, k], b[pt, k], pt * r + k % r
 
     mass = np.zeros(len(x) * r)
-    moment = np.zeros((2, len(x) * r))
     step = max(1, _GROUP_NODES // (2 * order))
+    work = np.empty((3, min(step, len(pt) * order) * 2 * order))
     for start in range(0, len(pt) * order, step):
         i, g = np.divmod(np.arange(start, min(start + step, len(pt) * order)), order)
         phi = (a[i] + b[i]) / 2 + (b[i] - a[i]) / 2 * gx[g]
         e = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        first, second = _radial_moments(*_chords(x[pt[i]], e, eps), gx, gw)
+        s0, s1 = _chords(x[pt[i]], e, eps)
+        s, w = _bump_on_chords(s0, s1, np.maximum(s0, 0.0), gx, gw, work)
         weight = (b[i] - a[i]) / 2 * gw[g]
+        first = np.einsum("ij,ij->i", s, w)
         first *= weight
         mass += np.bincount(slot[i], weights=first, minlength=len(mass))
-        second *= weight
-        for c in (0, 1):
-            moment[c] += np.bincount(slot[i], weights=second * e[:, c], minlength=len(mass))
-    return mass.reshape(-1, r), moment.T.reshape(-1, r, 2)
+        if moment is not None:
+            w *= s
+            second = np.einsum("ij,ij->i", s, w)
+            second *= weight
+            for c in (0, 1):
+                moment[c] += np.bincount(slot[i], weights=second * e[:, c], minlength=len(mass))
+    return mass.reshape(-1, r)
 
 
 def _ray_masses(f: FanPL, x: np.ndarray, eps: float, order: int) -> np.ndarray:
@@ -223,16 +222,17 @@ def _ray_masses(f: FanPL, x: np.ndarray, eps: float, order: int) -> np.ndarray:
     (hit,) = np.nonzero(s1 > lo)
     out = np.zeros(len(e))
     step = max(1, _GROUP_NODES // (2 * order))
+    work = np.empty((3, min(step, len(hit)) * 2 * order))
     for start in range(0, len(hit), step):
         h = hit[start : start + step]
-        out[h] = np.sum(_bump_on_chords(s0[h], s1[h], lo[h], gx, gw)[1], axis=1)
+        out[h] = np.sum(_bump_on_chords(s0[h], s1[h], lo[h], gx, gw, work)[1], axis=1)
     return out.reshape(-1, r)
 
 
-def _checked_masses(f: FanPL, p: MollifierParams, x: np.ndarray):
-    """_cone_masses at the points x, and Z = sum_j m_j, after the mass check."""
+def _checked_masses(f: FanPL, p: MollifierParams, x: np.ndarray, moment=None):
+    """_cone_masses at the points x (adding M_j into moment, if given), and Z = sum_j m_j, after the mass check."""
     eps = float(p.epsilon)
-    mass, moment = _cone_masses(f, x, eps, int(p.quadrature_order))
+    mass = _cone_masses(f, x, eps, int(p.quadrature_order), moment)
     den = np.sum(mass, axis=1)
     z = _bump_mass(eps)
     off = np.abs(den - z)
@@ -243,7 +243,7 @@ def _checked_masses(f: FanPL, p: MollifierParams, x: np.ndarray):
             f" ({x[k, 0]:.6g}, {x[k, 1]:.6g}) is off the exact bump mass by {off[k] / z:.3g}"
             " relative, above the 1e-06 bound"
         )
-    return mass, moment, den
+    return mass, den
 
 
 def _wall_weights(f: FanPL, p: MollifierParams, points) -> tuple[np.ndarray, np.ndarray]:
@@ -261,7 +261,7 @@ def _wall_weights(f: FanPL, p: MollifierParams, points) -> tuple[np.ndarray, np.
     (_bump_mass) by more than 1e-6, relative.
     """
     x = np.asarray(points, dtype=float).reshape(-1, 2)
-    mass, _, den = _checked_masses(f, p, x)
+    mass, den = _checked_masses(f, p, x)
     lines = _ray_masses(f, x, float(p.epsilon), int(p.quadrature_order))
     return mass @ f._parts / den[:, None], lines / den[:, None] * f._kinks
 
@@ -282,8 +282,9 @@ def hessian(f: FanPL, p: MollifierParams, x):
 
 def mollify_eval(f: FanPL, p: MollifierParams, x) -> float:
     """F(x) = sum_j <theta_j, M_j> / Z, with M_j the bump's first moment over cone j."""
-    _, moment, den = _checked_masses(f, p, np.asarray(x, dtype=float).reshape(1, 2))
-    return float(np.einsum("ja,ja->", moment[0], f._parts) / den[0])
+    moment = np.zeros((2, len(f._angles)))
+    den = _checked_masses(f, p, np.asarray(x, dtype=float).reshape(1, 2), moment)[1]
+    return float(np.einsum("ja,ja->", moment.T, f._parts) / den[0])
 
 
 def _point_to_segment(q, a, b) -> float:

@@ -32,6 +32,10 @@ kink off dot products, as ``divisor_kinks`` did before it walked
 ``checked(sub).link(p)``, and ``region_check_cocycle`` balances K round each
 region's fan, as ``check_cocycle`` did before it read each edge once off the
 index; ``triangle_points`` is the removed ``Subdivision.triangle_points``.
+``grouped_cone_masses`` and ``grouped_ray_masses`` are the fan rule as it was
+before it shared three node buffers per call and summed the first moment only
+for ``mollify_eval``: the library's masses, moments and reports must equal
+theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -71,6 +75,7 @@ from tropcoh.polytope import (
     EdgeKey, KinkVector, Subdivision, SubdivisionEdge, _slope, checked, convex_hull, edges, interior_edge_keys,
     kink_entry,
 )
+from tropcoh.smoothing import _chords
 from tropcoh.spheres import SemiIntegralSupport, Twisting, _check_twisting, gamma_curve, is_strictly_convex
 from tropcoh.tropical import BoundedRegion
 from tropcoh.winding import _on_curve, _segments
@@ -790,6 +795,85 @@ def vertex_gradient(theta) -> tuple[float, float]:
         alpha = math.atan2(det2(u, v), dot(u, v)) % (2 * math.pi)
         total = [total[0] + float(t[0]) * alpha, total[1] + float(t[1]) * alpha]
     return total[0] / (2 * math.pi), total[1] / (2 * math.pi)
+
+
+# The fan rule's group size, as the library has it: the grouped rule below
+# must match it bit for bit, group for group.
+GROUPED_NODES = 1 << 15
+
+
+def _grouped_bump_on_chords(s0, s1, lo, gx, gw):
+    """Nodes s and W * mu on [lo, s1] of chords with ends s0 <= lo, s1, as (chords, 2 * order)."""
+    mid = np.maximum((s0 + s1) / 2, lo)
+    ends = np.stack([lo, mid, mid, s1], axis=1).reshape(-1, 2, 2)
+    half = (ends[:, :, 1] - ends[:, :, 0]) / 2
+    s = (ends[:, :, 0] + half)[..., None] + half[..., None] * gx
+    w = s - s0[:, None, None]
+    w *= s - s1[:, None, None]
+    np.minimum(w, -1e-300, out=w)
+    np.reciprocal(w, out=w)
+    np.exp(w, out=w)
+    w *= gw
+    w *= half[..., None]
+    return s.reshape(len(s0), -1), w.reshape(len(s0), -1)
+
+
+def _grouped_radial_moments(s0, s1, gx, gw):
+    """Sums of W * mu * rho and W * mu * rho^2 over the part rho >= 0 of each chord."""
+    s, w = _grouped_bump_on_chords(s0, s1, np.maximum(s0, 0.0), gx, gw)
+    first = np.einsum("ij,ij->i", s, w)
+    w *= s
+    return first, np.einsum("ij,ij->i", s, w)
+
+
+def grouped_cone_masses(f, x, eps: float, order: int):
+    """The fan rule's bump mass and first moment over each cone, as (points, rays) and
+    (points, rays, 2), with fresh node arrays for every group and both sums always."""
+    gx, gw = _leggauss(order)
+    a0 = f._angles[0]
+    bounds = np.append(f._angles, a0 + 2 * math.pi)
+    r = len(f._angles)
+    rad = np.hypot(x[:, 0], x[:, 1])
+    half = np.where(rad < eps, math.pi, np.arcsin(eps / np.maximum(rad, eps)))
+    lo = np.where(rad < eps, a0, a0 + np.mod(np.arctan2(x[:, 1], x[:, 0]) - half - a0, 2 * math.pi))
+    cone_lo = np.concatenate([bounds[:-1], bounds[:-1] + 2 * math.pi])
+    cone_hi = np.concatenate([bounds[1:], bounds[1:] + 2 * math.pi])
+    a = np.maximum(lo[:, None], cone_lo)
+    b = np.minimum((lo + 2 * half)[:, None], cone_hi)
+    pt, k = np.nonzero(b > a)
+    a, b, slot = a[pt, k], b[pt, k], pt * r + k % r
+
+    mass = np.zeros(len(x) * r)
+    moment = np.zeros((2, len(x) * r))
+    step = max(1, GROUPED_NODES // (2 * order))
+    for start in range(0, len(pt) * order, step):
+        i, g = np.divmod(np.arange(start, min(start + step, len(pt) * order)), order)
+        phi = (a[i] + b[i]) / 2 + (b[i] - a[i]) / 2 * gx[g]
+        e = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        first, second = _grouped_radial_moments(*_chords(x[pt[i]], e, eps), gx, gw)
+        weight = (b[i] - a[i]) / 2 * gw[g]
+        first *= weight
+        mass += np.bincount(slot[i], weights=first, minlength=len(mass))
+        second *= weight
+        for c in (0, 1):
+            moment[c] += np.bincount(slot[i], weights=second * e[:, c], minlength=len(mass))
+    return mass.reshape(-1, r), moment.T.reshape(-1, r, 2)
+
+
+def grouped_ray_masses(f, x, eps: float, order: int):
+    """The fan rule's line mass of the bump on each ray, with fresh node arrays for every group."""
+    gx, gw = _leggauss(order)
+    r = len(f._units)
+    e = np.tile(f._units, (len(x), 1))
+    s0, s1 = _chords(np.repeat(x, r, axis=0), e, eps)
+    lo = np.maximum(s0, 0.0)
+    (hit,) = np.nonzero(s1 > lo)
+    out = np.zeros(len(e))
+    step = max(1, GROUPED_NODES // (2 * order))
+    for start in range(0, len(hit), step):
+        h = hit[start : start + step]
+        out[h] = np.sum(_grouped_bump_on_chords(s0[h], s1[h], lo[h], gx, gw)[1], axis=1)
+    return out.reshape(-1, r)
 
 
 # ------------------------------------------------- the twist path in Fractions

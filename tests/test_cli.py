@@ -17,7 +17,7 @@ import pytest
 import tropcoh
 import tropcoh.cohomology as cohomology
 from conftest import hex_grid
-from tropcoh import bundles, cli, smoothing
+from tropcoh import bundles, cli, polytope, smoothing
 from tropcoh.bundles import MAX_PICARD_CELLS
 from tropcoh.cohomology import (
     CohomologyDims,
@@ -847,6 +847,21 @@ def test_benchmark_and_tools_import_only_existing_names():
 def test_unknown_command_exits_two(run):
     code, _, _ = run("frobnicate", None)
     assert code == 2
+
+
+def test_a_failed_internal_invariant_exits_three(run, monkeypatch):
+    real = polytope.CheckedSubdivision.link
+
+    def broken(self, p):
+        # one triangle of the star lost: the walk round the link cannot close
+        link = real(self, p)
+        del link[min(link)]
+        return link
+
+    monkeypatch.setattr(polytope.CheckedSubdivision, "link", broken)
+    code, out, err = run("sphere", P2, "--ell", "cap_k1")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: the link of ") and err.rstrip().endswith("does not close")
 
 
 def test_out_directory(run, fixture_dir, tmp_path):

@@ -442,6 +442,15 @@ def test_validate_is_the_only_cache_keyed_on_a_subdivision_or_curve():
     assert keyed == {"tropcoh.polytope.validate"}
 
 
+def test_validate_keeps_a_bounded_number_of_subdivisions():
+    size = validate.cache_info().maxsize
+    assert size is not None
+    validate.cache_clear()
+    for d in range(1, size + 2):
+        assert validate(a2d_subdivision(d)).ok
+    assert validate.cache_info().currsize <= size
+
+
 def test_euler_characteristic_is_one(p2_sub, blowup_sub, a2d3_sub):
     for sub in (p2_sub, blowup_sub, a2d3_sub):
         assert euler_characteristic(sub) == 1

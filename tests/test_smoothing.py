@@ -7,6 +7,7 @@ this module is exact.
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -456,13 +457,104 @@ def test_fan_rule_groups_hold_at_most_group_nodes(p2_theta, monkeypatch):
     sizes = []
     real = smoothing._bump_on_chords
 
-    def counted(s0, s1, lo, gx, gw):
+    def counted(s0, s1, lo, gx, gw, work):
         sizes.append(len(s0) * 2 * len(gx))
-        return real(s0, s1, lo, gx, gw)
+        return real(s0, s1, lo, gx, gw, work)
 
     monkeypatch.setattr(smoothing, "_bump_on_chords", counted)
     fan_derivatives(FanPL(p2_theta), MollifierParams(0.25, MAX_QUADRATURE_ORDER), [(0.01, 0.02), (0.0, 2.0)])
     assert len(sizes) > 2 and max(sizes) <= smoothing._GROUP_NODES
+
+
+@pytest.mark.parametrize("order", [24, MAX_QUADRATURE_ORDER])
+def test_the_check_holds_a_few_groups_of_nodes(p2_theta, order):
+    """The traced peak of a 24-sample check stays below five node buffers of _GROUP_NODES floats."""
+    p = MollifierParams(0.25, order)
+    check_hessian_definiteness(p2_theta, p, 24)  # the rule's nodes and weights, cached per order
+    tracemalloc.start()
+    try:
+        check_hessian_definiteness(p2_theta, p, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * smoothing._GROUP_NODES * 8
+
+
+# Sample counts that make the cone rule run several groups, the last one partial
+# except at order 400, where a group is 40 of the 400 rows of a cone.
+_GROUPED_SAMPLES = {8: 300, 24: 50, 64: 12, 400: 1}
+
+
+@pytest.fixture(scope="module")
+def grouped_thetas(definite_thetas, p2_theta, blowup_theta):
+    return [*definite_thetas, p2_theta, blowup_theta]
+
+
+def _grouped_points(rays, eps, order):
+    """Sample points, the fan vertex, a point on a ray inside the disk and one far outside it."""
+    u = np.array(rays[0], dtype=float) / math.hypot(*rays[0])
+    extra = [(0.0, 0.0), tuple(eps / 3 * u), (3.0, -2.0)]
+    return np.array(smoothing._sample_points(rays, eps, _GROUPED_SAMPLES[order])[0] + extra)
+
+
+@pytest.mark.parametrize("order", sorted(_GROUPED_SAMPLES))
+def test_fan_rule_is_bit_identical_to_the_grouped_oracle(grouped_thetas, monkeypatch, order):
+    """Masses alone, masses with moments, line masses and mollify_eval, float for float."""
+    eps = 0.25
+    p = MollifierParams(eps, order)
+    sizes = []
+    real = smoothing._bump_on_chords
+
+    def counted(s0, s1, lo, gx, gw, work):
+        sizes.append(len(s0))
+        return real(s0, s1, lo, gx, gw, work)
+
+    for theta in grouped_thetas:
+        f, x = FanPL(theta), _grouped_points(theta.fan.rays, eps, order)
+        want_mass, want_moment = oracles.grouped_cone_masses(f, x, eps, order)
+        with monkeypatch.context() as m:
+            m.setattr(smoothing, "_bump_on_chords", counted)
+            sizes.clear()
+            mass = smoothing._cone_masses(f, x, eps, order)
+        assert len(sizes) > 2 and (sizes[-1] < sizes[0]) == (order != 400), (theta.fan.rays, sizes)
+        assert np.array_equal(mass, want_mass)
+        moment = np.zeros((2, mass.size))
+        assert np.array_equal(smoothing._cone_masses(f, x, eps, order, moment), want_mass)
+        assert np.array_equal(moment.T.reshape(-1, len(theta.fan.rays), 2), want_moment)
+        assert np.array_equal(smoothing._ray_masses(f, x, eps, order), oracles.grouped_ray_masses(f, x, eps, order))
+        for k in (0, 1, len(x) - 1):
+            one_mass, one_moment = oracles.grouped_cone_masses(f, x[k : k + 1], eps, order)
+            den, z = np.sum(one_mass, axis=1)[0], smoothing._bump_mass(eps)
+            if abs(den - z) <= 1e-6 * z:
+                assert mollify_eval(f, p, x[k]) == float(np.einsum("ja,ja->", one_moment[0], f._parts) / den)
+            else:
+                with pytest.raises(LatticeError, match="quadrature order too low"):
+                    mollify_eval(f, p, x[k])
+
+
+def _outcome_or_report(theta, p, samples):
+    try:
+        return check_hessian_definiteness(theta, p, samples)
+    except LatticeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("order", sorted(_GROUPED_SAMPLES))
+def test_check_report_is_the_grouped_oracles(definite_thetas, p2_theta, monkeypatch, order):
+    def grouped(f, x, eps, order, moment=None):
+        mass, first = oracles.grouped_cone_masses(f, x, eps, order)
+        if moment is not None:
+            moment += first.reshape(-1, 2).T
+        return mass
+
+    p = MollifierParams(0.25, order)
+    samples = min(24, _GROUPED_SAMPLES[order])
+    for theta in [p2_theta, *definite_thetas]:
+        got = _outcome_or_report(theta, p, samples)
+        with monkeypatch.context() as m:
+            m.setattr(smoothing, "_cone_masses", grouped)
+            m.setattr(smoothing, "_ray_masses", oracles.grouped_ray_masses)
+            assert _outcome_or_report(theta, p, samples) == got, theta.fan.rays
 
 
 @pytest.mark.parametrize("eps", [0.0375, 1e-200])
