@@ -166,15 +166,15 @@ def _line(a: Vec, b: Vec) -> tuple[Vec, int]:
     return u, det2(u, a)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def validate(sub: Subdivision) -> ValidationReport:
     """Check every structural invariant; failures are reported, not raised.
 
     The report of a valid subdivision carries its index (``checked``), built
     in the same pass. This is the one cache keyed on a subdivision, so a
     document checked by io.parse_input is not checked again when its curve is
-    built.  Every pipeline works on one subdivision at a time; the last 8 are
-    kept, so a process that checks many does not keep every index.
+    built.  Every pipeline works on one subdivision at a time, so only the
+    last one is kept and a process that checks many holds one index.
     """
     issues: list[ValidationIssue] = []
 

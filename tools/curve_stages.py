@@ -37,7 +37,7 @@ def one_round(root: Path) -> list[list[float]]:
     from tropcoh.spheres import theta_from_twisting, twisting
     from tropcoh.tropical import region_at, tropical_curve
 
-    def timed(f, *args):
+    def timed(row, f, *args):
         gc.collect()
         t0, value = time.perf_counter(), f(*args)
         row.append(time.perf_counter() - t0)
@@ -47,10 +47,10 @@ def one_round(root: Path) -> list[list[float]]:
     for row, (name, n) in zip(times, INPUTS):
         validate.cache_clear()
         sub = a2d_subdivision(n) if name == "a2d_subdivision" else hex_grid(n, lambda x, y: 0)
-        timed(validate, sub)
-        curve = timed(tropical_curve, sub)
-        timed(timed(phi_map, curve).kernel_vectors)
-        timed(lambda: [canonical_KC(r) for r in curve.regions])
+        timed(row, validate, sub)
+        curve = timed(row, tropical_curve, sub)
+        timed(row, timed(row, phi_map, curve).kernel_vectors)
+        timed(row, lambda: [canonical_KC(r) for r in curve.regions])
 
     doc = parse_input((root / "fixtures" / "p2.json").read_bytes())
     cap = doc.twisting_sets["cap_k1"]
@@ -60,7 +60,7 @@ def one_round(root: Path) -> list[list[float]]:
         for samples, order in SMOOTH:
             check_hessian_definiteness(theta, MollifierParams(0.25, order), 1)
             row = []
-            timed(check_hessian_definiteness, theta, MollifierParams(0.25, order), samples)
+            timed(row, check_hessian_definiteness, theta, MollifierParams(0.25, order), samples)
             times.append(row)
     return times
 
