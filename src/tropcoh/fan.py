@@ -60,14 +60,15 @@ def fan_at_vertex(sub: Subdivision, v: Vec) -> Fan:
     index = checked(sub)
     if v not in index.interior_vertices:
         raise LatticeError(f"{v} is not an interior vertex")
-    # the rays walk v's link counterclockwise from the lex-least, which is v + the lex-least ray
+    # the rays walk v's link counterclockwise from min(link), v + the lex-least ray. Fan's check is
+    # skipped: validate proved each ray primitive, each step of det 1 and that the link goes round once
     link = index.link(v)
     walk = [min(link)]
     for _ in link:
         walk.append(link.get(walk[-1]))
     if walk.pop() != walk[0]:
         raise InternalError(f"the link of {v} does not close")
-    return Fan(tuple((x - v[0], y - v[1]) for x, y in walk))
+    return Fan._make((tuple((x - v[0], y - v[1]) for x, y in walk),))
 
 
 def balance(rays, values) -> Vec:

@@ -14,6 +14,7 @@ import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -222,8 +223,14 @@ def _json(value, nl: str) -> str:
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        ints = all(type(v) is int for v in value)
-        parts = map(repr, value) if ints else [_json(v, inner) for v in value]
+        if all(type(v) is int for v in value):
+            parts = map(repr, value)
+        elif {*map(type, value)} <= {list, tuple} and all(value) and {*map(type, chain.from_iterable(value))} == {int}:
+            # rows of ints, such as winding entries and Picard bases: one %d template per length
+            forms = {n: "[" + (("," + inner + "  %d") * n)[1:] + inner + "]" for n in {*map(len, value)}}
+            parts = [forms[len(v)] % tuple(v) for v in value]
+        else:
+            parts = [_json(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(parts) + nl + "]"
     if kind is dict:
         # every value is written, so one that str() merges with another key still raises

@@ -113,29 +113,18 @@ class CheckedSubdivision(NamedTuple):
 
     sub: Subdivision
     edges: tuple[SubdivisionEdge, ...]  # in key order
-    stars: Mapping[Vec, tuple[int, ...]]  # triangles at each lattice point
+    # each point p to its link: each triangle pab at p as a -> b, det(a - p, b - p) > 0; one
+    # counterclockwise cycle at an interior vertex, since no two triangles at p overlap
+    links: Mapping[Vec, Mapping[Vec, Vec]]
     # each interior vertex, lexicographically sorted, to its position: the
     # position of its bounded region too
     interior_vertices: Mapping[Vec, int]
     slopes: tuple[Vec, ...]  # of nu, one per triangle
     boundary_edges: frozenset[EdgeKey]  # the keys of the edges in one triangle
 
-    def link(self, p: Vec) -> dict[Vec, Vec]:
-        """The star of p walked once: each triangle pab at p as a -> b, with det(a - p, b - p) > 0."""
-        pts, tris = self.sub.points, self.sub.triangles
-        px, py = p
-        out = {}
-        for t in self.stars[p]:
-            i, j, k = tris[t]
-            a, b, c = pts[i], pts[j], pts[k]
-            if a == p:  # a, b become the two vertices other than p
-                a = c
-            elif b == p:
-                b = c
-            if (a[0] - px) * (b[1] - py) <= (a[1] - py) * (b[0] - px):
-                a, b = b, a
-            out[a] = b
-        return out
+    def link(self, p: Vec) -> Mapping[Vec, Vec]:
+        """The link of p (see ``links``): a lookup, filed by validate's pass over the triangles."""
+        return self.links[p]
 
 
 def convex_hull(points: Sequence[Vec]) -> list[Vec]:
@@ -195,13 +184,13 @@ def validate(sub: Subdivision) -> ValidationReport:
     if issues:
         return ValidationReport(tuple(issues))
 
-    # the one loop over the triangles: areas, sides, stars and slopes of nu. An edge is keyed
+    # the one loop over the triangles: areas, sides, links and slopes of nu. An edge is keyed
     # by the ranks of its ends in lexicographic order, so the keys sort as the point pairs do
     pts, nu = sub.points, sub.nu
     order = sorted(range(n), key=pts.__getitem__)
     rank = sorted(range(n), key=order.__getitem__)  # the inverse of order
     sides: dict[int, list[tuple[int, bool]]] = {}
-    star: list[list[int]] = [[] for _ in pts]
+    link: list[dict[Vec, Vec]] = [{} for _ in pts]
     slope_of_nu = []
     total = 0
     for t, (i0, i1, i2) in enumerate(sub.triangles):
@@ -220,8 +209,11 @@ def validate(sub: Subdivision) -> ValidationReport:
         for ra, rb in ((r0, r1), (r1, r2), (r2, r0)):
             q = ra * n + rb if ra < rb else rb * n + ra
             sides.setdefault(q, []).append((t, (ra < rb) == left))
-        for i in (i0, i1, i2):
-            star[i].append(t)
+        # each corner's step runs counterclockwise round it: v1 -> v2 at v0 when d > 0
+        if left:
+            link[i0][v1], link[i1][v2], link[i2][v0] = v2, v0, v1
+        else:
+            link[i0][v2], link[i1][v0], link[i2][v1] = v1, v2, v0
     if any(issue.code == "collinear-triangle" for issue in issues):
         return ValidationReport(tuple(issues))
 
@@ -233,8 +225,8 @@ def validate(sub: Subdivision) -> ValidationReport:
     if total != area2:
         bad("tiling", f"triangles cover normalized area {total}, polygon has {area2}")
 
-    for p, ts in zip(pts, star):
-        if not ts:
+    for p, steps in zip(pts, link):
+        if not steps:
             bad("unused-point", f"lattice point {p} is not a vertex of any triangle")
 
     # Edges are primitive. If each lies in two triangles on opposite sides, or in one and on a side
@@ -284,7 +276,7 @@ def validate(sub: Subdivision) -> ValidationReport:
     index = CheckedSubdivision(
         sub,
         tuple(labelled),
-        MappingProxyType({p: tuple(ts) for p, ts in zip(pts, star)}),
+        MappingProxyType({p: MappingProxyType(steps) for p, steps in zip(pts, link)}),
         MappingProxyType({v: i for i, v in enumerate(inner)}),
         tuple(slope_of_nu),
         frozenset(e.key for e in labelled if e.is_boundary),

@@ -29,7 +29,10 @@ a vertex's fan that ``phi_map`` and ``fan_at_vertex`` replaced;
 ``checked(sub).boundary_edges`` replaced in ``divisor_kinks``.
 ``triangle_dot_divisor_kinks`` reads each triangle at p whole and each spoke's
 kink off dot products, as ``divisor_kinks`` did before it walked
-``checked(sub).link(p)``, and ``region_check_cocycle`` balances K round each
+``checked(sub).link(p)``. ``stars`` lists the triangles at each point, the
+removed ``checked(sub).stars``, and ``star_walk_link`` walks one point's
+star into its link, as ``link(p)`` did before ``validate`` filed every
+link in its pass over the triangles. ``region_check_cocycle`` balances K round each
 region's fan, as ``check_cocycle`` did before it read each edge once off the
 index; ``triangle_points`` is the removed ``Subdivision.triangle_points``.
 ``grouped_cone_masses`` and ``grouped_ray_masses`` are the fan rule as it was
@@ -174,13 +177,35 @@ def triangle_points(sub: Subdivision, t: int) -> tuple[Vec, Vec, Vec]:
     return (sub.points[i], sub.points[j], sub.points[k])
 
 
+def stars(sub: Subdivision) -> dict[Vec, tuple[int, ...]]:
+    """The triangles at each point, in triangle order: the removed ``checked(sub).stars``."""
+    out = {p: [] for p in sub.points}
+    for t, tri in enumerate(sub.triangles):
+        for i in tri:
+            out[sub.points[i]].append(t)
+    return {p: tuple(ts) for p, ts in out.items()}
+
+
+def star_walk_link(sub: Subdivision, p: Vec) -> dict[Vec, Vec]:
+    """The library's earlier CheckedSubdivision.link: the star of p walked once, each triangle
+    pab at p as a -> b, with det(a - p, b - p) > 0."""
+    px, py = p
+    out = {}
+    for t in stars(sub)[p]:
+        a, b = (q for q in triangle_points(sub, t) if q != p)
+        if (a[0] - px) * (b[1] - py) <= (a[1] - py) * (b[0] - px):
+            a, b = b, a
+        out[a] = b
+    return out
+
+
 def triangle_dot_divisor_kinks(sub: Subdivision, p: Vec) -> dict[EdgeKey, int]:
     """The library's earlier divisor_kinks: each triangle pab at p read whole, and the kink
     across a spoke pa between pac and pad read off dot products, with c + d - 2p = s (a - p)."""
     index = checked(sub)
     out = {}
     across: dict[Vec, list[Vec]] = {}  # each neighbour a of p to the third vertices on pa
-    for t in index.stars[p]:
+    for t in stars(sub)[p]:
         a, b = (q for q in triangle_points(sub, t) if q != p)
         key = (a, b) if a < b else (b, a)
         if key not in index.boundary_edges:
@@ -207,7 +232,7 @@ def sorted_fan_at_vertex(sub: Subdivision, v: Vec) -> Fan:
     if v not in index.interior_vertices:
         raise LatticeError(f"{v} is not an interior vertex")
     dirs = set()
-    for t in index.stars[v]:
+    for t in stars(sub)[v]:
         dirs.update(vsub(p, v) for p in triangle_points(sub, t) if p != v)
     return make_fan(dirs)
 
@@ -409,7 +434,7 @@ def region_cycle(region: BoundedRegion) -> tuple[QVec, ...]:
     curve, v = region.curve, region.dual_vertex
     # each wedge triangle, by its two rays counterclockwise, to its dual vertex
     wedge_vertex = {}
-    for t in curve.index.stars[v]:
+    for t in stars(curve.sub)[v]:
         d1, d2 = (vsub(p, v) for p in triangle_points(curve.sub, t) if p != v)
         if det2(d1, d2) < 0:
             d1, d2 = d2, d1

@@ -853,8 +853,8 @@ def test_a_failed_internal_invariant_exits_three(run, monkeypatch):
     real = polytope.CheckedSubdivision.link
 
     def broken(self, p):
-        # one triangle of the star lost: the walk round the link cannot close
-        link = real(self, p)
+        # one step of the link lost: the walk round it cannot close
+        link = dict(real(self, p))
         del link[min(link)]
         return link
 

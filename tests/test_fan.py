@@ -8,6 +8,8 @@ from conftest import hex_grid
 from gen_cases import random_smooth_fan
 from oracles import index_of, sorted_fan_at_vertex
 from tropcoh import fan as fan_module
+from tropcoh.bundles import canonical_KC
+from tropcoh.examples import a2d_subdivision, blowup_p2, local_p2
 from tropcoh.fan import (
     Fan,
     fan_at_vertex,
@@ -17,6 +19,7 @@ from tropcoh.fan import (
 )
 from tropcoh.lattice import LatticeError, det2
 from tropcoh.polytope import checked
+from tropcoh.tropical import tropical_curve
 
 
 def test_make_fan_sorts_ccw_from_lex_smallest():
@@ -119,18 +122,41 @@ def test_a2d_vertex_fans_match_ladder(a2d3_sub):
 
 
 def test_the_link_walk_equals_the_angle_sort(oracle_subdivisions):
-    """fan_at_vertex walks v's link; the oracle sorts the star's directions by angle."""
-    for sub in (*oracle_subdivisions, *(hex_grid(n) for n in range(4, 13))):
+    """fan_at_vertex walks v's link; the oracle sorts the star's directions by angle.
+
+    fan_at_vertex skips Fan's check, so each fan it builds passes that check here.
+    """
+    for sub in (*oracle_subdivisions, *(hex_grid(n) for n in range(4, 13)), a2d_subdivision(80)):
         for v in checked(sub).interior_vertices:
-            assert fan_at_vertex(sub, v) == sorted_fan_at_vertex(sub, v)
+            fan = fan_at_vertex(sub, v)
+            fan._check()
+            assert fan == sorted_fan_at_vertex(sub, v)
+
+
+def test_the_curve_and_its_canonical_classes_check_no_fan(monkeypatch):
+    """validate proved what Fan's check tests, so neither the curve nor K_C runs it."""
+    checks, real = [], Fan.__init__
+
+    def counted(fan, *args):
+        checks.append(fan)
+        real(fan, *args)
+
+    monkeypatch.setattr(Fan, "__init__", counted)
+    make_fan([(1, 0), (0, 1), (-1, -1)])
+    assert len(checks) == 1  # the counter sees a fan built by calling the class
+    checks.clear()
+    for sub in (local_p2(), blowup_p2(), a2d_subdivision(20), hex_grid(6)):
+        for region in tropical_curve(sub).regions:
+            canonical_KC(region)
+    assert checks == []
 
 
 def test_a_link_that_does_not_close_raises(p2_sub, monkeypatch):
-    """With one triangle gone from the star of (0, 0), the walk cannot get back to its first ray."""
+    """With one step gone from the link of (0, 0), the walk cannot get back to its first ray."""
     index = checked(p2_sub)
-    stars = dict(index.stars)
-    stars[0, 0] = stars[0, 0][1:]
-    monkeypatch.setattr(fan_module, "checked", lambda sub: index._replace(stars=stars))
+    links = dict(index.links)
+    links[0, 0] = dict(list(links[0, 0].items())[1:])
+    monkeypatch.setattr(fan_module, "checked", lambda sub: index._replace(links=links))
     with pytest.raises(LatticeError, match=r"the link of \(0, 0\) does not close"):
         fan_at_vertex(p2_sub, (0, 0))
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import encode_exact
+from tropcoh import io as io_module
 from tropcoh.examples import local_p2
 from tropcoh.io import (
     InputError,
@@ -306,6 +307,34 @@ def test_report_bytes_are_json_dumps_of_the_exact_encoding(value, command, seed)
     doc["result"] = encode_exact(value)
     expected = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     assert report_bytes(command, value, seed) == expected.encode()
+
+
+@pytest.mark.parametrize(
+    "rows, fast",
+    [
+        ([[1, -2, 3], [-4, 5, 6]], True),
+        ([(1, 2), [3, 4, 5], (6,), [7, 8]], True),  # mixed lengths, lists and tuples
+        ([[10**100, -(2**300)], (0, 1)], True),  # huge ints
+        ([[1, True], [2, 3]], False),
+        ([[1, 2.5], [2, 3]], False),
+        ([[1, Fraction(1, 2)], [2, 3]], False),
+        ([[1, Fraction(4, 2)], [2, 3]], False),
+        ([[1, Count(2)], [2, 3]], False),
+        ([[1, 2], []], False),
+        ([[], []], False),
+        ([[1, 2], 3], False),
+        ([[1, 2], [[3]]], False),
+    ],
+)
+def test_integer_rows_are_written_as_json_dumps_writes_them(rows, fast, monkeypatch):
+    """Rows of exact ints are written by one template per row length, with no call per row; any
+    other leaf, or an empty row, takes the general path, which writes each row on its own."""
+    calls, real = [], io_module._json
+    monkeypatch.setattr(io_module, "_json", lambda value, nl: calls.append(value) or real(value, nl))
+    for value in (rows, {"entries": rows, "h_even": 1}):
+        calls.clear()
+        assert io_module._json(value, "\n") == json.dumps(encode_exact(value), indent=2, sort_keys=True)
+        assert any(call is row for call in calls for row in rows) != fast
 
 
 @pytest.mark.parametrize("bad", [object(), [1, object()], {"a": {"b": object()}}, {1: object(), "1": 2}])

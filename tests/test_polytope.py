@@ -25,6 +25,8 @@ from oracles import (
     normalized_area,
     one_triangle_edge_keys,
     opposite_vertex_sides,
+    star_walk_link,
+    stars,
     triangle_points,
 )
 from tropcoh import polytope
@@ -230,8 +232,9 @@ def test_edge_classification_on_p2(p2_sub, oracle_subdivisions):
         curve = tropical_curve(sub)
         rays = iter(curve.rays)
         bounded = iter(curve.bounded)
+        star = stars(sub)
         for e in index.edges:
-            tris = tuple(t for t in index.stars[e.a] if t in index.stars[e.b])
+            tris = tuple(t for t in star[e.a] if t in star[e.b])
             plus, minus, normal = opposite_vertex_sides(sub, e.key, tris)
             assert (e.plus_triangle, e.minus_triangle, e.normal) == (plus, minus, normal)
             if e.is_boundary:
@@ -252,7 +255,7 @@ def test_incidence_indexes_match_a_full_scan(p2_sub, blowup_sub, a2d3_sub):
         index = checked(sub)
         tris = [triangle_points(sub, t) for t in range(len(sub.triangles))]
         star = {p: tuple(t for t, pts in enumerate(tris) if p in pts) for p in sub.points}
-        assert index.stars == star
+        assert stars(sub) == star
         sides = {}
         for t, (a, b, c) in enumerate(tris):
             for side in ((a, b), (b, c), (c, a)):
@@ -264,6 +267,17 @@ def test_incidence_indexes_match_a_full_scan(p2_sub, blowup_sub, a2d3_sub):
         inner = sorted(p for p in sub.points if sum(p in key for key in sides) == len(star[p]))
         assert dict(index.interior_vertices) == {v: i for i, v in enumerate(inner)}
         assert index.slopes == tuple(fraction_slope(sub, sub.nu, t) for t in range(len(tris)))
+
+
+def test_links_are_the_star_walk(oracle_subdivisions):
+    """validate files each triangle into its corners' links; the oracle walks each point's star.
+
+    Every point is compared, boundary points too, and with every triangle reversed as well.
+    """
+    for sub in _both_orientations((*oracle_subdivisions, *(hex_grid(n) for n in (4, 8)), a2d_subdivision(40))):
+        index = checked(sub)
+        assert index.links == {p: star_walk_link(sub, p) for p in sub.points}
+        assert all(index.link(p) is index.links[p] for p in sub.points)
 
 
 def test_interior_edge_keys_are_sorted(blowup_sub):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import legendre, region_cycle
+from oracles import legendre, region_cycle, stars
 from tropcoh.examples import a2d_subdivision, blowup_p2, local_p2
 from tropcoh.lattice import LatticeError, lex_positive, rot90, vneg, vsub
 from tropcoh.polytope import checked, edges
@@ -105,7 +105,7 @@ def test_region_edge_alignment(p2_region, blowup_region, a2d3_regions):
         assert len(cycle) == r
         v = region.dual_vertex
         curve = region.curve
-        assert sorted(cycle) == sorted(curve.vertices[t] for t in curve.index.stars[v])
+        assert sorted(cycle) == sorted(curve.vertices[t] for t in stars(curve.sub)[v])
         for j, u in enumerate(region.fan.rays):
             a, b = region.edge_keys[j]
             assert {a, b} == {v, (v[0] + u[0], v[1] + u[1])}

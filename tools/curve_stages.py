@@ -4,12 +4,13 @@
 
 A CHECKOUT is a repository root with ``src/``, ``fixtures/`` and ``tropbench/`` (whose hexagonal
 grid and smoothing cases it uses).  Each of the ROUNDS rounds runs every input once per checkout,
-alternating which goes first, in a fresh interpreter.  For each input the ``validate`` cache is
-cleared, then the stages run in order, each after ``gc.collect()``.  Then
-``check_hessian_definiteness`` at radius 0.25 runs at each (samples, order) of SMOOTH, on p2
-``cap_k1`` and on the first 5-ray fan of tropbench's ``smooth_cases(0)``, each after a one-sample
-call that builds the order's quadrature rule.  The tables give each best time over the rounds in
-ms, as ``before -> after`` for two checkouts.
+alternating which goes first, in a fresh interpreter.  For each input the stages run in order,
+each after ``gc.collect()``, CALLS times over, with the ``validate`` cache cleared before each
+pass.  Then ``check_hessian_definiteness`` at radius 0.25 runs CALLS times at each (samples,
+order) of SMOOTH, on p2 ``cap_k1`` and on the first 5-ray fan of tropbench's ``smooth_cases(0)``,
+after a one-sample call that builds the order's quadrature rule.  A round keeps each stage's best
+of its CALLS calls, which steadies it against a shared host's bursts.  The tables give each best
+time over the rounds in ms, as ``before -> after`` for two checkouts.
 """
 
 import argparse
@@ -25,6 +26,7 @@ STAGES = ("validate", "tropical_curve", "phi_map", "kernel", "canonical_KC")
 SMOOTH = ((24, 24), (24, 300), (200, 24))
 SMOOTH_FANS = ("p2 `cap_k1`", "5-ray `smooth_cases(0)`")
 ROUNDS = 9
+CALLS = 3
 
 
 def one_round(root: Path) -> list[list[float]]:
@@ -43,14 +45,19 @@ def one_round(root: Path) -> list[list[float]]:
         row.append(time.perf_counter() - t0)
         return value
 
-    times = [[] for _ in INPUTS]
-    for row, (name, n) in zip(times, INPUTS):
-        validate.cache_clear()
+    times = []
+    for name, n in INPUTS:
         sub = a2d_subdivision(n) if name == "a2d_subdivision" else hex_grid(n, lambda x, y: 0)
-        timed(row, validate, sub)
-        curve = timed(row, tropical_curve, sub)
-        timed(row, timed(row, phi_map, curve).kernel_vectors)
-        timed(row, lambda: [canonical_KC(r) for r in curve.regions])
+        passes = []
+        for _ in range(CALLS):
+            validate.cache_clear()
+            row = []
+            timed(row, validate, sub)
+            curve = timed(row, tropical_curve, sub)
+            timed(row, timed(row, phi_map, curve).kernel_vectors)
+            timed(row, lambda: [canonical_KC(r) for r in curve.regions])
+            passes.append(row)
+        times.append(list(map(min, *passes)))
 
     doc = parse_input((root / "fixtures" / "p2.json").read_bytes())
     cap = doc.twisting_sets["cap_k1"]
@@ -60,8 +67,9 @@ def one_round(root: Path) -> list[list[float]]:
         for samples, order in SMOOTH:
             check_hessian_definiteness(theta, MollifierParams(0.25, order), 1)
             row = []
-            timed(row, check_hessian_definiteness, theta, MollifierParams(0.25, order), samples)
-            times.append(row)
+            for _ in range(CALLS):
+                timed(row, check_hessian_definiteness, theta, MollifierParams(0.25, order), samples)
+            times.append([min(row)])
     return times
 
 
