@@ -18,7 +18,7 @@ from .lattice import (
     threshold_slabs,
 )
 from .spheres import SemiIntegralSupport, gamma_curve
-from .winding import check_rows, h_even_odd, winding_runs
+from .winding import check_rows, curve_lines
 
 
 @dataclass(frozen=True)
@@ -149,11 +149,12 @@ def _level_lines(rays, coeffs, ymin: int, ymax: int):
             yield j, (ymin, ymax, a + 1, u1, -u0)
 
 
-def _patterns(psi: ToricSupport, by_slabs: bool):
-    """Yield (a, x0, x1, k, n): in the slab from row a, positions x0 <= x < x1 add n to h^k each.
+def _patterns(psi: ToricSupport, by_slabs: bool, curve=None, rows=None):
+    """Yield (a, b, x0, x1, k, n, w): on the rows a..b, each x0 <= x < x1 adds n to h^k and winds w times.
 
     A pattern that is all >= 0 adds one to h^0, all < 0 one to h^2, and a
-    mixed one (number of negative runs - 1) to h^1.
+    mixed one (number of negative runs - 1) to h^1.  The winding number w
+    is that of a curve given as winding.curve_lines, or 0 with no curve.
 
     Lemma: a point that counts lies between the level lines' crossings.
     Suppose a pattern holds at m and along the whole ray m + s d.  For large
@@ -165,14 +166,17 @@ def _patterns(psi: ToricSupport, by_slabs: bool):
     has the pattern of d = (-1, 0), exactly one negative run, and so has the
     run right of every threshold.
 
-    So only the rows of _search_rows are walked, each row or slab from that
-    left state: ray j is >= 0 for u0 < 0, < 0 for u0 > 0, and has the sign
-    of c = u1 y + a_j for u0 = 0.  Passing the threshold (t, i) flips the
-    sign of ray ray_of[i], and only the runs between two thresholds are
-    yielded.  On a row the thresholds are the t; on a slab of n rows they
-    are the sums of t, so x1 - x0 is a run's total length.  Besides the cuts
-    of lattice.threshold_slabs, slabs start where c changes sign for
-    u0 = 0.  by_slabs=False yields every row.
+    So only the rows of _search_rows are walked, and the curve's rows too,
+    each row or slab from that left state: ray j is >= 0 for u0 < 0, < 0
+    for u0 > 0, and has the sign of c = u1 y + a_j for u0 = 0, and w is 0.
+    Passing the threshold (t, i) of a level line flips the sign of ray
+    ray_of[i]; passing that of curve segment j subtracts its sign from w.
+    Only the runs between two thresholds with n or w nonzero are yielded.
+    On a row (a = b) the thresholds are the t; on a slab of
+    lattice.threshold_slabs they are the sums of t over its rows, so
+    x1 - x0 is a run's total length.  Besides the slab cuts at the lines'
+    ends and crossings, slabs start where c changes sign for u0 = 0.
+    by_slabs=False yields every row, or the rows given as (first, last).
     """
     fan = psi.fan
     if not is_smooth(fan):
@@ -180,7 +184,12 @@ def _patterns(psi: ToricSupport, by_slabs: bool):
     coeffs = divisor_coeffs(psi)
     ymin, ymax = _search_rows(fan, coeffs)
     check_rows(ymax - ymin + 1, "the cohomology search box")
+    segments, up, first, last = curve or ((), (), ymin, ymax)
+    if segments:
+        ymin, ymax = min(ymin, first), max(ymax, last)
     ray_of, lines = zip(*_level_lines(fan.rays, coeffs, ymin, ymax))
+    levels = len(lines)
+    lines += tuple(segments)
     r = len(fan.rays)
     left = [u0 < 0 for u0, _ in fan.rays]
     flat = [(j, u1, a) for j, ((u0, u1), a) in enumerate(zip(fan.rays, coeffs)) if u0 == 0]
@@ -190,17 +199,21 @@ def _patterns(psi: ToricSupport, by_slabs: bool):
     if by_slabs:
         pieces = threshold_slabs(lines, ymin, ymax, starts)
     else:
-        pieces = threshold_rows(lines, ymin, ymax)
-    for a, _, thresholds in pieces:
+        pieces = threshold_rows(lines, *(rows or (ymin, ymax)))
+    for a, b, thresholds in pieces:
         signs = left.copy()
         for j, u1, c in flat:
             signs[j] = u1 * a + c >= 0
         # left of every threshold: one negative run, which adds nothing
         runs = 1
-        k = n = x0 = 0
+        k = n = w = x0 = 0
         for t, i in thresholds:
-            if n and t > x0:
-                yield a, x0, t, k, n
+            if (n or w) and t > x0:
+                yield a, b, x0, t, k, n, w
+            x0 = t
+            if i >= levels:
+                w -= up[i - levels]
+                continue
             # flipping sign j can only start or end the blocks at j and j + 1
             j = ray_of[i]
             nxt = (j + 1) % r
@@ -212,16 +225,6 @@ def _patterns(psi: ToricSupport, by_slabs: bool):
             else:
                 # no negative run: every sign is that of ray j
                 k, n = (0 if signs[j] else 2), 1
-            x0 = t
-
-
-def pattern_runs(psi: ToricSupport):
-    """Yield (y, x0, x1, k, n): each lattice point x0 <= x < x1 of row y adds n to h^k.
-
-    Each ray changes sign at one integer threshold per row, and the cyclic
-    sign pattern is constant between consecutive thresholds.
-    """
-    return _patterns(psi, by_slabs=False)
 
 
 def cohomology_dims(psi: ToricSupport) -> CohomologyDims:
@@ -232,7 +235,7 @@ def cohomology_dims(psi: ToricSupport) -> CohomologyDims:
     each summed with O(r) floor_sums.
     """
     dims = [0, 0, 0]
-    for _, x0, x1, k, n in _patterns(psi, by_slabs=True):
+    for _, _, x0, x1, k, n, _ in _patterns(psi, True):
         dims[k] += n * (x1 - x0)
     return CohomologyDims(*dims)
 
@@ -255,35 +258,34 @@ class WindingTheoremReport:
     witness: Optional[Witness] = None
 
 
-def _first_difference(theta: SemiIntegralSupport, psi: ToricSupport) -> Optional[Witness]:
-    """The first point, by row and then by x, where w(m) differs from the sign value.
+def verify_winding_theorem(theta: SemiIntegralSupport) -> WindingTheoremReport:
+    """Compare w(m) with the sign value (-1)^k n at every lattice point, in one slab walk.
 
     The sign value is 1 where every <m, u_j> + a_j is >= 0 or every one is
-    < 0, else 1 - (number of cyclic negative runs); it is (-1)^k n for a
-    point that adds n to h^k, and 0 where the pattern sweep skips the point.
+    < 0, else 1 - (number of cyclic negative runs), and 0 where no run of
+    _patterns holds m.  The same walk gives the totals.  On a mismatch the
+    witness is the first point, by row and then by x, where the two differ:
+    the rows of the first slab that holds one are walked one by one.
     """
-    rows: dict[int, tuple[list, list]] = {}
-    for y, x0, x1, w in winding_runs(gamma_curve(theta)):
-        rows.setdefault(y, ([], []))[0].append((x0, x1, w))
-    for y, x0, x1, k, n in pattern_runs(psi):
-        rows.setdefault(y, ([], []))[1].append((x0, x1, -n if k == 1 else n))
-
-    def value(runs, x):
-        return next((v for x0, x1, v in runs if x0 <= x < x1), 0)
-
-    for y in sorted(rows):
-        wind, sign = rows[y]
-        for x in sorted({x for x0, x1, _ in wind + sign for x in (x0, x1)}):
-            w, v = value(wind, x), value(sign, x)
-            if w != v:
-                return Witness((x, y), w, v)
-    return None
-
-
-def verify_winding_theorem(theta: SemiIntegralSupport) -> WindingTheoremReport:
-    even, odd = h_even_odd(theta)
+    curve = curve_lines(gamma_curve(theta))
     psi = psi_from_theta(theta)
-    dims = cohomology_dims(psi)
-    if even == dims.h0 + dims.h2 and odd == dims.h1:
+    even = odd = 0
+    dims = [0, 0, 0]
+    bad = None
+    for a, b, x0, x1, k, n, w in _patterns(psi, True, curve):
+        dims[k] += n * (x1 - x0)
+        if w > 0:
+            even += w * (x1 - x0)
+        else:
+            odd -= w * (x1 - x0)
+        if bad is None and w != (-n if k == 1 else n):
+            bad = a, b
+    dims = CohomologyDims(*dims)
+    if bad is None:
         return WindingTheoremReport(even, odd, dims, True)
-    return WindingTheoremReport(even, odd, dims, False, _first_difference(theta, psi))
+    witness = next(
+        Witness((x0, y), w, v)
+        for y, _, x0, _, k, n, w in _patterns(psi, False, curve, bad)
+        if w != (v := -n if k == 1 else n)
+    )
+    return WindingTheoremReport(even, odd, dims, False, witness)

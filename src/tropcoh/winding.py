@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import LatticeError, SizeLimitError, Vec, det2, dot, threshold_rows, threshold_slabs
+from .lattice import LatticeError, SizeLimitError, Vec, det2, dot, threshold_rows
 from .spheres import GammaCurve, SemiIntegralSupport, gamma_curve
 
 
@@ -65,29 +65,21 @@ def _segments(gamma: GammaCurve) -> tuple[list[tuple[int, int, int, int, int]], 
     return lines, signs
 
 
-def _pieces(gamma: GammaCurve, by_slabs: bool):
-    """Yield (a, x0, x1, w): in the slab from row a, positions x0 <= x < x1 wind w != 0 times.
+def curve_lines(gamma: GammaCurve):
+    """(lines, signs, first, last): gamma's _segments on the rows first..last, checked for the sweep.
 
-    On a row a run is the lattice points x0 <= x < x1; on a slab of
-    lattice.threshold_slabs, x1 - x0 is its total length over the rows.
-    The point left of every threshold winds 0 times, and passing segment
-    j's threshold subtracts signs[j].  by_slabs=False yields every row.
+    The refusals come in the row sweep's order: a vertex or a horizontal
+    edge on a lattice point (_segments), more than MAX_SWEEP_ROWS rows, then
+    a lattice point on a segment.  With no segment the rows are empty.
     """
     lines, signs = _segments(gamma)
     if not lines:
-        return
+        return lines, signs, 0, -1
     first = min(line[0] for line in lines)
     last = max(line[1] for line in lines)
     check_rows(last - first + 1, "the winding sweep")
     _check_off_curve(lines)
-    sweep = threshold_slabs if by_slabs else threshold_rows
-    for a, _, thresholds in sweep(lines, first, last):
-        w = prev = 0
-        for t, j in thresholds:
-            if w and t > prev:
-                yield a, prev, t, w
-            w -= signs[j]
-            prev = t
+    return lines, signs, first, last
 
 
 def winding_runs(gamma: GammaCurve):
@@ -98,12 +90,20 @@ def winding_runs(gamma: GammaCurve):
     X = 2 * x_c in doubled coordinates.  The point (x, y) counts the
     crossing when x < x_c, that is when x < ceil(x_c), so every
     segment gives one integer threshold and the winding number is constant
-    between consecutive thresholds.  A lattice point on the curve raises
-    before the sweep starts, naming the first one by row, and so does a
-    vertex that is a lattice point, since the half-open rule may give it to
-    no segment.
+    between consecutive thresholds: 0 left of every threshold, and passing
+    segment j's threshold subtracts signs[j].  A lattice point on the curve
+    raises before the sweep starts, naming the first one by row, and so
+    does a vertex that is a lattice point, since the half-open rule may give
+    it to no segment.
     """
-    return _pieces(gamma, by_slabs=False)
+    lines, signs, first, last = curve_lines(gamma)
+    for y, _, thresholds in threshold_rows(lines, first, last):
+        w = prev = 0
+        for t, j in thresholds:
+            if w and t > prev:
+                yield y, prev, t, w
+            w -= signs[j]
+            prev = t
 
 
 @dataclass(frozen=True)
@@ -158,28 +158,6 @@ def _check_off_curve(lines) -> None:
             found = ((n0 + n1 * y) // den, y)
     if found is not None:
         raise _on_curve(found)
-
-
-def h_even_odd(theta: SemiIntegralSupport) -> tuple[int, int]:
-    """Totals of the positive and of the negative winding numbers."""
-    return _curve_totals(gamma_curve(theta))
-
-
-def _curve_totals(gamma: GammaCurve) -> tuple[int, int]:
-    """The totals of h_even_odd, slab by slab.
-
-    lattice.threshold_slabs cuts the rows into slabs on which the
-    left-to-right order of the segments' thresholds is the same on every
-    row, so each run's total length over a slab is a difference of two sums
-    of ceilings, each summed in closed form by floor_sum.
-    """
-    even = odd = 0
-    for _, x0, x1, w in _pieces(gamma, by_slabs=True):
-        if w > 0:
-            even += w * (x1 - x0)
-        else:
-            odd -= w * (x1 - x0)
-    return even, odd
 
 
 def winding_via_T(theta: SemiIntegralSupport, m: Vec, direction: Vec) -> int:

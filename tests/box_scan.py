@@ -56,6 +56,26 @@ def sign_value(rays, coeffs, m) -> int:
     return 1 - minus_runs(signs)
 
 
+def mismatches(theta, psi, shift: int = 0):
+    """Yield (m, w, v) for each point m, by row and then by x, whose winding number w differs from its sign value v.
+
+    w is the ray cast at m moved left by shift, the winding number of a
+    sweep with every threshold shift columns right.  The box holds the
+    curve's box moved right by shift and the level lines' crossings.
+    """
+    gamma = gamma_curve(theta)
+    rays, coeffs = psi.fan.rays, divisor_coeffs(psi)
+    boxes = (curve_box(gamma), fraction_search_box(psi.fan, coeffs, 0))
+    xmin, ymin = min(b[0] for b in boxes), min(b[1] for b in boxes)
+    xmax, ymax = max(b[2] for b in boxes) + shift, max(b[3] for b in boxes)
+    for y in range(ymin, ymax + 1):
+        for x in range(xmin, xmax + 1):
+            w = ray_cast(gamma.doubled, (x - shift, y))
+            v = sign_value(rays, coeffs, (x, y))
+            if w != v:
+                yield (x, y), w, v
+
+
 def counting_points(psi, margin: int = 0):
     """Yield (m, k, n) for each point m of the crossings' box, padded by 1 + margin, that adds n to h^k."""
     rays, coeffs = psi.fan.rays, divisor_coeffs(psi)

@@ -11,7 +11,7 @@ pytest.register_assert_rewrite("box_scan", "gen_cases")
 import tropcoh.io
 from gen_cases import cross_check
 from oracles import schema_first_error
-from tropcoh import lattice
+from tropcoh import lattice, winding
 from tropcoh.examples import a2d_subdivision, blowup_p2, local_p2
 from tropcoh.polytope import subdivision
 from tropcoh.spheres import theta_from_twisting, twisting
@@ -79,6 +79,21 @@ def gen_fixtures():
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     return gen
+
+
+@pytest.fixture
+def shifted_thresholds(monkeypatch):
+    """A planted defect: every winding threshold one column right, so each run keeps its length.
+
+    The totals stay, and w(x, y) reads the true winding number at (x - 1, y).
+    """
+    segments = winding._segments
+
+    def shifted(gamma):
+        lines, signs = segments(gamma)
+        return [(y0, y1, n0 + den, n1, den) for y0, y1, n0, n1, den in lines], signs
+
+    monkeypatch.setattr(winding, "_segments", shifted)
 
 
 @pytest.fixture(scope="session")

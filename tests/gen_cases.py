@@ -143,8 +143,9 @@ def riemann_roch(psi) -> int:
 def cross_check(rng_seed: int, cases: int) -> tuple[int, int]:
     """Compare the sweeps with the box scans, the ray oracle and two identities.
 
-    Per case: the winding table and its totals equal the box scan's; the
-    cohomology dimensions equal the box scan's; on every point of a box
+    Per case: the winding table and the totals of verify_winding_theorem's
+    walk equal the box scan's; the cohomology dimensions, from
+    cohomology_dims and from that walk, equal the box scan's; on every point of a box
     holding both supports the winding number equals the sign-pattern value;
     h0 - h1 + h2 is the Riemann-Roch number; and the table entries and a few
     zero points agree with the ray oracle.  Asserts
@@ -159,11 +160,7 @@ def cross_check(rng_seed: int, cases: int) -> tuple[int, int]:
         psi_from_theta,
         verify_winding_theorem,
     )
-    from tropcoh.winding import (
-        h_even_odd,
-        winding_table,
-        winding_via_T_auto,
-    )
+    from tropcoh.winding import winding_table, winding_via_T_auto
 
     rng = random.Random(rng_seed)
     nonempty = 0
@@ -175,10 +172,11 @@ def cross_check(rng_seed: int, cases: int) -> tuple[int, int]:
         scan = scan_winding_table(theta)
         assert table.bounds == scan.bounds, f"table bounds differ on fan {fan}"
         assert table.entries == scan.entries, f"table entries differ on fan {fan}"
-        assert h_even_odd(theta) == scan.h_even_odd(), f"totals differ on fan {fan}"
+        rep = verify_winding_theorem(theta)
+        assert (rep.h_even, rep.h_odd) == scan.h_even_odd(), f"totals differ on fan {fan}"
         psi = psi_from_theta(theta)
         assert cohomology_dims(psi) == scan_cohomology_dims(psi), f"dims differ on fan {fan}"
-        rep = verify_winding_theorem(theta)
+        assert rep.dims == cohomology_dims(psi), f"the walk's dims differ on fan {fan}"
         assert rep.ok, f"cohomology disagrees with the cast on fan {fan}"
         dims = rep.dims
         assert dims.h0 - dims.h1 + dims.h2 == riemann_roch(psi), f"Riemann-Roch fails on fan {fan}"

@@ -16,7 +16,9 @@ of its result.  The per-point and sampled checks serve only the tests.
 Library names whose only callers were tests live here too, next to those
 tests' other oracles: the Fraction solve ``solve_dual``, the per-point ray
 cast ``winding`` and the Serre dual ``serre_dual_psi`` among them (the
-README lists them all).  ``support_from_kinks``, which rebuilds a function
+README lists them all).  ``slab_curve_totals`` is the removed
+``winding._curve_totals``, the winding totals by slabs of the curve's
+segments alone.  ``support_from_kinks``, which rebuilds a function
 from its kinks, is the reference for the divisor classes: their
 combinations must give back every Picard basis vector.  The Fraction
 ``fraction_slope`` and ``fraction_kinks`` stand in for the removed
@@ -73,7 +75,7 @@ from tropcoh.lattice import (
 )
 from tropcoh.cohomology import ToricSupport, canonical_psi
 from tropcoh.fan import Fan, balance, is_smooth, make_fan, self_intersections
-from tropcoh.lattice import floor_sum
+from tropcoh.lattice import floor_sum, threshold_slabs
 from tropcoh.polytope import (
     EdgeKey, KinkVector, Subdivision, SubdivisionEdge, _slope, checked, convex_hull, edges, interior_edge_keys,
     kink_entry,
@@ -81,7 +83,7 @@ from tropcoh.polytope import (
 from tropcoh.smoothing import _chords
 from tropcoh.spheres import SemiIntegralSupport, Twisting, _check_twisting, gamma_curve, is_strictly_convex
 from tropcoh.tropical import BoundedRegion
-from tropcoh.winding import _on_curve, _segments
+from tropcoh.winding import _on_curve, _segments, curve_lines
 
 
 @lru_cache(maxsize=1)
@@ -568,6 +570,29 @@ def ray_cast(doubled: tuple[Vec, ...], m: Vec) -> int:
 def winding(gamma, m: Vec) -> int:
     """Winding number of the GammaCurve gamma about the lattice point m, by one ray cast."""
     return ray_cast(gamma.doubled, m)
+
+
+def slab_curve_totals(gamma) -> tuple[int, int]:
+    """The totals of the positive and of the negative winding numbers of gamma, slab by slab.
+
+    The removed winding._curve_totals: the walk of winding_runs on the
+    slabs of lattice.threshold_slabs over gamma's segment lines alone, with
+    the sweep's refusals.  verify_winding_theorem now walks these lines in
+    one slab pass with the level lines; this oracle drives the slabs over
+    any segment arrangement, such as a random closed curve.
+    """
+    lines, signs, first, last = curve_lines(gamma)
+    even = odd = 0
+    for _, _, thresholds in threshold_slabs(lines, first, last):
+        w = prev = 0
+        for t, j in thresholds:
+            if w > 0:
+                even += w * (t - prev)
+            else:
+                odd -= w * (t - prev)
+            w -= signs[j]
+            prev = t
+    return even, odd
 
 
 def convex_intersection_count(theta: SemiIntegralSupport) -> int:

@@ -30,7 +30,7 @@ from tropcoh.lattice import lex_positive
 from tropcoh.smoothing import FanPL, MollifierParams, check_hessian_definiteness, grad, mollify_eval
 from tropcoh.spheres import theta_from_twisting, twisting
 from tropcoh.tropical import region_at, tropical_curve
-from tropcoh.winding import h_even_odd, winding_table
+from tropcoh.winding import winding_table
 
 WORKED_ELL = (-14, 5, -14, -9)
 
@@ -70,7 +70,8 @@ def test_criterion_3_p2_twist_family():
         theta = theta_from_twisting(twisting(region, (2 * k + 1,) * 3))
         want = abs(k * (k + 1) // 2)
         ok = ok and convex_intersection_count(theta) == want
-        ok = ok and h_even_odd(theta) == (want, 0)
+        rep = verify_winding_theorem(theta)
+        ok = ok and (rep.h_even, rep.h_odd) == (want, 0)
     _report(3, ok, "odd twist family on the local plane")
 
 

@@ -322,6 +322,17 @@ def test_mismatch_report_names_the_witness(run, monkeypatch):
     assert result["witness"] == {"point": [3, -8], "winding": 0, "sign_pattern": 1}
 
 
+def test_shifted_thresholds_fail_pointwise(run, shifted_thresholds):
+    """Each run of the planted defect keeps its length: the totals agree, and the points do not."""
+    code, out, _ = run("verify-winding-theorem", P2, "--ell", "cap_k1")
+    assert code == 1
+    result = out_json(out)["result"]
+    assert (result["h_even"], result["h_odd"], result["dims"]) == (1, 0, [0, 0, 1])
+    assert result["ok"] is False
+    # test_cohomology checks this point against a box scan
+    assert result["witness"] == {"point": [0, 1], "winding": 0, "sign_pattern": 1}
+
+
 def test_winding_table_size_limit(run):
     code, out, err = run("winding", P2, "--ell", "100001,100001,100001")
     assert code == 2

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import tropcoh.cohomology as cohomology
-from box_scan import counting_points, minus_runs, scan_cohomology_dims, sign_value, signs_at
+from box_scan import counting_points, mismatches, minus_runs, scan_cohomology_dims, sign_value, signs_at
 from gen_cases import random_smooth_fan, random_theta, riemann_roch
 from oracles import fraction_search_box, serre_dual_psi, winding
 from tropcoh.cohomology import (
@@ -17,7 +17,6 @@ from tropcoh.cohomology import (
     canonical_psi,
     cohomology_dims,
     divisor_coeffs,
-    pattern_runs,
     psi_from_ray_values,
     psi_from_theta,
     restriction_degrees,
@@ -34,6 +33,7 @@ from tropcoh.spheres import (
     twisting,
 )
 from tropcoh.tropical import region_at, tropical_curve
+from tropcoh.winding import curve_lines
 
 P2_FAN_RAYS = [(1, 0), (0, 1), (-1, -1)]
 WORKED_ELL = (-14, 5, -14, -9)
@@ -267,6 +267,46 @@ def test_mismatch_names_the_first_witness(blowup_region, monkeypatch):
     assert rep.witness == first
 
 
+def _bad_points(theta, by_slabs):
+    """The number of points where w differs from the sign value (-1)^k n, summed over the runs of the one walk."""
+    walk = cohomology._patterns(psi_from_theta(theta), by_slabs, curve_lines(gamma_curve(theta)))
+    return sum(x1 - x0 for _, _, x0, x1, k, n, w in walk if w != (-n if k == 1 else n))
+
+
+def test_the_walk_finds_no_mismatch_on_random_thetas():
+    """Slab by slab and row by row, the walk counts no point where w and the sign value differ."""
+    rng = random.Random(4413)
+    nonzero = 0
+    for _ in range(300):
+        theta = random_theta(rng)
+        assert _bad_points(theta, True) == _bad_points(theta, False) == 0, theta.doubled
+        nonzero += verify_winding_theorem(theta).dims != CohomologyDims(0, 0, 0)
+    assert nonzero > 250
+
+
+@pytest.mark.parametrize("ell, bad", [(21, 20), (2001, 2000)])
+def test_the_walk_counts_the_points_of_shifted_thresholds(p2_region, shifted_thresholds, ell, bad):
+    """Every run keeps its length, so the totals pass; the slab count equals the row count."""
+    theta = theta_from_twisting(twisting(p2_region, (ell,) * 3))
+    assert _bad_points(theta, True) == _bad_points(theta, False) == bad
+    if ell < 100:
+        assert len(list(mismatches(theta, psi_from_theta(theta), 1))) == bad
+    rep = verify_winding_theorem(theta)
+    k = (ell - 1) // 2
+    assert (rep.h_even, rep.h_odd) == (k * (k + 1) // 2, 0)
+    assert not rep.ok
+
+
+def test_shifted_thresholds_fail_with_the_first_witness(p2_region, shifted_thresholds):
+    """On p2 cap_k1 the totals agree, and the walk names the box scan's first bad point."""
+    theta = theta_from_twisting(twisting(p2_region, (3, 3, 3)))
+    rep = verify_winding_theorem(theta)
+    assert (rep.h_even, rep.h_odd, rep.dims.as_tuple()) == (1, 0, (0, 0, 1))
+    assert not rep.ok
+    m, w, v = next(mismatches(theta, psi_from_theta(theta), 1))
+    assert rep.witness == Witness(m, w, v) == Witness((0, 1), 0, 1)
+
+
 def test_search_box_check_is_not_an_assert(p2_fan, monkeypatch):
     monkeypatch.setattr(cohomology, "det2", lambda u, v: 0)
     with pytest.raises(LatticeError, match="crossing level lines"):
@@ -306,7 +346,8 @@ def test_points_that_count_lie_between_the_crossings():
         for (x, y), k, n in counting_points(psi, 3):
             assert xmin <= x <= xmax and ymin <= y <= ymax, (rays, coeffs, (x, y))
             scanned[(x, y)] = (k, n)
-        swept = {(x, y): (k, n) for y, x0, x1, k, n in pattern_runs(psi) for x in range(x0, x1)}
+        runs = cohomology._patterns(psi, False)
+        swept = {(x, y): (k, n) for y, _, x0, x1, k, n, _ in runs for x in range(x0, x1)}
         assert swept == scanned, (rays, coeffs)
         dims = [0, 0, 0]
         for k, n in scanned.values():
@@ -323,7 +364,7 @@ def test_points_that_count_lie_between_the_crossings():
 
 def _swept_dims(psi):
     dims = [0, 0, 0]
-    for _, x0, x1, k, n in pattern_runs(psi):
+    for _, _, x0, x1, k, n, _ in cohomology._patterns(psi, False):
         dims[k] += n * (x1 - x0)
     return CohomologyDims(*dims)
 

@@ -1,7 +1,7 @@
 """The twist path in doubled integers against its Fraction versions in oracles.py.
 
 theta_from_twisting, kinks_of_theta, psi_from_theta, the cohomology search
-rows and the slab orders of the winding and cohomology totals carry 2 theta
+rows and the slab orders of the walk of the winding and cohomology totals carry 2 theta
 as integer pairs.  Each must give the value the Fraction version gives, or
 raise with the same message.
 """
@@ -14,7 +14,6 @@ from types import SimpleNamespace
 import pytest
 
 import tropcoh.cohomology as cohomology
-import tropcoh.winding as winding
 from gen_cases import random_theta
 from oracles import (
     fraction_assert_semi_integral,
@@ -45,7 +44,7 @@ from tropcoh.spheres import (
     twisting,
 )
 from tropcoh.tropical import region_at, tropical_curve
-from tropcoh.winding import _segments, h_even_odd
+from tropcoh.winding import _segments
 
 P2 = make_fan([(1, 0), (0, 1), (-1, -1)])
 BIG = (10**6 + 1, 10**18 + 1)
@@ -106,30 +105,29 @@ def test_theta_kinks_psi_and_box_match_the_fractions(twistings):
 
 @pytest.fixture
 def slab_orders(monkeypatch):
-    """Run lattice.slab_thresholds next to its Fraction version; record who asked and the slab sizes."""
+    """Run lattice.slab_thresholds next to its Fraction version; record the walk's kind and the slab sizes.
+
+    The kind is "curve" for the walk of verify_winding_theorem, over the
+    curve's segments and the level lines, and "levels" for the level lines
+    alone, as cohomology_dims walks them.
+    """
     sizes = []
-    caller = [None]
+    kind = [None]
+    patterns = cohomology._patterns
 
-    def asking(kind, count):
-        def wrapped(*args):
-            caller.append(kind)
-            try:
-                return count(*args)
-            finally:
-                caller.pop()
-
-        return wrapped
+    def walked(psi, by_slabs, *curve):
+        kind[0] = "curve" if curve and curve[0] else "levels"
+        return patterns(psi, by_slabs, *curve)
 
     slab_thresholds = lattice.slab_thresholds
 
     def checked(lines, a, b):
         got = slab_thresholds(lines, a, b)
         assert got == fraction_slab_thresholds(lines, a, b), (lines, a, b)
-        sizes.append((caller[-1], b - a + 1))
+        sizes.append((kind[0], b - a + 1))
         return got
 
-    monkeypatch.setattr(winding, "_curve_totals", asking("cuts", winding._curve_totals))
-    monkeypatch.setattr(cohomology, "cohomology_dims", asking("flips", cohomology.cohomology_dims))
+    monkeypatch.setattr(cohomology, "_patterns", walked)
     monkeypatch.setattr(lattice, "slab_thresholds", checked)
     return sizes
 
@@ -137,9 +135,13 @@ def slab_orders(monkeypatch):
 def test_slab_orders_match_the_fractions(twistings, slab_orders):
     for tw in twistings:
         if max(map(abs, tw.ell)) < 10**7:
-            assert verify_winding_theorem(theta_from_twisting(tw)).ok
-    assert sum(kind == "cuts" for kind, _ in slab_orders) > 800
-    assert sum(kind == "flips" for kind, _ in slab_orders) > 750
+            theta = theta_from_twisting(tw)
+            assert verify_winding_theorem(theta).ok
+            cohomology.cohomology_dims(psi_from_theta(theta))
+    # the one walk has more lines than either count had, and threshold_slabs walks
+    # up to lines squared rows one by one, so fewer slabs than the 800 of the curve alone
+    assert sum(kind == "curve" for kind, _ in slab_orders) > 550
+    assert sum(kind == "levels" for kind, _ in slab_orders) > 750
     assert max(n for _, n in slab_orders) > 10**5
 
 
@@ -148,7 +150,7 @@ def test_slab_orders_at_a_twist_of_ten_to_the_eighteen(slab_orders):
     for sign in (1, -1):
         theta = theta_from_twisting(twisting(P2, (sign * BIG[1],) * 3))
         with pytest.raises(LatticeError, match="above the limit"):
-            h_even_odd(theta)
+            verify_winding_theorem(theta)
         segments, _ = _segments(gamma_curve(theta))
         for y0, y1, *_ in segments:
             lattice.slab_thresholds(segments, y0, y1)

@@ -7,7 +7,8 @@ import pytest
 
 from box_scan import scan_winding_table
 from gen_cases import random_theta
-from oracles import check_rows_off_curve, convex_intersection_count, winding
+from oracles import check_rows_off_curve, convex_intersection_count, slab_curve_totals, winding
+from tropcoh.cohomology import verify_winding_theorem
 from tropcoh.fan import make_fan
 from tropcoh.io import parse_input
 from tropcoh.lattice import LatticeError
@@ -22,8 +23,6 @@ from tropcoh.spheres import (
 from tropcoh.tropical import region_at, tropical_curve
 from tropcoh.winding import (
     GenericityError,
-    _curve_totals,
-    h_even_odd,
     probe_directions,
     winding_runs,
     winding_table,
@@ -47,8 +46,13 @@ def test_worked_example_table_is_frozen(blowup_theta):
     assert table.entries == want
 
 
+def _walk_totals(theta):
+    rep = verify_winding_theorem(theta)
+    return rep.h_even, rep.h_odd
+
+
 def test_worked_example_h_even_odd(blowup_theta):
-    assert h_even_odd(blowup_theta) == (10, 3)
+    assert _walk_totals(blowup_theta) == (10, 3)
 
 
 def test_entries_stay_inside_the_box(blowup_theta):
@@ -106,7 +110,7 @@ def test_p2_count_family(p2_region, k):
     theta = theta_from_twisting(twisting(p2_region, ell))
     want = abs(k * (k + 1) // 2)
     assert convex_intersection_count(theta) == want
-    assert h_even_odd(theta) == (want, 0)
+    assert _walk_totals(theta) == (want, 0)
 
 
 def test_empty_table_on_the_quadric():
@@ -192,7 +196,7 @@ def test_table_matches_the_box_scan(request, region, ell):
     table, scan = winding_table(theta), scan_winding_table(theta)
     assert table.bounds == scan.bounds
     assert table.entries == scan.entries
-    assert h_even_odd(theta) == scan.h_even_odd()
+    assert _walk_totals(theta) == scan.h_even_odd()
 
 
 def test_counterclockwise_check_is_not_an_assert(p2_region, monkeypatch):
@@ -225,8 +229,15 @@ def _outcome(count, gamma):
 
 
 def _slab_matches_sweep(gamma):
-    got = _outcome(_curve_totals, gamma)
+    got = _outcome(slab_curve_totals, gamma)
     assert got == _outcome(_swept_totals, gamma), gamma.vertices
+    return got
+
+
+def _walk_matches_sweep(theta):
+    """The totals of verify_winding_theorem's one walk, of the curve's slabs alone and of the row sweep."""
+    got = _slab_matches_sweep(gamma_curve(theta))
+    assert _outcome(_walk_totals, theta) == got, theta.doubled
     return got
 
 
@@ -243,7 +254,7 @@ def test_slab_totals_match_the_sweep_on_random_thetas(closed_form_slabs):
         for _ in range(60):
             theta = random_theta(rng)
             for factor in (1, 7):
-                outcomes.append(_slab_matches_sweep(gamma_curve(_scaled(theta, factor))))
+                outcomes.append(_walk_matches_sweep(_scaled(theta, factor)))
     assert sum(odd > 0 for _, odd in outcomes) > 100
     assert sum(odd > 0 for _, odd in outcomes) > 300
     assert sum(n > 1 for n in closed_form_slabs) > 300
@@ -260,7 +271,7 @@ def test_slab_totals_match_the_sweep_on_the_fixture_sets(fixture_dir, closed_for
             except LatticeError:
                 continue
             for factor in (1, 5, 21):
-                checked.append(_slab_matches_sweep(gamma_curve(_scaled(theta, factor))))
+                checked.append(_walk_matches_sweep(_scaled(theta, factor)))
     assert len(checked) == 15
     assert (10, 3) in checked
 
@@ -269,7 +280,7 @@ def test_slab_totals_match_the_sweep_on_the_p2_ladder(p2_region, closed_form_sla
     for k in range(300):
         for sign in (1, -1):
             theta = theta_from_twisting(twisting(p2_region, (sign * (2 * k + 1),) * 3))
-            assert _slab_matches_sweep(gamma_curve(theta)) == (k * (k + 1) // 2, 0)
+            assert _walk_matches_sweep(theta) == (k * (k + 1) // 2, 0)
     assert closed_form_slabs
 
 
